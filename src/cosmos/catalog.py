@@ -8,7 +8,6 @@ per request-millisecond for space platforms.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, replace
 from decimal import Decimal
@@ -24,6 +23,7 @@ from .errors import (
     UnknownComponentError,
 )
 from .money import CONTEXT, dec, fmt_full
+from .workflow import _read_json
 
 
 class DriverCategory(str, Enum):
@@ -297,15 +297,6 @@ def serialize_catalog(catalog: PlatformCatalog) -> dict:
             for c in catalog.components
         ],
     }
-
-
-def _read_json(source):
-    if isinstance(source, Mapping):
-        return source
-    if hasattr(source, "read"):
-        return json.load(source)
-    with open(source, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 # --- bundled rate cards ---------------------------------------------------

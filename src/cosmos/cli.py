@@ -27,6 +27,7 @@ from .engine import (
     driver_shares,
     function_cost,
     function_cost_curve,
+    function_latency,
     per_function_costs,
     workflow_cost,
     workflow_cost_curve,
@@ -364,11 +365,7 @@ def cmd_breakdown(args) -> int:
         fid = profile.function_id
         pid = placement.platform_for(fid)
         catalog = catalogs[pid]
-        latency_ms = None
-        if catalog.per_ms_priced:
-            if latencies is None:
-                raise MissingLatencyError(fid, pid)
-            latency_ms = latencies.get(fid, pid)
+        latency_ms = function_latency(profile, catalog, latencies)
         charges = component_charges(profile, catalog, latency_ms=latency_ms, volume=volume)
         breakdown = function_cost(profile, catalog, latency_ms=latency_ms, volume=volume)
         shares = driver_shares(breakdown)
@@ -439,11 +436,7 @@ def _curve_for(function, workflow, placement, catalogs, latencies):
         profile = workflow.function(function)
         pid = placement.platform_for(function)
         catalog = catalogs[pid]
-        latency_ms = None
-        if catalog.per_ms_priced:
-            if latencies is None:
-                raise MissingLatencyError(function, pid)
-            latency_ms = latencies.get(function, pid)
+        latency_ms = function_latency(profile, catalog, latencies)
         return function_cost_curve(profile, catalog, latency_ms=latency_ms)
     return workflow_cost_curve(workflow, placement, catalogs, latencies=latencies)
 

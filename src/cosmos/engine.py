@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .catalog import DriverCategory, PlatformCatalog, RateUnit
 from .errors import DomainError, MissingLatencyError, UnknownComponentError, UnknownPlatformError
@@ -236,7 +236,7 @@ def _resolve_catalog(catalogs: Mapping[str, PlatformCatalog], platform_id: str) 
         raise UnknownPlatformError(f"no catalog loaded for platform {platform_id!r}") from None
 
 
-def _function_latency(
+def function_latency(
     profile: FunctionProfile, catalog: PlatformCatalog, latencies: LatencyTable | None
 ) -> Decimal | None:
     if not catalog.per_ms_priced:
@@ -258,23 +258,46 @@ def per_function_costs(
     out: dict[str, CostBreakdown] = {}
     for profile in workflow.functions:
         catalog = _resolve_catalog(catalogs, placement.platform_for(profile.function_id))
-        latency_ms = _function_latency(profile, catalog, latencies)
+        latency_ms = function_latency(profile, catalog, latencies)
         out[profile.function_id] = function_cost(
             profile, catalog, latency_ms=latency_ms, volume=volume
         )
     return out
 
 
-def _fixed_charges(profile: FunctionProfile, catalog: PlatformCatalog):
-    """(component_id, months, rate) for each fixed BaaS entry the profile uses."""
+def fixed_charges(
+    profile: FunctionProfile, catalog: PlatformCatalog
+) -> list[tuple[tuple[str, str], Decimal, Decimal]]:
+    """((platform_id, component_id), months, rate) for each fixed BaaS entry the profile uses."""
     charges = []
     for usage in profile.baas_usage:
         if not usage.applies_to(catalog.platform_id):
             continue
         comp = catalog.component(usage.component_id)
         if comp.driver is DriverCategory.BAAS_FIXED:
-            charges.append((comp.id, usage.quantity, comp.rate))
+            charges.append(((catalog.platform_id, comp.id), usage.quantity, comp.rate))
     return charges
+
+
+def shared_fixed_credit(
+    charges: Iterable[tuple[tuple[str, str], Decimal, Decimal]],
+) -> Decimal:
+    """What per-function pricing over-bills for fixed charges shared on one platform.
+
+    Each function is priced as if it paid a fixed monthly charge alone. When
+    several functions on the same platform use one, it is billed once, for
+    the longest availability window any of them asks for; the rest is credited.
+    """
+    months_used: dict[tuple[str, str], list[Decimal]] = {}
+    rates: dict[tuple[str, str], Decimal] = {}
+    for key, months, rate in charges:
+        months_used.setdefault(key, []).append(months)
+        rates[key] = rate
+    credit = ZERO
+    for key, months in months_used.items():
+        if len(months) > 1:
+            credit += money_product(sum(months) - max(months), rates[key])
+    return credit
 
 
 def workflow_cost(
@@ -285,11 +308,7 @@ def workflow_cost(
     latencies: LatencyTable | None = None,
     volume: Decimal | int | str | None = None,
 ) -> CostBreakdown:
-    """Element-wise sum of per-function breakdowns.
-
-    A fixed monthly charge shared by several functions on the same platform
-    is billed once, for the longest availability window any of them asks for.
-    """
+    """Element-wise sum of per-function breakdowns, less the shared fixed-charge credit."""
     parts = per_function_costs(
         workflow, placement, catalogs, latencies=latencies, volume=volume
     )
@@ -297,21 +316,14 @@ def workflow_cost(
     for piece in parts.values():
         total = total + piece
 
-    months_used: dict[tuple[str, str], list[Decimal]] = {}
-    rates: dict[tuple[str, str], Decimal] = {}
+    charges = []
     for profile in workflow.functions:
-        pid = placement.platform_for(profile.function_id)
-        catalog = _resolve_catalog(catalogs, pid)
-        for comp_id, months, rate in _fixed_charges(profile, catalog):
-            months_used.setdefault((pid, comp_id), []).append(months)
-            rates[(pid, comp_id)] = rate
-    excess = ZERO
-    for key, months in months_used.items():
-        if len(months) > 1:
-            excess += money_product(sum(months) - max(months), rates[key])
-    if excess:
+        catalog = _resolve_catalog(catalogs, placement.platform_for(profile.function_id))
+        charges += fixed_charges(profile, catalog)
+    credit = shared_fixed_credit(charges)
+    if credit:
         total = CostBreakdown.build(
-            total.invocation, total.compute, total.state, total.transfer, total.baas - excess
+            total.invocation, total.compute, total.state, total.transfer, total.baas - credit
         )
     return total
 
@@ -369,24 +381,11 @@ class CrossoverPoint:
         return div(self.n_star, Decimal(10**6))
 
 
-class _CoincidentCurves:
-    """Sentinel: the two curves are the same line (every volume ties)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "COINCIDENT_CURVES"
+#: Sentinel crossover result: the two curves are the same line (every volume ties).
+COINCIDENT_CURVES = object()
 
 
-COINCIDENT_CURVES = _CoincidentCurves()
-
-
-def crossover(a: CostCurve, b: CostCurve) -> CrossoverPoint | _CoincidentCurves | None:
+def crossover(a: CostCurve, b: CostCurve) -> CrossoverPoint | object | None:
     """Intersection of two cost lines at nonnegative volume.
 
     Parallel distinct lines never meet (None); identical lines meet

@@ -10,15 +10,19 @@ latency), so cost and latency enter the objective equally normalized.
 from __future__ import annotations
 
 import itertools
-import json
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from .catalog import PlatformCatalog
-from .engine import function_cost, workflow_cost
+from .engine import (
+    _resolve_catalog,
+    fixed_charges,
+    function_cost,
+    function_latency,
+    shared_fixed_credit,
+)
 from .errors import (
     CapExceededError,
     DegenerateAnchorError,
@@ -28,7 +32,7 @@ from .errors import (
     SchemaError,
 )
 from .money import CONTEXT, dec, div
-from .workflow import LatencyTable, Placement, WorkflowSpec, workflow_latency
+from .workflow import LatencyTable, Placement, WorkflowSpec, _read_json, workflow_latency
 
 ZERO = Decimal(0)
 
@@ -106,32 +110,47 @@ def _cross(o: ParetoPoint, a: ParetoPoint, b: ParetoPoint) -> Decimal:
 # --- placement evaluation models -------------------------------------------
 
 
-class PlacementModel(ABC):
-    """Maps placements to (cost, latency); backed by catalogs or measured points."""
+class PlacementModel:
+    """Maps placements to (cost, latency) from per-(function, platform) prices.
 
-    def __init__(self, workflow: WorkflowSpec):
+    Each pair is priced once, on first use, and kept with the fixed BaaS
+    charges it bills. A placement costs the sum of its pairs' prices less the
+    shared fixed-charge credit, exactly as ``workflow_cost`` bills it; its
+    latency is the critical path over the model's latency table.
+    """
+
+    def __init__(self, workflow: WorkflowSpec, latencies: LatencyTable | None = None):
         self.workflow = workflow
+        self.latencies = latencies if latencies is not None else LatencyTable({})
+        self._prices: dict[tuple[str, str], tuple[Decimal, tuple]] = {}
 
-    @abstractmethod
-    def function_cost_of(self, function_id: str, platform_id: str) -> Decimal: ...
+    def _price(self, function_id: str, platform_id: str) -> tuple[Decimal, tuple]:
+        """(cost, fixed charges) of one pair; the base model has no prices of its own."""
+        raise MissingLatencyError(function_id, platform_id)
 
-    @abstractmethod
-    def function_latency_of(self, function_id: str, platform_id: str) -> Decimal: ...
+    def _pair(self, function_id: str, platform_id: str) -> tuple[Decimal, tuple]:
+        key = (function_id, platform_id)
+        if key not in self._prices:
+            self._prices[key] = self._price(function_id, platform_id)
+        return self._prices[key]
+
+    def function_cost_of(self, function_id: str, platform_id: str) -> Decimal:
+        return self._pair(function_id, platform_id)[0]
+
+    def function_latency_of(self, function_id: str, platform_id: str) -> Decimal:
+        return self.latencies.get(function_id, platform_id)
 
     def cost_of(self, placement: Placement) -> Decimal:
         total = ZERO
+        charges = []
         for fid in self.workflow.function_ids:
-            total += self.function_cost_of(fid, placement.platform_for(fid))
-        return total
+            cost, fixed = self._pair(fid, placement.platform_for(fid))
+            total += cost
+            charges += fixed
+        return total - shared_fixed_credit(charges)
 
     def latency_of(self, placement: Placement) -> Decimal:
-        entries = {
-            (fid, placement.platform_for(fid)): self.function_latency_of(
-                fid, placement.platform_for(fid)
-            )
-            for fid in self.workflow.function_ids
-        }
-        return workflow_latency(self.workflow, placement, LatencyTable(entries))
+        return workflow_latency(self.workflow, placement, self.latencies)
 
     def points(self, platforms: Sequence[str]) -> list[ParetoPoint]:
         """Per-(function, platform) alternatives, for front extraction."""
@@ -156,41 +175,16 @@ class CatalogModel(PlacementModel):
         latencies: LatencyTable | None = None,
         volume: Decimal | int | str | None = None,
     ):
-        super().__init__(workflow)
+        super().__init__(workflow, latencies)
         self.catalogs = catalogs
-        self.latencies = latencies
         self.volume = None if volume is None else dec(volume)
-        self._fn_cache: dict[tuple[str, str], Decimal] = {}
-        self._wf_cache: dict[Placement, Decimal] = {}
 
-    def function_cost_of(self, function_id: str, platform_id: str) -> Decimal:
-        key = (function_id, platform_id)
-        if key not in self._fn_cache:
-            profile = self.workflow.function(function_id)
-            catalog = self.catalogs[platform_id]
-            latency_ms = None
-            if catalog.per_ms_priced:
-                latency_ms = self.function_latency_of(function_id, platform_id)
-            self._fn_cache[key] = function_cost(
-                profile, catalog, latency_ms=latency_ms, volume=self.volume
-            ).total
-        return self._fn_cache[key]
-
-    def function_latency_of(self, function_id: str, platform_id: str) -> Decimal:
-        if self.latencies is None:
-            raise MissingLatencyError(function_id, platform_id)
-        return self.latencies.get(function_id, platform_id)
-
-    def cost_of(self, placement: Placement) -> Decimal:
-        if placement not in self._wf_cache:
-            self._wf_cache[placement] = workflow_cost(
-                self.workflow,
-                placement,
-                self.catalogs,
-                latencies=self.latencies,
-                volume=self.volume,
-            ).total
-        return self._wf_cache[placement]
+    def _price(self, function_id: str, platform_id: str) -> tuple[Decimal, tuple]:
+        profile = self.workflow.function(function_id)
+        catalog = _resolve_catalog(self.catalogs, platform_id)
+        latency_ms = function_latency(profile, catalog, self.latencies)
+        cost = function_cost(profile, catalog, latency_ms=latency_ms, volume=self.volume).total
+        return cost, tuple(fixed_charges(profile, catalog))
 
 
 class PointTableModel(PlacementModel):
@@ -199,33 +193,17 @@ class PointTableModel(PlacementModel):
     def __init__(
         self, workflow: WorkflowSpec, table: Mapping[tuple[str, str], tuple[Decimal, Decimal]]
     ):
-        super().__init__(workflow)
-        self.table = dict(table)
-
-    def function_cost_of(self, function_id: str, platform_id: str) -> Decimal:
-        try:
-            return self.table[(function_id, platform_id)][0]
-        except KeyError:
-            raise MissingLatencyError(function_id, platform_id) from None
-
-    def function_latency_of(self, function_id: str, platform_id: str) -> Decimal:
-        try:
-            return self.table[(function_id, platform_id)][1]
-        except KeyError:
-            raise MissingLatencyError(function_id, platform_id) from None
+        super().__init__(
+            workflow, LatencyTable({key: latency for key, (_, latency) in table.items()})
+        )
+        self._prices.update({key: (cost, ()) for key, (cost, _) in table.items()})
 
 
 def load_point_table(
     source: str | Path | IO[str] | Mapping,
 ) -> dict[tuple[str, str], tuple[Decimal, Decimal]]:
     """Read a (function, platform) -> (cost, latency_ms) table document."""
-    if isinstance(source, Mapping):
-        doc = source
-    elif hasattr(source, "read"):
-        doc = json.load(source)
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+    doc = _read_json(source)
     if not isinstance(doc, Mapping) or "points" not in doc:
         raise SchemaError("point table document must be an object with a points array")
     table: dict[tuple[str, str], tuple[Decimal, Decimal]] = {}
@@ -271,6 +249,17 @@ def enumerate_placements(
     return generate()
 
 
+def _argmin(workflow, platforms, measure, cap) -> tuple[Decimal, Placement]:
+    """Lowest measure over every placement; the first in enumeration order wins ties."""
+    best: tuple[Decimal, Placement] | None = None
+    for placement in enumerate_placements(workflow, platforms, cap):
+        value = measure(placement)
+        if best is None or value < best[0]:
+            best = (value, placement)
+    assert best is not None
+    return best
+
+
 def min_cost(
     workflow: WorkflowSpec,
     platforms: Sequence[str],
@@ -278,13 +267,7 @@ def min_cost(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> tuple[Decimal, Placement]:
     """C*: cheapest achievable workflow cost, ignoring latency entirely."""
-    best: tuple[Decimal, Placement] | None = None
-    for placement in enumerate_placements(workflow, platforms, cap):
-        cost = model.cost_of(placement)
-        if best is None or cost < best[0]:
-            best = (cost, placement)
-    assert best is not None
-    return best
+    return _argmin(workflow, platforms, model.cost_of, cap)
 
 
 def min_time(
@@ -294,13 +277,7 @@ def min_time(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> tuple[Decimal, Placement]:
     """T*: fastest achievable workflow latency, ignoring cost entirely."""
-    best: tuple[Decimal, Placement] | None = None
-    for placement in enumerate_placements(workflow, platforms, cap):
-        latency = model.latency_of(placement)
-        if best is None or latency < best[0]:
-            best = (latency, placement)
-    assert best is not None
-    return best
+    return _argmin(workflow, platforms, model.latency_of, cap)
 
 
 def auto_weights(c_star: Decimal, t_star: Decimal) -> tuple[Decimal, Decimal]:

@@ -97,6 +97,7 @@ class WorkflowSpec:
     workflow_id: str
     functions: tuple[FunctionProfile, ...]
     edges: tuple[tuple[str, str], ...] = ()
+    _order: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ids = [f.function_id for f in self.functions]
@@ -109,37 +110,6 @@ class WorkflowSpec:
                     raise UnknownFunctionError(
                         f"edge ({src!r}, {dst!r}) references unknown function {endpoint!r}"
                     )
-        self._check_acyclic()
-
-    def _check_acyclic(self):
-        succs: dict[str, list[str]] = {f.function_id: [] for f in self.functions}
-        indeg = {f.function_id: 0 for f in self.functions}
-        for src, dst in self.edges:
-            succs[src].append(dst)
-            indeg[dst] += 1
-        ready = [fid for fid, d in indeg.items() if d == 0]
-        seen = 0
-        while ready:
-            fid = ready.pop()
-            seen += 1
-            for nxt in succs[fid]:
-                indeg[nxt] -= 1
-                if indeg[nxt] == 0:
-                    ready.append(nxt)
-        if seen != len(self.functions):
-            raise CycleError(f"workflow {self.workflow_id!r}: edge relation contains a cycle")
-
-    @property
-    def function_ids(self) -> tuple[str, ...]:
-        return tuple(f.function_id for f in self.functions)
-
-    def function(self, function_id: str) -> FunctionProfile:
-        for f in self.functions:
-            if f.function_id == function_id:
-                return f
-        raise UnknownFunctionError(f"unknown function {function_id!r}")
-
-    def topological_order(self) -> list[str]:
         succs: dict[str, list[str]] = {f.function_id: [] for f in self.functions}
         indeg = {f.function_id: 0 for f in self.functions}
         for src, dst in self.edges:
@@ -155,7 +125,23 @@ class WorkflowSpec:
                 indeg[nxt] -= 1
                 if indeg[nxt] == 0:
                     ready.append(nxt)
-        return order
+        if len(order) != len(self.functions):
+            raise CycleError(f"workflow {self.workflow_id!r}: edge relation contains a cycle")
+        object.__setattr__(self, "_order", tuple(order))
+
+    @property
+    def function_ids(self) -> tuple[str, ...]:
+        return tuple(f.function_id for f in self.functions)
+
+    def function(self, function_id: str) -> FunctionProfile:
+        for f in self.functions:
+            if f.function_id == function_id:
+                return f
+        raise UnknownFunctionError(f"unknown function {function_id!r}")
+
+    def topological_order(self) -> list[str]:
+        """Functions in dependency order, ties in declaration order."""
+        return list(self._order)
 
     def predecessors(self) -> dict[str, list[str]]:
         preds: dict[str, list[str]] = {f.function_id: [] for f in self.functions}
@@ -253,6 +239,17 @@ def _parse_quantity(obj: Mapping, key: str, owner: str, default: str = "0") -> D
     raise SchemaError(f"{owner}: {key} must be a decimal string")
 
 
+_ARRAY = (list, tuple)
+
+
+def _typed(value, kind, what: str):
+    """value itself, or a SchemaError naming the field when it is not an array or object."""
+    if not isinstance(value, kind):
+        expected = "an object" if kind is Mapping else "an array"
+        raise SchemaError(f"{what} must be {expected}, got {type(value).__name__}")
+    return value
+
+
 def _parse_usage(obj: Mapping, owner: str) -> BaasUsage:
     if not isinstance(obj, Mapping):
         raise SchemaError(f"{owner}: baas_usage entries must be objects")
@@ -262,10 +259,14 @@ def _parse_usage(obj: Mapping, owner: str) -> BaasUsage:
     if "component_id" not in obj:
         raise SchemaError(f"{owner}: baas_usage entry missing component_id")
     platforms = obj.get("platforms")
+    if platforms is not None:
+        platforms = frozenset(
+            str(p) for p in _typed(platforms, _ARRAY, f"{owner}: baas_usage platforms")
+        )
     return BaasUsage(
         component_id=str(obj["component_id"]),
         quantity=_parse_quantity(obj, "quantity", owner, default="1"),
-        platforms=frozenset(platforms) if platforms is not None else None,
+        platforms=platforms,
     )
 
 
@@ -278,9 +279,10 @@ def _parse_function(obj: Mapping) -> FunctionProfile:
     if "function_id" not in obj:
         raise SchemaError("function entry missing function_id")
     fid = str(obj["function_id"])
+    t_overrides = _typed(obj.get("t_overrides") or {}, Mapping, f"{fid}: t_overrides")
     overrides = {
         str(platform): _parse_quantity({"t": raw}, "t", fid)
-        for platform, raw in (obj.get("t_overrides") or {}).items()
+        for platform, raw in t_overrides.items()
     }
     return FunctionProfile(
         function_id=fid,
@@ -291,24 +293,28 @@ def _parse_function(obj: Mapping) -> FunctionProfile:
         d_per_request=_parse_quantity(obj, "d_per_request", fid),
         r_in=_parse_quantity(obj, "r_in", fid),
         r_out=_parse_quantity(obj, "r_out", fid),
-        baas_usage=tuple(_parse_usage(u, fid) for u in obj.get("baas_usage", [])),
+        baas_usage=tuple(
+            _parse_usage(u, fid)
+            for u in _typed(obj.get("baas_usage", []), _ARRAY, f"{fid}: baas_usage")
+        ),
         workload_class=obj.get("workload_class"),
         t_overrides=overrides,
     )
 
 
 def _parse_latency_block(block: Mapping, functions: tuple[FunctionProfile, ...]) -> LatencyTable:
+    _typed(block, Mapping, "latency")
     unknown = set(block) - _LATENCY_KEYS
     if unknown:
         raise SchemaError(f"unknown latency field(s): {sorted(unknown)}")
     entries: dict[tuple[str, str], Decimal] = {}
-    for fid, per_platform in (block.get("entries") or {}).items():
+    for fid, per_platform in _typed(block.get("entries") or {}, Mapping, "latency entries").items():
         if not isinstance(per_platform, Mapping):
             raise SchemaError(f"latency entries for {fid!r} must map platform to ms")
         for pid, raw in per_platform.items():
             entries[(str(fid), str(pid))] = _parse_quantity({"ms": raw}, "ms", f"latency {fid}")
     reference = block.get("reference_platform")
-    factors = block.get("factors") or {}
+    factors = _typed(block.get("factors") or {}, Mapping, "latency factors")
     if factors and reference is None:
         raise SchemaError("latency factors require a reference_platform")
     for pid, raw in factors.items():
@@ -332,9 +338,9 @@ def load_workflow_document(source: str | Path | IO[str] | Mapping) -> tuple[Work
     for key in ("workflow_id", "functions"):
         if key not in doc:
             raise SchemaError(f"workflow missing required field {key!r}")
-    functions = tuple(_parse_function(f) for f in doc["functions"])
+    functions = tuple(_parse_function(f) for f in _typed(doc["functions"], _ARRAY, "functions"))
     edges = []
-    for edge in doc.get("edges", []):
+    for edge in _typed(doc.get("edges", []), _ARRAY, "edges"):
         if not isinstance(edge, (list, tuple)) or len(edge) != 2:
             raise SchemaError(f"edges must be [from, to] pairs, got {edge!r}")
         edges.append((str(edge[0]), str(edge[1])))

@@ -388,3 +388,13 @@ def test_exit_codes_stay_in_contract(capsys, tmp_path):
     empty.write_text("timestamp,function_id,platform_id,duration_ms,bytes_in,bytes_out,status\n")
     seen.add(run(capsys, "ingest", "--log", str(empty))[0])
     assert seen == {0, 2, 3, 4}
+
+
+def test_mistyped_usage_platforms_exits_2(capsys, tmp_path):
+    doc = json.loads(Path(PIPELINE).read_text(encoding="utf-8"))
+    doc["functions"][2]["baas_usage"][1]["platforms"] = "aws-x86"  # ml-provisioning
+    path = tmp_path / "wf.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run(capsys, "cost", "--workflow", str(path), "--platform", "aws-x86")
+    assert code == 2
+    assert "platforms" in err

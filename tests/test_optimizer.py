@@ -3,7 +3,9 @@ import random
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cosmos.engine import workflow_cost
 from cosmos.errors import (
     CapExceededError,
     DegenerateAnchorError,
@@ -23,7 +25,14 @@ from cosmos.optimizer import (
     optimize,
     pareto_front,
 )
-from cosmos.workflow import FunctionProfile, Placement, WorkflowSpec
+from cosmos.workflow import (
+    BaasUsage,
+    FunctionProfile,
+    LatencyTable,
+    Placement,
+    WorkflowSpec,
+    workflow_latency,
+)
 
 D = Decimal
 
@@ -142,6 +151,63 @@ def test_catalog_model_agrees_with_engine(pipeline, catalogs):
     # measured point set, so the catalog-backed argmin lands the same way.
     assert placement.platforms() == ("gcp", "gcp", "aws-arm")
     assert c_star == D("20.06499")
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_catalog_model_matches_engine_with_shared_fixed_charges(catalogs, data):
+    n = data.draw(st.integers(min_value=2, max_value=3), label="functions")
+    months = data.draw(
+        st.lists(st.integers(1, 12), min_size=n, max_size=n, unique=True), label="months"
+    )
+    fids = [f"f{i}" for i in range(n)]
+    wf = WorkflowSpec(
+        workflow_id="shared",
+        functions=tuple(
+            FunctionProfile(
+                function_id=fid,
+                n=D(data.draw(st.integers(1, 10**6), label=f"n-{fid}")),
+                t=D("0.1"),
+                mem=D("0.125"),
+                baas_usage=(BaasUsage("ml-provisioning", D(m)),),
+            )
+            for fid, m in zip(fids, months)
+        ),
+        edges=tuple(
+            (fids[i], fids[j])
+            for i, j in itertools.combinations(range(n), 2)
+            if data.draw(st.booleans(), label=f"edge{i}-{j}")
+        ),
+    )
+    lat = LatencyTable(
+        {(fid, pid): D(data.draw(st.integers(1, 500))) for fid in fids for pid in PLATFORMS}
+    )
+    model = CatalogModel(wf, catalogs, latencies=lat)
+
+    placement = Placement(tuple((fid, data.draw(st.sampled_from(PLATFORMS))) for fid in fids))
+    assert model.cost_of(placement) == workflow_cost(wf, placement, catalogs, latencies=lat).total
+    assert model.latency_of(placement) == workflow_latency(wf, placement, lat)
+
+    # All functions on one billed platform share ml-provisioning with distinct
+    # month counts, so the search meets a non-zero credit in every example.
+    # (leo prices ml-provisioning at 0.)
+    uniform = Placement.uniform(wf, data.draw(st.sampled_from(PLATFORMS[:4])))
+    billed_alone = sum(model.function_cost_of(fid, pid) for fid, pid in uniform.assignments)
+    assert model.cost_of(uniform) < billed_alone
+
+    evaluated = []
+    for combo in itertools.product(PLATFORMS, repeat=n):
+        p = Placement(tuple(zip(fids, combo)))
+        evaluated.append(
+            (workflow_cost(wf, p, catalogs, latencies=lat).total, workflow_latency(wf, p, lat))
+        )
+    c_star = min(c for c, _ in evaluated)
+    t_star = min(t for _, t in evaluated)
+    result = optimize(wf, PLATFORMS, model)
+    assert (result.c_star, result.t_star) == (c_star, t_star)
+    assert (result.cost, result.latency) in evaluated
+    best = min(c / c_star + t / t_star for c, t in evaluated)
+    assert result.cost / c_star + result.latency / t_star <= best + D("1e-9")
 
 
 def test_auto_weights_reciprocal():

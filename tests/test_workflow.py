@@ -117,6 +117,28 @@ def test_unknown_function_field_rejected():
         load_workflow(doc)
 
 
+_MISTYPED = {
+    "functions": lambda doc: doc.update(functions=5),
+    "edges": lambda doc: doc.update(edges=5),
+    "latency": lambda doc: doc.update(latency=[]),
+    "entries": lambda doc: doc.update(latency={"entries": ["a"]}),
+    "factors": lambda doc: doc.update(latency={"reference_platform": "p", "factors": ["x"]}),
+    "t_overrides": lambda doc: doc["functions"][0].update(t_overrides=["x"]),
+    "baas_usage": lambda doc: doc["functions"][0].update(baas_usage=5),
+    "platforms": lambda doc: doc["functions"][0].update(
+        baas_usage=[{"component_id": "ml-provisioning", "platforms": "aws-x86"}]
+    ),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_MISTYPED))
+def test_mistyped_field_is_schema_error_naming_it(field):
+    doc = _wf_doc(["a"], [])
+    _MISTYPED[field](doc)
+    with pytest.raises(SchemaError, match=field):
+        load_workflow_document(doc)
+
+
 # --- latency aggregation ------------------------------------------------------
 
 
