@@ -75,5 +75,6 @@ from .workflow import (
     WorkflowSpec,
     load_workflow,
     load_workflow_document,
+    serialize_workflow,
     workflow_latency,
 )

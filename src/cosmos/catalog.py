@@ -22,8 +22,8 @@ from .errors import (
     UnitError,
     UnknownComponentError,
 )
-from .money import CONTEXT, dec, fmt_full
-from .workflow import _read_json
+from .money import CONTEXT, fmt_full
+from .workflow import _parse_quantity, _read_json
 
 
 class DriverCategory(str, Enum):
@@ -237,7 +237,7 @@ def _parse_component(obj: Mapping) -> PriceComponent:
         id=str(obj["id"]),
         driver=_parse_enum(DriverCategory, obj["driver"], "driver"),
         unit=_parse_enum(RateUnit, obj["unit"], "unit"),
-        rate=dec(obj["rate"]),
+        rate=_parse_quantity(obj, "rate", f"component {obj['id']!r}"),
         description=str(obj.get("description", "")),
     )
     return normalize_rate(comp, str(obj.get("scale", "base")))

@@ -1,7 +1,8 @@
 """Command-line interface: reproducible cost, crossover, trade-off, and ingest reports.
 
 Exit codes: 0 success, 2 input validation failure, 3 computation failure,
-4 infeasible optimization. Display values round half-even to 4 decimals;
+4 infeasible optimization; each error class in ``errors`` declares its own
+code as ``exit_code``. Display values round half-even to 4 decimals;
 files written under --out carry full precision and re-ingest losslessly.
 Every report directory also receives a run manifest with content digests of
 all inputs, so identical inputs are recognizable by identical digests.
@@ -10,7 +11,9 @@ all inputs, so identical inputs are recognizable by identical digests.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import sys
 from decimal import Decimal
@@ -33,22 +36,9 @@ from .engine import (
     workflow_cost_curve,
 )
 from .errors import (
-    CapExceededError,
     CosmosError,
-    CoverageError,
-    CycleError,
-    DegenerateAnchorError,
-    DomainError,
-    DuplicateIdError,
-    HeaderError,
-    InfeasibleError,
-    MissingLatencyError,
-    NegativeRateError,
     NoDataError,
-    RowError,
     SchemaError,
-    UnitError,
-    UnknownComponentError,
     UnknownFunctionError,
     UnknownPlatformError,
     UnplacedFunctionError,
@@ -65,33 +55,11 @@ from .optimizer import (
     pareto_front,
 )
 from .telemetry import calibrate, scan_usage_log, summarize_usage
-from .workflow import LatencyTable, Placement, WorkflowSpec, load_workflow_document
+from .workflow import Placement, WorkflowSpec, load_workflow_document, serialize_workflow
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_COMPUTATION = 3
-EXIT_INFEASIBLE = 4
-
-_VALIDATION_ERRORS = (
-    SchemaError,
-    UnitError,
-    DuplicateIdError,
-    NegativeRateError,
-    CycleError,
-    UnknownFunctionError,
-    UnknownPlatformError,
-    UnknownComponentError,
-    UnplacedFunctionError,
-    MissingLatencyError,
-    HeaderError,
-    RowError,
-    CoverageError,
-    FileNotFoundError,
-    IsADirectoryError,
-    json.JSONDecodeError,
-)
-
-_COMPUTATION_ERRORS = (DomainError, NoDataError, DegenerateAnchorError, CapExceededError)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -99,20 +67,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except InfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        for key, value in sorted(exc.diagnostics.items()):
-            print(f"  {key}: {value}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except _COMPUTATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTATION
     except CosmosError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTATION
+        for key, value in sorted(getattr(exc, "diagnostics", {}).items()):
+            print(f"  {key}: {value}", file=sys.stderr)
+        return exc.exit_code
+    except (FileNotFoundError, IsADirectoryError, json.JSONDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except Exception as exc:  # exit codes are a contract: nothing else may leak out
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_COMPUTATION
@@ -201,10 +163,6 @@ def _load_catalogs(args) -> dict[str, PlatformCatalog]:
     return catalogs
 
 
-def _load_workflow(args) -> tuple[WorkflowSpec, LatencyTable | None]:
-    return load_workflow_document(args.workflow)
-
-
 def _placement(args, workflow: WorkflowSpec, catalogs: Mapping[str, PlatformCatalog]) -> Placement:
     assigns = getattr(args, "assign", [])
     if assigns:
@@ -237,7 +195,7 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_manifest(args, out_dir: Path, outputs: list[str]) -> None:
+def _manifest(args, outputs: list[str]) -> dict:
     inputs = []
     for attr in ("workflow", "log", "points"):
         value = getattr(args, attr, None)
@@ -250,7 +208,7 @@ def _write_manifest(args, out_dir: Path, outputs: list[str]) -> None:
             inputs.append(candidate)
     records = [{"path": str(p), "sha256": _sha256(p)} for p in sorted(inputs)]
     combined = hashlib.sha256("".join(r["sha256"] for r in records).encode()).hexdigest()
-    manifest = {
+    return {
         "command": args.command,
         "inputs": records,
         "catalog_ids": sorted(getattr(args, "platform", [])) or None,
@@ -258,63 +216,56 @@ def _write_manifest(args, out_dir: Path, outputs: list[str]) -> None:
         "version": __version__,
         "input_digest": combined,
     }
-    _dump_json(out_dir / "manifest.json", manifest)
 
 
-def _dump_json(path: Path, payload) -> None:
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True, default=str, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+def _render(kind: str, payload) -> str:
+    """The text of one machine view: a JSON document, or rows as CSV or TSV.
+
+    CSV and TSV differ only in the separator; a cell holding the separator,
+    a quote or a newline is quoted.
+    """
+    if kind == "json":
+        return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    text = io.StringIO()
+    csv.writer(text, delimiter="\t" if kind == "tsv" else ",", lineterminator="\n").writerows(payload)
+    return text.getvalue()
 
 
-def _emit(args, name: str, files: dict[str, str | dict | list]) -> None:
-    """Write report files plus the run manifest when --out is given."""
+def _report(args, lines: list[str], rows: list[list[str]], doc: dict,
+            files: dict[str, list | dict]) -> None:
+    """Print the view --format selects; with --out, also write each file and the manifest.
+
+    ``rows`` (header first) back the csv and tsv views, ``doc`` the json view.
+    Each file in ``files`` is rendered as its suffix says.
+    """
+    if args.format:
+        sys.stdout.write(_render(args.format, doc if args.format == "json" else rows))
+    else:
+        print("\n".join(lines))
     if not args.out:
         return
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
     for filename, payload in files.items():
-        target = out_dir / filename
-        if isinstance(payload, str):
-            target.write_text(payload, encoding="utf-8")
-        else:
-            _dump_json(target, payload)
-        written.append(filename)
-    written.append("manifest.json")
-    _write_manifest(args, out_dir, written)
+        (out_dir / filename).write_text(_render(Path(filename).suffix[1:], payload), encoding="utf-8")
+    manifest = _manifest(args, [*files, "manifest.json"])
+    (out_dir / "manifest.json").write_text(_render("json", manifest), encoding="utf-8")
 
 
 def _money_row(breakdown) -> dict[str, str]:
     return {k: fmt_full(v) for k, v in breakdown.as_dict().items()}
 
 
-def _breakdown_csv(rows: list[tuple[str, str, object]]) -> str:
-    lines = ["function,platform,invocation,compute,baas,transfer,state,total"]
-    for fid, pid, b in rows:
-        lines.append(
-            ",".join(
-                [fid, pid]
-                + [fmt_full(v) for v in (b.invocation, b.compute, b.baas, b.transfer, b.state, b.total)]
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _print(args, table_lines: list[str], machine: dict[str, str]) -> None:
-    """Print the table view, or the machine format selected by --format."""
-    if args.format:
-        sys.stdout.write(machine[args.format])
-    else:
-        print("\n".join(table_lines))
+def _point_row(point: ParetoPoint) -> dict[str, str]:
+    """A point as label, latency and cost, in the column order of the point tables."""
+    return {"label": point.label, "latency_ms": fmt_full(point.latency), "cost": fmt_full(point.cost)}
 
 
 # --- subcommands ------------------------------------------------------------
 
 
 def cmd_cost(args) -> int:
-    workflow, latencies = _load_workflow(args)
+    workflow, latencies = load_workflow_document(args.workflow)
     catalogs = _load_catalogs(args)
     placement = _placement(args, workflow, catalogs)
     volume = dec(args.volume) if args.volume is not None else None
@@ -322,9 +273,10 @@ def cmd_cost(args) -> int:
     parts = per_function_costs(workflow, placement, catalogs, latencies=latencies, volume=volume)
     total = workflow_cost(workflow, placement, catalogs, latencies=latencies, volume=volume)
 
-    rows = [(fid, placement.platform_for(fid), b) for fid, b in parts.items()]
-    rows.append(("workflow", _placement_label(placement), total))
-    csv_text = _breakdown_csv(rows)
+    entries = [(fid, placement.platform_for(fid), b) for fid, b in parts.items()]
+    entries.append(("workflow", _placement_label(placement), total))
+    rows = [["function", "platform", *DRIVER_FIELDS, "total"]]
+    rows += [[fid, pid, *_money_row(b).values()] for fid, pid, b in entries]
     report = {
         "workflow_id": workflow.workflow_id,
         "volume": fmt_full(volume) if volume is not None else None,
@@ -338,12 +290,10 @@ def cmd_cost(args) -> int:
 
     header = f"{'function':<18} {'platform':<16} " + " ".join(f"{c:>12}" for c in (*DRIVER_FIELDS, "total"))
     lines = [header]
-    for fid, pid, b in rows:
+    for fid, pid, b in entries:
         cells = [fmt(getattr(b, c)) for c in (*DRIVER_FIELDS, "total")]
         lines.append(f"{fid:<18} {pid:<16} " + " ".join(f"{c:>12}" for c in cells))
-    _print(args, lines, {"csv": csv_text, "json": json.dumps(report, indent=2, sort_keys=True) + "\n",
-                         "tsv": csv_text.replace(",", "\t")})
-    _emit(args, "cost", {"cost.csv": csv_text, "cost.json": report})
+    _report(args, lines, rows, report, {"cost.csv": rows, "cost.json": report})
     return EXIT_OK
 
 
@@ -353,14 +303,14 @@ def _placement_label(placement: Placement) -> str:
 
 
 def cmd_breakdown(args) -> int:
-    workflow, latencies = _load_workflow(args)
+    workflow, latencies = load_workflow_document(args.workflow)
     catalogs = _load_catalogs(args)
     placement = _placement(args, workflow, catalogs)
     volume = dec(args.volume) if args.volume is not None else None
 
     lines = []
     report_functions = {}
-    csv_lines = ["function,platform,component,driver,amount"]
+    rows = [["function", "platform", "component", "driver", "amount"]]
     for profile in workflow.functions:
         fid = profile.function_id
         pid = placement.platform_for(fid)
@@ -372,9 +322,7 @@ def cmd_breakdown(args) -> int:
         lines.append(f"{fid} on {pid} (total {fmt(breakdown.total)})")
         for item in charges:
             lines.append(f"  {item.component_id:<20} {item.driver.value:<16} {fmt(item.amount):>12}")
-            csv_lines.append(
-                ",".join([fid, pid, item.component_id, item.driver.value, fmt_full(item.amount)])
-            )
+            rows.append([fid, pid, item.component_id, item.driver.value, fmt_full(item.amount)])
         lines.append(
             "  shares: " + ", ".join(f"{name} {fmt(shares[name], 1)}%" for name in DRIVER_FIELDS)
         )
@@ -394,10 +342,7 @@ def cmd_breakdown(args) -> int:
     report = {"workflow_id": workflow.workflow_id,
               "volume": fmt_full(volume) if volume is not None else None,
               "functions": report_functions}
-    csv_text = "\n".join(csv_lines) + "\n"
-    _print(args, lines, {"csv": csv_text, "json": json.dumps(report, indent=2, sort_keys=True) + "\n",
-                         "tsv": csv_text.replace(",", "\t")})
-    _emit(args, "breakdown", {"breakdown.csv": csv_text, "breakdown.json": report})
+    _report(args, lines, rows, report, {"breakdown.csv": rows, "breakdown.json": report})
     return EXIT_OK
 
 
@@ -405,29 +350,26 @@ DEFAULT_SAMPLES = ("0", "1000000", "20000000", "40000000", "60000000")
 
 
 def cmd_curve(args) -> int:
-    workflow, latencies = _load_workflow(args)
+    workflow, latencies = load_workflow_document(args.workflow)
     catalogs = _load_catalogs(args)
     placement = _placement(args, workflow, catalogs)
     curve = _curve_for(args.function, workflow, placement, catalogs, latencies)
 
     samples = args.sample or list(DEFAULT_SAMPLES)
-    rows = [(dec(s), curve.evaluate(dec(s))) for s in samples]
-    tsv_lines = ["n_requests\tcost_usd"] + [f"{fmt_full(n)}\t{fmt_full(c)}" for n, c in rows]
-    tsv_text = "\n".join(tsv_lines) + "\n"
+    points = [(dec(s), curve.evaluate(dec(s))) for s in samples]
+    rows = [["n_requests", "cost_usd"]] + [[fmt_full(n), fmt_full(c)] for n, c in points]
     report = {
         "fixed": fmt_full(curve.fixed),
         "slope_per_request": fmt_full(curve.slope),
         "slope_per_million": fmt_full(curve.slope * Decimal(10**6)),
-        "samples": [{"n": fmt_full(n), "cost": fmt_full(c)} for n, c in rows],
+        "samples": [{"n": fmt_full(n), "cost": fmt_full(c)} for n, c in points],
     }
     lines = [
         f"fixed: {fmt(curve.fixed)}",
         f"slope per 1M requests: {fmt(curve.slope * Decimal(10**6))}",
         "n_requests -> cost:",
-    ] + [f"  {fmt_full(n):>14} {fmt(c):>14}" for n, c in rows]
-    _print(args, lines, {"tsv": tsv_text, "csv": tsv_text.replace("\t", ","),
-                         "json": json.dumps(report, indent=2, sort_keys=True) + "\n"})
-    _emit(args, "curve", {"curve.tsv": tsv_text, "curve.json": report})
+    ] + [f"  {fmt_full(n):>14} {fmt(c):>14}" for n, c in points]
+    _report(args, lines, rows, report, {"curve.tsv": rows, "curve.json": report})
     return EXIT_OK
 
 
@@ -442,7 +384,7 @@ def _curve_for(function, workflow, placement, catalogs, latencies):
 
 
 def cmd_crossover(args) -> int:
-    workflow, latencies = _load_workflow(args)
+    workflow, latencies = load_workflow_document(args.workflow)
     catalogs = _load_catalogs(args)
     if len(args.platform) != 2:
         raise SchemaError("crossover needs exactly two --platform ids")
@@ -474,10 +416,8 @@ def cmd_crossover(args) -> int:
             "cost": fmt_full(point.cost),
         }
     report.update({"left": first, "right": second, "function": args.function})
-    json_text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    tsv = "left\tright\tresult\n" + f"{first}\t{second}\t{report['result']}\n"
-    _print(args, lines, {"json": json_text, "csv": tsv.replace("\t", ","), "tsv": tsv})
-    _emit(args, "crossover", {"crossover.json": report})
+    rows = [["left", "right", "result"], [first, second, report["result"]]]
+    _report(args, lines, rows, report, {"crossover.json": report})
     return EXIT_OK
 
 
@@ -504,7 +444,7 @@ def _points_and_model(args, workflow, latencies):
 
 
 def cmd_pareto(args) -> int:
-    workflow, latencies = _load_workflow(args)
+    workflow, latencies = load_workflow_document(args.workflow)
     points, _, _ = _points_and_model(args, workflow, latencies)
     front = pareto_front(points)
     line = optimal_line(points)
@@ -512,26 +452,15 @@ def cmd_pareto(args) -> int:
     line_keys = {(p.cost, p.latency) for p in line}
 
     ordered = sorted(points, key=lambda p: (p.latency, p.cost, p.label))
-    tsv_lines = ["label\tlatency_ms\tcost_usd\ton_front\ton_line"]
-    for p in ordered:
-        tsv_lines.append(
-            f"{p.label}\t{fmt_full(p.latency)}\t{fmt_full(p.cost)}"
-            f"\t{int((p.cost, p.latency) in front_keys)}\t{int((p.cost, p.latency) in line_keys)}"
-        )
-    tsv_text = "\n".join(tsv_lines) + "\n"
+    point_rows = [_point_row(p) for p in ordered]
+    rows = [["label", "latency_ms", "cost_usd", "on_front", "on_line"]]
+    for p, row in zip(ordered, point_rows):
+        key = (p.cost, p.latency)
+        rows.append([*row.values(), str(int(key in front_keys)), str(int(key in line_keys))])
     report = {
-        "points": [
-            {"label": p.label, "latency_ms": fmt_full(p.latency), "cost": fmt_full(p.cost)}
-            for p in ordered
-        ],
-        "front": [
-            {"label": p.label, "latency_ms": fmt_full(p.latency), "cost": fmt_full(p.cost)}
-            for p in front
-        ],
-        "optimal_line": [
-            {"label": p.label, "latency_ms": fmt_full(p.latency), "cost": fmt_full(p.cost)}
-            for p in line
-        ],
+        "points": point_rows,
+        "front": [_point_row(p) for p in front],
+        "optimal_line": [_point_row(p) for p in line],
     }
     lines = [f"evaluated {len(points)} points; {len(front)} on the front, {len(line)} on the trade-off line"]
     for p in ordered:
@@ -539,14 +468,12 @@ def cmd_pareto(args) -> int:
             " line" if (p.cost, p.latency) in line_keys else ""
         )
         lines.append(f"  {p.label:<34} {fmt(p.latency):>10} ms {fmt(p.cost):>14} USD  {marks.strip()}")
-    _print(args, lines, {"tsv": tsv_text, "csv": tsv_text.replace("\t", ","),
-                         "json": json.dumps(report, indent=2, sort_keys=True) + "\n"})
-    _emit(args, "pareto", {"pareto.tsv": tsv_text, "pareto.json": report})
+    _report(args, lines, rows, report, {"pareto.tsv": rows, "pareto.json": report})
     return EXIT_OK
 
 
 def cmd_optimize(args) -> int:
-    workflow, latencies = _load_workflow(args)
+    workflow, latencies = load_workflow_document(args.workflow)
     points, model, platforms = _points_and_model(args, workflow, latencies)
     manual = args.alpha is not None or args.beta is not None
     if manual and (args.alpha is None or args.beta is None):
@@ -561,7 +488,7 @@ def cmd_optimize(args) -> int:
     )
     result = optimize(workflow, platforms, model, config)
 
-    front = pareto_front(points)
+    front_rows = [_point_row(p) for p in pareto_front(points)]
     report = {
         "placement": result.best.as_dict(),
         "cost": fmt_full(result.cost),
@@ -575,10 +502,7 @@ def cmd_optimize(args) -> int:
         "t_star_placement": result.t_star_placement.as_dict(),
         "feasible_count": result.feasible_count,
         "total_count": result.total_count,
-        "front": [
-            {"label": p.label, "latency_ms": fmt_full(p.latency), "cost": fmt_full(p.cost)}
-            for p in front
-        ],
+        "front": front_rows,
     }
     lines = ["chosen placement:"]
     lines += [f"  {fid} -> {pid}" for fid, pid in result.best.assignments]
@@ -589,13 +513,8 @@ def cmd_optimize(args) -> int:
         f"anchors: C*={fmt(result.c_star)} USD, T*={fmt(result.t_star)} ms",
         f"feasible placements: {result.feasible_count} of {result.total_count}",
     ]
-    tsv = "\n".join(
-        ["label\tlatency_ms\tcost_usd"]
-        + [f"{p.label}\t{fmt_full(p.latency)}\t{fmt_full(p.cost)}" for p in front]
-    ) + "\n"
-    _print(args, lines, {"json": json.dumps(report, indent=2, sort_keys=True) + "\n",
-                         "tsv": tsv, "csv": tsv.replace("\t", ",")})
-    _emit(args, "optimize", {"optimize.json": report, "front.tsv": tsv})
+    rows = [["label", "latency_ms", "cost_usd"]] + [list(row.values()) for row in front_rows]
+    _report(args, lines, rows, report, {"optimize.json": report, "front.tsv": rows})
     return EXIT_OK
 
 
@@ -610,22 +529,19 @@ def cmd_ingest(args) -> int:
         raise NoDataError(f"usage log {args.log} has no data rows")
     summaries = summarize_usage(records)
 
-    csv_lines = ["function_id,platform_id,count,mean_ms,min_ms,max_ms,p90_ms,errors"]
+    rows = [["function_id", "platform_id", "count", "mean_ms", "min_ms", "max_ms", "p90_ms", "errors"]]
     lines = [
         f"{'function':<18} {'platform':<16} {'count':>6} {'mean':>10} {'min':>8} "
         f"{'max':>8} {'p90':>8} {'errors':>6}"
     ]
     for (fid, pid), summary in summaries.items():
         s = summary.stats
-        csv_lines.append(
-            ",".join([fid, pid, str(s.count), fmt_full(s.mean), fmt_full(s.min),
-                      fmt_full(s.max), fmt_full(s.p90), str(summary.error_count)])
-        )
+        rows.append([fid, pid, str(s.count), fmt_full(s.mean), fmt_full(s.min),
+                     fmt_full(s.max), fmt_full(s.p90), str(summary.error_count)])
         lines.append(
             f"{fid:<18} {pid:<16} {s.count:>6} {fmt(s.mean):>10} {fmt(s.min, 1):>8} "
             f"{fmt(s.max, 1):>8} {fmt(s.p90, 1):>8} {summary.error_count:>6}"
         )
-    csv_text = "\n".join(csv_lines) + "\n"
     report = {
         f"{fid}:{pid}": {
             "count": summary.stats.count,
@@ -637,45 +553,11 @@ def cmd_ingest(args) -> int:
         }
         for (fid, pid), summary in summaries.items()
     }
-    files: dict[str, str | dict] = {"stats.csv": csv_text, "stats.json": report}
-
+    files: dict[str, list | dict] = {"stats.csv": rows, "stats.json": report}
     if args.workflow:
         workflow, _ = load_workflow_document(args.workflow)
-        calibrated, table = calibrate(workflow, summaries)
-        entries: dict[str, dict[str, str]] = {}
-        for (fid, pid), ms in sorted(table.entries.items()):
-            entries.setdefault(fid, {})[pid] = fmt_full(ms)
-        files["calibrated-workflow.json"] = {
-            "workflow_id": calibrated.workflow_id,
-            "functions": [
-                {
-                    "function_id": f.function_id,
-                    "n": fmt_full(f.n),
-                    "t": fmt_full(f.t),
-                    "mem": fmt_full(f.mem),
-                    "d": fmt_full(f.d),
-                    "d_per_request": fmt_full(f.d_per_request),
-                    "r_in": fmt_full(f.r_in),
-                    "r_out": fmt_full(f.r_out),
-                    "workload_class": f.workload_class,
-                    "baas_usage": [
-                        {
-                            "component_id": u.component_id,
-                            "quantity": fmt_full(u.quantity),
-                            **({"platforms": sorted(u.platforms)} if u.platforms else {}),
-                        }
-                        for u in f.baas_usage
-                    ],
-                    "t_overrides": {p: fmt_full(t) for p, t in sorted(f.t_overrides.items())},
-                }
-                for f in calibrated.functions
-            ],
-            "edges": [list(e) for e in calibrated.edges],
-            "latency": {"entries": entries},
-        }
-    _print(args, lines, {"csv": csv_text, "tsv": csv_text.replace(",", "\t"),
-                         "json": json.dumps(report, indent=2, sort_keys=True) + "\n"})
-    _emit(args, "ingest", files)
+        files["calibrated-workflow.json"] = serialize_workflow(*calibrate(workflow, summaries))
+    _report(args, lines, rows, report, files)
     return EXIT_OK
 
 

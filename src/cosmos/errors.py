@@ -4,7 +4,14 @@ from __future__ import annotations
 
 
 class CosmosError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    ``exit_code`` is the command line's exit status for the error: 2 for
+    invalid input, 3 for a failed computation, 4 for an infeasible
+    optimization.
+    """
+
+    exit_code = 3
 
 
 # --- catalog validation -------------------------------------------------
@@ -12,17 +19,25 @@ class CosmosError(Exception):
 class SchemaError(CosmosError):
     """A document is missing required content or carries unknown fields."""
 
+    exit_code = 2
+
 
 class UnitError(CosmosError):
     """Illegal driver/unit pairing or unsupported rate scale."""
+
+    exit_code = 2
 
 
 class DuplicateIdError(CosmosError):
     """Two components in one catalog share an id."""
 
+    exit_code = 2
+
 
 class NegativeRateError(CosmosError, ValueError):
     """A price or quantity that must be nonnegative is negative."""
+
+    exit_code = 2
 
 
 # --- workflow validation ------------------------------------------------
@@ -30,17 +45,25 @@ class NegativeRateError(CosmosError, ValueError):
 class CycleError(CosmosError):
     """The workflow edge relation contains a cycle."""
 
+    exit_code = 2
+
 
 class UnknownFunctionError(CosmosError):
     """An edge or placement references a function that is not declared."""
+
+    exit_code = 2
 
 
 class UnknownPlatformError(CosmosError):
     """A placement or flag references a platform with no loaded catalog."""
 
+    exit_code = 2
+
 
 class MissingLatencyError(CosmosError):
     """A required (function, platform) latency entry is absent."""
+
+    exit_code = 2
 
     def __init__(self, function_id: str, platform_id: str):
         self.function_id = function_id
@@ -57,9 +80,13 @@ class DomainError(CosmosError):
 class UnknownComponentError(CosmosError):
     """A profile references a component id absent from the active catalog."""
 
+    exit_code = 2
+
 
 class UnplacedFunctionError(CosmosError):
     """A placement does not assign a platform to every workflow function."""
+
+    exit_code = 2
 
 
 # --- optimization -------------------------------------------------------
@@ -80,6 +107,8 @@ class DegenerateAnchorError(CosmosError):
 class InfeasibleError(CosmosError):
     """No placement satisfies both the budget and the latency constraint."""
 
+    exit_code = 4
+
     def __init__(self, c_star, t_star, budget=None, latency_slo=None, diagnostics=None):
         self.c_star = c_star
         self.t_star = t_star
@@ -99,9 +128,13 @@ class InfeasibleError(CosmosError):
 class HeaderError(CosmosError):
     """Usage-log header row does not match the declared schema."""
 
+    exit_code = 2
+
 
 class RowError(CosmosError):
     """One usage-log row is malformed."""
+
+    exit_code = 2
 
     def __init__(self, line: int, cause: str):
         self.line = line
@@ -115,6 +148,8 @@ class NoDataError(CosmosError):
 
 class CoverageError(CosmosError):
     """Calibration statistics do not cover every required pair."""
+
+    exit_code = 2
 
     def __init__(self, missing):
         self.missing = tuple(missing)

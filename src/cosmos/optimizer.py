@@ -32,7 +32,16 @@ from .errors import (
     SchemaError,
 )
 from .money import CONTEXT, dec, div
-from .workflow import LatencyTable, Placement, WorkflowSpec, _read_json, workflow_latency
+from .workflow import (
+    _ARRAY,
+    LatencyTable,
+    Placement,
+    WorkflowSpec,
+    _parse_quantity,
+    _read_json,
+    _typed,
+    workflow_latency,
+)
 
 ZERO = Decimal(0)
 
@@ -207,15 +216,16 @@ def load_point_table(
     if not isinstance(doc, Mapping) or "points" not in doc:
         raise SchemaError("point table document must be an object with a points array")
     table: dict[tuple[str, str], tuple[Decimal, Decimal]] = {}
-    for entry in doc["points"]:
+    for entry in _typed(doc["points"], _ARRAY, "points"):
+        _typed(entry, Mapping, "points entries")
         for key in ("function_id", "platform_id", "cost", "latency_ms"):
             if key not in entry:
                 raise SchemaError(f"point entry missing required field {key!r}")
-        cost, latency = dec(entry["cost"]), dec(entry["latency_ms"])
+        owner = f"point ({entry['function_id']}, {entry['platform_id']})"
+        cost = _parse_quantity(entry, "cost", owner)
+        latency = _parse_quantity(entry, "latency_ms", owner)
         if cost < 0 or latency < 0:
-            raise SchemaError(
-                f"point ({entry['function_id']}, {entry['platform_id']}) must be nonnegative"
-            )
+            raise SchemaError(f"{owner} must be nonnegative")
         table[(str(entry["function_id"]), str(entry["platform_id"]))] = (cost, latency)
     return table
 

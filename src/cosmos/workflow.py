@@ -17,12 +17,13 @@ from typing import IO, Iterable, Mapping
 
 from .errors import (
     CycleError,
+    DomainError,
     MissingLatencyError,
     SchemaError,
     UnknownFunctionError,
     UnplacedFunctionError,
 )
-from .money import CONTEXT, dec
+from .money import CONTEXT, dec, fmt_full
 
 ZERO = Decimal(0)
 
@@ -235,7 +236,10 @@ def _parse_quantity(obj: Mapping, key: str, owner: str, default: str = "0") -> D
     if isinstance(raw, float):
         raise SchemaError(f"{owner}: {key} must be a decimal string, not a float")
     if isinstance(raw, (str, int)):
-        return dec(raw)
+        try:
+            return dec(raw)
+        except DomainError as exc:
+            raise SchemaError(f"{owner}: {key}: {exc}") from exc
     raise SchemaError(f"{owner}: {key} must be a decimal string")
 
 
@@ -357,6 +361,47 @@ def load_workflow(source: str | Path | IO[str] | Mapping) -> WorkflowSpec:
     """Load and validate a workflow document, rejecting cycles and dangling edges."""
     workflow, _ = load_workflow_document(source)
     return workflow
+
+
+def serialize_workflow(workflow: WorkflowSpec, latencies: LatencyTable | None = None) -> dict:
+    """Render a workflow, and its latency table if given, back to document form.
+
+    Quantities become full-precision decimal strings, so the document loads
+    back to an equal workflow and table.
+    """
+    doc: dict = {
+        "workflow_id": workflow.workflow_id,
+        "functions": [
+            {
+                "function_id": f.function_id,
+                "n": fmt_full(f.n),
+                "t": fmt_full(f.t),
+                "mem": fmt_full(f.mem),
+                "d": fmt_full(f.d),
+                "d_per_request": fmt_full(f.d_per_request),
+                "r_in": fmt_full(f.r_in),
+                "r_out": fmt_full(f.r_out),
+                "workload_class": f.workload_class,
+                "baas_usage": [
+                    {
+                        "component_id": u.component_id,
+                        "quantity": fmt_full(u.quantity),
+                        **({"platforms": sorted(u.platforms)} if u.platforms is not None else {}),
+                    }
+                    for u in f.baas_usage
+                ],
+                "t_overrides": {p: fmt_full(t) for p, t in sorted(f.t_overrides.items())},
+            }
+            for f in workflow.functions
+        ],
+        "edges": [list(e) for e in workflow.edges],
+    }
+    if latencies is not None:
+        entries: dict[str, dict[str, str]] = {}
+        for (fid, pid), ms in sorted(latencies.entries.items()):
+            entries.setdefault(fid, {})[pid] = fmt_full(ms)
+        doc["latency"] = {"entries": entries}
+    return doc
 
 
 def _read_json(source):

@@ -4,7 +4,32 @@ import json
 from decimal import Decimal
 from pathlib import Path
 
+import pytest
+
+from cosmos import cli
+from cosmos.catalog import UnknownPlatformLookupError
 from cosmos.cli import main
+from cosmos.errors import (
+    CapExceededError,
+    CosmosError,
+    CoverageError,
+    CycleError,
+    DegenerateAnchorError,
+    DomainError,
+    DuplicateIdError,
+    HeaderError,
+    InfeasibleError,
+    MissingLatencyError,
+    NegativeRateError,
+    NoDataError,
+    RowError,
+    SchemaError,
+    UnitError,
+    UnknownComponentError,
+    UnknownFunctionError,
+    UnknownPlatformError,
+    UnplacedFunctionError,
+)
 from cosmos.workflow import bundled_fixture_dir
 
 D = Decimal
@@ -398,3 +423,156 @@ def test_mistyped_usage_platforms_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "cost", "--workflow", str(path), "--platform", "aws-x86")
     assert code == 2
     assert "platforms" in err
+
+
+# --- one renderer: quoting, one JSON encoder --------------------------------------
+
+
+@pytest.mark.parametrize("fmt, sep", [("csv", ","), ("tsv", "\t")])
+def test_cell_holding_the_separator_stays_one_cell(capsys, tmp_path, fmt, sep):
+    doc = {
+        "workflow_id": "w",
+        "functions": [{"function_id": "fetch,resize", "n": "1000000", "t": "0.1", "mem": "0.125"}],
+        "edges": [],
+    }
+    path = tmp_path / "wf.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run(capsys, "cost", "--workflow", str(path), "--platform", "aws-x86", "--format", fmt)
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out), delimiter=sep))
+    assert [len(row) for row in rows] == [8, 8, 8]
+    assert rows[1][0] == "fetch,resize"
+
+
+_JSON_REPORTS = {
+    "cost": (["--platform", "aws-x86"], "cost.json"),
+    "breakdown": (["--platform", "gcp"], "breakdown.json"),
+    "curve": (["--platform", "aws-x86", "--function", "é-infer"], "curve.json"),
+    "crossover": (["--platform", "aws-x86", "--platform", "gcp", "--function", "é-infer"],
+                  "crossover.json"),
+    "pareto": (ALL_PLATFORMS, "pareto.json"),
+    "optimize": (ALL_PLATFORMS, "optimize.json"),
+    "ingest": ([], "stats.json"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_JSON_REPORTS))
+def test_json_stdout_is_the_json_report_file(capsys, tmp_path, command):
+    def renamed(source, name):
+        path = tmp_path / name
+        text = Path(source).read_text(encoding="utf-8").replace("ai-inference", "é-infer")
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    workflow = renamed(PIPELINE, "wf.json")
+    extra, report = _JSON_REPORTS[command]
+    if command == "ingest":
+        extra = ["--log", renamed(USAGE, "usage.csv")]
+    out_dir = tmp_path / "out"
+    code, out, _ = run(capsys, command, "--workflow", workflow, *extra,
+                       "--format", "json", "--out", str(out_dir))
+    assert code == 0
+    assert out.encode("utf-8") == (out_dir / report).read_bytes()
+
+
+# --- exit codes ---------------------------------------------------------------------
+
+
+_EXIT_CODES = {
+    CosmosError: 3,
+    SchemaError: 2,
+    UnitError: 2,
+    DuplicateIdError: 2,
+    NegativeRateError: 2,
+    CycleError: 2,
+    UnknownFunctionError: 2,
+    UnknownPlatformError: 2,
+    UnknownPlatformLookupError: 2,
+    MissingLatencyError: 2,
+    UnknownComponentError: 2,
+    UnplacedFunctionError: 2,
+    HeaderError: 2,
+    RowError: 2,
+    CoverageError: 2,
+    DomainError: 3,
+    NoDataError: 3,
+    DegenerateAnchorError: 3,
+    CapExceededError: 3,
+    InfeasibleError: 4,
+    FileNotFoundError: 2,
+    IsADirectoryError: 2,
+    json.JSONDecodeError: 2,
+    RuntimeError: 3,
+}
+
+_ERROR_ARGS = {
+    MissingLatencyError: ("f", "p"),
+    CapExceededError: (10, 1),
+    InfeasibleError: (1, 2),
+    RowError: (3, "bad"),
+    UnknownPlatformLookupError: ("p", Path("cards")),
+    CoverageError: ([("f", "p")],),
+    json.JSONDecodeError: ("bad", "{", 0),
+}
+
+
+def _error_classes(cls=CosmosError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_classes(sub)
+
+
+@pytest.mark.parametrize(
+    "error",
+    list(dict.fromkeys(_error_classes()))
+    + [FileNotFoundError, IsADirectoryError, json.JSONDecodeError, RuntimeError],
+    ids=lambda cls: cls.__name__,
+)
+def test_exit_code_contract(capsys, monkeypatch, error):
+    assert error in _EXIT_CODES, f"{error.__name__} has no expected exit code"
+    exc = error(*_ERROR_ARGS.get(error, ("boom",)))
+
+    def handler(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_cost", handler)
+    code, out, err = run(capsys, "cost", "--workflow", PIPELINE, "--platform", "aws-x86")
+    assert code == _EXIT_CODES[error]
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+# --- malformed quantities in point tables and catalogs --------------------------------
+
+
+def _point_table(**changes):
+    doc = json.loads(Path(POINTS).read_text(encoding="utf-8"))
+    doc["points"][0].update(changes)
+    return doc
+
+
+def _x86_card(**changes):
+    card = Path(__file__).resolve().parents[1] / "src/cosmos/catalogs/aws-x86.json"
+    doc = json.loads(card.read_text(encoding="utf-8"))
+    doc["components"][0].update(changes)
+    return doc
+
+
+_MALFORMED = {
+    "points-not-array": ("optimize", "--points", {"points": 5}, "points"),
+    "points-entry-not-object": ("optimize", "--points", {"points": [5]}, "points"),
+    "cost-array": ("optimize", "--points", _point_table(cost=[1]), "cost"),
+    "cost-float": ("optimize", "--points", _point_table(cost=1.5), "cost"),
+    "latency-not-decimal": ("optimize", "--points", _point_table(latency_ms="abc"), "latency_ms"),
+    "rate-not-decimal": ("cost", "--catalog", _x86_card(rate="abc"), "rate"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_quantity_exits_2_naming_the_field(capsys, tmp_path, case):
+    command, option, doc, field = _MALFORMED[case]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run(capsys, command, "--workflow", PIPELINE, option, str(path))
+    assert code == 2
+    assert field in err

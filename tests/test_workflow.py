@@ -1,9 +1,10 @@
 import itertools
+import json
 import random
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cosmos.errors import (
     CycleError,
@@ -13,12 +14,14 @@ from cosmos.errors import (
     UnplacedFunctionError,
 )
 from cosmos.workflow import (
+    BaasUsage,
     FunctionProfile,
     LatencyTable,
     Placement,
     WorkflowSpec,
     load_workflow,
     load_workflow_document,
+    serialize_workflow,
     workflow_latency,
 )
 
@@ -128,6 +131,11 @@ _MISTYPED = {
     "platforms": lambda doc: doc["functions"][0].update(
         baas_usage=[{"component_id": "ml-provisioning", "platforms": "aws-x86"}]
     ),
+    "n": lambda doc: doc["functions"][0].update(n="abc"),
+    "mem": lambda doc: doc["functions"][0].update(mem="NaN"),
+    "quantity": lambda doc: doc["functions"][0].update(
+        baas_usage=[{"component_id": "ml-provisioning", "quantity": "Infinity"}]
+    ),
 }
 
 
@@ -137,6 +145,47 @@ def test_mistyped_field_is_schema_error_naming_it(field):
     _MISTYPED[field](doc)
     with pytest.raises(SchemaError, match=field):
         load_workflow_document(doc)
+
+
+_QUANTITY = st.decimals(min_value=0, max_value=10**9, places=6, allow_nan=False, allow_infinity=False)
+_NAME = st.text(min_size=1, max_size=8)
+_QUANTITY_FIELDS = ("n", "t", "mem", "d", "d_per_request", "r_in", "r_out")
+
+
+@st.composite
+def _documents(draw):
+    fids = draw(st.lists(_NAME, min_size=1, max_size=5, unique=True))
+    usage = st.builds(
+        BaasUsage,
+        component_id=_NAME,
+        quantity=_QUANTITY,
+        platforms=st.none() | st.frozensets(_NAME, max_size=3),
+    )
+    functions = tuple(
+        FunctionProfile(
+            function_id=fid,
+            **{name: draw(_QUANTITY) for name in _QUANTITY_FIELDS},
+            baas_usage=tuple(draw(st.lists(usage, max_size=3))),
+            workload_class=draw(st.none() | _NAME),
+            t_overrides=draw(st.dictionaries(_NAME, _QUANTITY, max_size=3)),
+        )
+        for fid in fids
+    )
+    # Edges only run forward in declaration order, so the graph stays acyclic.
+    forward = list(itertools.combinations(fids, 2))
+    edges = tuple(draw(st.lists(st.sampled_from(forward), unique=True))) if forward else ()
+    workflow = WorkflowSpec(workflow_id=draw(_NAME), functions=functions, edges=edges)
+    entries = st.dictionaries(st.tuples(st.sampled_from(fids), _NAME), _QUANTITY, max_size=6)
+    latencies = draw(st.none() | st.builds(LatencyTable, entries))
+    return workflow, latencies
+
+
+@settings(max_examples=50, deadline=None)
+@given(_documents())
+def test_serialized_workflow_loads_back_equal(document):
+    workflow, latencies = document
+    text = json.dumps(serialize_workflow(workflow, latencies))
+    assert load_workflow_document(json.loads(text)) == (workflow, latencies)
 
 
 # --- latency aggregation ------------------------------------------------------
