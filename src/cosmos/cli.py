@@ -37,6 +37,7 @@ from .engine import (
 )
 from .errors import (
     CosmosError,
+    DomainError,
     NoDataError,
     SchemaError,
     UnknownFunctionError,
@@ -97,7 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--assign", action="append", default=[], metavar="FUNCTION=PLATFORM",
                            help="assign one function to a platform (repeatable)")
         if volume:
-            p.add_argument("--volume", help="request volume overriding every function's own count")
+            p.add_argument("--volume", type=_quantity,
+                           help="request volume overriding every function's own count")
         p.add_argument("--out", help="directory for report files and the run manifest")
         p.add_argument("--format", choices=("csv", "json", "tsv"), default=None,
                        help="print machine-readable output instead of the table view")
@@ -113,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve = sub.add_parser("curve", help="cost-vs-volume line and sampled points")
     common(p_curve, volume=False)
     p_curve.add_argument("--function", help="limit to one function's curve")
-    p_curve.add_argument("--sample", action="append", default=[],
+    p_curve.add_argument("--sample", action="append", default=[], type=_quantity,
                          help="request volume to tabulate (repeatable)")
     p_curve.set_defaults(handler=cmd_curve)
 
@@ -130,11 +132,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="constrained weighted placement optimization")
     common(p_opt, placement=False)
     p_opt.add_argument("--points", help="measured (function, platform) point table document")
-    p_opt.add_argument("--budget", help="maximum workflow cost in USD")
-    p_opt.add_argument("--latency-slo", help="maximum workflow latency in ms")
+    p_opt.add_argument("--budget", type=_quantity, help="maximum workflow cost in USD")
+    p_opt.add_argument("--latency-slo", type=_quantity, help="maximum workflow latency in ms")
     p_opt.add_argument("--scope", choices=("workflow", "per-function"), default="workflow")
-    p_opt.add_argument("--alpha", help="manual cost weight (1/USD); requires --beta")
-    p_opt.add_argument("--beta", help="manual latency weight (1/ms); requires --alpha")
+    p_opt.add_argument("--alpha", type=_quantity, help="manual cost weight (1/USD); requires --beta")
+    p_opt.add_argument("--beta", type=_quantity, help="manual latency weight (1/ms); requires --alpha")
     p_opt.set_defaults(handler=cmd_optimize)
 
     p_ingest = sub.add_parser("ingest", help="aggregate a usage log into latency statistics")
@@ -145,6 +147,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.set_defaults(handler=cmd_ingest)
 
     return parser
+
+
+def _quantity(text: str) -> Decimal:
+    """A finite, nonnegative decimal flag value; argparse exits 2 naming the flag otherwise."""
+    try:
+        value = dec(text)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
 
 
 # --- shared plumbing --------------------------------------------------------
@@ -268,10 +281,9 @@ def cmd_cost(args) -> int:
     workflow, latencies = load_workflow_document(args.workflow)
     catalogs = _load_catalogs(args)
     placement = _placement(args, workflow, catalogs)
-    volume = dec(args.volume) if args.volume is not None else None
 
-    parts = per_function_costs(workflow, placement, catalogs, latencies=latencies, volume=volume)
-    total = workflow_cost(workflow, placement, catalogs, latencies=latencies, volume=volume)
+    parts = per_function_costs(workflow, placement, catalogs, latencies=latencies, volume=args.volume)
+    total = workflow_cost(workflow, placement, catalogs, latencies=latencies, volume=args.volume)
 
     entries = [(fid, placement.platform_for(fid), b) for fid, b in parts.items()]
     entries.append(("workflow", _placement_label(placement), total))
@@ -279,7 +291,7 @@ def cmd_cost(args) -> int:
     rows += [[fid, pid, *_money_row(b).values()] for fid, pid, b in entries]
     report = {
         "workflow_id": workflow.workflow_id,
-        "volume": fmt_full(volume) if volume is not None else None,
+        "volume": fmt_full(args.volume) if args.volume is not None else None,
         "placement": placement.as_dict(),
         "functions": {
             fid: {"platform": placement.platform_for(fid), **_money_row(b)}
@@ -306,7 +318,6 @@ def cmd_breakdown(args) -> int:
     workflow, latencies = load_workflow_document(args.workflow)
     catalogs = _load_catalogs(args)
     placement = _placement(args, workflow, catalogs)
-    volume = dec(args.volume) if args.volume is not None else None
 
     lines = []
     report_functions = {}
@@ -316,8 +327,8 @@ def cmd_breakdown(args) -> int:
         pid = placement.platform_for(fid)
         catalog = catalogs[pid]
         latency_ms = function_latency(profile, catalog, latencies)
-        charges = component_charges(profile, catalog, latency_ms=latency_ms, volume=volume)
-        breakdown = function_cost(profile, catalog, latency_ms=latency_ms, volume=volume)
+        charges = component_charges(profile, catalog, latency_ms=latency_ms, volume=args.volume)
+        breakdown = function_cost(profile, catalog, latency_ms=latency_ms, volume=args.volume)
         shares = driver_shares(breakdown)
         lines.append(f"{fid} on {pid} (total {fmt(breakdown.total)})")
         for item in charges:
@@ -340,13 +351,13 @@ def cmd_breakdown(args) -> int:
             "shares_percent": {name: fmt_full(shares[name]) for name in DRIVER_FIELDS},
         }
     report = {"workflow_id": workflow.workflow_id,
-              "volume": fmt_full(volume) if volume is not None else None,
+              "volume": fmt_full(args.volume) if args.volume is not None else None,
               "functions": report_functions}
     _report(args, lines, rows, report, {"breakdown.csv": rows, "breakdown.json": report})
     return EXIT_OK
 
 
-DEFAULT_SAMPLES = ("0", "1000000", "20000000", "40000000", "60000000")
+DEFAULT_SAMPLES = tuple(map(Decimal, ("0", "1000000", "20000000", "40000000", "60000000")))
 
 
 def cmd_curve(args) -> int:
@@ -355,8 +366,8 @@ def cmd_curve(args) -> int:
     placement = _placement(args, workflow, catalogs)
     curve = _curve_for(args.function, workflow, placement, catalogs, latencies)
 
-    samples = args.sample or list(DEFAULT_SAMPLES)
-    points = [(dec(s), curve.evaluate(dec(s))) for s in samples]
+    samples = args.sample or DEFAULT_SAMPLES
+    points = [(s, curve.evaluate(s)) for s in samples]
     rows = [["n_requests", "cost_usd"]] + [[fmt_full(n), fmt_full(c)] for n, c in points]
     report = {
         "fixed": fmt_full(curve.fixed),
@@ -437,8 +448,7 @@ def _points_and_model(args, workflow, latencies):
         raise SchemaError(
             "workflow document has no latency block; give --points or add latencies"
         )
-    volume = dec(args.volume) if getattr(args, "volume", None) is not None else None
-    model = CatalogModel(workflow, catalogs, latencies=latencies, volume=volume)
+    model = CatalogModel(workflow, catalogs, latencies=latencies, volume=args.volume)
     platforms = sorted(catalogs)
     return model.points(platforms), model, platforms
 
@@ -479,11 +489,11 @@ def cmd_optimize(args) -> int:
     if manual and (args.alpha is None or args.beta is None):
         raise SchemaError("manual weighting needs both --alpha and --beta")
     config = OptimizationConfig(
-        budget=dec(args.budget) if args.budget is not None else None,
-        latency_slo=dec(args.latency_slo) if args.latency_slo is not None else None,
+        budget=args.budget,
+        latency_slo=args.latency_slo,
         weight_mode="manual" if manual else "auto_pareto",
-        alpha=dec(args.alpha) if manual else None,
-        beta=dec(args.beta) if manual else None,
+        alpha=args.alpha,
+        beta=args.beta,
         scope=args.scope.replace("-", "_"),
     )
     result = optimize(workflow, platforms, model, config)

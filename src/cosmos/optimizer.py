@@ -10,6 +10,7 @@ latency), so cost and latency enter the objective equally normalized.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
@@ -47,9 +48,6 @@ ZERO = Decimal(0)
 
 DEFAULT_ENUMERATION_CAP = 10**7
 
-#: Objectives closer than this are treated as tied and broken deterministically.
-OBJECTIVE_TOLERANCE = Decimal("1e-9")
-
 
 @dataclass(frozen=True)
 class ParetoPoint:
@@ -70,28 +68,28 @@ def pareto_front(points: Iterable[ParetoPoint]) -> list[ParetoPoint]:
 
     Duplicate (cost, latency) pairs collapse to the first by input order.
     """
-    unique: list[ParetoPoint] = []
-    seen: set[tuple[Decimal, Decimal]] = set()
-    for p in points:
-        key = (p.cost, p.latency)
-        if key in seen:
-            continue
-        seen.add(key)
-        unique.append(p)
-    # Latency-ascending sweep: a point survives iff its cost beats everything
-    # at equal-or-lower latency. Within one latency the cheapest point
-    # dominates the rest, so only the group's first candidate can survive.
     front: list[ParetoPoint] = []
-    best_cost: Decimal | None = None
-    last_latency: Decimal | None = None
-    for p in sorted(unique, key=lambda p: (p.latency, p.cost)):
-        if p.latency == last_latency:
-            continue
-        last_latency = p.latency
-        if best_cost is None or p.cost < best_cost:
-            front.append(p)
-            best_cost = p.cost
+    for p in points:
+        _admit(front, p)
     return front
+
+
+def _admit(front: list[ParetoPoint], point: ParetoPoint) -> None:
+    """Fold a point into a front kept latency ascending, cost strictly descending.
+
+    Drops the point when a kept point weakly dominates it (an equal pair seen
+    earlier counts); otherwise it replaces every kept point it dominates.
+    """
+    i = bisect_left(front, point.latency, key=lambda p: p.latency)
+    # Only the cheapest kept point at or below the point's latency can dominate
+    # it: front[i] when it ties on latency, else its lower-latency neighbour.
+    rival = i if i < len(front) and front[i].latency == point.latency else i - 1
+    if rival >= 0 and front[rival].cost <= point.cost:
+        return
+    end = i
+    while end < len(front) and front[end].cost >= point.cost:
+        end += 1
+    front[i:end] = [point]
 
 
 def optimal_line(points: Iterable[ParetoPoint]) -> list[ParetoPoint]:
@@ -150,10 +148,11 @@ class PlacementModel:
         return self.latencies.get(function_id, platform_id)
 
     def cost_of(self, placement: Placement) -> Decimal:
+        assigned = dict(reversed(placement.assignments))  # first entry wins, as in platform_for
         total = ZERO
         charges = []
         for fid in self.workflow.function_ids:
-            cost, fixed = self._pair(fid, placement.platform_for(fid))
+            cost, fixed = self._pair(fid, assigned.get(fid) or placement.platform_for(fid))
             total += cost
             charges += fixed
         return total - shared_fixed_credit(charges)
@@ -384,33 +383,39 @@ def optimize(
 ) -> OptimizationResult:
     """Minimize alpha*cost + beta*latency over feasible placements.
 
-    Ties (objectives within 1e-9) break deterministically on lower cost, then
-    lower latency, then enumeration order. Raises InfeasibleError carrying the
-    anchors when no placement satisfies both constraints.
+    One enumeration prices each placement once, finds the anchors as min_cost
+    and min_time do, and folds each feasible placement into a Pareto front. The
+    best is the front member with the least (a*cost + b*latency, cost, latency),
+    where a, b = alpha, beta, or T*, C* for auto weights (cost/C* + latency/T*
+    times C*·T*, so no division). The key strictly orders (cost, latency) pairs
+    and never rises when either falls, so a front member minimizes it over all
+    feasible placements; equal pairs keep the first enumerated placement.
+    Raises DegenerateAnchorError for auto weights with a zero anchor, then
+    InfeasibleError carrying the anchors when no placement is feasible.
     """
     config = config or OptimizationConfig()
-    c_star, c_arg = min_cost(workflow, platforms, model, cap)
-    t_star, t_arg = min_time(workflow, platforms, model, cap)
-    if config.weight_mode == "auto_pareto":
-        alpha, beta = auto_weights(c_star, t_star)
-    else:
-        alpha, beta = config.alpha, config.beta
-
-    best: tuple[Decimal, Decimal, Decimal, Placement] | None = None
+    c_star = t_star = None
+    front: list[ParetoPoint] = []
     feasible_count = 0
     total_count = 0
     for placement in enumerate_placements(workflow, platforms, cap):
         total_count += 1
         cost = model.cost_of(placement)
         latency = model.latency_of(placement)
-        if not _is_feasible(model, placement, cost, latency, config):
-            continue
-        feasible_count += 1
-        objective = CONTEXT.multiply(alpha, cost) + CONTEXT.multiply(beta, latency)
-        if best is None or _improves((objective, cost, latency), best[:3]):
-            best = (objective, cost, latency, placement)
+        if c_star is None or cost < c_star:
+            c_star, c_arg = cost, placement
+        if t_star is None or latency < t_star:
+            t_star, t_arg = latency, placement
+        if _is_feasible(model, placement, cost, latency, config):
+            feasible_count += 1
+            _admit(front, ParetoPoint(str(placement), cost, latency, placement))
 
-    if best is None:
+    if config.weight_mode == "auto_pareto":
+        alpha, beta = auto_weights(c_star, t_star)
+        a, b = t_star, c_star
+    else:
+        alpha, beta = a, b = config.alpha, config.beta
+    if not front:
         diagnostics = {
             "min_cost_placement": str(c_arg),
             "min_time_placement": str(t_arg),
@@ -423,11 +428,15 @@ def optimize(
             c_star, t_star, config.budget, config.latency_slo, diagnostics
         )
 
-    objective, cost, latency, placement = best
+    def rank(p: ParetoPoint) -> tuple[Decimal, Decimal, Decimal]:
+        return CONTEXT.fma(a, p.cost, CONTEXT.multiply(b, p.latency)), p.cost, p.latency
+
+    best = min(front, key=rank)
+    objective = CONTEXT.multiply(alpha, best.cost) + CONTEXT.multiply(beta, best.latency)
     return OptimizationResult(
-        best=placement,
-        cost=cost,
-        latency=latency,
+        best=best.placement,
+        cost=best.cost,
+        latency=best.latency,
         objective=float(objective),
         alpha=float(alpha),
         beta=float(beta),
@@ -438,17 +447,3 @@ def optimize(
         feasible_count=feasible_count,
         total_count=total_count,
     )
-
-
-def _improves(candidate, incumbent) -> bool:
-    obj_c, cost_c, lat_c = candidate
-    obj_i, cost_i, lat_i = incumbent
-    if obj_c < obj_i - OBJECTIVE_TOLERANCE:
-        return True
-    if obj_c > obj_i + OBJECTIVE_TOLERANCE:
-        return False
-    if cost_c != cost_i:
-        return cost_c < cost_i
-    if lat_c != lat_i:
-        return lat_c < lat_i
-    return False

@@ -98,7 +98,8 @@ class WorkflowSpec:
     workflow_id: str
     functions: tuple[FunctionProfile, ...]
     edges: tuple[tuple[str, str], ...] = ()
-    _order: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    #: Each function's predecessors, keyed in topological order (ties in declaration order).
+    _predecessors: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ids = [f.function_id for f in self.functions]
@@ -111,11 +112,12 @@ class WorkflowSpec:
                     raise UnknownFunctionError(
                         f"edge ({src!r}, {dst!r}) references unknown function {endpoint!r}"
                     )
-        succs: dict[str, list[str]] = {f.function_id: [] for f in self.functions}
-        indeg = {f.function_id: 0 for f in self.functions}
+        succs: dict[str, list[str]] = {fid: [] for fid in ids}
+        preds: dict[str, list[str]] = {fid: [] for fid in ids}
         for src, dst in self.edges:
             succs[src].append(dst)
-            indeg[dst] += 1
+            preds[dst].append(src)
+        indeg = {fid: len(preds[fid]) for fid in ids}
         # Deterministic: ties resolve in declaration order.
         order: list[str] = []
         ready = [fid for fid in self.function_ids if indeg[fid] == 0]
@@ -128,7 +130,7 @@ class WorkflowSpec:
                     ready.append(nxt)
         if len(order) != len(self.functions):
             raise CycleError(f"workflow {self.workflow_id!r}: edge relation contains a cycle")
-        object.__setattr__(self, "_order", tuple(order))
+        object.__setattr__(self, "_predecessors", {fid: tuple(preds[fid]) for fid in order})
 
     @property
     def function_ids(self) -> tuple[str, ...]:
@@ -139,16 +141,6 @@ class WorkflowSpec:
             if f.function_id == function_id:
                 return f
         raise UnknownFunctionError(f"unknown function {function_id!r}")
-
-    def topological_order(self) -> list[str]:
-        """Functions in dependency order, ties in declaration order."""
-        return list(self._order)
-
-    def predecessors(self) -> dict[str, list[str]]:
-        preds: dict[str, list[str]] = {f.function_id: [] for f in self.functions}
-        for src, dst in self.edges:
-            preds[dst].append(src)
-        return preds
 
 
 @dataclass(frozen=True)
@@ -209,13 +201,15 @@ def workflow_latency(
     Node weight is the function's latency on its assigned platform. On a
     chain this equals the plain sum of per-function latencies.
     """
+    # A function's first entry wins, as in platform_for, which also raises for an unplaced one.
+    assigned = dict(reversed(placement.assignments))
     weights = {
-        fid: latencies.get(fid, placement.platform_for(fid)) for fid in workflow.function_ids
+        fid: latencies.get(fid, assigned.get(fid) or placement.platform_for(fid))
+        for fid in workflow.function_ids
     }
-    preds = workflow.predecessors()
     dist: dict[str, Decimal] = {}
-    for fid in workflow.topological_order():
-        upstream = max((dist[p] for p in preds[fid]), default=ZERO)
+    for fid, preds in workflow._predecessors.items():
+        upstream = max((dist[p] for p in preds), default=ZERO)
         dist[fid] = upstream + weights[fid]
     return max(dist.values(), default=ZERO)
 

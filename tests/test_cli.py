@@ -282,6 +282,19 @@ def test_optimize_manual_cost_only_weights(capsys):
     }
 
 
+def test_optimize_latency_only_weights_pick_the_fastest_placement(capsys):
+    # Every objective lies within 1e-9 of every other at this scale; the
+    # latency weight must still decide, not the cost tie-break.
+    code, out, _ = run(
+        capsys, "optimize", "--workflow", PIPELINE, "--points", POINTS,
+        "--alpha", "0", "--beta", "0.00000000001", "--format", "json",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert D(report["latency_ms"]) == D(report["t_star"]) == D("143.6")
+    assert report["placement"] == {fid: "leo" for fid in report["placement"]}
+
+
 def test_optimize_with_catalogs(capsys):
     code, out, _ = run(
         capsys, "optimize", "--workflow", PIPELINE, *ALL_PLATFORMS,
@@ -576,3 +589,28 @@ def test_malformed_quantity_exits_2_naming_the_field(capsys, tmp_path, case):
     code, _, err = run(capsys, command, "--workflow", PIPELINE, option, str(path))
     assert code == 2
     assert field in err
+
+
+# --- numeric flags -------------------------------------------------------------------
+
+
+_BAD_FLAGS = {
+    "volume-not-decimal": ("cost", ["--platform", "aws-x86", "--volume", "abc"], "--volume"),
+    "budget-not-decimal": ("optimize", ["--points", POINTS, "--budget", "abc"], "--budget"),
+    "budget-negative": ("optimize", ["--points", POINTS, "--budget", "-5"], "--budget"),
+    "slo-nan": ("optimize", ["--points", POINTS, "--latency-slo", "NaN"], "--latency-slo"),
+    "alpha-infinite": ("optimize", ["--points", POINTS, "--alpha", "Infinity", "--beta", "1"],
+                       "--alpha"),
+    "beta-negative": ("optimize", ["--points", POINTS, "--alpha", "1", "--beta", "-1"], "--beta"),
+    "sample-negative": ("curve", ["--platform", "aws-x86", "--sample", "-5"], "--sample"),
+    "sample-not-decimal": ("curve", ["--platform", "aws-x86", "--sample", "1.5e"], "--sample"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_FLAGS))
+def test_malformed_numeric_flag_exits_2_naming_it(capsys, case):
+    command, extra, flag = _BAD_FLAGS[case]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--workflow", PIPELINE, *extra])
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err

@@ -1,10 +1,12 @@
 import itertools
 import random
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from cosmos import optimizer
 from cosmos.engine import workflow_cost
 from cosmos.errors import (
     CapExceededError,
@@ -461,3 +463,161 @@ def test_separability_on_chains(pipeline, point_table):
         for fid in wf.function_ids
     )
     assert optimize(wf, PLATFORMS, model).best.platforms() == independent
+
+
+# --- one search pass -------------------------------------------------------------
+
+
+def test_argmin_invariant_under_manual_weight_scaling(pipeline, point_table):
+    wf, _ = pipeline
+    model = PointTableModel(wf, point_table)
+    for alpha, beta in [(D(1), D(0)), (D(0), D(1)), (D(1), D(1)), (D("0.0498"), D("0.00696"))]:
+        baseline = optimize(
+            wf, PLATFORMS, model, OptimizationConfig(weight_mode="manual", alpha=alpha, beta=beta)
+        ).best
+        for k in range(-15, 7):
+            config = OptimizationConfig(
+                weight_mode="manual", alpha=alpha.scaleb(k), beta=beta.scaleb(k)
+            )
+            assert optimize(wf, PLATFORMS, model, config).best == baseline, (alpha, beta, k)
+
+
+_PASS_CONFIGS = {
+    "auto": OptimizationConfig(),
+    "manual": OptimizationConfig(weight_mode="manual", alpha=D(1), beta=D(1)),
+    "infeasible": OptimizationConfig(budget=D(50), latency_slo=D(75)),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_PASS_CONFIGS))
+def test_optimize_enumerates_the_placements_once(pipeline, point_table, monkeypatch, mode):
+    wf, _ = pipeline
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return enumerate_placements(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "enumerate_placements", counting)
+    try:
+        optimize(wf, PLATFORMS, PointTableModel(wf, point_table), _PASS_CONFIGS[mode])
+    except InfeasibleError:
+        assert mode == "infeasible"
+    assert len(calls) == 1
+
+
+def test_zero_anchor_is_reported_before_infeasibility():
+    wf = _chain(2)
+    table = {(f, p): (D(c), D(7)) for f in wf.function_ids for p, c in (("a", 0), ("b", 5))}
+    with pytest.raises(DegenerateAnchorError):
+        optimize(wf, ["a", "b"], PointTableModel(wf, table), OptimizationConfig(latency_slo=D(1)))
+
+
+def _quantile(data, values, label):
+    """None, or one of the values picked by rank; kept positive as the config requires."""
+    index = data.draw(st.none() | st.integers(0, len(values) - 1), label=label)
+    return None if index is None else max(sorted(values)[index], D("1e-12"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_one_pass_matches_exhaustive_oracle(catalogs, data):
+    n = data.draw(st.integers(1, 3), label="functions")
+    platforms = data.draw(st.permutations(PLATFORMS), label="platform order")
+    platforms = platforms[: data.draw(st.integers(1, len(PLATFORMS)), label="platforms")]
+    fids = [f"f{i}" for i in range(n)]
+    wf = WorkflowSpec(
+        workflow_id="oracle",
+        functions=tuple(
+            FunctionProfile(
+                function_id=fid,
+                n=D(data.draw(st.sampled_from([0, 1, 1000, 10**6]), label=f"n-{fid}")),
+                t=D("0.1"),
+                mem=D("0.125"),
+                baas_usage=(BaasUsage("ml-provisioning", D(data.draw(st.integers(1, 12)))),),
+            )
+            for fid in fids
+        ),
+        edges=tuple(
+            (fids[i], fids[j])
+            for i, j in itertools.combinations(range(n), 2)
+            if data.draw(st.booleans(), label=f"edge{i}-{j}")
+        ),
+    )
+    lat = LatencyTable(
+        {
+            (fid, pid): D(data.draw(st.sampled_from([0, 1, 2, 5, 50, 500])))
+            for fid in fids
+            for pid in PLATFORMS
+        }
+    )
+    model = CatalogModel(wf, catalogs, latencies=lat)
+
+    evaluated = [
+        (model.cost_of(p), model.latency_of(p), p) for p in enumerate_placements(wf, platforms)
+    ]
+    c_star = min(c for c, _, _ in evaluated)
+    t_star = min(t for _, t, _ in evaluated)
+    c_arg = next(p for c, _, p in evaluated if c == c_star)
+    t_arg = next(p for _, t, p in evaluated if t == t_star)
+
+    scope = data.draw(st.sampled_from(["workflow", "per_function"]), label="scope")
+    if scope == "workflow":
+        budget = _quantile(data, [c for c, _, _ in evaluated], "budget")
+        slo = _quantile(data, [t for _, t, _ in evaluated], "slo")
+    else:
+        pairs = [(f, p) for f in fids for p in platforms]
+        budget = _quantile(data, [model.function_cost_of(*fp) for fp in pairs], "budget")
+        slo = _quantile(data, [model.function_latency_of(*fp) for fp in pairs], "slo")
+
+    def feasible(cost, latency, placement):
+        if scope == "workflow":
+            checks = [(cost, budget), (latency, slo)]
+        else:
+            checks = [
+                check
+                for f, p in placement.assignments
+                for check in ((model.function_cost_of(f, p), budget),
+                              (model.function_latency_of(f, p), slo))
+            ]
+        return all(limit is None or value <= limit for value, limit in checks)
+
+    if data.draw(st.booleans(), label="manual"):
+        scale = data.draw(st.sampled_from(range(-15, 4, 3)), label="weight scale")
+        alpha, beta = (D(data.draw(st.sampled_from([0, 1, 3]))).scaleb(scale) for _ in range(2))
+        assume(alpha or beta)
+        config = OptimizationConfig(budget=budget, latency_slo=slo, scope=scope,
+                                    weight_mode="manual", alpha=alpha, beta=beta)
+
+        def weighted(cost, latency):
+            return Fraction(alpha) * Fraction(cost) + Fraction(beta) * Fraction(latency)
+    else:
+        config = OptimizationConfig(budget=budget, latency_slo=slo, scope=scope)
+
+        def weighted(cost, latency):
+            return Fraction(cost) / Fraction(c_star) + Fraction(latency) / Fraction(t_star)
+
+    if config.weight_mode == "auto_pareto" and not (c_star and t_star):
+        # A zero anchor is reported even when no placement is feasible.
+        with pytest.raises(DegenerateAnchorError):
+            optimize(wf, platforms, model, config)
+        return
+    candidates = [
+        (weighted(c, t), c, t, i, p) for i, (c, t, p) in enumerate(evaluated) if feasible(c, t, p)
+    ]
+    if not candidates:
+        with pytest.raises(InfeasibleError) as exc:
+            optimize(wf, platforms, model, config)
+        assert (exc.value.c_star, exc.value.t_star) == (c_star, t_star)
+        assert exc.value.diagnostics["min_cost_placement"] == str(c_arg)
+        assert exc.value.diagnostics["min_time_placement"] == str(t_arg)
+        return
+    result = optimize(wf, platforms, model, config)
+    objective, cost, latency, _, best = min(candidates, key=lambda c: c[:4])
+    assert (result.best, result.cost, result.latency) == (best, cost, latency)
+    assert result.objective == pytest.approx(float(objective), rel=1e-12, abs=0)
+    assert (result.c_star, result.c_star_placement) == (c_star, c_arg)
+    assert (result.t_star, result.t_star_placement) == (t_star, t_arg)
+    assert (result.c_star, result.c_star_placement) == min_cost(wf, platforms, model)
+    assert (result.t_star, result.t_star_placement) == min_time(wf, platforms, model)
+    assert (result.feasible_count, result.total_count) == (len(candidates), len(evaluated))
