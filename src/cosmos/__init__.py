@@ -59,6 +59,8 @@ from .optimizer import (
 )
 from .telemetry import (
     LatencyStats,
+    UsageFold,
+    UsageLog,
     UsageRecord,
     UsageSummary,
     aggregate_stats,

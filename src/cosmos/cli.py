@@ -55,12 +55,15 @@ from .optimizer import (
     optimize,
     pareto_front,
 )
-from .telemetry import calibrate, scan_usage_log, summarize_usage
+from .telemetry import UsageLog, calibrate, summarize_usage
 from .workflow import Placement, WorkflowSpec, load_workflow_document, serialize_workflow
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_COMPUTATION = 3
+
+#: Malformed rows that ``ingest`` lists one by one; the rest are only counted.
+ROW_ERRORS_SHOWN = 20
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -529,15 +532,18 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    records, errors = scan_usage_log(args.log)
-    if errors:
-        for err in errors:
+    workflow = load_workflow_document(args.workflow)[0] if args.workflow else None
+    log = UsageLog(args.log, keep_errors=ROW_ERRORS_SHOWN)
+    summaries = summarize_usage(log)
+    if log.error_count:
+        for err in log.errors:
             print(f"error: {err}", file=sys.stderr)
-        print(f"error: {len(errors)} malformed row(s) in {args.log}", file=sys.stderr)
+        if log.error_count > len(log.errors):
+            print(f"… and {log.error_count - len(log.errors)} more", file=sys.stderr)
+        print(f"error: {log.error_count} malformed row(s) in {args.log}", file=sys.stderr)
         return EXIT_VALIDATION
-    if not records:
+    if not log.rows:
         raise NoDataError(f"usage log {args.log} has no data rows")
-    summaries = summarize_usage(records)
 
     rows = [["function_id", "platform_id", "count", "mean_ms", "min_ms", "max_ms", "p90_ms", "errors"]]
     lines = [
@@ -564,8 +570,7 @@ def cmd_ingest(args) -> int:
         for (fid, pid), summary in summaries.items()
     }
     files: dict[str, list | dict] = {"stats.csv": rows, "stats.json": report}
-    if args.workflow:
-        workflow, _ = load_workflow_document(args.workflow)
+    if workflow is not None:
         files["calibrated-workflow.json"] = serialize_workflow(*calibrate(workflow, summaries))
     _report(args, lines, rows, report, files)
     return EXIT_OK

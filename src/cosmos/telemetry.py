@@ -4,17 +4,26 @@ Logs are CSV with the exact header
 ``timestamp,function_id,platform_id,duration_ms,bytes_in,bytes_out,status``
 (UTF-8, RFC-4180 quoting). Only ok-status records feed the statistics; error
 rows are counted and reported but never priced or averaged.
+
+Aggregation is one streaming pass: each row is parsed once, folded into the
+accumulator of its (function, platform) pair and dropped, so memory grows
+with pairs x distinct durations, not with rows. Accumulators merge exactly.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+from bisect import bisect_left
+from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime
-from decimal import Decimal
+from decimal import Decimal, localcontext
+from itertools import accumulate
+from operator import mul
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from .errors import CoverageError, HeaderError, NoDataError, RowError
 from .money import CONTEXT, div
@@ -36,7 +45,9 @@ STATUSES = ("ok", "error")
 
 BYTES_PER_GB = Decimal(10) ** 9  # decimal GB, the cloud billing convention
 
-#: Aggregated means are quantized here so merge order can never matter.
+#: Aggregated means are quantized here. The sum behind a mean is taken from
+#: the pair's duration counts in ascending order, so neither the order of a
+#: fold nor that of a UsageFold.merge can change it.
 MEAN_QUANTUM = Decimal("1e-9")
 
 
@@ -80,67 +91,191 @@ def _parse_timestamp(raw: str) -> datetime:
     return datetime.fromisoformat(text)
 
 
-def _parse_row(line: int, row: Sequence[str]) -> UsageRecord:
+def _parse_count(line: int, key: str, raw: str) -> int:
+    try:
+        count = int(raw)
+    except ValueError:
+        raise RowError(line, f"bad {key} {raw!r}") from None
+    if count < 0:
+        raise RowError(line, f"{key} must be >= 0, got {raw!r}")
+    return count
+
+
+def _parse_row(line: int, row: Sequence[str]) -> tuple:
+    """The fields of one CSV row, checked and typed in UsageRecord order."""
     if len(row) != len(USAGE_FIELDS):
         raise RowError(line, f"expected {len(USAGE_FIELDS)} fields, got {len(row)}")
-    raw = dict(zip(USAGE_FIELDS, row))
+    stamp, function_id, platform_id, raw_duration, raw_in, raw_out, status = row
     try:
-        timestamp = _parse_timestamp(raw["timestamp"])
+        timestamp = _parse_timestamp(stamp)
     except ValueError:
-        raise RowError(line, f"bad timestamp {raw['timestamp']!r}") from None
+        raise RowError(line, f"bad timestamp {stamp!r}") from None
     try:
-        duration = Decimal(raw["duration_ms"])
+        duration = Decimal(raw_duration)
     except Exception:
-        raise RowError(line, f"bad duration_ms {raw['duration_ms']!r}") from None
+        raise RowError(line, f"bad duration_ms {raw_duration!r}") from None
     if not duration.is_finite() or duration < 0:
-        raise RowError(line, f"duration_ms must be finite and >= 0, got {raw['duration_ms']!r}")
-    counts = {}
-    for key in ("bytes_in", "bytes_out"):
-        try:
-            counts[key] = int(raw[key])
-        except ValueError:
-            raise RowError(line, f"bad {key} {raw[key]!r}") from None
-        if counts[key] < 0:
-            raise RowError(line, f"{key} must be >= 0, got {raw[key]!r}")
-    if raw["status"] not in STATUSES:
-        raise RowError(line, f"status must be ok or error, got {raw['status']!r}")
-    return UsageRecord(
-        timestamp=timestamp,
-        function_id=raw["function_id"],
-        platform_id=raw["platform_id"],
-        duration_ms=duration,
-        bytes_in=counts["bytes_in"],
-        bytes_out=counts["bytes_out"],
-        status=raw["status"],
-    )
+        raise RowError(line, f"duration_ms must be finite and >= 0, got {raw_duration!r}")
+    bytes_in = _parse_count(line, "bytes_in", raw_in)
+    bytes_out = _parse_count(line, "bytes_out", raw_out)
+    if status not in STATUSES:
+        raise RowError(line, f"status must be ok or error, got {status!r}")
+    return timestamp, function_id, platform_id, duration, bytes_in, bytes_out, status
+
+
+class _Pair:
+    """Accumulator of one (function, platform): ok durations with their
+    counts, byte totals of the ok rows, and the error-row tally."""
+
+    __slots__ = ("durations", "bytes_in_total", "bytes_out_total", "error_count")
+
+    def __init__(self):
+        self.durations: Counter[Decimal] = Counter()
+        self.bytes_in_total = 0
+        self.bytes_out_total = 0
+        self.error_count = 0
+
+    def summary(self) -> UsageSummary:
+        """Count, mean, min, max and nearest-rank p90 (the value at 1-based
+        index ceil(0.9 * count) of the ascending sort). The mean's sum is
+        taken under money.CONTEXT before the mean is quantized."""
+        values, counts = zip(*sorted(self.durations.items()))
+        ranks = list(accumulate(counts))
+        count = ranks[-1]
+        with localcontext(CONTEXT):
+            total = sum(map(mul, values, counts), Decimal(0))
+        stats = LatencyStats(
+            count=count,
+            mean=CONTEXT.quantize(div(total, Decimal(count)), MEAN_QUANTUM),
+            min=values[0],
+            max=values[-1],
+            p90=values[bisect_left(ranks, -((-9 * count) // 10))],
+        )
+        return UsageSummary(
+            stats=stats,
+            ok_count=count,
+            error_count=self.error_count,
+            bytes_in_total=self.bytes_in_total,
+            bytes_out_total=self.bytes_out_total,
+        )
+
+
+class UsageFold:
+    """Per-(function, platform) accumulators of usage rows.
+
+    Rows are added one at a time and folds merge exactly, so any order or
+    split of the same rows gives the same summaries.
+    """
+
+    def __init__(self):
+        self._pairs: dict[tuple[str, str], _Pair] = {}
+
+    def add(
+        self,
+        function_id: str,
+        platform_id: str,
+        duration_ms: Decimal,
+        bytes_in: int,
+        bytes_out: int,
+        status: str,
+    ) -> None:
+        pair = self._pairs.get((function_id, platform_id))
+        if pair is None:
+            pair = self._pairs[(function_id, platform_id)] = _Pair()
+        if status == "ok":
+            pair.durations[duration_ms] += 1
+            pair.bytes_in_total += bytes_in
+            pair.bytes_out_total += bytes_out
+        else:
+            pair.error_count += 1
+
+    def merge(self, other: UsageFold) -> UsageFold:
+        """Add other's rows to this fold; returns self."""
+        for key, theirs in other._pairs.items():
+            mine = self._pairs.get(key)
+            if mine is None:
+                mine = self._pairs[key] = _Pair()
+            mine.durations.update(theirs.durations)
+            mine.bytes_in_total += theirs.bytes_in_total
+            mine.bytes_out_total += theirs.bytes_out_total
+            mine.error_count += theirs.error_count
+        return self
+
+    def summaries(self) -> dict[tuple[str, str], UsageSummary]:
+        """One summary per pair with an ok row, in sorted key order."""
+        return {
+            key: self._pairs[key].summary()
+            for key in sorted(self._pairs)
+            if self._pairs[key].durations
+        }
+
+
+class UsageLog:
+    """A usage log, read lazily in one pass each time it is iterated.
+
+    Iterating yields a UsageRecord per well-formed row, in file order.
+    Malformed rows are skipped: ``error_count`` counts them and ``errors``
+    keeps the first ``keep_errors`` of their RowErrors (all when None).
+    ``rows`` counts the data rows read, blank lines excluded. A path is
+    opened again on each pass; an open file can be read once.
+    ``summarize_usage`` folds a UsageLog from its parsed fields without
+    building a UsageRecord per row.
+    """
+
+    def __init__(self, source: str | Path | IO[str], keep_errors: int | None = None):
+        self.source = source
+        self.keep_errors = keep_errors
+        self.rows = 0
+        self.error_count = 0
+        self.errors: list[RowError] = []
+
+    def __iter__(self) -> Iterator[UsageRecord]:
+        for fields in self._fields():
+            yield UsageRecord(*fields)
+
+    def fold(self) -> UsageFold:
+        fold = UsageFold()
+        add = fold.add
+        for _, function_id, platform_id, duration, bytes_in, bytes_out, status in self._fields():
+            add(function_id, platform_id, duration, bytes_in, bytes_out, status)
+        return fold
+
+    def _fields(self) -> Iterator[tuple]:
+        self.rows = self.error_count = 0
+        self.errors = []
+        keep = self.keep_errors
+        opened = (
+            nullcontext(self.source)
+            if hasattr(self.source, "read")
+            else open(self.source, "r", encoding="utf-8", newline="")
+        )
+        with opened as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise HeaderError("usage log is empty; expected header row") from None
+            if header != list(USAGE_FIELDS):
+                raise HeaderError(f"expected header {USAGE_HEADER!r}, got {','.join(header)!r}")
+            for line, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                self.rows += 1
+                try:
+                    fields = _parse_row(line, row)
+                except RowError as exc:
+                    self.error_count += 1
+                    if keep is None or len(self.errors) < keep:
+                        self.errors.append(exc)
+                    continue
+                yield fields
 
 
 def scan_usage_log(source: str | Path | IO[str]) -> tuple[list[UsageRecord], list[RowError]]:
     """Parse every row, collecting per-row errors instead of stopping."""
-    if hasattr(source, "read"):
-        return _scan(source)
-    with open(source, "r", encoding="utf-8", newline="") as fh:
-        return _scan(fh)
-
-
-def _scan(fh: IO[str]) -> tuple[list[UsageRecord], list[RowError]]:
-    reader = csv.reader(fh)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise HeaderError("usage log is empty; expected header row") from None
-    if header != list(USAGE_FIELDS):
-        raise HeaderError(f"expected header {USAGE_HEADER!r}, got {','.join(header)!r}")
-    records: list[UsageRecord] = []
-    errors: list[RowError] = []
-    for line, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        try:
-            records.append(_parse_row(line, row))
-        except RowError as exc:
-            errors.append(exc)
-    return records, errors
+    log = UsageLog(source)
+    records = list(log)
+    return records, log.errors
 
 
 def parse_usage_log(source: str | Path | IO[str]) -> list[UsageRecord]:
@@ -151,17 +286,6 @@ def parse_usage_log(source: str | Path | IO[str]) -> list[UsageRecord]:
     return records
 
 
-def _nearest_rank_p90(sorted_values: Sequence[Decimal]) -> Decimal:
-    count = len(sorted_values)
-    rank = -((-9 * count) // 10)  # ceil(0.9 * count), exact integer math
-    return sorted_values[rank - 1]
-
-
-def _mean(values: Sequence[Decimal]) -> Decimal:
-    total = sum(values, Decimal(0))
-    return CONTEXT.quantize(div(total, Decimal(len(values))), MEAN_QUANTUM)
-
-
 def aggregate_stats(
     records: Iterable[UsageRecord], function_id: str, platform_id: str
 ) -> LatencyStats:
@@ -170,42 +294,25 @@ def aggregate_stats(
     Mean is the arithmetic mean; p90 uses the nearest-rank method (the value
     at 1-based index ceil(0.9 * count) of the ascending sort).
     """
-    durations = sorted(
-        r.duration_ms
-        for r in records
-        if r.status == "ok" and r.function_id == function_id and r.platform_id == platform_id
-    )
-    if not durations:
+    key = (function_id, platform_id)
+    summary = summarize_usage(r for r in records if (r.function_id, r.platform_id) == key).get(key)
+    if summary is None:
         raise NoDataError(f"no ok records for ({function_id}, {platform_id})")
-    return LatencyStats(
-        count=len(durations),
-        mean=_mean(durations),
-        min=durations[0],
-        max=durations[-1],
-        p90=_nearest_rank_p90(durations),
-    )
+    return summary.stats
 
 
-def summarize_usage(records: Iterable[UsageRecord]) -> dict[tuple[str, str], UsageSummary]:
-    """Group records by (function, platform) and aggregate each group."""
-    records = list(records)
-    groups: dict[tuple[str, str], list[UsageRecord]] = {}
+def summarize_usage(
+    records: Iterable[UsageRecord] | UsageLog,
+) -> dict[tuple[str, str], UsageSummary]:
+    """Fold records by (function, platform) in one pass and summarize each
+    pair with an ok record, in sorted key order. A UsageLog is folded from
+    its CSV rows directly; its malformed rows are tallied on the log."""
+    if isinstance(records, UsageLog):
+        return records.fold().summaries()
+    fold = UsageFold()
     for r in records:
-        groups.setdefault((r.function_id, r.platform_id), []).append(r)
-    out: dict[tuple[str, str], UsageSummary] = {}
-    for key in sorted(groups):
-        ok = [r for r in groups[key] if r.status == "ok"]
-        errors = len(groups[key]) - len(ok)
-        if not ok:
-            continue
-        out[key] = UsageSummary(
-            stats=aggregate_stats(ok, *key),
-            ok_count=len(ok),
-            error_count=errors,
-            bytes_in_total=sum(r.bytes_in for r in ok),
-            bytes_out_total=sum(r.bytes_out for r in ok),
-        )
-    return out
+        fold.add(r.function_id, r.platform_id, r.duration_ms, r.bytes_in, r.bytes_out, r.status)
+    return fold.summaries()
 
 
 def calibrate(

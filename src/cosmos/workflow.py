@@ -98,11 +98,14 @@ class WorkflowSpec:
     workflow_id: str
     functions: tuple[FunctionProfile, ...]
     edges: tuple[tuple[str, str], ...] = ()
+    #: Function ids in declaration order.
+    function_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
     #: Each function's predecessors, keyed in topological order (ties in declaration order).
     _predecessors: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ids = [f.function_id for f in self.functions]
+        ids = tuple(f.function_id for f in self.functions)
+        object.__setattr__(self, "function_ids", ids)
         if len(set(ids)) != len(ids):
             raise SchemaError(f"workflow {self.workflow_id!r}: duplicate function ids")
         known = set(ids)
@@ -120,7 +123,7 @@ class WorkflowSpec:
         indeg = {fid: len(preds[fid]) for fid in ids}
         # Deterministic: ties resolve in declaration order.
         order: list[str] = []
-        ready = [fid for fid in self.function_ids if indeg[fid] == 0]
+        ready = [fid for fid in ids if indeg[fid] == 0]
         while ready:
             fid = ready.pop(0)
             order.append(fid)
@@ -131,10 +134,6 @@ class WorkflowSpec:
         if len(order) != len(self.functions):
             raise CycleError(f"workflow {self.workflow_id!r}: edge relation contains a cycle")
         object.__setattr__(self, "_predecessors", {fid: tuple(preds[fid]) for fid in order})
-
-    @property
-    def function_ids(self) -> tuple[str, ...]:
-        return tuple(f.function_id for f in self.functions)
 
     def function(self, function_id: str) -> FunctionProfile:
         for f in self.functions:
@@ -168,7 +167,11 @@ class Placement:
         return tuple(pid for _, pid in self.assignments)
 
     def as_dict(self) -> dict[str, str]:
-        return dict(self.assignments)
+        """Function to platform, the first entry per function winning, as in platform_for."""
+        out: dict[str, str] = {}
+        for fid, pid in self.assignments:
+            out.setdefault(fid, pid)
+        return out
 
     def __str__(self) -> str:
         return ",".join(f"{fid}={pid}" for fid, pid in self.assignments)

@@ -330,6 +330,34 @@ def test_ingest_malformed_rows_exit_2_listing_lines(capsys, tmp_path):
     assert "row 3" in err
 
 
+def test_ingest_lists_the_first_malformed_rows_then_the_total(capsys, tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(
+        "timestamp,function_id,platform_id,duration_ms,bytes_in,bytes_out,status\n"
+        + "".join(f"2024-11-04T09:00:{i:02d}Z,f,p,-{i + 1},0,0,ok\n" for i in range(25))
+    )
+    code, _, err = run(capsys, "ingest", "--log", str(bad))
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == cli.ROW_ERRORS_SHOWN + 2 == 22
+    assert lines[:20] == [
+        f"error: row {i + 2}: duration_ms must be finite and >= 0, got '-{i + 1}'" for i in range(20)
+    ]
+    assert lines[20] == "… and 5 more"
+    assert lines[21] == f"error: 25 malformed row(s) in {bad}"
+
+
+def test_ingest_reports_a_missing_workflow_before_reading_the_log(capsys, tmp_path, monkeypatch):
+    def unread(_log):
+        raise AssertionError("the log was read before the workflow was loaded")
+
+    monkeypatch.setattr(cli, "summarize_usage", unread)
+    missing = tmp_path / "missing.json"
+    code, _, err = run(capsys, "ingest", "--log", USAGE, "--workflow", str(missing))
+    assert code == 2
+    assert str(missing) in err
+
+
 def test_ingest_empty_body_is_computation_error(capsys, tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("timestamp,function_id,platform_id,duration_ms,bytes_in,bytes_out,status\n")

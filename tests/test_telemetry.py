@@ -1,6 +1,8 @@
 import io
 import random
+import tracemalloc
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +11,8 @@ from cosmos.errors import CoverageError, HeaderError, NoDataError, RowError
 from cosmos.telemetry import (
     USAGE_HEADER,
     LatencyStats,
+    UsageFold,
+    UsageLog,
     UsageRecord,
     UsageSummary,
     aggregate_stats,
@@ -156,6 +160,155 @@ def test_summarize_groups_and_counts_errors():
     assert summaries[("a", "x")].ok_count == 2
     assert summaries[("a", "x")].error_count == 1
     assert summaries[("b", "y")].bytes_in_total == 10**9
+
+
+# --- streaming fold -----------------------------------------------------------
+
+_MALFORMED = (
+    "2024-11-04T09:00:00Z,a,x,-1,0,0,ok",
+    "2024-11-04T09:00:00Z,a,x,abc,0,0,ok",
+    "2024-11-04T09:00:00Z,a,x,1,0,0,maybe",
+    "2024-11-04T09:00:00Z,a,x,1,0,ok",
+    "notadate,a,x,1,0,0,ok",
+)
+
+# A well-formed row: pair, value m * 10**-k written with z extra trailing
+# zeros (so 1.0 and 1.00 both occur), byte counts and status.
+_good_row = st.tuples(
+    st.sampled_from([("a", "x"), ("a", "y"), ("b", "x")]),
+    st.integers(0, 3000),
+    st.integers(0, 10),
+    st.integers(0, 2),
+    st.integers(0, 10**12),
+    st.integers(0, 10**12),
+    st.sampled_from(["ok", "ok", "ok", "error"]),
+)
+_log_line = st.one_of(_good_row, st.sampled_from(_MALFORMED), st.just(""))
+
+
+def _duration_text(m, k, z):
+    return str(Decimal(m * 10**z).scaleb(-(k + z)))
+
+
+def _oracle(rows):
+    """Sort-based statistics in exact Fraction arithmetic, per pair."""
+    ok: dict = {}
+    errors: dict = {}
+    for pair, m, k, _, b_in, b_out, status in rows:
+        if status == "ok":
+            ok.setdefault(pair, []).append((Fraction(m, 10**k), b_in, b_out))
+        else:
+            errors[pair] = errors.get(pair, 0) + 1
+    out = {}
+    for pair, items in ok.items():
+        values = sorted(v for v, _, _ in items)
+        n = len(values)
+        out[pair] = (
+            n,
+            round(sum(values) / n * 10**9),  # round() on a Fraction is half-even
+            values[0],
+            values[-1],
+            values[-((-9 * n) // 10) - 1],
+            sum(b for _, b, _ in items),
+            sum(b for _, _, b in items),
+            errors.get(pair, 0),
+        )
+    return out
+
+
+@given(st.lists(_log_line, max_size=60))
+def test_streaming_summaries_match_fraction_oracle(lines):
+    text = [
+        line if isinstance(line, str) else
+        f"2024-11-04T09:00:00Z,{line[0][0]},{line[0][1]},{_duration_text(*line[1:4])},"
+        f"{line[4]},{line[5]},{line[6]}"
+        for line in lines
+    ]
+    log = UsageLog(_log(*text))
+    summaries = summarize_usage(log)
+    got = {
+        pair: (
+            s.stats.count,
+            s.stats.mean.scaleb(9),
+            Fraction(s.stats.min),
+            Fraction(s.stats.max),
+            Fraction(s.stats.p90),
+            s.bytes_in_total,
+            s.bytes_out_total,
+            s.error_count,
+        )
+        for pair, s in summaries.items()
+    }
+    good = [line for line in lines if not isinstance(line, str)]
+    assert got == _oracle(good)
+    assert all(s.ok_count == s.stats.count for s in summaries.values())
+    assert list(summaries) == sorted(summaries)
+    assert log.error_count == len(log.errors) == sum(line in _MALFORMED for line in lines)
+    assert log.rows == sum(line != "" for line in lines)
+
+
+def _fold(rows):
+    fold = UsageFold()
+    for row in rows:
+        fold.add(*row)
+    return fold
+
+
+_fold_row = st.tuples(
+    st.sampled_from(["a", "b"]),
+    st.sampled_from(["x", "y"]),
+    st.builds(_duration_text, st.integers(0, 500), st.integers(0, 2), st.integers(0, 2)).map(D),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.sampled_from(["ok", "ok", "error"]),
+)
+
+
+@given(st.lists(_fold_row, max_size=40), st.data())
+def test_fold_is_invariant_under_permutation_and_split_merge(rows, data):
+    expected = _fold(rows).summaries()
+    shuffled = data.draw(st.permutations(rows))
+    assert _fold(shuffled).summaries() == expected
+    cut = data.draw(st.integers(0, len(rows)))
+    head, tail = shuffled[:cut], shuffled[cut:]
+    assert _fold(head).merge(_fold(tail)).summaries() == expected
+    assert _fold(tail).merge(_fold(head)).summaries() == expected
+
+
+def test_mean_sum_is_exact_beyond_28_digits():
+    # 1e20 + 3e-9 needs 30 digits; the mean 5e19 + 1.5e-9 then rounds half-even.
+    stats = aggregate_stats([_record("1e20"), _record("0.000000003")], "f", "p")
+    assert stats.mean == D("50000000000000000000.000000002")
+
+
+def test_summarize_accepts_a_one_shot_generator():
+    records = [_record(100), _record(300, fid="g"), _record(200), _record(5, status="error")]
+    assert summarize_usage(r for r in records) == summarize_usage(records)
+    assert summarize_usage(r for r in records)[("f", "p")].error_count == 1
+
+
+def test_usage_log_keeps_only_the_first_row_errors():
+    log = UsageLog(_log(_row(1), _row(-1), _row(-2), _row(2), _row(-3), "", _row(-4)), keep_errors=2)
+    summaries = summarize_usage(log)
+    assert [e.line for e in log.errors] == [3, 4]
+    assert log.error_count == 4
+    assert log.rows == 6
+    assert summaries[("f", "p")].stats.count == 2
+
+
+def test_streaming_memory_is_bounded_by_distinct_durations(tmp_path):
+    path = tmp_path / "usage.csv"
+    rows = (_row((100, 250, 400)[i % 3], fid=f"f{i % 2}", status="error" if i % 50 == 0 else "ok")
+            for i in range(50_000))
+    path.write_text("\n".join([USAGE_HEADER, *rows]) + "\n")
+    tracemalloc.start()
+    try:
+        summaries = summarize_usage(UsageLog(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(s.ok_count + s.error_count for s in summaries.values()) == 50_000
+    assert peak < 2_000_000
 
 
 # --- calibration ------------------------------------------------------------------

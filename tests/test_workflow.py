@@ -310,3 +310,22 @@ def test_placement_helpers():
     with pytest.raises(UnplacedFunctionError):
         placement.platform_for("ghost")
     assert str(placement) == "a=x,b=y"
+
+
+def test_as_dict_keeps_the_first_entry_per_function_like_platform_for():
+    placement = Placement((("f0", "a"), ("f1", "c"), ("f0", "b")))
+    assert placement.as_dict() == {"f0": "a", "f1": "c"}
+    assert list(placement.as_dict()) == ["f0", "f1"]
+    assert Placement((("f0", "a"), ("f0", "b"))).as_dict() == {"f0": "a"}
+    assert placement.as_dict()["f0"] == placement.platform_for("f0")
+
+
+def test_function_ids_are_computed_once_in_declaration_order():
+    wf = WorkflowSpec(
+        workflow_id="w",
+        functions=tuple(FunctionProfile(function_id=f) for f in ("c", "a", "b")),
+        edges=(("b", "c"),),
+    )
+    assert wf.function_ids == ("c", "a", "b")
+    assert wf.function_ids is wf.function_ids
+    assert "function_ids" not in repr(wf)
