@@ -39,6 +39,7 @@ from .errors import (
     CosmosError,
     DomainError,
     NoDataError,
+    RowError,
     SchemaError,
     UnknownFunctionError,
     UnknownPlatformError,
@@ -534,8 +535,9 @@ def cmd_optimize(args) -> int:
 def cmd_ingest(args) -> int:
     workflow = load_workflow_document(args.workflow)[0] if args.workflow else None
     log = UsageLog(args.log, keep_errors=ROW_ERRORS_SHOWN)
-    summaries = summarize_usage(log)
-    if log.error_count:
+    try:
+        summaries = summarize_usage(log)
+    except RowError:
         for err in log.errors:
             print(f"error: {err}", file=sys.stderr)
         if log.error_count > len(log.errors):

@@ -6,22 +6,18 @@ Logs are CSV with the exact header
 rows are counted and reported but never priced or averaged.
 
 Aggregation is one streaming pass: each row is parsed once, folded into the
-accumulator of its (function, platform) pair and dropped, so memory grows
-with pairs x distinct durations, not with rows. Accumulators merge exactly.
+accumulator of its (function, platform) pair and dropped. An accumulator
+keeps one Decimal per ok row and no record, and accumulators merge exactly.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
-from bisect import bisect_left
-from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime
 from decimal import Decimal, localcontext
-from itertools import accumulate
-from operator import mul
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
@@ -45,8 +41,8 @@ STATUSES = ("ok", "error")
 
 BYTES_PER_GB = Decimal(10) ** 9  # decimal GB, the cloud billing convention
 
-#: Aggregated means are quantized here. The sum behind a mean is taken from
-#: the pair's duration counts in ascending order, so neither the order of a
+#: Aggregated means are quantized here. The sum behind a mean is taken over
+#: the pair's ok durations in ascending order, so neither the order of a
 #: fold nor that of a UsageFold.merge can change it.
 MEAN_QUANTUM = Decimal("1e-9")
 
@@ -124,32 +120,34 @@ def _parse_row(line: int, row: Sequence[str]) -> tuple:
 
 
 class _Pair:
-    """Accumulator of one (function, platform): ok durations with their
-    counts, byte totals of the ok rows, and the error-row tally."""
+    """Accumulator of one (function, platform): the ok durations in the
+    order they were added, byte totals of the ok rows, and the error-row
+    tally."""
 
     __slots__ = ("durations", "bytes_in_total", "bytes_out_total", "error_count")
 
     def __init__(self):
-        self.durations: Counter[Decimal] = Counter()
+        self.durations: list[Decimal] = []
         self.bytes_in_total = 0
         self.bytes_out_total = 0
         self.error_count = 0
 
     def summary(self) -> UsageSummary:
         """Count, mean, min, max and nearest-rank p90 (the value at 1-based
-        index ceil(0.9 * count) of the ascending sort). The mean's sum is
-        taken under money.CONTEXT before the mean is quantized."""
-        values, counts = zip(*sorted(self.durations.items()))
-        ranks = list(accumulate(counts))
-        count = ranks[-1]
+        index ceil(0.9 * count) of the ascending sort). The sort is stable,
+        so of equal values written differently (1.0, 1.00) min, max and p90
+        carry the one at that rank in the order added. The mean's sum is
+        taken in ascending order under money.CONTEXT before it is quantized."""
+        values = sorted(self.durations)
+        count = len(values)
         with localcontext(CONTEXT):
-            total = sum(map(mul, values, counts), Decimal(0))
+            total = sum(values, Decimal(0))
         stats = LatencyStats(
             count=count,
             mean=CONTEXT.quantize(div(total, Decimal(count)), MEAN_QUANTUM),
             min=values[0],
             max=values[-1],
-            p90=values[bisect_left(ranks, -((-9 * count) // 10))],
+            p90=values[-((-9 * count) // 10) - 1],
         )
         return UsageSummary(
             stats=stats,
@@ -163,8 +161,10 @@ class _Pair:
 class UsageFold:
     """Per-(function, platform) accumulators of usage rows.
 
-    Rows are added one at a time and folds merge exactly, so any order or
-    split of the same rows gives the same summaries.
+    Rows are added one at a time. ``a.merge(b)`` summarizes exactly as one
+    fold of a's rows followed by b's. Any order or split of the same rows
+    gives summaries equal by value; only which of two equal durations
+    written differently (1.0, 1.00) is reported can follow the order.
     """
 
     def __init__(self):
@@ -183,7 +183,7 @@ class UsageFold:
         if pair is None:
             pair = self._pairs[(function_id, platform_id)] = _Pair()
         if status == "ok":
-            pair.durations[duration_ms] += 1
+            pair.durations.append(duration_ms)
             pair.bytes_in_total += bytes_in
             pair.bytes_out_total += bytes_out
         else:
@@ -195,7 +195,7 @@ class UsageFold:
             mine = self._pairs.get(key)
             if mine is None:
                 mine = self._pairs[key] = _Pair()
-            mine.durations.update(theirs.durations)
+            mine.durations.extend(theirs.durations)
             mine.bytes_in_total += theirs.bytes_in_total
             mine.bytes_out_total += theirs.bytes_out_total
             mine.error_count += theirs.error_count
@@ -219,10 +219,13 @@ class UsageLog:
     ``rows`` counts the data rows read, blank lines excluded. A path is
     opened again on each pass; an open file can be read once.
     ``summarize_usage`` folds a UsageLog from its parsed fields without
-    building a UsageRecord per row.
+    building a UsageRecord per row, and raises the first RowError if any
+    row is malformed; ``keep_errors`` must therefore be at least 1.
     """
 
     def __init__(self, source: str | Path | IO[str], keep_errors: int | None = None):
+        if keep_errors is not None and keep_errors < 1:
+            raise ValueError(f"keep_errors must be at least 1, got {keep_errors}")
         self.source = source
         self.keep_errors = keep_errors
         self.rows = 0
@@ -305,10 +308,18 @@ def summarize_usage(
     records: Iterable[UsageRecord] | UsageLog,
 ) -> dict[tuple[str, str], UsageSummary]:
     """Fold records by (function, platform) in one pass and summarize each
-    pair with an ok record, in sorted key order. A UsageLog is folded from
-    its CSV rows directly; its malformed rows are tallied on the log."""
+    pair with an ok record, in sorted key order.
+
+    A UsageLog is folded from its CSV rows directly. If any row is malformed
+    the whole log is still read, so its ``errors`` and ``error_count`` are
+    complete, and then its first RowError is raised: no statistic is
+    computed from a log with malformed rows.
+    """
     if isinstance(records, UsageLog):
-        return records.fold().summaries()
+        fold = records.fold()
+        if records.error_count:
+            raise records.errors[0]
+        return fold.summaries()
     fold = UsageFold()
     for r in records:
         fold.add(r.function_id, r.platform_id, r.duration_ms, r.bytes_in, r.bytes_out, r.status)

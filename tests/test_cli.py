@@ -347,6 +347,23 @@ def test_ingest_lists_the_first_malformed_rows_then_the_total(capsys, tmp_path):
     assert lines[21] == f"error: 25 malformed row(s) in {bad}"
 
 
+def test_ingest_lists_malformed_rows_before_computing_any_statistic(capsys, tmp_path):
+    # The mean of 1e100 is beyond money.CONTEXT at 1e-9; it must never be computed.
+    bad = tmp_path / "bad.csv"
+    bad.write_text(
+        "timestamp,function_id,platform_id,duration_ms,bytes_in,bytes_out,status\n"
+        "2024-11-04T09:00:00Z,f,p,1e100,0,0,ok\n"
+        "2024-11-04T09:00:01Z,f,p,-1,0,0,ok\n"
+    )
+    code, out, err = run(capsys, "ingest", "--log", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "error: row 3: duration_ms must be finite and >= 0, got '-1'",
+        f"error: 1 malformed row(s) in {bad}",
+    ]
+
+
 def test_ingest_reports_a_missing_workflow_before_reading_the_log(capsys, tmp_path, monkeypatch):
     def unread(_log):
         raise AssertionError("the log was read before the workflow was loaded")

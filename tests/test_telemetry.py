@@ -191,26 +191,28 @@ def _duration_text(m, k, z):
 
 
 def _oracle(rows):
-    """Sort-based statistics in exact Fraction arithmetic, per pair."""
+    """Sort-based statistics in exact Fraction arithmetic, per pair. min, max
+    and p90 are the duration texts at their ranks of a stable sort in file
+    order, so of 1.0 and 1.00 the one that comes first in the log wins a tie."""
     ok: dict = {}
     errors: dict = {}
-    for pair, m, k, _, b_in, b_out, status in rows:
+    for pair, m, k, z, b_in, b_out, status in rows:
         if status == "ok":
-            ok.setdefault(pair, []).append((Fraction(m, 10**k), b_in, b_out))
+            ok.setdefault(pair, []).append((Fraction(m, 10**k), _duration_text(m, k, z), b_in, b_out))
         else:
             errors[pair] = errors.get(pair, 0) + 1
     out = {}
     for pair, items in ok.items():
-        values = sorted(v for v, _, _ in items)
-        n = len(values)
+        ranked = sorted(items, key=lambda item: item[0])
+        n = len(ranked)
         out[pair] = (
             n,
-            round(sum(values) / n * 10**9),  # round() on a Fraction is half-even
-            values[0],
-            values[-1],
-            values[-((-9 * n) // 10) - 1],
-            sum(b for _, b, _ in items),
-            sum(b for _, _, b in items),
+            round(sum(v for v, _, _, _ in items) / n * 10**9),  # round() on a Fraction is half-even
+            ranked[0][1],
+            ranked[-1][1],
+            ranked[-((-9 * n) // 10) - 1][1],
+            sum(b for _, _, b, _ in items),
+            sum(b for _, _, _, b in items),
             errors.get(pair, 0),
         )
     return out
@@ -225,14 +227,14 @@ def test_streaming_summaries_match_fraction_oracle(lines):
         for line in lines
     ]
     log = UsageLog(_log(*text))
-    summaries = summarize_usage(log)
+    summaries = log.fold().summaries()
     got = {
         pair: (
             s.stats.count,
             s.stats.mean.scaleb(9),
-            Fraction(s.stats.min),
-            Fraction(s.stats.max),
-            Fraction(s.stats.p90),
+            str(s.stats.min),
+            str(s.stats.max),
+            str(s.stats.p90),
             s.bytes_in_total,
             s.bytes_out_total,
             s.error_count,
@@ -245,6 +247,14 @@ def test_streaming_summaries_match_fraction_oracle(lines):
     assert list(summaries) == sorted(summaries)
     assert log.error_count == len(log.errors) == sum(line in _MALFORMED for line in lines)
     assert log.rows == sum(line != "" for line in lines)
+    again = UsageLog(_log(*text))
+    if log.error_count:
+        with pytest.raises(RowError) as info:
+            summarize_usage(again)
+        assert info.value is again.errors[0]
+        assert str(info.value) == str(log.errors[0])
+    else:
+        assert summarize_usage(again) == summaries
 
 
 def _fold(rows):
@@ -257,7 +267,7 @@ def _fold(rows):
 _fold_row = st.tuples(
     st.sampled_from(["a", "b"]),
     st.sampled_from(["x", "y"]),
-    st.builds(_duration_text, st.integers(0, 500), st.integers(0, 2), st.integers(0, 2)).map(D),
+    st.builds(_duration_text, st.integers(0, 50), st.integers(0, 2), st.integers(0, 2)).map(D),
     st.integers(0, 10**6),
     st.integers(0, 10**6),
     st.sampled_from(["ok", "ok", "error"]),
@@ -273,6 +283,16 @@ def test_fold_is_invariant_under_permutation_and_split_merge(rows, data):
     head, tail = shuffled[:cut], shuffled[cut:]
     assert _fold(head).merge(_fold(tail)).summaries() == expected
     assert _fold(tail).merge(_fold(head)).summaries() == expected
+    # A merge summarizes exactly as one fold of both parts in turn, down to
+    # which of two equal durations written differently is reported.
+    assert repr(_fold(head).merge(_fold(tail)).summaries()) == repr(_fold(shuffled).summaries())
+
+
+def test_merge_reports_equal_durations_in_the_order_of_one_fold():
+    first = _fold([("f", "p", D("1.0"), 0, 0, "ok"), ("f", "p", D("2"), 0, 0, "ok")])
+    second = _fold([("f", "p", D("1.00"), 0, 0, "ok"), ("f", "p", D("2.0"), 0, 0, "ok")])
+    stats = first.merge(second).summaries()[("f", "p")].stats
+    assert (str(stats.min), str(stats.max), str(stats.p90)) == ("1.0", "2.0", "2.0")
 
 
 def test_mean_sum_is_exact_beyond_28_digits():
@@ -288,17 +308,31 @@ def test_summarize_accepts_a_one_shot_generator():
 
 
 def test_usage_log_keeps_only_the_first_row_errors():
-    log = UsageLog(_log(_row(1), _row(-1), _row(-2), _row(2), _row(-3), "", _row(-4)), keep_errors=2)
-    summaries = summarize_usage(log)
+    lines = (_row(1), _row(-1), _row(-2), _row(2), _row(-3), "", _row(-4))
+    log = UsageLog(_log(*lines), keep_errors=2)
+    with pytest.raises(RowError) as info:
+        summarize_usage(log)
+    assert info.value.line == 3
     assert [e.line for e in log.errors] == [3, 4]
     assert log.error_count == 4
     assert log.rows == 6
-    assert summaries[("f", "p")].stats.count == 2
+    assert UsageLog(_log(*lines)).fold().summaries()[("f", "p")].stats.count == 2
+    with pytest.raises(ValueError):
+        UsageLog(_log(_row(1)), keep_errors=0)
 
 
-def test_streaming_memory_is_bounded_by_distinct_durations(tmp_path):
+def test_malformed_rows_are_reported_before_any_statistic():
+    # A mean of 1e100 needs more than money.CONTEXT's 50 digits at 1e-9, so
+    # summarizing would fail; the malformed row must be raised first.
+    log = UsageLog(_log(_row("1e100"), _row(-1)))
+    with pytest.raises(RowError) as info:
+        summarize_usage(log)
+    assert info.value.line == 3
+
+
+def test_streaming_memory_keeps_no_record_per_row(tmp_path):
     path = tmp_path / "usage.csv"
-    rows = (_row((100, 250, 400)[i % 3], fid=f"f{i % 2}", status="error" if i % 50 == 0 else "ok")
+    rows = (_row(100 + i % 997, fid=f"f{i % 2}", status="error" if i % 50 == 0 else "ok")
             for i in range(50_000))
     path.write_text("\n".join([USAGE_HEADER, *rows]) + "\n")
     tracemalloc.start()
@@ -308,7 +342,9 @@ def test_streaming_memory_is_bounded_by_distinct_durations(tmp_path):
     finally:
         tracemalloc.stop()
     assert sum(s.ok_count + s.error_count for s in summaries.values()) == 50_000
-    assert peak < 2_000_000
+    # One Decimal (104 B) and a list slot per ok row; a UsageRecord per row
+    # (scan_usage_log, then summarize_usage) peaks near 21 MB here.
+    assert peak < 8_000_000
 
 
 # --- calibration ------------------------------------------------------------------
