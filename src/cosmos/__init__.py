@@ -27,7 +27,6 @@ from .engine import (
     CostBreakdown,
     CostCurve,
     CrossoverPoint,
-    baas_cost,
     component_charges,
     compute_cost,
     crossover,
@@ -37,7 +36,6 @@ from .engine import (
     invocation_cost,
     per_function_costs,
     state_cost,
-    transfer_cost,
     workflow_cost,
     workflow_cost_curve,
 )

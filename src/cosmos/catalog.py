@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from decimal import Decimal
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterable, Mapping
+from typing import IO, Mapping
 
 from .errors import (
     DuplicateIdError,
@@ -115,9 +115,6 @@ class PlatformCatalog:
         raise UnknownComponentError(
             f"catalog {self.platform_id!r} has no component {component_id!r}"
         )
-
-    def by_driver(self, driver: DriverCategory) -> tuple[PriceComponent, ...]:
-        return tuple(c for c in self.components if c.driver == driver)
 
     @property
     def per_ms_priced(self) -> bool:
@@ -330,7 +327,3 @@ def load_platform(platform_id: str, directory: Path | None = None) -> PlatformCa
     if not path.exists():
         raise UnknownPlatformLookupError(platform_id, directory)
     return load_catalog(path)
-
-
-def load_platforms(platform_ids: Iterable[str], directory: Path | None = None) -> dict[str, PlatformCatalog]:
-    return {pid: load_platform(pid, directory) for pid in platform_ids}

@@ -442,19 +442,18 @@ def _points_and_model(args, workflow, latencies):
         table = load_point_table(args.points)
         model = PointTableModel(workflow, table)
         platforms = sorted({pid for _, pid in table})
-        points = [
-            ParetoPoint(label=f"{fid}@{pid}", cost=cost, latency=latency)
-            for (fid, pid), (cost, latency) in sorted(table.items())
-        ]
-        return points, model, platforms
-    catalogs = _load_catalogs(args)
-    if latencies is None:
-        raise SchemaError(
-            "workflow document has no latency block; give --points or add latencies"
-        )
-    model = CatalogModel(workflow, catalogs, latencies=latencies, volume=args.volume)
-    platforms = sorted(catalogs)
-    return model.points(platforms), model, platforms
+        pairs = sorted(model.table.items())
+    else:
+        catalogs = _load_catalogs(args)
+        if latencies is None:
+            raise SchemaError(
+                "workflow document has no latency block; give --points or add latencies"
+            )
+        model = CatalogModel(workflow, catalogs, latencies=latencies, volume=args.volume)
+        platforms = sorted(catalogs)
+        pairs = model.table.items()  # in function order, then sorted platform id
+    points = [ParetoPoint(f"{fid}@{pid}", e.cost, e.latency) for (fid, pid), e in pairs]
+    return points, model, platforms
 
 
 def cmd_pareto(args) -> int:

@@ -47,24 +47,6 @@ def state_cost(d: Decimal, p_state: Decimal) -> Decimal:
     return money_product(d, p_state)
 
 
-def transfer_cost(
-    n: Decimal, r_in: Decimal, p_in: Decimal, r_out: Decimal, p_out: Decimal
-) -> Decimal:
-    """Volume-based transfer price: n * (r_in * p_in + r_out * p_out)."""
-    _require_nonneg(n=n, r_in=r_in, p_in=p_in, r_out=r_out, p_out=p_out)
-    inbound = CONTEXT.multiply(r_in, p_in)
-    outbound = CONTEXT.multiply(r_out, p_out)
-    return money_product(n, inbound + outbound)
-
-
-def baas_cost(
-    t_fixed: Decimal, p_fixed: Decimal, n: Decimal, r: Decimal, p_dynamic: Decimal
-) -> Decimal:
-    """Backing services: t_fixed * p_fixed + n * r * p_dynamic."""
-    _require_nonneg(t_fixed=t_fixed, p_fixed=p_fixed, n=n, r=r, p_dynamic=p_dynamic)
-    return quantize_money(money_product(t_fixed, p_fixed) + money_product(n, r, p_dynamic))
-
-
 @dataclass(frozen=True)
 class CostBreakdown:
     """Driver subtotals plus exact total for one costed entity."""

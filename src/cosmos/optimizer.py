@@ -14,16 +14,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .catalog import PlatformCatalog
-from .engine import (
-    _resolve_catalog,
-    fixed_charges,
-    function_cost,
-    function_latency,
-    shared_fixed_credit,
-)
+from .engine import fixed_charges, function_cost, function_latency, shared_fixed_credit
 from .errors import (
     CapExceededError,
     DegenerateAnchorError,
@@ -32,7 +26,7 @@ from .errors import (
     MissingLatencyError,
     SchemaError,
 )
-from .money import CONTEXT, dec, div
+from .money import CONTEXT, div
 from .workflow import (
     _ARRAY,
     LatencyTable,
@@ -41,7 +35,7 @@ from .workflow import (
     _parse_quantity,
     _read_json,
     _typed,
-    workflow_latency,
+    critical_path,
 )
 
 ZERO = Decimal(0)
@@ -117,82 +111,81 @@ def _cross(o: ParetoPoint, a: ParetoPoint, b: ParetoPoint) -> Decimal:
 # --- placement evaluation models -------------------------------------------
 
 
-class PlacementModel:
-    """Maps placements to (cost, latency) from per-(function, platform) prices.
+class PairEntry(NamedTuple):
+    """One function on one platform: cost, latency and the fixed BaaS charges it bills."""
 
-    Each pair is priced once, on first use, and kept with the fixed BaaS
-    charges it bills. A placement costs the sum of its pairs' prices less the
-    shared fixed-charge credit, exactly as ``workflow_cost`` bills it; its
-    latency is the critical path over the model's latency table.
+    cost: Decimal
+    latency: Decimal
+    fixed: tuple = ()
+
+
+class PlacementModel:
+    """A table of (function, platform) pairs, each priced once when built.
+
+    A placement costs the sum of its pairs' costs less the shared
+    fixed-charge credit, exactly as ``workflow_cost`` bills it; its latency
+    is the critical path over its pairs' latencies. A pair not in the table
+    raises MissingLatencyError.
     """
 
-    def __init__(self, workflow: WorkflowSpec, latencies: LatencyTable | None = None):
+    def __init__(self, workflow: WorkflowSpec, table: Mapping[tuple[str, str], PairEntry]):
         self.workflow = workflow
-        self.latencies = latencies if latencies is not None else LatencyTable({})
-        self._prices: dict[tuple[str, str], tuple[Decimal, tuple]] = {}
+        self.table = dict(table)
 
-    def _price(self, function_id: str, platform_id: str) -> tuple[Decimal, tuple]:
-        """(cost, fixed charges) of one pair; the base model has no prices of its own."""
-        raise MissingLatencyError(function_id, platform_id)
-
-    def _pair(self, function_id: str, platform_id: str) -> tuple[Decimal, tuple]:
-        key = (function_id, platform_id)
-        if key not in self._prices:
-            self._prices[key] = self._price(function_id, platform_id)
-        return self._prices[key]
+    def entry(self, function_id: str, platform_id: str) -> PairEntry:
+        try:
+            return self.table[(function_id, platform_id)]
+        except KeyError:
+            raise MissingLatencyError(function_id, platform_id) from None
 
     def function_cost_of(self, function_id: str, platform_id: str) -> Decimal:
-        return self._pair(function_id, platform_id)[0]
+        return self.entry(function_id, platform_id).cost
 
     def function_latency_of(self, function_id: str, platform_id: str) -> Decimal:
-        return self.latencies.get(function_id, platform_id)
+        return self.entry(function_id, platform_id).latency
 
     def cost_of(self, placement: Placement) -> Decimal:
-        assigned = dict(reversed(placement.assignments))  # first entry wins, as in platform_for
-        total = ZERO
-        charges = []
-        for fid in self.workflow.function_ids:
-            cost, fixed = self._pair(fid, assigned.get(fid) or placement.platform_for(fid))
-            total += cost
-            charges += fixed
-        return total - shared_fixed_credit(charges)
+        return _cost(self.entry(*pair) for pair in placement.resolve(self.workflow.function_ids))
 
     def latency_of(self, placement: Placement) -> Decimal:
-        return workflow_latency(self.workflow, placement, self.latencies)
+        pairs = placement.resolve(self.workflow.function_ids)
+        return critical_path(self.workflow, [self.entry(*pair).latency for pair in pairs])
 
-    def points(self, platforms: Sequence[str]) -> list[ParetoPoint]:
-        """Per-(function, platform) alternatives, for front extraction."""
-        return [
-            ParetoPoint(
-                label=f"{fid}@{pid}",
-                cost=self.function_cost_of(fid, pid),
-                latency=self.function_latency_of(fid, pid),
-            )
-            for fid in self.workflow.function_ids
-            for pid in platforms
-        ]
+
+def _cost(entries: Iterable[PairEntry]) -> Decimal:
+    """Workflow cost of one pair per function: their sum less the shared fixed-charge credit."""
+    total = ZERO
+    charges: list = []
+    for entry in entries:
+        total += entry.cost
+        charges += entry.fixed
+    return total - shared_fixed_credit(charges)
 
 
 class CatalogModel(PlacementModel):
-    """Costs from rate cards; latencies from a measured latency table."""
+    """Costs from rate cards; latencies from a measured latency table. Every
+    pair is priced in function order, then sorted platform id; the first
+    that cannot be priced raises."""
 
     def __init__(
         self,
         workflow: WorkflowSpec,
         catalogs: Mapping[str, PlatformCatalog],
-        latencies: LatencyTable | None = None,
+        latencies: LatencyTable,
         volume: Decimal | int | str | None = None,
     ):
-        super().__init__(workflow, latencies)
-        self.catalogs = catalogs
-        self.volume = None if volume is None else dec(volume)
-
-    def _price(self, function_id: str, platform_id: str) -> tuple[Decimal, tuple]:
-        profile = self.workflow.function(function_id)
-        catalog = _resolve_catalog(self.catalogs, platform_id)
-        latency_ms = function_latency(profile, catalog, self.latencies)
-        cost = function_cost(profile, catalog, latency_ms=latency_ms, volume=self.volume).total
-        return cost, tuple(fixed_charges(profile, catalog))
+        table = {}
+        for profile in workflow.functions:
+            for pid in sorted(catalogs):
+                catalog = catalogs[pid]
+                latency_ms = function_latency(profile, catalog, latencies)
+                cost = function_cost(profile, catalog, latency_ms=latency_ms, volume=volume).total
+                table[(profile.function_id, pid)] = PairEntry(
+                    cost,
+                    latencies.get(profile.function_id, pid),
+                    tuple(fixed_charges(profile, catalog)),
+                )
+        super().__init__(workflow, table)
 
 
 class PointTableModel(PlacementModel):
@@ -202,9 +195,8 @@ class PointTableModel(PlacementModel):
         self, workflow: WorkflowSpec, table: Mapping[tuple[str, str], tuple[Decimal, Decimal]]
     ):
         super().__init__(
-            workflow, LatencyTable({key: latency for key, (_, latency) in table.items()})
+            workflow, {key: PairEntry(cost, latency) for key, (cost, latency) in table.items()}
         )
-        self._prices.update({key: (cost, ()) for key, (cost, _) in table.items()})
 
 
 def load_point_table(
@@ -232,6 +224,21 @@ def load_point_table(
 # --- enumeration and anchor solves ------------------------------------------
 
 
+def _enumerate(workflow: WorkflowSpec, platforms: Sequence[str], cap: int, pick) -> Iterator:
+    """The product of one row per function of ``pick(function_id, platform_id)``
+    over the platforms in argument order. Raises DomainError for no platforms
+    and CapExceededError past the cap before any pick is made."""
+    platforms = list(platforms)
+    if not platforms:
+        raise DomainError("at least one platform is required")
+    total = len(platforms) ** len(workflow.functions)
+    if total > cap:
+        raise CapExceededError(total, cap)
+    return itertools.product(
+        *[[pick(fid, pid) for pid in platforms] for fid in workflow.function_ids]
+    )
+
+
 def enumerate_placements(
     workflow: WorkflowSpec,
     platforms: Sequence[str],
@@ -243,19 +250,7 @@ def enumerate_placements(
     last function's platform varies fastest. Raises CapExceededError up front
     when the full count would exceed the cap.
     """
-    platforms = list(platforms)
-    if not platforms:
-        raise DomainError("at least one platform is required")
-    total = len(platforms) ** len(workflow.functions)
-    if total > cap:
-        raise CapExceededError(total, cap)
-    fids = workflow.function_ids
-
-    def generate() -> Iterator[Placement]:
-        for combo in itertools.product(platforms, repeat=len(fids)):
-            yield Placement(tuple(zip(fids, combo)))
-
-    return generate()
+    return map(Placement, _enumerate(workflow, platforms, cap, lambda fid, pid: (fid, pid)))
 
 
 def _argmin(workflow, platforms, measure, cap) -> tuple[Decimal, Placement]:
@@ -349,31 +344,6 @@ class OptimizationResult:
     total_count: int
 
 
-def _is_feasible(
-    model: PlacementModel,
-    placement: Placement,
-    cost: Decimal,
-    latency: Decimal,
-    config: OptimizationConfig,
-) -> bool:
-    if config.scope == "workflow":
-        if config.budget is not None and cost > config.budget:
-            return False
-        if config.latency_slo is not None and latency > config.latency_slo:
-            return False
-        return True
-    for fid in model.workflow.function_ids:
-        pid = placement.platform_for(fid)
-        if config.budget is not None and model.function_cost_of(fid, pid) > config.budget:
-            return False
-        if (
-            config.latency_slo is not None
-            and model.function_latency_of(fid, pid) > config.latency_slo
-        ):
-            return False
-    return True
-
-
 def optimize(
     workflow: WorkflowSpec,
     platforms: Sequence[str],
@@ -383,9 +353,12 @@ def optimize(
 ) -> OptimizationResult:
     """Minimize alpha*cost + beta*latency over feasible placements.
 
-    One enumeration prices each placement once, finds the anchors as min_cost
-    and min_time do, and folds each feasible placement into a Pareto front. The
-    best is the front member with the least (a*cost + b*latency, cost, latency),
+    One enumeration of the model's rows (one per function, its pairs in
+    platform order) prices each placement once from its pairs, finds the
+    anchors as min_cost and min_time do, and folds each feasible placement
+    into a Pareto front; under the per_function scope a placement is
+    feasible when each of its pairs is within the budget and SLO. The best
+    is the front member with the least (a*cost + b*latency, cost, latency),
     where a, b = alpha, beta, or T*, C* for auto weights (cost/C* + latency/T*
     times C*·T*, so no division). The key strictly orders (cost, latency) pairs
     and never rises when either falls, so a front member minimizes it over all
@@ -394,21 +367,34 @@ def optimize(
     InfeasibleError carrying the anchors when no placement is feasible.
     """
     config = config or OptimizationConfig()
+    budget, slo = config.budget, config.latency_slo
+
+    def within(cost: Decimal, latency: Decimal) -> bool:
+        return (budget is None or cost <= budget) and (slo is None or latency <= slo)
+
+    def pick(fid: str, pid: str) -> tuple[PairEntry, tuple[str, str], bool]:
+        entry = model.entry(fid, pid)
+        return entry, (fid, pid), within(entry.cost, entry.latency)
+
+    per_function = config.scope == "per_function"
     c_star = t_star = None
     front: list[ParetoPoint] = []
     feasible_count = 0
     total_count = 0
-    for placement in enumerate_placements(workflow, platforms, cap):
+    for choice in _enumerate(workflow, platforms, cap, pick):
         total_count += 1
-        cost = model.cost_of(placement)
-        latency = model.latency_of(placement)
+        entries = [entry for entry, _, _ in choice]
+        cost = _cost(entries)
+        latency = critical_path(workflow, [entry.latency for entry in entries])
         if c_star is None or cost < c_star:
-            c_star, c_arg = cost, placement
+            c_star, c_arg = cost, choice
         if t_star is None or latency < t_star:
-            t_star, t_arg = latency, placement
-        if _is_feasible(model, placement, cost, latency, config):
+            t_star, t_arg = latency, choice
+        if all(ok for _, _, ok in choice) if per_function else within(cost, latency):
             feasible_count += 1
+            placement = _placement(choice)
             _admit(front, ParetoPoint(str(placement), cost, latency, placement))
+    c_arg, t_arg = _placement(c_arg), _placement(t_arg)
 
     if config.weight_mode == "auto_pareto":
         alpha, beta = auto_weights(c_star, t_star)
@@ -447,3 +433,7 @@ def optimize(
         feasible_count=feasible_count,
         total_count=total_count,
     )
+
+
+def _placement(choice: Iterable[tuple[PairEntry, tuple[str, str], bool]]) -> Placement:
+    return Placement(tuple(assignment for _, assignment, _ in choice))

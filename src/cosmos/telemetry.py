@@ -46,6 +46,11 @@ BYTES_PER_GB = Decimal(10) ** 9  # decimal GB, the cloud billing convention
 #: fold nor that of a UsageFold.merge can change it.
 MEAN_QUANTUM = Decimal("1e-9")
 
+#: Rows with a duration_ms at or above this are malformed. The mean of
+#: durations below it quantizes to MEAN_QUANTUM within money.CONTEXT's
+#: precision, with one digit to spare for the rounding of the sum.
+_DURATION_LIMIT = Decimal(1).scaleb(CONTEXT.prec + MEAN_QUANTUM.adjusted() - 1)
+
 
 @dataclass(frozen=True)
 class UsageRecord:
@@ -112,6 +117,8 @@ def _parse_row(line: int, row: Sequence[str]) -> tuple:
         raise RowError(line, f"bad duration_ms {raw_duration!r}") from None
     if not duration.is_finite() or duration < 0:
         raise RowError(line, f"duration_ms must be finite and >= 0, got {raw_duration!r}")
+    if duration >= _DURATION_LIMIT:
+        raise RowError(line, f"duration_ms must be < {_DURATION_LIMIT}, got {raw_duration!r}")
     bytes_in = _parse_count(line, "bytes_in", raw_in)
     bytes_out = _parse_count(line, "bytes_out", raw_out)
     if status not in STATUSES:
@@ -247,6 +254,12 @@ class UsageLog:
         self.rows = self.error_count = 0
         self.errors = []
         keep = self.keep_errors
+
+        def reject(exc: RowError) -> None:
+            self.error_count += 1
+            if keep is None or len(self.errors) < keep:
+                self.errors.append(exc)
+
         opened = (
             nullcontext(self.source)
             if hasattr(self.source, "read")
@@ -258,20 +271,31 @@ class UsageLog:
                 header = next(reader)
             except StopIteration:
                 raise HeaderError("usage log is empty; expected header row") from None
+            except csv.Error as exc:
+                raise HeaderError(f"unreadable header row: {exc}") from None
             if header != list(USAGE_FIELDS):
                 raise HeaderError(f"expected header {USAGE_HEADER!r}, got {','.join(header)!r}")
-            for line, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                self.rows += 1
+            line, rows = 1, enumerate(reader, start=2)
+            while True:
                 try:
-                    fields = _parse_row(line, row)
-                except RowError as exc:
-                    self.error_count += 1
-                    if keep is None or len(self.errors) < keep:
-                        self.errors.append(exc)
-                    continue
-                yield fields
+                    for line, row in rows:
+                        if not row:
+                            continue
+                        self.rows += 1
+                        try:
+                            fields = _parse_row(line, row)
+                        except RowError as exc:
+                            reject(exc)
+                            continue
+                        yield fields
+                    return
+                except csv.Error as exc:
+                    # The reader cannot read this row (a field over the csv
+                    # module's size limit); it goes on at the next line.
+                    line += 1
+                    self.rows += 1
+                    reject(RowError(line, str(exc)))
+                    rows = enumerate(reader, start=line + 1)
 
 
 def scan_usage_log(source: str | Path | IO[str]) -> tuple[list[UsageRecord], list[RowError]]:

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from decimal import Decimal
 from pathlib import Path
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     CycleError,
@@ -100,8 +100,9 @@ class WorkflowSpec:
     edges: tuple[tuple[str, str], ...] = ()
     #: Function ids in declaration order.
     function_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    #: Each function's predecessors, keyed in topological order (ties in declaration order).
-    _predecessors: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    #: Per function in topological order (ties in declaration order): its
+    #: declaration index and the positions of its predecessors in this tuple.
+    _topology: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ids = tuple(f.function_id for f in self.functions)
@@ -133,7 +134,10 @@ class WorkflowSpec:
                     ready.append(nxt)
         if len(order) != len(self.functions):
             raise CycleError(f"workflow {self.workflow_id!r}: edge relation contains a cycle")
-        object.__setattr__(self, "_predecessors", {fid: tuple(preds[fid]) for fid in order})
+        index = {fid: i for i, fid in enumerate(ids)}
+        position = {fid: k for k, fid in enumerate(order)}
+        topology = tuple((index[fid], tuple(position[p] for p in preds[fid])) for fid in order)
+        object.__setattr__(self, "_topology", topology)
 
     def function(self, function_id: str) -> FunctionProfile:
         for f in self.functions:
@@ -166,12 +170,16 @@ class Placement:
     def platforms(self) -> tuple[str, ...]:
         return tuple(pid for _, pid in self.assignments)
 
+    def resolve(self, function_ids: Iterable[str]) -> Iterator[tuple[str, str]]:
+        """(function, platform) for each function in turn, the first entry per
+        function winning; platform_for raises for a function not assigned."""
+        assigned = dict(reversed(self.assignments))
+        for fid in function_ids:
+            yield fid, assigned.get(fid) or self.platform_for(fid)
+
     def as_dict(self) -> dict[str, str]:
         """Function to platform, the first entry per function winning, as in platform_for."""
-        out: dict[str, str] = {}
-        for fid, pid in self.assignments:
-            out.setdefault(fid, pid)
-        return out
+        return dict(self.resolve(fid for fid, _ in self.assignments))
 
     def __str__(self) -> str:
         return ",".join(f"{fid}={pid}" for fid, pid in self.assignments)
@@ -189,11 +197,14 @@ class LatencyTable:
         except KeyError:
             raise MissingLatencyError(function_id, platform_id) from None
 
-    def has(self, function_id: str, platform_id: str) -> bool:
-        return (function_id, platform_id) in self.entries
 
-    def platforms(self) -> tuple[str, ...]:
-        return tuple(sorted({pid for _, pid in self.entries}))
+def critical_path(workflow: WorkflowSpec, weights: Sequence[Decimal]) -> Decimal:
+    """Longest path through the workflow DAG, weighting each function, in
+    declaration order, by ``weights``. On a chain this is the plain sum."""
+    dist: list[Decimal] = []
+    for i, preds in workflow._topology:
+        dist.append(max((dist[k] for k in preds), default=ZERO) + weights[i])
+    return max(dist, default=ZERO)
 
 
 def workflow_latency(
@@ -201,20 +212,10 @@ def workflow_latency(
 ) -> Decimal:
     """End-to-end latency of a placement: the DAG critical path.
 
-    Node weight is the function's latency on its assigned platform. On a
-    chain this equals the plain sum of per-function latencies.
+    Node weight is the function's latency on its assigned platform.
     """
-    # A function's first entry wins, as in platform_for, which also raises for an unplaced one.
-    assigned = dict(reversed(placement.assignments))
-    weights = {
-        fid: latencies.get(fid, assigned.get(fid) or placement.platform_for(fid))
-        for fid in workflow.function_ids
-    }
-    dist: dict[str, Decimal] = {}
-    for fid, preds in workflow._predecessors.items():
-        upstream = max((dist[p] for p in preds), default=ZERO)
-        dist[fid] = upstream + weights[fid]
-    return max(dist.values(), default=ZERO)
+    weights = [latencies.get(fid, pid) for fid, pid in placement.resolve(workflow.function_ids)]
+    return critical_path(workflow, weights)
 
 
 # --- document loading -------------------------------------------------------

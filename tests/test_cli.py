@@ -305,6 +305,29 @@ def test_optimize_with_catalogs(capsys):
     assert report["placement"]["data-retrieval"] == "aws-lambda-edge"
 
 
+def test_optimize_names_the_first_missing_pair_before_the_search(capsys, tmp_path):
+    workflow = tmp_path / "wf.json"
+    workflow.write_text(json.dumps({
+        "workflow_id": "chain",
+        "functions": [{"function_id": "f0"}, {"function_id": "f1"}],
+        "edges": [["f0", "f1"]],
+    }))
+    missing = {("f0", "b"), ("f1", "c")}
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps({"points": [
+        {"function_id": f, "platform_id": p, "cost": "1", "latency_ms": "1"}
+        for f in ("f0", "f1") for p in "abc" if (f, p) not in missing
+    ]}))
+    code, out, err = run(
+        capsys, "optimize", "--workflow", str(workflow), "--points", str(points)
+    )
+    assert code == 2
+    assert out == ""
+    # In function declaration x platform argument order, (f0, b) comes first;
+    # a search that priced placements lazily would meet (f1, c) first.
+    assert err == "error: no latency entry for (f0, b)\n"
+
+
 # --- ingest -----------------------------------------------------------------------
 
 
@@ -348,7 +371,7 @@ def test_ingest_lists_the_first_malformed_rows_then_the_total(capsys, tmp_path):
 
 
 def test_ingest_lists_malformed_rows_before_computing_any_statistic(capsys, tmp_path):
-    # The mean of 1e100 is beyond money.CONTEXT at 1e-9; it must never be computed.
+    # The mean of 1e100 would be beyond money.CONTEXT at 1e-9; the row is malformed.
     bad = tmp_path / "bad.csv"
     bad.write_text(
         "timestamp,function_id,platform_id,duration_ms,bytes_in,bytes_out,status\n"
@@ -359,7 +382,24 @@ def test_ingest_lists_malformed_rows_before_computing_any_statistic(capsys, tmp_
     assert code == 2
     assert out == ""
     assert err.splitlines() == [
+        "error: row 2: duration_ms must be < 1E+40, got '1e100'",
         "error: row 3: duration_ms must be finite and >= 0, got '-1'",
+        f"error: 2 malformed row(s) in {bad}",
+    ]
+
+
+def test_ingest_oversized_field_exits_2_naming_the_row(capsys, tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(
+        "timestamp,function_id,platform_id,duration_ms,bytes_in,bytes_out,status\n"
+        "2024-11-04T09:00:00Z,f,p,1,0,0,ok\n"
+        f"2024-11-04T09:00:01Z,{'f' * 200_000},p,1,0,0,ok\n"
+    )
+    code, out, err = run(capsys, "ingest", "--log", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "error: row 3: field larger than field limit (131072)",
         f"error: 1 malformed row(s) in {bad}",
     ]
 

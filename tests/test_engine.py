@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from decimal import Decimal
 
 import pytest
@@ -8,7 +9,6 @@ from cosmos.engine import (
     COINCIDENT_CURVES,
     CostBreakdown,
     CostCurve,
-    baas_cost,
     component_charges,
     compute_cost,
     crossover,
@@ -17,7 +17,6 @@ from cosmos.engine import (
     invocation_cost,
     per_function_costs,
     state_cost,
-    transfer_cost,
     workflow_cost,
     workflow_cost_curve,
 )
@@ -86,20 +85,6 @@ def test_state_cost_published_rates():
     assert state_cost(D(1), D("0.231")) == D("0.231")
 
 
-def test_transfer_cost_per_request_operations():
-    # Read/retrieval operations priced per request enter through p_in with
-    # one request-unit per request.
-    assert transfer_cost(MILLION, D(1), D("0.0000005645"), D(0), D(0)) == D("0.5645")
-    assert transfer_cost(MILLION, D(0), D(1), D(0), D(1)) == 0
-    assert transfer_cost(D(2) * MILLION, D(1), D("0.0000005645"), D(0), D(0)) == D("1.129")
-
-
-def test_baas_cost_fixed_plus_dynamic():
-    assert baas_cost(D(1), D("13.7376"), MILLION, D(1), D("0.00000124")) == D("14.9776")
-    assert baas_cost(D(0), D("13.7376"), D(0), D(1), D("0.00000124")) == 0
-    assert baas_cost(D(1), D("61.056"), MILLION, D(1), D("0.0000002")) == D("61.256")
-
-
 # --- function costs over the bundled fixtures -------------------------------
 
 
@@ -162,6 +147,30 @@ def test_component_charges_itemize_catalog_rows(pipeline, catalogs):
     assert amounts["kvs-storage"] == D("0.269")
     assert amounts["object-storage"] == D("0.0245")
     assert amounts["http-gateway"] == D("1.06")
+    # Per-request retrieval operations scale with volume.
+    doubled = function_cost(wf.function("data-retrieval"), catalogs["aws-x86"], volume=2 * MILLION)
+    assert doubled.transfer == D("1.129")
+
+    inference = wf.function("ai-inference")
+    amounts = {c.component_id: c.amount for c in component_charges(inference, catalogs["aws-x86"])}
+    assert amounts["ml-provisioning"] + amounts["ml-inference"] == D("14.9776")
+    assert function_cost(inference, catalogs["aws-x86"]).baas == D("1.06") + D("14.9776")
+    idle = replace(inference, baas_usage=(BaasUsage("ml-provisioning", D(0)),
+                                          BaasUsage("ml-inference", D(1))))
+    assert function_cost(idle, catalogs["aws-x86"], volume=0).baas == 0
+
+
+def test_component_charges_bill_no_transfer_for_zero_bytes():
+    card = PlatformCatalog(
+        "p",
+        Layer.CLOUD,
+        (
+            PriceComponent("in", DriverCategory.DATA_TRANSFER, RateUnit.PER_GB_IN, D(1)),
+            PriceComponent("out", DriverCategory.DATA_TRANSFER, RateUnit.PER_GB_OUT, D(1)),
+        ),
+    )
+    charges = component_charges(FunctionProfile(function_id="f", n=MILLION), card)
+    assert [c.amount for c in charges] == [0, 0]
 
 
 # --- workflow costs -----------------------------------------------------------

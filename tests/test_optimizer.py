@@ -493,12 +493,13 @@ _PASS_CONFIGS = {
 def test_optimize_enumerates_the_placements_once(pipeline, point_table, monkeypatch, mode):
     wf, _ = pipeline
     calls = []
+    enumerate_ = optimizer._enumerate
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return enumerate_placements(*args, **kwargs)
+        return enumerate_(*args, **kwargs)
 
-    monkeypatch.setattr(optimizer, "enumerate_placements", counting)
+    monkeypatch.setattr(optimizer, "_enumerate", counting)
     try:
         optimize(wf, PLATFORMS, PointTableModel(wf, point_table), _PASS_CONFIGS[mode])
     except InfeasibleError:

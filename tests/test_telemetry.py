@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from cosmos import telemetry
 from cosmos.errors import CoverageError, HeaderError, NoDataError, RowError
 from cosmos.telemetry import (
     USAGE_HEADER,
@@ -321,13 +322,42 @@ def test_usage_log_keeps_only_the_first_row_errors():
         UsageLog(_log(_row(1)), keep_errors=0)
 
 
-def test_malformed_rows_are_reported_before_any_statistic():
-    # A mean of 1e100 needs more than money.CONTEXT's 50 digits at 1e-9, so
-    # summarizing would fail; the malformed row must be raised first.
-    log = UsageLog(_log(_row("1e100"), _row(-1)))
+def test_malformed_rows_are_reported_before_any_statistic(monkeypatch):
+    def unsummarized(_pair):
+        raise AssertionError("a statistic was computed from a log with malformed rows")
+
+    monkeypatch.setattr(telemetry._Pair, "summary", unsummarized)
+    log = UsageLog(_log(_row(100), _row(-1)))
     with pytest.raises(RowError) as info:
         summarize_usage(log)
     assert info.value.line == 3
+
+
+def test_duration_bound_keeps_the_mean_within_context_precision():
+    # 1e40 is 10 ** (money.CONTEXT.prec + MEAN_QUANTUM.adjusted() - 1).
+    largest = "9" * 40 + ".999999999"
+    stats = summarize_usage(UsageLog(_log(_row(largest), _row(largest))))[("f", "p")].stats
+    assert stats.mean == stats.max == D(largest)
+    for rejected in ("1e40", "1e100"):
+        log = UsageLog(_log(_row(1), _row(rejected)))
+        with pytest.raises(RowError) as info:
+            summarize_usage(log)
+        assert str(info.value) == f"row 3: duration_ms must be < 1E+40, got {rejected!r}"
+
+
+def test_oversized_field_is_a_row_error_and_the_scan_goes_on():
+    huge = "f" * 200_000
+    records, errors = scan_usage_log(_log(_row(1), _row(2, fid=huge), _row(-1), _row(3)))
+    assert [r.duration_ms for r in records] == [D(1), D(3)]
+    assert [str(e) for e in errors] == [
+        "row 3: field larger than field limit (131072)",
+        "row 4: duration_ms must be finite and >= 0, got '-1'",
+    ]
+
+
+def test_oversized_header_field_is_a_header_error():
+    with pytest.raises(HeaderError, match="field larger than field limit"):
+        parse_usage_log(io.StringIO("t" * 200_000 + USAGE_HEADER[9:] + "\n" + _row(1) + "\n"))
 
 
 def test_streaming_memory_keeps_no_record_per_row(tmp_path):
