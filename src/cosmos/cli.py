@@ -551,25 +551,25 @@ def cmd_ingest(args) -> int:
         f"{'function':<18} {'platform':<16} {'count':>6} {'mean':>10} {'min':>8} "
         f"{'max':>8} {'p90':>8} {'errors':>6}"
     ]
+    report = {}
     for (fid, pid), summary in summaries.items():
         s = summary.stats
-        rows.append([fid, pid, str(s.count), fmt_full(s.mean), fmt_full(s.min),
-                     fmt_full(s.max), fmt_full(s.p90), str(summary.error_count)])
+        # A pair with error rows only has count 0 and no statistics: empty
+        # cells in the table and CSV/TSV views, null in JSON.
+        stats = (None,) * 4 if s is None else (s.mean, s.min, s.max, s.p90)
+        full = [None if v is None else fmt_full(v) for v in stats]
+        shown = ["" if v is None else fmt(v, places) for v, places in zip(stats, (4, 1, 1, 1))]
+        rows.append([fid, pid, str(summary.ok_count), *(v or "" for v in full),
+                     str(summary.error_count)])
         lines.append(
-            f"{fid:<18} {pid:<16} {s.count:>6} {fmt(s.mean):>10} {fmt(s.min, 1):>8} "
-            f"{fmt(s.max, 1):>8} {fmt(s.p90, 1):>8} {summary.error_count:>6}"
+            f"{fid:<18} {pid:<16} {summary.ok_count:>6} {shown[0]:>10} {shown[1]:>8} "
+            f"{shown[2]:>8} {shown[3]:>8} {summary.error_count:>6}"
         )
-    report = {
-        f"{fid}:{pid}": {
-            "count": summary.stats.count,
-            "mean_ms": fmt_full(summary.stats.mean),
-            "min_ms": fmt_full(summary.stats.min),
-            "max_ms": fmt_full(summary.stats.max),
-            "p90_ms": fmt_full(summary.stats.p90),
+        report[f"{fid}:{pid}"] = {
+            "count": summary.ok_count,
+            **dict(zip(("mean_ms", "min_ms", "max_ms", "p90_ms"), full)),
             "errors": summary.error_count,
         }
-        for (fid, pid), summary in summaries.items()
-    }
     files: dict[str, list | dict] = {"stats.csv": rows, "stats.json": report}
     if workflow is not None:
         files["calibrated-workflow.json"] = serialize_workflow(*calibrate(workflow, summaries))

@@ -142,6 +142,12 @@ class RowError(CosmosError):
         super().__init__(f"row {line}: {cause}")
 
 
+class RecordError(DomainError):
+    """A usage record built in code carries a value no log row may hold."""
+
+    exit_code = 2
+
+
 class NoDataError(CosmosError):
     """No matching ok-status records for the requested aggregation."""
 

@@ -2,7 +2,17 @@
 
 The search is exhaustive over all |platforms|^|functions| assignments (capped),
 which keeps results exact and reproducible at the instance sizes this tool
-targets. Weights default to the reciprocals of the two unconstrained anchors:
+targets. It walks the pair table depth first: function k, in declaration
+order, takes each platform in argument order at level k, so placements come
+in enumerate_placements order and equal (cost, latency) pairs keep the first.
+Placements that share a prefix share its state, kept once per level: the cost
+sum, the shared fixed-charge credit (updated only for the (platform,
+component) keys a pair bills), the critical-path distances and whether each
+pair is within the bounds. A placement then costs one step from its parent.
+enumerate_placements, min_cost and min_time enumerate and price each
+placement whole, and the tests use them as oracles.
+
+Weights default to the reciprocals of the two unconstrained anchors:
 alpha = 1/C* (cheapest achievable cost) and beta = 1/T* (fastest achievable
 latency), so cost and latency enter the objective equally normalized.
 """
@@ -13,6 +23,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import Decimal
+from operator import attrgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -26,7 +37,7 @@ from .errors import (
     MissingLatencyError,
     SchemaError,
 )
-from .money import CONTEXT, div
+from .money import CONTEXT, div, money_product
 from .workflow import (
     _ARRAY,
     LatencyTable,
@@ -39,6 +50,7 @@ from .workflow import (
 )
 
 ZERO = Decimal(0)
+INFINITY = Decimal("Infinity")
 
 DEFAULT_ENUMERATION_CAP = 10**7
 
@@ -74,12 +86,27 @@ def _admit(front: list[ParetoPoint], point: ParetoPoint) -> None:
     Drops the point when a kept point weakly dominates it (an equal pair seen
     earlier counts); otherwise it replaces every kept point it dominates.
     """
-    i = bisect_left(front, point.latency, key=lambda p: p.latency)
-    # Only the cheapest kept point at or below the point's latency can dominate
-    # it: front[i] when it ties on latency, else its lower-latency neighbour.
-    rival = i if i < len(front) and front[i].latency == point.latency else i - 1
-    if rival >= 0 and front[rival].cost <= point.cost:
-        return
+    i = _slot(front, point.cost, point.latency)
+    if i >= 0:
+        _insert(front, i, point)
+
+
+_LATENCY = attrgetter("latency")
+
+
+def _slot(front: list[ParetoPoint], cost: Decimal, latency: Decimal) -> int:
+    """Where (cost, latency) enters the front, or -1 when a kept point weakly dominates it."""
+    i = bisect_left(front, latency, key=_LATENCY)
+    # Only the cheapest kept point at or below the latency can dominate it:
+    # front[i] when it ties on latency, else its lower-latency neighbour.
+    rival = i if i < len(front) and front[i].latency == latency else i - 1
+    if rival >= 0 and front[rival].cost <= cost:
+        return -1
+    return i
+
+
+def _insert(front: list[ParetoPoint], i: int, point: ParetoPoint) -> None:
+    """Put an undominated point at its slot i, replacing every kept point it dominates."""
     end = i
     while end < len(front) and front[end].cost >= point.cost:
         end += 1
@@ -224,19 +251,17 @@ def load_point_table(
 # --- enumeration and anchor solves ------------------------------------------
 
 
-def _enumerate(workflow: WorkflowSpec, platforms: Sequence[str], cap: int, pick) -> Iterator:
-    """The product of one row per function of ``pick(function_id, platform_id)``
-    over the platforms in argument order. Raises DomainError for no platforms
-    and CapExceededError past the cap before any pick is made."""
+def _rows(workflow: WorkflowSpec, platforms: Sequence[str], cap: int, pick) -> list[list]:
+    """One row per function, in declaration order, of ``pick(function_id,
+    platform_id)`` over the platforms in argument order. Raises DomainError
+    for no platforms and CapExceededError past the cap before any pick is made."""
     platforms = list(platforms)
     if not platforms:
         raise DomainError("at least one platform is required")
     total = len(platforms) ** len(workflow.functions)
     if total > cap:
         raise CapExceededError(total, cap)
-    return itertools.product(
-        *[[pick(fid, pid) for pid in platforms] for fid in workflow.function_ids]
-    )
+    return [[pick(fid, pid) for pid in platforms] for fid in workflow.function_ids]
 
 
 def enumerate_placements(
@@ -250,7 +275,8 @@ def enumerate_placements(
     last function's platform varies fastest. Raises CapExceededError up front
     when the full count would exceed the cap.
     """
-    return map(Placement, _enumerate(workflow, platforms, cap, lambda fid, pid: (fid, pid)))
+    rows = _rows(workflow, platforms, cap, lambda fid, pid: (fid, pid))
+    return map(Placement, itertools.product(*rows))
 
 
 def _argmin(workflow, platforms, measure, cap) -> tuple[Decimal, Placement]:
@@ -353,48 +379,31 @@ def optimize(
 ) -> OptimizationResult:
     """Minimize alpha*cost + beta*latency over feasible placements.
 
-    One enumeration of the model's rows (one per function, its pairs in
-    platform order) prices each placement once from its pairs, finds the
-    anchors as min_cost and min_time do, and folds each feasible placement
-    into a Pareto front; under the per_function scope a placement is
-    feasible when each of its pairs is within the budget and SLO. The best
-    is the front member with the least (a*cost + b*latency, cost, latency),
-    where a, b = alpha, beta, or T*, C* for auto weights (cost/C* + latency/T*
-    times C*·T*, so no division). The key strictly orders (cost, latency) pairs
-    and never rises when either falls, so a front member minimizes it over all
-    feasible placements; equal pairs keep the first enumerated placement.
-    Raises DegenerateAnchorError for auto weights with a zero anchor, then
+    One depth-first walk over the model's rows (one per function in
+    declaration order, its pairs in platform order) visits every placement
+    once, in the order of enumerate_placements. Each level of the walk keeps
+    its prefix's cost sum, shared fixed-charge credit, critical-path
+    distances and within-bounds flag, so a placement costs one step from
+    its parent. The walk finds the anchors as min_cost and min_time do, and
+    folds each feasible placement into a Pareto front, building a Placement
+    only for one the front admits. Under the per_function scope a placement
+    is feasible when each of its pairs is within the budget and SLO. The
+    best is the front member with the least
+    (a*cost + b*latency, cost, latency), where a, b = alpha, beta, or T*, C*
+    for auto weights (cost/C* + latency/T* times C*·T*, so no division). The
+    key strictly orders (cost, latency) pairs and never rises when either
+    falls, so a front member minimizes it over all feasible placements;
+    equal pairs keep the first enumerated placement. Raises
+    DegenerateAnchorError for auto weights with a zero anchor, then
     InfeasibleError carrying the anchors when no placement is feasible.
     """
     config = config or OptimizationConfig()
-    budget, slo = config.budget, config.latency_slo
-
-    def within(cost: Decimal, latency: Decimal) -> bool:
-        return (budget is None or cost <= budget) and (slo is None or latency <= slo)
-
-    def pick(fid: str, pid: str) -> tuple[PairEntry, tuple[str, str], bool]:
-        entry = model.entry(fid, pid)
-        return entry, (fid, pid), within(entry.cost, entry.latency)
-
-    per_function = config.scope == "per_function"
-    c_star = t_star = None
-    front: list[ParetoPoint] = []
-    feasible_count = 0
-    total_count = 0
-    for choice in _enumerate(workflow, platforms, cap, pick):
-        total_count += 1
-        entries = [entry for entry, _, _ in choice]
-        cost = _cost(entries)
-        latency = critical_path(workflow, [entry.latency for entry in entries])
-        if c_star is None or cost < c_star:
-            c_star, c_arg = cost, choice
-        if t_star is None or latency < t_star:
-            t_star, t_arg = latency, choice
-        if all(ok for _, _, ok in choice) if per_function else within(cost, latency):
-            feasible_count += 1
-            placement = _placement(choice)
-            _admit(front, ParetoPoint(str(placement), cost, latency, placement))
-    c_arg, t_arg = _placement(c_arg), _placement(t_arg)
+    platforms = list(platforms)
+    rows = _rows(workflow, platforms, cap, model.entry)
+    found = _walk(workflow, rows, platforms, config)
+    c_star, c_arg = found.c_star, Placement(found.c_arg)
+    t_star, t_arg = found.t_star, Placement(found.t_arg)
+    front = found.front
 
     if config.weight_mode == "auto_pareto":
         alpha, beta = auto_weights(c_star, t_star)
@@ -430,10 +439,178 @@ def optimize(
         t_star=t_star,
         c_star_placement=c_arg,
         t_star_placement=t_arg,
-        feasible_count=feasible_count,
-        total_count=total_count,
+        feasible_count=found.feasible_count,
+        total_count=len(platforms) ** len(rows),
     )
 
 
-def _placement(choice: Iterable[tuple[PairEntry, tuple[str, str], bool]]) -> Placement:
-    return Placement(tuple(assignment for _, assignment, _ in choice))
+class _Found(NamedTuple):
+    """What one walk finds: both anchors with their assignments (the first
+    enumerated winning ties), the feasible Pareto front and its count."""
+
+    c_star: Decimal
+    c_arg: tuple
+    t_star: Decimal
+    t_arg: tuple
+    front: list[ParetoPoint]
+    feasible_count: int
+
+
+def _walk(
+    workflow: WorkflowSpec,
+    rows: list[list[PairEntry]],
+    platforms: list[str],
+    config: OptimizationConfig,
+) -> _Found:
+    """Visit every placement once, depth first over the rows, as an odometer.
+
+    Level k places function k (declaration order) on each platform in turn,
+    so placements come in enumerate_placements order. Slot d of each state
+    list holds the current prefix of d functions: its cost sum, its fixed
+    charges by (platform, component) key and the shared credit they earn,
+    whether each pair is within the bounds, and the longest critical-path
+    distance known so far with its topological position. A function's
+    distance is computed at the level of the deepest function among itself
+    and its ancestors: its own level when declaration order is topological.
+    The last level runs as one loop over its row.
+    """
+    budget = INFINITY if config.budget is None else config.budget
+    slo = INFINITY if config.latency_slo is None else config.latency_slo
+    per_function = config.scope == "per_function"
+    n, last, width = len(rows), len(rows) - 1, len(platforms)
+    within_pair = [[e.cost <= budget and e.latency <= slo for e in row] for row in rows]
+    pairs = [[(fid, pid) for pid in platforms] for fid in workflow.function_ids]
+    schedule = _schedule(workflow)
+    choice = [0] * n
+    dist: list = [None] * n
+    cost_at = [ZERO] + [None] * n
+    charges_at: list = [{}] + [None] * n
+    credit_at = [ZERO] + [None] * n
+    within_at = [True] + [None] * n
+    # The critical path of no functions is ZERO; any distance beats -inf.
+    top_at = [ZERO if n == 0 else -INFINITY] + [None] * n
+    top_pos_at = [n] + [None] * n
+
+    def step(k: int) -> None:
+        """Fill slot k + 1 from slot k and function k's chosen pair."""
+        j = choice[k]
+        entry = rows[k][j]
+        cost_at[k + 1] = cost_at[k] + entry.cost
+        if entry.fixed:
+            charges_at[k + 1], credit_at[k + 1] = _charge(charges_at[k], credit_at[k], entry.fixed)
+        else:
+            charges_at[k + 1], credit_at[k + 1] = charges_at[k], credit_at[k]
+        within_at[k + 1] = within_at[k] and within_pair[k][j]
+        top, top_pos = top_at[k], top_pos_at[k]
+        for p, preds, i in schedule[k]:
+            d = max([dist[q] for q in preds], default=ZERO) + rows[i][choice[i]].latency
+            dist[p] = d
+            # max() over topological order keeps the first of equal distances.
+            if d > top or (d == top and p < top_pos):
+                top, top_pos = d, p
+        top_at[k + 1], top_pos_at[k + 1] = top, top_pos
+
+    if n:
+        row, within_last = rows[last], within_pair[last]
+        tails = [(pair,) for pair in pairs[last]]
+        # When no descendant of the last function is declared before it, the
+        # last level computes its distance alone, from its parent's distances.
+        fast = len(schedule[last]) == 1
+        if fast:
+            ((p, preds, _),) = schedule[last]
+    else:
+        width, tails, fast = 1, [()], False
+    # Anchors start at the first placement, so one is found even when every
+    # placement is infinite on an axis.
+    c_star = t_star = INFINITY
+    c_arg = t_arg = tuple([row[0] for row in pairs])
+    front: list[ParetoPoint] = []
+    feasible = depth = 0
+    while True:
+        for k in range(depth, last):
+            step(k)
+        # From a list: tuple() of a generator over-allocates and shrinks, which
+        # leaves a free-listed tuple behind per prefix and raises the peak heap.
+        prefix = tuple([pairs[k][choice[k]] for k in range(last)])
+        if fast:
+            base = max([dist[q] for q in preds], default=ZERO)
+            # Of equal distances the first in topological order is the path's.
+            top, first = top_at[last], p < top_pos_at[last]
+            total, charges, credit = cost_at[last], charges_at[last], credit_at[last]
+            within = within_at[last]
+        for j in range(width):
+            if fast:
+                entry = row[j]
+                cost = total + entry.cost - (
+                    _charge(charges, credit, entry.fixed)[1] if entry.fixed else credit
+                )
+                latency = base + entry.latency
+                if latency < top or (latency == top and not first):
+                    latency = top
+                ok = within and within_last[j]
+            else:
+                if n:
+                    choice[last] = j
+                    step(last)
+                cost = cost_at[n] - credit_at[n]
+                latency, ok = top_at[n], within_at[n]
+            if cost < c_star:
+                c_star, c_arg = cost, prefix + tails[j]
+            if latency < t_star:
+                t_star, t_arg = latency, prefix + tails[j]
+            if ok if per_function else (cost <= budget and latency <= slo):
+                feasible += 1
+                i = _slot(front, cost, latency)
+                if i >= 0:
+                    placement = Placement(prefix + tails[j])
+                    _insert(front, i, ParetoPoint(str(placement), cost, latency, placement))
+        k = last - 1
+        while k >= 0 and choice[k] == width - 1:
+            choice[k] = 0
+            k -= 1
+        if k < 0:
+            return _Found(c_star, c_arg, t_star, t_arg, front, feasible)
+        choice[k] += 1
+        depth = k
+
+
+def _schedule(workflow: WorkflowSpec) -> list[list[tuple[int, tuple[int, ...], int]]]:
+    """Per declaration index k, the functions whose critical-path distance
+    is known once functions 0..k are placed: each as (topological position,
+    predecessors' positions, declaration index), in topological order. That
+    level is the deepest declaration index among the function and its
+    ancestors."""
+    schedule: list[list] = [[] for _ in workflow.functions]
+    levels: list[int] = []
+    for p, (i, preds) in enumerate(workflow._topology):
+        level = max([i, *(levels[q] for q in preds)])
+        levels.append(level)
+        schedule[level].append((p, preds, i))
+    return schedule
+
+
+def _charge(charges: dict, credit: Decimal, fixed: tuple) -> tuple[dict, Decimal]:
+    """A prefix's fixed charges and shared credit, with ``fixed`` added.
+
+    ``charges`` maps each (platform, component) key to the sum and the
+    first maximum of its months, its last rate and, once billed twice, its
+    money_product(sum - max, rate) credit term, in first-billed order. The
+    credit is those terms summed in that order, as shared_fixed_credit
+    sums them; it changes only when a key is billed again.
+    """
+    charges = dict(charges)
+    shared = False
+    for key, months, rate in fixed:
+        held = charges.get(key)
+        if held is None:
+            charges[key] = (0 + months, months, rate, None)
+        else:
+            total, most = held[0] + months, max(held[1], months)
+            charges[key] = (total, most, rate, money_product(total - most, rate))
+            shared = True
+    if shared:
+        credit = ZERO
+        for _, _, _, term in charges.values():
+            if term is not None:
+                credit += term
+    return charges, credit

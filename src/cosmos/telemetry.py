@@ -3,7 +3,8 @@
 Logs are CSV with the exact header
 ``timestamp,function_id,platform_id,duration_ms,bytes_in,bytes_out,status``
 (UTF-8, RFC-4180 quoting). Only ok-status records feed the statistics; error
-rows are counted and reported but never priced or averaged.
+rows are counted and reported but never priced or averaged. A pair with
+error rows only is reported with its error tally and no statistics.
 
 Aggregation is one streaming pass: each row is parsed once, folded into the
 accumulator of its (function, platform) pair and dropped. An accumulator
@@ -21,7 +22,7 @@ from decimal import Decimal, localcontext
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
-from .errors import CoverageError, HeaderError, NoDataError, RowError
+from .errors import CoverageError, HeaderError, NoDataError, RecordError, RowError
 from .money import CONTEXT, div
 from .workflow import FunctionProfile, LatencyTable, WorkflowSpec
 
@@ -76,9 +77,12 @@ class LatencyStats:
 
 @dataclass(frozen=True)
 class UsageSummary:
-    """LatencyStats plus byte totals and the excluded-error tally."""
+    """LatencyStats plus byte totals and the excluded-error tally.
 
-    stats: LatencyStats
+    ``stats`` is None for a pair with error rows only.
+    """
+
+    stats: LatencyStats | None
     ok_count: int
     error_count: int
     bytes_in_total: int
@@ -102,6 +106,16 @@ def _parse_count(line: int, key: str, raw: str) -> int:
     return count
 
 
+def _duration_fault(duration: Decimal) -> str | None:
+    """Why a duration_ms is malformed, or None: it must be finite, >= 0 and
+    below _DURATION_LIMIT."""
+    if not duration.is_finite() or duration < 0:
+        return "duration_ms must be finite and >= 0"
+    if duration >= _DURATION_LIMIT:
+        return f"duration_ms must be < {_DURATION_LIMIT}"
+    return None
+
+
 def _parse_row(line: int, row: Sequence[str]) -> tuple:
     """The fields of one CSV row, checked and typed in UsageRecord order."""
     if len(row) != len(USAGE_FIELDS):
@@ -115,10 +129,9 @@ def _parse_row(line: int, row: Sequence[str]) -> tuple:
         duration = Decimal(raw_duration)
     except Exception:
         raise RowError(line, f"bad duration_ms {raw_duration!r}") from None
-    if not duration.is_finite() or duration < 0:
-        raise RowError(line, f"duration_ms must be finite and >= 0, got {raw_duration!r}")
-    if duration >= _DURATION_LIMIT:
-        raise RowError(line, f"duration_ms must be < {_DURATION_LIMIT}, got {raw_duration!r}")
+    fault = _duration_fault(duration)
+    if fault:
+        raise RowError(line, f"{fault}, got {raw_duration!r}")
     bytes_in = _parse_count(line, "bytes_in", raw_in)
     bytes_out = _parse_count(line, "bytes_out", raw_out)
     if status not in STATUSES:
@@ -144,18 +157,21 @@ class _Pair:
         index ceil(0.9 * count) of the ascending sort). The sort is stable,
         so of equal values written differently (1.0, 1.00) min, max and p90
         carry the one at that rank in the order added. The mean's sum is
-        taken in ascending order under money.CONTEXT before it is quantized."""
+        taken in ascending order under money.CONTEXT before it is quantized.
+        With no ok duration there are no statistics."""
         values = sorted(self.durations)
         count = len(values)
-        with localcontext(CONTEXT):
-            total = sum(values, Decimal(0))
-        stats = LatencyStats(
-            count=count,
-            mean=CONTEXT.quantize(div(total, Decimal(count)), MEAN_QUANTUM),
-            min=values[0],
-            max=values[-1],
-            p90=values[-((-9 * count) // 10) - 1],
-        )
+        stats = None
+        if values:
+            with localcontext(CONTEXT):
+                total = sum(values, Decimal(0))
+            stats = LatencyStats(
+                count=count,
+                mean=CONTEXT.quantize(div(total, Decimal(count)), MEAN_QUANTUM),
+                min=values[0],
+                max=values[-1],
+                p90=values[-((-9 * count) // 10) - 1],
+            )
         return UsageSummary(
             stats=stats,
             ok_count=count,
@@ -209,12 +225,8 @@ class UsageFold:
         return self
 
     def summaries(self) -> dict[tuple[str, str], UsageSummary]:
-        """One summary per pair with an ok row, in sorted key order."""
-        return {
-            key: self._pairs[key].summary()
-            for key in sorted(self._pairs)
-            if self._pairs[key].durations
-        }
+        """One summary per pair, in sorted key order."""
+        return {key: self._pairs[key].summary() for key in sorted(self._pairs)}
 
 
 class UsageLog:
@@ -323,7 +335,7 @@ def aggregate_stats(
     """
     key = (function_id, platform_id)
     summary = summarize_usage(r for r in records if (r.function_id, r.platform_id) == key).get(key)
-    if summary is None:
+    if summary is None or summary.stats is None:
         raise NoDataError(f"no ok records for ({function_id}, {platform_id})")
     return summary.stats
 
@@ -332,12 +344,14 @@ def summarize_usage(
     records: Iterable[UsageRecord] | UsageLog,
 ) -> dict[tuple[str, str], UsageSummary]:
     """Fold records by (function, platform) in one pass and summarize each
-    pair with an ok record, in sorted key order.
+    pair, in sorted key order.
 
     A UsageLog is folded from its CSV rows directly. If any row is malformed
     the whole log is still read, so its ``errors`` and ``error_count`` are
     complete, and then its first RowError is raised: no statistic is
-    computed from a log with malformed rows.
+    computed from a log with malformed rows. A record whose duration_ms a
+    log row could not carry (not finite, negative, or at or above the 1e40
+    row limit) raises RecordError naming its pair.
     """
     if isinstance(records, UsageLog):
         fold = records.fold()
@@ -346,6 +360,9 @@ def summarize_usage(
         return fold.summaries()
     fold = UsageFold()
     for r in records:
+        fault = _duration_fault(Decimal(r.duration_ms))
+        if fault:
+            raise RecordError(f"({r.function_id}, {r.platform_id}): {fault}, got {r.duration_ms}")
         fold.add(r.function_id, r.platform_id, r.duration_ms, r.bytes_in, r.bytes_out, r.status)
     return fold.summaries()
 
@@ -358,9 +375,11 @@ def calibrate(
     """Fold measured statistics into the workflow's profiles and latency table.
 
     Latency entries are the per-pair means. Each profile's r_in/r_out become
-    its overall mean bytes per request, in decimal GB. Pairs listed in
-    required_pairs but absent from the summaries raise CoverageError.
+    its overall mean bytes per request, in decimal GB. A pair with no
+    statistics (error rows only) is skipped. Pairs listed in required_pairs
+    but without statistics raise CoverageError.
     """
+    summaries = {key: s for key, s in summaries.items() if s.stats is not None}
     if required_pairs is not None:
         missing = sorted(set(required_pairs) - set(summaries))
         if missing:

@@ -22,6 +22,7 @@ from cosmos.errors import (
     MissingLatencyError,
     NegativeRateError,
     NoDataError,
+    RecordError,
     RowError,
     SchemaError,
     UnitError,
@@ -341,6 +342,30 @@ def test_ingest_sample_log(capsys):
     assert by_key[("data-retrieval", "gcp")]["errors"] == "1"
 
 
+def test_ingest_reports_a_pair_with_error_rows_only(capsys, tmp_path):
+    log = tmp_path / "log.csv"
+    log.write_text(
+        "timestamp,function_id,platform_id,duration_ms,bytes_in,bytes_out,status\n"
+        "2024-11-04T09:00:00Z,f,p,5,0,0,ok\n"
+        "2024-11-04T09:00:01Z,g,p,7,0,0,error\n"
+        "2024-11-04T09:00:02Z,g,p,9,0,0,error\n"
+    )
+    for kind in ("csv", "tsv"):
+        code, out, _ = run(capsys, "ingest", "--log", str(log), "--format", kind)
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "f,p,1,5,5,5,5,0".replace(",", "," if kind == "csv" else "\t"),
+            "g,p,0,,,,,2".replace(",", "," if kind == "csv" else "\t"),
+        ]
+    code, out, _ = run(capsys, "ingest", "--log", str(log), "--format", "json")
+    assert json.loads(out)["g:p"] == {
+        "count": 0, "mean_ms": None, "min_ms": None, "max_ms": None, "p90_ms": None, "errors": 2,
+    }
+    code, out, _ = run(capsys, "ingest", "--log", str(log))
+    assert code == 0
+    assert out.splitlines()[2].split() == ["g", "p", "0", "2"]
+
+
 def test_ingest_malformed_rows_exit_2_listing_lines(capsys, tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text(
@@ -591,6 +616,7 @@ _EXIT_CODES = {
     UnplacedFunctionError: 2,
     HeaderError: 2,
     RowError: 2,
+    RecordError: 2,
     CoverageError: 2,
     DomainError: 3,
     NoDataError: 3,

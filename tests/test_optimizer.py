@@ -493,13 +493,13 @@ _PASS_CONFIGS = {
 def test_optimize_enumerates_the_placements_once(pipeline, point_table, monkeypatch, mode):
     wf, _ = pipeline
     calls = []
-    enumerate_ = optimizer._enumerate
+    rows = optimizer._rows
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return enumerate_(*args, **kwargs)
+        return rows(*args, **kwargs)
 
-    monkeypatch.setattr(optimizer, "_enumerate", counting)
+    monkeypatch.setattr(optimizer, "_rows", counting)
     try:
         optimize(wf, PLATFORMS, PointTableModel(wf, point_table), _PASS_CONFIGS[mode])
     except InfeasibleError:
@@ -514,6 +514,56 @@ def test_zero_anchor_is_reported_before_infeasibility():
         optimize(wf, ["a", "b"], PointTableModel(wf, table), OptimizationConfig(latency_slo=D(1)))
 
 
+def test_anchors_are_the_first_placement_when_every_placement_is_infinite():
+    # PointTableModel takes any Decimal; an infinite axis never beats its start.
+    wf = _chain(2)
+    table = {(f, p): (D("Infinity"), D(c)) for f in wf.function_ids for p, c in (("a", 5), ("b", 1))}
+    model = PointTableModel(wf, table)
+    config = OptimizationConfig(weight_mode="manual", alpha=D(1), beta=D(1))
+    result = optimize(wf, ["a", "b"], model, config)
+    assert (result.c_star, result.c_star_placement) == min_cost(wf, ["a", "b"], model)
+    assert result.c_star_placement == Placement.of([("f0", "a"), ("f1", "a")])
+    assert (result.t_star, result.t_star_placement) == min_time(wf, ["a", "b"], model)
+    assert result.best == result.t_star_placement
+
+
+def test_tie_keeps_the_first_enumerated_placement_out_of_topological_order():
+    # b is declared first but runs after a. Two placements tie on (cost, latency)
+    # and are the only feasible ones; enumeration, in declaration order, meets
+    # b=x,a=y first, whereas a walk in topological order would meet a=x,b=y first.
+    wf = WorkflowSpec(
+        workflow_id="tie", functions=(FunctionProfile("b"), FunctionProfile("a")), edges=(("a", "b"),)
+    )
+    table = {
+        ("b", "x"): (D("1"), D("2")),
+        ("b", "y"): (D("2.0"), D("1")),
+        ("a", "x"): (D("1"), D("2")),
+        ("a", "y"): (D("2"), D("1.0")),
+    }
+    model = PointTableModel(wf, table)
+    config = OptimizationConfig(budget=D(3), latency_slo=D(3))
+    result = optimize(wf, ["x", "y"], model, config)
+    assert result.best == Placement.of([("b", "x"), ("a", "y")])
+    assert (str(result.cost), str(result.latency)) == ("3", "3.0")
+    assert (result.feasible_count, result.total_count) == (2, 4)
+    tied = [p for p in enumerate_placements(wf, ["x", "y"]) if model.cost_of(p) == 3]
+    assert tied[0] == result.best
+    assert [(model.cost_of(p), model.latency_of(p)) for p in tied] == [(3, 3)] * 2
+
+
+@pytest.mark.parametrize("latencies", [("1", "1.0", "0", "2"), ("1", "1.0", "2", "0")])
+def test_latency_keeps_the_digits_of_the_first_longest_distance(latencies):
+    # With a -> b the topological order is a, c, d, b. b's distance 2.0 ties
+    # with d's (last level) or c's (a prefix level) 2, which comes first.
+    wf = WorkflowSpec(
+        workflow_id="digits", functions=tuple(FunctionProfile(f) for f in "abcd"), edges=(("a", "b"),)
+    )
+    model = PointTableModel(wf, {(f, "x"): (D(1), D(ms)) for f, ms in zip("abcd", latencies)})
+    config = OptimizationConfig(weight_mode="manual", alpha=D(1), beta=D(1))
+    result = optimize(wf, ["x"], model, config)
+    assert str(result.latency) == str(result.t_star) == str(model.latency_of(result.best)) == "2"
+
+
 def _quantile(data, values, label):
     """None, or one of the values picked by rank; kept positive as the config requires."""
     index = data.draw(st.none() | st.integers(0, len(values) - 1), label=label)
@@ -523,10 +573,13 @@ def _quantile(data, values, label):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_one_pass_matches_exhaustive_oracle(catalogs, data):
-    n = data.draw(st.integers(1, 3), label="functions")
+    n = data.draw(st.integers(1, 4), label="functions")
     platforms = data.draw(st.permutations(PLATFORMS), label="platform order")
     platforms = platforms[: data.draw(st.integers(1, len(PLATFORMS)), label="platforms")]
     fids = [f"f{i}" for i in range(n)]
+    # Edges run forward in a random order of the functions, so declaration
+    # order is often not a topological order.
+    ranked = data.draw(st.permutations(fids), label="topological order")
     wf = WorkflowSpec(
         workflow_id="oracle",
         functions=tuple(
@@ -535,19 +588,22 @@ def test_one_pass_matches_exhaustive_oracle(catalogs, data):
                 n=D(data.draw(st.sampled_from([0, 1, 1000, 10**6]), label=f"n-{fid}")),
                 t=D("0.1"),
                 mem=D("0.125"),
-                baas_usage=(BaasUsage("ml-provisioning", D(data.draw(st.integers(1, 12)))),),
+                baas_usage=(BaasUsage("ml-provisioning", D(data.draw(st.integers(1, 12)))),)
+                if data.draw(st.booleans(), label=f"fixed-{fid}")
+                else (),
             )
             for fid in fids
         ),
         edges=tuple(
-            (fids[i], fids[j])
+            (ranked[i], ranked[j])
             for i, j in itertools.combinations(range(n), 2)
             if data.draw(st.booleans(), label=f"edge{i}-{j}")
         ),
     )
+    # Equal latencies written differently (2, 2.0) tie with different digits.
     lat = LatencyTable(
         {
-            (fid, pid): D(data.draw(st.sampled_from([0, 1, 2, 5, 50, 500])))
+            (fid, pid): D(data.draw(st.sampled_from(["0", "1", "2", "2.0", "5", "50", "5E+1", "500"])))
             for fid in fids
             for pid in PLATFORMS
         }
@@ -616,6 +672,9 @@ def test_one_pass_matches_exhaustive_oracle(catalogs, data):
     result = optimize(wf, platforms, model, config)
     objective, cost, latency, _, best = min(candidates, key=lambda c: c[:4])
     assert (result.best, result.cost, result.latency) == (best, cost, latency)
+    # The digits too, as the oracle's first enumerated placement writes them.
+    assert (str(result.cost), str(result.latency)) == (str(cost), str(latency))
+    assert (str(result.c_star), str(result.t_star)) == (str(c_star), str(t_star))
     assert result.objective == pytest.approx(float(objective), rel=1e-12, abs=0)
     assert (result.c_star, result.c_star_placement) == (c_star, c_arg)
     assert (result.t_star, result.t_star_placement) == (t_star, t_arg)

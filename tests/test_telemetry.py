@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cosmos import telemetry
-from cosmos.errors import CoverageError, HeaderError, NoDataError, RowError
+from cosmos.errors import (
+    CoverageError,
+    DomainError,
+    HeaderError,
+    MissingLatencyError,
+    NoDataError,
+    RecordError,
+    RowError,
+)
 from cosmos.telemetry import (
     USAGE_HEADER,
     LatencyStats,
@@ -163,6 +171,25 @@ def test_summarize_groups_and_counts_errors():
     assert summaries[("b", "y")].bytes_in_total == 10**9
 
 
+def test_pair_with_error_rows_only_is_reported_without_statistics():
+    records = [_record(100), _record(7, fid="g", status="error"), _record(9, fid="g", status="error")]
+    summaries = summarize_usage(records)
+    assert summaries[("g", "p")] == UsageSummary(
+        stats=None, ok_count=0, error_count=2, bytes_in_total=0, bytes_out_total=0
+    )
+    with pytest.raises(NoDataError):
+        aggregate_stats(records, "g", "p")
+    wf = WorkflowSpec(workflow_id="w", functions=(FunctionProfile("f"), FunctionProfile("g")))
+    calibrated, table = calibrate(wf, summaries)
+    assert table.entries == {("f", "p"): D(100)}
+    with pytest.raises(MissingLatencyError):
+        table.get("g", "p")
+    assert calibrated.function("g") == wf.function("g")
+    with pytest.raises(CoverageError) as exc:
+        calibrate(wf, summaries, required_pairs=[("f", "p"), ("g", "p")])
+    assert exc.value.missing == (("g", "p"),)
+
+
 # --- streaming fold -----------------------------------------------------------
 
 _MALFORMED = (
@@ -194,24 +221,31 @@ def _duration_text(m, k, z):
 def _oracle(rows):
     """Sort-based statistics in exact Fraction arithmetic, per pair. min, max
     and p90 are the duration texts at their ranks of a stable sort in file
-    order, so of 1.0 and 1.00 the one that comes first in the log wins a tie."""
+    order, so of 1.0 and 1.00 the one that comes first in the log wins a tie.
+    A pair with error rows only has count 0 and no statistics."""
     ok: dict = {}
     errors: dict = {}
     for pair, m, k, z, b_in, b_out, status in rows:
+        ok.setdefault(pair, [])
         if status == "ok":
-            ok.setdefault(pair, []).append((Fraction(m, 10**k), _duration_text(m, k, z), b_in, b_out))
+            ok[pair].append((Fraction(m, 10**k), _duration_text(m, k, z), b_in, b_out))
         else:
             errors[pair] = errors.get(pair, 0) + 1
     out = {}
     for pair, items in ok.items():
         ranked = sorted(items, key=lambda item: item[0])
         n = len(ranked)
+        stats = (None,) * 4
+        if n:
+            stats = (
+                round(sum(v for v, _, _, _ in items) / n * 10**9),  # round() on a Fraction is half-even
+                ranked[0][1],
+                ranked[-1][1],
+                ranked[-((-9 * n) // 10) - 1][1],
+            )
         out[pair] = (
             n,
-            round(sum(v for v, _, _, _ in items) / n * 10**9),  # round() on a Fraction is half-even
-            ranked[0][1],
-            ranked[-1][1],
-            ranked[-((-9 * n) // 10) - 1][1],
+            *stats,
             sum(b for _, _, b, _ in items),
             sum(b for _, _, _, b in items),
             errors.get(pair, 0),
@@ -231,11 +265,12 @@ def test_streaming_summaries_match_fraction_oracle(lines):
     summaries = log.fold().summaries()
     got = {
         pair: (
-            s.stats.count,
-            s.stats.mean.scaleb(9),
-            str(s.stats.min),
-            str(s.stats.max),
-            str(s.stats.p90),
+            s.ok_count,
+            *(
+                (None,) * 4
+                if s.stats is None
+                else (s.stats.mean.scaleb(9), str(s.stats.min), str(s.stats.max), str(s.stats.p90))
+            ),
             s.bytes_in_total,
             s.bytes_out_total,
             s.error_count,
@@ -244,7 +279,7 @@ def test_streaming_summaries_match_fraction_oracle(lines):
     }
     good = [line for line in lines if not isinstance(line, str)]
     assert got == _oracle(good)
-    assert all(s.ok_count == s.stats.count for s in summaries.values())
+    assert all(s.ok_count == (s.stats.count if s.stats else 0) for s in summaries.values())
     assert list(summaries) == sorted(summaries)
     assert log.error_count == len(log.errors) == sum(line in _MALFORMED for line in lines)
     assert log.rows == sum(line != "" for line in lines)
@@ -338,11 +373,25 @@ def test_duration_bound_keeps_the_mean_within_context_precision():
     largest = "9" * 40 + ".999999999"
     stats = summarize_usage(UsageLog(_log(_row(largest), _row(largest))))[("f", "p")].stats
     assert stats.mean == stats.max == D(largest)
+    assert aggregate_stats([_record(largest)] * 2, "f", "p") == stats
     for rejected in ("1e40", "1e100"):
         log = UsageLog(_log(_row(1), _row(rejected)))
         with pytest.raises(RowError) as info:
             summarize_usage(log)
         assert str(info.value) == f"row 3: duration_ms must be < 1E+40, got {rejected!r}"
+        # A UsageRecord built in code skips the row check; the same bound holds.
+        with pytest.raises(RecordError) as info:
+            summarize_usage([_record(1), _record(rejected, fid="g", pid="q")])
+        assert str(info.value) == f"(g, q): duration_ms must be < 1E+40, got {D(rejected)}"
+        assert info.value.exit_code == 2
+    for rejected in ("NaN", "-5"):
+        with pytest.raises(RowError) as info:
+            summarize_usage(UsageLog(_log(_row(1), _row(rejected))))
+        assert str(info.value) == f"row 3: duration_ms must be finite and >= 0, got {rejected!r}"
+        with pytest.raises(RecordError) as info:
+            summarize_usage([_record(1), _record(rejected, fid="g", pid="q")])
+        assert str(info.value) == f"(g, q): duration_ms must be finite and >= 0, got {rejected}"
+        assert isinstance(info.value, DomainError) and info.value.exit_code == 2
 
 
 def test_oversized_field_is_a_row_error_and_the_scan_goes_on():
