@@ -34,7 +34,7 @@ from .engine import (
     function_cost,
     function_cost_curve,
     invocation_cost,
-    per_function_costs,
+    placement_costs,
     state_cost,
     workflow_cost,
     workflow_cost_curve,

@@ -21,6 +21,7 @@ from .errors import (
     SchemaError,
     UnitError,
     UnknownComponentError,
+    UnknownPlatformError,
 )
 from .money import CONTEXT, fmt_full
 from .workflow import _parse_quantity, _read_json
@@ -115,10 +116,6 @@ class PlatformCatalog:
         raise UnknownComponentError(
             f"catalog {self.platform_id!r} has no component {component_id!r}"
         )
-
-    @property
-    def per_ms_priced(self) -> bool:
-        return any(c.unit == RateUnit.PER_MS_PER_REQUEST for c in self.components)
 
 
 @dataclass(frozen=True)
@@ -313,17 +310,9 @@ def catalog_dir() -> Path:
     return Path(override) if override else bundled_catalog_dir()
 
 
-class UnknownPlatformLookupError(SchemaError):
-    """No catalog file for the requested platform id."""
-
-    def __init__(self, platform_id: str, directory: Path):
-        self.platform_id = platform_id
-        super().__init__(f"no catalog for platform {platform_id!r} in {directory}")
-
-
 def load_platform(platform_id: str, directory: Path | None = None) -> PlatformCatalog:
     directory = directory or catalog_dir()
     path = directory / f"{platform_id}.json"
     if not path.exists():
-        raise UnknownPlatformLookupError(platform_id, directory)
+        raise UnknownPlatformError(f"no catalog for platform {platform_id!r} in {directory}")
     return load_catalog(path)

@@ -25,14 +25,13 @@ from .catalog import PlatformCatalog, catalog_dir, load_catalog, load_platform
 from .engine import (
     COINCIDENT_CURVES,
     DRIVER_FIELDS,
+    ZERO,
+    CostBreakdown,
     component_charges,
     crossover,
     driver_shares,
-    function_cost,
     function_cost_curve,
-    function_latency,
-    per_function_costs,
-    workflow_cost,
+    placement_costs,
     workflow_cost_curve,
 )
 from .errors import (
@@ -286,13 +285,13 @@ def cmd_cost(args) -> int:
     catalogs = _load_catalogs(args)
     placement = _placement(args, workflow, catalogs)
 
-    parts = per_function_costs(workflow, placement, catalogs, latencies=latencies, volume=args.volume)
-    total = workflow_cost(workflow, placement, catalogs, latencies=latencies, volume=args.volume)
+    parts, credit = placement_costs(
+        workflow, placement, catalogs, latencies=latencies, volume=args.volume
+    )
+    total = CostBreakdown.combine(parts.values(), credit)
 
+    label = _placement_label(placement)
     entries = [(fid, placement.platform_for(fid), b) for fid, b in parts.items()]
-    entries.append(("workflow", _placement_label(placement), total))
-    rows = [["function", "platform", *DRIVER_FIELDS, "total"]]
-    rows += [[fid, pid, *_money_row(b).values()] for fid, pid, b in entries]
     report = {
         "workflow_id": workflow.workflow_id,
         "volume": fmt_full(args.volume) if args.volume is not None else None,
@@ -303,6 +302,15 @@ def cmd_cost(args) -> int:
         },
         "workflow": _money_row(total),
     }
+    if credit:
+        # A fixed charge several functions share on one platform is billed
+        # once; this row takes the rest off, so each column adds up.
+        deduction = CostBreakdown.build(ZERO, ZERO, ZERO, ZERO, -credit)
+        entries.append(("shared-credit", label, deduction))
+        report["shared_credit"] = _money_row(deduction)
+    entries.append(("workflow", label, total))
+    rows = [["function", "platform", *DRIVER_FIELDS, "total"]]
+    rows += [[fid, pid, *_money_row(b).values()] for fid, pid, b in entries]
 
     header = f"{'function':<18} {'platform':<16} " + " ".join(f"{c:>12}" for c in (*DRIVER_FIELDS, "total"))
     lines = [header]
@@ -329,10 +337,8 @@ def cmd_breakdown(args) -> int:
     for profile in workflow.functions:
         fid = profile.function_id
         pid = placement.platform_for(fid)
-        catalog = catalogs[pid]
-        latency_ms = function_latency(profile, catalog, latencies)
-        charges = component_charges(profile, catalog, latency_ms=latency_ms, volume=args.volume)
-        breakdown = function_cost(profile, catalog, latency_ms=latency_ms, volume=args.volume)
+        charges = component_charges(profile, catalogs[pid], latencies=latencies, volume=args.volume)
+        breakdown = CostBreakdown.fold(charges)
         shares = driver_shares(breakdown)
         lines.append(f"{fid} on {pid} (total {fmt(breakdown.total)})")
         for item in charges:
@@ -391,10 +397,8 @@ def cmd_curve(args) -> int:
 def _curve_for(function, workflow, placement, catalogs, latencies):
     if function:
         profile = workflow.function(function)
-        pid = placement.platform_for(function)
-        catalog = catalogs[pid]
-        latency_ms = function_latency(profile, catalog, latencies)
-        return function_cost_curve(profile, catalog, latency_ms=latency_ms)
+        catalog = catalogs[placement.platform_for(function)]
+        return function_cost_curve(profile, catalog, latencies=latencies)
     return workflow_cost_curve(workflow, placement, catalogs, latencies=latencies)
 
 

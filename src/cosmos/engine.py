@@ -21,6 +21,8 @@ ZERO = Decimal(0)
 
 #: Column order of breakdown reports.
 DRIVER_FIELDS = ("invocation", "compute", "baas", "transfer", "state")
+#: Argument order of CostBreakdown.build.
+_FIELDS = ("invocation", "compute", "state", "transfer", "baas")
 
 
 def _require_nonneg(**values: Decimal) -> None:
@@ -70,17 +72,22 @@ class CostBreakdown:
         )
 
     @classmethod
-    def zero(cls) -> "CostBreakdown":
-        return cls.build(ZERO, ZERO, ZERO, ZERO, ZERO)
+    def fold(cls, charges: Iterable["ComponentCharge"]) -> "CostBreakdown":
+        """One function's breakdown: its charges summed per driver, each subtotal quantized."""
+        subtotal = dict.fromkeys(_FIELDS, ZERO)
+        for item in charges:
+            subtotal[_DRIVER_FIELD[item.driver]] += item.amount
+        return cls.build(*[quantize_money(subtotal[name]) for name in _FIELDS])
 
-    def __add__(self, other: "CostBreakdown") -> "CostBreakdown":
-        return CostBreakdown.build(
-            self.invocation + other.invocation,
-            self.compute + other.compute,
-            self.state + other.state,
-            self.transfer + other.transfer,
-            self.baas + other.baas,
-        )
+    @classmethod
+    def combine(cls, parts: Iterable["CostBreakdown"], credit: Decimal = ZERO) -> "CostBreakdown":
+        """A workflow's breakdown: its functions' breakdowns summed per driver,
+        less the shared fixed-charge credit on BaaS."""
+        parts = list(parts)
+        sums = [sum((getattr(part, name) for part in parts), ZERO) for name in _FIELDS]
+        if credit:
+            sums[-1] -= credit  # baas
+        return cls.build(*sums)
 
     def as_dict(self) -> dict[str, Decimal]:
         return {
@@ -135,14 +142,16 @@ def component_charges(
     profile: FunctionProfile,
     catalog: PlatformCatalog,
     *,
-    latency_ms: Decimal | None = None,
+    latencies: LatencyTable | None = None,
     volume: Decimal | int | str | None = None,
 ) -> list[ComponentCharge]:
     """Itemize one function's cost per catalog component, in catalog order.
 
-    ``volume`` overrides the profile's request count. Platforms priced per
-    request-millisecond (space layer) additionally need the function's mean
-    latency; that combined charge lands in the invocation driver.
+    ``volume`` overrides the profile's request count. A component priced per
+    request-millisecond (space layer) also bills the function's mean latency
+    on the platform, looked up in ``latencies``; that combined charge lands in
+    the invocation driver. Raises MissingLatencyError for such a component
+    when the table has no entry for the pair, or when no table is given.
     """
     n = profile.n if volume is None else dec(volume)
     _require_nonneg(n=n)
@@ -156,8 +165,9 @@ def component_charges(
     for comp in catalog.components:
         if comp.driver is DriverCategory.INVOCATION:
             if comp.unit is RateUnit.PER_MS_PER_REQUEST:
-                if latency_ms is None:
+                if latencies is None:
                     raise MissingLatencyError(profile.function_id, catalog.platform_id)
+                latency_ms = latencies.get(profile.function_id, catalog.platform_id)
                 _require_nonneg(latency_ms=latency_ms)
                 charge(comp, money_product(n, latency_ms, comp.rate))
             else:
@@ -195,56 +205,13 @@ def function_cost(
     profile: FunctionProfile,
     catalog: PlatformCatalog,
     *,
-    latency_ms: Decimal | None = None,
+    latencies: LatencyTable | None = None,
     volume: Decimal | int | str | None = None,
 ) -> CostBreakdown:
     """Cost of one function on one platform for one billing month."""
-    subtotal = {"invocation": ZERO, "compute": ZERO, "state": ZERO, "transfer": ZERO, "baas": ZERO}
-    for item in component_charges(profile, catalog, latency_ms=latency_ms, volume=volume):
-        subtotal[_DRIVER_FIELD[item.driver]] += item.amount
-    return CostBreakdown.build(
-        quantize_money(subtotal["invocation"]),
-        quantize_money(subtotal["compute"]),
-        quantize_money(subtotal["state"]),
-        quantize_money(subtotal["transfer"]),
-        quantize_money(subtotal["baas"]),
+    return CostBreakdown.fold(
+        component_charges(profile, catalog, latencies=latencies, volume=volume)
     )
-
-
-def _resolve_catalog(catalogs: Mapping[str, PlatformCatalog], platform_id: str) -> PlatformCatalog:
-    try:
-        return catalogs[platform_id]
-    except KeyError:
-        raise UnknownPlatformError(f"no catalog loaded for platform {platform_id!r}") from None
-
-
-def function_latency(
-    profile: FunctionProfile, catalog: PlatformCatalog, latencies: LatencyTable | None
-) -> Decimal | None:
-    if not catalog.per_ms_priced:
-        return None
-    if latencies is None:
-        raise MissingLatencyError(profile.function_id, catalog.platform_id)
-    return latencies.get(profile.function_id, catalog.platform_id)
-
-
-def per_function_costs(
-    workflow: WorkflowSpec,
-    placement: Placement,
-    catalogs: Mapping[str, PlatformCatalog],
-    *,
-    latencies: LatencyTable | None = None,
-    volume: Decimal | int | str | None = None,
-) -> dict[str, CostBreakdown]:
-    """Breakdown per function under a placement, in declaration order."""
-    out: dict[str, CostBreakdown] = {}
-    for profile in workflow.functions:
-        catalog = _resolve_catalog(catalogs, placement.platform_for(profile.function_id))
-        latency_ms = function_latency(profile, catalog, latencies)
-        out[profile.function_id] = function_cost(
-            profile, catalog, latency_ms=latency_ms, volume=volume
-        )
-    return out
 
 
 def fixed_charges(
@@ -282,6 +249,32 @@ def shared_fixed_credit(
     return credit
 
 
+def placement_costs(
+    workflow: WorkflowSpec,
+    placement: Placement,
+    catalogs: Mapping[str, PlatformCatalog],
+    *,
+    latencies: LatencyTable | None = None,
+    volume: Decimal | int | str | None = None,
+) -> tuple[dict[str, CostBreakdown], Decimal]:
+    """Each function's breakdown under a placement, in declaration order, and
+    the shared fixed-charge credit the placement earns. Each function is
+    itemized once."""
+    parts: dict[str, CostBreakdown] = {}
+    fixed = []
+    for profile in workflow.functions:
+        pid = placement.platform_for(profile.function_id)
+        try:
+            catalog = catalogs[pid]
+        except KeyError:
+            raise UnknownPlatformError(f"no catalog loaded for platform {pid!r}") from None
+        parts[profile.function_id] = function_cost(
+            profile, catalog, latencies=latencies, volume=volume
+        )
+        fixed += fixed_charges(profile, catalog)
+    return parts, shared_fixed_credit(fixed)
+
+
 def workflow_cost(
     workflow: WorkflowSpec,
     placement: Placement,
@@ -291,23 +284,10 @@ def workflow_cost(
     volume: Decimal | int | str | None = None,
 ) -> CostBreakdown:
     """Element-wise sum of per-function breakdowns, less the shared fixed-charge credit."""
-    parts = per_function_costs(
+    parts, credit = placement_costs(
         workflow, placement, catalogs, latencies=latencies, volume=volume
     )
-    total = CostBreakdown.zero()
-    for piece in parts.values():
-        total = total + piece
-
-    charges = []
-    for profile in workflow.functions:
-        catalog = _resolve_catalog(catalogs, placement.platform_for(profile.function_id))
-        charges += fixed_charges(profile, catalog)
-    credit = shared_fixed_credit(charges)
-    if credit:
-        total = CostBreakdown.build(
-            total.invocation, total.compute, total.state, total.transfer, total.baas - credit
-        )
-    return total
+    return CostBreakdown.combine(parts.values(), credit)
 
 
 @dataclass(frozen=True)
@@ -330,11 +310,11 @@ def function_cost_curve(
     profile: FunctionProfile,
     catalog: PlatformCatalog,
     *,
-    latency_ms: Decimal | None = None,
+    latencies: LatencyTable | None = None,
 ) -> CostCurve:
     """Cost-vs-volume line for one function on one platform."""
-    fixed = function_cost(profile, catalog, latency_ms=latency_ms, volume=0).total
-    at_one = function_cost(profile, catalog, latency_ms=latency_ms, volume=1).total
+    fixed = function_cost(profile, catalog, latencies=latencies, volume=0).total
+    at_one = function_cost(profile, catalog, latencies=latencies, volume=1).total
     return CostCurve(fixed=fixed, slope=at_one - fixed)
 
 

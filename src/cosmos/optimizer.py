@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .catalog import PlatformCatalog
-from .engine import fixed_charges, function_cost, function_latency, shared_fixed_credit
+from .engine import fixed_charges, function_cost, shared_fixed_credit
 from .errors import (
     CapExceededError,
     DegenerateAnchorError,
@@ -165,12 +165,6 @@ class PlacementModel:
         except KeyError:
             raise MissingLatencyError(function_id, platform_id) from None
 
-    def function_cost_of(self, function_id: str, platform_id: str) -> Decimal:
-        return self.entry(function_id, platform_id).cost
-
-    def function_latency_of(self, function_id: str, platform_id: str) -> Decimal:
-        return self.entry(function_id, platform_id).latency
-
     def cost_of(self, placement: Placement) -> Decimal:
         return _cost(self.entry(*pair) for pair in placement.resolve(self.workflow.function_ids))
 
@@ -205,8 +199,7 @@ class CatalogModel(PlacementModel):
         for profile in workflow.functions:
             for pid in sorted(catalogs):
                 catalog = catalogs[pid]
-                latency_ms = function_latency(profile, catalog, latencies)
-                cost = function_cost(profile, catalog, latency_ms=latency_ms, volume=volume).total
+                cost = function_cost(profile, catalog, latencies=latencies, volume=volume).total
                 table[(profile.function_id, pid)] = PairEntry(
                     cost,
                     latencies.get(profile.function_id, pid),

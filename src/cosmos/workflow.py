@@ -314,13 +314,18 @@ def _parse_latency_block(block: Mapping, functions: tuple[FunctionProfile, ...])
         if not isinstance(per_platform, Mapping):
             raise SchemaError(f"latency entries for {fid!r} must map platform to ms")
         for pid, raw in per_platform.items():
-            entries[(str(fid), str(pid))] = _parse_quantity({"ms": raw}, "ms", f"latency {fid}")
+            ms = _parse_quantity({"ms": raw}, "ms", f"latency {fid}")
+            if ms < 0:
+                raise SchemaError(f"latency ({fid}, {pid}) must be nonnegative, got {raw}")
+            entries[(str(fid), str(pid))] = ms
     reference = block.get("reference_platform")
     factors = _typed(block.get("factors") or {}, Mapping, "latency factors")
     if factors and reference is None:
         raise SchemaError("latency factors require a reference_platform")
     for pid, raw in factors.items():
         factor = _parse_quantity({"factor": raw}, "factor", f"latency factor {pid}")
+        if factor < 0:
+            raise SchemaError(f"latency factor {pid} must be nonnegative, got {raw}")
         for f in functions:
             key = (f.function_id, str(pid))
             ref_key = (f.function_id, str(reference))

@@ -17,7 +17,13 @@ from cosmos.catalog import (
     serialize_catalog,
     validate_catalog,
 )
-from cosmos.errors import DuplicateIdError, SchemaError, UnitError, UnknownComponentError
+from cosmos.errors import (
+    DuplicateIdError,
+    SchemaError,
+    UnitError,
+    UnknownComponentError,
+    UnknownPlatformError,
+)
 
 from conftest import PLATFORMS
 
@@ -218,6 +224,6 @@ def test_component_lookup(catalogs):
 
 
 def test_load_platform_unknown_id(tmp_path):
-    with pytest.raises(SchemaError) as exc:
+    with pytest.raises(UnknownPlatformError) as exc:
         load_platform("nonexistent", tmp_path)
     assert "nonexistent" in str(exc.value)

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -5,9 +6,9 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cosmos import cli
-from cosmos.catalog import UnknownPlatformLookupError
+from cosmos import cli, engine
 from cosmos.cli import main
 from cosmos.errors import (
     CapExceededError,
@@ -102,6 +103,73 @@ def test_cost_table_display_rounds_to_four_decimals(capsys):
     assert code == 0
     assert "1.4703" in out  # 1.47029 displayed half-even at 4 decimals
     assert "1.47029" not in out
+
+
+def test_cost_shows_the_shared_credit_as_its_own_row(capsys, tmp_path):
+    doc = json.loads(Path(PIPELINE).read_text(encoding="utf-8"))
+    doc["functions"][1]["baas_usage"].append({"component_id": "ml-provisioning", "quantity": "1"})
+    shared = tmp_path / "shared.json"
+    shared.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run(capsys, "cost", "--workflow", str(shared), "--platform", "aws-x86")
+    assert code == 0
+    rows = {line.split()[0]: line.split()[2:] for line in out.splitlines()[1:]}
+    assert list(rows) == ["data-retrieval", "data-processing", "ai-inference", "shared-credit", "workflow"]
+    assert [r[2] for r in rows.values()] == ["1.0600", "15.6776", "16.0376", "-13.7376", "19.0376"]
+    assert rows["shared-credit"] == ["0.0000", "0.0000", "-13.7376", "0.0000", "0.0000", "-13.7376"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    months=st.tuples(st.integers(0, 12), st.integers(0, 12)),
+    platforms=st.lists(st.sampled_from(["aws-x86", "aws-arm", "gcp", "leo"]), min_size=3, max_size=3),
+)
+def test_cost_function_rows_and_the_credit_row_add_up_to_the_workflow_row(tmp_path_factory, months, platforms):
+    doc = json.loads(Path(PIPELINE).read_text(encoding="utf-8"))
+    for fid, m in zip((0, 1), months):
+        doc["functions"][fid]["baas_usage"].append(
+            {"component_id": "ml-provisioning", "quantity": str(m)}
+        )
+    path = tmp_path_factory.mktemp("shared") / "wf.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    fids = [f["function_id"] for f in doc["functions"]]
+    argv = ["cost", "--workflow", str(path),
+            *(a for pid in sorted(set(platforms)) for a in ("--platform", pid)),
+            *(a for fid, pid in zip(fids, platforms) for a in ("--assign", f"{fid}={pid}"))]
+    views = {}
+    for fmt in ("json", "csv"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main([*argv, "--format", fmt]) == 0
+        views[fmt] = out.getvalue()
+
+    report = json.loads(views["json"])
+    credit = report.get("shared_credit")
+    assert credit is None or D(credit["total"]) != 0
+    csv_rows = {r["function"]: r for r in _csv_rows(views["csv"])}
+    assert ("shared-credit" in csv_rows) == (credit is not None)
+    for name in (*engine.DRIVER_FIELDS, "total"):
+        rows = sum(D(report["functions"][fid][name]) for fid in fids)
+        deduction = D(credit[name]) if credit else 0
+        assert rows + deduction == D(report["workflow"][name])
+        assert sum(D(r[name]) for r in csv_rows.values() if r["function"] != "workflow") == D(
+            csv_rows["workflow"][name]
+        )
+
+
+@pytest.mark.parametrize("command", ["cost", "breakdown"])
+def test_cost_and_breakdown_itemize_each_function_once(capsys, monkeypatch, command):
+    calls = []
+    itemize = engine.component_charges
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].function_id)
+        return itemize(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "component_charges", counted)
+    monkeypatch.setattr(cli, "component_charges", counted)
+    code, _, _ = run(capsys, command, "--workflow", PIPELINE, "--platform", "leo")
+    assert code == 0
+    assert calls == ["data-retrieval", "data-processing", "ai-inference"]
 
 
 def test_breakdown_itemizes_components(capsys):
@@ -610,7 +678,6 @@ _EXIT_CODES = {
     CycleError: 2,
     UnknownFunctionError: 2,
     UnknownPlatformError: 2,
-    UnknownPlatformLookupError: 2,
     MissingLatencyError: 2,
     UnknownComponentError: 2,
     UnplacedFunctionError: 2,
@@ -634,7 +701,6 @@ _ERROR_ARGS = {
     CapExceededError: (10, 1),
     InfeasibleError: (1, 2),
     RowError: (3, "bad"),
-    UnknownPlatformLookupError: ("p", Path("cards")),
     CoverageError: ([("f", "p")],),
     json.JSONDecodeError: ("bad", "{", 0),
 }
@@ -682,6 +748,18 @@ def _x86_card(**changes):
     return doc
 
 
+def _pipeline_latency(fid, pid, value):
+    """The pipeline with one latency entry, or with fid None one factor, set to value.
+    Passed as a second --workflow, it replaces the first."""
+    doc = json.loads(Path(PIPELINE).read_text(encoding="utf-8"))
+    block = doc["latency"]
+    if fid is None:
+        block["factors"][pid] = value
+    else:
+        block["entries"][fid][pid] = value
+    return doc
+
+
 _MALFORMED = {
     "points-not-array": ("optimize", "--points", {"points": 5}, "points"),
     "points-entry-not-object": ("optimize", "--points", {"points": [5]}, "points"),
@@ -689,6 +767,14 @@ _MALFORMED = {
     "cost-float": ("optimize", "--points", _point_table(cost=1.5), "cost"),
     "latency-not-decimal": ("optimize", "--points", _point_table(latency_ms="abc"), "latency_ms"),
     "rate-not-decimal": ("cost", "--catalog", _x86_card(rate="abc"), "rate"),
+    "latency-negative-leo": ("cost", "--workflow", _pipeline_latency("data-retrieval", "leo", "-5"),
+                             "(data-retrieval, leo)"),
+    "latency-negative-x86": ("optimize", "--workflow",
+                             _pipeline_latency("data-retrieval", "aws-x86", "-5"),
+                             "(data-retrieval, aws-x86)"),
+    "latency-negative-factor": ("pareto", "--workflow",
+                                _pipeline_latency(None, "aws-lambda-edge", "-1"),
+                                "latency factor aws-lambda-edge"),
 }
 
 

@@ -7,6 +7,7 @@ import pytest
 from cosmos.catalog import DriverCategory, Layer, PlatformCatalog, PriceComponent, RateUnit
 from cosmos.engine import (
     COINCIDENT_CURVES,
+    DRIVER_FIELDS,
     CostBreakdown,
     CostCurve,
     component_charges,
@@ -15,7 +16,7 @@ from cosmos.engine import (
     function_cost,
     function_cost_curve,
     invocation_cost,
-    per_function_costs,
+    placement_costs,
     state_cost,
     workflow_cost,
     workflow_cost_curve,
@@ -27,7 +28,7 @@ from cosmos.errors import (
     UnknownPlatformError,
     UnplacedFunctionError,
 )
-from cosmos.workflow import BaasUsage, FunctionProfile, Placement, WorkflowSpec
+from cosmos.workflow import BaasUsage, FunctionProfile, LatencyTable, Placement, WorkflowSpec
 
 D = Decimal
 MILLION = D(10**6)
@@ -117,9 +118,7 @@ def test_per_ms_platform_cost_uses_latency(pipeline, catalogs):
     profile = wf.function("data-retrieval")
     # Oracle: 49 USD per 1M request-ms at 69.6 ms is 49 * 69.6 by hand.
     assert D("49") * D("69.6") == D("3410.4")
-    breakdown = function_cost(
-        profile, catalogs["leo"], latency_ms=latencies.get("data-retrieval", "leo")
-    )
+    breakdown = function_cost(profile, catalogs["leo"], latencies=latencies)
     assert breakdown.total == D("3410.4")
     assert breakdown.invocation == D("3410.4")
 
@@ -128,6 +127,12 @@ def test_per_ms_platform_requires_latency(pipeline, catalogs):
     wf, _ = pipeline
     with pytest.raises(MissingLatencyError):
         function_cost(wf.function("data-retrieval"), catalogs["leo"])
+    other_pairs = LatencyTable({("data-retrieval", "gcp"): D(1), ("ai-inference", "leo"): D(1)})
+    with pytest.raises(MissingLatencyError, match=r"\(data-retrieval, leo\)"):
+        function_cost(wf.function("data-retrieval"), catalogs["leo"], latencies=other_pairs)
+    # A card without a per-ms component never reads the table.
+    gcp = function_cost(wf.function("data-retrieval"), catalogs["gcp"], latencies=LatencyTable({}))
+    assert gcp.total == D("1.3324")
 
 
 def test_unknown_baas_component(catalogs):
@@ -255,12 +260,13 @@ def test_workflow_equals_sum_of_functions_with_dedup(pipeline, catalogs):
     placement = Placement.of(
         {"data-retrieval": "gcp", "data-processing": "aws-x86", "ai-inference": "aws-arm"}
     )
-    parts = per_function_costs(wf, placement, catalogs, latencies=lat)
-    summed = CostBreakdown.zero()
-    for piece in parts.values():
-        summed = summed + piece
+    parts, credit = placement_costs(wf, placement, catalogs, latencies=lat)
     # No shared fixed components in this placement, so the sum is exact.
-    assert workflow_cost(wf, placement, catalogs, latencies=lat) == summed
+    assert credit == 0
+    summed = [sum(getattr(b, name) for b in parts.values()) for name in DRIVER_FIELDS]
+    total = workflow_cost(wf, placement, catalogs, latencies=lat)
+    assert [getattr(total, name) for name in DRIVER_FIELDS] == summed
+    assert total == CostBreakdown.combine(parts.values())
 
 
 # --- curves -------------------------------------------------------------------

@@ -194,7 +194,7 @@ def test_catalog_model_matches_engine_with_shared_fixed_charges(catalogs, data):
     # month counts, so the search meets a non-zero credit in every example.
     # (leo prices ml-provisioning at 0.)
     uniform = Placement.uniform(wf, data.draw(st.sampled_from(PLATFORMS[:4])))
-    billed_alone = sum(model.function_cost_of(fid, pid) for fid, pid in uniform.assignments)
+    billed_alone = sum(model.entry(fid, pid).cost for fid, pid in uniform.assignments)
     assert model.cost_of(uniform) < billed_alone
 
     evaluated = []
@@ -457,8 +457,8 @@ def test_separability_on_chains(pipeline, point_table):
     independent = tuple(
         min(
             PLATFORMS,
-            key=lambda p: alpha * model.function_cost_of(fid, p)
-            + beta * model.function_latency_of(fid, p),
+            key=lambda p: alpha * model.entry(fid, p).cost
+            + beta * model.entry(fid, p).latency,
         )
         for fid in wf.function_ids
     )
@@ -624,8 +624,8 @@ def test_one_pass_matches_exhaustive_oracle(catalogs, data):
         slo = _quantile(data, [t for _, t, _ in evaluated], "slo")
     else:
         pairs = [(f, p) for f in fids for p in platforms]
-        budget = _quantile(data, [model.function_cost_of(*fp) for fp in pairs], "budget")
-        slo = _quantile(data, [model.function_latency_of(*fp) for fp in pairs], "slo")
+        budget = _quantile(data, [model.entry(*fp).cost for fp in pairs], "budget")
+        slo = _quantile(data, [model.entry(*fp).latency for fp in pairs], "slo")
 
     def feasible(cost, latency, placement):
         if scope == "workflow":
@@ -634,8 +634,8 @@ def test_one_pass_matches_exhaustive_oracle(catalogs, data):
             checks = [
                 check
                 for f, p in placement.assignments
-                for check in ((model.function_cost_of(f, p), budget),
-                              (model.function_latency_of(f, p), slo))
+                for check in ((model.entry(f, p).cost, budget),
+                              (model.entry(f, p).latency, slo))
             ]
         return all(limit is None or value <= limit for value, limit in checks)
 
