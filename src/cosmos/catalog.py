@@ -310,9 +310,14 @@ def catalog_dir() -> Path:
     return Path(override) if override else bundled_catalog_dir()
 
 
+def platform_path(platform_id: str, directory: Path | None = None) -> Path:
+    """The catalog document of a platform id in a catalog directory (default: the active one)."""
+    return (directory or catalog_dir()) / f"{platform_id}.json"
+
+
 def load_platform(platform_id: str, directory: Path | None = None) -> PlatformCatalog:
     directory = directory or catalog_dir()
-    path = directory / f"{platform_id}.json"
+    path = platform_path(platform_id, directory)
     if not path.exists():
         raise UnknownPlatformError(f"no catalog for platform {platform_id!r} in {directory}")
     return load_catalog(path)

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import __version__
-from .catalog import PlatformCatalog, catalog_dir, load_catalog, load_platform
+from .catalog import PlatformCatalog, load_catalog, load_platform, platform_path
 from .engine import (
     COINCIDENT_CURVES,
     DRIVER_FIELDS,
@@ -69,6 +69,7 @@ ROW_ERRORS_SHOWN = 20
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.inputs = []  # each input path, once read, for the run manifest
     try:
         return args.handler(args)
     except CosmosError as exc:
@@ -166,14 +167,22 @@ def _quantity(text: str) -> Decimal:
 # --- shared plumbing --------------------------------------------------------
 
 
+def _read(args, load, path):
+    """load(path), recording the path as an input of the run manifest."""
+    loaded = load(path)
+    args.inputs.append(Path(path))
+    return loaded
+
+
 def _load_catalogs(args) -> dict[str, PlatformCatalog]:
     catalogs: dict[str, PlatformCatalog] = {}
     for path in args.catalog:
-        loaded = load_catalog(path)
+        loaded = _read(args, load_catalog, path)
         catalogs[loaded.platform_id] = loaded
     for pid in args.platform:
         if pid not in catalogs:
             catalogs[pid] = load_platform(pid)
+            args.inputs.append(platform_path(pid))
     if not catalogs:
         raise SchemaError("no catalogs given; use --catalog or --platform")
     return catalogs
@@ -212,17 +221,7 @@ def _sha256(path: Path) -> str:
 
 
 def _manifest(args, outputs: list[str]) -> dict:
-    inputs = []
-    for attr in ("workflow", "log", "points"):
-        value = getattr(args, attr, None)
-        if value:
-            inputs.append(Path(value))
-    inputs.extend(Path(p) for p in getattr(args, "catalog", []))
-    for pid in getattr(args, "platform", []):
-        candidate = catalog_dir() / f"{pid}.json"
-        if candidate.exists():
-            inputs.append(candidate)
-    records = [{"path": str(p), "sha256": _sha256(p)} for p in sorted(inputs)]
+    records = [{"path": str(p), "sha256": _sha256(p)} for p in sorted(args.inputs)]
     combined = hashlib.sha256("".join(r["sha256"] for r in records).encode()).hexdigest()
     return {
         "command": args.command,
@@ -281,7 +280,7 @@ def _point_row(point: ParetoPoint) -> dict[str, str]:
 
 
 def cmd_cost(args) -> int:
-    workflow, latencies = load_workflow_document(args.workflow)
+    workflow, latencies = _read(args, load_workflow_document, args.workflow)
     catalogs = _load_catalogs(args)
     placement = _placement(args, workflow, catalogs)
 
@@ -327,7 +326,7 @@ def _placement_label(placement: Placement) -> str:
 
 
 def cmd_breakdown(args) -> int:
-    workflow, latencies = load_workflow_document(args.workflow)
+    workflow, latencies = _read(args, load_workflow_document, args.workflow)
     catalogs = _load_catalogs(args)
     placement = _placement(args, workflow, catalogs)
 
@@ -371,7 +370,7 @@ DEFAULT_SAMPLES = tuple(map(Decimal, ("0", "1000000", "20000000", "40000000", "6
 
 
 def cmd_curve(args) -> int:
-    workflow, latencies = load_workflow_document(args.workflow)
+    workflow, latencies = _read(args, load_workflow_document, args.workflow)
     catalogs = _load_catalogs(args)
     placement = _placement(args, workflow, catalogs)
     curve = _curve_for(args.function, workflow, placement, catalogs, latencies)
@@ -403,7 +402,7 @@ def _curve_for(function, workflow, placement, catalogs, latencies):
 
 
 def cmd_crossover(args) -> int:
-    workflow, latencies = load_workflow_document(args.workflow)
+    workflow, latencies = _read(args, load_workflow_document, args.workflow)
     catalogs = _load_catalogs(args)
     if len(args.platform) != 2:
         raise SchemaError("crossover needs exactly two --platform ids")
@@ -443,7 +442,7 @@ def cmd_crossover(args) -> int:
 def _points_and_model(args, workflow, latencies):
     """Build the evaluated point set and matching placement model."""
     if getattr(args, "points", None):
-        table = load_point_table(args.points)
+        table = _read(args, load_point_table, args.points)
         model = PointTableModel(workflow, table)
         platforms = sorted({pid for _, pid in table})
         pairs = sorted(model.table.items())
@@ -461,7 +460,7 @@ def _points_and_model(args, workflow, latencies):
 
 
 def cmd_pareto(args) -> int:
-    workflow, latencies = load_workflow_document(args.workflow)
+    workflow, latencies = _read(args, load_workflow_document, args.workflow)
     points, _, _ = _points_and_model(args, workflow, latencies)
     front = pareto_front(points)
     line = optimal_line(points)
@@ -490,15 +489,13 @@ def cmd_pareto(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    workflow, latencies = load_workflow_document(args.workflow)
+    workflow, latencies = _read(args, load_workflow_document, args.workflow)
     points, model, platforms = _points_and_model(args, workflow, latencies)
-    manual = args.alpha is not None or args.beta is not None
-    if manual and (args.alpha is None or args.beta is None):
+    if (args.alpha is None) != (args.beta is None):
         raise SchemaError("manual weighting needs both --alpha and --beta")
     config = OptimizationConfig(
         budget=args.budget,
         latency_slo=args.latency_slo,
-        weight_mode="manual" if manual else "auto_pareto",
         alpha=args.alpha,
         beta=args.beta,
         scope=args.scope.replace("-", "_"),
@@ -536,7 +533,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    workflow = load_workflow_document(args.workflow)[0] if args.workflow else None
+    workflow = _read(args, load_workflow_document, args.workflow)[0] if args.workflow else None
     log = UsageLog(args.log, keep_errors=ROW_ERRORS_SHOWN)
     try:
         summaries = summarize_usage(log)
@@ -549,6 +546,7 @@ def cmd_ingest(args) -> int:
         return EXIT_VALIDATION
     if not log.rows:
         raise NoDataError(f"usage log {args.log} has no data rows")
+    args.inputs.append(Path(args.log))
 
     rows = [["function_id", "platform_id", "count", "mean_ms", "min_ms", "max_ms", "p90_ms", "errors"]]
     lines = [

@@ -125,6 +125,8 @@ class ComponentCharge:
     driver: DriverCategory
     description: str
     amount: Decimal
+    #: A fixed BaaS charge's bill_fixed entry: ((platform_id, component_id), months, rate).
+    fixed: tuple[tuple[str, str], Decimal, Decimal] | None = None
 
 
 #: CostBreakdown field receiving each driver's charges.
@@ -152,13 +154,15 @@ def component_charges(
     on the platform, looked up in ``latencies``; that combined charge lands in
     the invocation driver. Raises MissingLatencyError for such a component
     when the table has no entry for the pair, or when no table is given.
+    This is the one place that decides a BaaS usage is a fixed charge; such
+    an item carries its bill_fixed entry.
     """
     n = profile.n if volume is None else dec(volume)
     _require_nonneg(n=n)
     charges: list[ComponentCharge] = []
 
-    def charge(comp, amount: Decimal) -> None:
-        charges.append(ComponentCharge(comp.id, comp.driver, comp.description, amount))
+    def charge(comp, amount: Decimal, fixed=None) -> None:
+        charges.append(ComponentCharge(comp.id, comp.driver, comp.description, amount, fixed))
 
     t = profile.compute_time_on(catalog.platform_id)
     stored = profile.stored_gb(n)
@@ -168,7 +172,6 @@ def component_charges(
                 if latencies is None:
                     raise MissingLatencyError(profile.function_id, catalog.platform_id)
                 latency_ms = latencies.get(profile.function_id, catalog.platform_id)
-                _require_nonneg(latency_ms=latency_ms)
                 charge(comp, money_product(n, latency_ms, comp.rate))
             else:
                 charge(comp, invocation_cost(n, comp.rate))
@@ -190,7 +193,8 @@ def component_charges(
             continue
         comp = catalog.component(usage.component_id)
         if comp.driver is DriverCategory.BAAS_FIXED:
-            charge(comp, money_product(usage.quantity, comp.rate))
+            fixed = ((catalog.platform_id, comp.id), usage.quantity, comp.rate)
+            charge(comp, money_product(usage.quantity, comp.rate), fixed)
         elif comp.driver is DriverCategory.BAAS_DYNAMIC:
             charge(comp, money_product(n, usage.quantity, comp.rate))
         else:
@@ -214,39 +218,36 @@ def function_cost(
     )
 
 
-def fixed_charges(
-    profile: FunctionProfile, catalog: PlatformCatalog
-) -> list[tuple[tuple[str, str], Decimal, Decimal]]:
-    """((platform_id, component_id), months, rate) for each fixed BaaS entry the profile uses."""
-    charges = []
-    for usage in profile.baas_usage:
-        if not usage.applies_to(catalog.platform_id):
-            continue
-        comp = catalog.component(usage.component_id)
-        if comp.driver is DriverCategory.BAAS_FIXED:
-            charges.append(((catalog.platform_id, comp.id), usage.quantity, comp.rate))
-    return charges
+def bill_fixed(
+    ledger: Mapping, credit: Decimal, fixed: Iterable[tuple[tuple[str, str], Decimal, Decimal]]
+) -> tuple[dict, Decimal]:
+    """The shared fixed-charge ledger and credit after billing ``fixed`` entries.
 
-
-def shared_fixed_credit(
-    charges: Iterable[tuple[tuple[str, str], Decimal, Decimal]],
-) -> Decimal:
-    """What per-function pricing over-bills for fixed charges shared on one platform.
-
-    Each function is priced as if it paid a fixed monthly charge alone. When
-    several functions on the same platform use one, it is billed once, for
-    the longest availability window any of them asks for; the rest is credited.
+    Each function is priced as if it paid its fixed monthly charges alone.
+    When several functions on one platform use one, it is billed once, for
+    the longest availability window any of them asks for; the rest is
+    credited. ``ledger`` maps each (platform, component) key to the sum and
+    the first maximum of its months, its last rate and, once billed twice,
+    its money_product(sum - max, rate) credit term, in first-billed order.
+    The credit is those terms summed in that order; it changes only when a
+    key is billed again. Fold from ({}, ZERO); ``ledger`` is not modified.
     """
-    months_used: dict[tuple[str, str], list[Decimal]] = {}
-    rates: dict[tuple[str, str], Decimal] = {}
-    for key, months, rate in charges:
-        months_used.setdefault(key, []).append(months)
-        rates[key] = rate
-    credit = ZERO
-    for key, months in months_used.items():
-        if len(months) > 1:
-            credit += money_product(sum(months) - max(months), rates[key])
-    return credit
+    ledger = dict(ledger)
+    shared = False
+    for key, months, rate in fixed:
+        held = ledger.get(key)
+        if held is None:
+            ledger[key] = (0 + months, months, rate, None)
+        else:
+            total, most = held[0] + months, max(held[1], months)
+            ledger[key] = (total, most, rate, money_product(total - most, rate))
+            shared = True
+    if shared:
+        credit = ZERO
+        for _, _, _, term in ledger.values():
+            if term is not None:
+                credit += term
+    return ledger, credit
 
 
 def placement_costs(
@@ -261,18 +262,17 @@ def placement_costs(
     the shared fixed-charge credit the placement earns. Each function is
     itemized once."""
     parts: dict[str, CostBreakdown] = {}
-    fixed = []
+    ledger, credit = {}, ZERO
     for profile in workflow.functions:
         pid = placement.platform_for(profile.function_id)
         try:
             catalog = catalogs[pid]
         except KeyError:
             raise UnknownPlatformError(f"no catalog loaded for platform {pid!r}") from None
-        parts[profile.function_id] = function_cost(
-            profile, catalog, latencies=latencies, volume=volume
-        )
-        fixed += fixed_charges(profile, catalog)
-    return parts, shared_fixed_credit(fixed)
+        charges = component_charges(profile, catalog, latencies=latencies, volume=volume)
+        parts[profile.function_id] = CostBreakdown.fold(charges)
+        ledger, credit = bill_fixed(ledger, credit, [c.fixed for c in charges if c.fixed])
+    return parts, credit
 
 
 def workflow_cost(

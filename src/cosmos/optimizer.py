@@ -6,9 +6,10 @@ targets. It walks the pair table depth first: function k, in declaration
 order, takes each platform in argument order at level k, so placements come
 in enumerate_placements order and equal (cost, latency) pairs keep the first.
 Placements that share a prefix share its state, kept once per level: the cost
-sum, the shared fixed-charge credit (updated only for the (platform,
-component) keys a pair bills), the critical-path distances and whether each
-pair is within the bounds. A placement then costs one step from its parent.
+sum, the shared fixed-charge ledger and credit of engine.bill_fixed (updated
+only when a pair bills a fixed charge), the critical-path distances and
+whether each pair is within the bounds. A placement then costs one step from
+its parent.
 enumerate_placements, min_cost and min_time enumerate and price each
 placement whole, and the tests use them as oracles.
 
@@ -28,7 +29,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .catalog import PlatformCatalog
-from .engine import fixed_charges, function_cost, shared_fixed_credit
+from .engine import ZERO, CostBreakdown, bill_fixed, component_charges
 from .errors import (
     CapExceededError,
     DegenerateAnchorError,
@@ -37,7 +38,7 @@ from .errors import (
     MissingLatencyError,
     SchemaError,
 )
-from .money import CONTEXT, div, money_product
+from .money import CONTEXT, div
 from .workflow import (
     _ARRAY,
     LatencyTable,
@@ -49,7 +50,6 @@ from .workflow import (
     critical_path,
 )
 
-ZERO = Decimal(0)
 INFINITY = Decimal("Infinity")
 
 DEFAULT_ENUMERATION_CAP = 10**7
@@ -139,7 +139,8 @@ def _cross(o: ParetoPoint, a: ParetoPoint, b: ParetoPoint) -> Decimal:
 
 
 class PairEntry(NamedTuple):
-    """One function on one platform: cost, latency and the fixed BaaS charges it bills."""
+    """One function on one platform: cost, latency and the ledger entries of the
+    fixed BaaS charges it bills (see engine.bill_fixed)."""
 
     cost: Decimal
     latency: Decimal
@@ -175,12 +176,11 @@ class PlacementModel:
 
 def _cost(entries: Iterable[PairEntry]) -> Decimal:
     """Workflow cost of one pair per function: their sum less the shared fixed-charge credit."""
-    total = ZERO
-    charges: list = []
+    total, ledger, credit = ZERO, {}, ZERO
     for entry in entries:
         total += entry.cost
-        charges += entry.fixed
-    return total - shared_fixed_credit(charges)
+        ledger, credit = bill_fixed(ledger, credit, entry.fixed)
+    return total - credit
 
 
 class CatalogModel(PlacementModel):
@@ -198,12 +198,13 @@ class CatalogModel(PlacementModel):
         table = {}
         for profile in workflow.functions:
             for pid in sorted(catalogs):
-                catalog = catalogs[pid]
-                cost = function_cost(profile, catalog, latencies=latencies, volume=volume).total
+                charges = component_charges(
+                    profile, catalogs[pid], latencies=latencies, volume=volume
+                )
                 table[(profile.function_id, pid)] = PairEntry(
-                    cost,
+                    CostBreakdown.fold(charges).total,
                     latencies.get(profile.function_id, pid),
-                    tuple(fixed_charges(profile, catalog)),
+                    tuple(c.fixed for c in charges if c.fixed),
                 )
         super().__init__(workflow, table)
 
@@ -314,17 +315,16 @@ def auto_weights(c_star: Decimal, t_star: Decimal) -> tuple[Decimal, Decimal]:
 
 # --- constrained weighted optimization ---------------------------------------
 
-WEIGHT_MODES = ("auto_pareto", "manual")
 SCOPES = ("workflow", "per_function")
 
 
 @dataclass(frozen=True)
 class OptimizationConfig:
-    """Budget/latency constraints plus weighting and constraint scope."""
+    """Budget/latency constraints, constraint scope, and the weights: alpha
+    and beta when given, else auto_weights of the anchors."""
 
     budget: Decimal | None = None
     latency_slo: Decimal | None = None
-    weight_mode: str = "auto_pareto"
     alpha: Decimal | None = None
     beta: Decimal | None = None
     scope: str = "workflow"
@@ -334,11 +334,9 @@ class OptimizationConfig:
             raise DomainError("budget must be > 0")
         if self.latency_slo is not None and self.latency_slo <= 0:
             raise DomainError("latency_slo must be > 0")
-        if self.weight_mode not in WEIGHT_MODES:
-            raise DomainError(f"weight_mode must be one of {WEIGHT_MODES}")
         if self.scope not in SCOPES:
             raise DomainError(f"scope must be one of {SCOPES}")
-        if self.weight_mode == "manual":
+        if self.alpha is not None or self.beta is not None:
             if self.alpha is None or self.beta is None:
                 raise DomainError("manual weighting requires alpha and beta")
             if self.alpha < 0 or self.beta < 0:
@@ -398,7 +396,7 @@ def optimize(
     t_star, t_arg = found.t_star, Placement(found.t_arg)
     front = found.front
 
-    if config.weight_mode == "auto_pareto":
+    if config.alpha is None:
         alpha, beta = auto_weights(c_star, t_star)
         a, b = t_star, c_star
     else:
@@ -459,8 +457,8 @@ def _walk(
 
     Level k places function k (declaration order) on each platform in turn,
     so placements come in enumerate_placements order. Slot d of each state
-    list holds the current prefix of d functions: its cost sum, its fixed
-    charges by (platform, component) key and the shared credit they earn,
+    list holds the current prefix of d functions: its cost sum, its
+    fixed-charge ledger and the shared credit it earns (engine.bill_fixed),
     whether each pair is within the bounds, and the longest critical-path
     distance known so far with its topological position. A function's
     distance is computed at the level of the deepest function among itself
@@ -477,7 +475,7 @@ def _walk(
     choice = [0] * n
     dist: list = [None] * n
     cost_at = [ZERO] + [None] * n
-    charges_at: list = [{}] + [None] * n
+    ledger_at: list = [{}] + [None] * n
     credit_at = [ZERO] + [None] * n
     within_at = [True] + [None] * n
     # The critical path of no functions is ZERO; any distance beats -inf.
@@ -490,9 +488,11 @@ def _walk(
         entry = rows[k][j]
         cost_at[k + 1] = cost_at[k] + entry.cost
         if entry.fixed:
-            charges_at[k + 1], credit_at[k + 1] = _charge(charges_at[k], credit_at[k], entry.fixed)
+            ledger_at[k + 1], credit_at[k + 1] = bill_fixed(
+                ledger_at[k], credit_at[k], entry.fixed
+            )
         else:
-            charges_at[k + 1], credit_at[k + 1] = charges_at[k], credit_at[k]
+            ledger_at[k + 1], credit_at[k + 1] = ledger_at[k], credit_at[k]
         within_at[k + 1] = within_at[k] and within_pair[k][j]
         top, top_pos = top_at[k], top_pos_at[k]
         for p, preds, i in schedule[k]:
@@ -529,13 +529,13 @@ def _walk(
             base = max([dist[q] for q in preds], default=ZERO)
             # Of equal distances the first in topological order is the path's.
             top, first = top_at[last], p < top_pos_at[last]
-            total, charges, credit = cost_at[last], charges_at[last], credit_at[last]
+            total, ledger, credit = cost_at[last], ledger_at[last], credit_at[last]
             within = within_at[last]
         for j in range(width):
             if fast:
                 entry = row[j]
                 cost = total + entry.cost - (
-                    _charge(charges, credit, entry.fixed)[1] if entry.fixed else credit
+                    bill_fixed(ledger, credit, entry.fixed)[1] if entry.fixed else credit
                 )
                 latency = base + entry.latency
                 if latency < top or (latency == top and not first):
@@ -581,29 +581,3 @@ def _schedule(workflow: WorkflowSpec) -> list[list[tuple[int, tuple[int, ...], i
         schedule[level].append((p, preds, i))
     return schedule
 
-
-def _charge(charges: dict, credit: Decimal, fixed: tuple) -> tuple[dict, Decimal]:
-    """A prefix's fixed charges and shared credit, with ``fixed`` added.
-
-    ``charges`` maps each (platform, component) key to the sum and the
-    first maximum of its months, its last rate and, once billed twice, its
-    money_product(sum - max, rate) credit term, in first-billed order. The
-    credit is those terms summed in that order, as shared_fixed_credit
-    sums them; it changes only when a key is billed again.
-    """
-    charges = dict(charges)
-    shared = False
-    for key, months, rate in fixed:
-        held = charges.get(key)
-        if held is None:
-            charges[key] = (0 + months, months, rate, None)
-        else:
-            total, most = held[0] + months, max(held[1], months)
-            charges[key] = (total, most, rate, money_product(total - most, rate))
-            shared = True
-    if shared:
-        credit = ZERO
-        for _, _, _, term in charges.values():
-            if term is not None:
-                credit += term
-    return charges, credit

@@ -24,7 +24,7 @@ from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from .errors import CoverageError, HeaderError, NoDataError, RecordError, RowError
 from .money import CONTEXT, div
-from .workflow import FunctionProfile, LatencyTable, WorkflowSpec
+from .workflow import FunctionProfile, LatencyTable, WorkflowSpec, _not_utf8
 
 USAGE_FIELDS = (
     "timestamp",
@@ -277,37 +277,42 @@ class UsageLog:
             if hasattr(self.source, "read")
             else open(self.source, "r", encoding="utf-8", newline="")
         )
-        with opened as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise HeaderError("usage log is empty; expected header row") from None
-            except csv.Error as exc:
-                raise HeaderError(f"unreadable header row: {exc}") from None
-            if header != list(USAGE_FIELDS):
-                raise HeaderError(f"expected header {USAGE_HEADER!r}, got {','.join(header)!r}")
-            line, rows = 1, enumerate(reader, start=2)
-            while True:
+        try:
+            with opened as fh:
+                reader = csv.reader(fh)
                 try:
-                    for line, row in rows:
-                        if not row:
-                            continue
-                        self.rows += 1
-                        try:
-                            fields = _parse_row(line, row)
-                        except RowError as exc:
-                            reject(exc)
-                            continue
-                        yield fields
-                    return
+                    header = next(reader)
+                except StopIteration:
+                    raise HeaderError("usage log is empty; expected header row") from None
                 except csv.Error as exc:
-                    # The reader cannot read this row (a field over the csv
-                    # module's size limit); it goes on at the next line.
-                    line += 1
-                    self.rows += 1
-                    reject(RowError(line, str(exc)))
-                    rows = enumerate(reader, start=line + 1)
+                    raise HeaderError(f"unreadable header row: {exc}") from None
+                if header != list(USAGE_FIELDS):
+                    raise HeaderError(
+                        f"expected header {USAGE_HEADER!r}, got {','.join(header)!r}"
+                    )
+                line, rows = 1, enumerate(reader, start=2)
+                while True:
+                    try:
+                        for line, row in rows:
+                            if not row:
+                                continue
+                            self.rows += 1
+                            try:
+                                fields = _parse_row(line, row)
+                            except RowError as exc:
+                                reject(exc)
+                                continue
+                            yield fields
+                        return
+                    except csv.Error as exc:
+                        # The reader cannot read this row (a field over the csv
+                        # module's size limit); it goes on at the next line.
+                        line += 1
+                        self.rows += 1
+                        reject(RowError(line, str(exc)))
+                        rows = enumerate(reader, start=line + 1)
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(self.source, exc) from None
 
 
 def scan_usage_log(source: str | Path | IO[str]) -> tuple[list[UsageRecord], list[RowError]]:

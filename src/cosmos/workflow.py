@@ -187,9 +187,17 @@ class Placement:
 
 @dataclass(frozen=True)
 class LatencyTable:
-    """Mean end-to-end latency (ms) per (function, platform) pair."""
+    """Mean end-to-end latency (ms) per (function, platform) pair. An entry
+    that is not finite or is negative raises SchemaError naming its pair."""
 
     entries: Mapping[tuple[str, str], Decimal]
+
+    def __post_init__(self):
+        for (fid, pid), ms in self.entries.items():
+            if not (Decimal(ms).is_finite() and ms >= 0):
+                raise SchemaError(
+                    f"latency ({fid}, {pid}) must be finite and nonnegative, got {ms}"
+                )
 
     def get(self, function_id: str, platform_id: str) -> Decimal:
         try:
@@ -314,10 +322,7 @@ def _parse_latency_block(block: Mapping, functions: tuple[FunctionProfile, ...])
         if not isinstance(per_platform, Mapping):
             raise SchemaError(f"latency entries for {fid!r} must map platform to ms")
         for pid, raw in per_platform.items():
-            ms = _parse_quantity({"ms": raw}, "ms", f"latency {fid}")
-            if ms < 0:
-                raise SchemaError(f"latency ({fid}, {pid}) must be nonnegative, got {raw}")
-            entries[(str(fid), str(pid))] = ms
+            entries[(str(fid), str(pid))] = _parse_quantity({"ms": raw}, "ms", f"latency {fid}")
     reference = block.get("reference_platform")
     factors = _typed(block.get("factors") or {}, Mapping, "latency factors")
     if factors and reference is None:
@@ -410,10 +415,18 @@ def serialize_workflow(workflow: WorkflowSpec, latencies: LatencyTable | None = 
 def _read_json(source):
     if isinstance(source, Mapping):
         return source
-    if hasattr(source, "read"):
-        return json.load(source)
-    with open(source, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        if hasattr(source, "read"):
+            return json.load(source)
+        with open(source, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(source, exc) from None
+
+
+def _not_utf8(source, exc: UnicodeDecodeError) -> SchemaError:
+    """The error for an input that is not UTF-8 text, naming its file."""
+    return SchemaError(f"{getattr(source, 'name', source)} is not UTF-8 text: {exc.reason}")
 
 
 def bundled_fixture_dir() -> Path:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cosmos import cli, engine
+from cosmos.catalog import bundled_catalog_dir
 from cosmos.cli import main
 from cosmos.errors import (
     CapExceededError,
@@ -565,6 +566,44 @@ def test_manifest_digest_tracks_inputs(capsys, tmp_path):
     assert {Path(i["path"]).name for i in manifest["inputs"]} == {
         "imagery-pipeline.json", "aws-x86.json",
     }
+
+
+def test_manifest_lists_only_the_inputs_read(capsys, tmp_path):
+    card = tmp_path / "my" / "gcp.json"
+    card.parent.mkdir()
+    card.write_bytes((bundled_catalog_dir() / "gcp.json").read_bytes())
+    runs = {
+        # --platform gcp is already loaded from --catalog: the bundled card is not read.
+        "a": ["cost", "--catalog", str(card), "--platform", "gcp"],
+        # Catalogs are not read when --points gives the pairs.
+        "b": ["pareto", "--points", POINTS, "--catalog", str(tmp_path / "missing.json")],
+    }
+    expected = {"a": {PIPELINE, str(card)}, "b": {PIPELINE, POINTS}}
+    for name, argv in runs.items():
+        code, _, _ = run(capsys, *argv, "--workflow", PIPELINE, "--out", str(tmp_path / name))
+        assert code == 0
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert {i["path"] for i in manifest["inputs"]} == expected[name]
+
+
+_NOT_UTF8 = {
+    "workflow": (["cost", "--platform", "aws-x86", "--workflow"], PIPELINE),
+    "catalog": (["cost", "--workflow", PIPELINE, "--catalog"], str(bundled_catalog_dir() / "gcp.json")),
+    "points": (["optimize", "--workflow", PIPELINE, "--points"], POINTS),
+    "log": (["ingest", "--log"], USAGE),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_NOT_UTF8))
+def test_non_utf8_input_exits_2_naming_the_file(capsys, tmp_path, kind):
+    argv, source = _NOT_UTF8[kind]
+    path = tmp_path / f"bad-{kind}"
+    # The byte lies past the first 8 KiB a text file decodes, so a log fails
+    # while its rows are read, not at its header.
+    path.write_bytes(Path(source).read_bytes() + b" " * 10_000 + b"\xff\n")
+    code, _, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert f"{path} is not UTF-8 text" in err
 
 
 def test_written_csv_carries_full_precision(capsys, tmp_path):

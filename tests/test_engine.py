@@ -3,13 +3,16 @@ from dataclasses import replace
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cosmos.catalog import DriverCategory, Layer, PlatformCatalog, PriceComponent, RateUnit
 from cosmos.engine import (
     COINCIDENT_CURVES,
     DRIVER_FIELDS,
+    ZERO,
     CostBreakdown,
     CostCurve,
+    bill_fixed,
     component_charges,
     compute_cost,
     crossover,
@@ -28,6 +31,7 @@ from cosmos.errors import (
     UnknownPlatformError,
     UnplacedFunctionError,
 )
+from cosmos.money import money_product
 from cosmos.workflow import BaasUsage, FunctionProfile, LatencyTable, Placement, WorkflowSpec
 
 D = Decimal
@@ -253,6 +257,43 @@ def test_shared_fixed_charge_uses_longest_window():
     )
     total = workflow_cost(wf, Placement.uniform(wf, "p"), {"p": _fixed_catalog("p")})
     assert total.baas == D(30)  # 3 months at 10, charged once
+
+
+_LEDGER_RATES = {("p", "svc"): D("10"), ("p", "ml"): D("0.0123456789"), ("q", "svc"): D("730.5")}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.lists(
+            st.tuples(
+                st.sampled_from(sorted(_LEDGER_RATES)),
+                st.sampled_from(["0", "1", "1.0", "2.5", "3", "3.0", "3.00", "12"]),
+            ),
+            max_size=3,
+        ),
+        max_size=6,
+    )
+)
+def test_bill_fixed_credits_per_key_all_but_the_longest_window(functions):
+    """Folded over each function's fixed entries, the ledger's credit is, per
+    (platform, component) key, money_product(sum(months) - max(months), rate);
+    a ledger passed in is never changed, so prefixes can share it."""
+    ledger, credit = {}, ZERO
+    months_of: dict = {}
+    for entries in functions:
+        fixed = [(key, D(months), _LEDGER_RATES[key]) for key, months in entries]
+        before = dict(ledger)
+        new_ledger, credit = bill_fixed(ledger, credit, fixed)
+        assert ledger == before
+        ledger = new_ledger
+        for key, months, _ in fixed:
+            months_of.setdefault(key, []).append(months)
+        expected = sum(
+            (money_product(sum(ms) - max(ms), _LEDGER_RATES[key]) for key, ms in months_of.items()),
+            ZERO,
+        )
+        assert credit == expected
 
 
 def test_workflow_equals_sum_of_functions_with_dedup(pipeline, catalogs):

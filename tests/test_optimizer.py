@@ -274,7 +274,7 @@ def test_singleton_feasible_set(pipeline, point_table):
 def test_manual_cost_only_weights_reduce_to_min_cost(pipeline, point_table):
     wf, _ = pipeline
     model = PointTableModel(wf, point_table)
-    config = OptimizationConfig(weight_mode="manual", alpha=D(1), beta=D(0))
+    config = OptimizationConfig(alpha=D(1), beta=D(0))
     result = optimize(wf, PLATFORMS, model, config)
     c_star, placement = min_cost(wf, PLATFORMS, model)
     assert result.best == placement
@@ -308,9 +308,11 @@ def test_config_validation():
     with pytest.raises(DomainError):
         OptimizationConfig(latency_slo=D(-1))
     with pytest.raises(DomainError):
-        OptimizationConfig(weight_mode="manual")
+        OptimizationConfig(alpha=D(1))
     with pytest.raises(DomainError):
-        OptimizationConfig(weight_mode="manual", alpha=D(0), beta=D(0))
+        OptimizationConfig(beta=D(1))
+    with pytest.raises(DomainError):
+        OptimizationConfig(alpha=D(0), beta=D(0))
     with pytest.raises(DomainError):
         OptimizationConfig(scope="per-request")
 
@@ -473,18 +475,16 @@ def test_argmin_invariant_under_manual_weight_scaling(pipeline, point_table):
     model = PointTableModel(wf, point_table)
     for alpha, beta in [(D(1), D(0)), (D(0), D(1)), (D(1), D(1)), (D("0.0498"), D("0.00696"))]:
         baseline = optimize(
-            wf, PLATFORMS, model, OptimizationConfig(weight_mode="manual", alpha=alpha, beta=beta)
+            wf, PLATFORMS, model, OptimizationConfig(alpha=alpha, beta=beta)
         ).best
         for k in range(-15, 7):
-            config = OptimizationConfig(
-                weight_mode="manual", alpha=alpha.scaleb(k), beta=beta.scaleb(k)
-            )
+            config = OptimizationConfig(alpha=alpha.scaleb(k), beta=beta.scaleb(k))
             assert optimize(wf, PLATFORMS, model, config).best == baseline, (alpha, beta, k)
 
 
 _PASS_CONFIGS = {
     "auto": OptimizationConfig(),
-    "manual": OptimizationConfig(weight_mode="manual", alpha=D(1), beta=D(1)),
+    "manual": OptimizationConfig(alpha=D(1), beta=D(1)),
     "infeasible": OptimizationConfig(budget=D(50), latency_slo=D(75)),
 }
 
@@ -519,7 +519,7 @@ def test_anchors_are_the_first_placement_when_every_placement_is_infinite():
     wf = _chain(2)
     table = {(f, p): (D("Infinity"), D(c)) for f in wf.function_ids for p, c in (("a", 5), ("b", 1))}
     model = PointTableModel(wf, table)
-    config = OptimizationConfig(weight_mode="manual", alpha=D(1), beta=D(1))
+    config = OptimizationConfig(alpha=D(1), beta=D(1))
     result = optimize(wf, ["a", "b"], model, config)
     assert (result.c_star, result.c_star_placement) == min_cost(wf, ["a", "b"], model)
     assert result.c_star_placement == Placement.of([("f0", "a"), ("f1", "a")])
@@ -559,7 +559,7 @@ def test_latency_keeps_the_digits_of_the_first_longest_distance(latencies):
         workflow_id="digits", functions=tuple(FunctionProfile(f) for f in "abcd"), edges=(("a", "b"),)
     )
     model = PointTableModel(wf, {(f, "x"): (D(1), D(ms)) for f, ms in zip("abcd", latencies)})
-    config = OptimizationConfig(weight_mode="manual", alpha=D(1), beta=D(1))
+    config = OptimizationConfig(alpha=D(1), beta=D(1))
     result = optimize(wf, ["x"], model, config)
     assert str(result.latency) == str(result.t_star) == str(model.latency_of(result.best)) == "2"
 
@@ -644,7 +644,7 @@ def test_one_pass_matches_exhaustive_oracle(catalogs, data):
         alpha, beta = (D(data.draw(st.sampled_from([0, 1, 3]))).scaleb(scale) for _ in range(2))
         assume(alpha or beta)
         config = OptimizationConfig(budget=budget, latency_slo=slo, scope=scope,
-                                    weight_mode="manual", alpha=alpha, beta=beta)
+                                    alpha=alpha, beta=beta)
 
         def weighted(cost, latency):
             return Fraction(alpha) * Fraction(cost) + Fraction(beta) * Fraction(latency)
@@ -654,7 +654,7 @@ def test_one_pass_matches_exhaustive_oracle(catalogs, data):
         def weighted(cost, latency):
             return Fraction(cost) / Fraction(c_star) + Fraction(latency) / Fraction(t_star)
 
-    if config.weight_mode == "auto_pareto" and not (c_star and t_star):
+    if config.alpha is None and not (c_star and t_star):
         # A zero anchor is reported even when no placement is feasible.
         with pytest.raises(DegenerateAnchorError):
             optimize(wf, platforms, model, config)

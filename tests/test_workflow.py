@@ -224,6 +224,12 @@ def test_missing_latency_entry_names_pair():
     assert exc.value.platform_id == "gcp"
 
 
+@pytest.mark.parametrize("ms", ["-5", "-0.001", "NaN", "Infinity"])
+def test_latency_table_rejects_a_bad_entry_naming_its_pair(ms):
+    with pytest.raises(SchemaError, match=r"latency \(data-retrieval, leo\) must be finite and nonnegative"):
+        LatencyTable({("data-processing", "leo"): Decimal(1), ("data-retrieval", "leo"): Decimal(ms)})
+
+
 @given(st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=12))
 def test_chain_latency_equals_sum(values):
     fids = [f"f{i}" for i in range(len(values))]
