@@ -59,12 +59,8 @@ from .telemetry import (
     LatencyStats,
     UsageFold,
     UsageLog,
-    UsageRecord,
     UsageSummary,
-    aggregate_stats,
     calibrate,
-    parse_usage_log,
-    scan_usage_log,
     summarize_usage,
 )
 from .workflow import (

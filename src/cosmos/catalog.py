@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from decimal import Decimal
+from decimal import Decimal, Overflow
 from enum import Enum
 from pathlib import Path
 from typing import IO, Mapping
@@ -141,7 +141,13 @@ def normalize_rate(component: PriceComponent, declared_scale: str) -> PriceCompo
             f"scale {declared_scale!r} is not meaningful for unit {component.unit.value}"
         )
     mult, div = SCALES[declared_scale]
-    rate = CONTEXT.divide(CONTEXT.multiply(component.rate, Decimal(mult)), Decimal(div))
+    try:
+        rate = CONTEXT.divide(CONTEXT.multiply(component.rate, Decimal(mult)), Decimal(div))
+    except Overflow:
+        raise SchemaError(
+            f"component {component.id!r}: rate {component.rate} {declared_scale} "
+            f"is out of range in base units"
+        ) from None
     return replace(component, rate=rate)
 
 

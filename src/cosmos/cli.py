@@ -55,15 +55,12 @@ from .optimizer import (
     optimize,
     pareto_front,
 )
-from .telemetry import UsageLog, calibrate, summarize_usage
+from .telemetry import ROW_ERRORS_SHOWN, UsageLog, calibrate, summarize_usage
 from .workflow import Placement, WorkflowSpec, load_workflow_document, serialize_workflow
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_COMPUTATION = 3
-
-#: Malformed rows that ``ingest`` lists one by one; the rest are only counted.
-ROW_ERRORS_SHOWN = 20
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -77,7 +74,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         for key, value in sorted(getattr(exc, "diagnostics", {}).items()):
             print(f"  {key}: {value}", file=sys.stderr)
         return exc.exit_code
-    except (FileNotFoundError, IsADirectoryError, json.JSONDecodeError) as exc:
+    except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # exit codes are a contract: nothing else may leak out
@@ -534,7 +531,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_ingest(args) -> int:
     workflow = _read(args, load_workflow_document, args.workflow)[0] if args.workflow else None
-    log = UsageLog(args.log, keep_errors=ROW_ERRORS_SHOWN)
+    log = UsageLog(args.log)
     try:
         summaries = summarize_usage(log)
     except RowError:

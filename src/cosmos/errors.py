@@ -142,14 +142,8 @@ class RowError(CosmosError):
         super().__init__(f"row {line}: {cause}")
 
 
-class RecordError(DomainError):
-    """A usage record built in code carries a value no log row may hold."""
-
-    exit_code = 2
-
-
 class NoDataError(CosmosError):
-    """No matching ok-status records for the requested aggregation."""
+    """A usage log has no data rows to aggregate."""
 
 
 class CoverageError(CosmosError):

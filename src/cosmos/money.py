@@ -22,6 +22,10 @@ MONEY_QUANTUM = Decimal(1).scaleb(-MONEY_PLACES)
 #: products stay exact; divisions are correctly rounded at 50 digits.
 CONTEXT = decimal.Context(prec=50, rounding=decimal.ROUND_HALF_EVEN)
 
+#: Monetary amounts must be below this in magnitude: at MONEY_QUANTUM a
+#: larger one needs more significant digits than CONTEXT carries.
+MONEY_LIMIT = Decimal(1).scaleb(CONTEXT.prec - MONEY_PLACES)
+
 
 def dec(value: str | int | Decimal) -> Decimal:
     """Parse a quantity into a finite Decimal, rejecting binary floats."""
@@ -45,16 +49,30 @@ def usd(value: str | int | Decimal) -> Decimal:
 
 
 def quantize_money(value: Decimal) -> Decimal:
-    """Round a Decimal to the money quantum (half-even)."""
-    return CONTEXT.quantize(value, MONEY_QUANTUM)
+    """Round a Decimal to the money quantum (half-even); DomainError when
+    it is not below MONEY_LIMIT in magnitude."""
+    try:
+        return CONTEXT.quantize(value, MONEY_QUANTUM)
+    except decimal.InvalidOperation:
+        raise _out_of_range(value) from None
 
 
 def exact(*factors: Decimal) -> Decimal:
-    """Multiply factors under the high-precision context."""
+    """Multiply factors under the high-precision context; DomainError when
+    the product overflows it."""
     out = Decimal(1)
-    for f in factors:
-        out = CONTEXT.multiply(out, f)
+    try:
+        for f in factors:
+            out = CONTEXT.multiply(out, f)
+    except decimal.Overflow:
+        raise _out_of_range(" * ".join(map(str, factors))) from None
     return out
+
+
+def _out_of_range(amount) -> DomainError:
+    return DomainError(
+        f"amount {amount} is out of range: money amounts must be below {MONEY_LIMIT}"
+    )
 
 
 def money_product(*factors: Decimal) -> Decimal:

@@ -2,7 +2,7 @@
 
 Logs are CSV with the exact header
 ``timestamp,function_id,platform_id,duration_ms,bytes_in,bytes_out,status``
-(UTF-8, RFC-4180 quoting). Only ok-status records feed the statistics; error
+(UTF-8, RFC-4180 quoting). Only ok-status rows feed the statistics; error
 rows are counted and reported but never priced or averaged. A pair with
 error rows only is reported with its error tally and no statistics.
 
@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from datetime import datetime
 from decimal import Decimal, localcontext
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Mapping, Sequence
 
-from .errors import CoverageError, HeaderError, NoDataError, RecordError, RowError
+from .errors import CoverageError, HeaderError, RowError
 from .money import CONTEXT, div
 from .workflow import FunctionProfile, LatencyTable, WorkflowSpec, _not_utf8
 
@@ -52,21 +52,13 @@ MEAN_QUANTUM = Decimal("1e-9")
 #: precision, with one digit to spare for the rounding of the sum.
 _DURATION_LIMIT = Decimal(1).scaleb(CONTEXT.prec + MEAN_QUANTUM.adjusted() - 1)
 
-
-@dataclass(frozen=True)
-class UsageRecord:
-    timestamp: datetime
-    function_id: str
-    platform_id: str
-    duration_ms: Decimal
-    bytes_in: int
-    bytes_out: int
-    status: str
+#: Malformed rows a UsageLog keeps as RowErrors; the rest are only counted.
+ROW_ERRORS_SHOWN = 20
 
 
 @dataclass(frozen=True)
 class LatencyStats:
-    """Latency summary of the ok-status records for one (function, platform)."""
+    """Latency summary of the ok-status rows for one (function, platform)."""
 
     count: int
     mean: Decimal
@@ -106,37 +98,29 @@ def _parse_count(line: int, key: str, raw: str) -> int:
     return count
 
 
-def _duration_fault(duration: Decimal) -> str | None:
-    """Why a duration_ms is malformed, or None: it must be finite, >= 0 and
-    below _DURATION_LIMIT."""
-    if not duration.is_finite() or duration < 0:
-        return "duration_ms must be finite and >= 0"
-    if duration >= _DURATION_LIMIT:
-        return f"duration_ms must be < {_DURATION_LIMIT}"
-    return None
-
-
 def _parse_row(line: int, row: Sequence[str]) -> tuple:
-    """The fields of one CSV row, checked and typed in UsageRecord order."""
+    """The fields of one CSV row, checked and typed in UsageFold.add order.
+    The timestamp is checked and dropped."""
     if len(row) != len(USAGE_FIELDS):
         raise RowError(line, f"expected {len(USAGE_FIELDS)} fields, got {len(row)}")
     stamp, function_id, platform_id, raw_duration, raw_in, raw_out, status = row
     try:
-        timestamp = _parse_timestamp(stamp)
+        _parse_timestamp(stamp)
     except ValueError:
         raise RowError(line, f"bad timestamp {stamp!r}") from None
     try:
         duration = Decimal(raw_duration)
     except Exception:
         raise RowError(line, f"bad duration_ms {raw_duration!r}") from None
-    fault = _duration_fault(duration)
-    if fault:
-        raise RowError(line, f"{fault}, got {raw_duration!r}")
+    if not duration.is_finite() or duration < 0:
+        raise RowError(line, f"duration_ms must be finite and >= 0, got {raw_duration!r}")
+    if duration >= _DURATION_LIMIT:
+        raise RowError(line, f"duration_ms must be < {_DURATION_LIMIT}, got {raw_duration!r}")
     bytes_in = _parse_count(line, "bytes_in", raw_in)
     bytes_out = _parse_count(line, "bytes_out", raw_out)
     if status not in STATUSES:
         raise RowError(line, f"status must be ok or error, got {status!r}")
-    return timestamp, function_id, platform_id, duration, bytes_in, bytes_out, status
+    return function_id, platform_id, duration, bytes_in, bytes_out, status
 
 
 class _Pair:
@@ -230,46 +214,30 @@ class UsageFold:
 
 
 class UsageLog:
-    """A usage log, read lazily in one pass each time it is iterated.
+    """A usage log, read in one pass each time it is folded.
 
-    Iterating yields a UsageRecord per well-formed row, in file order.
+    ``fold`` adds each well-formed row to a new UsageFold, in file order.
     Malformed rows are skipped: ``error_count`` counts them and ``errors``
-    keeps the first ``keep_errors`` of their RowErrors (all when None).
-    ``rows`` counts the data rows read, blank lines excluded. A path is
-    opened again on each pass; an open file can be read once.
-    ``summarize_usage`` folds a UsageLog from its parsed fields without
-    building a UsageRecord per row, and raises the first RowError if any
-    row is malformed; ``keep_errors`` must therefore be at least 1.
+    keeps the first ROW_ERRORS_SHOWN of their RowErrors. ``rows`` counts the
+    data rows read, blank lines excluded. A path is opened again on each
+    fold; an open file can be read once.
     """
 
-    def __init__(self, source: str | Path | IO[str], keep_errors: int | None = None):
-        if keep_errors is not None and keep_errors < 1:
-            raise ValueError(f"keep_errors must be at least 1, got {keep_errors}")
+    def __init__(self, source: str | Path | IO[str]):
         self.source = source
-        self.keep_errors = keep_errors
         self.rows = 0
         self.error_count = 0
         self.errors: list[RowError] = []
 
-    def __iter__(self) -> Iterator[UsageRecord]:
-        for fields in self._fields():
-            yield UsageRecord(*fields)
-
     def fold(self) -> UsageFold:
-        fold = UsageFold()
-        add = fold.add
-        for _, function_id, platform_id, duration, bytes_in, bytes_out, status in self._fields():
-            add(function_id, platform_id, duration, bytes_in, bytes_out, status)
-        return fold
-
-    def _fields(self) -> Iterator[tuple]:
         self.rows = self.error_count = 0
         self.errors = []
-        keep = self.keep_errors
+        fold = UsageFold()
+        add = fold.add
 
         def reject(exc: RowError) -> None:
             self.error_count += 1
-            if keep is None or len(self.errors) < keep:
+            if len(self.errors) < ROW_ERRORS_SHOWN:
                 self.errors.append(exc)
 
         opened = (
@@ -298,12 +266,10 @@ class UsageLog:
                                 continue
                             self.rows += 1
                             try:
-                                fields = _parse_row(line, row)
+                                add(*_parse_row(line, row))
                             except RowError as exc:
                                 reject(exc)
-                                continue
-                            yield fields
-                        return
+                        return fold
                     except csv.Error as exc:
                         # The reader cannot read this row (a field over the csv
                         # module's size limit); it goes on at the next line.
@@ -315,60 +281,17 @@ class UsageLog:
             raise _not_utf8(self.source, exc) from None
 
 
-def scan_usage_log(source: str | Path | IO[str]) -> tuple[list[UsageRecord], list[RowError]]:
-    """Parse every row, collecting per-row errors instead of stopping."""
-    log = UsageLog(source)
-    records = list(log)
-    return records, log.errors
+def summarize_usage(log: UsageLog) -> dict[tuple[str, str], UsageSummary]:
+    """Fold a usage log and summarize each (function, platform) pair, in
+    sorted key order.
 
-
-def parse_usage_log(source: str | Path | IO[str]) -> list[UsageRecord]:
-    """Parse a usage log in file order; raises on the first malformed row."""
-    records, errors = scan_usage_log(source)
-    if errors:
-        raise errors[0]
-    return records
-
-
-def aggregate_stats(
-    records: Iterable[UsageRecord], function_id: str, platform_id: str
-) -> LatencyStats:
-    """Latency statistics over the matching ok-status records.
-
-    Mean is the arithmetic mean; p90 uses the nearest-rank method (the value
-    at 1-based index ceil(0.9 * count) of the ascending sort).
+    If any row is malformed the whole log is still read, so its ``errors``
+    and ``error_count`` are complete, and then its first RowError is raised:
+    no statistic is computed from a log with malformed rows.
     """
-    key = (function_id, platform_id)
-    summary = summarize_usage(r for r in records if (r.function_id, r.platform_id) == key).get(key)
-    if summary is None or summary.stats is None:
-        raise NoDataError(f"no ok records for ({function_id}, {platform_id})")
-    return summary.stats
-
-
-def summarize_usage(
-    records: Iterable[UsageRecord] | UsageLog,
-) -> dict[tuple[str, str], UsageSummary]:
-    """Fold records by (function, platform) in one pass and summarize each
-    pair, in sorted key order.
-
-    A UsageLog is folded from its CSV rows directly. If any row is malformed
-    the whole log is still read, so its ``errors`` and ``error_count`` are
-    complete, and then its first RowError is raised: no statistic is
-    computed from a log with malformed rows. A record whose duration_ms a
-    log row could not carry (not finite, negative, or at or above the 1e40
-    row limit) raises RecordError naming its pair.
-    """
-    if isinstance(records, UsageLog):
-        fold = records.fold()
-        if records.error_count:
-            raise records.errors[0]
-        return fold.summaries()
-    fold = UsageFold()
-    for r in records:
-        fault = _duration_fault(Decimal(r.duration_ms))
-        if fault:
-            raise RecordError(f"({r.function_id}, {r.platform_id}): {fault}, got {r.duration_ms}")
-        fold.add(r.function_id, r.platform_id, r.duration_ms, r.bytes_in, r.bytes_out, r.status)
+    fold = log.fold()
+    if log.error_count:
+        raise log.errors[0]
     return fold.summaries()
 
 

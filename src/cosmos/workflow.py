@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from decimal import Decimal
+from decimal import Decimal, Overflow
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
@@ -239,8 +239,8 @@ _LATENCY_KEYS = {"reference_platform", "entries", "factors"}
 
 def _parse_quantity(obj: Mapping, key: str, owner: str, default: str = "0") -> Decimal:
     raw = obj.get(key, default)
-    if isinstance(raw, float):
-        raise SchemaError(f"{owner}: {key} must be a decimal string, not a float")
+    if isinstance(raw, (bool, float)):  # a JSON true or false is an int to Python
+        raise SchemaError(f"{owner}: {key} must be a decimal string, not a {type(raw).__name__}")
     if isinstance(raw, (str, int)):
         try:
             return dec(raw)
@@ -335,7 +335,13 @@ def _parse_latency_block(block: Mapping, functions: tuple[FunctionProfile, ...])
             key = (f.function_id, str(pid))
             ref_key = (f.function_id, str(reference))
             if key not in entries and ref_key in entries:
-                entries[key] = CONTEXT.multiply(entries[ref_key], factor)
+                try:
+                    entries[key] = CONTEXT.multiply(entries[ref_key], factor)
+                except Overflow:
+                    raise SchemaError(
+                        f"latency factor {pid} ({raw}) times the latency of "
+                        f"({f.function_id}, {reference}) is out of range for ({f.function_id}, {pid})"
+                    ) from None
     return LatencyTable(entries=entries)
 
 
@@ -422,11 +428,20 @@ def _read_json(source):
             return json.load(fh)
     except UnicodeDecodeError as exc:
         raise _not_utf8(source, exc) from None
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
+        raise SchemaError(f"{_name(source)} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError(f"{_name(source)} is not valid JSON: nested too deeply") from None
+
+
+def _name(source) -> str:
+    """The file name of a path or an open file, for an error message."""
+    return str(getattr(source, "name", source))
 
 
 def _not_utf8(source, exc: UnicodeDecodeError) -> SchemaError:
     """The error for an input that is not UTF-8 text, naming its file."""
-    return SchemaError(f"{getattr(source, 'name', source)} is not UTF-8 text: {exc.reason}")
+    return SchemaError(f"{_name(source)} is not UTF-8 text: {exc.reason}")
 
 
 def bundled_fixture_dir() -> Path:

@@ -33,11 +33,10 @@ from cosmos.optimizer import (
     optimize,
     pareto_front,
 )
-from cosmos.telemetry import aggregate_stats
 from cosmos.workflow import FunctionProfile, Placement, WorkflowSpec
 
 from test_engine import _random_catalog, _random_profile
-from test_telemetry import _record
+from test_telemetry import _stats
 
 D = Decimal
 MILLION = D(10**6)
@@ -307,7 +306,7 @@ def test_criterion_7f_stats_match_sort_oracle():
     rng = random.Random(106)
     for _ in range(100):
         values = [rng.randint(0, 10**5) for _ in range(rng.randint(1, 300))]
-        stats = aggregate_stats([_record(v) for v in values], "f", "p")
+        stats = _stats(*values)
         ordered = sorted(values)
         rank = -((-9 * len(ordered)) // 10)
         assert stats.count == len(values)

@@ -24,7 +24,6 @@ from cosmos.errors import (
     MissingLatencyError,
     NegativeRateError,
     NoDataError,
-    RecordError,
     RowError,
     SchemaError,
     UnitError,
@@ -722,7 +721,6 @@ _EXIT_CODES = {
     UnplacedFunctionError: 2,
     HeaderError: 2,
     RowError: 2,
-    RecordError: 2,
     CoverageError: 2,
     DomainError: 3,
     NoDataError: 3,
@@ -731,7 +729,6 @@ _EXIT_CODES = {
     InfeasibleError: 4,
     FileNotFoundError: 2,
     IsADirectoryError: 2,
-    json.JSONDecodeError: 2,
     RuntimeError: 3,
 }
 
@@ -741,7 +738,6 @@ _ERROR_ARGS = {
     InfeasibleError: (1, 2),
     RowError: (3, "bad"),
     CoverageError: ([("f", "p")],),
-    json.JSONDecodeError: ("bad", "{", 0),
 }
 
 
@@ -754,7 +750,7 @@ def _error_classes(cls=CosmosError):
 @pytest.mark.parametrize(
     "error",
     list(dict.fromkeys(_error_classes()))
-    + [FileNotFoundError, IsADirectoryError, json.JSONDecodeError, RuntimeError],
+    + [FileNotFoundError, IsADirectoryError, RuntimeError],
     ids=lambda cls: cls.__name__,
 )
 def test_exit_code_contract(capsys, monkeypatch, error):
@@ -787,15 +783,15 @@ def _x86_card(**changes):
     return doc
 
 
-def _pipeline_latency(fid, pid, value):
-    """The pipeline with one latency entry, or with fid None one factor, set to value.
-    Passed as a second --workflow, it replaces the first."""
+def _pipeline(*edits):
+    """The pipeline with each (key, ..., value) path set. Passed as a second
+    --workflow, it replaces the first."""
     doc = json.loads(Path(PIPELINE).read_text(encoding="utf-8"))
-    block = doc["latency"]
-    if fid is None:
-        block["factors"][pid] = value
-    else:
-        block["entries"][fid][pid] = value
+    for *path, key, value in edits:
+        node = doc
+        for step in path:
+            node = node[step]
+        node[key] = value
     return doc
 
 
@@ -804,16 +800,33 @@ _MALFORMED = {
     "points-entry-not-object": ("optimize", "--points", {"points": [5]}, "points"),
     "cost-array": ("optimize", "--points", _point_table(cost=[1]), "cost"),
     "cost-float": ("optimize", "--points", _point_table(cost=1.5), "cost"),
+    "cost-bool": ("optimize", "--points", _point_table(cost=True),
+                  "point (data-retrieval, aws-x86): cost must be a decimal string, not a bool"),
+    "n-bool": ("cost", "--workflow", _pipeline(("functions", 0, "n", True)),
+               "data-retrieval: n must be a decimal string, not a bool"),
+    "latency-bool": ("cost", "--workflow",
+                     _pipeline(("latency", "entries", "data-retrieval", "leo", False)),
+                     "latency data-retrieval: ms must be a decimal string, not a bool"),
+    "latency-factor-bool": ("pareto", "--workflow",
+                            _pipeline(("latency", "factors", "aws-lambda-edge", True)),
+                            "latency factor aws-lambda-edge: factor must be a decimal string, not a bool"),
     "latency-not-decimal": ("optimize", "--points", _point_table(latency_ms="abc"), "latency_ms"),
     "rate-not-decimal": ("cost", "--catalog", _x86_card(rate="abc"), "rate"),
-    "latency-negative-leo": ("cost", "--workflow", _pipeline_latency("data-retrieval", "leo", "-5"),
+    "latency-negative-leo": ("cost", "--workflow",
+                             _pipeline(("latency", "entries", "data-retrieval", "leo", "-5")),
                              "(data-retrieval, leo)"),
     "latency-negative-x86": ("optimize", "--workflow",
-                             _pipeline_latency("data-retrieval", "aws-x86", "-5"),
+                             _pipeline(("latency", "entries", "data-retrieval", "aws-x86", "-5")),
                              "(data-retrieval, aws-x86)"),
     "latency-negative-factor": ("pareto", "--workflow",
-                                _pipeline_latency(None, "aws-lambda-edge", "-1"),
+                                _pipeline(("latency", "factors", "aws-lambda-edge", "-1")),
                                 "latency factor aws-lambda-edge"),
+    "latency-factor-overflow": ("pareto", "--workflow",
+                                _pipeline(("latency", "entries", "data-retrieval", "aws-x86", "1e999999"),
+                                          ("latency", "factors", "aws-lambda-edge", "1e999999")),
+                                "latency factor aws-lambda-edge (1e999999) times the latency of "
+                                "(data-retrieval, aws-x86) is out of range for "
+                                "(data-retrieval, aws-lambda-edge)"),
 }
 
 
@@ -825,6 +838,35 @@ def test_malformed_quantity_exits_2_naming_the_field(capsys, tmp_path, case):
     code, _, err = run(capsys, command, "--workflow", PIPELINE, option, str(path))
     assert code == 2
     assert field in err
+
+
+@pytest.mark.parametrize("option", ["--workflow", "--catalog", "--points"])
+def test_invalid_json_exits_2_naming_the_file(capsys, tmp_path, option):
+    path = tmp_path / "broken.json"
+    path.write_text('{"workflow_id": "w", ', encoding="utf-8")
+    code, out, err = run(capsys, "optimize", "--workflow", PIPELINE, option, str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {path} is not valid JSON: Expecting property name enclosed in double quotes: "
+        "line 1 column 22 (char 21)\n"
+    )
+
+
+_OUT_OF_RANGE = {
+    "volume": (_pipeline(), ["--volume", "1e45"]),
+    "n-and-t": (_pipeline(("functions", 0, "n", "1e600000"), ("functions", 0, "t", "1e600000")), []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OUT_OF_RANGE))
+def test_out_of_range_amount_exits_3_stating_the_bound(capsys, tmp_path, case):
+    doc, extra = _OUT_OF_RANGE[case]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "cost", "--workflow", str(path), "--platform", "aws-x86", *extra)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: amount ")
+    assert err.endswith(" is out of range: money amounts must be below 1E+38\n")
 
 
 # --- numeric flags -------------------------------------------------------------------

@@ -26,6 +26,16 @@ def test_non_finite_rejected():
         dec("Infinity")
 
 
+def test_amount_beyond_the_context_is_a_domain_error_stating_the_bound():
+    largest = Decimal("9" * 38 + ".999999999999")
+    assert quantize_money(largest) == largest
+    with pytest.raises(DomainError, match=r"amount 1E\+38 is out of range: .* below 1E\+38$"):
+        quantize_money(Decimal("1e38"))
+    # The product overflows money's context before it is quantized.
+    with pytest.raises(DomainError, match=r"amount 1E\+600000 \* 1E\+600000 is out of range"):
+        money_product(Decimal("1e600000"), Decimal("1e600000"))
+
+
 def test_quantize_money_is_half_even():
     # Tie at the 13th fractional digit rounds to the even neighbor.
     assert quantize_money(Decimal("0.0000000000005")) == Decimal("0")

@@ -8,26 +8,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cosmos import telemetry
-from cosmos.errors import (
-    CoverageError,
-    DomainError,
-    HeaderError,
-    MissingLatencyError,
-    NoDataError,
-    RecordError,
-    RowError,
-)
+from cosmos.errors import CoverageError, HeaderError, MissingLatencyError, RowError
 from cosmos.telemetry import (
+    ROW_ERRORS_SHOWN,
     USAGE_HEADER,
     LatencyStats,
     UsageFold,
     UsageLog,
-    UsageRecord,
     UsageSummary,
-    aggregate_stats,
     calibrate,
-    parse_usage_log,
-    scan_usage_log,
     summarize_usage,
 )
 from cosmos.workflow import FunctionProfile, WorkflowSpec
@@ -43,108 +32,92 @@ def _row(duration, fid="f", pid="p", status="ok", bytes_in=0, bytes_out=0):
     return f"2024-11-04T09:00:00Z,{fid},{pid},{duration},{bytes_in},{bytes_out},{status}"
 
 
-def _record(duration, fid="f", pid="p", status="ok", bytes_in=0, bytes_out=0):
-    import datetime
+def _summaries(*rows):
+    return summarize_usage(UsageLog(_log(*rows)))
 
-    return UsageRecord(
-        timestamp=datetime.datetime(2024, 11, 4, 9, 0, tzinfo=datetime.timezone.utc),
-        function_id=fid,
-        platform_id=pid,
-        duration_ms=D(duration),
-        bytes_in=bytes_in,
-        bytes_out=bytes_out,
-        status=status,
-    )
+
+def _stats(*durations):
+    """Statistics of the pair (f, p) over one ok row per duration."""
+    return _summaries(*map(_row, durations))[("f", "p")].stats
 
 
 # --- parsing -----------------------------------------------------------------
 
 
 def test_parse_well_formed_rows():
-    records = parse_usage_log(_log(_row(100), _row(200), _row(300)))
-    assert len(records) == 3
-    assert [r.duration_ms for r in records] == [D(100), D(200), D(300)]
+    log = UsageLog(_log(_row(100), _row(200), _row(300)))
+    stats = summarize_usage(log)[("f", "p")].stats
+    assert (log.rows, log.error_count, stats.count) == (3, 0, 3)
+    assert (stats.min, stats.max) == (D(100), D(300))
 
 
 def test_negative_duration_is_row_error_with_line():
     with pytest.raises(RowError) as exc:
-        parse_usage_log(_log(_row(100), _row(-5)))
+        _summaries(_row(100), _row(-5))
     assert exc.value.line == 3
 
 
 def test_empty_body_with_header_is_empty_list():
-    assert parse_usage_log(_log()) == []
+    assert list(_summaries()) == []
 
 
 def test_missing_header_is_header_error():
     with pytest.raises(HeaderError):
-        parse_usage_log(io.StringIO("1,2,3\n"))
+        summarize_usage(UsageLog(io.StringIO("1,2,3\n")))
     with pytest.raises(HeaderError):
-        parse_usage_log(io.StringIO(""))
+        summarize_usage(UsageLog(io.StringIO("")))
 
 
 def test_bad_status_and_bad_bytes():
     with pytest.raises(RowError):
-        parse_usage_log(_log(_row(1, status="maybe")))
+        _summaries(_row(1, status="maybe"))
     with pytest.raises(RowError):
-        parse_usage_log(_log("2024-11-04T09:00:00Z,f,p,1,xyz,0,ok"))
+        _summaries("2024-11-04T09:00:00Z,f,p,1,xyz,0,ok")
 
 
 def test_bad_timestamp():
     with pytest.raises(RowError):
-        parse_usage_log(_log("notadate,f,p,1,0,0,ok"))
+        _summaries("notadate,f,p,1,0,0,ok")
 
 
 def test_scan_collects_all_row_errors():
-    records, errors = scan_usage_log(_log(_row(1), _row(-1), _row(2), _row(-2)))
-    assert len(records) == 2
-    assert [e.line for e in errors] == [3, 5]
+    log = UsageLog(_log(_row(1), _row(-1), _row(2), _row(-2)))
+    assert log.fold().summaries()[("f", "p")].stats.count == 2
+    assert [e.line for e in log.errors] == [3, 5]
 
 
 def test_bundled_sample_parses(fixture_dir):
-    records = parse_usage_log(fixture_dir / "sample-usage.csv")
-    assert len(records) == 14
-    assert sum(1 for r in records if r.status == "error") == 2
+    log = UsageLog(fixture_dir / "sample-usage.csv")
+    summaries = summarize_usage(log)
+    assert log.rows == 14
+    assert sum(s.error_count for s in summaries.values()) == 2
 
 
 # --- aggregation ----------------------------------------------------------------
 
 
 def test_stats_three_samples():
-    stats = aggregate_stats([_record(100), _record(200), _record(300)], "f", "p")
+    stats = _stats(100, 200, 300)
     assert stats == LatencyStats(count=3, mean=D(200), min=D(100), max=D(300), p90=D(300))
 
 
 def test_p90_nearest_rank_on_ten_samples():
-    stats = aggregate_stats([_record(i) for i in range(1, 11)], "f", "p")
+    stats = _stats(*range(1, 11))
     assert stats.p90 == D(9)
     assert stats.count == 10
 
 
-def test_no_matching_records():
-    with pytest.raises(NoDataError):
-        aggregate_stats([_record(1, fid="other")], "f", "p")
-
-
 def test_error_records_never_influence_statistics():
-    clean = [_record(100), _record(200), _record(300)]
-    noisy = clean + [_record(10**6, status="error"), _record(0, status="error")]
-    assert aggregate_stats(clean, "f", "p") == aggregate_stats(noisy, "f", "p")
-
-
-@given(st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=50), st.randoms())
-def test_permutation_invariance(durations, rnd):
-    records = [_record(v) for v in durations]
-    shuffled = list(records)
-    rnd.shuffle(shuffled)
-    assert aggregate_stats(records, "f", "p") == aggregate_stats(shuffled, "f", "p")
+    clean = [_row(100), _row(200), _row(300)]
+    noisy = clean + [_row(10**6, status="error"), _row(0, status="error")]
+    assert _summaries(*clean)[("f", "p")].stats == _summaries(*noisy)[("f", "p")].stats
 
 
 def test_stats_match_sort_based_oracle():
     rng = random.Random(5)
     for _ in range(100):
         values = [rng.randint(0, 10**5) for _ in range(rng.randint(1, 200))]
-        stats = aggregate_stats([_record(v) for v in values], "f", "p")
+        stats = _stats(*values)
         ordered = sorted(values)
         rank = -((-9 * len(ordered)) // 10)
         assert stats.min == D(min(values))
@@ -158,13 +131,12 @@ def test_stats_match_sort_based_oracle():
 
 
 def test_summarize_groups_and_counts_errors():
-    records = [
-        _record(100, fid="a", pid="x"),
-        _record(200, fid="a", pid="x"),
-        _record(300, fid="a", pid="x", status="error"),
-        _record(50, fid="b", pid="y", bytes_in=10**9),
-    ]
-    summaries = summarize_usage(records)
+    summaries = _summaries(
+        _row(100, fid="a", pid="x"),
+        _row(200, fid="a", pid="x"),
+        _row(300, fid="a", pid="x", status="error"),
+        _row(50, fid="b", pid="y", bytes_in=10**9),
+    )
     assert set(summaries) == {("a", "x"), ("b", "y")}
     assert summaries[("a", "x")].ok_count == 2
     assert summaries[("a", "x")].error_count == 1
@@ -172,13 +144,10 @@ def test_summarize_groups_and_counts_errors():
 
 
 def test_pair_with_error_rows_only_is_reported_without_statistics():
-    records = [_record(100), _record(7, fid="g", status="error"), _record(9, fid="g", status="error")]
-    summaries = summarize_usage(records)
+    summaries = _summaries(_row(100), _row(7, fid="g", status="error"), _row(9, fid="g", status="error"))
     assert summaries[("g", "p")] == UsageSummary(
         stats=None, ok_count=0, error_count=2, bytes_in_total=0, bytes_out_total=0
     )
-    with pytest.raises(NoDataError):
-        aggregate_stats(records, "g", "p")
     wf = WorkflowSpec(workflow_id="w", functions=(FunctionProfile("f"), FunctionProfile("g")))
     calibrated, table = calibrate(wf, summaries)
     assert table.entries == {("f", "p"): D(100)}
@@ -333,28 +302,21 @@ def test_merge_reports_equal_durations_in_the_order_of_one_fold():
 
 def test_mean_sum_is_exact_beyond_28_digits():
     # 1e20 + 3e-9 needs 30 digits; the mean 5e19 + 1.5e-9 then rounds half-even.
-    stats = aggregate_stats([_record("1e20"), _record("0.000000003")], "f", "p")
+    stats = _stats("1e20", "0.000000003")
     assert stats.mean == D("50000000000000000000.000000002")
 
 
-def test_summarize_accepts_a_one_shot_generator():
-    records = [_record(100), _record(300, fid="g"), _record(200), _record(5, status="error")]
-    assert summarize_usage(r for r in records) == summarize_usage(records)
-    assert summarize_usage(r for r in records)[("f", "p")].error_count == 1
-
-
 def test_usage_log_keeps_only_the_first_row_errors():
-    lines = (_row(1), _row(-1), _row(-2), _row(2), _row(-3), "", _row(-4))
-    log = UsageLog(_log(*lines), keep_errors=2)
+    malformed = ROW_ERRORS_SHOWN + 5
+    lines = (_row(1), *(_row(-i) for i in range(1, malformed + 1)), "", _row(2))
+    log = UsageLog(_log(*lines))
     with pytest.raises(RowError) as info:
         summarize_usage(log)
     assert info.value.line == 3
-    assert [e.line for e in log.errors] == [3, 4]
-    assert log.error_count == 4
-    assert log.rows == 6
+    assert [e.line for e in log.errors] == list(range(3, ROW_ERRORS_SHOWN + 3))
+    assert log.error_count == malformed
+    assert log.rows == malformed + 2
     assert UsageLog(_log(*lines)).fold().summaries()[("f", "p")].stats.count == 2
-    with pytest.raises(ValueError):
-        UsageLog(_log(_row(1)), keep_errors=0)
 
 
 def test_malformed_rows_are_reported_before_any_statistic(monkeypatch):
@@ -373,32 +335,21 @@ def test_duration_bound_keeps_the_mean_within_context_precision():
     largest = "9" * 40 + ".999999999"
     stats = summarize_usage(UsageLog(_log(_row(largest), _row(largest))))[("f", "p")].stats
     assert stats.mean == stats.max == D(largest)
-    assert aggregate_stats([_record(largest)] * 2, "f", "p") == stats
     for rejected in ("1e40", "1e100"):
-        log = UsageLog(_log(_row(1), _row(rejected)))
         with pytest.raises(RowError) as info:
-            summarize_usage(log)
+            _summaries(_row(1), _row(rejected))
         assert str(info.value) == f"row 3: duration_ms must be < 1E+40, got {rejected!r}"
-        # A UsageRecord built in code skips the row check; the same bound holds.
-        with pytest.raises(RecordError) as info:
-            summarize_usage([_record(1), _record(rejected, fid="g", pid="q")])
-        assert str(info.value) == f"(g, q): duration_ms must be < 1E+40, got {D(rejected)}"
-        assert info.value.exit_code == 2
     for rejected in ("NaN", "-5"):
         with pytest.raises(RowError) as info:
-            summarize_usage(UsageLog(_log(_row(1), _row(rejected))))
+            _summaries(_row(1), _row(rejected))
         assert str(info.value) == f"row 3: duration_ms must be finite and >= 0, got {rejected!r}"
-        with pytest.raises(RecordError) as info:
-            summarize_usage([_record(1), _record(rejected, fid="g", pid="q")])
-        assert str(info.value) == f"(g, q): duration_ms must be finite and >= 0, got {rejected}"
-        assert isinstance(info.value, DomainError) and info.value.exit_code == 2
 
 
 def test_oversized_field_is_a_row_error_and_the_scan_goes_on():
     huge = "f" * 200_000
-    records, errors = scan_usage_log(_log(_row(1), _row(2, fid=huge), _row(-1), _row(3)))
-    assert [r.duration_ms for r in records] == [D(1), D(3)]
-    assert [str(e) for e in errors] == [
+    log = UsageLog(_log(_row(1), _row(2, fid=huge), _row(-1), _row(3)))
+    assert log.fold().summaries() == _summaries(_row(1), _row(3))
+    assert [str(e) for e in log.errors] == [
         "row 3: field larger than field limit (131072)",
         "row 4: duration_ms must be finite and >= 0, got '-1'",
     ]
@@ -406,7 +357,7 @@ def test_oversized_field_is_a_row_error_and_the_scan_goes_on():
 
 def test_oversized_header_field_is_a_header_error():
     with pytest.raises(HeaderError, match="field larger than field limit"):
-        parse_usage_log(io.StringIO("t" * 200_000 + USAGE_HEADER[9:] + "\n" + _row(1) + "\n"))
+        summarize_usage(UsageLog(io.StringIO("t" * 200_000 + USAGE_HEADER[9:] + "\n" + _row(1) + "\n")))
 
 
 def test_streaming_memory_keeps_no_record_per_row(tmp_path):
@@ -421,8 +372,8 @@ def test_streaming_memory_keeps_no_record_per_row(tmp_path):
     finally:
         tracemalloc.stop()
     assert sum(s.ok_count + s.error_count for s in summaries.values()) == 50_000
-    # One Decimal (104 B) and a list slot per ok row; a UsageRecord per row
-    # (scan_usage_log, then summarize_usage) peaks near 21 MB here.
+    # One Decimal (104 B) and a list slot per ok row; a parsed record per
+    # row would peak near 21 MB here.
     assert peak < 8_000_000
 
 
