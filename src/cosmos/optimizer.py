@@ -41,6 +41,7 @@ from .errors import (
 from .money import CONTEXT, div
 from .workflow import (
     _ARRAY,
+    LATENCY_LIMIT,
     LatencyTable,
     Placement,
     WorkflowSpec,
@@ -238,6 +239,8 @@ def load_point_table(
         latency = _parse_quantity(entry, "latency_ms", owner)
         if cost < 0 or latency < 0:
             raise SchemaError(f"{owner} must be nonnegative")
+        if latency >= LATENCY_LIMIT:
+            raise SchemaError(f"{owner}: latency_ms must be below {LATENCY_LIMIT} ms, got {latency}")
         table[(str(entry["function_id"]), str(entry["platform_id"]))] = (cost, latency)
     return table
 

@@ -9,6 +9,11 @@ error rows only is reported with its error tally and no statistics.
 Aggregation is one streaming pass: each row is parsed once, folded into the
 accumulator of its (function, platform) pair and dropped. An accumulator
 keeps one Decimal per ok row and no record, and accumulators merge exactly.
+
+The fold loop checks each row inline and adds it. Only a row that fails
+those checks goes through ``_parse_row``, the one definition of a valid row
+and of each fault's message: it raises the row's RowError or returns the row
+to be added, so the inline checks never drop a row that it accepts.
 """
 
 from __future__ import annotations
@@ -22,9 +27,9 @@ from decimal import Decimal, localcontext
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
-from .errors import CoverageError, HeaderError, RowError
+from .errors import CoverageError, DomainError, HeaderError, RowError
 from .money import CONTEXT, div
-from .workflow import FunctionProfile, LatencyTable, WorkflowSpec, _not_utf8
+from .workflow import ZERO, FunctionProfile, LatencyTable, WorkflowSpec, _not_utf8
 
 USAGE_FIELDS = (
     "timestamp",
@@ -186,15 +191,22 @@ class UsageFold:
         bytes_out: int,
         status: str,
     ) -> None:
+        """Add one row. The duration and byte counts are trusted as given:
+        UsageLog.fold passes only rows that passed the row checks. A status
+        other than ok or error raises DomainError and adds nothing."""
         pair = self._pairs.get((function_id, platform_id))
         if pair is None:
+            if status not in STATUSES:
+                raise _bad_status(status)
             pair = self._pairs[(function_id, platform_id)] = _Pair()
         if status == "ok":
             pair.durations.append(duration_ms)
             pair.bytes_in_total += bytes_in
             pair.bytes_out_total += bytes_out
-        else:
+        elif status == "error":
             pair.error_count += 1
+        else:
+            raise _bad_status(status)
 
     def merge(self, other: UsageFold) -> UsageFold:
         """Add other's rows to this fold; returns self."""
@@ -211,6 +223,10 @@ class UsageFold:
     def summaries(self) -> dict[tuple[str, str], UsageSummary]:
         """One summary per pair, in sorted key order."""
         return {key: self._pairs[key].summary() for key in sorted(self._pairs)}
+
+
+def _bad_status(status: str) -> DomainError:
+    return DomainError(f"status must be ok or error, got {status!r}")
 
 
 class UsageLog:
@@ -234,6 +250,7 @@ class UsageLog:
         self.errors = []
         fold = UsageFold()
         add = fold.add
+        fromisoformat = datetime.fromisoformat
 
         def reject(exc: RowError) -> None:
             self.error_count += 1
@@ -265,6 +282,27 @@ class UsageLog:
                             if not row:
                                 continue
                             self.rows += 1
+                            try:
+                                stamp, fid, pid, raw_duration, raw_in, raw_out, status = row
+                                try:
+                                    fromisoformat(stamp)
+                                except ValueError:  # padded, or a Z before Python 3.11
+                                    _parse_timestamp(stamp)
+                                duration = Decimal(raw_duration)
+                                bytes_in = int(raw_in)
+                                bytes_out = int(raw_out)
+                                checked = (
+                                    duration.is_finite()
+                                    and ZERO <= duration < _DURATION_LIMIT
+                                    and bytes_in >= 0
+                                    and bytes_out >= 0
+                                    and status in STATUSES
+                                )
+                            except (ValueError, ArithmeticError):
+                                checked = False
+                            if checked:
+                                add(fid, pid, duration, bytes_in, bytes_out, status)
+                                continue
                             try:
                                 add(*_parse_row(line, row))
                             except RowError as exc:

@@ -27,6 +27,12 @@ from .money import CONTEXT, dec, fmt_full
 
 ZERO = Decimal(0)
 
+#: Latency entries, in ms, must be below this. Below it a latency carried to
+#: nine fractional digits (telemetry.MEAN_QUANTUM) fits money.CONTEXT's
+#: precision, and every mean that calibration takes from a usage log, of
+#: durations below telemetry's tenfold smaller bound, passes.
+LATENCY_LIMIT = Decimal(1).scaleb(CONTEXT.prec - 9)
+
 
 @dataclass(frozen=True)
 class BaasUsage:
@@ -188,7 +194,8 @@ class Placement:
 @dataclass(frozen=True)
 class LatencyTable:
     """Mean end-to-end latency (ms) per (function, platform) pair. An entry
-    that is not finite or is negative raises SchemaError naming its pair."""
+    that is not finite, is negative or is not below LATENCY_LIMIT raises
+    SchemaError naming its pair."""
 
     entries: Mapping[tuple[str, str], Decimal]
 
@@ -198,6 +205,8 @@ class LatencyTable:
                 raise SchemaError(
                     f"latency ({fid}, {pid}) must be finite and nonnegative, got {ms}"
                 )
+            if ms >= LATENCY_LIMIT:
+                raise SchemaError(f"latency ({fid}, {pid}) must be below {LATENCY_LIMIT} ms, got {ms}")
 
     def get(self, function_id: str, platform_id: str) -> Decimal:
         try:

@@ -869,6 +869,42 @@ def test_out_of_range_amount_exits_3_stating_the_bound(capsys, tmp_path, case):
     assert err.endswith(" is out of range: money amounts must be below 1E+38\n")
 
 
+def _all_latencies(value):
+    """The pipeline with every explicit latency entry set to value."""
+    entries = json.loads(Path(PIPELINE).read_text(encoding="utf-8"))["latency"]["entries"]
+    return _pipeline(*(("latency", "entries", fid, pid, value) for fid in entries for pid in entries[fid]))
+
+
+def _all_point_latencies(value):
+    doc = json.loads(Path(POINTS).read_text(encoding="utf-8"))
+    for point in doc["points"]:
+        point["latency_ms"] = value
+    return doc
+
+
+_OVER_THE_LATENCY_BOUND = {
+    "optimize": (["optimize", "--platform", "aws-x86", "--workflow"], _all_latencies("9e999999"),
+                 "error: latency (data-retrieval, aws-x86) must be below 1E+41 ms, got 9E+999999\n"),
+    "pareto": (["pareto", "--platform", "aws-x86", "--platform", "gcp", "--workflow"],
+               _all_latencies("9e999999"),
+               "error: latency (data-retrieval, aws-x86) must be below 1E+41 ms, got 9E+999999\n"),
+    "points": (["optimize", "--workflow", PIPELINE, "--points"], _all_point_latencies("9e999999"),
+               "error: point (data-retrieval, aws-x86): latency_ms must be below 1E+41 ms, got 9E+999999\n"),
+    "factor": (["pareto", "--workflow"],
+               _pipeline(("latency", "entries", "data-retrieval", "aws-x86", "1e40"),
+                         ("latency", "factors", "aws-lambda-edge", "10")),
+               "error: latency (data-retrieval, aws-lambda-edge) must be below 1E+41 ms, got 1.0E+41\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OVER_THE_LATENCY_BOUND))
+def test_latency_at_or_over_the_bound_exits_2_naming_the_pair(capsys, tmp_path, case):
+    argv, doc, expected = _OVER_THE_LATENCY_BOUND[case]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(capsys, *argv, str(path)) == (2, "", expected)
+
+
 # --- numeric flags -------------------------------------------------------------------
 
 

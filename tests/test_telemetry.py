@@ -1,3 +1,4 @@
+import csv
 import io
 import random
 import tracemalloc
@@ -5,10 +6,10 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cosmos import telemetry
-from cosmos.errors import CoverageError, HeaderError, MissingLatencyError, RowError
+from cosmos.errors import CoverageError, DomainError, HeaderError, MissingLatencyError, RowError
 from cosmos.telemetry import (
     ROW_ERRORS_SHOWN,
     USAGE_HEADER,
@@ -19,7 +20,7 @@ from cosmos.telemetry import (
     calibrate,
     summarize_usage,
 )
-from cosmos.workflow import FunctionProfile, WorkflowSpec
+from cosmos.workflow import LATENCY_LIMIT, FunctionProfile, WorkflowSpec
 
 D = Decimal
 
@@ -306,17 +307,20 @@ def test_mean_sum_is_exact_beyond_28_digits():
     assert stats.mean == D("50000000000000000000.000000002")
 
 
+# A log of 25 malformed rows between two good ones and a blank line.
+_MANY_MALFORMED = (_row(1), *(_row(-i) for i in range(1, ROW_ERRORS_SHOWN + 6)), "", _row(2))
+
+
 def test_usage_log_keeps_only_the_first_row_errors():
     malformed = ROW_ERRORS_SHOWN + 5
-    lines = (_row(1), *(_row(-i) for i in range(1, malformed + 1)), "", _row(2))
-    log = UsageLog(_log(*lines))
+    log = UsageLog(_log(*_MANY_MALFORMED))
     with pytest.raises(RowError) as info:
         summarize_usage(log)
     assert info.value.line == 3
     assert [e.line for e in log.errors] == list(range(3, ROW_ERRORS_SHOWN + 3))
     assert log.error_count == malformed
     assert log.rows == malformed + 2
-    assert UsageLog(_log(*lines)).fold().summaries()[("f", "p")].stats.count == 2
+    assert UsageLog(_log(*_MANY_MALFORMED)).fold().summaries()[("f", "p")].stats.count == 2
 
 
 def test_malformed_rows_are_reported_before_any_statistic(monkeypatch):
@@ -328,6 +332,109 @@ def test_malformed_rows_are_reported_before_any_statistic(monkeypatch):
     with pytest.raises(RowError) as info:
         summarize_usage(log)
     assert info.value.line == 3
+
+
+# Near misses per field index of a well-formed row: values that the inline
+# checks of UsageLog.fold and _parse_row must judge alike.
+_COUNT_NEAR_MISSES = ["+5", " 5", "5_000", "-1", "\u0665", "\uff15", ""]
+_NEAR_MISSES = {
+    0: [
+        pad + body + zone + tail
+        for pad in ("", " ")
+        for body in ("2024-11-04T09:00:00", "2024-11-04", "2024-11-31T09:00:00")
+        for zone in ("Z", "+00:00", "")
+        for tail in ("", " ")
+    ],
+    3: ["NaN", "sNaN", "Infinity", "-0", "1e40", "9.99e39", "1E+2", "-1"],
+    4: _COUNT_NEAR_MISSES,
+    5: _COUNT_NEAR_MISSES,
+    6: ["OK", "error "],
+}
+
+
+def _well_formed(pair, m, k, z, bytes_in, bytes_out, status):
+    return ["2024-11-04T09:00:00Z", *pair, _duration_text(m, k, z), str(bytes_in), str(bytes_out), status]
+
+
+@st.composite
+def _near_miss_row(draw):
+    """A well-formed row with up to two fields replaced by near misses, cut to
+    six fields or given an eighth."""
+    row = _well_formed(*draw(_good_row))
+    for _ in range(draw(st.integers(0, 2))):
+        index = draw(st.sampled_from(sorted(_NEAR_MISSES)))
+        row[index] = draw(st.sampled_from(_NEAR_MISSES[index]))
+    width = draw(st.sampled_from([7, 7, 7, 7, 6, 8]))
+    return row[:width] + ["x"] * (width - len(row))
+
+
+# Every near miss alone in an otherwise well-formed row.
+_EACH_NEAR_MISS = [
+    [*row[:index], value, *row[index + 1:]]
+    for row in [_well_formed(("a", "x"), 5, 1, 0, 10, 20, "ok")]
+    for index, values in _NEAR_MISSES.items()
+    for value in values
+]
+
+
+def _reference_fold(text):
+    """UsageLog.fold with every row put through _parse_row: the oracle of the
+    fold's inline row checks. Returns the fold, the data row count and every
+    RowError."""
+    fold, rows, errors = UsageFold(), 0, []
+    reader = csv.reader(io.StringIO(text))
+    next(reader)
+    for line, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        rows += 1
+        try:
+            fold.add(*telemetry._parse_row(line, row))
+        except RowError as exc:
+            errors.append(exc)
+    return fold, rows, errors
+
+
+@given(st.lists(_near_miss_row() | st.just([]), max_size=40))
+@example(_EACH_NEAR_MISS)
+def test_inline_row_checks_match_parse_row(rows):
+    out = io.StringIO()
+    csv.writer(out).writerows([USAGE_HEADER.split(","), *rows])
+    log = UsageLog(io.StringIO(out.getvalue()))
+    summaries = log.fold().summaries()
+    fold, count, errors = _reference_fold(out.getvalue())
+    assert repr(summaries) == repr(fold.summaries())
+    assert (log.rows, log.error_count) == (count, len(errors))
+    assert [str(e) for e in log.errors] == [str(e) for e in errors[:ROW_ERRORS_SHOWN]]
+
+
+def test_parse_row_runs_only_for_rejected_rows(monkeypatch, fixture_dir):
+    calls = []
+    parse_row = telemetry._parse_row
+
+    def counted(line, row):
+        calls.append(line)
+        return parse_row(line, row)
+
+    monkeypatch.setattr(telemetry, "_parse_row", counted)
+    log = UsageLog(fixture_dir / "sample-usage.csv")
+    log.fold()
+    assert (log.rows, log.error_count, calls) == (14, 0, [])
+    log = UsageLog(_log(*_MANY_MALFORMED))
+    log.fold()
+    assert log.error_count == ROW_ERRORS_SHOWN + 5
+    assert calls == list(range(3, ROW_ERRORS_SHOWN + 8))
+
+
+def test_fold_add_rejects_an_unknown_status():
+    fold = UsageFold()
+    with pytest.raises(DomainError, match="status must be ok or error, got 'bogus'"):
+        fold.add("f", "p", D(1), 0, 0, "bogus")
+    assert fold.summaries() == {}
+    fold.add("f", "p", D(1), 0, 0, "ok")
+    with pytest.raises(DomainError):
+        fold.add("f", "p", D(1), 0, 0, "OK")
+    assert fold.summaries() == _summaries(_row(1))
 
 
 def test_duration_bound_keeps_the_mean_within_context_precision():
@@ -419,6 +526,14 @@ def test_calibrate_reports_missing_pairs():
         )
     assert exc.value.missing == (("retrieval", "gcp"),)
     assert "gcp" in str(exc.value)
+
+
+def test_every_calibrated_mean_is_below_the_latency_bound():
+    # Ten fractional digits round the mean of the largest durations up to 1e40.
+    largest = "9" * 40 + ".9999999999"
+    summaries = _summaries(_row(largest), _row(largest))
+    _, table = calibrate(WorkflowSpec(workflow_id="w", functions=(FunctionProfile("f"),)), summaries)
+    assert table.get("f", "p") == D("1e40") < LATENCY_LIMIT
 
 
 def test_calibrate_leaves_unmeasured_functions_alone():

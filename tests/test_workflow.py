@@ -14,6 +14,7 @@ from cosmos.errors import (
     UnplacedFunctionError,
 )
 from cosmos.workflow import (
+    LATENCY_LIMIT,
     BaasUsage,
     FunctionProfile,
     LatencyTable,
@@ -228,6 +229,16 @@ def test_missing_latency_entry_names_pair():
 def test_latency_table_rejects_a_bad_entry_naming_its_pair(ms):
     with pytest.raises(SchemaError, match=r"latency \(data-retrieval, leo\) must be finite and nonnegative"):
         LatencyTable({("data-processing", "leo"): Decimal(1), ("data-retrieval", "leo"): Decimal(ms)})
+
+
+@pytest.mark.parametrize("ms", ["1e41", "9e999999"])
+def test_latency_table_rejects_an_entry_at_or_over_the_bound(ms):
+    below = Decimal("9" * 41 + ".999999999")
+    assert below < LATENCY_LIMIT
+    LatencyTable({("data-retrieval", "leo"): below})
+    with pytest.raises(SchemaError) as exc:
+        LatencyTable({("data-processing", "leo"): below, ("data-retrieval", "leo"): Decimal(ms)})
+    assert str(exc.value) == f"latency (data-retrieval, leo) must be below 1E+41 ms, got {Decimal(ms)}"
 
 
 @given(st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=12))
