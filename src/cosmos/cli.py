@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -64,11 +65,11 @@ EXIT_COMPUTATION = 3
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     args.inputs = []  # each input path, once read, for the run manifest
     try:
-        return args.handler(args)
+        # Looked up by name on each call, so a rebound cmd_* handler is the one that runs.
+        return globals()[f"cmd_{args.command}"](args)
     except CosmosError as exc:
         print(f"error: {exc}", file=sys.stderr)
         for key, value in sorted(getattr(exc, "diagnostics", {}).items()):
@@ -80,6 +81,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except Exception as exc:  # exit codes are a contract: nothing else may leak out
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_COMPUTATION
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses: built on its first call, then reused, since
+    parsing leaves a parser unchanged."""
+    return build_parser()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,28 +115,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cost = sub.add_parser("cost", help="per-function and workflow cost breakdown")
     common(p_cost)
-    p_cost.set_defaults(handler=cmd_cost)
 
     p_break = sub.add_parser("breakdown", help="per-driver shares and component itemization")
     common(p_break)
-    p_break.set_defaults(handler=cmd_breakdown)
 
     p_curve = sub.add_parser("curve", help="cost-vs-volume line and sampled points")
     common(p_curve, volume=False)
     p_curve.add_argument("--function", help="limit to one function's curve")
     p_curve.add_argument("--sample", action="append", default=[], type=_quantity,
                          help="request volume to tabulate (repeatable)")
-    p_curve.set_defaults(handler=cmd_curve)
 
     p_cross = sub.add_parser("crossover", help="break-even volume between two platforms")
     common(p_cross, placement=False, volume=False)
     p_cross.add_argument("--function", help="compare one function instead of the whole workflow")
-    p_cross.set_defaults(handler=cmd_crossover)
 
     p_pareto = sub.add_parser("pareto", help="evaluated points, dominance front, and trade-off line")
     common(p_pareto, placement=False)
     p_pareto.add_argument("--points", help="measured (function, platform) point table document")
-    p_pareto.set_defaults(handler=cmd_pareto)
 
     p_opt = sub.add_parser("optimize", help="constrained weighted placement optimization")
     common(p_opt, placement=False)
@@ -138,14 +141,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--scope", choices=("workflow", "per-function"), default="workflow")
     p_opt.add_argument("--alpha", type=_quantity, help="manual cost weight (1/USD); requires --beta")
     p_opt.add_argument("--beta", type=_quantity, help="manual latency weight (1/ms); requires --alpha")
-    p_opt.set_defaults(handler=cmd_optimize)
 
     p_ingest = sub.add_parser("ingest", help="aggregate a usage log into latency statistics")
     p_ingest.add_argument("--log", required=True, help="usage log CSV path")
     p_ingest.add_argument("--workflow", help="workflow document to calibrate")
     p_ingest.add_argument("--out", help="directory for report files and the run manifest")
     p_ingest.add_argument("--format", choices=("csv", "json", "tsv"), default=None)
-    p_ingest.set_defaults(handler=cmd_ingest)
 
     return parser
 

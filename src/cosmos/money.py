@@ -8,6 +8,7 @@ result must be quantized, is always half-even.
 
 from __future__ import annotations
 
+import contextlib
 import decimal
 from decimal import Decimal
 
@@ -25,6 +26,10 @@ CONTEXT = decimal.Context(prec=50, rounding=decimal.ROUND_HALF_EVEN)
 #: Monetary amounts must be below this in magnitude: at MONEY_QUANTUM a
 #: larger one needs more significant digits than CONTEXT carries.
 MONEY_LIMIT = Decimal(1).scaleb(CONTEXT.prec - MONEY_PLACES)
+
+#: CONTEXT with Inexact trapped, for sums that must not round.
+_EXACT_SUMS = CONTEXT.copy()
+_EXACT_SUMS.traps[decimal.Inexact] = True
 
 
 def dec(value: str | int | Decimal) -> Decimal:
@@ -75,6 +80,20 @@ def _out_of_range(amount) -> DomainError:
     )
 
 
+@contextlib.contextmanager
+def exact_sums(what: str):
+    """Run a block's plain ``+`` and ``-`` under CONTEXT with Inexact trapped:
+    each result is exact, or DomainError says that ``what`` needs more
+    significant digits than CONTEXT carries."""
+    try:
+        with decimal.localcontext(_EXACT_SUMS):
+            yield
+    except decimal.Inexact:
+        raise DomainError(
+            f"{what} needs more than {CONTEXT.prec} significant digits to stay exact"
+        ) from None
+
+
 def money_product(*factors: Decimal) -> Decimal:
     """Multiply factors and quantize the result to the money quantum."""
     return quantize_money(exact(*factors))
@@ -92,5 +111,6 @@ def fmt(value: Decimal, places: int = 4) -> str:
 
 
 def fmt_full(value: Decimal) -> str:
-    """Full-precision serialization used in machine-readable outputs."""
-    return format(value.normalize(), "f")
+    """Full-precision serialization used in machine-readable outputs: exact
+    for a value of up to CONTEXT's 50 significant digits."""
+    return format(value.normalize(CONTEXT), "f")

@@ -38,7 +38,7 @@ from .errors import (
     MissingLatencyError,
     SchemaError,
 )
-from .money import CONTEXT, div
+from .money import CONTEXT, div, exact_sums
 from .workflow import (
     _ARRAY,
     LATENCY_LIMIT,
@@ -387,14 +387,16 @@ def optimize(
     for auto weights (cost/C* + latency/T* times C*·T*, so no division). The
     key strictly orders (cost, latency) pairs and never rises when either
     falls, so a front member minimizes it over all feasible placements;
-    equal pairs keep the first enumerated placement. Raises
+    equal pairs keep the first enumerated placement. Raises DomainError when
+    a cost or latency sum is not exact in money.CONTEXT's precision, then
     DegenerateAnchorError for auto weights with a zero anchor, then
     InfeasibleError carrying the anchors when no placement is feasible.
     """
     config = config or OptimizationConfig()
     platforms = list(platforms)
     rows = _rows(workflow, platforms, cap, model.entry)
-    found = _walk(workflow, rows, platforms, config)
+    with exact_sums("a cost or latency sum of the search"):
+        found = _walk(workflow, rows, platforms, config)
     c_star, c_arg = found.c_star, Placement(found.c_arg)
     t_star, t_arg = found.t_star, Placement(found.t_arg)
     front = found.front

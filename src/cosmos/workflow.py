@@ -23,7 +23,7 @@ from .errors import (
     UnknownFunctionError,
     UnplacedFunctionError,
 )
-from .money import CONTEXT, dec, fmt_full
+from .money import CONTEXT, dec, exact_sums, fmt_full
 
 ZERO = Decimal(0)
 
@@ -217,10 +217,12 @@ class LatencyTable:
 
 def critical_path(workflow: WorkflowSpec, weights: Sequence[Decimal]) -> Decimal:
     """Longest path through the workflow DAG, weighting each function, in
-    declaration order, by ``weights``. On a chain this is the plain sum."""
+    declaration order, by ``weights``. On a chain this is the plain sum.
+    DomainError when a path sum is not exact in money.CONTEXT's precision."""
     dist: list[Decimal] = []
-    for i, preds in workflow._topology:
-        dist.append(max((dist[k] for k in preds), default=ZERO) + weights[i])
+    with exact_sums("a critical-path latency sum"):
+        for i, preds in workflow._topology:
+            dist.append(max((dist[k] for k in preds), default=ZERO) + weights[i])
     return max(dist, default=ZERO)
 
 

@@ -2,6 +2,9 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from decimal import Decimal
 from pathlib import Path
 
@@ -905,6 +908,24 @@ def test_latency_at_or_over_the_bound_exits_2_naming_the_pair(capsys, tmp_path, 
     assert run(capsys, *argv, str(path)) == (2, "", expected)
 
 
+def test_latency_sums_past_28_digits_print_exactly(capsys, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_all_latencies("1234567890123456789012345.123456789")), encoding="utf-8")
+    code, out, _ = run(capsys, "optimize", "--workflow", str(path), "--platform", "aws-x86",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["latency_ms"] == "3703703670370370367037035.370370367"
+
+
+def test_latency_sum_past_50_digits_exits_3_stating_the_bound(capsys, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_all_latencies("9" * 41 + ".999999999")), encoding="utf-8")
+    assert run(capsys, "optimize", "--workflow", str(path), "--platform", "aws-x86") == (
+        3, "", "error: a cost or latency sum of the search needs more than 50 significant digits"
+        " to stay exact\n",
+    )
+
+
 # --- numeric flags -------------------------------------------------------------------
 
 
@@ -928,3 +949,103 @@ def test_malformed_numeric_flag_exits_2_naming_it(capsys, case):
         main([command, "--workflow", PIPELINE, *extra])
     assert exc.value.code == 2
     assert f"argument {flag}:" in capsys.readouterr().err
+
+
+# --- one parser per process ------------------------------------------------------------
+
+
+OUT = "<out>"  # replaced by a directory per call
+_CARDS = [str(bundled_catalog_dir() / f"{pid}.json") for pid in ("aws-x86", "gcp")]
+
+# Every subcommand, with --format given and left out, repeated flags, CosmosError
+# exits and argparse errors. State a reused parser carried from one call to the
+# next would make some later call answer differently from a fresh parser.
+_CALLS = [
+    ["cost", "--workflow", PIPELINE, "--platform", "aws-x86", "--format", "json"],
+    ["cost", "--workflow", PIPELINE, "--platform", "aws-x86", "--platform", "gcp",
+     "--assign", "data-retrieval=gcp", "--assign", "data-processing=aws-x86",
+     "--assign", "ai-inference=gcp", "--out", OUT],
+    ["breakdown", "--workflow", PIPELINE, "--catalog", _CARDS[0], "--catalog", _CARDS[1]],
+    ["breakdown", "--workflow", PIPELINE, "--catalog", _CARDS[1], "--format", "csv"],
+    ["curve", "--workflow", CURVE_STUDY, "--platform", "gcp", "--sample", "0",
+     "--sample", "1000000", "--format", "tsv"],
+    ["curve", "--workflow", CURVE_STUDY, "--platform", "gcp"],
+    ["crossover", "--workflow", CURVE_STUDY, "--platform", "aws-x86", "--platform", "gcp",
+     "--format", "json"],
+    ["crossover", "--workflow", PIPELINE, "--platform", "aws-x86"],
+    ["pareto", "--workflow", PIPELINE, *ALL_PLATFORMS, "--format", "csv"],
+    ["optimize", "--workflow", PIPELINE, "--points", POINTS, "--budget", "0.000001"],
+    ["optimize", "--workflow", PIPELINE, "--platform", "aws-x86", "--platform", "gcp",
+     "--out", OUT],
+    ["ingest", "--log", USAGE, "--workflow", PIPELINE, "--format", "tsv"],
+    ["ingest", "--log", USAGE],
+    ["cost", "--workflow", PIPELINE, "--volume", "abc"],
+    [],
+    ["--version"],
+    ["cost", "--workflow", PIPELINE, "--platform", "aws-x86", "--platform", "gcp",
+     "--assign", "data-retrieval=gcp", "--assign", "data-processing=aws-x86",
+     "--assign", "ai-inference=gcp", "--format", "csv"],
+]
+
+
+def _outcome(capsys, argv):
+    """Exit code, stdout and stderr of one main call, argparse's own exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _run_calls(capsys, out_dir):
+    return [
+        _outcome(capsys, [str(out_dir / str(i)) if arg == OUT else arg for arg in argv])
+        for i, argv in enumerate(_CALLS)
+    ]
+
+
+def _files(directory):
+    return {p.relative_to(directory): p.read_bytes() for p in directory.rglob("*") if p.is_file()}
+
+
+def test_the_reused_parser_answers_as_a_fresh_one(capsys, monkeypatch, tmp_path):
+    assert cli._parser() is cli._parser()
+    reused = _run_calls(capsys, tmp_path / "reused")
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a new parser per call
+    fresh = _run_calls(capsys, tmp_path / "fresh")
+    assert [code for code, _, _ in reused] == [0, 0, 2, 0, 0, 0, 0, 2, 0, 4, 0, 0, 0, 2, 2, 0, 0]
+    assert reused == fresh
+    assert _files(tmp_path / "reused") == _files(tmp_path / "fresh") != {}
+
+
+def test_a_handler_rebound_after_the_first_call_is_the_one_that_runs(capsys, monkeypatch):
+    argv = ["cost", "--workflow", PIPELINE, "--platform", "aws-x86"]
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setattr(cli, "cmd_cost", lambda args: 7)
+    assert run(capsys, *argv) == (7, "", "")
+
+
+_COUNT_PARSERS = """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+import cosmos.cli
+print(len(built))
+cosmos.cli._parser()
+print(len(built))
+"""
+
+
+def test_importing_the_cli_builds_no_parser():
+    # A fresh interpreter: in this one cosmos.cli is imported already.
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", _COUNT_PARSERS], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+    )
+    assert done.stdout.split() == ["0", "8"]  # the parser and its 7 subparsers, once built

@@ -1,6 +1,7 @@
 from decimal import Decimal
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from cosmos.errors import DomainError
 from cosmos.money import dec, div, fmt, fmt_full, money_product, quantize_money, usd
@@ -64,3 +65,11 @@ def test_fmt_display_rounding():
 def test_fmt_full_avoids_scientific_notation():
     assert fmt_full(Decimal("2E-7")) == "0.0000002"
     assert fmt_full(Decimal("61.056")) == "61.056"
+
+
+@given(st.booleans(), st.integers(0, 10**50 - 1), st.integers(-60, 60))
+@example(False, 12345678901234567123456789012, -12)
+@example(False, 1234567890123456789012345123456789, -9)
+def test_fmt_full_round_trips_up_to_50_significant_digits(negative, digits, exponent):
+    value = Decimal(f"{'-' if negative else ''}{digits}E{exponent}")
+    assert Decimal(fmt_full(value)) == value

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cosmos.errors import (
     CycleError,
+    DomainError,
     MissingLatencyError,
     SchemaError,
     UnknownFunctionError,
@@ -249,6 +250,16 @@ def test_chain_latency_equals_sum(values):
     assert workflow_latency(wf, Placement.uniform(wf, "p"), latencies) == sum(
         (Decimal(v) for v in values), Decimal(0)
     )
+
+
+def test_latency_sums_are_exact_to_50_digits_or_raise():
+    wf = _chain(["a", "b", "c"])
+    placement = Placement.uniform(wf, "p")
+    exact = LatencyTable({(fid, "p"): Decimal("1234567890123456789012345.123456789") for fid in "abc"})
+    assert workflow_latency(wf, placement, exact) == Decimal("3703703670370370367037035.370370367")
+    near = Decimal("9" * 41 + ".999999999")
+    with pytest.raises(DomainError, match="^a critical-path latency sum needs more than 50 significant digits"):
+        workflow_latency(wf, placement, LatencyTable({(fid, "p"): near for fid in "abc"}))
 
 
 def _brute_force_critical_path(n_nodes, edges, weights):
