@@ -421,7 +421,7 @@ def cmd_crossover(args) -> int:
         lines = [
             f"crossover of {first} vs {second}"
             + (f" for {args.function}" if args.function else " for the workflow"),
-            f"  n* = {fmt_full(point.n_star.quantize(Decimal('1')))} requests"
+            f"  n* = {fmt(point.n_star, 0)} requests"
             f" ({fmt(point.n_star_millions)}M)",
             f"  cost at crossover: {fmt(point.cost)}",
         ]

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 
 from .catalog import DriverCategory, PlatformCatalog, RateUnit
 from .errors import DomainError, MissingLatencyError, UnknownComponentError, UnknownPlatformError
-from .money import CONTEXT, dec, div, money_product, quantize_money
+from .money import CONTEXT, dec, div, exact_sums, money_product, quantize_money
 from .workflow import FunctionProfile, LatencyTable, Placement, WorkflowSpec
 
 ZERO = Decimal(0)
@@ -62,31 +62,40 @@ class CostBreakdown:
 
     @classmethod
     def build(cls, invocation, compute, state, transfer, baas) -> "CostBreakdown":
+        """The subtotals and their exact total; DomainError when the total
+        needs more digits than money.CONTEXT carries."""
+        with exact_sums("a cost total"):
+            total = invocation + compute + state + transfer + baas
         return cls(
             invocation=invocation,
             compute=compute,
             state=state,
             transfer=transfer,
             baas=baas,
-            total=invocation + compute + state + transfer + baas,
+            total=total,
         )
 
     @classmethod
     def fold(cls, charges: Iterable["ComponentCharge"]) -> "CostBreakdown":
-        """One function's breakdown: its charges summed per driver, each subtotal quantized."""
+        """One function's breakdown: its charges summed exactly per driver,
+        each subtotal quantized, and their exact total, in one exact_sums
+        block (build would open a second)."""
         subtotal = dict.fromkeys(_FIELDS, ZERO)
-        for item in charges:
-            subtotal[_DRIVER_FIELD[item.driver]] += item.amount
-        return cls.build(*[quantize_money(subtotal[name]) for name in _FIELDS])
+        with exact_sums("a function's cost"):
+            for item in charges:
+                subtotal[_DRIVER_FIELD[item.driver]] += item.amount
+            parts = [quantize_money(subtotal[name]) for name in _FIELDS]
+            return cls(*parts, total=sum(parts, ZERO))
 
     @classmethod
     def combine(cls, parts: Iterable["CostBreakdown"], credit: Decimal = ZERO) -> "CostBreakdown":
-        """A workflow's breakdown: its functions' breakdowns summed per driver,
-        less the shared fixed-charge credit on BaaS."""
+        """A workflow's breakdown: its functions' breakdowns summed exactly
+        per driver, less the shared fixed-charge credit on BaaS."""
         parts = list(parts)
-        sums = [sum((getattr(part, name) for part in parts), ZERO) for name in _FIELDS]
-        if credit:
-            sums[-1] -= credit  # baas
+        with exact_sums("a workflow's driver subtotal"):
+            sums = [sum((getattr(part, name) for part in parts), ZERO) for name in _FIELDS]
+            if credit:
+                sums[-1] -= credit  # baas
         return cls.build(*sums)
 
     def as_dict(self) -> dict[str, Decimal]:
@@ -218,6 +227,16 @@ def function_cost(
     )
 
 
+def bill_key(held: tuple | None, months: Decimal, rate: Decimal) -> tuple:
+    """One (platform, component) key's ledger entry (see bill_fixed) after
+    billing ``months`` at ``rate``, given its entry ``held`` so far, None
+    while the key is unbilled. The one rule for a fixed charge's credit term."""
+    if held is None:
+        return (0 + months, months, rate, None)
+    total, most = held[0] + months, max(held[1], months)
+    return (total, most, rate, money_product(total - most, rate))
+
+
 def bill_fixed(
     ledger: Mapping, credit: Decimal, fixed: Iterable[tuple[tuple[str, str], Decimal, Decimal]]
 ) -> tuple[dict, Decimal]:
@@ -228,19 +247,17 @@ def bill_fixed(
     the longest availability window any of them asks for; the rest is
     credited. ``ledger`` maps each (platform, component) key to the sum and
     the first maximum of its months, its last rate and, once billed twice,
-    its money_product(sum - max, rate) credit term, in first-billed order.
-    The credit is those terms summed in that order; it changes only when a
-    key is billed again. Fold from ({}, ZERO); ``ledger`` is not modified.
+    its money_product(sum - max, rate) credit term, in first-billed order
+    (see bill_key). The credit is those terms summed in that order; it
+    changes only when a key is billed again. Fold from ({}, ZERO);
+    ``ledger`` is not modified. Callers sum under money.exact_sums.
     """
     ledger = dict(ledger)
     shared = False
     for key, months, rate in fixed:
         held = ledger.get(key)
-        if held is None:
-            ledger[key] = (0 + months, months, rate, None)
-        else:
-            total, most = held[0] + months, max(held[1], months)
-            ledger[key] = (total, most, rate, money_product(total - most, rate))
+        ledger[key] = bill_key(held, months, rate)
+        if held is not None:
             shared = True
     if shared:
         credit = ZERO
@@ -271,7 +288,10 @@ def placement_costs(
             raise UnknownPlatformError(f"no catalog loaded for platform {pid!r}") from None
         charges = component_charges(profile, catalog, latencies=latencies, volume=volume)
         parts[profile.function_id] = CostBreakdown.fold(charges)
-        ledger, credit = bill_fixed(ledger, credit, [c.fixed for c in charges if c.fixed])
+        fixed = [c.fixed for c in charges if c.fixed]
+        if fixed:
+            with exact_sums("a shared fixed-charge credit"):
+                ledger, credit = bill_fixed(ledger, credit, fixed)
     return parts, credit
 
 

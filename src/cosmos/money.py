@@ -8,7 +8,6 @@ result must be quantized, is always half-even.
 
 from __future__ import annotations
 
-import contextlib
 import decimal
 from decimal import Decimal
 
@@ -80,18 +79,27 @@ def _out_of_range(amount) -> DomainError:
     )
 
 
-@contextlib.contextmanager
-def exact_sums(what: str):
+class exact_sums:
     """Run a block's plain ``+`` and ``-`` under CONTEXT with Inexact trapped:
     each result is exact, or DomainError says that ``what`` needs more
-    significant digits than CONTEXT carries."""
-    try:
-        with decimal.localcontext(_EXACT_SUMS):
-            yield
-    except decimal.Inexact:
-        raise DomainError(
-            f"{what} needs more than {CONTEXT.prec} significant digits to stay exact"
-        ) from None
+    significant digits than CONTEXT carries. A class, not a generator
+    context manager: the engine opens one per itemized function."""
+
+    __slots__ = ("what", "_saved")
+
+    def __init__(self, what: str):
+        self.what = what
+
+    def __enter__(self) -> None:
+        self._saved = decimal.getcontext()
+        decimal.setcontext(_EXACT_SUMS.copy())
+
+    def __exit__(self, kind, value, traceback) -> None:
+        decimal.setcontext(self._saved)
+        if kind is not None and issubclass(kind, decimal.Inexact):
+            raise DomainError(
+                f"{self.what} needs more than {CONTEXT.prec} significant digits to stay exact"
+            ) from None
 
 
 def money_product(*factors: Decimal) -> Decimal:
@@ -105,9 +113,16 @@ def div(a: Decimal, b: Decimal) -> Decimal:
 
 
 def fmt(value: Decimal, places: int = 4) -> str:
-    """Format for display, rounded half-even to ``places`` decimals."""
+    """Format for display, rounded half-even to ``places`` decimals under
+    CONTEXT; DomainError when that needs more digits than CONTEXT carries."""
     q = Decimal(1).scaleb(-places)
-    return str(CONTEXT.quantize(value, q))
+    try:
+        return str(CONTEXT.quantize(value, q))
+    except decimal.InvalidOperation:
+        raise DomainError(
+            f"{value} needs more than {CONTEXT.prec} significant digits"
+            f" to print to {places} decimal places"
+        ) from None
 
 
 def fmt_full(value: Decimal) -> str:

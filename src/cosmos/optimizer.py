@@ -9,7 +9,9 @@ Placements that share a prefix share its state, kept once per level: the cost
 sum, the shared fixed-charge ledger and credit of engine.bill_fixed (updated
 only when a pair bills a fixed charge), the critical-path distances and
 whether each pair is within the bounds. A placement then costs one step from
-its parent.
+its parent. The last level copies no ledger: a pair's credit is its
+parent's plus the change of each key it bills again, computed by
+engine.bill_key, the rule bill_fixed applies, once per held entry and solve.
 enumerate_placements, min_cost and min_time enumerate and price each
 placement whole, and the tests use them as oracles.
 
@@ -29,7 +31,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .catalog import PlatformCatalog
-from .engine import ZERO, CostBreakdown, bill_fixed, component_charges
+from .engine import ZERO, CostBreakdown, bill_fixed, bill_key, component_charges
 from .errors import (
     CapExceededError,
     DegenerateAnchorError,
@@ -176,12 +178,14 @@ class PlacementModel:
 
 
 def _cost(entries: Iterable[PairEntry]) -> Decimal:
-    """Workflow cost of one pair per function: their sum less the shared fixed-charge credit."""
+    """Workflow cost of one pair per function: their exact sum less the shared
+    fixed-charge credit."""
     total, ledger, credit = ZERO, {}, ZERO
-    for entry in entries:
-        total += entry.cost
-        ledger, credit = bill_fixed(ledger, credit, entry.fixed)
-    return total - credit
+    with exact_sums("a workflow cost"):
+        for entry in entries:
+            total += entry.cost
+            ledger, credit = bill_fixed(ledger, credit, entry.fixed)
+        return total - credit
 
 
 class CatalogModel(PlacementModel):
@@ -468,7 +472,16 @@ def _walk(
     distance known so far with its topological position. A function's
     distance is computed at the level of the deepest function among itself
     and its ancestors: its own level when declaration order is topological.
-    The last level runs as one loop over its row.
+
+    The last level runs as one loop over its row. When the last function's
+    distance is computed there alone, it reads its parent's slot and copies
+    no ledger: a pair costs its prefix's cost sum less credit plus its own
+    cost, less, for each fixed charge whose key the prefix already bills,
+    that key's change in credit. The change comes from engine.bill_key and
+    is kept per (held ledger entry, months, rate) for the rest of the solve.
+    A pair that bills one key twice goes through bill_fixed whole, so that
+    it sees its own first billing. Otherwise the last level steps as the
+    others do.
     """
     budget = INFINITY if config.budget is None else config.budget
     slo = INFINITY if config.latency_slo is None else config.latency_slo
@@ -508,8 +521,24 @@ def _walk(
                 top, top_pos = d, p
         top_at[k + 1], top_pos_at[k + 1] = top, top_pos
 
+    # (held ledger entry, months, rate) -> the change in the credit when the
+    # last function bills that key; a few entries per solve.
+    changes: dict = {}
+
+    def change(held: tuple, months: Decimal, rate: Decimal) -> Decimal:
+        """The credit change of billing ``months`` at ``rate`` on a key held as ``held``."""
+        memo = (held, months, rate)
+        delta = changes.get(memo)
+        if delta is None:
+            term = bill_key(held, months, rate)[3]
+            delta = changes[memo] = term if held[3] is None else term - held[3]
+        return delta
+
     if n:
         row, within_last = rows[last], within_pair[last]
+        # A pair that bills one key twice sees its own first billing through
+        # bill_fixed.
+        repeats = [len({key for key, _, _ in e.fixed}) < len(e.fixed) for e in row]
         tails = [(pair,) for pair in pairs[last]]
         # When no descendant of the last function is declared before it, the
         # last level computes its distance alone, from its parent's distances.
@@ -535,13 +564,20 @@ def _walk(
             # Of equal distances the first in topological order is the path's.
             top, first = top_at[last], p < top_pos_at[last]
             total, ledger, credit = cost_at[last], ledger_at[last], credit_at[last]
-            within = within_at[last]
+            paid, within = total - credit, within_at[last]
         for j in range(width):
             if fast:
                 entry = row[j]
-                cost = total + entry.cost - (
-                    bill_fixed(ledger, credit, entry.fixed)[1] if entry.fixed else credit
-                )
+                if not entry.fixed:
+                    cost = paid + entry.cost
+                elif repeats[j]:
+                    cost = total + entry.cost - bill_fixed(ledger, credit, entry.fixed)[1]
+                else:
+                    cost = paid + entry.cost
+                    for key, months, rate in entry.fixed:
+                        held = ledger.get(key)
+                        if held is not None:
+                            cost -= change(held, months, rate)
                 latency = base + entry.latency
                 if latency < top or (latency == top and not first):
                     latency = top

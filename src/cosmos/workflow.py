@@ -94,7 +94,10 @@ class FunctionProfile:
         return self.t_overrides.get(platform_id, self.t)
 
     def stored_gb(self, n: Decimal) -> Decimal:
-        return self.d + CONTEXT.multiply(self.d_per_request, n)
+        """State retained at volume ``n``: d plus d_per_request per request,
+        one fused multiply-add under CONTEXT, so rounded at most once at 50
+        digits, as every product is."""
+        return CONTEXT.fma(self.d_per_request, n, self.d)
 
 
 @dataclass(frozen=True)

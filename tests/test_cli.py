@@ -5,7 +5,7 @@ import json
 import os
 import subprocess
 import sys
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import pytest
@@ -915,6 +915,50 @@ def test_latency_sums_past_28_digits_print_exactly(capsys, tmp_path):
                        "--format", "json")
     assert code == 0
     assert json.loads(out)["latency_ms"] == "3703703670370370367037035.370370367"
+
+
+def test_money_sums_past_28_digits_print_exactly(capsys, tmp_path):
+    # A 23-digit volume and a 12-digit time put every total past 28 digits.
+    doc = _pipeline(*(("functions", i, key, value) for i in range(3) for key, value in (
+        ("n", "98765432109876543210987"), ("t", "0.123456789123"))))
+    for function in doc["functions"]:
+        del function["t_overrides"]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run(capsys, "cost", "--workflow", str(path), "--platform", "aws-x86",
+                       "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["functions"]["ai-inference"]["total"] == "357625971480429478.738519577228"
+    assert report["workflow"]["total"] == "914853223065485939.602779531684"
+    with localcontext(prec=100):
+        assert sum(D(f["total"]) for f in report["functions"].values()) == D(report["workflow"]["total"])
+
+
+def test_crossover_past_28_digits_prints_the_exact_volume(capsys, tmp_path, monkeypatch):
+    # The cards differ by 1e-12 USD per request and by 0.269 USD per GB-month
+    # on 1e23 GB, so the lines meet at n* = 2.69e34 requests.
+    cards = tmp_path / "cards"
+    cards.mkdir()
+    source = json.loads((Path(__file__).resolve().parents[1] / "src/cosmos/catalogs/aws-x86.json")
+                        .read_text())
+    for pid, rates in (("left", {}), ("right", {"function-invocation": "0.200001", "kvs-storage": "0"})):
+        card = json.loads(json.dumps(source))
+        card["platform_id"] = pid
+        for comp in card["components"]:
+            comp["rate"] = rates.get(comp["id"], comp["rate"])
+        (cards / f"{pid}.json").write_text(json.dumps(card))
+    monkeypatch.setenv("COSMOS_CATALOG_DIR", str(cards))
+    path = tmp_path / "wf.json"
+    doc = {"workflow_id": "w", "functions": [{"function_id": "f", "n": "1", "d": "1e23"}], "edges": []}
+    path.write_text(json.dumps(doc))
+    argv = ["crossover", "--workflow", str(path), "--platform", "left", "--platform", "right"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "  n* = 26900000000000000000000000000000000 requests (" in out
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["n_star_requests"] == "26900000000000000000000000000000000"
 
 
 def test_latency_sum_past_50_digits_exits_3_stating_the_bound(capsys, tmp_path):

@@ -296,6 +296,13 @@ def test_bill_fixed_credits_per_key_all_but_the_longest_window(functions):
         assert credit == expected
 
 
+def test_breakdown_total_past_50_digits_raises_stating_the_bound():
+    # Each subtotal is below the money bound, but their exact sum needs 51 digits.
+    part = D("9" * 38 + ".000000000001")
+    with pytest.raises(DomainError, match="a cost total needs more than 50 significant digits"):
+        CostBreakdown.build(part, part, ZERO, ZERO, ZERO)
+
+
 def test_workflow_equals_sum_of_functions_with_dedup(pipeline, catalogs):
     wf, lat = pipeline
     placement = Placement.of(

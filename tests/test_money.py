@@ -62,6 +62,12 @@ def test_fmt_display_rounding():
     assert fmt(Decimal("143.6"), 1) == "143.6"
 
 
+def test_fmt_rounds_past_28_digits_and_states_the_bound_past_50():
+    assert fmt(Decimal("26900000000000000000000000000000000.4"), 0) == "26900000000000000000000000000000000"
+    with pytest.raises(DomainError, match="needs more than 50 significant digits"):
+        fmt(Decimal("1e50"), 0)
+
+
 def test_fmt_full_avoids_scientific_notation():
     assert fmt_full(Decimal("2E-7")) == "0.0000002"
     assert fmt_full(Decimal("61.056")) == "61.056"

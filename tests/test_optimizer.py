@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cosmos import optimizer
+from cosmos import engine, optimizer
 from cosmos.engine import workflow_cost
 from cosmos.errors import (
     CapExceededError,
@@ -564,16 +564,74 @@ def test_latency_keeps_the_digits_of_the_first_longest_distance(latencies):
     assert str(result.latency) == str(result.t_star) == str(model.latency_of(result.best)) == "2"
 
 
+def test_shared_credit_takes_no_ledger_step_per_placement(catalogs, monkeypatch):
+    # Five functions on the five cards, the last three sharing ml-provisioning:
+    # 3,125 placements below 780 shorter prefixes. The credit of a last-level
+    # pair comes from a memo, so neither the ledger step nor money_product
+    # runs once per placement.
+    months = [None, None, "3", "5", "7"]
+    fids = [f"f{i}" for i in range(len(months))]
+    wf = WorkflowSpec(
+        workflow_id="shared-chain",
+        functions=tuple(
+            FunctionProfile(
+                function_id=fid, n=D(1000), t=D("0.1"), mem=D("0.125"),
+                baas_usage=(BaasUsage("ml-provisioning", D(m)),) if m else (),
+            )
+            for fid, m in zip(fids, months)
+        ),
+        edges=tuple(zip(fids, fids[1:])),
+    )
+    lat = LatencyTable({(fid, pid): D(10) for fid in fids for pid in PLATFORMS})
+    model = CatalogModel(wf, catalogs, latencies=lat)
+    calls = {"bill_fixed": 0, "money_product": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def count(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, count)
+
+    counted(optimizer, "bill_fixed")
+    counted(engine, "money_product")
+    result = optimize(wf, PLATFORMS, model)
+    prefixes = sum(len(PLATFORMS) ** k for k in range(1, len(fids)))
+    assert (result.total_count, prefixes) == (3125, 780)
+    assert calls["bill_fixed"] <= prefixes
+    assert calls["money_product"] <= prefixes
+    assert (result.c_star, result.c_star_placement) == min_cost(wf, PLATFORMS, model)
+
+
 def _quantile(data, values, label):
     """None, or one of the values picked by rank; kept positive as the config requires."""
     index = data.draw(st.none() | st.integers(0, len(values) - 1), label=label)
     return None if index is None else max(sorted(values)[index], D("1e-12"))
 
 
+def _usages(data, fid):
+    """0-2 ml-provisioning usages, so a function may bill the one fixed key
+    twice, and maybe the etl-engine; each maybe restricted to some platforms."""
+    restricted = st.none() | st.frozensets(st.sampled_from(PLATFORMS), min_size=1)
+    usages = [
+        BaasUsage(
+            "ml-provisioning",
+            D(data.draw(st.sampled_from(["1", "3", "3.0", "7", "12"]), label=f"months-{fid}")),
+            data.draw(restricted, label=f"fixed platforms-{fid}"),
+        )
+        for _ in range(data.draw(st.integers(0, 2), label=f"fixed-{fid}"))
+    ]
+    if data.draw(st.booleans(), label=f"etl-{fid}"):
+        usages.append(BaasUsage("etl-engine", D(1), data.draw(restricted, label=f"etl platforms-{fid}")))
+    return tuple(usages)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_one_pass_matches_exhaustive_oracle(catalogs, data):
-    n = data.draw(st.integers(1, 4), label="functions")
+    n = data.draw(st.integers(1, 5), label="functions")
     platforms = data.draw(st.permutations(PLATFORMS), label="platform order")
     platforms = platforms[: data.draw(st.integers(1, len(PLATFORMS)), label="platforms")]
     fids = [f"f{i}" for i in range(n)]
@@ -588,9 +646,7 @@ def test_one_pass_matches_exhaustive_oracle(catalogs, data):
                 n=D(data.draw(st.sampled_from([0, 1, 1000, 10**6]), label=f"n-{fid}")),
                 t=D("0.1"),
                 mem=D("0.125"),
-                baas_usage=(BaasUsage("ml-provisioning", D(data.draw(st.integers(1, 12)))),)
-                if data.draw(st.booleans(), label=f"fixed-{fid}")
-                else (),
+                baas_usage=_usages(data, fid),
             )
             for fid in fids
         ),
