@@ -321,9 +321,11 @@ class CostCurve:
         _require_nonneg(fixed=self.fixed, slope=self.slope)
 
     def evaluate(self, n: Decimal | int | str) -> Decimal:
+        """The cost at volume n: one fused multiply-add under CONTEXT, so
+        rounded at most once at 50 digits, then quantized to money."""
         n = dec(n)
         _require_nonneg(n=n)
-        return quantize_money(self.fixed + CONTEXT.multiply(self.slope, n))
+        return quantize_money(CONTEXT.fma(self.slope, n, self.fixed))
 
 
 def function_cost_curve(
@@ -335,7 +337,7 @@ def function_cost_curve(
     """Cost-vs-volume line for one function on one platform."""
     fixed = function_cost(profile, catalog, latencies=latencies, volume=0).total
     at_one = function_cost(profile, catalog, latencies=latencies, volume=1).total
-    return CostCurve(fixed=fixed, slope=at_one - fixed)
+    return CostCurve(fixed=fixed, slope=CONTEXT.subtract(at_one, fixed))
 
 
 def workflow_cost_curve(
@@ -348,7 +350,7 @@ def workflow_cost_curve(
     """Cost-vs-volume line for a whole placement."""
     fixed = workflow_cost(workflow, placement, catalogs, latencies=latencies, volume=0).total
     at_one = workflow_cost(workflow, placement, catalogs, latencies=latencies, volume=1).total
-    return CostCurve(fixed=fixed, slope=at_one - fixed)
+    return CostCurve(fixed=fixed, slope=CONTEXT.subtract(at_one, fixed))
 
 
 @dataclass(frozen=True)
@@ -376,7 +378,8 @@ def crossover(a: CostCurve, b: CostCurve) -> CrossoverPoint | object | None:
     """
     if a.slope == b.slope:
         return COINCIDENT_CURVES if a.fixed == b.fixed else None
-    n_star = div(b.fixed - a.fixed, a.slope - b.slope)
+    # Both lines are money-quantized, so their differences are exact in CONTEXT.
+    n_star = div(CONTEXT.subtract(b.fixed, a.fixed), CONTEXT.subtract(a.slope, b.slope))
     if n_star < 0:
         return None
     return CrossoverPoint(n_star=n_star, cost=a.evaluate(n_star))

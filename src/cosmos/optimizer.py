@@ -8,10 +8,24 @@ in enumerate_placements order and equal (cost, latency) pairs keep the first.
 Placements that share a prefix share its state, kept once per level: the cost
 sum, the shared fixed-charge ledger and credit of engine.bill_fixed (updated
 only when a pair bills a fixed charge), the critical-path distances and
-whether each pair is within the bounds. A placement then costs one step from
-its parent. The last level copies no ledger: a pair's credit is its
-parent's plus the change of each key it bills again, computed by
+whether each pair is within the bounds.
+
+The walk steps only through the head, the functions before the tail: the
+longest trailing run of at most half the functions that the rest of the
+workflow enters through one function and that bills no fixed charge (a
+one-function tail may). The tail's platform combinations are priced once
+per solve into a table (cost sum, longest path from its entry function),
+and each head prefix is answered from it meet-in-the-middle style. Only
+the table's own undominated entries can reach the front, so only they are
+visited per prefix; the rest are answered in bulk, their first fastest
+entry by bisection over their records of least length and their feasible
+count by a dominance count over their sorted costs and lengths. A
+one-function tail's fixed pairs cost their prefix's paid sum plus their
+own cost less the change of each key they bill again, computed by
 engine.bill_key, the rule bill_fixed applies, once per held entry and solve.
+The table adds sums in another order than a step would, so it is used only
+when every sum of the search fits money.CONTEXT's precision digit for digit;
+otherwise, or with no tail, the last level steps every placement.
 enumerate_placements, min_cost and min_time enumerate and price each
 placement whole, and the tests use them as oracles.
 
@@ -22,11 +36,13 @@ latency), so cost and latency enter the objective equally normalized.
 
 from __future__ import annotations
 
+import decimal
 import itertools
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from decimal import Decimal
-from operator import attrgetter
+from functools import partial
+from operator import add, attrgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -40,7 +56,7 @@ from .errors import (
     MissingLatencyError,
     SchemaError,
 )
-from .money import CONTEXT, div, exact_sums
+from .money import CONTEXT, MONEY_PLACES, div, exact_sums
 from .workflow import (
     _ARRAY,
     LATENCY_LIMIT,
@@ -58,7 +74,7 @@ INFINITY = Decimal("Infinity")
 DEFAULT_ENUMERATION_CAP = 10**7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParetoPoint:
     """A labeled (cost, latency) alternative, optionally tied to a placement."""
 
@@ -94,6 +110,7 @@ def _admit(front: list[ParetoPoint], point: ParetoPoint) -> None:
         _insert(front, i, point)
 
 
+_COST = attrgetter("cost")
 _LATENCY = attrgetter("latency")
 
 
@@ -378,13 +395,13 @@ def optimize(
     """Minimize alpha*cost + beta*latency over feasible placements.
 
     One depth-first walk over the model's rows (one per function in
-    declaration order, its pairs in platform order) visits every placement
-    once, in the order of enumerate_placements. Each level of the walk keeps
-    its prefix's cost sum, shared fixed-charge credit, critical-path
-    distances and within-bounds flag, so a placement costs one step from
-    its parent. The walk finds the anchors as min_cost and min_time do, and
-    folds each feasible placement into a Pareto front, building a Placement
-    only for one the front admits. Under the per_function scope a placement
+    declaration order, its pairs in platform order) covers every placement
+    once, in the order of enumerate_placements (see _walk): it steps
+    through the head prefixes and answers each from the tail table. The
+    walk finds the anchors as min_cost and min_time do, and folds each
+    feasible placement that can be on the front into a Pareto front of
+    bare (cost, latency) points; only the best gets a Placement. Under the
+    per_function scope a placement
     is feasible when each of its pairs is within the budget and SLO. The
     best is the front member with the least
     (a*cost + b*latency, cost, latency), where a, b = alpha, beta, or T*, C*
@@ -423,13 +440,13 @@ def optimize(
             c_star, t_star, config.budget, config.latency_slo, diagnostics
         )
 
-    def rank(p: ParetoPoint) -> tuple[Decimal, Decimal, Decimal]:
+    def rank(p: _Point) -> tuple[Decimal, Decimal, Decimal]:
         return CONTEXT.fma(a, p.cost, CONTEXT.multiply(b, p.latency)), p.cost, p.latency
 
     best = min(front, key=rank)
     objective = CONTEXT.multiply(alpha, best.cost) + CONTEXT.multiply(beta, best.latency)
     return OptimizationResult(
-        best=best.placement,
+        best=Placement(_join(best.prefix, found.tail_rows, best.tail)),
         cost=best.cost,
         latency=best.latency,
         objective=float(objective),
@@ -452,8 +469,36 @@ class _Found(NamedTuple):
     c_arg: tuple
     t_star: Decimal
     t_arg: tuple
-    front: list[ParetoPoint]
+    front: list[_Point]
     feasible_count: int
+    #: The rows of the tail, for _join.
+    tail_rows: list
+
+
+class _Point:
+    """A feasible (cost, latency) the walk's front holds. Its assignment is
+    its head prefix, a tuple shared by the points of one prefix, and the
+    enumeration index of its tail assignment (see _join); only the chosen
+    best's is built. A slotted class, not a tuple: a freed tuple stays on
+    CPython's free list, so points the front drops would stay on the heap."""
+
+    __slots__ = ("cost", "latency", "prefix", "tail")
+
+    def __init__(self, cost: Decimal, latency: Decimal, prefix: tuple, tail: int):
+        self.cost, self.latency, self.prefix, self.tail = cost, latency, prefix, tail
+
+
+def _join(prefix: tuple, tail_rows: list[list], j: int) -> tuple:
+    """prefix plus the tail assignment of enumeration index j over
+    tail_rows, one row of pairs per tail function, built from a list:
+    tuple() of a generator over-allocates and shrinks, which leaves a
+    free-listed tuple behind and raises the peak heap."""
+    picked = []
+    for row in reversed(tail_rows):
+        j, c = divmod(j, len(row))
+        picked.append(row[c])
+    picked.reverse()
+    return prefix + tuple(picked)
 
 
 def _walk(
@@ -462,25 +507,39 @@ def _walk(
     platforms: list[str],
     config: OptimizationConfig,
 ) -> _Found:
-    """Visit every placement once, depth first over the rows, as an odometer.
+    """Visit every placement once, in enumerate_placements order.
 
-    Level k places function k (declaration order) on each platform in turn,
-    so placements come in enumerate_placements order. Slot d of each state
-    list holds the current prefix of d functions: its cost sum, its
-    fixed-charge ledger and the shared credit it earns (engine.bill_fixed),
-    whether each pair is within the bounds, and the longest critical-path
-    distance known so far with its topological position. A function's
-    distance is computed at the level of the deepest function among itself
-    and its ancestors: its own level when declaration order is topological.
+    The head, the functions before the tail (see _tail_size), is walked
+    depth first as an odometer: level k places function k (declaration
+    order) on each platform in turn. Slot d of each state list holds the
+    current prefix of d functions: its cost sum, its fixed-charge ledger
+    and the shared credit it earns (engine.bill_fixed), whether each pair
+    is within the bounds, and the longest critical-path distance known so
+    far with its topological position. A function's distance is computed
+    at the level of the deepest function among itself and its ancestors:
+    its own level when declaration order is topological.
 
-    The last level runs as one loop over its row. When the last function's
-    distance is computed there alone, it reads its parent's slot and copies
-    no ledger: a pair costs its prefix's cost sum less credit plus its own
-    cost, less, for each fixed charge whose key the prefix already bills,
-    that key's change in credit. The change comes from engine.bill_key and
-    is kept per (held ledger entry, months, rate) for the rest of the solve.
-    A pair that bills one key twice goes through bill_fixed whole, so that
-    it sees its own first billing. Otherwise the last level steps as the
+    Each head prefix is then answered from the _TailTable, priced once per
+    solve. A placement costs the prefix's paid sum (cost sum less credit)
+    plus its entry's cost, and its latency is the longer of the prefix's
+    own critical path and the distance into the tail's entry function s
+    plus the entry's longest path from s. The table's front entries, those
+    that can reach the walk's front, are visited one by one in enumeration
+    order: each is an anchor candidate, counted when feasible and offered
+    to the front. The rest are answered in bulk: their first fastest entry
+    from their length records, and their feasible count from a dominance
+    count over their sorted costs and lengths, each compared as
+    paid + cost <= budget and distance + length <= slo by bisection, never
+    by subtraction. The fixed pairs of a one-function tail are visited in
+    enumeration order with the front entries: a pair costs the paid sum
+    plus its own cost, less, for each fixed charge whose key the prefix
+    already bills, that key's change in credit, from engine.bill_key and
+    kept per (held ledger entry, months, rate) for the rest of the solve; a
+    pair that bills one key twice goes through bill_fixed whole, so that it
+    sees its own first billing.
+
+    With no tail, or when _exact_in_any_order fails, the head is every
+    function but the last, and the last level steps each placement as the
     others do.
     """
     budget = INFINITY if config.budget is None else config.budget
@@ -534,76 +593,145 @@ def _walk(
             delta = changes[memo] = term if held[3] is None else term - held[3]
         return delta
 
-    if n:
-        row, within_last = rows[last], within_pair[last]
-        # A pair that bills one key twice sees its own first billing through
-        # bill_fixed.
-        repeats = [len({key for key, _, _ in e.fixed}) < len(e.fixed) for e in row]
-        tails = [(pair,) for pair in pairs[last]]
-        # When no descendant of the last function is declared before it, the
-        # last level computes its distance alone, from its parent's distances.
-        fast = len(schedule[last]) == 1
-        if fast:
-            ((p, preds, _),) = schedule[last]
-    else:
-        width, tails, fast = 1, [()], False
+    size = _tail_size(workflow, rows)
+    if size and not _exact_in_any_order(rows):
+        size = 0
+    head = n - size if size else max(last, 0)
+    tail_rows = pairs[head:]
+    front: list[_Point] = []
+
+    def keep(i: int, cost: Decimal, latency: Decimal, prefix: tuple, j: int) -> None:
+        """Insert a point at its front slot i, checked as ParetoPoint checks one."""
+        if cost < 0 or latency < 0:
+            label = str(Placement(_join(prefix, tail_rows, j)))
+            raise DomainError(f"point {label!r} has negative cost or latency")
+        _insert(front, i, _Point(cost, latency, prefix, j))
+
+    if size:
+        table = _TailTable(workflow, rows, within_pair, head)
+        entry_pos, entry_preds = table.entry_pos, workflow._topology[table.entry_pos][1]
+        t_cost, t_length, t_pos, t_within = table.cost, table.length, table.pos, table.within
+        rest_within, count = table.rest_within, table.count
+        by_cost, by_length = table.by_cost, table.by_length
+        records, record_entries = table.records, table.record_entries
+        last_row, within_last = rows[last], within_pair[last]
+        # The fixed pairs of a one-function tail, priced per prefix.
+        fixed = [j for j, e in enumerate(last_row) if e.fixed] if size == 1 else []
+        repeats = {
+            j: len({key for key, _, _ in last_row[j].fixed}) < len(last_row[j].fixed) for j in fixed
+        }
+        # Visited per prefix in enumeration order: the table's front entries
+        # and the fixed pairs. Never empty, and it holds the first cheapest.
+        visit = sorted(table.front + fixed)
+        n_rest = len(by_cost)
     # Anchors start at the first placement, so one is found even when every
     # placement is infinite on an axis.
     c_star = t_star = INFINITY
     c_arg = t_arg = tuple([row[0] for row in pairs])
-    front: list[ParetoPoint] = []
     feasible = depth = 0
     while True:
-        for k in range(depth, last):
+        for k in range(depth, head):
             step(k)
-        # From a list: tuple() of a generator over-allocates and shrinks, which
-        # leaves a free-listed tuple behind per prefix and raises the peak heap.
-        prefix = tuple([pairs[k][choice[k]] for k in range(last)])
-        if fast:
-            base = max([dist[q] for q in preds], default=ZERO)
+        # From a list: see _join.
+        prefix = tuple([pairs[k][choice[k]] for k in range(head)])
+        if size:
+            total, ledger, credit = cost_at[head], ledger_at[head], credit_at[head]
+            paid, within = total - credit, within_at[head]
+            base = max([dist[q] for q in entry_preds], default=ZERO)
             # Of equal distances the first in topological order is the path's.
-            top, first = top_at[last], p < top_pos_at[last]
-            total, ledger, credit = cost_at[last], ledger_at[last], credit_at[last]
-            paid, within = total - credit, within_at[last]
-        for j in range(width):
-            if fast:
-                entry = row[j]
-                if not entry.fixed:
-                    cost = paid + entry.cost
-                elif repeats[j]:
-                    cost = total + entry.cost - bill_fixed(ledger, credit, entry.fixed)[1]
+            top, top_pos = top_at[head], top_pos_at[head]
+            # This prefix's first cheapest and first fastest placements.
+            c_cost = t_latency = INFINITY
+            for j in visit:
+                cost = t_cost[j]
+                if cost is not None:
+                    cost, latency = paid + cost, base + t_length[j]
+                    if latency < top or (latency == top and not t_pos[j] < top_pos):
+                        latency = top
+                    if per_function:
+                        ok = within and t_within[j]
+                    else:
+                        ok = cost <= budget and latency <= slo
                 else:
-                    cost = paid + entry.cost
-                    for key, months, rate in entry.fixed:
-                        held = ledger.get(key)
-                        if held is not None:
-                            cost -= change(held, months, rate)
-                latency = base + entry.latency
-                if latency < top or (latency == top and not first):
+                    # A fixed pair, less the credit change of each key it bills again.
+                    entry = last_row[j]
+                    if repeats[j]:
+                        cost = total + entry.cost - bill_fixed(ledger, credit, entry.fixed)[1]
+                    else:
+                        cost = paid + entry.cost
+                        for key, months, rate in entry.fixed:
+                            held = ledger.get(key)
+                            if held is not None:
+                                cost -= change(held, months, rate)
+                    latency = base + entry.latency
+                    if latency < top or (latency == top and not entry_pos < top_pos):
+                        latency = top
+                    if per_function:
+                        ok = within and within_last[j]
+                    else:
+                        ok = cost <= budget and latency <= slo
+                if cost < c_cost:
+                    c_cost, c_j = cost, j
+                if latency < t_latency:
+                    t_latency, t_j = latency, j
+                if ok:
+                    feasible += 1
+                    i = _slot(front, cost, latency)
+                    if i >= 0:
+                        keep(i, cost, latency, prefix, j)
+            if n_rest:
+                # Keys add in C, without a Python frame per probe.
+                after_base = partial(add, base)
+                # The first rest entry within top is their longest record
+                # within it; with none, their first of least length.
+                r = bisect_right(records, top, key=after_base)
+                j = record_entries[r - 1 if r else 0]
+                latency = base + t_length[j]
+                if latency < top or (latency == top and not t_pos[j] < top_pos):
                     latency = top
-                ok = within and within_last[j]
-            else:
+                if latency < t_latency or (latency == t_latency and j < t_j):
+                    t_latency, t_j = latency, j
+                if per_function:
+                    feasible += rest_within if within else 0
+                elif top <= slo:
+                    cheap = n_rest if budget is INFINITY else bisect_right(
+                        by_cost, budget, key=partial(add, paid)
+                    )
+                    short = n_rest if slo is INFINITY else bisect_right(
+                        by_length, slo, key=after_base
+                    )
+                    if cheap and short:
+                        feasible += (
+                            short if cheap == n_rest
+                            else cheap if short == n_rest
+                            else count(cheap, short)
+                        )
+            if c_cost < c_star:
+                c_star, c_arg = c_cost, _join(prefix, tail_rows, c_j)
+            if t_latency < t_star:
+                t_star, t_arg = t_latency, _join(prefix, tail_rows, t_j)
+        else:
+            for j in range(width ** (n - head)):
                 if n:
                     choice[last] = j
                     step(last)
                 cost = cost_at[n] - credit_at[n]
                 latency, ok = top_at[n], within_at[n]
-            if cost < c_star:
-                c_star, c_arg = cost, prefix + tails[j]
-            if latency < t_star:
-                t_star, t_arg = latency, prefix + tails[j]
-            if ok if per_function else (cost <= budget and latency <= slo):
-                feasible += 1
-                i = _slot(front, cost, latency)
-                if i >= 0:
-                    placement = Placement(prefix + tails[j])
-                    _insert(front, i, ParetoPoint(str(placement), cost, latency, placement))
-        k = last - 1
+                if cost < c_star:
+                    c_star, c_arg = cost, _join(prefix, tail_rows, j)
+                if latency < t_star:
+                    t_star, t_arg = latency, _join(prefix, tail_rows, j)
+                if ok if per_function else (cost <= budget and latency <= slo):
+                    feasible += 1
+                    i = _slot(front, cost, latency)
+                    if i >= 0:
+                        keep(i, cost, latency, prefix, j)
+        k = head - 1
         while k >= 0 and choice[k] == width - 1:
             choice[k] = 0
             k -= 1
         if k < 0:
-            return _Found(c_star, c_arg, t_star, t_arg, front, feasible)
+            return _Found(c_star, c_arg, t_star, t_arg, front, feasible, tail_rows)
         choice[k] += 1
         depth = k
 
@@ -622,3 +750,179 @@ def _schedule(workflow: WorkflowSpec) -> list[list[tuple[int, tuple[int, ...], i
         schedule[level].append((p, preds, i))
     return schedule
 
+
+
+def _tail_size(workflow: WorkflowSpec, rows: list[list[PairEntry]]) -> int:
+    """How many trailing functions, in declaration order, the walk prices as
+    one table per solve (see _TailTable); 0 for none. The tail is the
+    longest trailing run of at most half the functions in which:
+
+    - no function before it has an ancestor in it, so the head's distances
+      are all known at the head's last level;
+    - exactly one function s has predecessors outside it, or none at all,
+      and every other one has predecessors inside it only, so each tail
+      distance is s's plus a path inside the tail;
+    - no pair bills a fixed charge, unless the tail is one function: its
+      credit would depend on the other tail pairs.
+    """
+    n, topology, schedule = len(rows), workflow._topology, _schedule(workflow)
+    for size in range(n // 2, 0, -1):
+        start = n - size
+        if any(i < start for level in schedule[start:] for _, _, i in level):
+            continue
+        entries = [
+            i for i, preds in topology
+            if i >= start and (not preds or any(topology[q][0] < start for q in preds))
+        ]
+        if len(entries) != 1:
+            continue
+        if size > 1 and any(e.fixed for row in rows[start:] for e in row):
+            continue
+        return size
+    return 0
+
+
+#: Rounds up and traps nothing: an upper bound of a sum that never raises.
+_CEILING = decimal.Context(prec=CONTEXT.prec, rounding=decimal.ROUND_CEILING, traps=[])
+
+
+def _exact_in_any_order(rows: list[list[PairEntry]]) -> bool:
+    """Whether every cost and latency sum the walk can form keeps all its
+    digits in money.CONTEXT, so that the tail table's sums, added in
+    another order than the step path's, match them digit for digit and
+    neither raises. A sum of the search is at most the sum of the row
+    maxima, and its last digit is no finer than the finest entry's (or
+    ZERO's, which starts every sum, or the money quantum of a credit); the
+    digits between must fit in CONTEXT.prec. A credit is at most the
+    fixed charges it credits plus a few quanta, so with fixed charges the
+    cost bound gets one more digit. A non-finite or negative entry
+    fails too: the step path keeps the parent's infinite anchors and the
+    negative-point error of its first admitted point.
+    """
+    fixed = any(e.fixed for row in rows for e in row)
+    for axis in (_COST, _LATENCY):
+        bound, finest = ZERO, 0
+        for row in rows:
+            values = [axis(e) for e in row]
+            if not all(v.is_finite() and v >= 0 for v in values):
+                return False
+            bound = _CEILING.add(bound, max(values))
+            finest = min(finest, *[v.as_tuple().exponent for v in values])
+        if axis is _COST and fixed:
+            bound = _CEILING.multiply(bound, 10)
+            finest = min(finest, -MONEY_PLACES)
+        if bound.adjusted() + 1 - finest > CONTEXT.prec:
+            return False
+    return True
+
+
+class _TailTable:
+    """The tail's platform combinations (see _tail_size), priced once per
+    solve, in parallel lists indexed by enumeration index:
+
+    - cost: the pairs' cost sum in declaration order;
+    - length: the longest path from the tail's entry function s (its
+      topological position entry_pos) within the tail, counting s's own
+      latency, and pos, the topological position of the first function, in
+      topological order, whose path is that long, for the digit tie rule;
+    - within: whether every pair is within the bounds.
+
+    A combination that bills a fixed charge (a one-function tail's fixed
+    pair) is not priced here: its cost is None and the walk prices it per
+    prefix. The priced entries split in two, once:
+
+    - ``front``: the entries that no earlier entry weakly dominates on
+      (cost, length) and no entry is strictly cheaper than and no longer.
+      Only these can reach the walk's front under any prefix (a strictly
+      shorter entry of equal cost may tie once both fit under the prefix's
+      critical path, and then the first enumerated is kept), and they hold
+      the first cheapest entry. The walk visits them one by one.
+    - the rest, answered in bulk. ``records`` and
+      ``record_entries`` are their strict prefix minima of length in
+      enumeration order, kept length ascending, so the first of them whose
+      length fits under a prefix's own critical path is found by bisection.
+      ``by_cost`` and ``by_length`` are their costs and lengths sorted, with
+      a Fenwick tree of length ranks over the cost order for count(), and
+      ``rest_within`` how many are within the bounds.
+    """
+
+    __slots__ = (
+        "entry_pos", "cost", "length", "pos", "within", "front", "rest_within",
+        "records", "record_entries", "by_cost", "by_length", "tree", "starts",
+    )
+
+    def __init__(self, workflow, rows, within_pair, start: int):
+        members = [
+            (p, preds, i - start) for p, (i, preds) in enumerate(workflow._topology) if i >= start
+        ]
+        # Every tail function is reached from s, so s comes first.
+        self.entry_pos = entry_pos = members[0][0]
+        self.cost, self.length, self.pos, self.within = cost, length, pos, within = [], [], [], []
+        priced = []
+        tail_rows, tail_within = rows[start:], within_pair[start:]
+        for e, combo in enumerate(itertools.product(*[range(len(row)) for row in tail_rows])):
+            picked = [row[c] for row, c in zip(tail_rows, combo)]
+            if any([pair.fixed for pair in picked]):
+                cost.append(None)
+                length.append(None)
+                pos.append(None)
+                within.append(False)
+                continue
+            total = picked[0].cost
+            for pair in picked[1:]:
+                total += pair.cost
+            dist: dict = {}
+            longest = longest_pos = None
+            for p, preds, k in members:
+                d = picked[k].latency
+                if p != entry_pos:
+                    d = max([dist[q] for q in preds]) + d
+                dist[p] = d
+                if longest is None or d > longest:
+                    longest, longest_pos = d, p
+            cost.append(total)
+            length.append(longest)
+            pos.append(longest_pos)
+            within.append(all([row[c] for row, c in zip(tail_within, combo)]))
+            priced.append(e)
+        # Stable: entries of equal cost stay in enumeration order.
+        by_cost = sorted(priced, key=cost.__getitem__)
+        front, least = set(), None
+        for _, group in itertools.groupby(by_cost, key=cost.__getitem__):
+            for e in group:
+                if least is None or length[e] < least:
+                    front.add(e)
+                    least = length[e]
+        self.front = sorted(front)
+        rest = [e for e in priced if e not in front]
+        self.rest_within = sum([within[e] for e in rest])
+        records, record_entries = [], []
+        for e in rest:
+            if not records or length[e] < records[-1]:
+                records.append(length[e])
+                record_entries.append(e)
+        # Length ascending, for bisection.
+        self.records, self.record_entries = records[::-1], record_entries[::-1]
+        by_cost = [e for e in by_cost if e not in front]
+        by_length = sorted(rest, key=length.__getitem__)
+        rank = dict(zip(by_length, range(len(by_length))))
+        ranks = [rank[e] for e in by_cost]
+        self.by_cost = [cost[e] for e in by_cost]
+        self.by_length = [length[e] for e in by_length]
+        # Node k, at tree[starts[k - 1]:starts[k]], holds the sorted ranks of
+        # the cost-order entries k & (k - 1) .. k - 1.
+        self.tree, self.starts = [], [0]
+        for k in range(1, len(ranks) + 1):
+            self.tree += sorted(ranks[k & (k - 1) : k])
+            self.starts.append(len(self.tree))
+
+    def count(self, cheap: int, short: int) -> int:
+        """How many rest entries are among their ``cheap`` cheapest and
+        ``short`` shortest: both sets are prefixes of a sorted order, so
+        this is a dominance count over ranks."""
+        tree, starts, total = self.tree, self.starts, 0
+        while cheap:
+            start = starts[cheap - 1]
+            total += bisect_left(tree, short, start, starts[cheap]) - start
+            cheap &= cheap - 1
+        return total

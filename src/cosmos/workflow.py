@@ -155,7 +155,7 @@ class WorkflowSpec:
         raise UnknownFunctionError(f"unknown function {function_id!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Placement:
     """Total assignment of workflow functions to platforms."""
 

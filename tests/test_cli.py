@@ -935,9 +935,10 @@ def test_money_sums_past_28_digits_print_exactly(capsys, tmp_path):
         assert sum(D(f["total"]) for f in report["functions"].values()) == D(report["workflow"]["total"])
 
 
-def test_crossover_past_28_digits_prints_the_exact_volume(capsys, tmp_path, monkeypatch):
-    # The cards differ by 1e-12 USD per request and by 0.269 USD per GB-month
-    # on 1e23 GB, so the lines meet at n* = 2.69e34 requests.
+def _left_right(tmp_path, monkeypatch, d):
+    """The crossover argv for a one-function workflow of ``d`` GB on two
+    copies of the aws-x86 card, "right" at 0.200001 USD per million
+    invocations and storing for free."""
     cards = tmp_path / "cards"
     cards.mkdir()
     source = json.loads((Path(__file__).resolve().parents[1] / "src/cosmos/catalogs/aws-x86.json")
@@ -950,15 +951,49 @@ def test_crossover_past_28_digits_prints_the_exact_volume(capsys, tmp_path, monk
         (cards / f"{pid}.json").write_text(json.dumps(card))
     monkeypatch.setenv("COSMOS_CATALOG_DIR", str(cards))
     path = tmp_path / "wf.json"
-    doc = {"workflow_id": "w", "functions": [{"function_id": "f", "n": "1", "d": "1e23"}], "edges": []}
+    doc = {"workflow_id": "w", "functions": [{"function_id": "f", "n": "1", "d": d}], "edges": []}
     path.write_text(json.dumps(doc))
-    argv = ["crossover", "--workflow", str(path), "--platform", "left", "--platform", "right"]
+    return ["crossover", "--workflow", str(path), "--platform", "left", "--platform", "right"]
+
+
+def test_crossover_past_28_digits_prints_the_exact_volume(capsys, tmp_path, monkeypatch):
+    # The cards differ by 1e-12 USD per request and by 0.269 USD per GB-month
+    # on 1e23 GB, so the lines meet at n* = 2.69e34 requests.
+    argv = _left_right(tmp_path, monkeypatch, "1e23")
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert "  n* = 26900000000000000000000000000000000 requests (" in out
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 0
     assert json.loads(out)["n_star_requests"] == "26900000000000000000000000000000000"
+
+
+def test_crossover_subtracts_the_lines_exactly(capsys, tmp_path, monkeypatch):
+    # The intercepts differ by 0.269 x d, 33 significant digits, so a
+    # difference rounded at 28 digits moved n* in its last digits.
+    argv = _left_right(tmp_path, monkeypatch, "123456789012345678901.123456")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["n_star_requests"] == "33209876244320987624402209664000"
+
+
+def test_curve_sample_past_28_digits_prints_exactly(capsys, tmp_path):
+    # fixed 13.7376 + slope 0.000003620963 x n needs 30 significant digits.
+    doc = _pipeline(*(("functions", i, key, value) for i in range(3) for key, value in (
+        ("n", "98765432109876543210987"), ("t", "0.123456789123"))))
+    for function in doc["functions"]:
+        del function["t_overrides"]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run(capsys, "curve", "--workflow", str(path), "--platform", "aws-x86",
+                       "--function", "ai-inference", "--sample", "98765432109876543210987",
+                       "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["fixed"], report["slope_per_request"]) == ("13.7376", "0.000003620963")
+    assert report["samples"] == [
+        {"cost": "357625975348874911.272485120481", "n": "98765432109876543210987"}
+    ]
 
 
 def test_latency_sum_past_50_digits_exits_3_stating_the_bound(capsys, tmp_path):

@@ -400,6 +400,16 @@ def test_crossover_in_negative_volume_is_none():
     assert crossover(CostCurve(D(1), D(1)), CostCurve(D(2), D(2))) is None
 
 
+def test_curve_arithmetic_is_exact_past_28_digits():
+    # 21 integer digits at the money quantum: 33 significant digits.
+    fixed = D("123456789012345678901.123456789012")
+    line = CostCurve(fixed, D("0.000000000001"))
+    assert str(line.evaluate(1)) == "123456789012345678901.123456789013"
+    steeper = CostCurve(D("0.000000000001"), D("0.000000000002"))
+    point = crossover(line, steeper)
+    assert str(point.n_star) == "123456789012345678901123456789011"
+
+
 def test_crossover_sign_change(pipeline, curve_study, catalogs):
     wf, _ = pipeline
     wf2, _ = curve_study

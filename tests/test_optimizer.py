@@ -564,6 +564,19 @@ def test_latency_keeps_the_digits_of_the_first_longest_distance(latencies):
     assert str(result.latency) == str(result.t_star) == str(model.latency_of(result.best)) == "2"
 
 
+def test_tail_path_keeps_the_digits_of_an_earlier_head_distance():
+    # Tail {c, d} (a -> c -> d) sums to 2.0, tying with the head function b's
+    # 2, which comes first in topological order (a, b, c, d): the path is b's.
+    wf = WorkflowSpec(
+        workflow_id="digits", functions=tuple(FunctionProfile(f) for f in "abcd"),
+        edges=(("a", "c"), ("c", "d")),
+    )
+    model = PointTableModel(wf, {(f, "x"): (D(1), D(ms)) for f, ms in zip("abcd", ("0", "2", "1", "1.0"))})
+    assert _tail_of(wf, ["x"], model) == 2
+    result = optimize(wf, ["x"], model, OptimizationConfig(alpha=D(1), beta=D(1)))
+    assert str(result.latency) == str(result.t_star) == str(model.latency_of(result.best)) == "2"
+
+
 def test_shared_credit_takes_no_ledger_step_per_placement(catalogs, monkeypatch):
     # Five functions on the five cards, the last three sharing ml-provisioning:
     # 3,125 placements below 780 shorter prefixes. The credit of a last-level
@@ -664,8 +677,13 @@ def test_one_pass_matches_exhaustive_oracle(catalogs, data):
             for pid in PLATFORMS
         }
     )
-    model = CatalogModel(wf, catalogs, latencies=lat)
+    _check_against_oracle(data, wf, platforms, CatalogModel(wf, catalogs, latencies=lat))
 
+
+def _check_against_oracle(data, wf, platforms, model):
+    """optimize, under a drawn scope, budget, SLO and weighting, against every
+    placement enumerated and priced whole: each result field, digits too."""
+    fids = wf.function_ids
     evaluated = [
         (model.cost_of(p), model.latency_of(p), p) for p in enumerate_placements(wf, platforms)
     ]
@@ -737,3 +755,110 @@ def test_one_pass_matches_exhaustive_oracle(catalogs, data):
     assert (result.c_star, result.c_star_placement) == min_cost(wf, platforms, model)
     assert (result.t_star, result.t_star_placement) == min_time(wf, platforms, model)
     assert (result.feasible_count, result.total_count) == (len(candidates), len(evaluated))
+    assert [str(p) for p in (result.best, result.c_star_placement, result.t_star_placement)] == [
+        str(p) for p in (best, c_arg, t_arg)
+    ]
+
+
+#: Equal amounts written with different digits, so ties keep the first digits.
+_DIGITS = ["0", "0.0", "1", "2", "2.0", "2.00", "3", "5", "5E+1", "50", "50.0", "0.5"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_tail_table_matches_exhaustive_oracle(data):
+    # 6-7 functions on at most 3 platforms: a random head, then a tail of 1-3
+    # functions entered through its first one only, unless a drawn head ->
+    # tail edge gives it a second entry. Costs come from a point table.
+    n = data.draw(st.integers(6, 7), label="functions")
+    size = data.draw(st.integers(1, 3), label="tail")
+    platforms = data.draw(st.permutations(["x", "y", "z"]), label="platform order")
+    platforms = platforms[: data.draw(st.integers(1, 3), label="platforms")]
+    fids = [f"f{i}" for i in range(n)]
+    head, tail = fids[: n - size], fids[n - size :]
+    ranked = data.draw(st.permutations(head), label="head order")
+    edges = [
+        (ranked[i], ranked[j])
+        for i, j in itertools.combinations(range(len(head)), 2)
+        if data.draw(st.booleans(), label=f"head edge {i}-{j}")
+    ]
+    edges += [(h, tail[0]) for h in head if data.draw(st.booleans(), label=f"entry edge {h}")]
+    for i in range(1, size):
+        inner = data.draw(st.sets(st.sampled_from(tail[:i]), min_size=1), label=f"tail preds {i}")
+        edges += [(q, tail[i]) for q in sorted(inner)]
+    if size > 1 and data.draw(st.booleans(), label="second entry"):
+        edges.append((data.draw(st.sampled_from(head)), data.draw(st.sampled_from(tail[1:]))))
+    wf = WorkflowSpec(
+        workflow_id="tail", functions=tuple(FunctionProfile(f) for f in fids), edges=tuple(edges)
+    )
+    table = {
+        (f, p): (D(data.draw(st.sampled_from(_DIGITS))), D(data.draw(st.sampled_from(_DIGITS))))
+        for f in fids
+        for p in platforms
+    }
+    _check_against_oracle(data, wf, platforms, PointTableModel(wf, table))
+
+
+def _tail_of(wf, platforms, model):
+    return optimizer._tail_size(wf, optimizer._rows(wf, platforms, 10**7, model.entry))
+
+
+def test_tail_rule(catalogs):
+    # The dag-points shape: a -> c, a -> d, b -> d, c -> e, d -> e, e -> f.
+    # {e, f} is entered through e alone; {d, e, f} has two entries, d and e.
+    fids = "abcdef"
+    dag = WorkflowSpec(
+        workflow_id="dag",
+        functions=tuple(FunctionProfile(f) for f in fids),
+        edges=(("a", "c"), ("a", "d"), ("b", "d"), ("c", "e"), ("d", "e"), ("e", "f")),
+    )
+    points = PointTableModel(dag, {(f, p): (D(1), D(1)) for f in fids for p in PLATFORMS})
+    assert _tail_of(dag, PLATFORMS, points) == 2
+    # A chain whose last function bills a fixed charge: only a one-function
+    # tail may hold fixed pairs.
+    months = [None, None, None, "3"]
+    chain = WorkflowSpec(
+        workflow_id="fixed-last",
+        functions=tuple(
+            FunctionProfile(
+                function_id=f"f{i}", n=D(1000), t=D("0.1"), mem=D("0.125"),
+                baas_usage=(BaasUsage("ml-provisioning", D(m)),) if m else (),
+            )
+            for i, m in enumerate(months)
+        ),
+        edges=tuple((f"f{i}", f"f{i + 1}") for i in range(len(months) - 1)),
+    )
+    lat = LatencyTable({(f, p): D(10) for f in chain.function_ids for p in PLATFORMS})
+    assert _tail_of(chain, PLATFORMS, CatalogModel(chain, catalogs, latencies=lat)) == 1
+    # b is declared last but runs before a: no function after a is a tail.
+    late = WorkflowSpec(
+        workflow_id="late",
+        functions=(FunctionProfile("c"), FunctionProfile("a"), FunctionProfile("b")),
+        edges=(("b", "a"),),
+    )
+    model = PointTableModel(late, {(f, p): (D(1), D(1)) for f in "abc" for p in PLATFORMS})
+    assert _tail_of(late, PLATFORMS, model) == 0
+
+
+def test_sums_past_the_precision_step_every_placement(monkeypatch):
+    # f1's tail pair on y costs 1e25 and is dominated; f0's head pairs cost
+    # 1e-30. Their sum needs 56 digits, so the enumeration raises; the table
+    # never forms it, so only the guard sends the walk down the step path.
+    wf = _chain(2)
+    table = {
+        ("f0", "x"): (D("1E-30"), D(1)),
+        ("f0", "y"): (D("2E-30"), D(1)),
+        ("f1", "x"): (D(1), D(1)),
+        ("f1", "y"): (D("1E+25"), D(2)),
+    }
+    model = PointTableModel(wf, table)
+    rows = optimizer._rows(wf, ["x", "y"], 10**7, model.entry)
+    assert optimizer._tail_size(wf, rows) == 1
+    assert not optimizer._exact_in_any_order(rows)
+    message = "needs more than 50 significant digits"
+    with pytest.raises(DomainError, match=message):
+        min_cost(wf, ["x", "y"], model)
+    with pytest.raises(DomainError, match=message):
+        optimize(wf, ["x", "y"], model)
+    monkeypatch.setattr(optimizer, "_exact_in_any_order", lambda rows: True)
+    assert str(optimize(wf, ["x", "y"], model).cost) == "1." + "0" * 29 + "1"
