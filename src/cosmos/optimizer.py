@@ -15,14 +15,11 @@ longest trailing run of at most half the functions that the rest of the
 workflow enters through one function and that bills no fixed charge (a
 one-function tail may). The tail's platform combinations are priced once
 per solve into a table (cost sum, longest path from its entry function),
-and each head prefix is answered from it meet-in-the-middle style. Only
-the table's own undominated entries can reach the front, so only they are
-visited per prefix; the rest are answered in bulk, their first fastest
-entry by bisection over their records of least length and their feasible
-count by a dominance count over their sorted costs and lengths. A
-one-function tail's fixed pairs cost their prefix's paid sum plus their
-own cost less the change of each key they bill again, computed by
-engine.bill_key, the rule bill_fixed applies, once per held entry and solve.
+and each head prefix is answered from it meet-in-the-middle style: an
+entry takes one add per axis instead of a step. A one-function tail's
+fixed pairs cost their prefix's paid sum plus their own cost less the
+change of each key they bill again, computed by engine.bill_key, the rule
+bill_fixed applies, once per held entry and solve.
 The table adds sums in another order than a step would, so it is used only
 when every sum of the search fits money.CONTEXT's precision digit for digit;
 otherwise, or with no tail, the last level steps every placement.
@@ -38,11 +35,10 @@ from __future__ import annotations
 
 import decimal
 import itertools
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import Decimal
-from functools import partial
-from operator import add, attrgetter
+from operator import attrgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -520,23 +516,17 @@ def _walk(
     its own level when declaration order is topological.
 
     Each head prefix is then answered from the _TailTable, priced once per
-    solve. A placement costs the prefix's paid sum (cost sum less credit)
-    plus its entry's cost, and its latency is the longer of the prefix's
-    own critical path and the distance into the tail's entry function s
-    plus the entry's longest path from s. The table's front entries, those
-    that can reach the walk's front, are visited one by one in enumeration
-    order: each is an anchor candidate, counted when feasible and offered
-    to the front. The rest are answered in bulk: their first fastest entry
-    from their length records, and their feasible count from a dominance
-    count over their sorted costs and lengths, each compared as
-    paid + cost <= budget and distance + length <= slo by bisection, never
-    by subtraction. The fixed pairs of a one-function tail are visited in
-    enumeration order with the front entries: a pair costs the paid sum
-    plus its own cost, less, for each fixed charge whose key the prefix
-    already bills, that key's change in credit, from engine.bill_key and
-    kept per (held ledger entry, months, rate) for the rest of the solve; a
-    pair that bills one key twice goes through bill_fixed whole, so that it
-    sees its own first billing.
+    solve, visiting its entries in enumeration order. A placement costs the
+    prefix's paid sum (cost sum less credit) plus its entry's cost, and its
+    latency is the longer of the prefix's own critical path and the
+    distance into the tail's entry function s plus the entry's longest path
+    from s. Each entry is an anchor candidate and, when feasible, counted
+    and offered to the front. The fixed pairs of a one-function tail cost
+    the paid sum plus their own cost, less, for each fixed charge whose key
+    the prefix already bills, that key's change in credit, from
+    engine.bill_key and kept per (held ledger entry, months, rate) for the
+    rest of the solve; a pair that bills one key twice goes through
+    bill_fixed whole, so that it sees its own first billing.
 
     With no tail, or when _exact_in_any_order fails, the head is every
     function but the last, and the last level steps each placement as the
@@ -611,19 +601,9 @@ def _walk(
         table = _TailTable(workflow, rows, within_pair, head)
         entry_pos, entry_preds = table.entry_pos, workflow._topology[table.entry_pos][1]
         t_cost, t_length, t_pos, t_within = table.cost, table.length, table.pos, table.within
-        rest_within, count = table.rest_within, table.count
-        by_cost, by_length = table.by_cost, table.by_length
-        records, record_entries = table.records, table.record_entries
         last_row, within_last = rows[last], within_pair[last]
-        # The fixed pairs of a one-function tail, priced per prefix.
-        fixed = [j for j, e in enumerate(last_row) if e.fixed] if size == 1 else []
-        repeats = {
-            j: len({key for key, _, _ in last_row[j].fixed}) < len(last_row[j].fixed) for j in fixed
-        }
-        # Visited per prefix in enumeration order: the table's front entries
-        # and the fixed pairs. Never empty, and it holds the first cheapest.
-        visit = sorted(table.front + fixed)
-        n_rest = len(by_cost)
+        # Whether a one-function tail's fixed pair bills one key twice.
+        repeats = [len({key for key, _, _ in e.fixed}) < len(e.fixed) for e in last_row]
     # Anchors start at the first placement, so one is found even when every
     # placement is infinite on an axis.
     c_star = t_star = INFINITY
@@ -642,8 +622,7 @@ def _walk(
             top, top_pos = top_at[head], top_pos_at[head]
             # This prefix's first cheapest and first fastest placements.
             c_cost = t_latency = INFINITY
-            for j in visit:
-                cost = t_cost[j]
+            for j, cost in enumerate(t_cost):
                 if cost is not None:
                     cost, latency = paid + cost, base + t_length[j]
                     if latency < top or (latency == top and not t_pos[j] < top_pos):
@@ -679,33 +658,6 @@ def _walk(
                     i = _slot(front, cost, latency)
                     if i >= 0:
                         keep(i, cost, latency, prefix, j)
-            if n_rest:
-                # Keys add in C, without a Python frame per probe.
-                after_base = partial(add, base)
-                # The first rest entry within top is their longest record
-                # within it; with none, their first of least length.
-                r = bisect_right(records, top, key=after_base)
-                j = record_entries[r - 1 if r else 0]
-                latency = base + t_length[j]
-                if latency < top or (latency == top and not t_pos[j] < top_pos):
-                    latency = top
-                if latency < t_latency or (latency == t_latency and j < t_j):
-                    t_latency, t_j = latency, j
-                if per_function:
-                    feasible += rest_within if within else 0
-                elif top <= slo:
-                    cheap = n_rest if budget is INFINITY else bisect_right(
-                        by_cost, budget, key=partial(add, paid)
-                    )
-                    short = n_rest if slo is INFINITY else bisect_right(
-                        by_length, slo, key=after_base
-                    )
-                    if cheap and short:
-                        feasible += (
-                            short if cheap == n_rest
-                            else cheap if short == n_rest
-                            else count(cheap, short)
-                        )
             if c_cost < c_star:
                 c_star, c_arg = c_cost, _join(prefix, tail_rows, c_j)
             if t_latency < t_star:
@@ -749,7 +701,6 @@ def _schedule(workflow: WorkflowSpec) -> list[list[tuple[int, tuple[int, ...], i
         levels.append(level)
         schedule[level].append((p, preds, i))
     return schedule
-
 
 
 def _tail_size(workflow: WorkflowSpec, rows: list[list[PairEntry]]) -> int:
@@ -829,27 +780,10 @@ class _TailTable:
 
     A combination that bills a fixed charge (a one-function tail's fixed
     pair) is not priced here: its cost is None and the walk prices it per
-    prefix. The priced entries split in two, once:
-
-    - ``front``: the entries that no earlier entry weakly dominates on
-      (cost, length) and no entry is strictly cheaper than and no longer.
-      Only these can reach the walk's front under any prefix (a strictly
-      shorter entry of equal cost may tie once both fit under the prefix's
-      critical path, and then the first enumerated is kept), and they hold
-      the first cheapest entry. The walk visits them one by one.
-    - the rest, answered in bulk. ``records`` and
-      ``record_entries`` are their strict prefix minima of length in
-      enumeration order, kept length ascending, so the first of them whose
-      length fits under a prefix's own critical path is found by bisection.
-      ``by_cost`` and ``by_length`` are their costs and lengths sorted, with
-      a Fenwick tree of length ranks over the cost order for count(), and
-      ``rest_within`` how many are within the bounds.
+    prefix.
     """
 
-    __slots__ = (
-        "entry_pos", "cost", "length", "pos", "within", "front", "rest_within",
-        "records", "record_entries", "by_cost", "by_length", "tree", "starts",
-    )
+    __slots__ = ("entry_pos", "cost", "length", "pos", "within")
 
     def __init__(self, workflow, rows, within_pair, start: int):
         members = [
@@ -858,9 +792,8 @@ class _TailTable:
         # Every tail function is reached from s, so s comes first.
         self.entry_pos = entry_pos = members[0][0]
         self.cost, self.length, self.pos, self.within = cost, length, pos, within = [], [], [], []
-        priced = []
         tail_rows, tail_within = rows[start:], within_pair[start:]
-        for e, combo in enumerate(itertools.product(*[range(len(row)) for row in tail_rows])):
+        for combo in itertools.product(*[range(len(row)) for row in tail_rows]):
             picked = [row[c] for row, c in zip(tail_rows, combo)]
             if any([pair.fixed for pair in picked]):
                 cost.append(None)
@@ -884,45 +817,3 @@ class _TailTable:
             length.append(longest)
             pos.append(longest_pos)
             within.append(all([row[c] for row, c in zip(tail_within, combo)]))
-            priced.append(e)
-        # Stable: entries of equal cost stay in enumeration order.
-        by_cost = sorted(priced, key=cost.__getitem__)
-        front, least = set(), None
-        for _, group in itertools.groupby(by_cost, key=cost.__getitem__):
-            for e in group:
-                if least is None or length[e] < least:
-                    front.add(e)
-                    least = length[e]
-        self.front = sorted(front)
-        rest = [e for e in priced if e not in front]
-        self.rest_within = sum([within[e] for e in rest])
-        records, record_entries = [], []
-        for e in rest:
-            if not records or length[e] < records[-1]:
-                records.append(length[e])
-                record_entries.append(e)
-        # Length ascending, for bisection.
-        self.records, self.record_entries = records[::-1], record_entries[::-1]
-        by_cost = [e for e in by_cost if e not in front]
-        by_length = sorted(rest, key=length.__getitem__)
-        rank = dict(zip(by_length, range(len(by_length))))
-        ranks = [rank[e] for e in by_cost]
-        self.by_cost = [cost[e] for e in by_cost]
-        self.by_length = [length[e] for e in by_length]
-        # Node k, at tree[starts[k - 1]:starts[k]], holds the sorted ranks of
-        # the cost-order entries k & (k - 1) .. k - 1.
-        self.tree, self.starts = [], [0]
-        for k in range(1, len(ranks) + 1):
-            self.tree += sorted(ranks[k & (k - 1) : k])
-            self.starts.append(len(self.tree))
-
-    def count(self, cheap: int, short: int) -> int:
-        """How many rest entries are among their ``cheap`` cheapest and
-        ``short`` shortest: both sets are prefixes of a sorted order, so
-        this is a dominance count over ranks."""
-        tree, starts, total = self.tree, self.starts, 0
-        while cheap:
-            start = starts[cheap - 1]
-            total += bisect_left(tree, short, start, starts[cheap]) - start
-            cheap &= cheap - 1
-        return total

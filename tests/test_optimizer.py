@@ -840,10 +840,10 @@ def test_tail_rule(catalogs):
     assert _tail_of(late, PLATFORMS, model) == 0
 
 
-def test_sums_past_the_precision_step_every_placement(monkeypatch):
-    # f1's tail pair on y costs 1e25 and is dominated; f0's head pairs cost
-    # 1e-30. Their sum needs 56 digits, so the enumeration raises; the table
-    # never forms it, so only the guard sends the walk down the step path.
+def test_sums_past_the_precision_step_every_placement():
+    # f1's tail pair on y costs 1e25 and f0's head pairs cost 1e-30. Their
+    # sum needs 56 digits: the guard sends the walk down the step path, which
+    # raises as the enumeration does.
     wf = _chain(2)
     table = {
         ("f0", "x"): (D("1E-30"), D(1)),
@@ -860,5 +860,42 @@ def test_sums_past_the_precision_step_every_placement(monkeypatch):
         min_cost(wf, ["x", "y"], model)
     with pytest.raises(DomainError, match=message):
         optimize(wf, ["x", "y"], model)
+
+
+def test_guard_keeps_sums_in_enumeration_order(monkeypatch):
+    # In enumeration order each sum only drops zeros: 0.9999999999 + 1e-10
+    # is 1, and 1 plus 55 nines is 1E+55. The table would add the tail {f2,
+    # f3} first, 1e-10 plus 55 nines, which needs 66 digits and raises.
+    wf = _chain(4)
+    costs = ["0.9999999999", "0", "1E-10", "9" * 55]
+    model = PointTableModel(wf, {(f, "x"): (D(c), D(1)) for f, c in zip(wf.function_ids, costs)})
+    rows = optimizer._rows(wf, ["x"], 10**7, model.entry)
+    assert optimizer._tail_size(wf, rows) == 2
+    assert not optimizer._exact_in_any_order(rows)
+    cost, _ = min_cost(wf, ["x"], model)
+    assert str(optimize(wf, ["x"], model).cost) == str(cost) == "1." + "0" * 49 + "E+55"
     monkeypatch.setattr(optimizer, "_exact_in_any_order", lambda rows: True)
-    assert str(optimize(wf, ["x", "y"], model).cost) == "1." + "0" * 29 + "1"
+    with pytest.raises(DomainError, match="needs more than 50 significant digits"):
+        optimize(wf, ["x"], model)
+
+
+def test_per_function_tail_entry_dominated_only_by_an_out_of_bounds_entry():
+    # Tail s -> a. (s@q, a@p) costs 10 and is dominated only by (s@p, a@q),
+    # which costs 5 but breaks the per-pair SLO on s@p; under per_function it
+    # is still the cheapest feasible placement.
+    wf = WorkflowSpec(
+        workflow_id="bounds", functions=tuple(FunctionProfile(f) for f in ("h0", "h1", "s", "a")),
+        edges=(("s", "a"),),
+    )
+    values = {"s": {"p": (0, 6), "q": (10, 1)}, "a": {"p": (0, 5), "q": (5, 0)}}
+    table = {
+        (f, p): tuple(map(D, values[f][p])) if f in values else (D(0), D(0))
+        for f in wf.function_ids
+        for p in "pq"
+    }
+    model = PointTableModel(wf, table)
+    assert _tail_of(wf, ["p", "q"], model) == 2
+    config = OptimizationConfig(latency_slo=D(5), scope="per_function", alpha=D(1), beta=D(0))
+    result = optimize(wf, ["p", "q"], model, config)
+    assert str(result.cost) == "10"
+    assert str(result.best) == str(Placement((("h0", "p"), ("h1", "p"), ("s", "q"), ("a", "p"))))
