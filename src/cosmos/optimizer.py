@@ -11,15 +11,15 @@ only when a pair bills a fixed charge), the critical-path distances and
 whether each pair is within the bounds.
 
 The walk steps only through the head, the functions before the tail: the
-longest trailing run of at most half the functions that the rest of the
-workflow enters through one function and that bills no fixed charge (a
-one-function tail may). The tail's platform combinations are priced once
-per solve into a table (cost sum, longest path from its entry function),
+longest trailing run of at most half the functions (the one function of a
+one-function workflow) that the rest of the workflow enters through one
+function. The tail's platform combinations are priced once per solve into
+a table (cost sum, longest path from its entry function, fixed charges),
 and each head prefix is answered from it meet-in-the-middle style: an
-entry takes one add per axis instead of a step. A one-function tail's
-fixed pairs cost their prefix's paid sum plus their own cost less the
-change of each key they bill again, computed by engine.bill_key, the rule
-bill_fixed applies, once per held entry and solve.
+entry takes one add per axis instead of a step. Entries that bill the same
+fixed charges share a group, and each group's change in the prefix's
+credit is computed once per prefix by engine.bill_key, the rule
+bill_fixed applies, kept per held ledger entry for the solve.
 The table adds sums in another order than a step would, so it is used only
 when every sum of the search fits money.CONTEXT's precision digit for digit;
 otherwise, or with no tail, the last level steps every placement.
@@ -52,7 +52,7 @@ from .errors import (
     MissingLatencyError,
     SchemaError,
 )
-from .money import CONTEXT, MONEY_PLACES, div, exact_sums
+from .money import CONTEXT, MONEY_LIMIT, MONEY_PLACES, div, exact_sums
 from .workflow import (
     _ARRAY,
     LATENCY_LIMIT,
@@ -256,6 +256,8 @@ def load_point_table(
         latency = _parse_quantity(entry, "latency_ms", owner)
         if cost < 0 or latency < 0:
             raise SchemaError(f"{owner} must be nonnegative")
+        if cost >= MONEY_LIMIT:
+            raise SchemaError(f"{owner}: cost must be below {MONEY_LIMIT} USD, got {cost}")
         if latency >= LATENCY_LIMIT:
             raise SchemaError(f"{owner}: latency_ms must be below {LATENCY_LIMIT} ms, got {latency}")
         table[(str(entry["function_id"]), str(entry["platform_id"]))] = (cost, latency)
@@ -414,8 +416,8 @@ def optimize(
     rows = _rows(workflow, platforms, cap, model.entry)
     with exact_sums("a cost or latency sum of the search"):
         found = _walk(workflow, rows, platforms, config)
-    c_star, c_arg = found.c_star, Placement(found.c_arg)
-    t_star, t_arg = found.t_star, Placement(found.t_arg)
+    c_star, c_arg = found.c_star, _placement(workflow, platforms, found.tail, *found.c_arg)
+    t_star, t_arg = found.t_star, _placement(workflow, platforms, found.tail, *found.t_arg)
     front = found.front
 
     if config.alpha is None:
@@ -442,7 +444,7 @@ def optimize(
     best = min(front, key=rank)
     objective = CONTEXT.multiply(alpha, best.cost) + CONTEXT.multiply(beta, best.latency)
     return OptimizationResult(
-        best=Placement(_join(best.prefix, found.tail_rows, best.tail)),
+        best=_placement(workflow, platforms, found.tail, best.prefix, best.tail),
         cost=best.cost,
         latency=best.latency,
         objective=float(objective),
@@ -458,8 +460,9 @@ def optimize(
 
 
 class _Found(NamedTuple):
-    """What one walk finds: both anchors with their assignments (the first
-    enumerated winning ties), the feasible Pareto front and its count."""
+    """What one walk finds: both anchors, each assignment a (head prefix,
+    tail index) pair as in _Point (the first enumerated winning ties), the
+    feasible Pareto front and its count."""
 
     c_star: Decimal
     c_arg: tuple
@@ -467,16 +470,17 @@ class _Found(NamedTuple):
     t_arg: tuple
     front: list[_Point]
     feasible_count: int
-    #: The rows of the tail, for _join.
-    tail_rows: list
+    #: How many functions the tail has, for _placement.
+    tail: int
 
 
 class _Point:
     """A feasible (cost, latency) the walk's front holds. Its assignment is
-    its head prefix, a tuple shared by the points of one prefix, and the
-    enumeration index of its tail assignment (see _join); only the chosen
-    best's is built. A slotted class, not a tuple: a freed tuple stays on
-    CPython's free list, so points the front drops would stay on the heap."""
+    its head prefix, a tuple of platform indices shared by the points of
+    one prefix, and the enumeration index of its tail assignment; only the
+    chosen best's Placement is built. A slotted class, not a tuple: a freed
+    tuple stays on CPython's free list, so points the front drops would
+    stay on the heap."""
 
     __slots__ = ("cost", "latency", "prefix", "tail")
 
@@ -484,17 +488,16 @@ class _Point:
         self.cost, self.latency, self.prefix, self.tail = cost, latency, prefix, tail
 
 
-def _join(prefix: tuple, tail_rows: list[list], j: int) -> tuple:
-    """prefix plus the tail assignment of enumeration index j over
-    tail_rows, one row of pairs per tail function, built from a list:
-    tuple() of a generator over-allocates and shrinks, which leaves a
-    free-listed tuple behind and raises the peak heap."""
-    picked = []
-    for row in reversed(tail_rows):
-        j, c = divmod(j, len(row))
-        picked.append(row[c])
-    picked.reverse()
-    return prefix + tuple(picked)
+def _placement(
+    workflow: WorkflowSpec, platforms: list[str], size: int, prefix: tuple, j: int
+) -> Placement:
+    """The Placement of a head prefix of platform indices and the tail
+    assignment of enumeration index j over size tail functions."""
+    indices = list(prefix) + [0] * size
+    for k in range(len(indices) - 1, len(prefix) - 1, -1):
+        j, indices[k] = divmod(j, len(platforms))
+    pairs = [(fid, platforms[c]) for fid, c in zip(workflow.function_ids, indices)]
+    return Placement(tuple(pairs))
 
 
 def _walk(
@@ -516,19 +519,17 @@ def _walk(
     its own level when declaration order is topological.
 
     Each head prefix is then answered from the _TailTable, priced once per
-    solve, visiting its entries in enumeration order. A placement costs the
-    prefix's paid sum (cost sum less credit) plus its entry's cost, and its
-    latency is the longer of the prefix's own critical path and the
-    distance into the tail's entry function s plus the entry's longest path
-    from s. Each entry is an anchor candidate and, when feasible, counted
-    and offered to the front. The fixed pairs of a one-function tail cost
-    the paid sum plus their own cost, less, for each fixed charge whose key
-    the prefix already bills, that key's change in credit, from
-    engine.bill_key and kept per (held ledger entry, months, rate) for the
-    rest of the solve; a pair that bills one key twice goes through
-    bill_fixed whole, so that it sees its own first billing.
+    solve. First each group of fixed charges gets its paid sum: the
+    prefix's cost sum less credit, less the change in credit of billing the
+    group on top of the prefix's ledger (change). Then the entries are
+    visited in enumeration order. A placement costs its group's paid sum
+    plus its entry's cost, and its latency is the longer of the prefix's own
+    critical path and the distance into the tail's entry function s plus
+    the entry's longest path from s. Each entry is an anchor candidate and,
+    when feasible, counted and offered to the front.
 
-    With no tail, or when _exact_in_any_order fails, the head is every
+    Only when no tail qualifies, which needs a declaration order that is
+    not topological, or when _exact_in_any_order fails, is the head every
     function but the last, and the last level steps each placement as the
     others do.
     """
@@ -537,7 +538,6 @@ def _walk(
     per_function = config.scope == "per_function"
     n, last, width = len(rows), len(rows) - 1, len(platforms)
     within_pair = [[e.cost <= budget and e.latency <= slo for e in row] for row in rows]
-    pairs = [[(fid, pid) for pid in platforms] for fid in workflow.function_ids]
     schedule = _schedule(workflow)
     choice = [0] * n
     dist: list = [None] * n
@@ -570,85 +570,73 @@ def _walk(
                 top, top_pos = d, p
         top_at[k + 1], top_pos_at[k + 1] = top, top_pos
 
-    # (held ledger entry, months, rate) -> the change in the credit when the
-    # last function bills that key; a few entries per solve.
-    changes: dict = {}
+    billed = _Billed()
 
-    def change(held: tuple, months: Decimal, rate: Decimal) -> Decimal:
-        """The credit change of billing ``months`` at ``rate`` on a key held as ``held``."""
-        memo = (held, months, rate)
-        delta = changes.get(memo)
-        if delta is None:
-            term = bill_key(held, months, rate)[3]
-            delta = changes[memo] = term if held[3] is None else term - held[3]
+    def change(ledger: dict, fixed: tuple) -> Decimal:
+        """The change in ledger's credit when fixed is billed on top of it
+        (engine.bill_key): ZERO itself when fixed bills no key the ledger
+        holds. A key that fixed bills twice is chained through its first
+        billing, which is priced only then."""
+        delta, chained = ZERO, {}
+        for key, months, rate in fixed:
+            prior = chained.get(key)
+            held = ledger.get(key) if prior is None else billed[prior]
+            memo = chained[key] = (held, months, rate)
+            if held is not None:
+                after = billed[memo]
+                delta += after[3] if held[3] is None else after[3] - held[3]
         return delta
 
-    size = _tail_size(workflow, rows)
+    size = _tail_size(workflow)
     if size and not _exact_in_any_order(rows):
         size = 0
     head = n - size if size else max(last, 0)
-    tail_rows = pairs[head:]
+    tail = n - head
     front: list[_Point] = []
 
     def keep(i: int, cost: Decimal, latency: Decimal, prefix: tuple, j: int) -> None:
         """Insert a point at its front slot i, checked as ParetoPoint checks one."""
         if cost < 0 or latency < 0:
-            label = str(Placement(_join(prefix, tail_rows, j)))
+            label = str(_placement(workflow, platforms, tail, prefix, j))
             raise DomainError(f"point {label!r} has negative cost or latency")
         _insert(front, i, _Point(cost, latency, prefix, j))
 
     if size:
         table = _TailTable(workflow, rows, within_pair, head)
-        entry_pos, entry_preds = table.entry_pos, workflow._topology[table.entry_pos][1]
+        entry_preds = workflow._topology[table.entry_pos][1]
         t_cost, t_length, t_pos, t_within = table.cost, table.length, table.pos, table.within
-        last_row, within_last = rows[last], within_pair[last]
-        # Whether a one-function tail's fixed pair bills one key twice.
-        repeats = [len({key for key, _, _ in e.fixed}) < len(e.fixed) for e in last_row]
+        t_group, groups = table.group, table.groups
+        paid_of = [ZERO] * len(groups)
     # Anchors start at the first placement, so one is found even when every
     # placement is infinite on an axis.
     c_star = t_star = INFINITY
-    c_arg = t_arg = tuple([row[0] for row in pairs])
+    c_arg = t_arg = ((0,) * head, 0)
     feasible = depth = 0
     while True:
         for k in range(depth, head):
             step(k)
-        # From a list: see _join.
-        prefix = tuple([pairs[k][choice[k]] for k in range(head)])
+        prefix = tuple(choice[:head])
         if size:
-            total, ledger, credit = cost_at[head], ledger_at[head], credit_at[head]
-            paid, within = total - credit, within_at[head]
+            paid, ledger = cost_at[head] - credit_at[head], ledger_at[head]
+            within = within_at[head]
+            # Each group's paid sum: a change that is ZERO itself leaves it
+            # as it is, while one written 0E-12 still sets its last digit.
+            for g, fixed in enumerate(groups):
+                d = change(ledger, fixed)
+                paid_of[g] = paid if d is ZERO else paid - d
             base = max([dist[q] for q in entry_preds], default=ZERO)
             # Of equal distances the first in topological order is the path's.
             top, top_pos = top_at[head], top_pos_at[head]
             # This prefix's first cheapest and first fastest placements.
             c_cost = t_latency = INFINITY
             for j, cost in enumerate(t_cost):
-                if cost is not None:
-                    cost, latency = paid + cost, base + t_length[j]
-                    if latency < top or (latency == top and not t_pos[j] < top_pos):
-                        latency = top
-                    if per_function:
-                        ok = within and t_within[j]
-                    else:
-                        ok = cost <= budget and latency <= slo
+                cost, latency = paid_of[t_group[j]] + cost, base + t_length[j]
+                if latency < top or (latency == top and not t_pos[j] < top_pos):
+                    latency = top
+                if per_function:
+                    ok = within and t_within[j]
                 else:
-                    # A fixed pair, less the credit change of each key it bills again.
-                    entry = last_row[j]
-                    if repeats[j]:
-                        cost = total + entry.cost - bill_fixed(ledger, credit, entry.fixed)[1]
-                    else:
-                        cost = paid + entry.cost
-                        for key, months, rate in entry.fixed:
-                            held = ledger.get(key)
-                            if held is not None:
-                                cost -= change(held, months, rate)
-                    latency = base + entry.latency
-                    if latency < top or (latency == top and not entry_pos < top_pos):
-                        latency = top
-                    if per_function:
-                        ok = within and within_last[j]
-                    else:
-                        ok = cost <= budget and latency <= slo
+                    ok = cost <= budget and latency <= slo
                 if cost < c_cost:
                     c_cost, c_j = cost, j
                 if latency < t_latency:
@@ -659,9 +647,9 @@ def _walk(
                     if i >= 0:
                         keep(i, cost, latency, prefix, j)
             if c_cost < c_star:
-                c_star, c_arg = c_cost, _join(prefix, tail_rows, c_j)
+                c_star, c_arg = c_cost, (prefix, c_j)
             if t_latency < t_star:
-                t_star, t_arg = t_latency, _join(prefix, tail_rows, t_j)
+                t_star, t_arg = t_latency, (prefix, t_j)
         else:
             for j in range(width ** (n - head)):
                 if n:
@@ -670,9 +658,9 @@ def _walk(
                 cost = cost_at[n] - credit_at[n]
                 latency, ok = top_at[n], within_at[n]
                 if cost < c_star:
-                    c_star, c_arg = cost, _join(prefix, tail_rows, j)
+                    c_star, c_arg = cost, (prefix, j)
                 if latency < t_star:
-                    t_star, t_arg = latency, _join(prefix, tail_rows, j)
+                    t_star, t_arg = latency, (prefix, j)
                 if ok if per_function else (cost <= budget and latency <= slo):
                     feasible += 1
                     i = _slot(front, cost, latency)
@@ -683,9 +671,18 @@ def _walk(
             choice[k] = 0
             k -= 1
         if k < 0:
-            return _Found(c_star, c_arg, t_star, t_arg, front, feasible, tail_rows)
+            return _Found(c_star, c_arg, t_star, t_arg, front, feasible, tail)
         choice[k] += 1
         depth = k
+
+
+class _Billed(dict):
+    """(held ledger entry or None, months, rate) -> the key's ledger entry
+    after billing months at rate (engine.bill_key), computed once per solve."""
+
+    def __missing__(self, memo: tuple) -> tuple:
+        after = self[memo] = bill_key(*memo)
+        return after
 
 
 def _schedule(workflow: WorkflowSpec) -> list[list[tuple[int, tuple[int, ...], int]]]:
@@ -703,21 +700,20 @@ def _schedule(workflow: WorkflowSpec) -> list[list[tuple[int, tuple[int, ...], i
     return schedule
 
 
-def _tail_size(workflow: WorkflowSpec, rows: list[list[PairEntry]]) -> int:
+def _tail_size(workflow: WorkflowSpec) -> int:
     """How many trailing functions, in declaration order, the walk prices as
     one table per solve (see _TailTable); 0 for none. The tail is the
-    longest trailing run of at most half the functions in which:
+    longest trailing run of at most half the functions, or of the one
+    function of a one-function workflow, in which:
 
     - no function before it has an ancestor in it, so the head's distances
       are all known at the head's last level;
     - exactly one function s has predecessors outside it, or none at all,
       and every other one has predecessors inside it only, so each tail
-      distance is s's plus a path inside the tail;
-    - no pair bills a fixed charge, unless the tail is one function: its
-      credit would depend on the other tail pairs.
+      distance is s's plus a path inside the tail.
     """
-    n, topology, schedule = len(rows), workflow._topology, _schedule(workflow)
-    for size in range(n // 2, 0, -1):
+    n, topology, schedule = len(workflow.functions), workflow._topology, _schedule(workflow)
+    for size in range(n // 2 or n, 0, -1):
         start = n - size
         if any(i < start for level in schedule[start:] for _, _, i in level):
             continue
@@ -725,11 +721,8 @@ def _tail_size(workflow: WorkflowSpec, rows: list[list[PairEntry]]) -> int:
             i for i, preds in topology
             if i >= start and (not preds or any(topology[q][0] < start for q in preds))
         ]
-        if len(entries) != 1:
-            continue
-        if size > 1 and any(e.fixed for row in rows[start:] for e in row):
-            continue
-        return size
+        if len(entries) == 1:
+            return size
     return 0
 
 
@@ -744,10 +737,14 @@ def _exact_in_any_order(rows: list[list[PairEntry]]) -> bool:
     neither raises. A sum of the search is at most the sum of the row
     maxima, and its last digit is no finer than the finest entry's (or
     ZERO's, which starts every sum, or the money quantum of a credit); the
-    digits between must fit in CONTEXT.prec. A credit is at most the
-    fixed charges it credits plus a few quanta, so with fixed charges the
-    cost bound gets one more digit. A non-finite or negative entry
-    fails too: the step path keeps the parent's infinite anchors and the
+    digits between must fit in CONTEXT.prec. A credit is at most the fixed
+    charges it credits plus a few quanta (a pair's cost includes its fixed
+    charges, and a key is billed at one rate, as in a CatalogModel). So a
+    group's change in credit, and a prefix's paid sum less it, negative
+    when the tail credits more than the head paid, stay below 10 times the
+    bound and no finer than the money quantum: with fixed charges the cost
+    bound gets one more digit. A non-finite or negative entry fails too:
+    the step path keeps the parent's infinite anchors and the
     negative-point error of its first admitted point.
     """
     fixed = any(e.fixed for row in rows for e in row)
@@ -776,14 +773,13 @@ class _TailTable:
       topological position entry_pos) within the tail, counting s's own
       latency, and pos, the topological position of the first function, in
       topological order, whose path is that long, for the digit tie rule;
-    - within: whether every pair is within the bounds.
-
-    A combination that bills a fixed charge (a one-function tail's fixed
-    pair) is not priced here: its cost is None and the walk prices it per
-    prefix.
+    - within: whether every pair is within the bounds;
+    - group: the index in groups of the pairs' fixed-charge entries,
+      concatenated in declaration order; combinations with equal entries
+      share a group, and () is one too.
     """
 
-    __slots__ = ("entry_pos", "cost", "length", "pos", "within")
+    __slots__ = ("entry_pos", "cost", "length", "pos", "within", "group", "groups")
 
     def __init__(self, workflow, rows, within_pair, start: int):
         members = [
@@ -792,18 +788,17 @@ class _TailTable:
         # Every tail function is reached from s, so s comes first.
         self.entry_pos = entry_pos = members[0][0]
         self.cost, self.length, self.pos, self.within = cost, length, pos, within = [], [], [], []
+        self.group = group = []
+        index: dict = {}
         tail_rows, tail_within = rows[start:], within_pair[start:]
         for combo in itertools.product(*[range(len(row)) for row in tail_rows]):
             picked = [row[c] for row, c in zip(tail_rows, combo)]
-            if any([pair.fixed for pair in picked]):
-                cost.append(None)
-                length.append(None)
-                pos.append(None)
-                within.append(False)
-                continue
-            total = picked[0].cost
+            total, fixed = picked[0].cost, picked[0].fixed
             for pair in picked[1:]:
                 total += pair.cost
+                # () + t is t itself: no tuple is built unless two pairs bill.
+                fixed += pair.fixed
+            group.append(index.setdefault(fixed, len(index)))
             dist: dict = {}
             longest = longest_pos = None
             for p, preds, k in members:
@@ -817,3 +812,4 @@ class _TailTable:
             length.append(longest)
             pos.append(longest_pos)
             within.append(all([row[c] for row, c in zip(tail_within, combo)]))
+        self.groups = list(index)

@@ -908,6 +908,17 @@ def test_latency_at_or_over_the_bound_exits_2_naming_the_pair(capsys, tmp_path, 
     assert run(capsys, *argv, str(path)) == (2, "", expected)
 
 
+def test_point_cost_at_or_over_the_money_bound_exits_2_naming_the_pair(capsys, tmp_path):
+    doc = json.loads(Path(POINTS).read_text(encoding="utf-8"))
+    for point in doc["points"]:
+        point["cost"] = "1E+45"
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["optimize", "--workflow", PIPELINE, "--points", str(path), "--format", "json"]
+    expected = "error: point (data-retrieval, aws-x86): cost must be below 1E+38 USD, got 1E+45\n"
+    assert run(capsys, *argv) == (2, "", expected)
+
+
 def test_latency_sums_past_28_digits_print_exactly(capsys, tmp_path):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(_all_latencies("1234567890123456789012345.123456789")), encoding="utf-8")

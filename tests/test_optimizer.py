@@ -1,6 +1,6 @@
 import itertools
 import random
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -572,16 +572,17 @@ def test_tail_path_keeps_the_digits_of_an_earlier_head_distance():
         edges=(("a", "c"), ("c", "d")),
     )
     model = PointTableModel(wf, {(f, "x"): (D(1), D(ms)) for f, ms in zip("abcd", ("0", "2", "1", "1.0"))})
-    assert _tail_of(wf, ["x"], model) == 2
+    assert optimizer._tail_size(wf) == 2
     result = optimize(wf, ["x"], model, OptimizationConfig(alpha=D(1), beta=D(1)))
     assert str(result.latency) == str(result.t_star) == str(model.latency_of(result.best)) == "2"
 
 
 def test_shared_credit_takes_no_ledger_step_per_placement(catalogs, monkeypatch):
     # Five functions on the five cards, the last three sharing ml-provisioning:
-    # 3,125 placements below 780 shorter prefixes. The credit of a last-level
-    # pair comes from a memo, so neither the ledger step nor money_product
-    # runs once per placement.
+    # 3,125 placements below 780 shorter prefixes, of which the 155 of the
+    # head's three functions are stepped. The credit of a tail entry comes
+    # from a memo, so neither the ledger step nor money_product runs once
+    # per placement, and bill_key runs at most once per head prefix.
     months = [None, None, "3", "5", "7"]
     fids = [f"f{i}" for i in range(len(months))]
     wf = WorkflowSpec(
@@ -597,7 +598,7 @@ def test_shared_credit_takes_no_ledger_step_per_placement(catalogs, monkeypatch)
     )
     lat = LatencyTable({(fid, pid): D(10) for fid in fids for pid in PLATFORMS})
     model = CatalogModel(wf, catalogs, latencies=lat)
-    calls = {"bill_fixed": 0, "money_product": 0}
+    calls = {"bill_fixed": 0, "bill_key": 0, "money_product": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -609,12 +610,17 @@ def test_shared_credit_takes_no_ledger_step_per_placement(catalogs, monkeypatch)
         monkeypatch.setattr(module, name, count)
 
     counted(optimizer, "bill_fixed")
+    counted(optimizer, "bill_key")
+    counted(engine, "bill_key")
     counted(engine, "money_product")
     result = optimize(wf, PLATFORMS, model)
     prefixes = sum(len(PLATFORMS) ** k for k in range(1, len(fids)))
-    assert (result.total_count, prefixes) == (3125, 780)
+    head_prefixes = sum(len(PLATFORMS) ** k for k in range(1, len(fids) - 1))
+    assert (result.total_count, prefixes, head_prefixes) == (3125, 780, 155)
+    assert optimizer._tail_size(wf) == 2
     assert calls["bill_fixed"] <= prefixes
     assert calls["money_product"] <= prefixes
+    assert calls["bill_key"] <= head_prefixes
     assert (result.c_star, result.c_star_placement) == min_cost(wf, PLATFORMS, model)
 
 
@@ -644,13 +650,27 @@ def _usages(data, fid):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_one_pass_matches_exhaustive_oracle(catalogs, data):
-    n = data.draw(st.integers(1, 5), label="functions")
+    # 1-6 functions, on at most 3 platforms past 4 functions. Either edges
+    # run forward in a random order of the functions, so declaration order is
+    # often not a topological order, or the last 2-3 functions form a tail
+    # (see _tail_edges). Their fixed pairs then share a key with the head,
+    # with each other, and twice within one pair (_usages), so a tail entry
+    # may bill one key three times.
+    shaped = data.draw(st.booleans(), label="tail shaped")
+    n = data.draw(st.integers(4 if shaped else 1, 6), label="functions")
     platforms = data.draw(st.permutations(PLATFORMS), label="platform order")
-    platforms = platforms[: data.draw(st.integers(1, len(PLATFORMS)), label="platforms")]
+    most = len(PLATFORMS) if n <= 4 else 3
+    platforms = platforms[: data.draw(st.integers(1, most), label="platforms")]
     fids = [f"f{i}" for i in range(n)]
-    # Edges run forward in a random order of the functions, so declaration
-    # order is often not a topological order.
-    ranked = data.draw(st.permutations(fids), label="topological order")
+    if shaped:
+        edges = _tail_edges(data, fids, data.draw(st.integers(2, min(3, n // 2)), label="tail"))
+    else:
+        ranked = data.draw(st.permutations(fids), label="topological order")
+        edges = [
+            (ranked[i], ranked[j])
+            for i, j in itertools.combinations(range(n), 2)
+            if data.draw(st.booleans(), label=f"edge{i}-{j}")
+        ]
     wf = WorkflowSpec(
         workflow_id="oracle",
         functions=tuple(
@@ -663,11 +683,7 @@ def test_one_pass_matches_exhaustive_oracle(catalogs, data):
             )
             for fid in fids
         ),
-        edges=tuple(
-            (ranked[i], ranked[j])
-            for i, j in itertools.combinations(range(n), 2)
-            if data.draw(st.booleans(), label=f"edge{i}-{j}")
-        ),
+        edges=tuple(edges),
     )
     # Equal latencies written differently (2, 2.0) tie with different digits.
     lat = LatencyTable(
@@ -764,18 +780,11 @@ def _check_against_oracle(data, wf, platforms, model):
 _DIGITS = ["0", "0.0", "1", "2", "2.0", "2.00", "3", "5", "5E+1", "50", "50.0", "0.5"]
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_tail_table_matches_exhaustive_oracle(data):
-    # 6-7 functions on at most 3 platforms: a random head, then a tail of 1-3
-    # functions entered through its first one only, unless a drawn head ->
-    # tail edge gives it a second entry. Costs come from a point table.
-    n = data.draw(st.integers(6, 7), label="functions")
-    size = data.draw(st.integers(1, 3), label="tail")
-    platforms = data.draw(st.permutations(["x", "y", "z"]), label="platform order")
-    platforms = platforms[: data.draw(st.integers(1, 3), label="platforms")]
-    fids = [f"f{i}" for i in range(n)]
-    head, tail = fids[: n - size], fids[n - size :]
+def _tail_edges(data, fids, size):
+    """Edges of a random head and a tail of the last size functions, entered
+    through its first one only, unless a drawn head -> tail edge gives it a
+    second entry."""
+    head, tail = fids[: len(fids) - size], fids[len(fids) - size :]
     ranked = data.draw(st.permutations(head), label="head order")
     edges = [
         (ranked[i], ranked[j])
@@ -788,6 +797,20 @@ def test_tail_table_matches_exhaustive_oracle(data):
         edges += [(q, tail[i]) for q in sorted(inner)]
     if size > 1 and data.draw(st.booleans(), label="second entry"):
         edges.append((data.draw(st.sampled_from(head)), data.draw(st.sampled_from(tail[1:]))))
+    return edges
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_tail_table_matches_exhaustive_oracle(data):
+    # 6-7 functions on at most 3 platforms: a random head, then a tail of 1-3
+    # functions (see _tail_edges). Costs come from a point table.
+    n = data.draw(st.integers(6, 7), label="functions")
+    size = data.draw(st.integers(1, 3), label="tail")
+    platforms = data.draw(st.permutations(["x", "y", "z"]), label="platform order")
+    platforms = platforms[: data.draw(st.integers(1, 3), label="platforms")]
+    fids = [f"f{i}" for i in range(n)]
+    edges = _tail_edges(data, fids, size)
     wf = WorkflowSpec(
         workflow_id="tail", functions=tuple(FunctionProfile(f) for f in fids), edges=tuple(edges)
     )
@@ -799,11 +822,7 @@ def test_tail_table_matches_exhaustive_oracle(data):
     _check_against_oracle(data, wf, platforms, PointTableModel(wf, table))
 
 
-def _tail_of(wf, platforms, model):
-    return optimizer._tail_size(wf, optimizer._rows(wf, platforms, 10**7, model.entry))
-
-
-def test_tail_rule(catalogs):
+def test_tail_rule():
     # The dag-points shape: a -> c, a -> d, b -> d, c -> e, d -> e, e -> f.
     # {e, f} is entered through e alone; {d, e, f} has two entries, d and e.
     fids = "abcdef"
@@ -812,10 +831,9 @@ def test_tail_rule(catalogs):
         functions=tuple(FunctionProfile(f) for f in fids),
         edges=(("a", "c"), ("a", "d"), ("b", "d"), ("c", "e"), ("d", "e"), ("e", "f")),
     )
-    points = PointTableModel(dag, {(f, p): (D(1), D(1)) for f in fids for p in PLATFORMS})
-    assert _tail_of(dag, PLATFORMS, points) == 2
-    # A chain whose last function bills a fixed charge: only a one-function
-    # tail may hold fixed pairs.
+    assert optimizer._tail_size(dag) == 2
+    # A chain whose last function bills a fixed charge: the table prices
+    # fixed pairs too, so the tail is half the chain.
     months = [None, None, None, "3"]
     chain = WorkflowSpec(
         workflow_id="fixed-last",
@@ -828,16 +846,17 @@ def test_tail_rule(catalogs):
         ),
         edges=tuple((f"f{i}", f"f{i + 1}") for i in range(len(months) - 1)),
     )
-    lat = LatencyTable({(f, p): D(10) for f in chain.function_ids for p in PLATFORMS})
-    assert _tail_of(chain, PLATFORMS, CatalogModel(chain, catalogs, latencies=lat)) == 1
+    assert optimizer._tail_size(chain) == 2
     # b is declared last but runs before a: no function after a is a tail.
     late = WorkflowSpec(
         workflow_id="late",
         functions=(FunctionProfile("c"), FunctionProfile("a"), FunctionProfile("b")),
         edges=(("b", "a"),),
     )
-    model = PointTableModel(late, {(f, p): (D(1), D(1)) for f in "abc" for p in PLATFORMS})
-    assert _tail_of(late, PLATFORMS, model) == 0
+    assert optimizer._tail_size(late) == 0
+    # A one-function workflow is its own tail, fixed pairs and all.
+    one = WorkflowSpec(workflow_id="one", functions=chain.functions[-1:], edges=())
+    assert optimizer._tail_size(one) == 1
 
 
 def test_sums_past_the_precision_step_every_placement():
@@ -853,7 +872,7 @@ def test_sums_past_the_precision_step_every_placement():
     }
     model = PointTableModel(wf, table)
     rows = optimizer._rows(wf, ["x", "y"], 10**7, model.entry)
-    assert optimizer._tail_size(wf, rows) == 1
+    assert optimizer._tail_size(wf) == 1
     assert not optimizer._exact_in_any_order(rows)
     message = "needs more than 50 significant digits"
     with pytest.raises(DomainError, match=message):
@@ -870,13 +889,64 @@ def test_guard_keeps_sums_in_enumeration_order(monkeypatch):
     costs = ["0.9999999999", "0", "1E-10", "9" * 55]
     model = PointTableModel(wf, {(f, "x"): (D(c), D(1)) for f, c in zip(wf.function_ids, costs)})
     rows = optimizer._rows(wf, ["x"], 10**7, model.entry)
-    assert optimizer._tail_size(wf, rows) == 2
+    assert optimizer._tail_size(wf) == 2
     assert not optimizer._exact_in_any_order(rows)
     cost, _ = min_cost(wf, ["x"], model)
     assert str(optimize(wf, ["x"], model).cost) == str(cost) == "1." + "0" * 49 + "E+55"
     monkeypatch.setattr(optimizer, "_exact_in_any_order", lambda rows: True)
     with pytest.raises(DomainError, match="needs more than 50 significant digits"):
         optimize(wf, ["x"], model)
+
+
+#: A rate of 36 integer digits and 12 decimals: a fixed charge of a few
+#: months of it has 48-49 significant digits.
+_RATE = D("876543210987654321098765432109876543.210987654321")
+
+
+@pytest.mark.parametrize(
+    "extra, table",
+    [
+        # The row maxima sum to 11 rates, 9.6E+36: with the credit's extra
+        # digit the guard's bound has exactly 50, so the table is used.
+        ("0.000000000001", True),
+        # A finer last digit fails the guard: every placement is stepped.
+        ("1E-13", False),
+        # Sums past 1E+38 need 51 digits: the enumeration raises.
+        ("31111111111111111111111111111111111111.111111111111", False),
+    ],
+)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_fixed_charges_in_a_tail_at_the_precision_bound(extra, table, data):
+    # Chain f0 -> f1 -> f2 -> f3, tail {f2, f3}. On x, f0 bills one key 2
+    # months, f2 bills it 3 and 1 months and f3 4: the tail entry (x, x)
+    # bills it three times and changes the head's credit by 6 rates, more
+    # than the prefix's paid sum, which goes negative before the tail's 8
+    # rates are added. A pair on x costs its fixed charges (f1's, which has
+    # none, one rate) plus extra; on y it bills nothing and costs one rate
+    # plus extra. optimize returns what enumeration returns, or raises as it.
+    wf = _chain(4)
+    months = {"f0": ["2"], "f1": [], "f2": ["3", "1"], "f3": ["4"]}
+    table_entries = {}
+    with localcontext() as ctx:
+        ctx.prec = 80
+        for f, ms in months.items():
+            fixed = tuple((("x", "ml"), D(m), _RATE) for m in ms)
+            charged = sum(D(m) for m in ms) if ms else D(1)
+            table_entries[(f, "x")] = optimizer.PairEntry(charged * _RATE + D(extra), D(2), fixed)
+            table_entries[(f, "y")] = optimizer.PairEntry(_RATE + D(extra), D(1))
+    model = optimizer.PlacementModel(wf, table_entries)
+    rows = optimizer._rows(wf, ["x", "y"], 10**7, model.entry)
+    assert optimizer._tail_size(wf) == 2
+    assert optimizer._exact_in_any_order(rows) is table
+    try:
+        min_cost(wf, ["x", "y"], model)
+    except DomainError as exc:
+        assert "needs more than 50 significant digits" in str(exc)
+        with pytest.raises(DomainError, match="needs more than 50 significant digits"):
+            optimize(wf, ["x", "y"], model)
+        return
+    _check_against_oracle(data, wf, ["x", "y"], model)
 
 
 def test_per_function_tail_entry_dominated_only_by_an_out_of_bounds_entry():
@@ -894,7 +964,7 @@ def test_per_function_tail_entry_dominated_only_by_an_out_of_bounds_entry():
         for p in "pq"
     }
     model = PointTableModel(wf, table)
-    assert _tail_of(wf, ["p", "q"], model) == 2
+    assert optimizer._tail_size(wf) == 2
     config = OptimizationConfig(latency_slo=D(5), scope="per_function", alpha=D(1), beta=D(0))
     result = optimize(wf, ["p", "q"], model, config)
     assert str(result.cost) == "10"
