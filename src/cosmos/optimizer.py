@@ -15,16 +15,18 @@ longest trailing run of at most half the functions (the one function of a
 one-function workflow) that the rest of the workflow enters through one
 function. The tail's platform combinations are priced once per solve into
 a table (cost sum, longest path from its entry function, fixed charges),
-and each head prefix is answered from it meet-in-the-middle style: an
+and every placement is answered from it meet-in-the-middle style: an
 entry takes one add per axis instead of a step. Entries that bill the same
 fixed charges share a group, and each group's change in the prefix's
 credit is computed once per prefix by engine.bill_key, the rule
 bill_fixed applies, kept per held ledger entry for the solve.
-The table adds sums in another order than a step would, so it is used only
-when every sum of the search fits money.CONTEXT's precision digit for digit;
-otherwise, or with no tail, the last level steps every placement.
-enumerate_placements, min_cost and min_time enumerate and price each
-placement whole, and the tests use them as oracles.
+The table adds sums in another order than enumeration does, so a tail is
+used only when every sum of the search fits money.CONTEXT's precision;
+otherwise, or with no tail, the head is every function and the table holds
+one empty combination. The walk compares values only: the model writes the
+digits reported for the chosen placements. enumerate_placements, min_cost
+and min_time enumerate and price each placement whole, and the tests use
+them as oracles.
 
 Weights default to the reciprocals of the two unconstrained anchors:
 alpha = 1/C* (cheapest achievable cost) and beta = 1/T* (fastest achievable
@@ -37,7 +39,7 @@ import decimal
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from operator import attrgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -139,16 +141,26 @@ def optimal_line(points: Iterable[ParetoPoint]) -> list[ParetoPoint]:
     front = pareto_front(points)
     hull: list[ParetoPoint] = []
     for p in front:
-        while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) < 0:
+        while len(hull) >= 2 and _turns_right(hull[-2], hull[-1], p):
             hull.pop()
         hull.append(p)
     return hull
 
 
-def _cross(o: ParetoPoint, a: ParetoPoint, b: ParetoPoint) -> Decimal:
-    return (a.latency - o.latency) * (b.cost - o.cost) - (a.cost - o.cost) * (
-        b.latency - o.latency
-    )
+#: CONTEXT wide enough that no product or difference of its results rounds.
+_EXACT = CONTEXT.copy()
+_EXACT.prec, _EXACT.Emax, _EXACT.Emin = decimal.MAX_PREC, decimal.MAX_EMAX, decimal.MIN_EMIN
+
+
+def _turns_right(o: ParetoPoint, a: ParetoPoint, b: ParetoPoint) -> bool:
+    """Whether o -> a -> b turns clockwise in the (latency, cost) plane, so
+    that a lies above the segment from o to b: the cross product's sign,
+    decided exactly by comparing its two products. DomainError when a
+    coordinate difference is not exact in money.CONTEXT's precision."""
+    with exact_sums("a trade-off line test"):
+        run_a, rise_a = a.latency - o.latency, a.cost - o.cost
+        run_b, rise_b = b.latency - o.latency, b.cost - o.cost
+    return _EXACT.multiply(run_a, rise_b) < _EXACT.multiply(rise_a, run_b)
 
 
 # --- placement evaluation models -------------------------------------------
@@ -197,7 +209,8 @@ def _cost(entries: Iterable[PairEntry]) -> Decimal:
     with exact_sums("a workflow cost"):
         for entry in entries:
             total += entry.cost
-            ledger, credit = bill_fixed(ledger, credit, entry.fixed)
+            if entry.fixed:
+                ledger, credit = bill_fixed(ledger, credit, entry.fixed)
         return total - credit
 
 
@@ -398,16 +411,18 @@ def optimize(
     through the head prefixes and answers each from the tail table. The
     walk finds the anchors as min_cost and min_time do, and folds each
     feasible placement that can be on the front into a Pareto front of
-    bare (cost, latency) points; only the best gets a Placement. Under the
-    per_function scope a placement
-    is feasible when each of its pairs is within the budget and SLO. The
-    best is the front member with the least
-    (a*cost + b*latency, cost, latency), where a, b = alpha, beta, or T*, C*
-    for auto weights (cost/C* + latency/T* times C*·T*, so no division). The
-    key strictly orders (cost, latency) pairs and never rises when either
-    falls, so a front member minimizes it over all feasible placements;
-    equal pairs keep the first enumerated placement. Raises DomainError when
-    a cost or latency sum is not exact in money.CONTEXT's precision, then
+    bare (cost, latency) points; only the chosen placements get a
+    Placement. The walk compares values only; the reported cost, latency,
+    C* and T* are the model's cost_of and latency_of of the chosen
+    placements, so they keep the digits of an enumeration. Under the
+    per_function scope a placement is feasible when each of its pairs is
+    within the budget and SLO. The best is the front member with the least
+    (a*cost + b*latency, cost), compared exactly, where a, b = alpha, beta,
+    or T*, C* for auto weights (cost/C* + latency/T* times C*·T*, so no
+    division). The key never rises when cost or latency falls, so a front
+    member minimizes it over all feasible placements; equal pairs keep the
+    first enumerated placement. Raises DomainError when a cost or latency
+    sum is not exact in money.CONTEXT's precision, then
     DegenerateAnchorError for auto weights with a zero anchor, then
     InfeasibleError carrying the anchors when no placement is feasible.
     """
@@ -416,8 +431,9 @@ def optimize(
     rows = _rows(workflow, platforms, cap, model.entry)
     with exact_sums("a cost or latency sum of the search"):
         found = _walk(workflow, rows, platforms, config)
-    c_star, c_arg = found.c_star, _placement(workflow, platforms, found.tail, *found.c_arg)
-    t_star, t_arg = found.t_star, _placement(workflow, platforms, found.tail, *found.t_arg)
+    c_arg = _placement(workflow, platforms, found.tail, *found.c_arg)
+    t_arg = _placement(workflow, platforms, found.tail, *found.t_arg)
+    c_star, t_star = model.cost_of(c_arg), model.latency_of(t_arg)
     front = found.front
 
     if config.alpha is None:
@@ -438,15 +454,22 @@ def optimize(
             c_star, t_star, config.budget, config.latency_slo, diagnostics
         )
 
-    def rank(p: _Point) -> tuple[Decimal, Decimal, Decimal]:
-        return CONTEXT.fma(a, p.cost, CONTEXT.multiply(b, p.latency)), p.cost, p.latency
-
-    best = min(front, key=rank)
-    objective = CONTEXT.multiply(alpha, best.cost) + CONTEXT.multiply(beta, best.latency)
+    # The front is latency ascending and cost strictly descending, so each
+    # later member is slower and cheaper than the best so far: it takes
+    # over when its key is no higher, that is when the latency it adds
+    # weighs no more than the cost it saves, compared exactly.
+    best = front[0]
+    with localcontext(_EXACT):
+        for p in front[1:]:
+            if b * (p.latency - best.latency) <= a * (best.cost - p.cost):
+                best = p
+    best_arg = _placement(workflow, platforms, found.tail, best.prefix, best.tail)
+    cost, latency = model.cost_of(best_arg), model.latency_of(best_arg)
+    objective = CONTEXT.multiply(alpha, cost) + CONTEXT.multiply(beta, latency)
     return OptimizationResult(
-        best=_placement(workflow, platforms, found.tail, best.prefix, best.tail),
-        cost=best.cost,
-        latency=best.latency,
+        best=best_arg,
+        cost=cost,
+        latency=latency,
         objective=float(objective),
         alpha=float(alpha),
         beta=float(beta),
@@ -460,13 +483,11 @@ def optimize(
 
 
 class _Found(NamedTuple):
-    """What one walk finds: both anchors, each assignment a (head prefix,
-    tail index) pair as in _Point (the first enumerated winning ties), the
-    feasible Pareto front and its count."""
+    """What one walk finds: the assignments of both anchors, each a (head
+    prefix, tail index) pair as in _Point (the first enumerated winning
+    ties), the feasible Pareto front and its count."""
 
-    c_star: Decimal
     c_arg: tuple
-    t_star: Decimal
     t_arg: tuple
     front: list[_Point]
     feasible_count: int
@@ -514,9 +535,9 @@ def _walk(
     current prefix of d functions: its cost sum, its fixed-charge ledger
     and the shared credit it earns (engine.bill_fixed), whether each pair
     is within the bounds, and the longest critical-path distance known so
-    far with its topological position. A function's distance is computed
-    at the level of the deepest function among itself and its ancestors:
-    its own level when declaration order is topological.
+    far. A function's distance is computed at the level of the deepest
+    function among itself and its ancestors: its own level when declaration
+    order is topological.
 
     Each head prefix is then answered from the _TailTable, priced once per
     solve. First each group of fixed charges gets its paid sum: the
@@ -528,15 +549,15 @@ def _walk(
     the entry's longest path from s. Each entry is an anchor candidate and,
     when feasible, counted and offered to the front.
 
-    Only when no tail qualifies, which needs a declaration order that is
-    not topological, or when _exact_in_any_order fails, is the head every
-    function but the last, and the last level steps each placement as the
-    others do.
+    When no tail qualifies, which needs a declaration order that is not
+    topological, or when _exact_in_any_order fails, the head is every
+    function, so each sum is formed in enumeration order, and the table
+    holds one empty combination.
     """
     budget = INFINITY if config.budget is None else config.budget
     slo = INFINITY if config.latency_slo is None else config.latency_slo
     per_function = config.scope == "per_function"
-    n, last, width = len(rows), len(rows) - 1, len(platforms)
+    n, width = len(rows), len(platforms)
     within_pair = [[e.cost <= budget and e.latency <= slo for e in row] for row in rows]
     schedule = _schedule(workflow)
     choice = [0] * n
@@ -547,7 +568,6 @@ def _walk(
     within_at = [True] + [None] * n
     # The critical path of no functions is ZERO; any distance beats -inf.
     top_at = [ZERO if n == 0 else -INFINITY] + [None] * n
-    top_pos_at = [n] + [None] * n
 
     def step(k: int) -> None:
         """Fill slot k + 1 from slot k and function k's chosen pair."""
@@ -561,22 +581,19 @@ def _walk(
         else:
             ledger_at[k + 1], credit_at[k + 1] = ledger_at[k], credit_at[k]
         within_at[k + 1] = within_at[k] and within_pair[k][j]
-        top, top_pos = top_at[k], top_pos_at[k]
+        top = top_at[k]
         for p, preds, i in schedule[k]:
-            d = max([dist[q] for q in preds], default=ZERO) + rows[i][choice[i]].latency
-            dist[p] = d
-            # max() over topological order keeps the first of equal distances.
-            if d > top or (d == top and p < top_pos):
-                top, top_pos = d, p
-        top_at[k + 1], top_pos_at[k + 1] = top, top_pos
+            d = dist[p] = max([dist[q] for q in preds], default=ZERO) + rows[i][choice[i]].latency
+            if d > top:
+                top = d
+        top_at[k + 1] = top
 
     billed = _Billed()
 
     def change(ledger: dict, fixed: tuple) -> Decimal:
         """The change in ledger's credit when fixed is billed on top of it
-        (engine.bill_key): ZERO itself when fixed bills no key the ledger
-        holds. A key that fixed bills twice is chained through its first
-        billing, which is priced only then."""
+        (engine.bill_key). A key that fixed bills twice is chained through
+        its first billing, which is priced only then."""
         delta, chained = ZERO, {}
         for key, months, rate in fixed:
             prior = chained.get(key)
@@ -587,26 +604,13 @@ def _walk(
                 delta += after[3] if held[3] is None else after[3] - held[3]
         return delta
 
-    size = _tail_size(workflow)
-    if size and not _exact_in_any_order(rows):
-        size = 0
-    head = n - size if size else max(last, 0)
-    tail = n - head
+    tail = _tail_size(workflow) if _exact_in_any_order(rows) else 0
+    head = n - tail
+    table = _TailTable(workflow, rows, within_pair, head)
+    t_cost, t_length, t_within = table.cost, table.length, table.within
+    t_group, groups = table.group, table.groups
+    paid_of = [ZERO] * len(groups)
     front: list[_Point] = []
-
-    def keep(i: int, cost: Decimal, latency: Decimal, prefix: tuple, j: int) -> None:
-        """Insert a point at its front slot i, checked as ParetoPoint checks one."""
-        if cost < 0 or latency < 0:
-            label = str(_placement(workflow, platforms, tail, prefix, j))
-            raise DomainError(f"point {label!r} has negative cost or latency")
-        _insert(front, i, _Point(cost, latency, prefix, j))
-
-    if size:
-        table = _TailTable(workflow, rows, within_pair, head)
-        entry_preds = workflow._topology[table.entry_pos][1]
-        t_cost, t_length, t_pos, t_within = table.cost, table.length, table.pos, table.within
-        t_group, groups = table.group, table.groups
-        paid_of = [ZERO] * len(groups)
     # Anchors start at the first placement, so one is found even when every
     # placement is infinite on an axis.
     c_star = t_star = INFINITY
@@ -615,63 +619,45 @@ def _walk(
     while True:
         for k in range(depth, head):
             step(k)
-        prefix = tuple(choice[:head])
-        if size:
-            paid, ledger = cost_at[head] - credit_at[head], ledger_at[head]
-            within = within_at[head]
-            # Each group's paid sum: a change that is ZERO itself leaves it
-            # as it is, while one written 0E-12 still sets its last digit.
-            for g, fixed in enumerate(groups):
-                d = change(ledger, fixed)
-                paid_of[g] = paid if d is ZERO else paid - d
-            base = max([dist[q] for q in entry_preds], default=ZERO)
-            # Of equal distances the first in topological order is the path's.
-            top, top_pos = top_at[head], top_pos_at[head]
-            # This prefix's first cheapest and first fastest placements.
-            c_cost = t_latency = INFINITY
-            for j, cost in enumerate(t_cost):
-                cost, latency = paid_of[t_group[j]] + cost, base + t_length[j]
-                if latency < top or (latency == top and not t_pos[j] < top_pos):
-                    latency = top
-                if per_function:
-                    ok = within and t_within[j]
-                else:
-                    ok = cost <= budget and latency <= slo
-                if cost < c_cost:
-                    c_cost, c_j = cost, j
-                if latency < t_latency:
-                    t_latency, t_j = latency, j
-                if ok:
-                    feasible += 1
-                    i = _slot(front, cost, latency)
-                    if i >= 0:
-                        keep(i, cost, latency, prefix, j)
-            if c_cost < c_star:
-                c_star, c_arg = c_cost, (prefix, c_j)
-            if t_latency < t_star:
-                t_star, t_arg = t_latency, (prefix, t_j)
-        else:
-            for j in range(width ** (n - head)):
-                if n:
-                    choice[last] = j
-                    step(last)
-                cost = cost_at[n] - credit_at[n]
-                latency, ok = top_at[n], within_at[n]
-                if cost < c_star:
-                    c_star, c_arg = cost, (prefix, j)
-                if latency < t_star:
-                    t_star, t_arg = latency, (prefix, j)
-                if ok if per_function else (cost <= budget and latency <= slo):
-                    feasible += 1
-                    i = _slot(front, cost, latency)
-                    if i >= 0:
-                        keep(i, cost, latency, prefix, j)
+        # Built once per prefix, and only for a point or an anchor: the
+        # points of one prefix share it.
+        prefix = ()
+        paid, ledger, within = cost_at[head] - credit_at[head], ledger_at[head], within_at[head]
+        for g, fixed in enumerate(groups):
+            d = change(ledger, fixed) if fixed else ZERO
+            paid_of[g] = paid - d if d else paid
+        base = max([dist[q] for q in table.preds], default=ZERO)
+        top = top_at[head]
+        for j, cost in enumerate(t_cost):
+            cost, latency = paid_of[t_group[j]] + cost, base + t_length[j]
+            if latency < top:
+                latency = top
+            if per_function:
+                ok = within and t_within[j]
+            else:
+                ok = cost <= budget and latency <= slo
+            if cost < c_star:
+                prefix = prefix or tuple(choice[:head])
+                c_star, c_arg = cost, (prefix, j)
+            if latency < t_star:
+                prefix = prefix or tuple(choice[:head])
+                t_star, t_arg = latency, (prefix, j)
+            if ok:
+                feasible += 1
+                i = _slot(front, cost, latency)
+                if i >= 0:
+                    prefix = prefix or tuple(choice[:head])
+                    # Checked as ParetoPoint checks a point.
+                    if cost < 0 or latency < 0:
+                        label = str(_placement(workflow, platforms, tail, prefix, j))
+                        raise DomainError(f"point {label!r} has negative cost or latency")
+                    _insert(front, i, _Point(cost, latency, prefix, j))
         k = head - 1
         while k >= 0 and choice[k] == width - 1:
             choice[k] = 0
             k -= 1
         if k < 0:
-            return _Found(c_star, c_arg, t_star, t_arg, front, feasible, tail)
+            return _Found(c_arg, t_arg, front, feasible, tail)
         choice[k] += 1
         depth = k
 
@@ -732,9 +718,9 @@ _CEILING = decimal.Context(prec=CONTEXT.prec, rounding=decimal.ROUND_CEILING, tr
 
 def _exact_in_any_order(rows: list[list[PairEntry]]) -> bool:
     """Whether every cost and latency sum the walk can form keeps all its
-    digits in money.CONTEXT, so that the tail table's sums, added in
-    another order than the step path's, match them digit for digit and
-    neither raises. A sum of the search is at most the sum of the row
+    digits in money.CONTEXT, so that the tail table, which adds in another
+    order than enumeration does, never raises where enumeration would not,
+    nor the reverse. A sum of the search is at most the sum of the row
     maxima, and its last digit is no finer than the finest entry's (or
     ZERO's, which starts every sum, or the money quantum of a credit); the
     digits between must fit in CONTEXT.prec. A credit is at most the fixed
@@ -743,9 +729,11 @@ def _exact_in_any_order(rows: list[list[PairEntry]]) -> bool:
     group's change in credit, and a prefix's paid sum less it, negative
     when the tail credits more than the head paid, stay below 10 times the
     bound and no finer than the money quantum: with fixed charges the cost
-    bound gets one more digit. A non-finite or negative entry fails too:
-    the step path keeps the parent's infinite anchors and the
-    negative-point error of its first admitted point.
+    bound gets one more digit. A non-finite or negative entry fails too, so
+    that infinite sums and the negative-point error of the first admitted
+    point come in enumeration order. An exponent is read as that of the
+    entry times zero: as_tuple() would build a digit tuple per entry, and
+    freed tuples stay on CPython's free lists.
     """
     fixed = any(e.fixed for row in rows for e in row)
     for axis in (_COST, _LATENCY):
@@ -755,7 +743,8 @@ def _exact_in_any_order(rows: list[list[PairEntry]]) -> bool:
             if not all(v.is_finite() and v >= 0 for v in values):
                 return False
             bound = _CEILING.add(bound, max(values))
-            finest = min(finest, *[v.as_tuple().exponent for v in values])
+            for v in values:
+                finest = min(finest, _EXACT.multiply(v, 0).adjusted())
         if axis is _COST and fixed:
             bound = _CEILING.multiply(bound, 10)
             finest = min(finest, -MONEY_PLACES)
@@ -768,48 +757,44 @@ class _TailTable:
     """The tail's platform combinations (see _tail_size), priced once per
     solve, in parallel lists indexed by enumeration index:
 
-    - cost: the pairs' cost sum in declaration order;
-    - length: the longest path from the tail's entry function s (its
-      topological position entry_pos) within the tail, counting s's own
-      latency, and pos, the topological position of the first function, in
-      topological order, whose path is that long, for the digit tie rule;
+    - cost: the pairs' cost sum;
+    - length: the longest path from the tail's entry function s within the
+      tail, counting s's own latency;
     - within: whether every pair is within the bounds;
     - group: the index in groups of the pairs' fixed-charge entries,
       concatenated in declaration order; combinations with equal entries
       share a group, and () is one too.
+
+    preds holds the topological positions of s's predecessors. A tail of
+    no functions has one combination: cost ZERO, length -Infinity, within
+    the bounds, group ().
     """
 
-    __slots__ = ("entry_pos", "cost", "length", "pos", "within", "group", "groups")
+    __slots__ = ("preds", "cost", "length", "within", "group", "groups")
 
     def __init__(self, workflow, rows, within_pair, start: int):
         members = [
             (p, preds, i - start) for p, (i, preds) in enumerate(workflow._topology) if i >= start
         ]
         # Every tail function is reached from s, so s comes first.
-        self.entry_pos = entry_pos = members[0][0]
-        self.cost, self.length, self.pos, self.within = cost, length, pos, within = [], [], [], []
+        entry_pos, self.preds = members[0][:2] if members else (None, ())
+        self.cost, self.length, self.within = cost, length, within = [], [], []
         self.group = group = []
         index: dict = {}
         tail_rows, tail_within = rows[start:], within_pair[start:]
         for combo in itertools.product(*[range(len(row)) for row in tail_rows]):
             picked = [row[c] for row, c in zip(tail_rows, combo)]
-            total, fixed = picked[0].cost, picked[0].fixed
-            for pair in picked[1:]:
+            total, fixed = ZERO, ()
+            for pair in picked:
                 total += pair.cost
                 # () + t is t itself: no tuple is built unless two pairs bill.
                 fixed += pair.fixed
             group.append(index.setdefault(fixed, len(index)))
             dist: dict = {}
-            longest = longest_pos = None
             for p, preds, k in members:
                 d = picked[k].latency
-                if p != entry_pos:
-                    d = max([dist[q] for q in preds]) + d
-                dist[p] = d
-                if longest is None or d > longest:
-                    longest, longest_pos = d, p
+                dist[p] = d if p == entry_pos else max([dist[q] for q in preds]) + d
             cost.append(total)
-            length.append(longest)
-            pos.append(longest_pos)
+            length.append(max(dist.values(), default=-INFINITY))
             within.append(all([row[c] for row, c in zip(tail_within, combo)]))
         self.groups = list(index)

@@ -285,6 +285,25 @@ def test_pareto_points_fixture(capsys):
     ]
 
 
+def test_pareto_line_decides_the_hull_test_exactly(capsys, tmp_path):
+    # a lies 1e-30 above the segment from o to b: the exact cross product is
+    # -1e-30, which rounds to 0 at 28 digits.
+    workflow = tmp_path / "wf.json"
+    workflow.write_text(json.dumps({"workflow_id": "one", "functions": [{"function_id": "f"}]}))
+    points = tmp_path / "points.json"
+    values = {"o": ("3", "0"), "a": ("2", "1"), "b": ("0." + "9" * 30, "2")}
+    points.write_text(json.dumps({"points": [
+        {"function_id": "f", "platform_id": p, "cost": c, "latency_ms": ms}
+        for p, (c, ms) in values.items()
+    ]}))
+    code, out, _ = run(capsys, "pareto", "--workflow", str(workflow), "--points", str(points),
+                       "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert [p["label"] for p in report["front"]] == ["f@o", "f@a", "f@b"]
+    assert [p["label"] for p in report["optimal_line"]] == ["f@o", "f@b"]
+
+
 def test_pareto_from_catalogs(capsys, tmp_path):
     code, out, _ = run(
         capsys, "pareto", "--workflow", PIPELINE, *ALL_PLATFORMS, "--format", "tsv"

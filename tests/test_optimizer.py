@@ -527,6 +527,47 @@ def test_anchors_are_the_first_placement_when_every_placement_is_infinite():
     assert result.best == result.t_star_placement
 
 
+def test_best_is_ranked_by_the_exact_key():
+    # p1's key is 1 + 1.02E-49 and p2's 1 + 1E-49. Rounded to 50 digits the
+    # two would tie, and the tie would go to the cheaper p1.
+    wf = _chain(1)
+    cost = "1." + "0" * 48 + "1"
+    table = {("f0", "p1"): (D(1), D("2E-49")), ("f0", "p2"): (D(cost), D(0))}
+    config = OptimizationConfig(alpha=D(1), beta=D("0.51"))
+    result = optimize(wf, ["p1", "p2"], PointTableModel(wf, table), config)
+    assert result.best == Placement.of([("f0", "p2")])
+    assert (str(result.cost), str(result.latency)) == (cost, "0")
+
+
+@pytest.mark.parametrize(
+    "reverse, budget, label",
+    [
+        (False, None, "f0=a,f1=b,f2=a"),
+        (False, D("2.5"), "f0=a,f1=b,f2=a"),
+        (True, None, "f0=a,f1=a,f2=b"),
+        (True, D("2.5"), "f0=a,f1=b,f2=a"),
+    ],
+)
+def test_negative_point_is_the_first_admitted_in_enumeration_order(reverse, budget, label):
+    # Negative entries fail the guard, so the head is every function. Every
+    # pair costs (1, 1) but f1@b (-5, 1) and f2@b (1, -3). On f0 -> f1 -> f2,
+    # a,a,b's critical path is f1's 2, so a,b,a, costing -3, is the first
+    # negative point admitted; reversed, a,a,b's path is -1 long. Under the
+    # budget the a,a placements, costing 3, are infeasible: a,b,a comes first.
+    fids = ["f0", "f1", "f2"]
+    order = fids[::-1] if reverse else fids
+    wf = WorkflowSpec(
+        workflow_id="negative", functions=tuple(FunctionProfile(f) for f in fids),
+        edges=tuple(zip(order, order[1:])),
+    )
+    table = {(f, p): (D(1), D(1)) for f in fids for p in "ab"}
+    table[("f1", "b")], table[("f2", "b")] = (D(-5), D(1)), (D(1), D(-3))
+    model = PointTableModel(wf, table)
+    with pytest.raises(DomainError) as exc:
+        optimize(wf, ["a", "b"], model, OptimizationConfig(budget=budget))
+    assert str(exc.value) == f"point {label!r} has negative cost or latency"
+
+
 def test_tie_keeps_the_first_enumerated_placement_out_of_topological_order():
     # b is declared first but runs after a. Two placements tie on (cost, latency)
     # and are the only feasible ones; enumeration, in declaration order, meets
@@ -554,7 +595,8 @@ def test_tie_keeps_the_first_enumerated_placement_out_of_topological_order():
 @pytest.mark.parametrize("latencies", [("1", "1.0", "0", "2"), ("1", "1.0", "2", "0")])
 def test_latency_keeps_the_digits_of_the_first_longest_distance(latencies):
     # With a -> b the topological order is a, c, d, b. b's distance 2.0 ties
-    # with d's (last level) or c's (a prefix level) 2, which comes first.
+    # with d's (last level) or c's (a prefix level) 2, which comes first. The
+    # walk compares values only; the reported digits are the model's.
     wf = WorkflowSpec(
         workflow_id="digits", functions=tuple(FunctionProfile(f) for f in "abcd"), edges=(("a", "b"),)
     )
@@ -566,7 +608,8 @@ def test_latency_keeps_the_digits_of_the_first_longest_distance(latencies):
 
 def test_tail_path_keeps_the_digits_of_an_earlier_head_distance():
     # Tail {c, d} (a -> c -> d) sums to 2.0, tying with the head function b's
-    # 2, which comes first in topological order (a, b, c, d): the path is b's.
+    # 2, which comes first in topological order (a, b, c, d): the path is b's,
+    # as the model's critical path writes it.
     wf = WorkflowSpec(
         workflow_id="digits", functions=tuple(FunctionProfile(f) for f in "abcd"),
         edges=(("a", "c"), ("c", "d")),
@@ -731,7 +774,10 @@ def _check_against_oracle(data, wf, platforms, model):
 
     if data.draw(st.booleans(), label="manual"):
         scale = data.draw(st.sampled_from(range(-15, 4, 3)), label="weight scale")
-        alpha, beta = (D(data.draw(st.sampled_from([0, 1, 3]))).scaleb(scale) for _ in range(2))
+        # Up to 50 significant digits, so a weighted sum can need more than
+        # money.CONTEXT carries.
+        digits = st.sampled_from([0, 1, 3]) | st.integers(0, 10**50 - 1)
+        alpha, beta = (D(f"{data.draw(digits)}E{scale}") for _ in range(2))
         assume(alpha or beta)
         config = OptimizationConfig(budget=budget, latency_slo=slo, scope=scope,
                                     alpha=alpha, beta=beta)
@@ -861,8 +907,8 @@ def test_tail_rule():
 
 def test_sums_past_the_precision_step_every_placement():
     # f1's tail pair on y costs 1e25 and f0's head pairs cost 1e-30. Their
-    # sum needs 56 digits: the guard sends the walk down the step path, which
-    # raises as the enumeration does.
+    # sum needs 56 digits: the guard leaves the walk no tail, so the head is
+    # every function and each sum raises as the enumeration's does.
     wf = _chain(2)
     table = {
         ("f0", "x"): (D("1E-30"), D(1)),
@@ -909,7 +955,7 @@ _RATE = D("876543210987654321098765432109876543.210987654321")
         # The row maxima sum to 11 rates, 9.6E+36: with the credit's extra
         # digit the guard's bound has exactly 50, so the table is used.
         ("0.000000000001", True),
-        # A finer last digit fails the guard: every placement is stepped.
+        # A finer last digit fails the guard: the head is every function.
         ("1E-13", False),
         # Sums past 1E+38 need 51 digits: the enumeration raises.
         ("31111111111111111111111111111111111111.111111111111", False),
