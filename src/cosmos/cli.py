@@ -136,8 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="constrained weighted placement optimization")
     common(p_opt, placement=False)
     p_opt.add_argument("--points", help="measured (function, platform) point table document")
-    p_opt.add_argument("--budget", type=_quantity, help="maximum workflow cost in USD")
-    p_opt.add_argument("--latency-slo", type=_quantity, help="maximum workflow latency in ms")
+    p_opt.add_argument("--budget", type=_bound, help="maximum workflow cost in USD")
+    p_opt.add_argument("--latency-slo", type=_bound, help="maximum workflow latency in ms")
     p_opt.add_argument("--scope", choices=("workflow", "per-function"), default="workflow")
     p_opt.add_argument("--alpha", type=_quantity, help="manual cost weight (1/USD); requires --beta")
     p_opt.add_argument("--beta", type=_quantity, help="manual latency weight (1/ms); requires --alpha")
@@ -159,6 +159,13 @@ def _quantity(text: str) -> Decimal:
         raise argparse.ArgumentTypeError(str(exc)) from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
+def _bound(text: str) -> Decimal:
+    """A positive _quantity, as OptimizationConfig requires of a budget or SLO."""
+    if (value := _quantity(text)) == 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
     return value
 
 
@@ -491,6 +498,8 @@ def cmd_optimize(args) -> int:
     points, model, platforms = _points_and_model(args, workflow, latencies)
     if (args.alpha is None) != (args.beta is None):
         raise SchemaError("manual weighting needs both --alpha and --beta")
+    if args.alpha == 0 and args.beta == 0:
+        raise SchemaError("--alpha and --beta must not both be zero")
     config = OptimizationConfig(
         budget=args.budget,
         latency_slo=args.latency_slo,

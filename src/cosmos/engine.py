@@ -132,7 +132,6 @@ class ComponentCharge:
 
     component_id: str
     driver: DriverCategory
-    description: str
     amount: Decimal
     #: A fixed BaaS charge's bill_fixed entry: ((platform_id, component_id), months, rate).
     fixed: tuple[tuple[str, str], Decimal, Decimal] | None = None
@@ -171,7 +170,7 @@ def component_charges(
     charges: list[ComponentCharge] = []
 
     def charge(comp, amount: Decimal, fixed=None) -> None:
-        charges.append(ComponentCharge(comp.id, comp.driver, comp.description, amount, fixed))
+        charges.append(ComponentCharge(comp.id, comp.driver, amount, fixed))
 
     t = profile.compute_time_on(catalog.platform_id)
     stored = profile.stored_gb(n)

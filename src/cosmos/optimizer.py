@@ -2,31 +2,24 @@
 
 The search is exhaustive over all |platforms|^|functions| assignments (capped),
 which keeps results exact and reproducible at the instance sizes this tool
-targets. It walks the pair table depth first: function k, in declaration
-order, takes each platform in argument order at level k, so placements come
-in enumerate_placements order and equal (cost, latency) pairs keep the first.
-Placements that share a prefix share its state, kept once per level: the cost
-sum, the shared fixed-charge ledger and credit of engine.bill_fixed (updated
-only when a pair bills a fixed charge), the critical-path distances and
-whether each pair is within the bounds.
+targets. A placement is named by its enumeration index, whose base-|platforms|
+digits are its platforms in argument order, one per function in declaration
+order, the last function's lowest; equal (cost, latency) pairs keep the first.
 
-The walk steps only through the head, the functions before the tail: the
-longest trailing run of at most half the functions (the one function of a
-one-function workflow) that the rest of the workflow enters through one
-function. The tail's platform combinations are priced once per solve into
-a table (cost sum, longest path from its entry function, fixed charges),
-and every placement is answered from it meet-in-the-middle style: an
-entry takes one add per axis instead of a step. Entries that bill the same
-fixed charges share a group, and each group's change in the prefix's
-credit is computed once per prefix by engine.bill_key, the rule
-bill_fixed applies, kept per held ledger entry for the solve.
-The table adds sums in another order than enumeration does, so a tail is
-used only when every sum of the search fits money.CONTEXT's precision;
-otherwise, or with no tail, the head is every function and the table holds
-one empty combination. The walk compares values only: the model writes the
-digits reported for the chosen placements. enumerate_placements, min_cost
-and min_time enumerate and price each placement whole, and the tests use
-them as oracles.
+One depth-first odometer (_combos) enumerates both blocks of functions: the
+tail, the longest trailing run of at most half the functions (the one function
+of a one-function workflow) that the rest of the workflow enters through one
+function, priced once per solve into a table; and the head, the functions
+before it. Each head prefix is answered from the table meet-in-the-middle
+style, one add per axis per placement. A prefix's shared fixed-charge credit
+and each table group's change in it come from one memo of engine.bill_key,
+the rule engine.bill_fixed applies. The table adds sums in another order than
+enumeration does, so a tail is used only when every sum of the search fits
+money.CONTEXT's precision; otherwise, or with no tail, the head is every
+function and the table holds one empty combination. The walk compares values
+only: the model writes the digits reported for the chosen placements.
+enumerate_placements, min_cost and min_time enumerate and price each
+placement whole, and the tests use them as oracles.
 
 Weights default to the reciprocals of the two unconstrained anchors:
 alpha = 1/C* (cheapest achievable cost) and beta = 1/T* (fastest achievable
@@ -74,12 +67,11 @@ DEFAULT_ENUMERATION_CAP = 10**7
 
 @dataclass(frozen=True, slots=True)
 class ParetoPoint:
-    """A labeled (cost, latency) alternative, optionally tied to a placement."""
+    """A labeled (cost, latency) alternative."""
 
     label: str
     cost: Decimal
     latency: Decimal
-    placement: Placement | None = None
 
     def __post_init__(self):
         if self.cost < 0 or self.latency < 0:
@@ -280,38 +272,35 @@ def load_point_table(
 # --- enumeration and anchor solves ------------------------------------------
 
 
-def _rows(workflow: WorkflowSpec, platforms: Sequence[str], cap: int, pick) -> list[list]:
+def _rows(workflow: WorkflowSpec, platforms: Sequence[str], pick) -> list[list]:
     """One row per function, in declaration order, of ``pick(function_id,
     platform_id)`` over the platforms in argument order. Raises DomainError
-    for no platforms and CapExceededError past the cap before any pick is made."""
+    for no platforms and CapExceededError past DEFAULT_ENUMERATION_CAP
+    placements before any pick is made."""
     platforms = list(platforms)
     if not platforms:
         raise DomainError("at least one platform is required")
     total = len(platforms) ** len(workflow.functions)
-    if total > cap:
-        raise CapExceededError(total, cap)
+    if total > DEFAULT_ENUMERATION_CAP:
+        raise CapExceededError(total, DEFAULT_ENUMERATION_CAP)
     return [[pick(fid, pid) for pid in platforms] for fid in workflow.function_ids]
 
 
-def enumerate_placements(
-    workflow: WorkflowSpec,
-    platforms: Sequence[str],
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> Iterator[Placement]:
+def enumerate_placements(workflow: WorkflowSpec, platforms: Sequence[str]) -> Iterator[Placement]:
     """Every total assignment exactly once, in deterministic lexicographic order.
 
     Order is by (function declaration order, platform argument order); the
     last function's platform varies fastest. Raises CapExceededError up front
-    when the full count would exceed the cap.
+    when the full count would exceed DEFAULT_ENUMERATION_CAP.
     """
-    rows = _rows(workflow, platforms, cap, lambda fid, pid: (fid, pid))
+    rows = _rows(workflow, platforms, lambda fid, pid: (fid, pid))
     return map(Placement, itertools.product(*rows))
 
 
-def _argmin(workflow, platforms, measure, cap) -> tuple[Decimal, Placement]:
+def _argmin(workflow, platforms, measure) -> tuple[Decimal, Placement]:
     """Lowest measure over every placement; the first in enumeration order wins ties."""
     best: tuple[Decimal, Placement] | None = None
-    for placement in enumerate_placements(workflow, platforms, cap):
+    for placement in enumerate_placements(workflow, platforms):
         value = measure(placement)
         if best is None or value < best[0]:
             best = (value, placement)
@@ -320,23 +309,17 @@ def _argmin(workflow, platforms, measure, cap) -> tuple[Decimal, Placement]:
 
 
 def min_cost(
-    workflow: WorkflowSpec,
-    platforms: Sequence[str],
-    model: PlacementModel,
-    cap: int = DEFAULT_ENUMERATION_CAP,
+    workflow: WorkflowSpec, platforms: Sequence[str], model: PlacementModel
 ) -> tuple[Decimal, Placement]:
     """C*: cheapest achievable workflow cost, ignoring latency entirely."""
-    return _argmin(workflow, platforms, model.cost_of, cap)
+    return _argmin(workflow, platforms, model.cost_of)
 
 
 def min_time(
-    workflow: WorkflowSpec,
-    platforms: Sequence[str],
-    model: PlacementModel,
-    cap: int = DEFAULT_ENUMERATION_CAP,
+    workflow: WorkflowSpec, platforms: Sequence[str], model: PlacementModel
 ) -> tuple[Decimal, Placement]:
     """T*: fastest achievable workflow latency, ignoring cost entirely."""
-    return _argmin(workflow, platforms, model.latency_of, cap)
+    return _argmin(workflow, platforms, model.latency_of)
 
 
 def auto_weights(c_star: Decimal, t_star: Decimal) -> tuple[Decimal, Decimal]:
@@ -401,17 +384,16 @@ def optimize(
     platforms: Sequence[str],
     model: PlacementModel,
     config: OptimizationConfig | None = None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> OptimizationResult:
     """Minimize alpha*cost + beta*latency over feasible placements.
 
     One depth-first walk over the model's rows (one per function in
     declaration order, its pairs in platform order) covers every placement
-    once, in the order of enumerate_placements (see _walk): it steps
-    through the head prefixes and answers each from the tail table. The
-    walk finds the anchors as min_cost and min_time do, and folds each
-    feasible placement that can be on the front into a Pareto front of
-    bare (cost, latency) points; only the chosen placements get a
+    once, in the order of enumerate_placements (see _walk): it enumerates
+    the head prefixes and answers each from the tail table. The walk finds
+    the anchors as min_cost and min_time do, and folds each feasible
+    placement that can be on the front into a Pareto front of bare (cost,
+    latency, enumeration index) points; only the chosen placements get a
     Placement. The walk compares values only; the reported cost, latency,
     C* and T* are the model's cost_of and latency_of of the chosen
     placements, so they keep the digits of an enumeration. Under the
@@ -428,11 +410,11 @@ def optimize(
     """
     config = config or OptimizationConfig()
     platforms = list(platforms)
-    rows = _rows(workflow, platforms, cap, model.entry)
+    rows = _rows(workflow, platforms, model.entry)
     with exact_sums("a cost or latency sum of the search"):
         found = _walk(workflow, rows, platforms, config)
-    c_arg = _placement(workflow, platforms, found.tail, *found.c_arg)
-    t_arg = _placement(workflow, platforms, found.tail, *found.t_arg)
+    c_arg = _placement(workflow, platforms, found.c_arg)
+    t_arg = _placement(workflow, platforms, found.t_arg)
     c_star, t_star = model.cost_of(c_arg), model.latency_of(t_arg)
     front = found.front
 
@@ -463,7 +445,7 @@ def optimize(
         for p in front[1:]:
             if b * (p.latency - best.latency) <= a * (best.cost - p.cost):
                 best = p
-    best_arg = _placement(workflow, platforms, found.tail, best.prefix, best.tail)
+    best_arg = _placement(workflow, platforms, best.index)
     cost, latency = model.cost_of(best_arg), model.latency_of(best_arg)
     objective = CONTEXT.multiply(alpha, cost) + CONTEXT.multiply(beta, latency)
     return OptimizationResult(
@@ -483,42 +465,39 @@ def optimize(
 
 
 class _Found(NamedTuple):
-    """What one walk finds: the assignments of both anchors, each a (head
-    prefix, tail index) pair as in _Point (the first enumerated winning
-    ties), the feasible Pareto front and its count."""
+    """What one walk finds: the enumeration indices of both anchors (the
+    first enumerated winning ties), the feasible Pareto front and its count."""
 
-    c_arg: tuple
-    t_arg: tuple
+    c_arg: int
+    t_arg: int
     front: list[_Point]
     feasible_count: int
-    #: How many functions the tail has, for _placement.
-    tail: int
 
 
 class _Point:
-    """A feasible (cost, latency) the walk's front holds. Its assignment is
-    its head prefix, a tuple of platform indices shared by the points of
-    one prefix, and the enumeration index of its tail assignment; only the
-    chosen best's Placement is built. A slotted class, not a tuple: a freed
-    tuple stays on CPython's free list, so points the front drops would
-    stay on the heap."""
+    """A feasible (cost, latency) the walk's front holds, and the enumeration
+    index of its placement; only the chosen best's Placement is built. A
+    slotted class, not a tuple: a freed tuple stays on CPython's free list,
+    so points the front drops would stay on the heap."""
 
-    __slots__ = ("cost", "latency", "prefix", "tail")
+    __slots__ = ("cost", "latency", "index")
 
-    def __init__(self, cost: Decimal, latency: Decimal, prefix: tuple, tail: int):
-        self.cost, self.latency, self.prefix, self.tail = cost, latency, prefix, tail
+    def __init__(self, cost: Decimal, latency: Decimal, index: int):
+        self.cost, self.latency, self.index = cost, latency, index
 
 
-def _placement(
-    workflow: WorkflowSpec, platforms: list[str], size: int, prefix: tuple, j: int
-) -> Placement:
-    """The Placement of a head prefix of platform indices and the tail
-    assignment of enumeration index j over size tail functions."""
-    indices = list(prefix) + [0] * size
-    for k in range(len(indices) - 1, len(prefix) - 1, -1):
-        j, indices[k] = divmod(j, len(platforms))
-    pairs = [(fid, platforms[c]) for fid, c in zip(workflow.function_ids, indices)]
-    return Placement(tuple(pairs))
+def _placement(workflow: WorkflowSpec, platforms: list[str], index: int) -> Placement:
+    """The placement of enumeration index ``index`` (see enumerate_placements)."""
+    digits = _digits(index, len(workflow.functions), len(platforms))
+    return Placement(tuple((fid, platforms[c]) for fid, c in zip(workflow.function_ids, digits)))
+
+
+def _digits(index: int, count: int, width: int) -> list[int]:
+    """The count lowest base-width digits of index, the lowest last."""
+    digits = [0] * count
+    for k in range(count - 1, -1, -1):
+        index, digits[k] = divmod(index, width)
+    return digits
 
 
 def _walk(
@@ -529,25 +508,18 @@ def _walk(
 ) -> _Found:
     """Visit every placement once, in enumerate_placements order.
 
-    The head, the functions before the tail (see _tail_size), is walked
-    depth first as an odometer: level k places function k (declaration
-    order) on each platform in turn. Slot d of each state list holds the
-    current prefix of d functions: its cost sum, its fixed-charge ledger
-    and the shared credit it earns (engine.bill_fixed), whether each pair
-    is within the bounds, and the longest critical-path distance known so
-    far. A function's distance is computed at the level of the deepest
-    function among itself and its ancestors: its own level when declaration
-    order is topological.
-
-    Each head prefix is then answered from the _TailTable, priced once per
-    solve. First each group of fixed charges gets its paid sum: the
-    prefix's cost sum less credit, less the change in credit of billing the
-    group on top of the prefix's ledger (change). Then the entries are
-    visited in enumeration order. A placement costs its group's paid sum
-    plus its entry's cost, and its latency is the longer of the prefix's own
-    critical path and the distance into the tail's entry function s plus
-    the entry's longest path from s. Each entry is an anchor candidate and,
-    when feasible, counted and offered to the front.
+    The tail (see _tail_size) is priced once into a _TailTable, and the
+    head, the functions before it, is enumerated by the same odometer
+    (_combos). Each head prefix bills its fixed-charge entries through the
+    solve's _Billed memo, as engine.bill_fixed bills them, for its ledger
+    and credit. Each table group then gets its paid sum: the prefix's cost
+    sum less credit, less the group's change in credit on top of the
+    prefix's ledger (change). A placement costs its group's paid sum plus
+    its entry's cost; its latency is the longer of the prefix's critical
+    path and the distance into the tail's entry function s plus the entry's
+    longest path from s. Each is an anchor candidate and, when feasible,
+    counted and offered to the front, under its enumeration index: the
+    prefix's first index plus the entry's.
 
     When no tail qualifies, which needs a declaration order that is not
     topological, or when _exact_in_any_order fails, the head is every
@@ -557,37 +529,7 @@ def _walk(
     budget = INFINITY if config.budget is None else config.budget
     slo = INFINITY if config.latency_slo is None else config.latency_slo
     per_function = config.scope == "per_function"
-    n, width = len(rows), len(platforms)
     within_pair = [[e.cost <= budget and e.latency <= slo for e in row] for row in rows]
-    schedule = _schedule(workflow)
-    choice = [0] * n
-    dist: list = [None] * n
-    cost_at = [ZERO] + [None] * n
-    ledger_at: list = [{}] + [None] * n
-    credit_at = [ZERO] + [None] * n
-    within_at = [True] + [None] * n
-    # The critical path of no functions is ZERO; any distance beats -inf.
-    top_at = [ZERO if n == 0 else -INFINITY] + [None] * n
-
-    def step(k: int) -> None:
-        """Fill slot k + 1 from slot k and function k's chosen pair."""
-        j = choice[k]
-        entry = rows[k][j]
-        cost_at[k + 1] = cost_at[k] + entry.cost
-        if entry.fixed:
-            ledger_at[k + 1], credit_at[k + 1] = bill_fixed(
-                ledger_at[k], credit_at[k], entry.fixed
-            )
-        else:
-            ledger_at[k + 1], credit_at[k + 1] = ledger_at[k], credit_at[k]
-        within_at[k + 1] = within_at[k] and within_pair[k][j]
-        top = top_at[k]
-        for p, preds, i in schedule[k]:
-            d = dist[p] = max([dist[q] for q in preds], default=ZERO) + rows[i][choice[i]].latency
-            if d > top:
-                top = d
-        top_at[k + 1] = top
-
     billed = _Billed()
 
     def change(ledger: dict, fixed: tuple) -> Decimal:
@@ -604,8 +546,7 @@ def _walk(
                 delta += after[3] if held[3] is None else after[3] - held[3]
         return delta
 
-    tail = _tail_size(workflow) if _exact_in_any_order(rows) else 0
-    head = n - tail
+    head = len(rows) - _tail_size(workflow) if _exact_in_any_order(rows) else len(rows)
     table = _TailTable(workflow, rows, within_pair, head)
     t_cost, t_length, t_within = table.cost, table.length, table.within
     t_group, groups = table.group, table.groups
@@ -614,52 +555,65 @@ def _walk(
     # Anchors start at the first placement, so one is found even when every
     # placement is infinite on an axis.
     c_star = t_star = INFINITY
-    c_arg = t_arg = ((0,) * head, 0)
-    feasible = depth = 0
-    while True:
-        for k in range(depth, head):
-            step(k)
-        # Built once per prefix, and only for a point or an anchor: the
-        # points of one prefix share it.
-        prefix = ()
-        paid, ledger, within = cost_at[head] - credit_at[head], ledger_at[head], within_at[head]
-        for g, fixed in enumerate(groups):
-            d = change(ledger, fixed) if fixed else ZERO
-            paid_of[g] = paid - d if d else paid
-        base = max([dist[q] for q in table.preds], default=ZERO)
-        top = top_at[head]
-        for j, cost in enumerate(t_cost):
-            cost, latency = paid_of[t_group[j]] + cost, base + t_length[j]
-            if latency < top:
-                latency = top
-            if per_function:
-                ok = within and t_within[j]
-            else:
-                ok = cost <= budget and latency <= slo
-            if cost < c_star:
-                prefix = prefix or tuple(choice[:head])
-                c_star, c_arg = cost, (prefix, j)
-            if latency < t_star:
-                prefix = prefix or tuple(choice[:head])
-                t_star, t_arg = latency, (prefix, j)
-            if ok:
-                feasible += 1
-                i = _slot(front, cost, latency)
-                if i >= 0:
-                    prefix = prefix or tuple(choice[:head])
-                    # Checked as ParetoPoint checks a point.
-                    if cost < 0 or latency < 0:
-                        label = str(_placement(workflow, platforms, tail, prefix, j))
-                        raise DomainError(f"point {label!r} has negative cost or latency")
-                    _insert(front, i, _Point(cost, latency, prefix, j))
-        k = head - 1
-        while k >= 0 and choice[k] == width - 1:
-            choice[k] = 0
-            k -= 1
-        if k < 0:
-            return _Found(c_arg, t_arg, front, feasible, tail)
-        choice[k] += 1
-        depth = k
+    c_arg = t_arg = feasible = first = 0
+    try:
+        for prefix_cost, fixed, within, top, dist in _combos(workflow, rows, within_pair, 0, head):
+            # The credit is the ledger's terms summed in first-billed order.
+            ledger, credit = {}, ZERO
+            for key, months, rate in fixed:
+                ledger[key] = billed[(ledger.get(key), months, rate)]
+            for _, _, _, term in ledger.values():
+                if term is not None:
+                    credit += term
+            paid = prefix_cost - credit
+            for g, group in enumerate(groups):
+                d = change(ledger, group) if group else ZERO
+                paid_of[g] = paid - d if d else paid
+            base = max([dist[q] for q in table.preds], default=ZERO)
+            for j, cost in enumerate(t_cost):
+                cost, latency = paid_of[t_group[j]] + cost, base + t_length[j]
+                if latency < top:
+                    latency = top
+                if per_function:
+                    ok = within and t_within[j]
+                else:
+                    ok = cost <= budget and latency <= slo
+                if cost < c_star:
+                    c_star, c_arg = cost, first + j
+                if latency < t_star:
+                    t_star, t_arg = latency, first + j
+                if ok:
+                    feasible += 1
+                    i = _slot(front, cost, latency)
+                    if i >= 0:
+                        # Checked as ParetoPoint checks a point.
+                        if cost < 0 or latency < 0:
+                            label = str(_placement(workflow, platforms, first + j))
+                            raise DomainError(f"point {label!r} has negative cost or latency")
+                        _insert(front, i, _Point(cost, latency, first + j))
+            first += len(t_cost)
+    except (DomainError, decimal.Inexact):
+        # Enumeration bills each function's fixed charges between its cost
+        # and its distances, in the digits it is given: the failing prefix
+        # is replayed so that enumeration's first error is the one raised.
+        _replay(workflow, rows, _digits(first, len(rows), len(platforms))[:head])
+        raise
+    return _Found(c_arg, t_arg, front, feasible)
+
+
+def _replay(workflow: WorkflowSpec, rows, choice: list[int]) -> None:
+    """Place a head prefix, one platform index per function, one function
+    at a time as enumeration does: its cost is summed, then its fixed
+    charges billed (engine.bill_fixed), then its distances summed. Raises
+    the first error that meets."""
+    total, ledger, credit, dist = ZERO, {}, ZERO, [None] * len(rows)
+    schedule = _schedule(workflow, 0, len(choice))
+    for k, c in enumerate(choice):
+        total += rows[k][c].cost
+        if rows[k][c].fixed:
+            ledger, credit = bill_fixed(ledger, credit, rows[k][c].fixed)
+        for p, preds, i in schedule[k]:
+            dist[p] = max([dist[q] for q in preds], default=ZERO) + rows[i][choice[i]].latency
 
 
 class _Billed(dict):
@@ -671,18 +625,68 @@ class _Billed(dict):
         return after
 
 
-def _schedule(workflow: WorkflowSpec) -> list[list[tuple[int, tuple[int, ...], int]]]:
-    """Per declaration index k, the functions whose critical-path distance
-    is known once functions 0..k are placed: each as (topological position,
-    predecessors' positions, declaration index), in topological order. That
-    level is the deepest declaration index among the function and its
-    ancestors."""
-    schedule: list[list] = [[] for _ in workflow.functions]
-    levels: list[int] = []
+def _combos(workflow: WorkflowSpec, rows, within_pair, start: int, stop: int) -> Iterator[tuple]:
+    """Every platform combination of the block of functions start..stop-1
+    (declaration order), in enumeration order, as (cost sum, fixed-charge
+    entries concatenated in declaration order, whether every pair is within
+    the bounds, longest path inside the block, distances): the distances
+    are indexed by topological position, and a predecessor outside the
+    block counts as no path. A depth-first odometer: level k places the
+    block's function k on each platform in turn, and slot k + 1 of each
+    state list holds the current combination of the first k + 1 functions,
+    so combinations sharing a prefix share its sums. The longest path of no
+    functions is -Infinity, which any path beats, except in a workflow of
+    no functions, whose critical path is ZERO. The distances list is
+    reused: read it before the next combination."""
+    rows, within_pair = rows[start:stop], within_pair[start:stop]
+    size, width = len(rows), len(rows[0]) if rows else 0
+    schedule = _schedule(workflow, start, stop)
+    choice = [0] * size
+    dist: list = [None] * len(workflow.functions)
+    cost_at = [ZERO] + [None] * size
+    fixed_at = [()] + [None] * size
+    within_at = [True] + [None] * size
+    top_at = [ZERO if not workflow.functions else -INFINITY] + [None] * size
+    depth = 0
+    while True:
+        for k in range(depth, size):
+            j = choice[k]
+            entry = rows[k][j]
+            cost_at[k + 1] = cost_at[k] + entry.cost
+            # () + t is t itself: no tuple is built unless two pairs bill.
+            fixed_at[k + 1] = fixed_at[k] + entry.fixed
+            within_at[k + 1] = within_at[k] and within_pair[k][j]
+            top = top_at[k]
+            for p, preds, i in schedule[k]:
+                d = dist[p] = max([dist[q] for q in preds], default=ZERO) + rows[i][choice[i]].latency
+                if d > top:
+                    top = d
+            top_at[k + 1] = top
+        yield cost_at[size], fixed_at[size], within_at[size], top_at[size], dist
+        k = size - 1
+        while k >= 0 and choice[k] == width - 1:
+            choice[k] = 0
+            k -= 1
+        if k < 0:
+            return
+        choice[k] += 1
+        depth = k
+
+
+def _schedule(workflow: WorkflowSpec, start: int, stop: int) -> list[list[tuple]]:
+    """Per level k of the block of functions start..stop-1 (declaration
+    order), the block's functions whose distance is known once its
+    functions 0..k are placed: each as (topological position, positions of
+    its predecessors inside the block, index in the block), in topological
+    order. That level is the deepest index in the block among the function
+    and its ancestors inside it."""
+    schedule: list[list] = [[] for _ in range(start, stop)]
+    levels: dict[int, int] = {}
     for p, (i, preds) in enumerate(workflow._topology):
-        level = max([i, *(levels[q] for q in preds)])
-        levels.append(level)
-        schedule[level].append((p, preds, i))
+        if start <= i < stop:
+            inside = tuple(q for q in preds if q in levels)
+            level = levels[p] = max([i - start, *(levels[q] for q in inside)])
+            schedule[level].append((p, inside, i - start))
     return schedule
 
 
@@ -692,16 +696,16 @@ def _tail_size(workflow: WorkflowSpec) -> int:
     longest trailing run of at most half the functions, or of the one
     function of a one-function workflow, in which:
 
-    - no function before it has an ancestor in it, so the head's distances
-      are all known at the head's last level;
+    - no edge runs from it into the functions before it, so the head's
+      distances are all known once the head is placed;
     - exactly one function s has predecessors outside it, or none at all,
       and every other one has predecessors inside it only, so each tail
       distance is s's plus a path inside the tail.
     """
-    n, topology, schedule = len(workflow.functions), workflow._topology, _schedule(workflow)
+    n, topology = len(workflow.functions), workflow._topology
     for size in range(n // 2 or n, 0, -1):
         start = n - size
-        if any(i < start for level in schedule[start:] for _, _, i in level):
+        if any(i < start <= topology[q][0] for i, preds in topology for q in preds):
             continue
         entries = [
             i for i, preds in topology
@@ -754,8 +758,8 @@ def _exact_in_any_order(rows: list[list[PairEntry]]) -> bool:
 
 
 class _TailTable:
-    """The tail's platform combinations (see _tail_size), priced once per
-    solve, in parallel lists indexed by enumeration index:
+    """The tail's platform combinations (see _tail_size), enumerated by
+    _combos once per solve, in parallel lists indexed by enumeration index:
 
     - cost: the pairs' cost sum;
     - length: the longest path from the tail's entry function s within the
@@ -766,35 +770,21 @@ class _TailTable:
       share a group, and () is one too.
 
     preds holds the topological positions of s's predecessors. A tail of
-    no functions has one combination: cost ZERO, length -Infinity, within
-    the bounds, group ().
+    no functions has one combination: cost ZERO, length -Infinity (ZERO in
+    a workflow of no functions), within the bounds, group ().
     """
 
     __slots__ = ("preds", "cost", "length", "within", "group", "groups")
 
     def __init__(self, workflow, rows, within_pair, start: int):
-        members = [
-            (p, preds, i - start) for p, (i, preds) in enumerate(workflow._topology) if i >= start
-        ]
-        # Every tail function is reached from s, so s comes first.
-        entry_pos, self.preds = members[0][:2] if members else (None, ())
-        self.cost, self.length, self.within = cost, length, within = [], [], []
-        self.group = group = []
+        # Every tail function is reached from s, so s comes first in
+        # topological order.
+        self.preds = next((preds for i, preds in workflow._topology if i >= start), ())
+        self.cost, self.length, self.within, self.group = [], [], [], []
         index: dict = {}
-        tail_rows, tail_within = rows[start:], within_pair[start:]
-        for combo in itertools.product(*[range(len(row)) for row in tail_rows]):
-            picked = [row[c] for row, c in zip(tail_rows, combo)]
-            total, fixed = ZERO, ()
-            for pair in picked:
-                total += pair.cost
-                # () + t is t itself: no tuple is built unless two pairs bill.
-                fixed += pair.fixed
-            group.append(index.setdefault(fixed, len(index)))
-            dist: dict = {}
-            for p, preds, k in members:
-                d = picked[k].latency
-                dist[p] = d if p == entry_pos else max([dist[q] for q in preds]) + d
-            cost.append(total)
-            length.append(max(dist.values(), default=-INFINITY))
-            within.append(all([row[c] for row, c in zip(tail_within, combo)]))
+        for cost, fixed, within, top, _ in _combos(workflow, rows, within_pair, start, len(rows)):
+            self.cost.append(cost)
+            self.length.append(top)
+            self.within.append(within)
+            self.group.append(index.setdefault(fixed, len(index)))
         self.groups = list(index)

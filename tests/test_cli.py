@@ -1042,6 +1042,8 @@ _BAD_FLAGS = {
     "volume-not-decimal": ("cost", ["--platform", "aws-x86", "--volume", "abc"], "--volume"),
     "budget-not-decimal": ("optimize", ["--points", POINTS, "--budget", "abc"], "--budget"),
     "budget-negative": ("optimize", ["--points", POINTS, "--budget", "-5"], "--budget"),
+    "budget-zero": ("optimize", ["--points", POINTS, "--budget", "0"], "--budget"),
+    "slo-zero": ("optimize", ["--points", POINTS, "--latency-slo", "0.000"], "--latency-slo"),
     "slo-nan": ("optimize", ["--points", POINTS, "--latency-slo", "NaN"], "--latency-slo"),
     "alpha-infinite": ("optimize", ["--points", POINTS, "--alpha", "Infinity", "--beta", "1"],
                        "--alpha"),
@@ -1058,6 +1060,12 @@ def test_malformed_numeric_flag_exits_2_naming_it(capsys, case):
         main([command, "--workflow", PIPELINE, *extra])
     assert exc.value.code == 2
     assert f"argument {flag}:" in capsys.readouterr().err
+
+
+def test_zero_weights_exit_2_naming_both_flags(capsys):
+    assert run(
+        capsys, "optimize", "--workflow", PIPELINE, "--points", POINTS, "--alpha", "0", "--beta", "0.0"
+    ) == (2, "", "error: --alpha and --beta must not both be zero\n")
 
 
 # --- one parser per process ------------------------------------------------------------

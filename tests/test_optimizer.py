@@ -4,7 +4,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cosmos import engine, optimizer
 from cosmos.engine import workflow_cost
@@ -107,6 +107,28 @@ def test_enumeration_is_exhaustive_and_unique():
     wf = _chain(3)
     got = list(enumerate_placements(wf, ["x", "y", "z"]))
     assert len(got) == 27 == len(set(got))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(0, 4), width=st.integers(1, 3), rng=st.randoms(use_true_random=False))
+@example(n=0, width=1, rng=random.Random(0))
+@example(n=0, width=3, rng=random.Random(0))
+@example(n=3, width=1, rng=random.Random(0))
+def test_placement_of_an_index_is_the_enumerated_placement(n, width, rng):
+    # The walk names a placement by its enumeration index; edges run forward
+    # in a random order of the functions, so declaration order is often not
+    # a topological order.
+    fids = [f"f{i}" for i in range(n)]
+    ranked = rng.sample(fids, n)
+    edges = [(ranked[i], ranked[j]) for i, j in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+    wf = WorkflowSpec(
+        workflow_id="dag", functions=tuple(FunctionProfile(f) for f in fids), edges=tuple(edges)
+    )
+    platforms = ["x", "y", "z"][:width]
+    placements = list(enumerate_placements(wf, platforms))
+    assert len(placements) == width**n
+    for i, placement in enumerate(placements):
+        assert optimizer._placement(wf, platforms, i) == placement
 
 
 # --- anchor solves -----------------------------------------------------------
@@ -623,9 +645,9 @@ def test_tail_path_keeps_the_digits_of_an_earlier_head_distance():
 def test_shared_credit_takes_no_ledger_step_per_placement(catalogs, monkeypatch):
     # Five functions on the five cards, the last three sharing ml-provisioning:
     # 3,125 placements below 780 shorter prefixes, of which the 155 of the
-    # head's three functions are stepped. The credit of a tail entry comes
-    # from a memo, so neither the ledger step nor money_product runs once
-    # per placement, and bill_key runs at most once per head prefix.
+    # head's three functions are enumerated. Every credit comes from a memo
+    # of bill_key, so neither bill_fixed nor money_product runs once per
+    # placement, and bill_key runs at most once per head prefix.
     months = [None, None, "3", "5", "7"]
     fids = [f"f{i}" for i in range(len(months))]
     wf = WorkflowSpec(
@@ -917,7 +939,7 @@ def test_sums_past_the_precision_step_every_placement():
         ("f1", "y"): (D("1E+25"), D(2)),
     }
     model = PointTableModel(wf, table)
-    rows = optimizer._rows(wf, ["x", "y"], 10**7, model.entry)
+    rows = optimizer._rows(wf, ["x", "y"], model.entry)
     assert optimizer._tail_size(wf) == 1
     assert not optimizer._exact_in_any_order(rows)
     message = "needs more than 50 significant digits"
@@ -934,7 +956,7 @@ def test_guard_keeps_sums_in_enumeration_order(monkeypatch):
     wf = _chain(4)
     costs = ["0.9999999999", "0", "1E-10", "9" * 55]
     model = PointTableModel(wf, {(f, "x"): (D(c), D(1)) for f, c in zip(wf.function_ids, costs)})
-    rows = optimizer._rows(wf, ["x"], 10**7, model.entry)
+    rows = optimizer._rows(wf, ["x"], model.entry)
     assert optimizer._tail_size(wf) == 2
     assert not optimizer._exact_in_any_order(rows)
     cost, _ = min_cost(wf, ["x"], model)
@@ -982,7 +1004,7 @@ def test_fixed_charges_in_a_tail_at_the_precision_bound(extra, table, data):
             table_entries[(f, "x")] = optimizer.PairEntry(charged * _RATE + D(extra), D(2), fixed)
             table_entries[(f, "y")] = optimizer.PairEntry(_RATE + D(extra), D(1))
     model = optimizer.PlacementModel(wf, table_entries)
-    rows = optimizer._rows(wf, ["x", "y"], 10**7, model.entry)
+    rows = optimizer._rows(wf, ["x", "y"], model.entry)
     assert optimizer._tail_size(wf) == 2
     assert optimizer._exact_in_any_order(rows) is table
     try:
@@ -993,6 +1015,71 @@ def test_fixed_charges_in_a_tail_at_the_precision_bound(extra, table, data):
             optimize(wf, ["x", "y"], model)
         return
     _check_against_oracle(data, wf, ["x", "y"], model)
+
+
+@pytest.mark.parametrize(
+    "months, table",
+    [
+        # The row maxima sum to 7 rates, 6.1E+36: with the credit's extra
+        # digit the guard's bound has exactly 50, so the table is used.
+        (("2", "3"), True),
+        # The credit, 20 rates, has exactly 50 digits, and the guard fails:
+        # the head is every function.
+        (("20", "30"), False),
+    ],
+)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_fixed_charges_in_a_head_at_the_precision_bound(months, table, data):
+    # Chain f0 -> f1 -> f2 -> f3, tail {f2, f3}. On x, f0 and f1 bill one key
+    # the given months: the head prefix (x, x) bills it twice, and its credit
+    # is the lesser months' rates. A pair on x costs its fixed charges (the
+    # tail's, which have none, one rate) plus 1E-12; on y it bills nothing
+    # and costs one rate plus 1E-12. optimize returns what enumeration
+    # returns, digits too.
+    wf = _chain(4)
+    billed = dict(zip(("f0", "f1"), months))
+    table_entries = {}
+    with localcontext() as ctx:
+        ctx.prec = 80
+        for f in wf.function_ids:
+            m = billed.get(f)
+            fixed = ((("x", "ml"), D(m), _RATE),) if m else ()
+            cost = D(m or 1) * _RATE + D("1E-12")
+            table_entries[(f, "x")] = optimizer.PairEntry(cost, D(2), fixed)
+            table_entries[(f, "y")] = optimizer.PairEntry(_RATE + D("1E-12"), D(1))
+    model = optimizer.PlacementModel(wf, table_entries)
+    rows = optimizer._rows(wf, ["x", "y"], model.entry)
+    assert optimizer._tail_size(wf) == 2
+    assert optimizer._exact_in_any_order(rows) is table
+    _check_against_oracle(data, wf, ["x", "y"], model)
+
+
+def test_fixed_charge_past_the_money_limit_in_a_head_raises_as_enumeration():
+    # Chain f0 -> f1 -> f2 -> f3 at a rate of 5E+37. f0 bills key a 2.0
+    # months on x and key b 2 months on y; f1 bills key b 2 months on x. The
+    # first shared key is b on (y, x): its credit term, 2 rates, is 1E+38,
+    # past the money limit. Enumeration bills it before it adds f2's 1E-11,
+    # which the cost sum 1E+39 cannot hold in 50 digits. Billing a 2.0 first
+    # leaves equal amounts written with other digits in the walk's memo.
+    # The error is enumeration's, digits too.
+    wf = _chain(4)
+    rate = D("5E+37")
+    entry = optimizer.PairEntry
+    model = optimizer.PlacementModel(wf, {
+        ("f0", "x"): entry(D(1), D(1), ((("k", "a"), D("2.0"), rate),)),
+        ("f0", "y"): entry(D("9E+38"), D(1), ((("k", "b"), D(2), rate),)),
+        ("f1", "x"): entry(D("1E+38"), D(1), ((("k", "b"), D(2), rate),)),
+        ("f1", "y"): entry(D(1), D(1)),
+        **{("f2", p): entry(D("1E-11"), D(1)) for p in "xy"},
+        **{("f3", p): entry(D(1), D(1)) for p in "xy"},
+    })
+    with pytest.raises(DomainError) as expected:
+        min_cost(wf, ["x", "y"], model)
+    assert str(expected.value) == "amount 1.0E+38 is out of range: money amounts must be below 1E+38"
+    with pytest.raises(DomainError) as raised:
+        optimize(wf, ["x", "y"], model)
+    assert str(raised.value) == str(expected.value)
 
 
 def test_per_function_tail_entry_dominated_only_by_an_out_of_bounds_entry():
