@@ -194,10 +194,9 @@ def _load_catalogs(args) -> dict[str, PlatformCatalog]:
 
 
 def _placement(args, workflow: WorkflowSpec, catalogs: Mapping[str, PlatformCatalog]) -> Placement:
-    assigns = getattr(args, "assign", [])
-    if assigns:
+    if args.assign:
         mapping: dict[str, str] = {}
-        for item in assigns:
+        for item in args.assign:
             if "=" not in item:
                 raise SchemaError(f"--assign expects FUNCTION=PLATFORM, got {item!r}")
             fid, pid = item.split("=", 1)
@@ -209,8 +208,6 @@ def _placement(args, workflow: WorkflowSpec, catalogs: Mapping[str, PlatformCata
         if unknown:
             raise UnknownFunctionError(f"--assign names unknown function(s): {unknown}")
         placement = Placement.of({fid: mapping[fid] for fid in workflow.function_ids})
-    elif len(args.platform) == 1 and not args.catalog:
-        placement = Placement.uniform(workflow, args.platform[0])
     elif len(catalogs) == 1:
         placement = Placement.uniform(workflow, next(iter(catalogs)))
     else:

@@ -16,8 +16,11 @@ and each table group's change in it come from one memo of engine.bill_key,
 the rule engine.bill_fixed applies. The table adds sums in another order than
 enumeration does, so a tail is used only when every sum of the search fits
 money.CONTEXT's precision; otherwise, or with no tail, the head is every
-function and the table holds one empty combination. The walk compares values
-only: the model writes the digits reported for the chosen placements.
+function and the table holds one empty combination. The scope bounds either
+each pair or the sums, so one test decides feasibility under both. The walk
+compares values only: the model writes the digits reported for the chosen
+placements, and when the walk raises, the model prices the failing prefix's
+first placement, cost then latency, and its error, if any, is raised instead.
 enumerate_placements, min_cost and min_time enumerate and price each
 placement whole, and the tests use them as oracles.
 
@@ -85,19 +88,10 @@ def pareto_front(points: Iterable[ParetoPoint]) -> list[ParetoPoint]:
     """
     front: list[ParetoPoint] = []
     for p in points:
-        _admit(front, p)
+        i = _slot(front, p.cost, p.latency)
+        if i >= 0:
+            _insert(front, i, p)
     return front
-
-
-def _admit(front: list[ParetoPoint], point: ParetoPoint) -> None:
-    """Fold a point into a front kept latency ascending, cost strictly descending.
-
-    Drops the point when a kept point weakly dominates it (an equal pair seen
-    earlier counts); otherwise it replaces every kept point it dominates.
-    """
-    i = _slot(front, point.cost, point.latency)
-    if i >= 0:
-        _insert(front, i, point)
 
 
 _COST = attrgetter("cost")
@@ -403,8 +397,9 @@ def optimize(
     or T*, C* for auto weights (cost/C* + latency/T* times C*·T*, so no
     division). The key never rises when cost or latency falls, so a front
     member minimizes it over all feasible placements; equal pairs keep the
-    first enumerated placement. Raises DomainError when a cost or latency
-    sum is not exact in money.CONTEXT's precision, then
+    first enumerated placement. Raises DomainError when a sum is not exact
+    in money.CONTEXT's precision or a credit passes the money limit, with
+    the error of enumeration's first failing cost_of or latency_of, then
     DegenerateAnchorError for auto weights with a zero anchor, then
     InfeasibleError carrying the anchors when no placement is feasible.
     """
@@ -508,28 +503,36 @@ def _walk(
 ) -> _Found:
     """Visit every placement once, in enumerate_placements order.
 
-    The tail (see _tail_size) is priced once into a _TailTable, and the
-    head, the functions before it, is enumerated by the same odometer
-    (_combos). Each head prefix bills its fixed-charge entries through the
-    solve's _Billed memo, as engine.bill_fixed bills them, for its ledger
-    and credit. Each table group then gets its paid sum: the prefix's cost
-    sum less credit, less the group's change in credit on top of the
-    prefix's ledger (change). A placement costs its group's paid sum plus
-    its entry's cost; its latency is the longer of the prefix's critical
-    path and the distance into the tail's entry function s plus the entry's
-    longest path from s. Each is an anchor candidate and, when feasible,
+    The tail (see _tail_size) is enumerated once per solve by _combos into a
+    table, one (cost sum, longest path from the tail's entry function s,
+    whether every pair is within the pair bounds, group) per combination:
+    combinations whose pairs bill equal fixed-charge entries, concatenated
+    in declaration order, share a group, and () is one too. The head, the
+    functions before the tail, is enumerated by the same odometer. Each head
+    prefix bills its fixed-charge entries through the solve's _Billed memo,
+    as engine.bill_fixed bills them, for its ledger and credit. Each group
+    then gets its paid sum: the prefix's cost sum less credit, less the
+    group's change in credit on top of the prefix's ledger (change). A
+    placement costs its group's paid sum plus its entry's cost; its latency
+    is the longer of the prefix's critical path and the distance into s plus
+    the entry's path. Each is an anchor candidate and, when feasible,
     counted and offered to the front, under its enumeration index: the
     prefix's first index plus the entry's.
 
     When no tail qualifies, which needs a declaration order that is not
     topological, or when _exact_in_any_order fails, the head is every
     function, so each sum is formed in enumeration order, and the table
-    holds one empty combination.
+    holds one empty combination: cost ZERO, path -Infinity (ZERO in a
+    workflow of no functions), within the bounds, group ().
     """
     budget = INFINITY if config.budget is None else config.budget
     slo = INFINITY if config.latency_slo is None else config.latency_slo
-    per_function = config.scope == "per_function"
-    within_pair = [[e.cost <= budget and e.latency <= slo for e in row] for row in rows]
+    # The scope decides what the budget and SLO bound, each pair or the
+    # sums; the other is bounded by Infinity.
+    pair_budget = pair_slo = INFINITY
+    if config.scope == "per_function":
+        pair_budget, pair_slo, budget, slo = budget, slo, INFINITY, INFINITY
+    within_pair = [[e.cost <= pair_budget and e.latency <= pair_slo for e in row] for row in rows]
     billed = _Billed()
 
     def change(ledger: dict, fixed: tuple) -> Decimal:
@@ -547,9 +550,15 @@ def _walk(
         return delta
 
     head = len(rows) - _tail_size(workflow) if _exact_in_any_order(rows) else len(rows)
-    table = _TailTable(workflow, rows, within_pair, head)
-    t_cost, t_length, t_within = table.cost, table.length, table.within
-    t_group, groups = table.group, table.groups
+    # Every tail function is reached from s, so s comes first in topological
+    # order.
+    preds = next((preds for i, preds in workflow._topology if i >= head), ())
+    index: dict = {}
+    table = [
+        (cost, top, within, index.setdefault(fixed, len(index)))
+        for cost, fixed, within, top, _ in _combos(workflow, rows, within_pair, head, len(rows))
+    ]
+    groups = list(index)
     paid_of = [ZERO] * len(groups)
     front: list[_Point] = []
     # Anchors start at the first placement, so one is found even when every
@@ -569,20 +578,16 @@ def _walk(
             for g, group in enumerate(groups):
                 d = change(ledger, group) if group else ZERO
                 paid_of[g] = paid - d if d else paid
-            base = max([dist[q] for q in table.preds], default=ZERO)
-            for j, cost in enumerate(t_cost):
-                cost, latency = paid_of[t_group[j]] + cost, base + t_length[j]
+            base = max([dist[q] for q in preds], default=ZERO)
+            for j, (cost, length, inside, g) in enumerate(table):
+                cost, latency = paid_of[g] + cost, base + length
                 if latency < top:
                     latency = top
-                if per_function:
-                    ok = within and t_within[j]
-                else:
-                    ok = cost <= budget and latency <= slo
                 if cost < c_star:
                     c_star, c_arg = cost, first + j
                 if latency < t_star:
                     t_star, t_arg = latency, first + j
-                if ok:
+                if within and inside and cost <= budget and latency <= slo:
                     feasible += 1
                     i = _slot(front, cost, latency)
                     if i >= 0:
@@ -591,29 +596,17 @@ def _walk(
                             label = str(_placement(workflow, platforms, first + j))
                             raise DomainError(f"point {label!r} has negative cost or latency")
                         _insert(front, i, _Point(cost, latency, first + j))
-            first += len(t_cost)
+            first += len(table)
     except (DomainError, decimal.Inexact):
-        # Enumeration bills each function's fixed charges between its cost
-        # and its distances, in the digits it is given: the failing prefix
-        # is replayed so that enumeration's first error is the one raised.
-        _replay(workflow, rows, _digits(first, len(rows), len(platforms))[:head])
+        # The walk forms its sums in another order than the model, which
+        # prices a placement's cost (_cost), then its latency: priced so, the
+        # failing prefix's first placement raises the error enumeration meets
+        # first. When it raises none, the walk's error stands.
+        entries = [row[c] for row, c in zip(rows, _digits(first, len(rows), len(platforms)))]
+        _cost(entries)
+        critical_path(workflow, [e.latency for e in entries])
         raise
     return _Found(c_arg, t_arg, front, feasible)
-
-
-def _replay(workflow: WorkflowSpec, rows, choice: list[int]) -> None:
-    """Place a head prefix, one platform index per function, one function
-    at a time as enumeration does: its cost is summed, then its fixed
-    charges billed (engine.bill_fixed), then its distances summed. Raises
-    the first error that meets."""
-    total, ledger, credit, dist = ZERO, {}, ZERO, [None] * len(rows)
-    schedule = _schedule(workflow, 0, len(choice))
-    for k, c in enumerate(choice):
-        total += rows[k][c].cost
-        if rows[k][c].fixed:
-            ledger, credit = bill_fixed(ledger, credit, rows[k][c].fixed)
-        for p, preds, i in schedule[k]:
-            dist[p] = max([dist[q] for q in preds], default=ZERO) + rows[i][choice[i]].latency
 
 
 class _Billed(dict):
@@ -692,7 +685,7 @@ def _schedule(workflow: WorkflowSpec, start: int, stop: int) -> list[list[tuple]
 
 def _tail_size(workflow: WorkflowSpec) -> int:
     """How many trailing functions, in declaration order, the walk prices as
-    one table per solve (see _TailTable); 0 for none. The tail is the
+    one table per solve (see _walk); 0 for none. The tail is the
     longest trailing run of at most half the functions, or of the one
     function of a one-function workflow, in which:
 
@@ -755,36 +748,3 @@ def _exact_in_any_order(rows: list[list[PairEntry]]) -> bool:
         if bound.adjusted() + 1 - finest > CONTEXT.prec:
             return False
     return True
-
-
-class _TailTable:
-    """The tail's platform combinations (see _tail_size), enumerated by
-    _combos once per solve, in parallel lists indexed by enumeration index:
-
-    - cost: the pairs' cost sum;
-    - length: the longest path from the tail's entry function s within the
-      tail, counting s's own latency;
-    - within: whether every pair is within the bounds;
-    - group: the index in groups of the pairs' fixed-charge entries,
-      concatenated in declaration order; combinations with equal entries
-      share a group, and () is one too.
-
-    preds holds the topological positions of s's predecessors. A tail of
-    no functions has one combination: cost ZERO, length -Infinity (ZERO in
-    a workflow of no functions), within the bounds, group ().
-    """
-
-    __slots__ = ("preds", "cost", "length", "within", "group", "groups")
-
-    def __init__(self, workflow, rows, within_pair, start: int):
-        # Every tail function is reached from s, so s comes first in
-        # topological order.
-        self.preds = next((preds for i, preds in workflow._topology if i >= start), ())
-        self.cost, self.length, self.within, self.group = [], [], [], []
-        index: dict = {}
-        for cost, fixed, within, top, _ in _combos(workflow, rows, within_pair, start, len(rows)):
-            self.cost.append(cost)
-            self.length.append(top)
-            self.within.append(within)
-            self.group.append(index.setdefault(fixed, len(index)))
-        self.groups = list(index)

@@ -1030,9 +1030,38 @@ def test_latency_sum_past_50_digits_exits_3_stating_the_bound(capsys, tmp_path):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(_all_latencies("9" * 41 + ".999999999")), encoding="utf-8")
     assert run(capsys, "optimize", "--workflow", str(path), "--platform", "aws-x86") == (
-        3, "", "error: a cost or latency sum of the search needs more than 50 significant digits"
+        3, "", "error: a critical-path latency sum needs more than 50 significant digits"
         " to stay exact\n",
     )
+
+
+def test_optimize_fails_as_cost_fails_on_a_credit_past_the_limit(capsys, tmp_path):
+    # Card x bills only its fixed ml, at 3E+37 a month, and each of three
+    # chained functions uses it 2 months: the third billing's credit term,
+    # 1.2E+38, is past the money limit. The latencies 9E+40 and 1E-20 sum to
+    # 61 digits, but a placement's cost is priced before its latency.
+    card = tmp_path / "x.json"
+    card.write_text(json.dumps({"platform_id": "x", "layer": "Cloud", "components": [
+        {"id": "inv", "driver": "Invocation", "unit": "PerRequest", "rate": "0", "scale": "base"},
+        {"id": "cpu", "driver": "Compute", "unit": "PerGBSecond", "rate": "0", "scale": "base"},
+        {"id": "ml", "driver": "BaasFixed", "unit": "PerMonthFixed", "rate": "3E+37",
+         "scale": "per-month"},
+    ]}), encoding="utf-8")
+    fids = ["f0", "f1", "f2"]
+    workflow = tmp_path / "wf.json"
+    workflow.write_text(json.dumps({
+        "workflow_id": "w",
+        "functions": [
+            {"function_id": f, "baas_usage": [{"component_id": "ml", "quantity": "2"}]} for f in fids
+        ],
+        "edges": [list(e) for e in zip(fids, fids[1:])],
+        "latency": {"reference_platform": "x", "entries": {
+            f: {"x": ms} for f, ms in zip(fids, ("9E+40", "1E-20", "1"))
+        }},
+    }), encoding="utf-8")
+    expected = (3, "", "error: amount 1.2E+38 is out of range: money amounts must be below 1E+38\n")
+    for command in ("cost", "optimize"):
+        assert run(capsys, command, "--workflow", str(workflow), "--catalog", str(card)) == expected
 
 
 # --- numeric flags -------------------------------------------------------------------

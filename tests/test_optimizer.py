@@ -1082,6 +1082,97 @@ def test_fixed_charge_past_the_money_limit_in_a_head_raises_as_enumeration():
     assert str(raised.value) == str(expected.value)
 
 
+def _credit_past_the_limit():
+    """Chain f0 -> f1 -> f2 on x, each pair costing 6E+37 and billing one key
+    2 months at 3E+37: the third billing's credit term, 4 rates, is 1.2E+38,
+    past the money limit. The latencies 9E+40 and 1E-20 sum to 61 digits,
+    which a walk summing each function's distances before the next one's
+    cost meets first."""
+    wf = _chain(3)
+    fixed = ((("x", "ml"), D(2), D("3E+37")),)
+    model = optimizer.PlacementModel(wf, {
+        (f, "x"): optimizer.PairEntry(D("6E+37"), D(ms), fixed)
+        for f, ms in zip(wf.function_ids, ("9E+40", "1E-20", "1"))
+    })
+    return wf, ["x"], model
+
+
+def test_failing_placement_is_priced_cost_first_as_enumeration():
+    wf, platforms, model = _credit_past_the_limit()
+    with pytest.raises(DomainError) as expected:
+        min_cost(wf, platforms, model)
+    assert str(expected.value) == "amount 1.2E+38 is out of range: money amounts must be below 1E+38"
+    with pytest.raises(DomainError) as raised:
+        optimize(wf, platforms, model)
+    assert type(raised.value) is type(expected.value)
+    assert str(raised.value) == str(expected.value)
+
+
+#: Entries near the bounds: 50-digit costs, rates whose credit terms reach
+#: and pass 1E+38 and latencies whose sums need 61 digits.
+_NEAR_COSTS = ["0", "1E-12", "1", "12345678901234567890123456789012345678.901234567891",
+               "9" * 38 + "." + "9" * 12]
+_NEAR_RATES = ["1", "0.5", "3E+37", "5E+37", str(_RATE)]
+_NEAR_LATENCIES = ["0", "1", "2.0", "1E-20", "9E+40"]
+
+
+@st.composite
+def _near_bound_instances(draw):
+    """1-4 functions on 1-3 platforms, edges running forward in a random
+    order of the functions. A pair bills 0-2 fixed entries of the keys ml
+    and etl on its platform, each key at one rate, and its cost includes
+    them, as in a CatalogModel."""
+    n = draw(st.integers(1, 4), label="functions")
+    fids = [f"f{i}" for i in range(n)]
+    ranked = draw(st.permutations(fids), label="topological order")
+    edges = [
+        (ranked[i], ranked[j])
+        for i, j in itertools.combinations(range(n), 2)
+        if draw(st.booleans(), label=f"edge{i}-{j}")
+    ]
+    wf = WorkflowSpec(
+        workflow_id="near", functions=tuple(FunctionProfile(f) for f in fids), edges=tuple(edges)
+    )
+    platforms = draw(st.permutations(["x", "y", "z"]), label="platform order")
+    platforms = platforms[: draw(st.integers(1, 3), label="platforms")]
+    rates = {(p, c): D(draw(st.sampled_from(_NEAR_RATES))) for p in platforms for c in ("ml", "etl")}
+    table = {}
+    for f in fids:
+        for p in platforms:
+            keys = draw(st.lists(st.sampled_from([(p, "ml"), (p, "etl")]), max_size=2))
+            fixed = tuple((key, D(draw(st.sampled_from(["1", "2", "2.0", "3"]))), rates[key])
+                          for key in keys)
+            with localcontext(prec=200):
+                cost = sum((m * r for _, m, r in fixed), D(draw(st.sampled_from(_NEAR_COSTS))))
+            latency = D(draw(st.sampled_from(_NEAR_LATENCIES)))
+            table[(f, p)] = optimizer.PairEntry(cost, latency, fixed)
+    return wf, platforms, optimizer.PlacementModel(wf, table)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_near_bound_instances())
+@example(_credit_past_the_limit())
+def test_optimize_fails_as_enumeration_fails(instance):
+    # Enumeration prices each placement's cost, then its latency; its first
+    # error is optimize's, by type and message. Otherwise optimize succeeds.
+    wf, platforms, model = instance
+    expected = None
+    for placement in enumerate_placements(wf, platforms):
+        try:
+            model.cost_of(placement)
+            model.latency_of(placement)
+        except DomainError as exc:
+            expected = exc
+            break
+    config = OptimizationConfig(alpha=D(1), beta=D(1))
+    if expected is None:
+        optimize(wf, platforms, model, config)
+        return
+    with pytest.raises(DomainError) as raised:
+        optimize(wf, platforms, model, config)
+    assert (type(raised.value), str(raised.value)) == (type(expected), str(expected))
+
+
 def test_per_function_tail_entry_dominated_only_by_an_out_of_bounds_entry():
     # Tail s -> a. (s@q, a@p) costs 10 and is dominated only by (s@p, a@q),
     # which costs 5 but breaks the per-pair SLO on s@p; under per_function it
