@@ -222,10 +222,10 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _manifest(args, outputs: list[str]) -> dict:
+def _manifest(args, outputs: list[str], counters: dict[str, int] | None) -> dict:
     records = [{"path": str(p), "sha256": _sha256(p)} for p in sorted(args.inputs)]
     combined = hashlib.sha256("".join(r["sha256"] for r in records).encode()).hexdigest()
-    return {
+    manifest = {
         "command": args.command,
         "inputs": records,
         "catalog_ids": sorted(getattr(args, "platform", [])) or None,
@@ -233,6 +233,9 @@ def _manifest(args, outputs: list[str]) -> dict:
         "version": __version__,
         "input_digest": combined,
     }
+    if counters is not None:
+        manifest["counters"] = counters
+    return manifest
 
 
 def _render(kind: str, payload) -> str:
@@ -249,11 +252,12 @@ def _render(kind: str, payload) -> str:
 
 
 def _report(args, lines: list[str], rows: list[list[str]], doc: dict,
-            files: dict[str, list | dict]) -> None:
+            files: dict[str, list | dict], counters: dict[str, int] | None = None) -> None:
     """Print the view --format selects; with --out, also write each file and the manifest.
 
     ``rows`` (header first) back the csv and tsv views, ``doc`` the json view.
-    Each file in ``files`` is rendered as its suffix says.
+    Each file in ``files`` is rendered as its suffix says. ``counters``, when
+    given, go into the manifest as they are.
     """
     if args.format:
         sys.stdout.write(_render(args.format, doc if args.format == "json" else rows))
@@ -265,7 +269,7 @@ def _report(args, lines: list[str], rows: list[list[str]], doc: dict,
     out_dir.mkdir(parents=True, exist_ok=True)
     for filename, payload in files.items():
         (out_dir / filename).write_text(_render(Path(filename).suffix[1:], payload), encoding="utf-8")
-    manifest = _manifest(args, [*files, "manifest.json"])
+    manifest = _manifest(args, [*files, "manifest.json"], counters)
     (out_dir / "manifest.json").write_text(_render("json", manifest), encoding="utf-8")
 
 
@@ -579,7 +583,13 @@ def cmd_ingest(args) -> int:
     files: dict[str, list | dict] = {"stats.csv": rows, "stats.json": report}
     if workflow is not None:
         files["calibrated-workflow.json"] = serialize_workflow(*calibrate(workflow, summaries))
-    _report(args, lines, rows, report, files)
+    counters = {
+        "rows": log.rows,
+        "rows_ok": sum(s.ok_count for s in summaries.values()),
+        "rows_error": sum(s.error_count for s in summaries.values()),
+        "pairs": len(summaries),
+    }
+    _report(args, lines, rows, report, files, counters)
     return EXIT_OK
 
 

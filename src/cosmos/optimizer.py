@@ -50,7 +50,7 @@ from .errors import (
     MissingLatencyError,
     SchemaError,
 )
-from .money import CONTEXT, MONEY_LIMIT, MONEY_PLACES, div, exact_sums
+from .money import CONTEXT, MONEY_LIMIT, MONEY_PLACES, div, exact_sums, money_product
 from .workflow import (
     _ARRAY,
     LATENCY_LIMIT,
@@ -721,8 +721,9 @@ def _exact_in_any_order(rows: list[list[PairEntry]]) -> bool:
     maxima, and its last digit is no finer than the finest entry's (or
     ZERO's, which starts every sum, or the money quantum of a credit); the
     digits between must fit in CONTEXT.prec. A credit is at most the fixed
-    charges it credits plus a few quanta (a pair's cost includes its fixed
-    charges, and a key is billed at one rate, as in a CatalogModel). So a
+    charges it credits plus a few quanta when each pair's cost includes
+    the money_product of each fixed entry it bills and each key is billed
+    at one rate, as in a CatalogModel; a model breaking either fails. So a
     group's change in credit, and a prefix's paid sum less it, negative
     when the tail credits more than the head paid, stay below 10 times the
     bound and no finer than the money quantum: with fixed charges the cost
@@ -747,4 +748,17 @@ def _exact_in_any_order(rows: list[list[PairEntry]]) -> bool:
             finest = min(finest, -MONEY_PLACES)
         if bound.adjusted() + 1 - finest > CONTEXT.prec:
             return False
+    rates: dict = {}
+    for row in rows:
+        for e in row:
+            charges = ZERO
+            for key, months, rate in e.fixed:
+                if rates.setdefault(key, rate) != rate:
+                    return False
+                try:
+                    charges = _EXACT.add(charges, money_product(months, rate))
+                except (DomainError, ArithmeticError):
+                    return False
+            if e.cost < charges:
+                return False
     return True

@@ -8,9 +8,13 @@ error rows only is reported with its error tally and no statistics.
 
 Aggregation is one streaming pass: each row is parsed once, folded into the
 accumulator of its (function, platform) pair and dropped. An accumulator
-keeps one Decimal per ok row and no record, and accumulators merge exactly.
+keeps each ok duration in about 9 bytes, as an integer scaled to the pair's
+finest exponent plus one byte for the row's own exponent and sign, and no
+record; accumulators merge exactly.
 
-The fold loop checks each row inline and adds it. Only a row that fails
+The fold loop checks each row inline and adds it. A duration spelled as
+ASCII digits with at most one point is read straight to its coefficient and
+exponent; any other spelling goes through Decimal. Only a row that fails
 those checks goes through ``_parse_row``, the one definition of a valid row
 and of each fault's message: it raises the row's RowError or returns the row
 to be added, so the inline checks never drop a row that it accepts.
@@ -20,6 +24,8 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+from array import array
+from bisect import bisect_left
 from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime
@@ -59,6 +65,12 @@ _DURATION_LIMIT = Decimal(1).scaleb(CONTEXT.prec + MEAN_QUANTUM.adjusted() - 1)
 
 #: Malformed rows a UsageLog keeps as RowErrors; the rest are only counted.
 ROW_ERRORS_SHOWN = 20
+
+#: Row exponents a pair keeps compact: 2 * exponent + sign fits a signed byte.
+_EXPONENTS = range(-64, 64)
+
+#: Scaled durations a pair keeps compact are below this in magnitude.
+_SCALED_LIMIT = 2**63
 
 
 @dataclass(frozen=True)
@@ -128,38 +140,157 @@ def _parse_row(line: int, row: Sequence[str]) -> tuple:
     return function_id, platform_id, duration, bytes_in, bytes_out, status
 
 
+def _parts(duration: Decimal) -> tuple[int, int, int | str]:
+    """The sign, coefficient and exponent of a Decimal, as as_tuple() gives
+    them: the exponent of a NaN or an infinity is a letter."""
+    sign, digits, exponent = duration.as_tuple()
+    return sign, int(Decimal((0, digits, 0))), exponent
+
+
+def _decimal(sign: int, coefficient: int, exponent: int | str) -> Decimal:
+    """The Decimal of _parts, spelled with exactly that coefficient and
+    exponent."""
+    if isinstance(exponent, str):
+        return Decimal((sign, tuple(map(int, str(coefficient))), exponent))
+    return Decimal(f"{'-' * sign}{coefficient}E{exponent}")
+
+
+def _fits(values: array, factor: int) -> bool:
+    """Whether every value times factor stays below _SCALED_LIMIT in magnitude."""
+    return max(max(values, default=0), -min(values, default=0)) * factor < _SCALED_LIMIT
+
+
 class _Pair:
     """Accumulator of one (function, platform): the ok durations in the
     order they were added, byte totals of the ok rows, and the error-row
-    tally."""
+    tally.
 
-    __slots__ = ("durations", "bytes_in_total", "bytes_out_total", "error_count")
+    A finite Decimal is exactly its sign, coefficient and exponent, so the
+    ok durations are kept compact, 9 bytes a row: ``scaled`` holds each one
+    as an integer at ``exponent``, the finest exponent of the pair's rows
+    (array 'q'), and ``tags`` each row's own exponent and sign as 2 *
+    exponent + sign (array 'b'), from which the row's Decimal, spelling
+    included, is rebuilt. A row whose scaled value passes 2**63 in
+    magnitude, or whose exponent is outside _EXPONENTS, makes the pair fall
+    back for good to ``durations``, a list of its Decimals; its
+    ``exponent`` is then None.
+    """
+
+    __slots__ = ("scaled", "tags", "exponent", "durations", "bytes_in_total",
+                 "bytes_out_total", "error_count")
 
     def __init__(self):
-        self.durations: list[Decimal] = []
+        self.scaled = array("q")
+        self.tags = array("b")
+        self.exponent: int | None = _EXPONENTS[-1]  # no row yet: at or above any row's
+        self.durations: list[Decimal] | None = None
         self.bytes_in_total = 0
         self.bytes_out_total = 0
         self.error_count = 0
+
+    def add(self, sign: int, coefficient: int, exponent: int | str) -> None:
+        """Add the ok duration of _parts (sign, coefficient, exponent)."""
+        if self.durations is None and exponent in _EXPONENTS:
+            if exponent < self.exponent:
+                self._rescale(exponent)
+            if self.durations is None:
+                value = coefficient * 10 ** (exponent - self.exponent)
+                if value < _SCALED_LIMIT:
+                    self.scaled.append(-value if sign else value)
+                    self.tags.append(2 * exponent + sign)
+                    return
+        self.fallback().append(_decimal(sign, coefficient, exponent))
+
+    def extend(self, other: _Pair) -> None:
+        """Add other's rows after this pair's."""
+        self.bytes_in_total += other.bytes_in_total
+        self.bytes_out_total += other.bytes_out_total
+        self.error_count += other.error_count
+        if self.durations is None and other.durations is None:
+            if other.exponent < self.exponent:
+                self._rescale(other.exponent)
+            if self.durations is None:
+                factor = 10 ** (other.exponent - self.exponent)
+                if _fits(other.scaled, factor):
+                    self.scaled.extend(
+                        other.scaled if factor == 1 else array("q", [v * factor for v in other.scaled])
+                    )
+                    self.tags.extend(other.tags)
+                    return
+        self.fallback().extend(other.decimals())
+
+    def _rescale(self, exponent: int) -> None:
+        """Scale the kept values to the finer exponent, or fall back when
+        one would pass _SCALED_LIMIT."""
+        factor = 10 ** (self.exponent - exponent)
+        scaled = self.scaled
+        if not _fits(scaled, factor):
+            self.fallback()
+            return
+        for i in range(len(scaled)):
+            scaled[i] *= factor
+        self.exponent = exponent
+
+    def fallback(self) -> list[Decimal]:
+        """The ok durations as a list of Decimals, kept as such from now on."""
+        if self.durations is None:
+            self.durations = self.decimals()
+            self.scaled, self.tags, self.exponent = array("q"), array("b"), None
+        return self.durations
+
+    def decimals(self) -> list[Decimal]:
+        """The ok durations in the order added."""
+        if self.durations is not None:
+            return self.durations
+        return [self._row(index) for index in range(len(self.scaled))]
+
+    def _row(self, index: int) -> Decimal:
+        tag = self.tags[index]
+        exponent = tag >> 1
+        scale = 10 ** (exponent - self.exponent)
+        return _decimal(tag & 1, abs(self.scaled[index]) // scale, exponent)
+
+    def _ranked(self, values: list[int], rank: int) -> Decimal:
+        """The row at 1-based rank of the stable sort ``values`` of the
+        scaled durations: the (rank - count below)-th occurrence of the
+        value at that rank, in the order added."""
+        value = values[rank - 1]
+        index = -1
+        for _ in range(rank - bisect_left(values, value)):
+            index = self.scaled.index(value, index + 1)
+        return self._row(index)
 
     def summary(self) -> UsageSummary:
         """Count, mean, min, max and nearest-rank p90 (the value at 1-based
         index ceil(0.9 * count) of the ascending sort). The sort is stable,
         so of equal values written differently (1.0, 1.00) min, max and p90
         carry the one at that rank in the order added. The mean's sum is
-        taken in ascending order under money.CONTEXT before it is quantized.
-        With no ok duration there are no statistics."""
-        values = sorted(self.durations)
-        count = len(values)
+        taken in ascending order under money.CONTEXT before it is quantized;
+        the integer sum of a compact pair is exact, and equal, since it
+        needs far fewer than 50 digits. With no ok duration there are no
+        statistics."""
         stats = None
-        if values:
-            with localcontext(CONTEXT):
-                total = sum(values, Decimal(0))
+        if self.durations is None:
+            values = sorted(self.scaled)
+            count = len(values)
+            if count:
+                total = Decimal(sum(values)).scaleb(self.exponent, CONTEXT)
+                low, high, p90 = (self._ranked(values, rank) for rank in
+                                  (1, count, -((-9 * count) // 10)))
+        else:
+            values = sorted(self.durations)
+            count = len(values)
+            if count:
+                with localcontext(CONTEXT):
+                    total = sum(values, Decimal(0))
+                low, high, p90 = values[0], values[-1], values[-((-9 * count) // 10) - 1]
+        if count:
             stats = LatencyStats(
                 count=count,
                 mean=CONTEXT.quantize(div(total, Decimal(count)), MEAN_QUANTUM),
-                min=values[0],
-                max=values[-1],
-                p90=values[-((-9 * count) // 10) - 1],
+                min=low,
+                max=high,
+                p90=p90,
             )
         return UsageSummary(
             stats=stats,
@@ -194,13 +325,23 @@ class UsageFold:
         """Add one row. The duration and byte counts are trusted as given:
         UsageLog.fold passes only rows that passed the row checks. A status
         other than ok or error raises DomainError and adds nothing."""
+        self._add(function_id, platform_id, *_parts(duration_ms), bytes_in, bytes_out, status)
+
+    def _add(self, function_id: str, platform_id: str, sign: int, coefficient: int,
+             exponent: int | str, bytes_in: int, bytes_out: int, status: str) -> None:
+        """add, with the duration as its _parts."""
         pair = self._pairs.get((function_id, platform_id))
         if pair is None:
             if status not in STATUSES:
                 raise _bad_status(status)
             pair = self._pairs[(function_id, platform_id)] = _Pair()
         if status == "ok":
-            pair.durations.append(duration_ms)
+            if exponent == pair.exponent and coefficient < _SCALED_LIMIT:
+                # _Pair.add's common case, inlined: one call per row.
+                pair.scaled.append(-coefficient if sign else coefficient)
+                pair.tags.append(2 * exponent + sign)
+            else:
+                pair.add(sign, coefficient, exponent)
             pair.bytes_in_total += bytes_in
             pair.bytes_out_total += bytes_out
         elif status == "error":
@@ -214,10 +355,7 @@ class UsageFold:
             mine = self._pairs.get(key)
             if mine is None:
                 mine = self._pairs[key] = _Pair()
-            mine.durations.extend(theirs.durations)
-            mine.bytes_in_total += theirs.bytes_in_total
-            mine.bytes_out_total += theirs.bytes_out_total
-            mine.error_count += theirs.error_count
+            mine.extend(theirs)
         return self
 
     def summaries(self) -> dict[tuple[str, str], UsageSummary]:
@@ -249,7 +387,7 @@ class UsageLog:
         self.rows = self.error_count = 0
         self.errors = []
         fold = UsageFold()
-        add = fold.add
+        add, add_parts = fold.add, fold._add
         fromisoformat = datetime.fromisoformat
 
         def reject(exc: RowError) -> None:
@@ -288,12 +426,21 @@ class UsageLog:
                                     fromisoformat(stamp)
                                 except ValueError:  # padded, or a Z before Python 3.11
                                     _parse_timestamp(stamp)
-                                duration = Decimal(raw_duration)
+                                whole, _, fraction = raw_duration.partition(".")
+                                digits = whole + fraction
+                                if raw_duration.isascii() and digits.isdecimal() and len(digits) < 19:
+                                    # Its Decimal is (0, int(digits), -len(fraction)),
+                                    # below 1e18, so it passes the duration checks.
+                                    sign, coefficient, exponent = 0, int(digits), -len(fraction)
+                                    checked = True
+                                else:
+                                    duration = Decimal(raw_duration)
+                                    checked = duration.is_finite() and ZERO <= duration < _DURATION_LIMIT
+                                    sign, coefficient, exponent = _parts(duration)
                                 bytes_in = int(raw_in)
                                 bytes_out = int(raw_out)
                                 checked = (
-                                    duration.is_finite()
-                                    and ZERO <= duration < _DURATION_LIMIT
+                                    checked
                                     and bytes_in >= 0
                                     and bytes_out >= 0
                                     and status in STATUSES
@@ -301,7 +448,8 @@ class UsageLog:
                             except (ValueError, ArithmeticError):
                                 checked = False
                             if checked:
-                                add(fid, pid, duration, bytes_in, bytes_out, status)
+                                add_parts(fid, pid, sign, coefficient, exponent, bytes_in,
+                                          bytes_out, status)
                                 continue
                             try:
                                 add(*_parse_row(line, row))

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -587,6 +588,29 @@ def test_manifest_digest_tracks_inputs(capsys, tmp_path):
     assert {Path(i["path"]).name for i in manifest["inputs"]} == {
         "imagery-pipeline.json", "aws-x86.json",
     }
+
+
+def test_ingest_manifest_counts_rows_and_pairs(capsys, tmp_path):
+    log = tmp_path / "usage.csv"
+    log.write_text(
+        "timestamp,function_id,platform_id,duration_ms,bytes_in,bytes_out,status\n"
+        "2024-11-04T09:00:00Z,f,p,1.5,0,0,ok\n"
+        "2024-11-04T09:00:01Z,f,p,2,0,0,error\n"
+        "\n"
+        "2024-11-04T09:00:02Z,f,q,-0,0,0,ok\n"
+        "2024-11-04T09:00:03Z,g,p,7,0,0,error\n"
+        "2024-11-04T09:00:04Z,f,p,1.50,0,0,ok\n"
+    )
+    manifests = []
+    for name in ("a", "b"):
+        code, _, _ = run(capsys, "ingest", "--log", str(log), "--out", str(tmp_path / name))
+        assert code == 0
+        manifests.append((tmp_path / name / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+    manifest = json.loads(manifests[0])
+    assert manifest["counters"] == {"rows": 5, "rows_ok": 3, "rows_error": 2, "pairs": 3}
+    digest = hashlib.sha256(log.read_bytes()).hexdigest()
+    assert manifest["input_digest"] == hashlib.sha256(digest.encode()).hexdigest()
 
 
 def test_manifest_lists_only_the_inputs_read(capsys, tmp_path):

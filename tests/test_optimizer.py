@@ -1108,6 +1108,50 @@ def test_failing_placement_is_priced_cost_first_as_enumeration():
     assert str(raised.value) == str(expected.value)
 
 
+def _cost_below_its_fixed_charges():
+    """f on y costs 1E-30 but bills key ml twice at 3E+37: its credit,
+    3E+37, leaves a cost of 68 digits."""
+    wf = WorkflowSpec(workflow_id="below", functions=(FunctionProfile("f"),))
+    fixed = ((("y", "ml"), D(1), D("3E+37")), (("y", "ml"), D(2), D("3E+37")))
+    return wf, optimizer.PlacementModel(wf, {
+        ("f", "x"): optimizer.PairEntry(D(1), D(1)),
+        ("f", "y"): optimizer.PairEntry(D("1E-30"), D(1), fixed),
+    })
+
+
+def _key_at_two_rates():
+    """Key ml on y is billed 500 months twice at 1 by f0 and once at 1E+20
+    by f1: the credit takes the last rate for 501 months, 5.01E+22, and
+    the cost of both on y needs 51 digits; each pair's cost includes its
+    own fixed charges."""
+    wf = WorkflowSpec(workflow_id="rates", functions=(FunctionProfile("f0"), FunctionProfile("f1")))
+    return wf, optimizer.PlacementModel(wf, {
+        ("f0", "x"): optimizer.PairEntry(D("501.00000000000000000001"), D(0)),
+        ("f0", "y"): optimizer.PairEntry(
+            D("1000.0000000000000000000000000001"), D(0),
+            ((("y", "ml"), D(500), D(1)), (("y", "ml"), D(500), D(1))),
+        ),
+        ("f1", "x"): optimizer.PairEntry(D(1), D(0)),
+        ("f1", "y"): optimizer.PairEntry(
+            D("100000000000000000001"), D(0), ((("y", "ml"), D(1), D("1E+20")),)
+        ),
+    })
+
+
+@pytest.mark.parametrize("instance", [_cost_below_its_fixed_charges, _key_at_two_rates])
+def test_a_model_unlike_a_catalog_fails_as_enumeration(instance):
+    # The digit guard of the walk assumes a pair's cost includes its fixed
+    # charges and a key has one rate; a model breaking either is searched
+    # without a tail, so its error is enumeration's.
+    wf, model = instance()
+    with pytest.raises(DomainError) as expected:
+        min_cost(wf, ["x", "y"], model)
+    assert str(expected.value) == "a workflow cost needs more than 50 significant digits to stay exact"
+    with pytest.raises(DomainError) as raised:
+        optimize(wf, ["x", "y"], model)
+    assert str(raised.value) == str(expected.value)
+
+
 #: Entries near the bounds: 50-digit costs, rates whose credit terms reach
 #: and pass 1E+38 and latencies whose sums need 61 digits.
 _NEAR_COSTS = ["0", "1E-12", "1", "12345678901234567890123456789012345678.901234567891",
@@ -1120,8 +1164,9 @@ _NEAR_LATENCIES = ["0", "1", "2.0", "1E-20", "9E+40"]
 def _near_bound_instances(draw):
     """1-4 functions on 1-3 platforms, edges running forward in a random
     order of the functions. A pair bills 0-2 fixed entries of the keys ml
-    and etl on its platform, each key at one rate, and its cost includes
-    them, as in a CatalogModel."""
+    and etl on its platform. As in a CatalogModel, each key is billed at
+    one rate and a pair's cost includes its fixed charges, unless the draw
+    gives a pair a rate of its own or a cost below them."""
     n = draw(st.integers(1, 4), label="functions")
     fids = [f"f{i}" for i in range(n)]
     ranked = draw(st.permutations(fids), label="topological order")
@@ -1140,10 +1185,14 @@ def _near_bound_instances(draw):
     for f in fids:
         for p in platforms:
             keys = draw(st.lists(st.sampled_from([(p, "ml"), (p, "etl")]), max_size=2))
-            fixed = tuple((key, D(draw(st.sampled_from(["1", "2", "2.0", "3"]))), rates[key])
+            own = draw(st.none() | st.sampled_from(_NEAR_RATES), label="own rate")
+            fixed = tuple((key, D(draw(st.sampled_from(["1", "2", "2.0", "3"]))),
+                           rates[key] if own is None else D(own))
                           for key in keys)
-            with localcontext(prec=200):
-                cost = sum((m * r for _, m, r in fixed), D(draw(st.sampled_from(_NEAR_COSTS))))
+            cost = D(draw(st.sampled_from(_NEAR_COSTS)))
+            if draw(st.booleans(), label="cost includes fixed charges"):
+                with localcontext(prec=200):
+                    cost = sum((m * r for _, m, r in fixed), cost)
             latency = D(draw(st.sampled_from(_NEAR_LATENCIES)))
             table[(f, p)] = optimizer.PairEntry(cost, latency, fixed)
     return wf, platforms, optimizer.PlacementModel(wf, table)
@@ -1154,15 +1203,18 @@ def _near_bound_instances(draw):
 @example(_credit_past_the_limit())
 def test_optimize_fails_as_enumeration_fails(instance):
     # Enumeration prices each placement's cost, then its latency; its first
-    # error is optimize's, by type and message. Otherwise optimize succeeds.
+    # error, or the first placement whose shared credit makes it negative,
+    # is optimize's, by type and message. Otherwise optimize succeeds.
     wf, platforms, model = instance
     expected = None
     for placement in enumerate_placements(wf, platforms):
         try:
-            model.cost_of(placement)
-            model.latency_of(placement)
+            point = (model.cost_of(placement), model.latency_of(placement))
         except DomainError as exc:
             expected = exc
+            break
+        if min(point) < 0:
+            expected = DomainError(f"point {str(placement)!r} has negative cost or latency")
             break
     config = OptimizationConfig(alpha=D(1), beta=D(1))
     if expected is None:

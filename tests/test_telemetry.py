@@ -1,8 +1,9 @@
 import csv
+import dataclasses
 import io
 import random
 import tracemalloc
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import example, given, strategies as st
 
 from cosmos import telemetry
 from cosmos.errors import CoverageError, DomainError, HeaderError, MissingLatencyError, RowError
+from cosmos.money import CONTEXT
 from cosmos.telemetry import (
     ROW_ERRORS_SHOWN,
     USAGE_HEADER,
@@ -301,6 +303,127 @@ def test_merge_reports_equal_durations_in_the_order_of_one_fold():
     assert (str(stats.min), str(stats.max), str(stats.p90)) == ("1.0", "2.0", "2.0")
 
 
+class _ListPair:
+    """The list-based accumulator of one pair, which keeps each ok duration
+    as its Decimal: the reference for telemetry._Pair's compact durations."""
+
+    def __init__(self):
+        self.durations = []
+        self.bytes_in_total = self.bytes_out_total = self.error_count = 0
+
+    def summary(self):
+        values = sorted(self.durations)
+        count = len(values)
+        stats = None
+        if values:
+            with localcontext(CONTEXT):
+                total = sum(values, D(0))
+            stats = LatencyStats(
+                count=count,
+                mean=CONTEXT.quantize(CONTEXT.divide(total, D(count)), telemetry.MEAN_QUANTUM),
+                min=values[0],
+                max=values[-1],
+                p90=values[-((-9 * count) // 10) - 1],
+            )
+        return UsageSummary(stats, count, self.error_count, self.bytes_in_total, self.bytes_out_total)
+
+
+class _ListFold:
+    """UsageFold over _ListPair accumulators."""
+
+    def __init__(self):
+        self.pairs = {}
+
+    def add(self, function_id, platform_id, duration, bytes_in, bytes_out, status):
+        pair = self.pairs.setdefault((function_id, platform_id), _ListPair())
+        if status == "ok":
+            pair.durations.append(duration)
+            pair.bytes_in_total += bytes_in
+            pair.bytes_out_total += bytes_out
+        else:
+            pair.error_count += 1
+
+    def summaries(self):
+        return {key: self.pairs[key].summary() for key in sorted(self.pairs)}
+
+
+# Duration spellings that pass the row checks besides _duration_text's: E
+# notation, a negative zero (printed as -0), spellings that Decimal reads
+# but the common-spelling path does not, a coefficient past 2**63 and
+# exponents outside a byte (both make the pair fall back to a list), and
+# values that make an 18-digit pair rescale past 2**63.
+_SPELLINGS = [
+    "1.0", "1.00", "1E+2", "0E-5", "-0", "-0.00", " 1.5", "1.5 ", "+1.5", "1_000.5",
+    "١.٥", "٣", "12345678901234567890.5", "9223372036854775808", "1E-70",
+    "0E+100", "123456789012345678", "0.05", "7.000001",
+]
+
+_spelled_row = st.tuples(
+    st.sampled_from([("a", "x"), ("a", "y"), ("b", "x")]),
+    st.one_of(
+        st.builds(_duration_text, st.integers(0, 3000), st.integers(0, 10), st.integers(0, 2)),
+        st.sampled_from(_SPELLINGS),
+    ),
+    st.integers(0, 10**12),
+    st.integers(0, 10**12),
+    st.sampled_from(["ok", "ok", "ok", "error"]),
+)
+
+
+def _as_fields(summaries):
+    """Every field of every summary, as str."""
+    return {
+        key: [str(getattr(s, f.name)) for f in dataclasses.fields(s)]
+        + ([str(getattr(s.stats, f.name)) for f in dataclasses.fields(s.stats)] if s.stats else [])
+        for key, s in summaries.items()
+    }
+
+
+def _list_fold(rows):
+    fold = _ListFold()
+    for row in rows:
+        fold.add(*row)
+    return fold
+
+
+@given(st.lists(_spelled_row, max_size=40), st.integers(0, 40))
+@example([(("a", "x"), "5", 0, 0, "ok"), (("a", "x"), "-0", 0, 0, "ok"),
+          (("a", "x"), "0", 0, 0, "ok"), (("a", "x"), "-0.00", 0, 0, "ok")], 1)
+@example([(("a", "x"), "5", 1, 2, "ok"), (("a", "x"), "12", 0, 0, "ok"),
+          (("a", "x"), "1.25", 0, 0, "ok"), (("a", "x"), "5.0", 0, 0, "ok")], 2)
+@example([(("a", "x"), "123456789012345678", 0, 0, "ok"), (("a", "x"), "0.05", 0, 0, "ok"),
+          (("a", "x"), "1E-70", 0, 0, "ok"), (("b", "x"), "0E+100", 0, 0, "ok"),
+          (("a", "x"), "1.0", 0, 0, "ok"), (("b", "x"), "2", 0, 0, "ok")], 3)
+def test_compact_fold_matches_the_list_fold(rows, cut):
+    # Through UsageLog.fold, UsageFold.add, and a split and merge.
+    lines = [f"2024-11-04T09:00:00Z,{f},{p},{d},{i},{o},{s}" for (f, p), d, i, o, s in rows]
+    parsed = [telemetry._parse_row(line, row) for line, row in enumerate(csv.reader(lines), start=2)]
+    expected = _list_fold(parsed).summaries()
+    log = UsageLog(_log(*lines))
+    folds = [log.fold(), _fold(parsed), _fold(parsed[:cut]).merge(_fold(parsed[cut:]))]
+    assert log.error_count == 0
+    for fold in folds:
+        summaries = fold.summaries()
+        assert _as_fields(summaries) == _as_fields(expected)
+        assert repr(summaries) == repr(expected)
+
+
+def test_rows_that_do_not_fit_fall_back_to_the_list():
+    # A scaled value past 2**63, and an exponent outside a byte, each make
+    # their pair keep a list of Decimals, before or after a merge with a
+    # compact pair.
+    past = [("f", "p", D(text), 0, 0, "ok") for text in ("1.5", "9223372036854775808", "2")]
+    tiny = [("f", "p", D(text), 0, 0, "ok") for text in ("1.5", "1E-70", "2.00")]
+    compact = [("f", "p", D(text), 0, 0, "ok") for text in ("3.25", "1.50", "1.5")]
+    assert _fold(compact)._pairs[("f", "p")].durations is None
+    for rows in (past, tiny):
+        assert _fold(rows)._pairs[("f", "p")].durations is not None
+        for first, second in ((rows, compact), (compact, rows)):
+            merged = _fold(first).merge(_fold(second))
+            assert merged._pairs[("f", "p")].durations is not None
+            assert repr(merged.summaries()) == repr(_list_fold(first + second).summaries())
+
+
 def test_mean_sum_is_exact_beyond_28_digits():
     # 1e20 + 3e-9 needs 30 digits; the mean 5e19 + 1.5e-9 then rounds half-even.
     stats = _stats("1e20", "0.000000003")
@@ -479,9 +602,10 @@ def test_streaming_memory_keeps_no_record_per_row(tmp_path):
     finally:
         tracemalloc.stop()
     assert sum(s.ok_count + s.error_count for s in summaries.values()) == 50_000
-    # One Decimal (104 B) and a list slot per ok row; a parsed record per
-    # row would peak near 21 MB here.
-    assert peak < 8_000_000
+    # About 9 B per ok row (an 8-byte scaled duration and a byte for its
+    # exponent and sign) and, while a pair is summarized, its sorted
+    # integers; a parsed record per row would peak near 21 MB here.
+    assert peak < 2_000_000
 
 
 # --- calibration ------------------------------------------------------------------
