@@ -536,7 +536,9 @@ def cmd_optimize(args) -> int:
         f"feasible placements: {result.feasible_count} of {result.total_count}",
     ]
     rows = [["label", "latency_ms", "cost_usd"]] + [list(row.values()) for row in front_rows]
-    _report(args, lines, rows, report, {"optimize.json": report, "front.tsv": rows})
+    # The counters go only into the manifest, so they are built only for --out.
+    counters = result.counters._asdict() if args.out else None
+    _report(args, lines, rows, report, {"optimize.json": report, "front.tsv": rows}, counters)
     return EXIT_OK
 
 

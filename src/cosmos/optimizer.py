@@ -13,10 +13,15 @@ function, priced once per solve into a table; and the head, the functions
 before it. Each head prefix is answered from the table meet-in-the-middle
 style, one add per axis per placement. A prefix's shared fixed-charge credit
 and each table group's change in it come from one memo of engine.bill_key,
-the rule engine.bill_fixed applies. The table adds sums in another order than
-enumeration does, so a tail is used only when every sum of the search fits
+the rule engine.bill_fixed applies, once per run of prefixes with the same
+fixed-charge entries. The table adds sums in another order than enumeration
+does, so a tail is used only when every sum of the search fits
 money.CONTEXT's precision; otherwise, or with no tail, the head is every
-function and the table holds one empty combination. The scope bounds either
+function and the table holds one empty combination. The same digit guard
+picks the walk's number type: when it passes, every sum is exact, so the
+walk adds and compares Python ints, each axis scaled to its finest
+exponent; otherwise it adds the model's Decimals, so that a sum past
+CONTEXT's precision raises in enumeration order. The scope bounds either
 each pair or the sums, so one test decides feasibility under both. The walk
 compares values only: the model writes the digits reported for the chosen
 placements, and when the walk raises, the model prices the failing prefix's
@@ -33,6 +38,7 @@ from __future__ import annotations
 
 import decimal
 import itertools
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -371,6 +377,7 @@ class OptimizationResult:
     t_star_placement: Placement
     feasible_count: int
     total_count: int
+    counters: SearchCounters
 
 
 def optimize(
@@ -388,18 +395,21 @@ def optimize(
     the anchors as min_cost and min_time do, and folds each feasible
     placement that can be on the front into a Pareto front of bare (cost,
     latency, enumeration index) points; only the chosen placements get a
-    Placement. The walk compares values only; the reported cost, latency,
-    C* and T* are the model's cost_of and latency_of of the chosen
-    placements, so they keep the digits of an enumeration. Under the
-    per_function scope a placement is feasible when each of its pairs is
-    within the budget and SLO. The best is the front member with the least
-    (a*cost + b*latency, cost), compared exactly, where a, b = alpha, beta,
-    or T*, C* for auto weights (cost/C* + latency/T* times C*·T*, so no
-    division). The key never rises when cost or latency falls, so a front
+    Placement. The walk compares values only, in scaled ints when the digit
+    guard passes (see _walk); the reported cost, latency, C* and T* are the
+    model's cost_of and latency_of of the chosen placements, so they keep
+    the digits of an enumeration. Under the per_function scope a placement
+    is feasible when each of its pairs is within the budget and SLO. The
+    best is the front member with the least (a*cost + b*latency, cost),
+    compared exactly, where a, b = alpha, beta, or T*, C* for auto weights
+    (cost/C* + latency/T* times C*·T*, so no division); a and b are scaled
+    by the front's exponents, so that its ints weigh as the amounts they
+    stand for. The key never rises when cost or latency falls, so a front
     member minimizes it over all feasible placements; equal pairs keep the
-    first enumerated placement. Raises DomainError when a sum is not exact
-    in money.CONTEXT's precision or a credit passes the money limit, with
-    the error of enumeration's first failing cost_of or latency_of, then
+    first enumerated placement. The result's counters say what the walk
+    did. Raises DomainError when a sum is not exact in money.CONTEXT's
+    precision or a credit passes the money limit, with the error of
+    enumeration's first failing cost_of or latency_of, then
     DegenerateAnchorError for auto weights with a zero anchor, then
     InfeasibleError carrying the anchors when no placement is feasible.
     """
@@ -434,9 +444,12 @@ def optimize(
     # The front is latency ascending and cost strictly descending, so each
     # later member is slower and cheaper than the best so far: it takes
     # over when its key is no higher, that is when the latency it adds
-    # weighs no more than the cost it saves, compared exactly.
+    # weighs no more than the cost it saves, compared exactly. Scaling the
+    # weights by the front's exponents weighs its ints as the amounts they
+    # stand for.
     best = front[0]
     with localcontext(_EXACT):
+        a, b = a.scaleb(found.cost_exponent), b.scaleb(found.latency_exponent)
         for p in front[1:]:
             if b * (p.latency - best.latency) <= a * (best.cost - p.cost):
                 best = p
@@ -454,19 +467,41 @@ def optimize(
         t_star=t_star,
         c_star_placement=c_arg,
         t_star_placement=t_arg,
-        feasible_count=found.feasible_count,
+        feasible_count=found.counters.feasible,
         total_count=len(platforms) ** len(rows),
+        counters=found.counters,
     )
+
+
+class SearchCounters(NamedTuple):
+    """What one optimize walk did: the placements it visited and the feasible
+    ones, the head prefixes and tail table entries that make them up, the
+    table's fixed-charge groups, how many prefix ledgers it priced (a run of
+    prefixes with the same fixed-charge entries is priced once), and
+    whether it searched in scaled ints (see _exact_in_any_order)."""
+
+    placements: int
+    feasible: int
+    head_prefixes: int
+    tail_entries: int
+    groups: int
+    ledgers_priced: int
+    integer_search: bool
 
 
 class _Found(NamedTuple):
     """What one walk finds: the enumeration indices of both anchors (the
-    first enumerated winning ties), the feasible Pareto front and its count."""
+    first enumerated winning ties), the feasible Pareto front, whose costs
+    and latencies are ints times 10 to cost_exponent and latency_exponent
+    when the walk searched in ints (else Decimals, and both exponents 0),
+    and its counters."""
 
     c_arg: int
     t_arg: int
     front: list[_Point]
-    feasible_count: int
+    cost_exponent: int
+    latency_exponent: int
+    counters: SearchCounters
 
 
 class _Point:
@@ -477,7 +512,7 @@ class _Point:
 
     __slots__ = ("cost", "latency", "index")
 
-    def __init__(self, cost: Decimal, latency: Decimal, index: int):
+    def __init__(self, cost: Decimal | int, latency: Decimal | int, index: int):
         self.cost, self.latency, self.index = cost, latency, index
 
 
@@ -510,20 +545,27 @@ def _walk(
     in declaration order, share a group, and () is one too. The head, the
     functions before the tail, is enumerated by the same odometer. Each head
     prefix bills its fixed-charge entries through the solve's _Billed memo,
-    as engine.bill_fixed bills them, for its ledger and credit. Each group
-    then gets its paid sum: the prefix's cost sum less credit, less the
-    group's change in credit on top of the prefix's ledger (change). A
-    placement costs its group's paid sum plus its entry's cost; its latency
-    is the longer of the prefix's critical path and the distance into s plus
-    the entry's path. Each is an anchor candidate and, when feasible,
-    counted and offered to the front, under its enumeration index: the
-    prefix's first index plus the entry's.
+    as engine.bill_fixed bills them, for its ledger and credit, and each
+    group's credit is that credit plus the group's change in it on top of
+    the prefix's ledger (change); a group billing no key of the ledger
+    keeps its change on an empty ledger, computed once per solve.
+    Prefixes in a row with the same entries share one pricing of their
+    ledger. Each group's paid sum is the prefix's cost sum less the group's
+    credit. A placement costs its group's paid sum plus its entry's cost;
+    its latency is the longer of the prefix's critical path and the
+    distance into s plus the entry's path. Each is an anchor candidate and,
+    when feasible, counted and offered to the front, under its enumeration
+    index: the prefix's first index plus the entry's.
 
-    When no tail qualifies, which needs a declaration order that is not
-    topological, or when _exact_in_any_order fails, the head is every
-    function, so each sum is formed in enumeration order, and the table
-    holds one empty combination: cost ZERO, path -Infinity (ZERO in a
-    workflow of no functions), within the bounds, group ().
+    When _exact_in_any_order passes, every sum of the search is an exact
+    integer add: each axis is scaled to its _exponent, each credit term
+    when _Billed prices it, and the budget and SLO become the floor of the
+    scaled bound, so the front holds ints. Otherwise the same loop runs on
+    the model's Decimals. When no tail qualifies, which needs a
+    declaration order that is not topological, or when the guard fails,
+    the head is every function, so each sum is formed in enumeration order,
+    and the table holds one empty combination: cost zero, path -Infinity
+    (zero in a workflow of no functions), within the bounds, group ().
     """
     budget = INFINITY if config.budget is None else config.budget
     slo = INFINITY if config.latency_slo is None else config.latency_slo
@@ -532,14 +574,12 @@ def _walk(
     pair_budget = pair_slo = INFINITY
     if config.scope == "per_function":
         pair_budget, pair_slo, budget, slo = budget, slo, INFINITY, INFINITY
-    within_pair = [[e.cost <= pair_budget and e.latency <= pair_slo for e in row] for row in rows]
-    billed = _Billed()
 
-    def change(ledger: dict, fixed: tuple) -> Decimal:
+    def change(ledger: dict, fixed: tuple) -> Decimal | int:
         """The change in ledger's credit when fixed is billed on top of it
         (engine.bill_key). A key that fixed bills twice is chained through
         its first billing, which is priced only then."""
-        delta, chained = ZERO, {}
+        delta, chained = zero, {}
         for key, months, rate in fixed:
             prior = chained.get(key)
             held = ledger.get(key) if prior is None else billed[prior]
@@ -549,36 +589,75 @@ def _walk(
                 delta += after[3] if held[3] is None else after[3] - held[3]
         return delta
 
-    head = len(rows) - _tail_size(workflow) if _exact_in_any_order(rows) else len(rows)
+    exact = _exact_in_any_order(rows)
+    head = len(rows) - _tail_size(workflow) if exact else len(rows)
+    money = duration = _same
+    zero, infinity, ec, el = ZERO, INFINITY, 0, 0
+    if exact:
+        ec, el = _exponent(rows, _COST), _exponent(rows, _LATENCY)
+        zero, infinity = 0, math.inf
+        budget, slo = _floor(budget, ec), _floor(slo, el)
+
+        def money(amount: Decimal) -> int:
+            return _scaled(amount, ec)
+
+        def duration(amount: Decimal) -> int:
+            return _scaled(amount, el)
+
+    billed = _Billed(money)
+    # Each entry becomes its _Pair in place: one row structure per solve.
+    for row in rows:
+        for j, e in enumerate(row):
+            within = e.cost <= pair_budget and e.latency <= pair_slo
+            row[j] = _Pair(money(e.cost), duration(e.latency), e.fixed, within, e)
     # Every tail function is reached from s, so s comes first in topological
     # order.
     preds = next((preds for i, preds in workflow._topology if i >= head), ())
     index: dict = {}
     table = [
         (cost, top, within, index.setdefault(fixed, len(index)))
-        for cost, fixed, within, top, _ in _combos(workflow, rows, within_pair, head, len(rows))
+        for cost, fixed, within, top, _ in _combos(
+            workflow, rows, head, len(rows), zero, infinity
+        )
     ]
     groups = list(index)
-    paid_of = [ZERO] * len(groups)
+    # A group's change on top of a ledger that holds none of its keys is its
+    # change on an empty ledger, its own: only the groups billing a key of a
+    # prefix's ledger are repriced for it.
+    own = [change({}, group) for group in groups]
+    billing: dict = {}
+    for g, group in enumerate(groups):
+        for key, _, _ in group:
+            billing.setdefault(key, []).append(g)
+    paid_of = [zero] * len(groups)
     front: list[_Point] = []
     # Anchors start at the first placement, so one is found even when every
     # placement is infinite on an axis.
-    c_star = t_star = INFINITY
-    c_arg = t_arg = feasible = first = 0
+    c_star = t_star = infinity
+    c_arg = t_arg = feasible = first = priced = 0
+    last = credits = None
     try:
-        for prefix_cost, fixed, within, top, dist in _combos(workflow, rows, within_pair, 0, head):
-            # The credit is the ledger's terms summed in first-billed order.
-            ledger, credit = {}, ZERO
-            for key, months, rate in fixed:
-                ledger[key] = billed[(ledger.get(key), months, rate)]
-            for _, _, _, term in ledger.values():
-                if term is not None:
-                    credit += term
-            paid = prefix_cost - credit
-            for g, group in enumerate(groups):
-                d = change(ledger, group) if group else ZERO
-                paid_of[g] = paid - d if d else paid
-            base = max([dist[q] for q in preds], default=ZERO)
+        for prefix_cost, fixed, within, top, dist in _combos(
+            workflow, rows, 0, head, zero, infinity
+        ):
+            if fixed is not last:
+                # The credit is the ledger's terms summed in first-billed
+                # order.
+                ledger, credit = {}, zero
+                for key, months, rate in fixed:
+                    ledger[key] = billed[(ledger.get(key), months, rate)]
+                for _, _, _, term in ledger.values():
+                    if term is not None:
+                        credit += term
+                credits = [credit + d if d else credit for d in own]
+                for g in {g for key in ledger for g in billing.get(key, ())}:
+                    d = change(ledger, groups[g])
+                    credits[g] = credit + d if d else credit
+                last = fixed
+                priced += 1
+            for g, c in enumerate(credits):
+                paid_of[g] = prefix_cost - c
+            base = max([dist[q] for q in preds], default=zero)
             for j, (cost, length, inside, g) in enumerate(table):
                 cost, latency = paid_of[g] + cost, base + length
                 if latency < top:
@@ -602,23 +681,71 @@ def _walk(
         # prices a placement's cost (_cost), then its latency: priced so, the
         # failing prefix's first placement raises the error enumeration meets
         # first. When it raises none, the walk's error stands.
-        entries = [row[c] for row, c in zip(rows, _digits(first, len(rows), len(platforms)))]
+        entries = [row[c].entry for row, c in zip(rows, _digits(first, len(rows), len(platforms)))]
         _cost(entries)
         critical_path(workflow, [e.latency for e in entries])
         raise
-    return _Found(c_arg, t_arg, front, feasible)
+    counters = SearchCounters(
+        first, feasible, first // len(table), len(table), len(groups), priced, exact
+    )
+    return _Found(c_arg, t_arg, front, ec, el, counters)
+
+
+class _Pair(NamedTuple):
+    """A pair as the walk searches it: its cost and latency in the search's
+    number type, its fixed-charge entries, whether it is within the pair
+    bounds, and the model's entry."""
+
+    cost: Decimal | int
+    latency: Decimal | int
+    fixed: tuple
+    within: bool
+    entry: PairEntry
+
+
+def _same(amount: Decimal) -> Decimal:
+    """The Decimal search's scaling: none."""
+    return amount
+
+
+def _scaled(value: Decimal, exponent: int) -> int:
+    """value·10^-exponent as an int, for a value whose exponent is at least
+    exponent. The shift runs in the walk's exact_sums context: the digit
+    guard keeps every value of the search within its precision, and a value
+    past it, which only a bypassed guard lets in, raises as a search sum
+    that needs more digits."""
+    return int(value.scaleb(-exponent))
+
+
+def _floor(bound: Decimal, exponent: int) -> int | float:
+    """The greatest int n with n·10^exponent <= bound: an int sum of the
+    search scaled to exponent is within bound exactly when it is within n.
+    Infinity, or a bound beyond every such sum, is math.inf, so that no
+    huge int is built."""
+    if bound == INFINITY or bound.adjusted() - exponent >= CONTEXT.prec:
+        return math.inf
+    return int(_EXACT.scaleb(bound, -exponent).to_integral_value(decimal.ROUND_FLOOR, _EXACT))
 
 
 class _Billed(dict):
     """(held ledger entry or None, months, rate) -> the key's ledger entry
-    after billing months at rate (engine.bill_key), computed once per solve."""
+    after billing months at rate (engine.bill_key), computed once per solve,
+    its credit term converted by money to the search's number type."""
+
+    __slots__ = ("money",)
+
+    def __init__(self, money):
+        self.money = money
 
     def __missing__(self, memo: tuple) -> tuple:
-        after = self[memo] = bill_key(*memo)
+        total, most, rate, term = bill_key(*memo)
+        after = self[memo] = (total, most, rate, None if term is None else self.money(term))
         return after
 
 
-def _combos(workflow: WorkflowSpec, rows, within_pair, start: int, stop: int) -> Iterator[tuple]:
+def _combos(
+    workflow: WorkflowSpec, rows: list[list[_Pair]], start: int, stop: int, zero, infinity
+) -> Iterator[tuple]:
     """Every platform combination of the block of functions start..stop-1
     (declaration order), in enumeration order, as (cost sum, fixed-charge
     entries concatenated in declaration order, whether every pair is within
@@ -627,19 +754,20 @@ def _combos(workflow: WorkflowSpec, rows, within_pair, start: int, stop: int) ->
     block counts as no path. A depth-first odometer: level k places the
     block's function k on each platform in turn, and slot k + 1 of each
     state list holds the current combination of the first k + 1 functions,
-    so combinations sharing a prefix share its sums. The longest path of no
-    functions is -Infinity, which any path beats, except in a workflow of
-    no functions, whose critical path is ZERO. The distances list is
-    reused: read it before the next combination."""
-    rows, within_pair = rows[start:stop], within_pair[start:stop]
+    so combinations sharing a prefix share its sums. Every sum starts from
+    zero, the zero of the rows' number type, so that it keeps that type.
+    The longest path of no functions is -infinity, which any path beats,
+    except in a workflow of no functions, whose critical path is zero. The
+    distances list is reused: read it before the next combination."""
+    rows = rows[start:stop]
     size, width = len(rows), len(rows[0]) if rows else 0
     schedule = _schedule(workflow, start, stop)
     choice = [0] * size
     dist: list = [None] * len(workflow.functions)
-    cost_at = [ZERO] + [None] * size
+    cost_at = [zero] + [None] * size
     fixed_at = [()] + [None] * size
     within_at = [True] + [None] * size
-    top_at = [ZERO if not workflow.functions else -INFINITY] + [None] * size
+    top_at = [zero if not workflow.functions else -infinity] + [None] * size
     depth = 0
     while True:
         for k in range(depth, size):
@@ -648,10 +776,10 @@ def _combos(workflow: WorkflowSpec, rows, within_pair, start: int, stop: int) ->
             cost_at[k + 1] = cost_at[k] + entry.cost
             # () + t is t itself: no tuple is built unless two pairs bill.
             fixed_at[k + 1] = fixed_at[k] + entry.fixed
-            within_at[k + 1] = within_at[k] and within_pair[k][j]
+            within_at[k + 1] = within_at[k] and entry.within
             top = top_at[k]
             for p, preds, i in schedule[k]:
-                d = dist[p] = max([dist[q] for q in preds], default=ZERO) + rows[i][choice[i]].latency
+                d = dist[p] = max([dist[q] for q in preds], default=zero) + rows[i][choice[i]].latency
                 if d > top:
                     top = d
             top_at[k + 1] = top
@@ -717,11 +845,12 @@ def _exact_in_any_order(rows: list[list[PairEntry]]) -> bool:
     """Whether every cost and latency sum the walk can form keeps all its
     digits in money.CONTEXT, so that the tail table, which adds in another
     order than enumeration does, never raises where enumeration would not,
-    nor the reverse. A sum of the search is at most the sum of the row
-    maxima, and its last digit is no finer than the finest entry's (or
-    ZERO's, which starts every sum, or the money quantum of a credit); the
-    digits between must fit in CONTEXT.prec. A credit is at most the fixed
-    charges it credits plus a few quanta when each pair's cost includes
+    nor the reverse, and so that the walk can search in ints scaled to each
+    axis's _exponent, each sum an exact int add equal in value to the
+    Decimal sum. A sum of the search is at most the sum of the row maxima,
+    and its last digit is no finer than _exponent; the digits between must
+    fit in CONTEXT.prec. A credit is at most the fixed charges it credits
+    plus a few quanta when each pair's cost includes
     the money_product of each fixed entry it bills and each key is billed
     at one rate, as in a CatalogModel; a model breaking either fails. So a
     group's change in credit, and a prefix's paid sum less it, negative
@@ -735,18 +864,15 @@ def _exact_in_any_order(rows: list[list[PairEntry]]) -> bool:
     """
     fixed = any(e.fixed for row in rows for e in row)
     for axis in (_COST, _LATENCY):
-        bound, finest = ZERO, 0
+        bound = ZERO
         for row in rows:
             values = [axis(e) for e in row]
             if not all(v.is_finite() and v >= 0 for v in values):
                 return False
             bound = _CEILING.add(bound, max(values))
-            for v in values:
-                finest = min(finest, _EXACT.multiply(v, 0).adjusted())
         if axis is _COST and fixed:
             bound = _CEILING.multiply(bound, 10)
-            finest = min(finest, -MONEY_PLACES)
-        if bound.adjusted() + 1 - finest > CONTEXT.prec:
+        if bound.adjusted() + 1 - _exponent(rows, axis) > CONTEXT.prec:
             return False
     rates: dict = {}
     for row in rows:
@@ -762,3 +888,18 @@ def _exact_in_any_order(rows: list[list[PairEntry]]) -> bool:
             if e.cost < charges:
                 return False
     return True
+
+
+def _exponent(rows: list[list[PairEntry]], axis) -> int:
+    """The finest exponent of an axis's sums: that of its finest entry, or
+    ZERO's, which starts every sum, and for cost the money quantum's when a
+    pair bills a fixed charge, since a credit is a multiple of it. Each
+    exponent is read as that of the finite entry times zero (see
+    _exact_in_any_order)."""
+    finest = 0
+    for row in rows:
+        for e in row:
+            finest = min(finest, _EXACT.multiply(axis(e), 0).adjusted())
+            if e.fixed and axis is _COST:
+                finest = min(finest, -MONEY_PLACES)
+    return finest

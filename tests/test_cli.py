@@ -613,6 +613,35 @@ def test_ingest_manifest_counts_rows_and_pairs(capsys, tmp_path):
     assert manifest["input_digest"] == hashlib.sha256(digest.encode()).hexdigest()
 
 
+def test_optimize_manifest_counts_the_integer_search(capsys, tmp_path):
+    # The pipeline over the five cards: head {data-retrieval,
+    # data-processing}, 25 prefixes billing no fixed charge, so one ledger;
+    # tail {ai-inference}, one group per card. Its sums fit the digit guard,
+    # so the walk searches in scaled ints.
+    cards = [a for p in ("aws-x86", "aws-arm", "aws-lambda-edge", "gcp", "leo")
+             for a in ("--platform", p)]
+    manifests = []
+    for name in ("a", "b"):
+        code, _, _ = run(capsys, "optimize", "--workflow", PIPELINE, *cards,
+                         "--out", str(tmp_path / name))
+        assert code == 0
+        manifests.append((tmp_path / name / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+    manifest = json.loads(manifests[0])
+    assert manifest["counters"] == {
+        "placements": 125,
+        "feasible": 125,
+        "head_prefixes": 25,
+        "tail_entries": 5,
+        "groups": 5,
+        "ledgers_priced": 1,
+        "integer_search": True,
+    }
+    paths = sorted(i["path"] for i in manifest["inputs"])
+    digests = "".join(hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths)
+    assert manifest["input_digest"] == hashlib.sha256(digests.encode()).hexdigest()
+
+
 def test_manifest_lists_only_the_inputs_read(capsys, tmp_path):
     card = tmp_path / "my" / "gcp.json"
     card.parent.mkdir()

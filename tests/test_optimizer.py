@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from cosmos import engine, optimizer
 from cosmos.engine import workflow_cost
+from cosmos.money import money_product
 from cosmos.errors import (
     CapExceededError,
     DegenerateAnchorError,
@@ -761,9 +762,11 @@ def test_one_pass_matches_exhaustive_oracle(catalogs, data):
     _check_against_oracle(data, wf, platforms, CatalogModel(wf, catalogs, latencies=lat))
 
 
-def _check_against_oracle(data, wf, platforms, model):
+def _check_against_oracle(data, wf, platforms, model, respell=None):
     """optimize, under a drawn scope, budget, SLO and weighting, against every
-    placement enumerated and priced whole: each result field, digits too."""
+    placement enumerated and priced whole: each result field, digits too.
+    respell(data, bound, label), when given, redraws how each bound is
+    written."""
     fids = wf.function_ids
     evaluated = [
         (model.cost_of(p), model.latency_of(p), p) for p in enumerate_placements(wf, platforms)
@@ -781,6 +784,8 @@ def _check_against_oracle(data, wf, platforms, model):
         pairs = [(f, p) for f in fids for p in platforms]
         budget = _quantile(data, [model.entry(*fp).cost for fp in pairs], "budget")
         slo = _quantile(data, [model.entry(*fp).latency for fp in pairs], "slo")
+    if respell is not None:
+        budget, slo = respell(data, budget, "budget"), respell(data, slo, "slo")
 
     def feasible(cost, latency, placement):
         if scope == "workflow":
@@ -1223,6 +1228,122 @@ def test_optimize_fails_as_enumeration_fails(instance):
     with pytest.raises(DomainError) as raised:
         optimize(wf, platforms, model, config)
     assert (type(raised.value), str(raised.value)) == (type(expected), str(expected))
+
+
+def _respelled(data, bound, label):
+    """None, or the bound as drawn, written with up to 30 more trailing zeros
+    (1.50 for 1.5), or moved up or down by 1E-60, finer than any entry."""
+    if bound is None:
+        return None
+    how = data.draw(st.sampled_from(["same", "zeros", "above", "below"]), label=f"{label} spelling")
+    with localcontext(prec=200):
+        if how == "zeros":
+            zeros = data.draw(st.integers(1, 30), label=f"{label} zeros")
+            return bound.quantize(D(1).scaleb(bound.as_tuple().exponent - zeros))
+        if how == "above":
+            return bound + D("1E-60")
+        if how == "below":
+            return bound - D("1E-60")
+    return bound
+
+
+def _edge_value(draw, exponent, top, label):
+    """An entry of an axis whose finest exponent is exponent: zero written at
+    that exponent or at 0, its unit, 1.5, 1.50, 1E+20 or 1E-20 where that
+    exponent holds them, or the top."""
+    spellings = [f"0E{exponent}", f"1E{exponent}", "0", "1.5", "1.50", "1E+20", "1E-20"]
+    fitting = [v for v in map(D, spellings) if v.as_tuple().exponent >= exponent]
+    return draw(st.sampled_from([*fitting, top]), label=label)
+
+
+@st.composite
+def _guard_edge_instances(draw):
+    """1-4 functions on 1-3 platforms, edges running forward in declaration
+    order, its reverse or a random order, whose sums pass the digit guard
+    with no digit to spare: one pair per row is the row's top, so the row
+    maxima sum to exactly 50 digits at the finest exponent, 1E-20, 1E-12 or
+    1 (49 with fixed charges, whose credit the guard gives one more digit).
+    With fixed charges, a pair on p bills key (p, ml) 0-2 times at p's one
+    rate, and its cost includes them, as in a CatalogModel, or is that
+    rounded up to whole units, so that only the credit has 12 decimals."""
+    n = draw(st.integers(1, 4), label="functions")
+    fids = [f"f{i}" for i in range(n)]
+    ranked = draw(st.sampled_from([fids, fids[::-1]]) | st.permutations(fids), label="order")
+    edges = [
+        (ranked[i], ranked[j])
+        for i, j in itertools.combinations(range(n), 2)
+        if draw(st.booleans(), label=f"edge{i}-{j}")
+    ]
+    wf = WorkflowSpec(
+        workflow_id="edge", functions=tuple(FunctionProfile(f) for f in fids), edges=tuple(edges)
+    )
+    platforms = draw(st.permutations(["x", "y", "z"]), label="platform order")
+    platforms = platforms[: draw(st.integers(1, 3), label="platforms")]
+    fixed = draw(st.booleans(), label="fixed charges")
+    whole = fixed and draw(st.booleans(), label="whole units")
+    cost_exp = 0 if whole else draw(st.sampled_from([-20, -12, 0]), label="cost exponent")
+    finest = min(cost_exp, -12) if fixed else cost_exp
+    latency_exp = draw(st.sampled_from([-20, 0]), label="latency exponent")
+    rates = {p: D(draw(st.sampled_from(["0.5", "3", "1E-12"]), label=f"rate {p}")) for p in platforms}
+    with localcontext(prec=200):
+        # Room for the most a pair can bill, 2 x 3 months at 3 a month, and
+        # 1 for rounding it up.
+        room = D(19) if fixed else D(0)
+        cost_top = (D((10 ** (49 if fixed else 50) - 1) // n).scaleb(finest) - room).quantize(
+            D(1).scaleb(cost_exp), rounding="ROUND_FLOOR"
+        )
+        latency_top = D((10**50 - 1) // n).scaleb(latency_exp)
+    table = {}
+    for f in fids:
+        tops = draw(st.sampled_from(platforms), label=f"top {f}")
+        for p in platforms:
+            charges = tuple(
+                ((p, "ml"), D(draw(st.sampled_from(["1", "2", "2.0", "3"]))), rates[p])
+                for _ in range(draw(st.integers(0, 2), label=f"fixed {f}@{p}") if fixed else 0)
+            )
+            if p == tops:
+                cost, latency = cost_top, latency_top
+            else:
+                cost = _edge_value(draw, cost_exp, cost_top, f"cost {f}@{p}")
+                latency = _edge_value(draw, latency_exp, latency_top, f"latency {f}@{p}")
+            with localcontext(prec=200):
+                cost = sum((money_product(m, r) for _, m, r in charges), cost)
+                if whole:
+                    cost = cost.to_integral_value(rounding="ROUND_CEILING")
+            table[(f, p)] = optimizer.PairEntry(cost, latency, charges)
+    return wf, platforms, optimizer.PlacementModel(wf, table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_guard_edge_instances(), st.data())
+def test_integer_search_at_the_guard_edge_matches_exhaustive_oracle(instance, data):
+    # The walk searches these in scaled ints: sums of exactly 50 digits,
+    # 1E+20 and 1E-20 in one row, zeros written at the finest exponent, and
+    # budgets and SLOs that equal a placement's sum, written with trailing
+    # zeros or moved by 1E-60, finer than any entry.
+    wf, platforms, model = instance
+    assert optimizer._exact_in_any_order(optimizer._rows(wf, platforms, model.entry))
+    _check_against_oracle(data, wf, platforms, model, respell=_respelled)
+
+
+def test_budget_equal_to_a_cost_at_a_finer_exponent_is_met():
+    # Chain f0 -> f1 on x and y, every entry in tenths: (x, x) costs 3.0.
+    # A budget of 3 written to 21 decimals admits it, and one 1E-21 lower
+    # does not.
+    wf = _chain(2)
+    table = {
+        ("f0", "x"): (D("1.5"), D(1)),
+        ("f0", "y"): (D("2.5"), D(2)),
+        ("f1", "x"): (D("1.5"), D(1)),
+        ("f1", "y"): (D("0.5"), D(2)),
+    }
+    model = PointTableModel(wf, table)
+    assert optimizer._exact_in_any_order(optimizer._rows(wf, ["x", "y"], model.entry))
+    fastest = {"alpha": D(0), "beta": D(1)}
+    met = optimize(wf, ["x", "y"], model, OptimizationConfig(budget=D("3." + "0" * 21), **fastest))
+    assert (met.feasible_count, str(met.best), str(met.cost)) == (3, "f0=x,f1=x", "3.0")
+    missed = optimize(wf, ["x", "y"], model, OptimizationConfig(budget=D("2." + "9" * 21), **fastest))
+    assert (missed.feasible_count, str(missed.best), str(missed.cost)) == (1, "f0=x,f1=y", "2.0")
 
 
 def test_per_function_tail_entry_dominated_only_by_an_out_of_bounds_entry():
