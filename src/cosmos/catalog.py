@@ -9,11 +9,12 @@ per request-millisecond for space platforms.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from collections.abc import Mapping
+from dataclasses import dataclass
 from decimal import Decimal, Overflow
 from enum import Enum
 from pathlib import Path
-from typing import IO, Mapping
+from typing import IO
 
 from .errors import (
     DuplicateIdError,
@@ -148,7 +149,9 @@ def normalize_rate(component: PriceComponent, declared_scale: str) -> PriceCompo
             f"component {component.id!r}: rate {component.rate} {declared_scale} "
             f"is out of range in base units"
         ) from None
-    return replace(component, rate=rate)
+    return PriceComponent(
+        component.id, component.driver, component.unit, rate, component.description
+    )
 
 
 def validate_catalog(catalog: PlatformCatalog) -> list[ValidationIssue]:

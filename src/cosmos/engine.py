@@ -8,13 +8,23 @@ between two platforms a closed-form intersection of two lines.
 
 from __future__ import annotations
 
+import decimal
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .catalog import DriverCategory, PlatformCatalog, RateUnit
 from .errors import DomainError, MissingLatencyError, UnknownComponentError, UnknownPlatformError
-from .money import CONTEXT, dec, div, exact_sums, money_product, quantize_money
+from .money import (
+    CONTEXT,
+    dec,
+    div,
+    exact_add,
+    exact_sum_error,
+    exact_sums,
+    money_product,
+    quantize_money,
+)
 from .workflow import FunctionProfile, LatencyTable, Placement, WorkflowSpec
 
 ZERO = Decimal(0)
@@ -78,14 +88,30 @@ class CostBreakdown:
     @classmethod
     def fold(cls, charges: Iterable["ComponentCharge"]) -> "CostBreakdown":
         """One function's breakdown: its charges summed exactly per driver,
-        each subtotal quantized, and their exact total, in one exact_sums
-        block (build would open a second)."""
-        subtotal = dict.fromkeys(_FIELDS, ZERO)
-        with exact_sums("a function's cost"):
+        each subtotal quantized, and their exact total; DomainError when a
+        sum needs more digits than money.CONTEXT carries. It runs once per
+        itemized function, so it adds through money.exact_add rather than
+        entering exact_sums, which copies a context."""
+        subtotals = [ZERO] * len(_FIELDS)
+        add = exact_add
+        try:
             for item in charges:
-                subtotal[_DRIVER_FIELD[item.driver]] += item.amount
-            parts = [quantize_money(subtotal[name]) for name in _FIELDS]
-            return cls(*parts, total=sum(parts, ZERO))
+                slot = _DRIVER_SLOT[item.driver]
+                subtotals[slot] = add(subtotals[slot], item.amount)
+            parts = [quantize_money(subtotal) for subtotal in subtotals]
+            total = ZERO
+            for part in parts:
+                total = add(total, part)
+        except decimal.Inexact:
+            raise exact_sum_error("a function's cost") from None
+        # What the frozen __init__ would store, written to the instance
+        # dict rather than through one object.__setattr__ per field.
+        self = object.__new__(cls)
+        fields = self.__dict__
+        (fields["invocation"], fields["compute"], fields["state"],
+         fields["transfer"], fields["baas"]) = parts
+        fields["total"] = total
+        return self
 
     @classmethod
     def combine(cls, parts: Iterable["CostBreakdown"], credit: Decimal = ZERO) -> "CostBreakdown":
@@ -126,9 +152,9 @@ def driver_shares(breakdown: CostBreakdown) -> dict[str, Decimal]:
     }
 
 
-@dataclass(frozen=True)
-class ComponentCharge:
-    """One catalog component's contribution to a function's cost."""
+class ComponentCharge(NamedTuple):
+    """One catalog component's contribution to a function's cost. A named
+    tuple, not a dataclass: the engine builds one per charge."""
 
     component_id: str
     driver: DriverCategory
@@ -137,15 +163,27 @@ class ComponentCharge:
     fixed: tuple[tuple[str, str], Decimal, Decimal] | None = None
 
 
-#: CostBreakdown field receiving each driver's charges.
-_DRIVER_FIELD = {
-    DriverCategory.INVOCATION: "invocation",
-    DriverCategory.COMPUTE: "compute",
-    DriverCategory.STATE_MANAGEMENT: "state",
-    DriverCategory.DATA_TRANSFER: "transfer",
-    DriverCategory.BAAS_FIXED: "baas",
-    DriverCategory.BAAS_DYNAMIC: "baas",
+#: Position in _FIELDS of the CostBreakdown field receiving each driver's charges.
+_DRIVER_SLOT = {
+    DriverCategory.INVOCATION: 0,
+    DriverCategory.COMPUTE: 1,
+    DriverCategory.STATE_MANAGEMENT: 2,
+    DriverCategory.DATA_TRANSFER: 3,
+    DriverCategory.BAAS_FIXED: 4,
+    DriverCategory.BAAS_DYNAMIC: 4,
 }
+
+# Enum members that component_charges compares against, bound once: an
+# Enum attribute lookup costs several times the compare.
+_INVOCATION = DriverCategory.INVOCATION
+_COMPUTE = DriverCategory.COMPUTE
+_STATE = DriverCategory.STATE_MANAGEMENT
+_TRANSFER = DriverCategory.DATA_TRANSFER
+_BAAS_FIXED = DriverCategory.BAAS_FIXED
+_BAAS_DYNAMIC = DriverCategory.BAAS_DYNAMIC
+_PER_MS = RateUnit.PER_MS_PER_REQUEST
+_PER_GB_IN = RateUnit.PER_GB_IN
+_PER_GB_OUT = RateUnit.PER_GB_OUT
 
 
 def component_charges(
@@ -166,48 +204,63 @@ def component_charges(
     an item carries its bill_fixed entry.
     """
     n = profile.n if volume is None else dec(volume)
-    _require_nonneg(n=n)
-    charges: list[ComponentCharge] = []
-
-    def charge(comp, amount: Decimal, fixed=None) -> None:
-        charges.append(ComponentCharge(comp.id, comp.driver, amount, fixed))
-
-    t = profile.compute_time_on(catalog.platform_id)
+    if n < 0:
+        _require_nonneg(n=n)
+    pid = catalog.platform_id
+    t = profile.compute_time_on(pid)
+    mem = profile.mem
     stored = profile.stored_gb(n)
+    charges: list[ComponentCharge] = []
+    # Each driver's check is invocation_cost's, compute_cost's or
+    # state_cost's, with _require_nonneg run only to raise its message.
     for comp in catalog.components:
-        if comp.driver is DriverCategory.INVOCATION:
-            if comp.unit is RateUnit.PER_MS_PER_REQUEST:
+        driver, unit, rate = comp.driver, comp.unit, comp.rate
+        if driver is _INVOCATION:
+            if unit is _PER_MS:
                 if latencies is None:
-                    raise MissingLatencyError(profile.function_id, catalog.platform_id)
-                latency_ms = latencies.get(profile.function_id, catalog.platform_id)
-                charge(comp, money_product(n, latency_ms, comp.rate))
+                    raise MissingLatencyError(profile.function_id, pid)
+                amount = money_product(n, latencies.get(profile.function_id, pid), rate)
             else:
-                charge(comp, invocation_cost(n, comp.rate))
-        elif comp.driver is DriverCategory.COMPUTE:
-            charge(comp, compute_cost(n, t, profile.mem, comp.rate))
-        elif comp.driver is DriverCategory.STATE_MANAGEMENT:
-            charge(comp, state_cost(stored, comp.rate))
-        elif comp.driver is DriverCategory.DATA_TRANSFER:
-            if comp.unit is RateUnit.PER_GB_IN:
-                charge(comp, money_product(n, profile.r_in, comp.rate))
-            elif comp.unit is RateUnit.PER_GB_OUT:
-                charge(comp, money_product(n, profile.r_out, comp.rate))
+                if rate < 0:
+                    _require_nonneg(p_inv=rate)
+                amount = money_product(n, rate)
+        elif driver is _COMPUTE:
+            if t < 0 or mem < 0 or rate < 0:
+                _require_nonneg(t=t, mem=mem, p_gbs=rate)
+            amount = money_product(n, t, mem, rate)
+        elif driver is _STATE:
+            if stored < 0 or rate < 0:
+                _require_nonneg(d=stored, p_state=rate)
+            amount = money_product(stored, rate)
+        elif driver is _TRANSFER:
+            if unit is _PER_GB_IN:
+                amount = money_product(n, profile.r_in, rate)
+            elif unit is _PER_GB_OUT:
+                amount = money_product(n, profile.r_out, rate)
             else:
                 # Per-operation read/retrieval charges: one unit per request.
-                charge(comp, money_product(n, comp.rate))
+                amount = money_product(n, rate)
+        else:
+            continue
+        charges.append(ComponentCharge(comp.id, driver, amount))
 
     for usage in profile.baas_usage:
-        if not usage.applies_to(catalog.platform_id):
+        if not usage.applies_to(pid):
             continue
         comp = catalog.component(usage.component_id)
-        if comp.driver is DriverCategory.BAAS_FIXED:
-            fixed = ((catalog.platform_id, comp.id), usage.quantity, comp.rate)
-            charge(comp, money_product(usage.quantity, comp.rate), fixed)
-        elif comp.driver is DriverCategory.BAAS_DYNAMIC:
-            charge(comp, money_product(n, usage.quantity, comp.rate))
+        driver = comp.driver
+        if driver is _BAAS_FIXED:
+            fixed = ((pid, comp.id), usage.quantity, comp.rate)
+            charges.append(
+                ComponentCharge(comp.id, driver, money_product(usage.quantity, comp.rate), fixed)
+            )
+        elif driver is _BAAS_DYNAMIC:
+            charges.append(
+                ComponentCharge(comp.id, driver, money_product(n, usage.quantity, comp.rate))
+            )
         else:
             raise UnknownComponentError(
-                f"component {comp.id!r} has driver {comp.driver.value}; "
+                f"component {comp.id!r} has driver {driver.value}; "
                 "baas_usage may only reference BaaS components"
             )
     return charges

@@ -30,6 +30,14 @@ MONEY_LIMIT = Decimal(1).scaleb(CONTEXT.prec - MONEY_PLACES)
 _EXACT_SUMS = CONTEXT.copy()
 _EXACT_SUMS.traps[decimal.Inexact] = True
 
+#: a + b under CONTEXT; raises decimal.Inexact where the sum would round.
+#: For loops that would otherwise enter exact_sums once per call.
+exact_add = _EXACT_SUMS.add
+
+_ONE = Decimal(1)
+_multiply = CONTEXT.multiply
+_quantize = CONTEXT.quantize
+
 
 def dec(value: str | int | Decimal) -> Decimal:
     """Parse a quantity into a finite Decimal, rejecting binary floats."""
@@ -61,18 +69,6 @@ def quantize_money(value: Decimal) -> Decimal:
         raise _out_of_range(value) from None
 
 
-def exact(*factors: Decimal) -> Decimal:
-    """Multiply factors under the high-precision context; DomainError when
-    the product overflows it."""
-    out = Decimal(1)
-    try:
-        for f in factors:
-            out = CONTEXT.multiply(out, f)
-    except decimal.Overflow:
-        raise _out_of_range(" * ".join(map(str, factors))) from None
-    return out
-
-
 def _out_of_range(amount) -> DomainError:
     return DomainError(
         f"amount {amount} is out of range: money amounts must be below {MONEY_LIMIT}"
@@ -97,14 +93,34 @@ class exact_sums:
     def __exit__(self, kind, value, traceback) -> None:
         decimal.setcontext(self._saved)
         if kind is not None and issubclass(kind, decimal.Inexact):
-            raise DomainError(
-                f"{self.what} needs more than {CONTEXT.prec} significant digits to stay exact"
-            ) from None
+            raise exact_sum_error(self.what) from None
+
+
+def exact_sum_error(what: str) -> DomainError:
+    """The error for a sum, ``what``, that needs more significant digits
+    than CONTEXT carries."""
+    return DomainError(f"{what} needs more than {CONTEXT.prec} significant digits to stay exact")
 
 
 def money_product(*factors: Decimal) -> Decimal:
-    """Multiply factors and quantize the result to the money quantum."""
-    return quantize_money(exact(*factors))
+    """Multiply factors under CONTEXT, starting from 1 so that even a lone
+    factor is rounded to CONTEXT's precision, and quantize the product as
+    quantize_money does. DomainError when the product overflows CONTEXT or
+    is not below MONEY_LIMIT in magnitude. The engine makes one call per
+    charge, so both steps are inline."""
+    out = _ONE
+    product = None
+    try:
+        for f in factors:
+            out = _multiply(out, f)
+        product = out
+        return _quantize(product, MONEY_QUANTUM)
+    except decimal.Overflow:
+        raise _out_of_range(" * ".join(map(str, factors))) from None
+    except decimal.InvalidOperation:
+        if product is None:  # a multiply failed, as 0 * Infinity does
+            raise
+        raise _out_of_range(product) from None
 
 
 def div(a: Decimal, b: Decimal) -> Decimal:

@@ -40,11 +40,12 @@ import decimal
 import itertools
 import math
 from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from operator import attrgetter
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 from .catalog import PlatformCatalog
 from .engine import ZERO, CostBreakdown, bill_fixed, bill_key, component_charges

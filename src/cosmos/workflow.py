@@ -10,10 +10,11 @@ multiplying a reference platform's entries by a factor; explicit entries win.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from decimal import Decimal, Overflow
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import (
     CycleError,
@@ -269,7 +270,7 @@ _ARRAY = (list, tuple)
 def _typed(value, kind, what: str):
     """value itself, or a SchemaError naming the field when it is not an array or object."""
     if not isinstance(value, kind):
-        expected = "an object" if kind is Mapping else "an array"
+        expected = "an array" if kind is _ARRAY else "an object"
         raise SchemaError(f"{what} must be {expected}, got {type(value).__name__}")
     return value
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cosmos import cli, engine
+from cosmos import cli, engine, optimizer
 from cosmos.catalog import bundled_catalog_dir
 from cosmos.cli import main
 from cosmos.errors import (
@@ -160,20 +160,46 @@ def test_cost_function_rows_and_the_credit_row_add_up_to_the_workflow_row(tmp_pa
         )
 
 
-@pytest.mark.parametrize("command", ["cost", "breakdown"])
+_FUNCTIONS = ["data-retrieval", "data-processing", "ai-inference"]
+_FIVE = sorted(["aws-x86", "aws-arm", "aws-lambda-edge", "gcp", "leo"])
+#: Per report command: its arguments, and the (function, platform, volume)
+#: of each itemization it makes, in order. curve and crossover itemize each
+#: function of a line at volume 0 and again at volume 1.
+_ITEMIZED = {
+    "cost": (["--platform", "leo"], [(f, "leo", None) for f in _FUNCTIONS]),
+    "breakdown": (["--platform", "leo"], [(f, "leo", None) for f in _FUNCTIONS]),
+    "pareto": (
+        [a for p in _FIVE for a in ("--platform", p)],
+        [(f, p, None) for f in _FUNCTIONS for p in _FIVE],
+    ),
+    "curve": (["--platform", "gcp"], [(f, "gcp", v) for v in (0, 1) for f in _FUNCTIONS]),
+    "crossover": (
+        ["--platform", "gcp", "--platform", "leo", "--function", "ai-inference"],
+        [("ai-inference", p, v) for p in ("gcp", "leo") for v in (0, 1)],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(_ITEMIZED))
 def test_cost_and_breakdown_itemize_each_function_once(capsys, monkeypatch, command):
+    """cost and breakdown itemize each function once; so do the other
+    report commands, per pair and volume they price (see _ITEMIZED)."""
     calls = []
     itemize = engine.component_charges
 
     def counted(*args, **kwargs):
-        calls.append(args[0].function_id)
+        calls.append((args[0].function_id, args[1].platform_id, kwargs.get("volume")))
         return itemize(*args, **kwargs)
 
     monkeypatch.setattr(engine, "component_charges", counted)
     monkeypatch.setattr(cli, "component_charges", counted)
-    code, _, _ = run(capsys, command, "--workflow", PIPELINE, "--platform", "leo")
+    monkeypatch.setattr(optimizer, "component_charges", counted)
+    argv, expected = _ITEMIZED[command]
+    code, _, _ = run(capsys, command, "--workflow", PIPELINE, *argv)
     assert code == 0
-    assert calls == ["data-retrieval", "data-processing", "ai-inference"]
+    if command in ("cost", "breakdown"):
+        assert [fid for fid, _, _ in calls] == ["data-retrieval", "data-processing", "ai-inference"]
+    assert calls == expected
 
 
 def test_breakdown_itemizes_components(capsys):

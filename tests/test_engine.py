@@ -3,13 +3,22 @@ from dataclasses import replace
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from cosmos.catalog import DriverCategory, Layer, PlatformCatalog, PriceComponent, RateUnit
+import pricing_reference as reference
+from cosmos.catalog import (
+    ALLOWED_UNITS,
+    DriverCategory,
+    Layer,
+    PlatformCatalog,
+    PriceComponent,
+    RateUnit,
+)
 from cosmos.engine import (
     COINCIDENT_CURVES,
     DRIVER_FIELDS,
     ZERO,
+    ComponentCharge,
     CostBreakdown,
     CostCurve,
     bill_fixed,
@@ -517,3 +526,164 @@ def test_monotonicity_under_rate_and_quantity_increase():
         up_quantity = function_cost(more, catalog)
         for field in ("invocation", "compute", "state", "transfer", "baas", "total"):
             assert getattr(up_quantity, field) >= getattr(base, field)
+
+
+# --- the pricing kernel against its plain reference (tests/pricing_reference.py)
+
+
+def _outcome(call, *args, **kwargs):
+    """(True, what the call returns) or (False, (class, message) of what it raises)."""
+    try:
+        return True, call(*args, **kwargs)
+    except Exception as exc:  # every error must match the reference's
+        return False, (type(exc), str(exc))
+
+
+def _reprs(value, names):
+    return [repr(getattr(value, name)) for name in names]
+
+
+_CHARGE_FIELDS = ("component_id", "driver", "amount", "fixed")
+_BREAKDOWN_FIELDS = ("invocation", "compute", "state", "transfer", "baas", "total")
+
+
+def _assert_same(ours, theirs, names):
+    """Same error, or values equal field by field as repr; a list compares item by item."""
+    assert ours[0] == theirs[0], (ours, theirs)
+    if not ours[0]:
+        assert ours[1] == theirs[1]
+    elif isinstance(ours[1], list):
+        assert [_reprs(c, names) for c in ours[1]] == [_reprs(c, names) for c in theirs[1]]
+    else:
+        assert _reprs(ours[1], names) == _reprs(theirs[1], names)
+
+
+def _spelled(coefficients, exponents):
+    return st.builds(lambda c, e: D(f"{c}E{e}"), coefficients, exponents)
+
+
+_PLAIN = _spelled(st.integers(0, 10**6), st.integers(-12, 3))
+_LONG = _spelled(st.integers(10**50, 10**60), st.integers(-60, -20))  # 51-61 digits
+# 49-50 digits at the money quantum: two of them can sum past 50 digits.
+_NEAR_LIMIT = _spelled(st.integers(10**48, 10**50 - 1), st.just(-12))
+_EXTREME = st.sampled_from([D("1e600000"), D("1e-600000"), D("0E-20"), D("9" * 40)])
+_QUANTITY = st.one_of(_PLAIN, _PLAIN, _LONG, _NEAR_LIMIT, _EXTREME)
+_RATE = _QUANTITY | _QUANTITY.map(lambda q: -q)
+_LATENCY = _PLAIN | _spelled(st.integers(10**50, 10**60), st.integers(-60, -21))
+
+
+@st.composite
+def _component(draw, index):
+    driver = draw(st.sampled_from(DriverCategory))
+    legal = sorted(ALLOWED_UNITS[driver], key=lambda unit: unit.value)
+    unit = draw(st.sampled_from(legal) | st.sampled_from(RateUnit))
+    return PriceComponent(f"c{index}", driver, unit, draw(_RATE))
+
+
+@st.composite
+def _pricing_case(draw):
+    """A hand-built card and a profile on it, with a latency table and volume:
+    (profile, catalog, latencies, volume)."""
+    pid = "p"
+    components = tuple(draw(_component(i)) for i in range(draw(st.integers(0, 6))))
+    catalog = PlatformCatalog(pid, draw(st.sampled_from(Layer)), components)
+    ids = [c.id for c in components] + ["missing"]
+    usage = st.builds(
+        BaasUsage,
+        st.sampled_from(ids),
+        _QUANTITY,
+        st.sampled_from([None, frozenset({pid}), frozenset({"elsewhere"}), frozenset()]),
+    )
+    profile = FunctionProfile(
+        "f",
+        **{name: draw(_QUANTITY) for name in ("n", "t", "mem", "d", "d_per_request", "r_in", "r_out")},
+        baas_usage=tuple(draw(st.lists(usage, max_size=3))),
+        t_overrides=draw(st.just({}) | _QUANTITY.map(lambda t: {pid: t})),
+    )
+    latencies = draw(st.sampled_from([None, "pair", "other pair"]))
+    if latencies is not None:
+        key = ("f", pid) if latencies == "pair" else ("g", pid)
+        latencies = LatencyTable({key: draw(_LATENCY)})
+    volume = draw(
+        st.none()
+        | st.sampled_from([0, "0", D(0), -1, "-0.5", D("-1E-30")])
+        | _QUANTITY
+        | _LONG.map(str)
+    )
+    return profile, catalog, latencies, volume
+
+
+def _card(*components):
+    return PlatformCatalog("p", Layer.SPACE, tuple(PriceComponent(*c) for c in components))
+
+
+_INV = (DriverCategory.INVOCATION, RateUnit.PER_REQUEST)
+_PER_MS = (DriverCategory.INVOCATION, RateUnit.PER_MS_PER_REQUEST)
+_GBS = (DriverCategory.COMPUTE, RateUnit.PER_GB_SECOND)
+_FIXED = (DriverCategory.BAAS_FIXED, RateUnit.PER_MONTH_FIXED)
+
+
+@settings(max_examples=250, deadline=None)
+@given(case=_pricing_case())
+# A negative rate after a nonnegative one; the first negative factor is named.
+@example(case=(FunctionProfile("f", n=D(2), t=D(1), mem=D(1)),
+               _card(("i", *_INV, D(1)), ("c", *_GBS, D(-1))), None, None))
+# A per-ms component with no table, and with a table that lacks the pair.
+@example(case=(FunctionProfile("f", n=D(2)), _card(("m", *_PER_MS, D(1))), None, None))
+@example(case=(FunctionProfile("f", n=D(2)), _card(("m", *_PER_MS, D(1))),
+               LatencyTable({("g", "p"): D(1)}), None))
+# A baas_usage naming a non-BaaS component; a usage restricted to another platform.
+@example(case=(FunctionProfile("f", baas_usage=(BaasUsage("i", D(1)),)),
+               _card(("i", *_INV, D(1))), None, None))
+@example(case=(FunctionProfile("f", baas_usage=(BaasUsage("s", D(2), frozenset({"q"})),
+                                                BaasUsage("s", D(3), frozenset({"p"})))),
+               _card(("i", *_INV, D(1)), ("s", *_FIXED, D(5))), None, "7"))
+# Volumes of 0, of 61 digits and below 0.
+@example(case=(FunctionProfile("f", n=D(2)), _card(("i", *_INV, D(1))), None, 0))
+@example(case=(FunctionProfile("f", n=D(2)), _card(("i", *_INV, D(1))), None, "1" * 61))
+@example(case=(FunctionProfile("f", n=D(2)), _card(("i", *_INV, D(-1))), None, "-1"))
+# A lone factor past 50 digits, and a product that overflows.
+@example(case=(FunctionProfile("f", n=D(1)), _card(("i", *_INV, D("1" * 55 + "E-40"))), None, None))
+@example(case=(FunctionProfile("f", n=D("1e600000")), _card(("i", *_INV, D("1e600000"))), None, None))
+def test_pricing_kernel_matches_its_plain_reference(case):
+    """component_charges, then CostBreakdown.fold over its charges, return
+    what the plain kernel returns, with the same reprs, or raise what it
+    raises, with the same message."""
+    profile, catalog, latencies, volume = case
+    ours = _outcome(component_charges, profile, catalog, latencies=latencies, volume=volume)
+    theirs = _outcome(
+        reference.component_charges, profile, catalog, latencies=latencies, volume=volume
+    )
+    _assert_same(ours, theirs, _CHARGE_FIELDS)
+    if ours[0]:
+        assert all(type(c) is ComponentCharge for c in ours[1])
+        _assert_same(
+            _outcome(CostBreakdown.fold, ours[1]),
+            _outcome(reference.fold, theirs[1]),
+            _BREAKDOWN_FIELDS,
+        )
+
+
+_FACTOR = _RATE | st.sampled_from([D("Infinity"), D("-Infinity"), D("NaN"), D("sNaN"), D(1) / D(3)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    factors=st.lists(_FACTOR, min_size=1, max_size=4),
+    items=st.lists(st.tuples(st.sampled_from(DriverCategory), _FACTOR), max_size=6),
+)
+@example(factors=[D("1" * 55 + "E-40")], items=[])
+@example(factors=[D("1e600000"), D("1e600000")], items=[])
+@example(factors=[D(0), D("Infinity")],
+         items=[(DriverCategory.COMPUTE, D("9" * 38 + ".000000000001"))] * 2)
+def test_money_product_and_fold_match_their_plain_reference(factors, items):
+    """money_product and CostBreakdown.fold on factors and amounts past 50
+    digits, past the money bound, overflowing CONTEXT or not finite."""
+    ours, theirs = _outcome(money_product, *factors), _outcome(reference.money_product, *factors)
+    assert ours[0] == theirs[0]
+    assert repr(ours[1]) == repr(theirs[1])
+    _assert_same(
+        _outcome(CostBreakdown.fold, [ComponentCharge("c", d, a) for d, a in items]),
+        _outcome(reference.fold, [reference.ComponentCharge("c", d, a) for d, a in items]),
+        _BREAKDOWN_FIELDS,
+    )
