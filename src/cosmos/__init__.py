@@ -28,14 +28,11 @@ from .engine import (
     CostCurve,
     CrossoverPoint,
     component_charges,
-    compute_cost,
     crossover,
     driver_shares,
     function_cost,
     function_cost_curve,
-    invocation_cost,
     placement_costs,
-    state_cost,
     workflow_cost,
     workflow_cost_curve,
 )

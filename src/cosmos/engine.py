@@ -41,24 +41,6 @@ def _require_nonneg(**values: Decimal) -> None:
             raise DomainError(f"{name} must be >= 0, got {value}")
 
 
-def invocation_cost(n: Decimal, p_inv: Decimal) -> Decimal:
-    """Fixed price per request: n * p_inv."""
-    _require_nonneg(n=n, p_inv=p_inv)
-    return money_product(n, p_inv)
-
-
-def compute_cost(n: Decimal, t: Decimal, mem: Decimal, p_gbs: Decimal) -> Decimal:
-    """Duration-based price: n * t * mem * p_gbs (GB-seconds at a GB-second rate)."""
-    _require_nonneg(n=n, t=t, mem=mem, p_gbs=p_gbs)
-    return money_product(n, t, mem, p_gbs)
-
-
-def state_cost(d: Decimal, p_state: Decimal) -> Decimal:
-    """Storage retention for one billing month: d * p_state."""
-    _require_nonneg(d=d, p_state=p_state)
-    return money_product(d, p_state)
-
-
 @dataclass(frozen=True)
 class CostBreakdown:
     """Driver subtotals plus exact total for one costed entity."""
@@ -211,8 +193,9 @@ def component_charges(
     mem = profile.mem
     stored = profile.stored_gb(n)
     charges: list[ComponentCharge] = []
-    # Each driver's check is invocation_cost's, compute_cost's or
-    # state_cost's, with _require_nonneg run only to raise its message.
+    # Invocation, compute and state charges need nonnegative factors: each
+    # checks its rate, compute also t and mem, state the stored GB (n is
+    # checked above). _require_nonneg runs only to raise its message.
     for comp in catalog.components:
         driver, unit, rate = comp.driver, comp.unit, comp.rate
         if driver is _INVOCATION:

@@ -11,7 +11,10 @@ tail, the longest trailing run of at most half the functions (the one function
 of a one-function workflow) that the rest of the workflow enters through one
 function, priced once per solve into a table; and the head, the functions
 before it. Each head prefix is answered from the table meet-in-the-middle
-style, one add per axis per placement. A prefix's shared fixed-charge credit
+style, one add per axis per placement, unless an earlier prefix with the
+same fixed-charge entries costs, takes and reaches the tail in no more: then
+none of its placements can change an answer, and the walk only counts its
+feasible ones. A prefix's shared fixed-charge credit
 and each table group's change in it come from one memo of engine.bill_key,
 the rule engine.bill_fixed applies, once per run of prefixes with the same
 fixed-charge entries. The table adds sums in another order than enumeration
@@ -72,6 +75,9 @@ from .workflow import (
 
 INFINITY = Decimal("Infinity")
 
+_COST = attrgetter("cost")
+_LATENCY = attrgetter("latency")
+
 DEFAULT_ENUMERATION_CAP = 10**7
 
 
@@ -92,36 +98,42 @@ def pareto_front(points: Iterable[ParetoPoint]) -> list[ParetoPoint]:
     """Points not weakly dominated by any other point, latency ascending.
 
     Duplicate (cost, latency) pairs collapse to the first by input order.
+    The front is kept as parallel lists of latencies, costs and points
+    (_slot, _insert), as the optimize walk keeps its own.
     """
+    latencies: list = []
+    costs: list = []
     front: list[ParetoPoint] = []
     for p in points:
-        i = _slot(front, p.cost, p.latency)
+        i = _slot(latencies, costs, p.cost, p.latency)
         if i >= 0:
-            _insert(front, i, p)
+            _insert(latencies, costs, front, i, p.cost, p.latency, p)
     return front
 
 
-_COST = attrgetter("cost")
-_LATENCY = attrgetter("latency")
-
-
-def _slot(front: list[ParetoPoint], cost: Decimal, latency: Decimal) -> int:
-    """Where (cost, latency) enters the front, or -1 when a kept point weakly dominates it."""
-    i = bisect_left(front, latency, key=_LATENCY)
+def _slot(latencies: list, costs: list, cost, latency) -> int:
+    """Where (cost, latency) enters a front of parallel latencies (ascending)
+    and costs (strictly descending), or -1 when a kept point weakly
+    dominates it."""
+    i = bisect_left(latencies, latency)
     # Only the cheapest kept point at or below the latency can dominate it:
-    # front[i] when it ties on latency, else its lower-latency neighbour.
-    rival = i if i < len(front) and front[i].latency == latency else i - 1
-    if rival >= 0 and front[rival].cost <= cost:
+    # the one at i when it ties on latency, else its lower-latency neighbour.
+    rival = i if i < len(latencies) and latencies[i] == latency else i - 1
+    if rival >= 0 and costs[rival] <= cost:
         return -1
     return i
 
 
-def _insert(front: list[ParetoPoint], i: int, point: ParetoPoint) -> None:
-    """Put an undominated point at its slot i, replacing every kept point it dominates."""
+def _insert(latencies: list, costs: list, items: list, i: int, cost, latency, item) -> None:
+    """Put an undominated point at its slot i, replacing every kept point it
+    dominates."""
     end = i
-    while end < len(front) and front[end].cost >= point.cost:
+    while end < len(costs) and costs[end] >= cost:
         end += 1
-    front[i:end] = [point]
+    del latencies[i:end], costs[i:end], items[i:end]
+    latencies.insert(i, latency)
+    costs.insert(i, cost)
+    items.insert(i, item)
 
 
 def optimal_line(points: Iterable[ParetoPoint]) -> list[ParetoPoint]:
@@ -422,14 +434,14 @@ def optimize(
     c_arg = _placement(workflow, platforms, found.c_arg)
     t_arg = _placement(workflow, platforms, found.t_arg)
     c_star, t_star = model.cost_of(c_arg), model.latency_of(t_arg)
-    front = found.front
+    costs, latencies = found.costs, found.latencies
 
     if config.alpha is None:
         alpha, beta = auto_weights(c_star, t_star)
         a, b = t_star, c_star
     else:
         alpha, beta = a, b = config.alpha, config.beta
-    if not front:
+    if not costs:
         diagnostics = {
             "min_cost_placement": str(c_arg),
             "min_time_placement": str(t_arg),
@@ -448,13 +460,13 @@ def optimize(
     # weighs no more than the cost it saves, compared exactly. Scaling the
     # weights by the front's exponents weighs its ints as the amounts they
     # stand for.
-    best = front[0]
+    best = 0
     with localcontext(_EXACT):
         a, b = a.scaleb(found.cost_exponent), b.scaleb(found.latency_exponent)
-        for p in front[1:]:
-            if b * (p.latency - best.latency) <= a * (best.cost - p.cost):
-                best = p
-    best_arg = _placement(workflow, platforms, best.index)
+        for k in range(1, len(costs)):
+            if b * (latencies[k] - latencies[best]) <= a * (costs[best] - costs[k]):
+                best = k
+    best_arg = _placement(workflow, platforms, found.indices[best])
     cost, latency = model.cost_of(best_arg), model.latency_of(best_arg)
     objective = CONTEXT.multiply(alpha, cost) + CONTEXT.multiply(beta, latency)
     return OptimizationResult(
@@ -478,8 +490,10 @@ class SearchCounters(NamedTuple):
     """What one optimize walk did: the placements it visited and the feasible
     ones, the head prefixes and tail table entries that make them up, the
     table's fixed-charge groups, how many prefix ledgers it priced (a run of
-    prefixes with the same fixed-charge entries is priced once), and
-    whether it searched in scaled ints (see _exact_in_any_order)."""
+    prefixes with the same fixed-charge entries is priced once), whether it
+    searched in scaled ints (see _exact_in_any_order), and how many head
+    prefixes an earlier prefix dominated, so that the walk only counted
+    their feasible placements (see _walk)."""
 
     placements: int
     feasible: int
@@ -488,33 +502,26 @@ class SearchCounters(NamedTuple):
     groups: int
     ledgers_priced: int
     integer_search: bool
+    dominated_prefixes: int
 
 
 class _Found(NamedTuple):
     """What one walk finds: the enumeration indices of both anchors (the
-    first enumerated winning ties), the feasible Pareto front, whose costs
-    and latencies are ints times 10 to cost_exponent and latency_exponent
-    when the walk searched in ints (else Decimals, and both exponents 0),
-    and its counters."""
+    first enumerated winning ties), the feasible Pareto front as parallel
+    lists of costs, latencies (ascending) and enumeration indices, whose
+    costs and latencies are ints times 10 to cost_exponent and
+    latency_exponent when the walk searched in ints (else Decimals, and
+    both exponents 0), and its counters. Only the chosen placements get a
+    Placement."""
 
     c_arg: int
     t_arg: int
-    front: list[_Point]
+    costs: list
+    latencies: list
+    indices: list[int]
     cost_exponent: int
     latency_exponent: int
     counters: SearchCounters
-
-
-class _Point:
-    """A feasible (cost, latency) the walk's front holds, and the enumeration
-    index of its placement; only the chosen best's Placement is built. A
-    slotted class, not a tuple: a freed tuple stays on CPython's free list,
-    so points the front drops would stay on the heap."""
-
-    __slots__ = ("cost", "latency", "index")
-
-    def __init__(self, cost: Decimal | int, latency: Decimal | int, index: int):
-        self.cost, self.latency, self.index = cost, latency, index
 
 
 def _placement(workflow: WorkflowSpec, platforms: list[str], index: int) -> Placement:
@@ -531,6 +538,11 @@ def _digits(index: int, count: int, width: int) -> list[int]:
     return digits
 
 
+#: How many earlier head prefixes the walk keeps to test a prefix's
+#: dominance against (see _walk).
+_KEPT = 8
+
+
 def _walk(
     workflow: WorkflowSpec,
     rows: list[list[PairEntry]],
@@ -540,8 +552,8 @@ def _walk(
     """Visit every placement once, in enumerate_placements order.
 
     The tail (see _tail_size) is enumerated once per solve by _combos into a
-    table, one (cost sum, longest path from the tail's entry function s,
-    whether every pair is within the pair bounds, group) per combination:
+    table, one _Entry (cost sum, longest path from the tail's entry function
+    s, whether every pair is within the pair bounds, group) per combination:
     combinations whose pairs bill equal fixed-charge entries, concatenated
     in declaration order, share a group, and () is one too. The head, the
     functions before the tail, is enumerated by the same odometer. Each head
@@ -556,7 +568,24 @@ def _walk(
     its latency is the longer of the prefix's critical path and the
     distance into s plus the entry's path. Each is an anchor candidate and,
     when feasible, counted and offered to the front, under its enumeration
-    index: the prefix's first index plus the entry's.
+    index: the prefix's first index plus the entry's. The front is parallel
+    lists of latencies, costs and indices (_slot, _insert).
+
+    A prefix whose cost sum, critical path (top) and distance into s (base)
+    are each at least those of a prefix the walk keeps is dominated: with
+    the same ledger, so the same credits, each of its placements costs and
+    takes no less than the kept prefix's with the same entry, which is
+    feasible whenever it is and enumerated first. Neither anchor changes on
+    a tie, and the front keeps the first of equal points, so the dominated
+    prefix only counts its feasible placements (when it is within the pair
+    bounds with top <= slo). The walk keeps up to _KEPT prefixes of the
+    current ledger run, most recently used first, each within the pair
+    bounds with top <= slo, and drops those a newly kept one dominates; a
+    new ledger empties it. A skipped placement is never the first negative
+    point: the kept prefix's placement with its entry is feasible, no
+    dearer and enumerated first. Nor can a skipped sum raise: only the
+    Decimal search's can, and there the table is one empty combination,
+    whose adds are exact, while the prefix's own sums still run.
 
     When _exact_in_any_order passes, every sum of the search is an exact
     integer add: each axis is scaled to its _exponent, each credit term
@@ -616,7 +645,7 @@ def _walk(
     preds = next((preds for i, preds in workflow._topology if i >= head), ())
     index: dict = {}
     table = [
-        (cost, top, within, index.setdefault(fixed, len(index)))
+        _Entry(cost, top, within, index.setdefault(fixed, len(index)))
         for cost, fixed, within, top, _ in _combos(
             workflow, rows, head, len(rows), zero, infinity
         )
@@ -631,17 +660,25 @@ def _walk(
         for key, _, _ in group:
             billing.setdefault(key, []).append(g)
     paid_of = [zero] * len(groups)
-    front: list[_Point] = []
+    costs: list = []
+    latencies: list = []
+    indices: list[int] = []
+    # Earlier prefixes of the ledger run that were within the pair bounds
+    # with top <= slo, most recently used first.
+    kept: list[_Held] = []
     # Anchors start at the first placement, so one is found even when every
     # placement is infinite on an axis.
     c_star = t_star = infinity
-    c_arg = t_arg = feasible = first = priced = 0
+    c_arg = t_arg = feasible = first = priced = dominated = 0
     last = credits = None
     try:
         for prefix_cost, fixed, within, top, dist in _combos(
             workflow, rows, 0, head, zero, infinity
         ):
             if fixed is not last:
+                # Emptied first, so that the kept prefixes are not held
+                # while the new ledger is priced.
+                kept.clear()
                 # The credit is the ledger's terms summed in first-billed
                 # order.
                 ledger, credit = {}, zero
@@ -659,23 +696,48 @@ def _walk(
             for g, c in enumerate(credits):
                 paid_of[g] = prefix_cost - c
             base = max([dist[q] for q in preds], default=zero)
-            for j, (cost, length, inside, g) in enumerate(table):
-                cost, latency = paid_of[g] + cost, base + length
-                if latency < top:
-                    latency = top
-                if cost < c_star:
-                    c_star, c_arg = cost, first + j
-                if latency < t_star:
-                    t_star, t_arg = latency, first + j
-                if within and inside and cost <= budget and latency <= slo:
-                    feasible += 1
-                    i = _slot(front, cost, latency)
-                    if i >= 0:
-                        # Checked as ParetoPoint checks a point.
-                        if cost < 0 or latency < 0:
-                            label = str(_placement(workflow, platforms, first + j))
-                            raise DomainError(f"point {label!r} has negative cost or latency")
-                        _insert(front, i, _Point(cost, latency, first + j))
+            useful = within and top <= slo
+            for k, held in enumerate(kept):
+                if held.cost <= prefix_cost and held.top <= top and held.base <= base:
+                    # Each placement of this prefix costs and takes at least
+                    # its kept prefix's with the same entry, which is
+                    # feasible whenever it is and enumerated first: it can
+                    # change neither anchor nor the front, only the count.
+                    if k:
+                        kept.insert(0, kept.pop(k))
+                    dominated += 1
+                    if useful:
+                        for e in table:
+                            if e.inside and paid_of[e.group] + e.cost <= budget and base + e.path <= slo:
+                                feasible += 1
+                    break
+            else:
+                for j, e in enumerate(table):
+                    cost, latency = paid_of[e.group] + e.cost, base + e.path
+                    if latency < top:
+                        latency = top
+                    if cost < c_star:
+                        c_star, c_arg = cost, first + j
+                    if latency < t_star:
+                        t_star, t_arg = latency, first + j
+                    if within and e.inside and cost <= budget and latency <= slo:
+                        feasible += 1
+                        i = _slot(latencies, costs, cost, latency)
+                        if i >= 0:
+                            # Checked as ParetoPoint checks a point.
+                            if cost < 0 or latency < 0:
+                                label = str(_placement(workflow, platforms, first + j))
+                                raise DomainError(f"point {label!r} has negative cost or latency")
+                            _insert(latencies, costs, indices, i, cost, latency, first + j)
+                if useful:
+                    # A kept prefix that this one dominates dominates no
+                    # prefix that this one does not.
+                    for k in range(len(kept) - 1, -1, -1):
+                        held = kept[k]
+                        if prefix_cost <= held.cost and top <= held.top and base <= held.base:
+                            del kept[k]
+                    kept.insert(0, _Held(prefix_cost, top, base))
+                    del kept[_KEPT:]
             first += len(table)
     except (DomainError, decimal.Inexact):
         # The walk forms its sums in another order than the model, which
@@ -687,9 +749,32 @@ def _walk(
         critical_path(workflow, [e.latency for e in entries])
         raise
     counters = SearchCounters(
-        first, feasible, first // len(table), len(table), len(groups), priced, exact
+        first, feasible, first // len(table), len(table), len(groups), priced, exact, dominated
     )
-    return _Found(c_arg, t_arg, front, ec, el, counters)
+    return _Found(c_arg, t_arg, costs, latencies, indices, ec, el, counters)
+
+
+class _Entry:
+    """A tail table entry: its cost sum, longest path from the tail's entry
+    function, whether every pair is within the pair bounds, and its group.
+    A slotted class, not a tuple: a freed tuple stays on CPython's free
+    list, so the table would stay on the heap after the walk."""
+
+    __slots__ = ("cost", "path", "inside", "group")
+
+    def __init__(self, cost: Decimal | int, path: Decimal | int, inside: bool, group: int):
+        self.cost, self.path, self.inside, self.group = cost, path, inside, group
+
+
+class _Held:
+    """A head prefix the walk keeps to test later prefixes' dominance: its
+    cost sum, critical path and distance into the tail's entry function,
+    slotted as _Entry is."""
+
+    __slots__ = ("cost", "top", "base")
+
+    def __init__(self, cost: Decimal | int, top: Decimal | int, base: Decimal | int):
+        self.cost, self.top, self.base = cost, top, base
 
 
 class _Pair(NamedTuple):

@@ -6,7 +6,9 @@ dataclass per charge, every factor checked through ``_require_nonneg``,
 ``money_product`` as ``exact`` then ``quantize_money``, and one
 ``exact_sums`` block per fold. tests/test_engine.py requires the package's
 kernel to return the same values, with the same reprs, and to raise the same
-errors, with the same messages, on every drawn input.
+errors, with the same messages, on every drawn input. Its driver
+primitives (``invocation_cost``, ``compute_cost``, ``state_cost``) are the
+published per-driver formulas that tests/test_engine.py checks directly.
 """
 
 from __future__ import annotations

@@ -643,7 +643,8 @@ def test_optimize_manifest_counts_the_integer_search(capsys, tmp_path):
     # The pipeline over the five cards: head {data-retrieval,
     # data-processing}, 25 prefixes billing no fixed charge, so one ledger;
     # tail {ai-inference}, one group per card. Its sums fit the digit guard,
-    # so the walk searches in scaled ints.
+    # so the walk searches in scaled ints. 7 prefixes cost and take at
+    # least an earlier one, so the walk only counts their placements.
     cards = [a for p in ("aws-x86", "aws-arm", "aws-lambda-edge", "gcp", "leo")
              for a in ("--platform", p)]
     manifests = []
@@ -662,6 +663,7 @@ def test_optimize_manifest_counts_the_integer_search(capsys, tmp_path):
         "groups": 5,
         "ledgers_priced": 1,
         "integer_search": True,
+        "dominated_prefixes": 7,
     }
     paths = sorted(i["path"] for i in manifest["inputs"])
     digests = "".join(hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths)

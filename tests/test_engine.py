@@ -23,13 +23,10 @@ from cosmos.engine import (
     CostCurve,
     bill_fixed,
     component_charges,
-    compute_cost,
     crossover,
     function_cost,
     function_cost_curve,
-    invocation_cost,
     placement_costs,
-    state_cost,
     workflow_cost,
     workflow_cost_curve,
 )
@@ -55,33 +52,35 @@ BILLED = ("aws-x86", "aws-arm", "aws-lambda-edge", "gcp")
 
 
 # --- driver primitives -------------------------------------------------------
+# The per-driver pricing rules, as pricing_reference writes them; the
+# engine's component_charges inlines them and is held to that reference.
 
 
 def test_invocation_cost_published_rate():
-    assert invocation_cost(MILLION, D("0.0000002")) == D("0.20")
+    assert reference.invocation_cost(MILLION, D("0.0000002")) == D("0.20")
 
 
 def test_invocation_cost_zero_volume():
-    assert invocation_cost(D(0), D("0.0000002")) == 0
+    assert reference.invocation_cost(D(0), D("0.0000002")) == 0
 
 
 def test_invocation_cost_direct_product():
-    assert invocation_cost(D(60) * MILLION, D("0.0000004")) == D("24.00")
+    assert reference.invocation_cost(D(60) * MILLION, D("0.0000004")) == D("24.00")
 
 
 def test_invocation_cost_rejects_negative():
     with pytest.raises(DomainError):
-        invocation_cost(D(-1), D(1))
+        reference.invocation_cost(D(-1), D(1))
     with pytest.raises(DomainError):
-        invocation_cost(D(1), D(-1))
+        reference.invocation_cost(D(1), D(-1))
 
 
 def test_compute_cost_direct_product():
-    assert compute_cost(D(1000), D(1), D(1), D("0.01")) == D("10.00")
+    assert reference.compute_cost(D(1000), D(1), D(1), D("0.01")) == D("10.00")
 
 
 def test_compute_cost_zero_volume():
-    assert compute_cost(D(0), D(1), D(1), D("0.01")) == 0
+    assert reference.compute_cost(D(0), D(1), D(1), D("0.01")) == 0
 
 
 def test_compute_cost_back_solved_calibration():
@@ -90,13 +89,13 @@ def test_compute_cost_back_solved_calibration():
     t, mem = D("0.1"), D("0.125")
     rate = D("0.000000213") / (t * mem)
     assert rate == D("0.00001704")
-    assert compute_cost(MILLION, t, mem, rate) == D("0.213")
+    assert reference.compute_cost(MILLION, t, mem, rate) == D("0.213")
 
 
 def test_state_cost_published_rates():
-    assert state_cost(D(1), D("0.269")) == D("0.269")
-    assert state_cost(D(0), D("0.269")) == 0
-    assert state_cost(D(1), D("0.231")) == D("0.231")
+    assert reference.state_cost(D(1), D("0.269")) == D("0.269")
+    assert reference.state_cost(D(0), D("0.269")) == 0
+    assert reference.state_cost(D(1), D("0.231")) == D("0.231")
 
 
 # --- function costs over the bundled fixtures -------------------------------

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from cosmos import engine, optimizer
 from cosmos.engine import workflow_cost
-from cosmos.money import money_product
+from cosmos.money import exact_sums, money_product
 from cosmos.errors import (
     CapExceededError,
     DegenerateAnchorError,
@@ -764,9 +764,9 @@ def test_one_pass_matches_exhaustive_oracle(catalogs, data):
 
 def _check_against_oracle(data, wf, platforms, model, respell=None):
     """optimize, under a drawn scope, budget, SLO and weighting, against every
-    placement enumerated and priced whole: each result field, digits too.
-    respell(data, bound, label), when given, redraws how each bound is
-    written."""
+    placement enumerated and priced whole: each result field, digits too,
+    and the walk's feasible front, member for member. respell(data, bound,
+    label), when given, redraws how each bound is written."""
     fids = wf.function_ids
     evaluated = [
         (model.cost_of(p), model.latency_of(p), p) for p in enumerate_placements(wf, platforms)
@@ -816,6 +816,21 @@ def _check_against_oracle(data, wf, platforms, model, respell=None):
 
         def weighted(cost, latency):
             return Fraction(cost) / Fraction(c_star) + Fraction(latency) / Fraction(t_star)
+
+    # The walk's front: latency ascending, each member cheaper than every
+    # feasible placement before it in (latency, cost, enumeration) order.
+    front = []
+    for t, c, i in sorted((t, c, i) for i, (c, t, p) in enumerate(evaluated) if feasible(c, t, p)):
+        if not front or c < front[-1][1]:
+            front.append((i, c, t))
+    with exact_sums("a cost or latency sum of the search"):
+        found = optimizer._walk(wf, optimizer._rows(wf, platforms, model.entry), platforms, config)
+    with localcontext(prec=200):
+        walked = [
+            (i, D(c).scaleb(found.cost_exponent), D(t).scaleb(found.latency_exponent))
+            for i, c, t in zip(found.indices, found.costs, found.latencies)
+        ]
+    assert walked == front
 
     if config.alpha is None and not (c_star and t_star):
         # A zero anchor is reported even when no placement is feasible.
@@ -1366,3 +1381,125 @@ def test_per_function_tail_entry_dominated_only_by_an_out_of_bounds_entry():
     result = optimize(wf, ["p", "q"], model, config)
     assert str(result.cost) == "10"
     assert str(result.best) == str(Placement((("h0", "p"), ("h1", "p"), ("s", "q"), ("a", "p"))))
+
+
+#: Few distinct amounts, so that head prefixes often tie or dominate each other.
+_FEW = ["0", "1", "1.0", "2", "3"]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_dominated_prefixes_match_exhaustive_oracle(data):
+    # 3-5 functions on 2-3 platforms (2 past 4 functions): a random head and
+    # a tail of 1-2 functions (see _tail_edges), so a head function is often
+    # off the path into the tail and a prefix's critical path exceeds its
+    # distance into the tail. Costs and latencies take few values, so
+    # prefixes tie and dominate each other often, and the drawn per-pair
+    # bounds leave some dominating pairs outside. A pair on p may bill key
+    # (p, ml) 1 or 2 months at 1, its cost including the charge, so the
+    # ledger runs change within the head; or the first and last functions
+    # bill it at two rates on the first platform, which fails the digit
+    # guard.
+    n = data.draw(st.integers(3, 5), label="functions")
+    size = data.draw(st.integers(1, min(2, n // 2)), label="tail")
+    platforms = ["x", "y", "z"][: data.draw(st.integers(2, 3 if n <= 4 else 2), label="platforms")]
+    fids = [f"f{i}" for i in range(n)]
+    wf = WorkflowSpec(
+        workflow_id="dominance",
+        functions=tuple(FunctionProfile(f) for f in fids),
+        edges=tuple(_tail_edges(data, fids, size)),
+    )
+    two_rates = data.draw(st.booleans(), label="a key at two rates")
+    table = {}
+    for f in fids:
+        for p in platforms:
+            months = data.draw(st.sampled_from([None, None, "1", "2"]), label=f"months {f}@{p}")
+            rate = D(1)
+            if two_rates and p == platforms[0] and f in (fids[0], fids[-1]):
+                months, rate = "1", D(1 if f == fids[0] else 2)
+            fixed = (((p, "ml"), D(months), rate),) if months else ()
+            cost = D(data.draw(st.sampled_from(_FEW), label=f"cost {f}@{p}"))
+            cost += sum(money_product(m, r) for _, m, r in fixed)
+            latency = D(data.draw(st.sampled_from(_FEW), label=f"latency {f}@{p}"))
+            table[(f, p)] = optimizer.PairEntry(cost, latency, fixed)
+    model = optimizer.PlacementModel(wf, table)
+    assert optimizer._exact_in_any_order(optimizer._rows(wf, platforms, model.entry)) is not two_rates
+    _check_against_oracle(data, wf, platforms, model)
+
+
+def _dominance_instance(values, edges, fixed=None):
+    """A workflow of f0, f1 (the head) and f2 (the tail) on x and y, whose
+    pairs cost and take values[f][p]; fixed[f][p], when given, is a pair's
+    fixed-charge entries, its cost including them."""
+    fids = ("f0", "f1", "f2")
+    wf = WorkflowSpec(
+        workflow_id="dominated", functions=tuple(FunctionProfile(f) for f in fids), edges=edges
+    )
+    fixed = fixed or {}
+    model = optimizer.PlacementModel(wf, {
+        (f, p): optimizer.PairEntry(*map(D, values[f][p]), fixed.get(f, {}).get(p, ()))
+        for f in fids
+        for p in "xy"
+    })
+    assert optimizer._tail_size(wf) == 1
+    return wf, model
+
+
+_CHAIN = (("f0", "f1"), ("f1", "f2"))
+_ML = ((("y", "ml"), D(1), D(1)),)
+
+
+@pytest.mark.parametrize(
+    "values, edges, fixed, config, expected",
+    [
+        # Per-pair SLO 4: f0@x is outside it, so prefix (x, x), which costs
+        # and takes no more than (y, y), must not be kept to dominate it.
+        # The cheapest feasible placement is then (y, y, x).
+        (
+            {"f0": {"x": (0, 5), "y": (1, 3)}, "f1": {"x": (1, 0), "y": (0, 3)},
+             "f2": {"x": (0, 0), "y": (0, 0)}},
+            _CHAIN, None,
+            OptimizationConfig(latency_slo=D(4), scope="per_function", alpha=D(1), beta=D(0)),
+            ("f0=y,f1=y,f2=x", "f0=x,f1=y,f2=x", "f0=y,f1=x,f2=x", 4, 0),
+        ),
+        # f1@y and f2@y bill key (y, ml) one month each, so (y, y, y) is
+        # credited one month. Prefix (y, y) costs and takes as much as (y,
+        # x), but bills another ledger: it must not be skipped, or C* loses
+        # its credit.
+        (
+            {"f0": {"x": (5, 1), "y": (0, 1)}, "f1": {"x": (1, 1), "y": (1, 1)},
+             "f2": {"x": (2, 1), "y": (1, 1)}},
+            _CHAIN, {"f1": {"y": _ML}, "f2": {"y": _ML}},
+            OptimizationConfig(alpha=D(1), beta=D(0)),
+            ("f0=y,f1=y,f2=y", "f0=y,f1=y,f2=y", "f0=x,f1=x,f2=x", 8, 0),
+        ),
+        # Prefixes (x, y) and (y, y) are dominated by (x, x) and (y, x), but
+        # their placements still count.
+        (
+            {"f0": {"x": (9, 9), "y": (1, 1)}, "f1": {"x": (1, 1), "y": (2, 2)},
+             "f2": {"x": (1, 1), "y": (2, 0)}},
+            _CHAIN, None, OptimizationConfig(),
+            ("f0=y,f1=x,f2=y", "f0=y,f1=x,f2=x", "f0=y,f1=x,f2=y", 8, 2),
+        ),
+        # f0 is off the path into f2: prefix (y, x) takes 1 to (x, x)'s 5,
+        # though both are 1 away from f2, so (x, x) does not dominate it and
+        # (y, x, x) is T*.
+        (
+            {"f0": {"x": (0, 5), "y": (0, 1)}, "f1": {"x": (0, 1), "y": (0, 2)},
+             "f2": {"x": (0, 0), "y": (1, 0)}},
+            (("f1", "f2"),), None, OptimizationConfig(alpha=D(0), beta=D(1)),
+            ("f0=y,f1=x,f2=x", "f0=x,f1=x,f2=x", "f0=y,f1=x,f2=x", 8, 2),
+        ),
+    ],
+    ids=["dominator-within-bounds", "ledger-run", "count", "top"],
+)
+def test_a_dominated_prefix_changes_no_answer(values, edges, fixed, config, expected):
+    wf, model = _dominance_instance(values, edges, fixed)
+    result = optimize(wf, ["x", "y"], model, config)
+    best, c_arg, t_arg, feasible, dominated = expected
+    assert [str(p) for p in (result.best, result.c_star_placement, result.t_star_placement)] == [
+        best, c_arg, t_arg
+    ]
+    assert (result.feasible_count, result.counters.dominated_prefixes) == (feasible, dominated)
+    assert (result.c_star, result.c_star_placement) == min_cost(wf, ["x", "y"], model)
+    assert (result.t_star, result.t_star_placement) == min_time(wf, ["x", "y"], model)
