@@ -44,10 +44,7 @@ from .optimizer import (
     PlacementModel,
     PointTableModel,
     auto_weights,
-    enumerate_placements,
     load_point_table,
-    min_cost,
-    min_time,
     optimal_line,
     optimize,
     pareto_front,
@@ -66,8 +63,6 @@ from .workflow import (
     LatencyTable,
     Placement,
     WorkflowSpec,
-    load_workflow,
     load_workflow_document,
     serialize_workflow,
-    workflow_latency,
 )

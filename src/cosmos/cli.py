@@ -181,9 +181,13 @@ def _read(args, load, path):
 
 def _load_catalogs(args) -> dict[str, PlatformCatalog]:
     catalogs: dict[str, PlatformCatalog] = {}
+    paths: dict[str, str] = {}
     for path in args.catalog:
         loaded = _read(args, load_catalog, path)
-        catalogs[loaded.platform_id] = loaded
+        pid = loaded.platform_id
+        if pid in catalogs:
+            raise SchemaError(f"--catalog {paths[pid]} and --catalog {path} both define platform {pid!r}")
+        catalogs[pid], paths[pid] = loaded, path
     for pid in args.platform:
         if pid not in catalogs:
             catalogs[pid] = load_platform(pid)
@@ -200,6 +204,8 @@ def _placement(args, workflow: WorkflowSpec, catalogs: Mapping[str, PlatformCata
             if "=" not in item:
                 raise SchemaError(f"--assign expects FUNCTION=PLATFORM, got {item!r}")
             fid, pid = item.split("=", 1)
+            if fid in mapping:
+                raise SchemaError(f"--assign names function {fid!r} twice")
             mapping[fid] = pid
         missing = [fid for fid in workflow.function_ids if fid not in mapping]
         if missing:
@@ -448,6 +454,8 @@ def cmd_crossover(args) -> int:
 def _points_and_model(args, workflow, latencies):
     """Build the evaluated point set and matching placement model."""
     if getattr(args, "points", None):
+        if args.volume is not None:
+            raise SchemaError("--volume is not read with --points: a point table holds fixed measurements")
         table = _read(args, load_point_table, args.points)
         model = PointTableModel(workflow, table)
         platforms = sorted({pid for _, pid in table})

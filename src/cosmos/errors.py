@@ -144,14 +144,3 @@ class RowError(CosmosError):
 
 class NoDataError(CosmosError):
     """A usage log has no data rows to aggregate."""
-
-
-class CoverageError(CosmosError):
-    """Calibration statistics do not cover every required pair."""
-
-    exit_code = 2
-
-    def __init__(self, missing):
-        self.missing = tuple(missing)
-        pairs = ", ".join(f"({f}, {p})" for f, p in self.missing)
-        super().__init__(f"missing statistics for: {pairs}")

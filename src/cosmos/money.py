@@ -55,11 +55,6 @@ def dec(value: str | int | Decimal) -> Decimal:
     return result
 
 
-def usd(value: str | int | Decimal) -> Decimal:
-    """Parse a monetary amount, quantized half-even to 12 fractional digits."""
-    return quantize_money(dec(value))
-
-
 def quantize_money(value: Decimal) -> Decimal:
     """Round a Decimal to the money quantum (half-even); DomainError when
     it is not below MONEY_LIMIT in magnitude."""

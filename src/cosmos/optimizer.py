@@ -29,8 +29,6 @@ each pair or the sums, so one test decides feasibility under both. The walk
 compares values only: the model writes the digits reported for the chosen
 placements, and when the walk raises, the model prices the failing prefix's
 first placement, cost then latency, and its error, if any, is raised instead.
-enumerate_placements, min_cost and min_time enumerate and price each
-placement whole, and the tests use them as oracles.
 
 Weights default to the reciprocals of the two unconstrained anchors:
 alpha = 1/C* (cheapest achievable cost) and beta = 1/T* (fastest achievable
@@ -40,7 +38,6 @@ latency), so cost and latency enter the objective equally normalized.
 from __future__ import annotations
 
 import decimal
-import itertools
 import math
 from bisect import bisect_left
 from collections.abc import Mapping
@@ -259,7 +256,8 @@ class PointTableModel(PlacementModel):
 def load_point_table(
     source: str | Path | IO[str] | Mapping,
 ) -> dict[tuple[str, str], tuple[Decimal, Decimal]]:
-    """Read a (function, platform) -> (cost, latency_ms) table document."""
+    """Read a (function, platform) -> (cost, latency_ms) table document; a
+    pair listed twice raises SchemaError naming it."""
     doc = _read_json(source)
     if not isinstance(doc, Mapping) or "points" not in doc:
         raise SchemaError("point table document must be an object with a points array")
@@ -270,6 +268,9 @@ def load_point_table(
             if key not in entry:
                 raise SchemaError(f"point entry missing required field {key!r}")
         owner = f"point ({entry['function_id']}, {entry['platform_id']})"
+        pair = (str(entry["function_id"]), str(entry["platform_id"]))
+        if pair in table:
+            raise SchemaError(f"{owner} is listed twice")
         cost = _parse_quantity(entry, "cost", owner)
         latency = _parse_quantity(entry, "latency_ms", owner)
         if cost < 0 or latency < 0:
@@ -278,11 +279,11 @@ def load_point_table(
             raise SchemaError(f"{owner}: cost must be below {MONEY_LIMIT} USD, got {cost}")
         if latency >= LATENCY_LIMIT:
             raise SchemaError(f"{owner}: latency_ms must be below {LATENCY_LIMIT} ms, got {latency}")
-        table[(str(entry["function_id"]), str(entry["platform_id"]))] = (cost, latency)
+        table[pair] = (cost, latency)
     return table
 
 
-# --- enumeration and anchor solves ------------------------------------------
+# --- search rows and weights ------------------------------------------------
 
 
 def _rows(workflow: WorkflowSpec, platforms: Sequence[str], pick) -> list[list]:
@@ -297,42 +298,6 @@ def _rows(workflow: WorkflowSpec, platforms: Sequence[str], pick) -> list[list]:
     if total > DEFAULT_ENUMERATION_CAP:
         raise CapExceededError(total, DEFAULT_ENUMERATION_CAP)
     return [[pick(fid, pid) for pid in platforms] for fid in workflow.function_ids]
-
-
-def enumerate_placements(workflow: WorkflowSpec, platforms: Sequence[str]) -> Iterator[Placement]:
-    """Every total assignment exactly once, in deterministic lexicographic order.
-
-    Order is by (function declaration order, platform argument order); the
-    last function's platform varies fastest. Raises CapExceededError up front
-    when the full count would exceed DEFAULT_ENUMERATION_CAP.
-    """
-    rows = _rows(workflow, platforms, lambda fid, pid: (fid, pid))
-    return map(Placement, itertools.product(*rows))
-
-
-def _argmin(workflow, platforms, measure) -> tuple[Decimal, Placement]:
-    """Lowest measure over every placement; the first in enumeration order wins ties."""
-    best: tuple[Decimal, Placement] | None = None
-    for placement in enumerate_placements(workflow, platforms):
-        value = measure(placement)
-        if best is None or value < best[0]:
-            best = (value, placement)
-    assert best is not None
-    return best
-
-
-def min_cost(
-    workflow: WorkflowSpec, platforms: Sequence[str], model: PlacementModel
-) -> tuple[Decimal, Placement]:
-    """C*: cheapest achievable workflow cost, ignoring latency entirely."""
-    return _argmin(workflow, platforms, model.cost_of)
-
-
-def min_time(
-    workflow: WorkflowSpec, platforms: Sequence[str], model: PlacementModel
-) -> tuple[Decimal, Placement]:
-    """T*: fastest achievable workflow latency, ignoring cost entirely."""
-    return _argmin(workflow, platforms, model.latency_of)
 
 
 def auto_weights(c_star: Decimal, t_star: Decimal) -> tuple[Decimal, Decimal]:
@@ -403,28 +368,30 @@ def optimize(
 
     One depth-first walk over the model's rows (one per function in
     declaration order, its pairs in platform order) covers every placement
-    once, in the order of enumerate_placements (see _walk): it enumerates
-    the head prefixes and answers each from the tail table. The walk finds
-    the anchors as min_cost and min_time do, and folds each feasible
-    placement that can be on the front into a Pareto front of bare (cost,
-    latency, enumeration index) points; only the chosen placements get a
-    Placement. The walk compares values only, in scaled ints when the digit
-    guard passes (see _walk); the reported cost, latency, C* and T* are the
+    once, in enumeration index order (see _placement and _walk): it
+    enumerates the head prefixes and answers each from the tail table. The
+    walk finds the anchors, the cheapest and the fastest placement, the
+    first enumerated winning ties, and folds each feasible placement that
+    can be on the front into a Pareto front of bare (cost, latency,
+    enumeration index) points; only the chosen placements get a Placement.
+    The walk compares values only, in scaled ints when the digit guard
+    passes (see _walk); the reported cost, latency, C* and T* are the
     model's cost_of and latency_of of the chosen placements, so they keep
-    the digits of an enumeration. Under the per_function scope a placement
-    is feasible when each of its pairs is within the budget and SLO. The
-    best is the front member with the least (a*cost + b*latency, cost),
-    compared exactly, where a, b = alpha, beta, or T*, C* for auto weights
-    (cost/C* + latency/T* times C*·T*, so no division); a and b are scaled
-    by the front's exponents, so that its ints weigh as the amounts they
-    stand for. The key never rises when cost or latency falls, so a front
-    member minimizes it over all feasible placements; equal pairs keep the
-    first enumerated placement. The result's counters say what the walk
-    did. Raises DomainError when a sum is not exact in money.CONTEXT's
-    precision or a credit passes the money limit, with the error of
-    enumeration's first failing cost_of or latency_of, then
-    DegenerateAnchorError for auto weights with a zero anchor, then
-    InfeasibleError carrying the anchors when no placement is feasible.
+    the digits of each placement priced whole. Under the per_function
+    scope a placement is feasible when each of its pairs is within the
+    budget and SLO. The best is the front member with the least
+    (a*cost + b*latency, cost), compared exactly, where a, b = alpha, beta,
+    or T*, C* for auto weights (cost/C* + latency/T* times C*·T*, so no
+    division); a and b are scaled by the front's exponents, so that its
+    ints weigh as the amounts they stand for. The key never rises when
+    cost or latency falls, so a front member minimizes it over all feasible
+    placements; equal pairs keep the first enumerated placement. The
+    result's counters say what the walk did. Raises DomainError when a
+    sum is not exact in money.CONTEXT's precision or a credit passes the
+    money limit, with the error of enumeration's first failing cost_of or
+    latency_of, then DegenerateAnchorError for auto weights with a zero
+    anchor, then InfeasibleError carrying the anchors when no placement is
+    feasible.
     """
     config = config or OptimizationConfig()
     platforms = list(platforms)
@@ -525,7 +492,10 @@ class _Found(NamedTuple):
 
 
 def _placement(workflow: WorkflowSpec, platforms: list[str], index: int) -> Placement:
-    """The placement of enumeration index ``index`` (see enumerate_placements)."""
+    """The placement of enumeration index ``index``: its base-|platforms|
+    digits, one per function in declaration order, the last function's
+    lowest, pick its platforms in argument order. The walk visits the
+    indices in ascending order, so this is the search's enumeration order."""
     digits = _digits(index, len(workflow.functions), len(platforms))
     return Placement(tuple((fid, platforms[c]) for fid, c in zip(workflow.function_ids, digits)))
 
@@ -549,7 +519,7 @@ def _walk(
     platforms: list[str],
     config: OptimizationConfig,
 ) -> _Found:
-    """Visit every placement once, in enumerate_placements order.
+    """Visit every placement once, in enumeration index order (_placement).
 
     The tail (see _tail_size) is enumerated once per solve by _combos into a
     table, one _Entry (cost sum, longest path from the tail's entry function

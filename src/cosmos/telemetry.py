@@ -31,9 +31,9 @@ from dataclasses import dataclass
 from datetime import datetime
 from decimal import Decimal, localcontext
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Mapping, Sequence
 
-from .errors import CoverageError, DomainError, HeaderError, RowError
+from .errors import DomainError, HeaderError, RowError
 from .money import CONTEXT, div
 from .workflow import ZERO, FunctionProfile, LatencyTable, WorkflowSpec, _not_utf8
 
@@ -484,20 +484,14 @@ def summarize_usage(log: UsageLog) -> dict[tuple[str, str], UsageSummary]:
 def calibrate(
     workflow: WorkflowSpec,
     summaries: Mapping[tuple[str, str], UsageSummary],
-    required_pairs: Iterable[tuple[str, str]] | None = None,
 ) -> tuple[WorkflowSpec, LatencyTable]:
     """Fold measured statistics into the workflow's profiles and latency table.
 
     Latency entries are the per-pair means. Each profile's r_in/r_out become
     its overall mean bytes per request, in decimal GB. A pair with no
-    statistics (error rows only) is skipped. Pairs listed in required_pairs
-    but without statistics raise CoverageError.
+    statistics (error rows only) is skipped: the table has no entry for it.
     """
     summaries = {key: s for key, s in summaries.items() if s.stats is not None}
-    if required_pairs is not None:
-        missing = sorted(set(required_pairs) - set(summaries))
-        if missing:
-            raise CoverageError(missing)
 
     entries = {key: summary.stats.mean for key, summary in summaries.items()}
 

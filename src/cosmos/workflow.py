@@ -230,17 +230,6 @@ def critical_path(workflow: WorkflowSpec, weights: Sequence[Decimal]) -> Decimal
     return max(dist, default=ZERO)
 
 
-def workflow_latency(
-    workflow: WorkflowSpec, placement: Placement, latencies: LatencyTable
-) -> Decimal:
-    """End-to-end latency of a placement: the DAG critical path.
-
-    Node weight is the function's latency on its assigned platform.
-    """
-    weights = [latencies.get(fid, pid) for fid, pid in placement.resolve(workflow.function_ids)]
-    return critical_path(workflow, weights)
-
-
 # --- document loading -------------------------------------------------------
 
 _FN_KEYS = {
@@ -384,12 +373,6 @@ def load_workflow_document(source: str | Path | IO[str] | Mapping) -> tuple[Work
     if "latency" in doc and doc["latency"] is not None:
         latency = _parse_latency_block(doc["latency"], functions)
     return workflow, latency
-
-
-def load_workflow(source: str | Path | IO[str] | Mapping) -> WorkflowSpec:
-    """Load and validate a workflow document, rejecting cycles and dangling edges."""
-    workflow, _ = load_workflow_document(source)
-    return workflow
 
 
 def serialize_workflow(workflow: WorkflowSpec, latencies: LatencyTable | None = None) -> dict:

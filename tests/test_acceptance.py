@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS line per
 criterion. Data points come from the bundled fixtures; optimization answers
-are verified against independent brute-force oracles written here.
+are verified against independent brute-force oracles written here and in
+tests/oracles.py.
 """
 
 import itertools
@@ -26,15 +27,13 @@ from cosmos.optimizer import (
     OptimizationConfig,
     ParetoPoint,
     PointTableModel,
-    enumerate_placements,
-    min_cost,
-    min_time,
     optimal_line,
     optimize,
     pareto_front,
 )
 from cosmos.workflow import FunctionProfile, Placement, WorkflowSpec
 
+from oracles import enumerate_placements, min_cost, min_time
 from test_engine import _random_catalog, _random_profile
 from test_telemetry import _stats
 
@@ -165,15 +164,19 @@ def test_criterion_5_anchor_solves(pipeline, point_table):
     wf, _ = pipeline
     model = PointTableModel(wf, point_table)
 
-    c_star, c_placement = min_cost(wf, PLATFORMS, model)
+    result = optimize(wf, PLATFORMS, model)
+
+    c_star, c_placement = result.c_star, result.c_star_placement
     cost_oracle = _oracle_best(wf, PLATFORMS, point_table, key=lambda c, t: c)
     assert c_star == cost_oracle[2] == D("20.06499")
     assert c_placement.platforms() == cost_oracle[1] == ("gcp", "gcp", "aws-arm")
+    assert (c_star, c_placement) == min_cost(wf, PLATFORMS, model)
 
-    t_star, t_placement = min_time(wf, PLATFORMS, model)
+    t_star, t_placement = result.t_star, result.t_star_placement
     time_oracle = _oracle_best(wf, PLATFORMS, point_table, key=lambda c, t: t)
     assert t_star == time_oracle[3] == D("143.6")
     assert t_placement.platforms() == ("leo", "leo", "leo")
+    assert (t_star, t_placement) == min_time(wf, PLATFORMS, model)
     ok("criterion 5", "C*=20.06499 (gcp,gcp,arm) and T*=143.6 (all leo), oracle-confirmed")
 
 

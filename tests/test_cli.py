@@ -18,7 +18,6 @@ from cosmos.cli import main
 from cosmos.errors import (
     CapExceededError,
     CosmosError,
-    CoverageError,
     CycleError,
     DegenerateAnchorError,
     DomainError,
@@ -100,6 +99,30 @@ def test_cost_unknown_platform_names_the_id(capsys):
     code, _, err = run(capsys, "cost", "--workflow", PIPELINE, "--platform", "azure-functions")
     assert code == 2
     assert "azure-functions" in err
+
+
+def test_two_catalogs_of_one_platform_exit_2_naming_the_id_and_both_paths(capsys, tmp_path):
+    # The second card bills nothing: taken silently, it would make the total 0.
+    gcp = bundled_catalog_dir() / "gcp.json"
+    card = json.loads(gcp.read_text(encoding="utf-8"))
+    for component in card["components"]:
+        component["rate"] = "0"
+    free = tmp_path / "free-gcp.json"
+    free.write_text(json.dumps(card), encoding="utf-8")
+    code, out, err = run(capsys, "cost", "--workflow", PIPELINE, "--catalog", str(gcp),
+                         "--catalog", str(free))
+    assert (code, out) == (2, "")
+    assert err == f"error: --catalog {gcp} and --catalog {free} both define platform 'gcp'\n"
+
+
+def test_assign_naming_a_function_twice_exits_2_naming_it(capsys):
+    code, out, err = run(
+        capsys, "cost", "--workflow", PIPELINE,
+        "--platform", "gcp", "--platform", "aws-arm",
+        "--assign", "data-retrieval=gcp", "--assign", "data-processing=gcp",
+        "--assign", "ai-inference=aws-arm", "--assign", "data-retrieval=aws-arm",
+    )
+    assert (code, out, err) == (2, "", "error: --assign names function 'data-retrieval' twice\n")
 
 
 def test_cost_table_display_rounds_to_four_decimals(capsys):
@@ -411,6 +434,15 @@ def test_optimize_latency_only_weights_pick_the_fastest_placement(capsys):
     report = json.loads(out)
     assert D(report["latency_ms"]) == D(report["t_star"]) == D("143.6")
     assert report["placement"] == {fid: "leo" for fid in report["placement"]}
+
+
+@pytest.mark.parametrize("command", ["pareto", "optimize"])
+def test_volume_with_points_exits_2_naming_both_flags(capsys, command):
+    # A point table holds fixed measurements, so no volume can reprice it.
+    code, out, err = run(capsys, command, "--workflow", PIPELINE, "--points", POINTS,
+                         "--volume", "999999999")
+    assert (code, out) == (2, "")
+    assert err == "error: --volume is not read with --points: a point table holds fixed measurements\n"
 
 
 def test_optimize_with_catalogs(capsys):
@@ -824,7 +856,6 @@ _EXIT_CODES = {
     UnplacedFunctionError: 2,
     HeaderError: 2,
     RowError: 2,
-    CoverageError: 2,
     DomainError: 3,
     NoDataError: 3,
     DegenerateAnchorError: 3,
@@ -840,7 +871,6 @@ _ERROR_ARGS = {
     CapExceededError: (10, 1),
     InfeasibleError: (1, 2),
     RowError: (3, "bad"),
-    CoverageError: ([("f", "p")],),
 }
 
 
@@ -1016,6 +1046,18 @@ def test_point_cost_at_or_over_the_money_bound_exits_2_naming_the_pair(capsys, t
     path.write_text(json.dumps(doc), encoding="utf-8")
     argv = ["optimize", "--workflow", PIPELINE, "--points", str(path), "--format", "json"]
     expected = "error: point (data-retrieval, aws-x86): cost must be below 1E+38 USD, got 1E+45\n"
+    assert run(capsys, *argv) == (2, "", expected)
+
+
+def test_point_table_listing_a_pair_twice_exits_2_naming_the_pair(capsys, tmp_path):
+    doc = json.loads(Path(POINTS).read_text(encoding="utf-8"))
+    doc["points"].append(dict(doc["points"][0], cost="0"))
+    with pytest.raises(SchemaError, match=r"^point \(data-retrieval, aws-x86\) is listed twice$"):
+        optimizer.load_point_table(doc)
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["optimize", "--workflow", PIPELINE, "--points", str(path), "--format", "json"]
+    expected = "error: point (data-retrieval, aws-x86) is listed twice\n"
     assert run(capsys, *argv) == (2, "", expected)
 
 

@@ -4,20 +4,20 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from cosmos.errors import DomainError
-from cosmos.money import dec, div, fmt, fmt_full, money_product, quantize_money, usd
+from cosmos.money import dec, div, fmt, fmt_full, money_product, quantize_money
 
 
 def test_usd_parses_decimal_strings_exactly():
-    assert usd("0.20") == Decimal("0.2")
-    assert usd("1.47029") == Decimal("1.47029")
-    assert usd("0.000000213") == Decimal("213e-9")
+    assert quantize_money(dec("0.20")) == Decimal("0.2")
+    assert quantize_money(dec("1.47029")) == Decimal("1.47029")
+    assert quantize_money(dec("0.000000213")) == Decimal("213e-9")
 
 
 def test_floats_are_rejected():
     with pytest.raises(DomainError):
         dec(0.1)
     with pytest.raises(DomainError):
-        usd(2e-7)
+        quantize_money(dec(2e-7))
 
 
 def test_non_finite_rejected():

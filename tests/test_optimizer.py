@@ -21,9 +21,6 @@ from cosmos.optimizer import (
     ParetoPoint,
     PointTableModel,
     auto_weights,
-    enumerate_placements,
-    min_cost,
-    min_time,
     optimal_line,
     optimize,
     pareto_front,
@@ -34,8 +31,10 @@ from cosmos.workflow import (
     LatencyTable,
     Placement,
     WorkflowSpec,
-    workflow_latency,
+    critical_path,
 )
+
+from oracles import enumerate_placements, min_cost, min_time
 
 D = Decimal
 
@@ -76,38 +75,51 @@ def brute_force_best(workflow, platforms, table, key):
 # --- enumeration -----------------------------------------------------------
 
 
-def test_enumeration_count_three_by_five(pipeline):
+def _indexed(wf, platforms):
+    """The placement of every enumeration index, in index order."""
+    return [optimizer._placement(wf, platforms, i) for i in range(len(platforms) ** len(wf.functions))]
+
+
+def test_enumeration_count_three_by_five(pipeline, point_table):
     wf, _ = pipeline
+    result = optimize(wf, PLATFORMS, PointTableModel(wf, point_table))
+    assert result.counters.placements == result.total_count == 125
     assert sum(1 for _ in enumerate_placements(wf, PLATFORMS)) == 125
+    assert _indexed(wf, PLATFORMS) == list(enumerate_placements(wf, PLATFORMS))
 
 
 def test_enumeration_singleton():
     wf = _chain(1)
-    assert list(enumerate_placements(wf, ["only"])) == [Placement((("f0", "only"),))]
+    expected = [Placement((("f0", "only"),))]
+    assert _indexed(wf, ["only"]) == list(enumerate_placements(wf, ["only"])) == expected
 
 
 def test_enumeration_cap_exceeded():
+    # The model has no pairs: the cap is checked before any pair is read.
     wf = _chain(8)
     with pytest.raises(CapExceededError) as exc:
-        enumerate_placements(wf, [f"p{i}" for i in range(10)])
+        optimize(wf, [f"p{i}" for i in range(10)], PointTableModel(wf, {}))
     assert exc.value.count == 10**8
 
 
 def test_enumeration_requires_platforms():
-    with pytest.raises(DomainError):
-        enumerate_placements(_chain(1), [])
+    wf = _chain(1)
+    with pytest.raises(DomainError, match="at least one platform"):
+        optimize(wf, [], PointTableModel(wf, {}))
 
 
 def test_enumeration_order_is_lexicographic():
     wf = _chain(2)
-    got = [p.platforms() for p in enumerate_placements(wf, ["a", "b"])]
-    assert got == [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]
+    expected = [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]
+    assert [p.platforms() for p in _indexed(wf, ["a", "b"])] == expected
+    assert [p.platforms() for p in enumerate_placements(wf, ["a", "b"])] == expected
 
 
 def test_enumeration_is_exhaustive_and_unique():
     wf = _chain(3)
-    got = list(enumerate_placements(wf, ["x", "y", "z"]))
+    got = _indexed(wf, ["x", "y", "z"])
     assert len(got) == 27 == len(set(got))
+    assert got == list(enumerate_placements(wf, ["x", "y", "z"]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -138,34 +150,44 @@ def test_placement_of_an_index_is_the_enumerated_placement(n, width, rng):
 def test_min_cost_matches_brute_force(pipeline, point_table):
     wf, _ = pipeline
     model = PointTableModel(wf, point_table)
-    c_star, placement = min_cost(wf, PLATFORMS, model)
+    result = optimize(wf, PLATFORMS, model)
+    c_star, placement = result.c_star, result.c_star_placement
     oracle = brute_force_best(wf, PLATFORMS, point_table, key=lambda c, t: c)
     assert c_star == oracle[2] == D("20.06499")
     assert placement.platforms() == oracle[1] == ("gcp", "gcp", "aws-arm")
+    assert (c_star, placement) == min_cost(wf, PLATFORMS, model)
 
 
 def test_min_time_matches_brute_force(pipeline, point_table):
     wf, _ = pipeline
     model = PointTableModel(wf, point_table)
-    t_star, placement = min_time(wf, PLATFORMS, model)
+    result = optimize(wf, PLATFORMS, model)
+    t_star, placement = result.t_star, result.t_star_placement
     oracle = brute_force_best(wf, PLATFORMS, point_table, key=lambda c, t: t)
     assert t_star == oracle[3] == D("143.6")
     assert placement.platforms() == ("leo", "leo", "leo")
+    assert (t_star, placement) == min_time(wf, PLATFORMS, model)
 
 
 def test_min_cost_single_platform(pipeline, point_table):
     wf, _ = pipeline
     model = PointTableModel(wf, point_table)
-    c_star, placement = min_cost(wf, ["gcp"], model)
+    result = optimize(wf, ["gcp"], model)
+    c_star, placement = result.c_star, result.c_star_placement
     assert c_star == D("1.3324") + D("1.47029") + D("62.5884")
     assert placement.platforms() == ("gcp", "gcp", "gcp")
+    assert (c_star, placement) == min_cost(wf, ["gcp"], model)
 
 
 def test_min_cost_tie_breaks_to_first_enumerated():
     wf = _chain(2)
     table = {(f, p): (D(5), D(7)) for f in wf.function_ids for p in ("a", "b")}
-    _, placement = min_cost(wf, ["a", "b"], PointTableModel(wf, table))
+    model = PointTableModel(wf, table)
+    result = optimize(wf, ["a", "b"], model)
+    placement = result.c_star_placement
     assert placement.platforms() == ("a", "a")
+    assert result.t_star_placement.platforms() == ("a", "a")
+    assert (result.c_star, placement) == min_cost(wf, ["a", "b"], model)
 
 
 def test_catalog_model_agrees_with_engine(pipeline, catalogs):
@@ -211,7 +233,9 @@ def test_catalog_model_matches_engine_with_shared_fixed_charges(catalogs, data):
 
     placement = Placement(tuple((fid, data.draw(st.sampled_from(PLATFORMS))) for fid in fids))
     assert model.cost_of(placement) == workflow_cost(wf, placement, catalogs, latencies=lat).total
-    assert model.latency_of(placement) == workflow_latency(wf, placement, lat)
+    assert model.latency_of(placement) == critical_path(
+        wf, [lat.get(fid, pid) for fid, pid in placement.assignments]
+    )
 
     # All functions on one billed platform share ml-provisioning with distinct
     # month counts, so the search meets a non-zero credit in every example.
@@ -224,7 +248,10 @@ def test_catalog_model_matches_engine_with_shared_fixed_charges(catalogs, data):
     for combo in itertools.product(PLATFORMS, repeat=n):
         p = Placement(tuple(zip(fids, combo)))
         evaluated.append(
-            (workflow_cost(wf, p, catalogs, latencies=lat).total, workflow_latency(wf, p, lat))
+            (
+                workflow_cost(wf, p, catalogs, latencies=lat).total,
+                critical_path(wf, [lat.get(fid, pid) for fid, pid in zip(fids, combo)]),
+            )
         )
     c_star = min(c for c, _ in evaluated)
     t_star = min(t for _, t in evaluated)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from cosmos import telemetry
-from cosmos.errors import CoverageError, DomainError, HeaderError, MissingLatencyError, RowError
+from cosmos.errors import DomainError, HeaderError, MissingLatencyError, RowError
 from cosmos.money import CONTEXT
 from cosmos.telemetry import (
     ROW_ERRORS_SHOWN,
@@ -157,9 +157,7 @@ def test_pair_with_error_rows_only_is_reported_without_statistics():
     with pytest.raises(MissingLatencyError):
         table.get("g", "p")
     assert calibrated.function("g") == wf.function("g")
-    with pytest.raises(CoverageError) as exc:
-        calibrate(wf, summaries, required_pairs=[("f", "p"), ("g", "p")])
-    assert exc.value.missing == (("g", "p"),)
+    assert {("f", "p"), ("g", "p")} - set(table.entries) == {("g", "p")}
 
 
 # --- streaming fold -----------------------------------------------------------
@@ -642,13 +640,11 @@ def test_calibrate_converts_mean_bytes_to_decimal_gb():
 
 
 def test_calibrate_reports_missing_pairs():
-    with pytest.raises(CoverageError) as exc:
-        calibrate(
-            _workflow(),
-            {("retrieval", "aws-x86"): _summary("232")},
-            required_pairs=[("retrieval", "aws-x86"), ("retrieval", "gcp")],
-        )
-    assert exc.value.missing == (("retrieval", "gcp"),)
+    # A pair with no statistics has no latency entry: looking it up names it.
+    _, table = calibrate(_workflow(), {("retrieval", "aws-x86"): _summary("232")})
+    with pytest.raises(MissingLatencyError) as exc:
+        table.get("retrieval", "gcp")
+    assert (exc.value.function_id, exc.value.platform_id) == ("retrieval", "gcp")
     assert "gcp" in str(exc.value)
 
 

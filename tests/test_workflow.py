@@ -14,6 +14,7 @@ from cosmos.errors import (
     UnknownFunctionError,
     UnplacedFunctionError,
 )
+from cosmos.optimizer import PointTableModel
 from cosmos.workflow import (
     LATENCY_LIMIT,
     BaasUsage,
@@ -21,10 +22,8 @@ from cosmos.workflow import (
     LatencyTable,
     Placement,
     WorkflowSpec,
-    load_workflow,
     load_workflow_document,
     serialize_workflow,
-    workflow_latency,
 )
 
 
@@ -77,49 +76,49 @@ def test_explicit_latency_entries_override_factors():
 
 
 def test_single_function_no_edges_is_valid():
-    wf = load_workflow(_wf_doc(["only"], []))
+    wf, _ = load_workflow_document(_wf_doc(["only"], []))
     assert wf.function_ids == ("only",)
 
 
 def test_two_cycle_rejected():
     with pytest.raises(CycleError):
-        load_workflow(_wf_doc(["a", "b"], [["a", "b"], ["b", "a"]]))
+        load_workflow_document(_wf_doc(["a", "b"], [["a", "b"], ["b", "a"]]))
 
 
 def test_self_loop_rejected():
     with pytest.raises(CycleError):
-        load_workflow(_wf_doc(["a"], [["a", "a"]]))
+        load_workflow_document(_wf_doc(["a"], [["a", "a"]]))
 
 
 def test_dangling_edge_rejected():
     with pytest.raises(UnknownFunctionError):
-        load_workflow(_wf_doc(["a"], [["a", "ghost"]]))
+        load_workflow_document(_wf_doc(["a"], [["a", "ghost"]]))
 
 
 def test_duplicate_function_ids_rejected():
     with pytest.raises(SchemaError):
-        load_workflow(_wf_doc(["a", "a"], []))
+        load_workflow_document(_wf_doc(["a", "a"], []))
 
 
 def test_negative_quantity_rejected():
     doc = _wf_doc(["a"], [])
     doc["functions"][0]["n"] = "-1"
     with pytest.raises(SchemaError):
-        load_workflow(doc)
+        load_workflow_document(doc)
 
 
 def test_float_quantity_rejected():
     doc = _wf_doc(["a"], [])
     doc["functions"][0]["t"] = 0.1
     with pytest.raises(SchemaError):
-        load_workflow(doc)
+        load_workflow_document(doc)
 
 
 def test_unknown_function_field_rejected():
     doc = _wf_doc(["a"], [])
     doc["functions"][0]["memory"] = "1"
     with pytest.raises(SchemaError):
-        load_workflow(doc)
+        load_workflow_document(doc)
 
 
 _MISTYPED = {
@@ -193,19 +192,26 @@ def test_serialized_workflow_loads_back_equal(document):
 # --- latency aggregation ------------------------------------------------------
 
 
+def _latency(wf, placement, latencies):
+    """The placement's critical path over a latency table, as optimize's
+    model prices it."""
+    model = PointTableModel(wf, {pair: (Decimal(0), ms) for pair, ms in latencies.entries.items()})
+    return model.latency_of(placement)
+
+
 def test_chain_latency_sums_hand_added_values():
     wf = _chain(["r", "p", "i"])
     placement = Placement.uniform(wf, "x86")
     latencies = LatencyTable(
         {("r", "x86"): Decimal(232), ("p", "x86"): Decimal(164), ("i", "x86"): Decimal(84)}
     )
-    assert workflow_latency(wf, placement, latencies) == Decimal(480)
+    assert _latency(wf, placement, latencies) == Decimal(480)
 
 
 def test_single_function_latency():
     wf = _chain(["r"])
     latencies = LatencyTable({("r", "gcp"): Decimal(215)})
-    assert workflow_latency(wf, Placement.uniform(wf, "gcp"), latencies) == Decimal(215)
+    assert _latency(wf, Placement.uniform(wf, "gcp"), latencies) == Decimal(215)
 
 
 def test_parallel_branches_use_critical_path():
@@ -215,13 +221,13 @@ def test_parallel_branches_use_critical_path():
         edges=(),
     )
     latencies = LatencyTable({("a", "p"): Decimal(100), ("b", "p"): Decimal(300)})
-    assert workflow_latency(wf, Placement.uniform(wf, "p"), latencies) == Decimal(300)
+    assert _latency(wf, Placement.uniform(wf, "p"), latencies) == Decimal(300)
 
 
 def test_missing_latency_entry_names_pair():
     wf = _chain(["r"])
     with pytest.raises(MissingLatencyError) as exc:
-        workflow_latency(wf, Placement.uniform(wf, "gcp"), LatencyTable({}))
+        _latency(wf, Placement.uniform(wf, "gcp"), LatencyTable({}))
     assert exc.value.function_id == "r"
     assert exc.value.platform_id == "gcp"
 
@@ -247,7 +253,7 @@ def test_chain_latency_equals_sum(values):
     fids = [f"f{i}" for i in range(len(values))]
     wf = _chain(fids)
     latencies = LatencyTable({(fid, "p"): Decimal(v) for fid, v in zip(fids, values)})
-    assert workflow_latency(wf, Placement.uniform(wf, "p"), latencies) == sum(
+    assert _latency(wf, Placement.uniform(wf, "p"), latencies) == sum(
         (Decimal(v) for v in values), Decimal(0)
     )
 
@@ -256,10 +262,10 @@ def test_latency_sums_are_exact_to_50_digits_or_raise():
     wf = _chain(["a", "b", "c"])
     placement = Placement.uniform(wf, "p")
     exact = LatencyTable({(fid, "p"): Decimal("1234567890123456789012345.123456789") for fid in "abc"})
-    assert workflow_latency(wf, placement, exact) == Decimal("3703703670370370367037035.370370367")
+    assert _latency(wf, placement, exact) == Decimal("3703703670370370367037035.370370367")
     near = Decimal("9" * 41 + ".999999999")
     with pytest.raises(DomainError, match="^a critical-path latency sum needs more than 50 significant digits"):
-        workflow_latency(wf, placement, LatencyTable({(fid, "p"): near for fid in "abc"}))
+        _latency(wf, placement, LatencyTable({(fid, "p"): near for fid in "abc"}))
 
 
 def _brute_force_critical_path(n_nodes, edges, weights):
@@ -299,7 +305,7 @@ def test_dag_latency_matches_path_enumeration(data):
         edges=tuple((fids[a], fids[b]) for a, b in edges),
     )
     latencies = LatencyTable({(fids[i], "p"): weights[i] for i in range(n)})
-    got = workflow_latency(wf, Placement.uniform(wf, "p"), latencies)
+    got = _latency(wf, Placement.uniform(wf, "p"), latencies)
     assert got == _brute_force_critical_path(n, edges, weights)
 
 
@@ -318,7 +324,7 @@ def test_zero_latency_function_never_changes_result():
             edges=tuple(edges),
         )
         latencies = LatencyTable({(fid, "p"): weights[fid] for fid in fids})
-        base = workflow_latency(wf, Placement.uniform(wf, "p"), latencies)
+        base = _latency(wf, Placement.uniform(wf, "p"), latencies)
 
         # Splice a zero-weight function onto an arbitrary attachment point.
         anchor = rng.choice(fids)
@@ -328,7 +334,7 @@ def test_zero_latency_function_never_changes_result():
             edges=wf.edges + ((anchor, "zero"),),
         )
         latencies2 = LatencyTable({**dict(latencies.entries), ("zero", "p"): Decimal(0)})
-        assert workflow_latency(wf2, Placement.uniform(wf2, "p"), latencies2) == base
+        assert _latency(wf2, Placement.uniform(wf2, "p"), latencies2) == base
 
 
 def test_placement_helpers():
