@@ -14,12 +14,10 @@ from .catalog import (
     PlatformCatalog,
     PriceComponent,
     RateUnit,
-    ValidationIssue,
     load_catalog,
     load_platform,
     normalize_rate,
     serialize_catalog,
-    validate_catalog,
 )
 from .engine import (
     COINCIDENT_CURVES,

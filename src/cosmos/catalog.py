@@ -1,4 +1,4 @@
-"""Provider rate cards: validation, unit normalization, and bundled catalogs.
+"""Provider rate cards: self-checking catalogs, unit normalization, and bundled cards.
 
 A catalog document declares each billable rate at the scale providers quote
 (per 1M requests, per GB-month, per month). Loading normalizes every rate to
@@ -102,13 +102,40 @@ class PriceComponent:
 
 @dataclass(frozen=True)
 class PlatformCatalog:
-    """A platform's full rate card. Immutable once loaded."""
+    """A platform's full rate card. Immutable, and checked when built: the
+    first rule it breaks raises SchemaError, DuplicateIdError, UnitError or
+    NegativeRateError, as load_catalog does."""
 
     platform_id: str
     layer: Layer
     components: tuple[PriceComponent, ...]
     hypothetical: bool = False
     currency: str = "USD"
+
+    def __post_init__(self):
+        if not self.components:
+            raise SchemaError("catalog declares no components")
+        seen: set[str] = set()
+        for comp in self.components:
+            if comp.id in seen:
+                raise DuplicateIdError(f"duplicate id {comp.id!r}")
+            seen.add(comp.id)
+            if comp.unit not in ALLOWED_UNITS[comp.driver]:
+                raise UnitError(f"driver {comp.driver.value} cannot be priced {comp.unit.value}")
+            if comp.unit is RateUnit.PER_MS_PER_REQUEST and self.layer is not Layer.SPACE:
+                raise UnitError(f"{comp.unit.value} is only legal on Space-layer platforms")
+            if comp.rate < 0:
+                raise NegativeRateError(f"negative rate {comp.rate}")
+        drivers = {c.driver for c in self.components}
+        if DriverCategory.INVOCATION not in drivers:
+            raise SchemaError("no Invocation component")
+        # A per-request-millisecond invocation rate folds compute into the
+        # invocation price, so it satisfies both presence requirements.
+        units = {c.unit for c in self.components}
+        if DriverCategory.COMPUTE not in drivers and RateUnit.PER_MS_PER_REQUEST not in units:
+            raise SchemaError("no Compute component")
+        if self.currency != "USD":
+            raise SchemaError(f"unsupported currency {self.currency!r}")
 
     def component(self, component_id: str) -> PriceComponent:
         for comp in self.components:
@@ -117,15 +144,6 @@ class PlatformCatalog:
         raise UnknownComponentError(
             f"catalog {self.platform_id!r} has no component {component_id!r}"
         )
-
-
-@dataclass(frozen=True)
-class ValidationIssue:
-    """One invariant violation found by validate_catalog."""
-
-    kind: str  # "schema" | "unit" | "value" | "duplicate-id"
-    component_id: str | None
-    message: str
 
 
 def normalize_rate(component: PriceComponent, declared_scale: str) -> PriceComponent:
@@ -153,63 +171,6 @@ def normalize_rate(component: PriceComponent, declared_scale: str) -> PriceCompo
         component.id, component.driver, component.unit, rate, component.description
     )
 
-
-def validate_catalog(catalog: PlatformCatalog) -> list[ValidationIssue]:
-    """Check every catalog invariant; an empty report means valid.
-
-    Violations are returned as data rather than raised so callers can list
-    every problem at once.
-    """
-    issues: list[ValidationIssue] = []
-    if not catalog.components:
-        issues.append(ValidationIssue("schema", None, "catalog declares no components"))
-    seen: set[str] = set()
-    for comp in catalog.components:
-        if comp.id in seen:
-            issues.append(ValidationIssue("duplicate-id", comp.id, f"duplicate id {comp.id!r}"))
-        seen.add(comp.id)
-        if comp.unit not in ALLOWED_UNITS[comp.driver]:
-            issues.append(
-                ValidationIssue(
-                    "unit",
-                    comp.id,
-                    f"driver {comp.driver.value} cannot be priced {comp.unit.value}",
-                )
-            )
-        if comp.unit == RateUnit.PER_MS_PER_REQUEST and catalog.layer is not Layer.SPACE:
-            issues.append(
-                ValidationIssue(
-                    "unit",
-                    comp.id,
-                    f"{comp.unit.value} is only legal on Space-layer platforms",
-                )
-            )
-        if comp.rate < 0:
-            issues.append(ValidationIssue("value", comp.id, f"negative rate {comp.rate}"))
-    if catalog.components:
-        # A per-request-millisecond invocation rate folds compute into the
-        # invocation price, so it satisfies both presence requirements.
-        has_combined = any(
-            c.driver is DriverCategory.INVOCATION and c.unit is RateUnit.PER_MS_PER_REQUEST
-            for c in catalog.components
-        )
-        if not any(c.driver is DriverCategory.INVOCATION for c in catalog.components):
-            issues.append(ValidationIssue("schema", None, "no Invocation component"))
-        if not has_combined and not any(
-            c.driver is DriverCategory.COMPUTE for c in catalog.components
-        ):
-            issues.append(ValidationIssue("schema", None, "no Compute component"))
-    if catalog.currency != "USD":
-        issues.append(ValidationIssue("schema", None, f"unsupported currency {catalog.currency!r}"))
-    return issues
-
-
-_ISSUE_EXC = {
-    "schema": SchemaError,
-    "unit": UnitError,
-    "value": NegativeRateError,
-    "duplicate-id": DuplicateIdError,
-}
 
 _TOP_KEYS = {"platform_id", "layer", "hypothetical", "currency", "components"}
 _COMP_KEYS = {"id", "driver", "unit", "rate", "scale", "description"}
@@ -247,10 +208,12 @@ def _parse_component(obj: Mapping) -> PriceComponent:
 
 
 def load_catalog(source: str | Path | IO[str] | Mapping) -> PlatformCatalog:
-    """Load, normalize, and validate one catalog document.
+    """Load and normalize one catalog document into a PlatformCatalog.
 
     Raises SchemaError, UnitError, NegativeRateError, or DuplicateIdError on
-    the first violation encountered.
+    the first violation encountered: the document's shape and each
+    component's fields and scale first, then the card's own checks (see
+    PlatformCatalog).
     """
     doc = _read_json(source)
     if not isinstance(doc, Mapping):
@@ -267,18 +230,13 @@ def load_catalog(source: str | Path | IO[str] | Mapping) -> PlatformCatalog:
     hypothetical = doc.get("hypothetical", False)
     if not isinstance(hypothetical, bool):
         raise SchemaError("hypothetical must be a boolean")
-    catalog = PlatformCatalog(
+    return PlatformCatalog(
         platform_id=str(doc["platform_id"]),
         layer=_parse_enum(Layer, doc["layer"], "layer"),
         components=tuple(_parse_component(c) for c in components),
         hypothetical=hypothetical,
         currency=str(doc.get("currency", "USD")),
     )
-    issues = validate_catalog(catalog)
-    if issues:
-        first = issues[0]
-        raise _ISSUE_EXC[first.kind](first.message)
-    return catalog
 
 
 def serialize_catalog(catalog: PlatformCatalog) -> dict:

@@ -551,7 +551,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    workflow = _read(args, load_workflow_document, args.workflow)[0] if args.workflow else None
+    document = _read(args, load_workflow_document, args.workflow) if args.workflow else None
     log = UsageLog(args.log)
     try:
         summaries = summarize_usage(log)
@@ -591,8 +591,8 @@ def cmd_ingest(args) -> int:
             "errors": summary.error_count,
         }
     files: dict[str, list | dict] = {"stats.csv": rows, "stats.json": report}
-    if workflow is not None:
-        files["calibrated-workflow.json"] = serialize_workflow(*calibrate(workflow, summaries))
+    if document is not None:
+        files["calibrated-workflow.json"] = serialize_workflow(*calibrate(*document, summaries))
     counters = {
         "rows": log.rows,
         "rows_ok": sum(s.ok_count for s in summaries.values()),

@@ -183,7 +183,8 @@ def component_charges(
     the invocation driver. Raises MissingLatencyError for such a component
     when the table has no entry for the pair, or when no table is given.
     This is the one place that decides a BaaS usage is a fixed charge; such
-    an item carries its bill_fixed entry.
+    an item carries its bill_fixed entry. Rates and workload quantities are
+    nonnegative by construction, so only ``volume`` is checked here.
     """
     n = profile.n if volume is None else dec(volume)
     if n < 0:
@@ -193,9 +194,6 @@ def component_charges(
     mem = profile.mem
     stored = profile.stored_gb(n)
     charges: list[ComponentCharge] = []
-    # Invocation, compute and state charges need nonnegative factors: each
-    # checks its rate, compute also t and mem, state the stored GB (n is
-    # checked above). _require_nonneg runs only to raise its message.
     for comp in catalog.components:
         driver, unit, rate = comp.driver, comp.unit, comp.rate
         if driver is _INVOCATION:
@@ -204,16 +202,10 @@ def component_charges(
                     raise MissingLatencyError(profile.function_id, pid)
                 amount = money_product(n, latencies.get(profile.function_id, pid), rate)
             else:
-                if rate < 0:
-                    _require_nonneg(p_inv=rate)
                 amount = money_product(n, rate)
         elif driver is _COMPUTE:
-            if t < 0 or mem < 0 or rate < 0:
-                _require_nonneg(t=t, mem=mem, p_gbs=rate)
             amount = money_product(n, t, mem, rate)
         elif driver is _STATE:
-            if stored < 0 or rate < 0:
-                _require_nonneg(d=stored, p_state=rate)
             amount = money_product(stored, rate)
         elif driver is _TRANSFER:
             if unit is _PER_GB_IN:

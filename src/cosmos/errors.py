@@ -49,7 +49,7 @@ class CycleError(CosmosError):
 
 
 class UnknownFunctionError(CosmosError):
-    """An edge or placement references a function that is not declared."""
+    """An edge, placement, latency entry or usage-log row names an undeclared function."""
 
     exit_code = 2
 

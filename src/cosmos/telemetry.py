@@ -33,7 +33,7 @@ from decimal import Decimal, localcontext
 from pathlib import Path
 from typing import IO, Mapping, Sequence
 
-from .errors import DomainError, HeaderError, RowError
+from .errors import DomainError, HeaderError, RowError, UnknownFunctionError
 from .money import CONTEXT, div
 from .workflow import ZERO, FunctionProfile, LatencyTable, WorkflowSpec, _not_utf8
 
@@ -483,17 +483,26 @@ def summarize_usage(log: UsageLog) -> dict[tuple[str, str], UsageSummary]:
 
 def calibrate(
     workflow: WorkflowSpec,
+    latencies: LatencyTable | None,
     summaries: Mapping[tuple[str, str], UsageSummary],
 ) -> tuple[WorkflowSpec, LatencyTable]:
-    """Fold measured statistics into the workflow's profiles and latency table.
+    """Fold measured statistics into the workflow's profiles and its latency
+    table (None when the workflow document has none).
 
-    Latency entries are the per-pair means. Each profile's r_in/r_out become
-    its overall mean bytes per request, in decimal GB. A pair with no
-    statistics (error rows only) is skipped: the table has no entry for it.
+    Each measured pair's mean replaces its latency entry; every other entry
+    is kept. Each profile's r_in/r_out become its overall mean bytes per
+    request, in decimal GB. A pair with no statistics (error rows only) is
+    skipped: it keeps the entry it had, if any. Raises UnknownFunctionError
+    for a pair whose function the workflow does not declare.
     """
+    declared = set(workflow.function_ids)
+    for fid, _ in summaries:
+        if fid not in declared:
+            raise UnknownFunctionError(f"usage log names unknown function {fid!r}")
     summaries = {key: s for key, s in summaries.items() if s.stats is not None}
 
-    entries = {key: summary.stats.mean for key, summary in summaries.items()}
+    entries = dict(latencies.entries) if latencies is not None else {}
+    entries.update((key, summary.stats.mean) for key, summary in summaries.items())
 
     profiles: list[FunctionProfile] = []
     for profile in workflow.functions:

@@ -322,7 +322,10 @@ def _parse_latency_block(block: Mapping, functions: tuple[FunctionProfile, ...])
     if unknown:
         raise SchemaError(f"unknown latency field(s): {sorted(unknown)}")
     entries: dict[tuple[str, str], Decimal] = {}
+    declared = {f.function_id for f in functions}
     for fid, per_platform in _typed(block.get("entries") or {}, Mapping, "latency entries").items():
+        if str(fid) not in declared:
+            raise UnknownFunctionError(f"latency entries name unknown function {fid!r}")
         if not isinstance(per_platform, Mapping):
             raise SchemaError(f"latency entries for {fid!r} must map platform to ms")
         for pid, raw in per_platform.items():

@@ -9,6 +9,11 @@ kernel to return the same values, with the same reprs, and to raise the same
 errors, with the same messages, on every drawn input. Its driver
 primitives (``invocation_cost``, ``compute_cost``, ``state_cost``) are the
 published per-driver formulas that tests/test_engine.py checks directly.
+
+``validate_catalog`` lists every violation of a rate card's rules, in the
+order they are checked; tests/test_catalog.py requires ``PlatformCatalog``
+to raise the first of them, with its class and message, or to build when
+there is none.
 """
 
 from __future__ import annotations
@@ -18,14 +23,101 @@ from dataclasses import dataclass
 from decimal import Decimal
 from typing import Iterable
 
-from cosmos.catalog import DriverCategory, PlatformCatalog, RateUnit
+from cosmos.catalog import (
+    ALLOWED_UNITS,
+    DriverCategory,
+    Layer,
+    PlatformCatalog,
+    PriceComponent,
+    RateUnit,
+)
 from cosmos.engine import CostBreakdown
-from cosmos.errors import DomainError, MissingLatencyError, UnknownComponentError
+from cosmos.errors import (
+    DomainError,
+    DuplicateIdError,
+    MissingLatencyError,
+    NegativeRateError,
+    SchemaError,
+    UnitError,
+    UnknownComponentError,
+)
 from cosmos.money import CONTEXT, MONEY_LIMIT, dec, exact_sums, quantize_money
 from cosmos.workflow import FunctionProfile, LatencyTable
 
 ZERO = Decimal(0)
 _FIELDS = ("invocation", "compute", "state", "transfer", "baas")
+
+
+# --- catalog ----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ValidationIssue:
+    """One rate-card rule violation found by validate_catalog."""
+
+    kind: str  # "schema" | "unit" | "value" | "duplicate-id"
+    component_id: str | None
+    message: str
+
+
+#: The error PlatformCatalog raises for each kind of issue.
+ISSUE_EXC = {
+    "schema": SchemaError,
+    "unit": UnitError,
+    "value": NegativeRateError,
+    "duplicate-id": DuplicateIdError,
+}
+
+
+def validate_catalog(
+    platform_id: str,
+    layer: Layer,
+    components: tuple[PriceComponent, ...],
+    hypothetical: bool = False,
+    currency: str = "USD",
+) -> list[ValidationIssue]:
+    """Every violation of a card with PlatformCatalog's arguments, in the
+    order they are checked; an empty list means the card is valid."""
+    issues: list[ValidationIssue] = []
+    if not components:
+        issues.append(ValidationIssue("schema", None, "catalog declares no components"))
+    seen: set[str] = set()
+    for comp in components:
+        if comp.id in seen:
+            issues.append(ValidationIssue("duplicate-id", comp.id, f"duplicate id {comp.id!r}"))
+        seen.add(comp.id)
+        if comp.unit not in ALLOWED_UNITS[comp.driver]:
+            issues.append(
+                ValidationIssue(
+                    "unit",
+                    comp.id,
+                    f"driver {comp.driver.value} cannot be priced {comp.unit.value}",
+                )
+            )
+        if comp.unit == RateUnit.PER_MS_PER_REQUEST and layer is not Layer.SPACE:
+            issues.append(
+                ValidationIssue(
+                    "unit",
+                    comp.id,
+                    f"{comp.unit.value} is only legal on Space-layer platforms",
+                )
+            )
+        if comp.rate < 0:
+            issues.append(ValidationIssue("value", comp.id, f"negative rate {comp.rate}"))
+    if components:
+        # A per-request-millisecond invocation rate folds compute into the
+        # invocation price, so it satisfies both presence requirements.
+        has_combined = any(
+            c.driver is DriverCategory.INVOCATION and c.unit is RateUnit.PER_MS_PER_REQUEST
+            for c in components
+        )
+        if not any(c.driver is DriverCategory.INVOCATION for c in components):
+            issues.append(ValidationIssue("schema", None, "no Invocation component"))
+        if not has_combined and not any(c.driver is DriverCategory.COMPUTE for c in components):
+            issues.append(ValidationIssue("schema", None, "no Compute component"))
+    if currency != "USD":
+        issues.append(ValidationIssue("schema", None, f"unsupported currency {currency!r}"))
+    return issues
 
 
 # --- money ------------------------------------------------------------------

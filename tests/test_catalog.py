@@ -2,7 +2,9 @@ import json
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
+
+import pricing_reference as reference
 
 from cosmos.catalog import (
     ALLOWED_UNITS,
@@ -15,10 +17,10 @@ from cosmos.catalog import (
     load_platform,
     normalize_rate,
     serialize_catalog,
-    validate_catalog,
 )
 from cosmos.errors import (
     DuplicateIdError,
+    NegativeRateError,
     SchemaError,
     UnitError,
     UnknownComponentError,
@@ -47,7 +49,8 @@ def _doc(**overrides):
 
 def test_bundled_catalogs_all_validate_clean(catalogs):
     for pid in PLATFORMS:
-        assert validate_catalog(catalogs[pid]) == []
+        c = catalogs[pid]
+        assert PlatformCatalog(c.platform_id, c.layer, c.components, c.hypothetical, c.currency) == c
 
 
 def test_invocation_rate_normalized_per_request(catalogs):
@@ -161,52 +164,135 @@ def test_catalog_requires_invocation_and_compute():
         load_catalog(doc)
 
 
-# --- validation report -----------------------------------------------------
+# --- construction checks ---------------------------------------------------
+# A PlatformCatalog checks itself when it is built; tests/pricing_reference.py
+# lists every violation, and construction raises the first.
 
 
 def test_validate_reports_negative_rate():
-    catalog = PlatformCatalog(
-        "bad",
-        Layer.CLOUD,
-        (
-            PriceComponent("inv", DriverCategory.INVOCATION, RateUnit.PER_REQUEST, Decimal("-1")),
-            PriceComponent("exec", DriverCategory.COMPUTE, RateUnit.PER_GB_SECOND, Decimal(1)),
-        ),
-    )
-    issues = validate_catalog(catalog)
-    assert [i.kind for i in issues] == ["value"]
-    assert issues[0].component_id == "inv"
+    with pytest.raises(NegativeRateError, match="negative rate -1"):
+        PlatformCatalog(
+            "bad",
+            Layer.CLOUD,
+            (
+                PriceComponent("inv", DriverCategory.INVOCATION, RateUnit.PER_REQUEST, Decimal("-1")),
+                PriceComponent("exec", DriverCategory.COMPUTE, RateUnit.PER_GB_SECOND, Decimal(1)),
+            ),
+        )
 
 
 def test_validate_reports_space_only_unit_on_cloud():
-    catalog = PlatformCatalog(
-        "bad",
-        Layer.CLOUD,
-        (
-            PriceComponent("inv", DriverCategory.INVOCATION, RateUnit.PER_MS_PER_REQUEST, Decimal(1)),
-        ),
-    )
-    issues = validate_catalog(catalog)
-    assert [i.kind for i in issues] == ["unit"]
+    with pytest.raises(UnitError, match="PerMsPerRequest is only legal on Space-layer platforms"):
+        PlatformCatalog(
+            "bad",
+            Layer.CLOUD,
+            (
+                PriceComponent("inv", DriverCategory.INVOCATION, RateUnit.PER_MS_PER_REQUEST, Decimal(1)),
+            ),
+        )
 
 
 def test_validate_reports_illegal_pairings():
     for driver in DriverCategory:
         for unit in RateUnit:
-            catalog = PlatformCatalog(
-                "pairing",
-                Layer.SPACE,  # space allows PerMsPerRequest, isolating the pairing rule
-                (
-                    PriceComponent("c", driver, unit, Decimal(1)),
-                    PriceComponent("inv", DriverCategory.INVOCATION, RateUnit.PER_REQUEST, Decimal(1)),
-                    PriceComponent("exec", DriverCategory.COMPUTE, RateUnit.PER_GB_SECOND, Decimal(1)),
-                ),
+            components = (
+                PriceComponent("c", driver, unit, Decimal(1)),
+                PriceComponent("inv", DriverCategory.INVOCATION, RateUnit.PER_REQUEST, Decimal(1)),
+                PriceComponent("exec", DriverCategory.COMPUTE, RateUnit.PER_GB_SECOND, Decimal(1)),
             )
-            issues = [i for i in validate_catalog(catalog) if i.component_id == "c"]
+            # Space allows PerMsPerRequest, isolating the pairing rule.
             if unit in ALLOWED_UNITS[driver]:
-                assert issues == []
+                assert PlatformCatalog("pairing", Layer.SPACE, components).components == components
             else:
-                assert [i.kind for i in issues] == ["unit"]
+                with pytest.raises(UnitError, match=f"driver {driver.value} cannot be priced {unit.value}"):
+                    PlatformCatalog("pairing", Layer.SPACE, components)
+
+
+@pytest.mark.parametrize(
+    "driver, unit",
+    [
+        (DriverCategory.DATA_TRANSFER, RateUnit.PER_GB_OUT),
+        (DriverCategory.BAAS_FIXED, RateUnit.PER_MONTH_FIXED),
+        (DriverCategory.BAAS_DYNAMIC, RateUnit.PER_GB_PROCESSED),
+    ],
+)
+def test_negative_transfer_and_baas_rates_are_rejected_when_built(driver, unit):
+    with pytest.raises(NegativeRateError, match="negative rate -0.09"):
+        PlatformCatalog(
+            "bad",
+            Layer.CLOUD,
+            (
+                PriceComponent("inv", DriverCategory.INVOCATION, RateUnit.PER_REQUEST, Decimal(0)),
+                PriceComponent("exec", DriverCategory.COMPUTE, RateUnit.PER_GB_SECOND, Decimal(0)),
+                PriceComponent("x", driver, unit, Decimal("-0.09")),
+            ),
+        )
+
+
+_CARD_RATE = st.one_of(
+    st.decimals(min_value=0, allow_nan=False, allow_infinity=False),
+    st.sampled_from([
+        Decimal(0), Decimal("-0"), Decimal("0E-20"), Decimal("1e600000"), Decimal("1e-600000"),
+        Decimal("9" * 60),
+    ]),
+)
+_ANY_RATE = _CARD_RATE | st.decimals(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [Decimal(-1), Decimal("-1E-30"), Decimal("-1e600000")]
+)
+
+
+@st.composite
+def _card_args(draw):
+    """PlatformCatalog's arguments: 0-6 components of any driver and unit,
+    legal or not, with any rate and, now and then, a repeated id. Half the
+    cards keep every per-component rule (unique ids, units legal for the
+    driver and the layer, nonnegative rates), and every card draws
+    Invocation and Compute more often than the other drivers, so that many
+    cards build."""
+    lawful = draw(st.booleans())
+    layer = draw(st.sampled_from(Layer))
+    drivers = st.sampled_from([DriverCategory.INVOCATION, DriverCategory.COMPUTE, *DriverCategory])
+    barred = {RateUnit.PER_MS_PER_REQUEST} if lawful and layer is not Layer.SPACE else set()
+    components = []
+    for index in range(draw(st.integers(0, 6))):
+        driver = draw(drivers)
+        legal = st.sampled_from(sorted(ALLOWED_UNITS[driver] - barred, key=lambda unit: unit.value))
+        unit = draw(legal if lawful else legal | st.sampled_from(RateUnit))
+        cid = f"c{index}" if lawful else draw(st.sampled_from([f"c{index}", f"c{index}", "c0"]))
+        rate = draw(_CARD_RATE if lawful else _ANY_RATE)
+        components.append(PriceComponent(cid, driver, unit, rate))
+    return ("p", layer, tuple(components), draw(st.booleans()), draw(st.sampled_from(["USD", "USD", "EUR"])))
+
+
+def _components(*rows):
+    return tuple(PriceComponent(*row) for row in rows)
+
+
+_INV = (DriverCategory.INVOCATION, RateUnit.PER_REQUEST)
+_GBS = (DriverCategory.COMPUTE, RateUnit.PER_GB_SECOND)
+
+
+@settings(max_examples=300, deadline=None)
+@given(args=_card_args())
+# A negative rate after a nonnegative one, and a lone negative rate.
+@example(args=("p", Layer.SPACE, _components(("i", *_INV, Decimal(1)), ("c", *_GBS, Decimal(-1)))))
+@example(args=("p", Layer.SPACE, _components(("i", *_INV, Decimal(-1)))))
+# No components, and a valid card in another currency.
+@example(args=("p", Layer.CLOUD, (), False, "EUR"))
+@example(args=("p", Layer.CLOUD, _components(("i", *_INV, Decimal(1)), ("c", *_GBS, Decimal(1))),
+               False, "EUR"))
+def test_construction_raises_the_first_issue_of_the_reference(args):
+    """PlatformCatalog raises the class and message of the first issue the
+    reference validate_catalog lists, and builds when it lists none."""
+    issues = reference.validate_catalog(*args)
+    if not issues:
+        assert PlatformCatalog(*args).components == args[2]
+        return
+    first = issues[0]
+    with pytest.raises(reference.ISSUE_EXC[first.kind]) as exc:
+        PlatformCatalog(*args)
+    assert type(exc.value) is reference.ISSUE_EXC[first.kind]
+    assert str(exc.value) == first.message
 
 
 # --- round trip --------------------------------------------------------------

@@ -619,6 +619,38 @@ def test_ingest_calibrates_workflow(capsys, tmp_path):
     )
 
 
+def _usage_log(path, *rows):
+    path.write_text(
+        "timestamp,function_id,platform_id,duration_ms,bytes_in,bytes_out,status\n"
+        + "".join(f"2024-11-04T09:00:0{i}Z,{row},100,0,0,ok\n" for i, row in enumerate(rows))
+    )
+    return str(path)
+
+
+def test_ingest_keeps_the_documents_latencies_for_pairs_the_log_lacks(capsys, tmp_path):
+    log = _usage_log(tmp_path / "usage.csv", "data-retrieval,aws-x86", "data-retrieval,gcp")
+    code, _, err = run(capsys, "ingest", "--log", log, "--workflow", PIPELINE, "--out", str(tmp_path))
+    assert code == 0, err
+    calibrated = str(tmp_path / "calibrated-workflow.json")
+    entries = json.loads(Path(calibrated).read_text())["latency"]["entries"]
+    assert entries["data-retrieval"]["aws-x86"] == "100"
+    assert entries["data-processing"]["aws-x86"] == "164"
+    for workflow in (PIPELINE, calibrated):
+        code, _, err = run(
+            capsys, "optimize", "--workflow", workflow, "--platform", "aws-x86", "--platform", "gcp"
+        )
+        assert code == 0, (workflow, err)
+
+
+def test_ingest_rejects_a_log_row_of_an_undeclared_function(capsys, tmp_path):
+    log = _usage_log(tmp_path / "usage.csv", "data-retrieval,aws-x86", "ghost,aws-x86")
+    code, out, err = run(capsys, "ingest", "--log", log, "--workflow", PIPELINE, "--out", str(tmp_path))
+    assert code == 2
+    assert "'ghost'" in err
+    assert out == ""
+    assert not (tmp_path / "calibrated-workflow.json").exists()
+
+
 # --- determinism, manifests, precision ----------------------------------------------
 
 

@@ -182,12 +182,14 @@ def test_component_charges_bill_no_transfer_for_zero_bytes():
         "p",
         Layer.CLOUD,
         (
+            PriceComponent("inv", DriverCategory.INVOCATION, RateUnit.PER_REQUEST, D(0)),
+            PriceComponent("exec", DriverCategory.COMPUTE, RateUnit.PER_GB_SECOND, D(0)),
             PriceComponent("in", DriverCategory.DATA_TRANSFER, RateUnit.PER_GB_IN, D(1)),
             PriceComponent("out", DriverCategory.DATA_TRANSFER, RateUnit.PER_GB_OUT, D(1)),
         ),
     )
     charges = component_charges(FunctionProfile(function_id="f", n=MILLION), card)
-    assert [c.amount for c in charges] == [0, 0]
+    assert [c.amount for c in charges if c.driver is DriverCategory.DATA_TRANSFER] == [0, 0]
 
 
 # --- workflow costs -----------------------------------------------------------
@@ -568,24 +570,39 @@ _NEAR_LIMIT = _spelled(st.integers(10**48, 10**50 - 1), st.just(-12))
 _EXTREME = st.sampled_from([D("1e600000"), D("1e-600000"), D("0E-20"), D("9" * 40)])
 _QUANTITY = st.one_of(_PLAIN, _PLAIN, _LONG, _NEAR_LIMIT, _EXTREME)
 _RATE = _QUANTITY | _QUANTITY.map(lambda q: -q)
+# The rates a card accepts: every quantity, and zero with a minus sign.
+_CARD_RATE = _QUANTITY | st.sampled_from([D("-0"), D("-0E-20")])
 _LATENCY = _PLAIN | _spelled(st.integers(10**50, 10**60), st.integers(-60, -21))
 
 
 @st.composite
-def _component(draw, index):
+def _component(draw, index, layer):
     driver = draw(st.sampled_from(DriverCategory))
-    legal = sorted(ALLOWED_UNITS[driver], key=lambda unit: unit.value)
-    unit = draw(st.sampled_from(legal) | st.sampled_from(RateUnit))
-    return PriceComponent(f"c{index}", driver, unit, draw(_RATE))
+    legal = ALLOWED_UNITS[driver]
+    if layer is not Layer.SPACE:
+        legal -= {RateUnit.PER_MS_PER_REQUEST}
+    unit = draw(st.sampled_from(sorted(legal, key=lambda unit: unit.value)))
+    return PriceComponent(f"c{index}", driver, unit, draw(_CARD_RATE))
 
 
 @st.composite
 def _pricing_case(draw):
-    """A hand-built card and a profile on it, with a latency table and volume:
+    """A hand-built card that the reference validate_catalog accepts and a
+    profile on it, with a latency table and volume:
     (profile, catalog, latencies, volume)."""
     pid = "p"
-    components = tuple(draw(_component(i)) for i in range(draw(st.integers(0, 6))))
-    catalog = PlatformCatalog(pid, draw(st.sampled_from(Layer)), components)
+    layer = draw(st.sampled_from(Layer))
+    components = [draw(_component(i, layer)) for i in range(draw(st.integers(0, 6)))]
+    # A card needs an Invocation component, and a Compute one unless its
+    # invocation is priced per request-millisecond.
+    if not any(c.driver is DriverCategory.INVOCATION for c in components):
+        components.append(PriceComponent("inv", *_INV, draw(_CARD_RATE)))
+    if not any(c.driver is DriverCategory.COMPUTE or c.unit is RateUnit.PER_MS_PER_REQUEST
+               for c in components):
+        components.append(PriceComponent("exec", *_GBS, draw(_CARD_RATE)))
+    components = tuple(components)
+    assert not reference.validate_catalog(pid, layer, components)
+    catalog = PlatformCatalog(pid, layer, components)
     ids = [c.id for c in components] + ["missing"]
     usage = st.builds(
         BaasUsage,
@@ -620,30 +637,31 @@ _INV = (DriverCategory.INVOCATION, RateUnit.PER_REQUEST)
 _PER_MS = (DriverCategory.INVOCATION, RateUnit.PER_MS_PER_REQUEST)
 _GBS = (DriverCategory.COMPUTE, RateUnit.PER_GB_SECOND)
 _FIXED = (DriverCategory.BAAS_FIXED, RateUnit.PER_MONTH_FIXED)
+#: A zero-rate compute component, for a card that needs one to build.
+_FREE_GBS = ("c", *_GBS, D(0))
 
 
 @settings(max_examples=250, deadline=None)
 @given(case=_pricing_case())
-# A negative rate after a nonnegative one; the first negative factor is named.
-@example(case=(FunctionProfile("f", n=D(2), t=D(1), mem=D(1)),
-               _card(("i", *_INV, D(1)), ("c", *_GBS, D(-1))), None, None))
 # A per-ms component with no table, and with a table that lacks the pair.
 @example(case=(FunctionProfile("f", n=D(2)), _card(("m", *_PER_MS, D(1))), None, None))
 @example(case=(FunctionProfile("f", n=D(2)), _card(("m", *_PER_MS, D(1))),
                LatencyTable({("g", "p"): D(1)}), None))
 # A baas_usage naming a non-BaaS component; a usage restricted to another platform.
 @example(case=(FunctionProfile("f", baas_usage=(BaasUsage("i", D(1)),)),
-               _card(("i", *_INV, D(1))), None, None))
+               _card(("i", *_INV, D(1)), _FREE_GBS), None, None))
 @example(case=(FunctionProfile("f", baas_usage=(BaasUsage("s", D(2), frozenset({"q"})),
                                                 BaasUsage("s", D(3), frozenset({"p"})))),
-               _card(("i", *_INV, D(1)), ("s", *_FIXED, D(5))), None, "7"))
+               _card(("i", *_INV, D(1)), _FREE_GBS, ("s", *_FIXED, D(5))), None, "7"))
 # Volumes of 0, of 61 digits and below 0.
-@example(case=(FunctionProfile("f", n=D(2)), _card(("i", *_INV, D(1))), None, 0))
-@example(case=(FunctionProfile("f", n=D(2)), _card(("i", *_INV, D(1))), None, "1" * 61))
-@example(case=(FunctionProfile("f", n=D(2)), _card(("i", *_INV, D(-1))), None, "-1"))
+@example(case=(FunctionProfile("f", n=D(2)), _card(("i", *_INV, D(1)), _FREE_GBS), None, 0))
+@example(case=(FunctionProfile("f", n=D(2)), _card(("i", *_INV, D(1)), _FREE_GBS), None, "1" * 61))
+@example(case=(FunctionProfile("f", n=D(2)), _card(("i", *_INV, D(1)), _FREE_GBS), None, "-1"))
 # A lone factor past 50 digits, and a product that overflows.
-@example(case=(FunctionProfile("f", n=D(1)), _card(("i", *_INV, D("1" * 55 + "E-40"))), None, None))
-@example(case=(FunctionProfile("f", n=D("1e600000")), _card(("i", *_INV, D("1e600000"))), None, None))
+@example(case=(FunctionProfile("f", n=D(1)), _card(("i", *_INV, D("1" * 55 + "E-40")), _FREE_GBS),
+               None, None))
+@example(case=(FunctionProfile("f", n=D("1e600000")), _card(("i", *_INV, D("1e600000")), _FREE_GBS),
+               None, None))
 def test_pricing_kernel_matches_its_plain_reference(case):
     """component_charges, then CostBreakdown.fold over its charges, return
     what the plain kernel returns, with the same reprs, or raise what it

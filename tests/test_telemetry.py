@@ -10,7 +10,13 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from cosmos import telemetry
-from cosmos.errors import DomainError, HeaderError, MissingLatencyError, RowError
+from cosmos.errors import (
+    DomainError,
+    HeaderError,
+    MissingLatencyError,
+    RowError,
+    UnknownFunctionError,
+)
 from cosmos.money import CONTEXT
 from cosmos.telemetry import (
     ROW_ERRORS_SHOWN,
@@ -22,7 +28,7 @@ from cosmos.telemetry import (
     calibrate,
     summarize_usage,
 )
-from cosmos.workflow import LATENCY_LIMIT, FunctionProfile, WorkflowSpec
+from cosmos.workflow import LATENCY_LIMIT, FunctionProfile, LatencyTable, WorkflowSpec
 
 D = Decimal
 
@@ -152,7 +158,7 @@ def test_pair_with_error_rows_only_is_reported_without_statistics():
         stats=None, ok_count=0, error_count=2, bytes_in_total=0, bytes_out_total=0
     )
     wf = WorkflowSpec(workflow_id="w", functions=(FunctionProfile("f"), FunctionProfile("g")))
-    calibrated, table = calibrate(wf, summaries)
+    calibrated, table = calibrate(wf, None, summaries)
     assert table.entries == {("f", "p"): D(100)}
     with pytest.raises(MissingLatencyError):
         table.get("g", "p")
@@ -627,13 +633,13 @@ def _workflow():
 
 
 def test_calibrate_sets_latency_entries():
-    _, table = calibrate(_workflow(), {("retrieval", "aws-x86"): _summary("232")})
+    _, table = calibrate(_workflow(), None, {("retrieval", "aws-x86"): _summary("232")})
     assert table.get("retrieval", "aws-x86") == D(232)
 
 
 def test_calibrate_converts_mean_bytes_to_decimal_gb():
     calibrated, _ = calibrate(
-        _workflow(), {("retrieval", "aws-x86"): _summary("1", count=2, bytes_in=2 * 10**9)}
+        _workflow(), None, {("retrieval", "aws-x86"): _summary("1", count=2, bytes_in=2 * 10**9)}
     )
     assert calibrated.functions[0].r_in == D(1)
     assert calibrated.functions[0].r_out == D(0)
@@ -641,7 +647,7 @@ def test_calibrate_converts_mean_bytes_to_decimal_gb():
 
 def test_calibrate_reports_missing_pairs():
     # A pair with no statistics has no latency entry: looking it up names it.
-    _, table = calibrate(_workflow(), {("retrieval", "aws-x86"): _summary("232")})
+    _, table = calibrate(_workflow(), None, {("retrieval", "aws-x86"): _summary("232")})
     with pytest.raises(MissingLatencyError) as exc:
         table.get("retrieval", "gcp")
     assert (exc.value.function_id, exc.value.platform_id) == ("retrieval", "gcp")
@@ -652,7 +658,9 @@ def test_every_calibrated_mean_is_below_the_latency_bound():
     # Ten fractional digits round the mean of the largest durations up to 1e40.
     largest = "9" * 40 + ".9999999999"
     summaries = _summaries(_row(largest), _row(largest))
-    _, table = calibrate(WorkflowSpec(workflow_id="w", functions=(FunctionProfile("f"),)), summaries)
+    _, table = calibrate(
+        WorkflowSpec(workflow_id="w", functions=(FunctionProfile("f"),)), None, summaries
+    )
     assert table.get("f", "p") == D("1e40") < LATENCY_LIMIT
 
 
@@ -664,6 +672,17 @@ def test_calibrate_leaves_unmeasured_functions_alone():
             FunctionProfile(function_id="b", r_in=D("0.5")),
         ),
     )
-    calibrated, _ = calibrate(wf, {("a", "x"): _summary("10", count=1, bytes_in=10**9)})
+    calibrated, _ = calibrate(wf, None, {("a", "x"): _summary("10", count=1, bytes_in=10**9)})
     assert calibrated.function("a").r_in == D(1)
     assert calibrated.function("b").r_in == D("0.5")
+
+
+def test_calibrate_keeps_the_documents_entries_for_pairs_the_log_lacks():
+    document = LatencyTable({("retrieval", "aws-x86"): D(5), ("retrieval", "gcp"): D(7)})
+    _, table = calibrate(_workflow(), document, {("retrieval", "aws-x86"): _summary("232")})
+    assert table.entries == {("retrieval", "aws-x86"): D(232), ("retrieval", "gcp"): D(7)}
+
+
+def test_calibrate_rejects_a_log_pair_of_an_undeclared_function():
+    with pytest.raises(UnknownFunctionError, match="'ghost'"):
+        calibrate(_workflow(), None, {("ghost", "aws-x86"): _summary("100")})

@@ -95,6 +95,13 @@ def test_dangling_edge_rejected():
         load_workflow_document(_wf_doc(["a"], [["a", "ghost"]]))
 
 
+def test_latency_entries_for_an_undeclared_function_rejected():
+    doc = _wf_doc(["a"], [])
+    doc["latency"] = {"entries": {"a": {"p": "1"}, "ghost": {"p": "100"}}}
+    with pytest.raises(UnknownFunctionError, match="'ghost'"):
+        load_workflow_document(doc)
+
+
 def test_duplicate_function_ids_rejected():
     with pytest.raises(SchemaError):
         load_workflow_document(_wf_doc(["a", "a"], []))
