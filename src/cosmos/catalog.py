@@ -25,7 +25,7 @@ from .errors import (
     UnknownPlatformError,
 )
 from .money import CONTEXT, fmt_full
-from .workflow import _parse_quantity, _read_json
+from .workflow import _parse_quantity, _read_json, _require_finite
 
 
 class DriverCategory(str, Enum):
@@ -104,7 +104,8 @@ class PriceComponent:
 class PlatformCatalog:
     """A platform's full rate card. Immutable, and checked when built: the
     first rule it breaks raises SchemaError, DuplicateIdError, UnitError or
-    NegativeRateError, as load_catalog does."""
+    NegativeRateError, as load_catalog does. A rate that is not finite is a
+    SchemaError."""
 
     platform_id: str
     layer: Layer
@@ -124,6 +125,7 @@ class PlatformCatalog:
                 raise UnitError(f"driver {comp.driver.value} cannot be priced {comp.unit.value}")
             if comp.unit is RateUnit.PER_MS_PER_REQUEST and self.layer is not Layer.SPACE:
                 raise UnitError(f"{comp.unit.value} is only legal on Space-layer platforms")
+            _require_finite(comp.rate, "component", comp.id, "rate")
             if comp.rate < 0:
                 raise NegativeRateError(f"negative rate {comp.rate}")
         drivers = {c.driver for c in self.components}

@@ -8,9 +8,11 @@ error rows only is reported with its error tally and no statistics.
 
 Aggregation is one streaming pass: each row is parsed once, folded into the
 accumulator of its (function, platform) pair and dropped. An accumulator
-keeps each ok duration in about 9 bytes, as an integer scaled to the pair's
-finest exponent plus one byte for the row's own exponent and sign, and no
-record; accumulators merge exactly.
+keeps each ok duration as an integer scaled to the pair's finest exponent,
+in 4 bytes while it fits and 8 after, plus one byte for the row's own
+exponent and sign once the pair's rows are not all spelled alike, and no
+record; accumulators merge exactly. A pair is summarized without a sort:
+its p90 is picked with a heap of a tenth of its rows.
 
 The fold loop checks each row inline and adds it. A duration spelled as
 ASCII digits with at most one point is read straight to its coefficient and
@@ -25,11 +27,12 @@ from __future__ import annotations
 import csv
 import dataclasses
 from array import array
-from bisect import bisect_left
 from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime
 from decimal import Decimal, localcontext
+from heapq import heapify, heapreplace
+from itertools import islice
 from pathlib import Path
 from typing import IO, Mapping, Sequence
 
@@ -71,6 +74,9 @@ _EXPONENTS = range(-64, 64)
 
 #: Scaled durations a pair keeps compact are below this in magnitude.
 _SCALED_LIMIT = 2**63
+
+#: Scaled durations below this in magnitude fit the 4-byte array a pair starts with.
+_NARROW_LIMIT = 2**31
 
 
 @dataclass(frozen=True)
@@ -155,9 +161,9 @@ def _decimal(sign: int, coefficient: int, exponent: int | str) -> Decimal:
     return Decimal(f"{'-' * sign}{coefficient}E{exponent}")
 
 
-def _fits(values: array, factor: int) -> bool:
-    """Whether every value times factor stays below _SCALED_LIMIT in magnitude."""
-    return max(max(values, default=0), -min(values, default=0)) * factor < _SCALED_LIMIT
+def _peak(values: array, factor: int) -> int:
+    """The largest magnitude of the values times factor."""
+    return max(max(values, default=0), -min(values, default=0)) * factor
 
 
 class _Pair:
@@ -166,22 +172,27 @@ class _Pair:
     tally.
 
     A finite Decimal is exactly its sign, coefficient and exponent, so the
-    ok durations are kept compact, 9 bytes a row: ``scaled`` holds each one
-    as an integer at ``exponent``, the finest exponent of the pair's rows
-    (array 'q'), and ``tags`` each row's own exponent and sign as 2 *
-    exponent + sign (array 'b'), from which the row's Decimal, spelling
-    included, is rebuilt. A row whose scaled value passes 2**63 in
-    magnitude, or whose exponent is outside _EXPONENTS, makes the pair fall
-    back for good to ``durations``, a list of its Decimals; its
-    ``exponent`` is then None.
+    ok durations are kept compact: ``scaled`` holds each one as an integer
+    at ``exponent``, the finest exponent of the pair's rows, and each row's
+    own exponent and sign, as the tag 2 * exponent + sign, rebuild the
+    row's Decimal, spelling included. ``scaled`` is a 4-byte array ('i')
+    until a value does not fit; it then widens once to 8 bytes ('q'). While
+    every row has the same tag the pair keeps that one ``tag`` and no
+    ``tags``; the first row or merged pair with another tag builds
+    ``tags``, one byte a row (array 'b'). Durations of up to nine digits
+    in one spelling thus take 4 bytes a row. A row whose scaled value
+    passes 2**63 in magnitude, or whose exponent is outside _EXPONENTS,
+    makes the pair fall back for good to ``durations``, a list of its
+    Decimals; its ``exponent`` is then None.
     """
 
-    __slots__ = ("scaled", "tags", "exponent", "durations", "bytes_in_total",
+    __slots__ = ("scaled", "tag", "tags", "exponent", "durations", "bytes_in_total",
                  "bytes_out_total", "error_count")
 
     def __init__(self):
-        self.scaled = array("q")
-        self.tags = array("b")
+        self.scaled = array("i")
+        self.tag: int | None = None  # the tag of every row, while they share one
+        self.tags: array | None = None
         self.exponent: int | None = _EXPONENTS[-1]  # no row yet: at or above any row's
         self.durations: list[Decimal] | None = None
         self.bytes_in_total = 0
@@ -196,8 +207,13 @@ class _Pair:
             if self.durations is None:
                 value = coefficient * 10 ** (exponent - self.exponent)
                 if value < _SCALED_LIMIT:
+                    tag = 2 * exponent + sign
+                    if not self.scaled:
+                        self.tag = tag
+                    elif self.tags is not None or tag != self.tag:
+                        self._mix().append(tag)
+                    self._widen(value)
                     self.scaled.append(-value if sign else value)
-                    self.tags.append(2 * exponent + sign)
                     return
         self.fallback().append(_decimal(sign, coefficient, exponent))
 
@@ -206,36 +222,66 @@ class _Pair:
         self.bytes_in_total += other.bytes_in_total
         self.bytes_out_total += other.bytes_out_total
         self.error_count += other.error_count
+        if not other.scaled and other.durations is None:
+            return  # no ok row
         if self.durations is None and other.durations is None:
             if other.exponent < self.exponent:
                 self._rescale(other.exponent)
             if self.durations is None:
                 factor = 10 ** (other.exponent - self.exponent)
-                if _fits(other.scaled, factor):
-                    self.scaled.extend(
-                        other.scaled if factor == 1 else array("q", [v * factor for v in other.scaled])
-                    )
-                    self.tags.extend(other.tags)
+                peak = _peak(other.scaled, factor)
+                if peak < _SCALED_LIMIT:
+                    if not self.scaled:
+                        self.tag = other.tag
+                        self.tags = None if other.tags is None else array("b", other.tags)
+                    elif self.tags is not None or other.tag != self.tag:
+                        self._mix().extend(other._row_tags())
+                    self._widen(peak)
+                    scaled = self.scaled
+                    if factor == 1 and scaled.typecode == other.scaled.typecode:
+                        scaled.extend(other.scaled)
+                    else:
+                        scaled.extend(map(factor.__mul__, other.scaled))
                     return
         self.fallback().extend(other.decimals())
+
+    def _widen(self, peak: int) -> None:
+        """Widen ``scaled`` to 8 bytes a value if a magnitude of peak does not
+        fit its 4."""
+        if peak >= _NARROW_LIMIT and self.scaled.typecode == "i":
+            self.scaled = array("q", self.scaled)
 
     def _rescale(self, exponent: int) -> None:
         """Scale the kept values to the finer exponent, or fall back when
         one would pass _SCALED_LIMIT."""
         factor = 10 ** (self.exponent - exponent)
-        scaled = self.scaled
-        if not _fits(scaled, factor):
+        peak = _peak(self.scaled, factor)
+        if peak >= _SCALED_LIMIT:
             self.fallback()
             return
+        self._widen(peak)
+        scaled = self.scaled
         for i in range(len(scaled)):
             scaled[i] *= factor
         self.exponent = exponent
+
+    def _row_tags(self) -> array:
+        """The tag of each compact row of a pair that has one."""
+        if self.tags is not None:
+            return self.tags
+        return array("b", [self.tag]) * len(self.scaled)
+
+    def _mix(self) -> array:
+        """Keep a tag per row from now on, in a pair that has a row; returns
+        ``tags``."""
+        self.tags, self.tag = self._row_tags(), None
+        return self.tags
 
     def fallback(self) -> list[Decimal]:
         """The ok durations as a list of Decimals, kept as such from now on."""
         if self.durations is None:
             self.durations = self.decimals()
-            self.scaled, self.tags, self.exponent = array("q"), array("b"), None
+            self.scaled, self.tag, self.tags, self.exponent = array("i"), None, None, None
         return self.durations
 
     def decimals(self) -> list[Decimal]:
@@ -245,38 +291,50 @@ class _Pair:
         return [self._row(index) for index in range(len(self.scaled))]
 
     def _row(self, index: int) -> Decimal:
-        tag = self.tags[index]
+        tag = self.tag if self.tags is None else self.tags[index]
         exponent = tag >> 1
         scale = 10 ** (exponent - self.exponent)
         return _decimal(tag & 1, abs(self.scaled[index]) // scale, exponent)
 
-    def _ranked(self, values: list[int], rank: int) -> Decimal:
-        """The row at 1-based rank of the stable sort ``values`` of the
-        scaled durations: the (rank - count below)-th occurrence of the
-        value at that rank, in the order added."""
-        value = values[rank - 1]
+    def _occurrence(self, value: int, number: int) -> Decimal:
+        """The row of the number-th (1-based) occurrence of the scaled
+        value, in the order added."""
         index = -1
-        for _ in range(rank - bisect_left(values, value)):
+        for _ in range(number):
             index = self.scaled.index(value, index + 1)
         return self._row(index)
 
     def summary(self) -> UsageSummary:
         """Count, mean, min, max and nearest-rank p90 (the value at 1-based
-        index ceil(0.9 * count) of the ascending sort). The sort is stable,
-        so of equal values written differently (1.0, 1.00) min, max and p90
-        carry the one at that rank in the order added. The mean's sum is
-        taken in ascending order under money.CONTEXT before it is quantized;
-        the integer sum of a compact pair is exact, and equal, since it
-        needs far fewer than 50 digits. With no ok duration there are no
-        statistics."""
+        rank ceil(0.9 * count) of the ascending stable sort, so of equal
+        values written differently (1.0, 1.00) min, max and p90 carry the
+        one at that rank in the order added). The mean's sum is taken in
+        ascending order under money.CONTEXT before it is quantized; the
+        integer sum of a compact pair is exact, and equal, since it needs
+        far fewer than 50 digits. A compact pair is not sorted: its p90 is
+        the smallest of its count - rank + 1 largest values, picked with a
+        heap of that size. With no ok duration there are no statistics."""
         stats = None
         if self.durations is None:
-            values = sorted(self.scaled)
-            count = len(values)
+            scaled = self.scaled
+            count = len(scaled)
             if count:
-                total = Decimal(sum(values)).scaleb(self.exponent, CONTEXT)
-                low, high, p90 = (self._ranked(values, rank) for rank in
-                                  (1, count, -((-9 * count) // 10)))
+                total = Decimal(sum(scaled)).scaleb(self.exponent, CONTEXT)
+                rank = -((-9 * count) // 10)
+                heap = scaled[: count - rank + 1].tolist()
+                heapify(heap)
+                top = heap[0]
+                for value in islice(scaled, len(heap), None):
+                    if value > top:
+                        heapreplace(heap, value)
+                        top = heap[0]
+                # Every value above top is in the heap, and so are the last
+                # heap.count(top) of top's occurrences in the stable sort:
+                # the p90 is the first of those, the max the last of its own.
+                ties, high = scaled.count(top), max(heap)
+                low = self._occurrence(min(scaled), 1)
+                high = self._occurrence(high, ties if high == top else heap.count(high))
+                p90 = self._occurrence(top, ties - heap.count(top) + 1)
         else:
             values = sorted(self.durations)
             count = len(values)
@@ -336,10 +394,18 @@ class UsageFold:
                 raise _bad_status(status)
             pair = self._pairs[(function_id, platform_id)] = _Pair()
         if status == "ok":
-            if exponent == pair.exponent and coefficient < _SCALED_LIMIT:
-                # _Pair.add's common case, inlined: one call per row.
-                pair.scaled.append(-coefficient if sign else coefficient)
-                pair.tags.append(2 * exponent + sign)
+            # _Pair.add's common case, inlined: a row at its pair's finest
+            # exponent is one append, and a second one when the pair keeps a
+            # tag per row. The exponent test comes first: the exponent of a
+            # NaN or an infinity is a letter.
+            if exponent == pair.exponent and (pair.tags is not None or 2 * exponent + sign == pair.tag):
+                try:
+                    pair.scaled.append(-coefficient if sign else coefficient)
+                except OverflowError:  # it does not fit scaled: widen or fall back
+                    pair.add(sign, coefficient, exponent)
+                else:
+                    if pair.tags is not None:
+                        pair.tags.append(2 * exponent + sign)
             else:
                 pair.add(sign, coefficient, exponent)
             pair.bytes_in_total += bytes_in

@@ -35,6 +35,13 @@ ZERO = Decimal(0)
 LATENCY_LIMIT = Decimal(1).scaleb(CONTEXT.prec - 9)
 
 
+def _require_finite(value: Decimal, kind: str, name: str, field: str) -> None:
+    """SchemaError naming the field of the named object when value is a NaN
+    or an infinity."""
+    if not Decimal(value).is_finite():
+        raise SchemaError(f"{kind} {name!r}: {field} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class BaasUsage:
     """One backing-service consumption entry of a function.
@@ -42,12 +49,16 @@ class BaasUsage:
     ``quantity`` is months of availability for fixed-priced components, GB
     processed per request for per-GB components, and 1 for plain per-request
     pricing. ``platforms`` optionally restricts the entry to the named
-    platforms (services consumed on one provider only).
+    platforms (services consumed on one provider only). A quantity that is
+    not finite raises SchemaError.
     """
 
     component_id: str
     quantity: Decimal
     platforms: frozenset[str] | None = None
+
+    def __post_init__(self):
+        _require_finite(self.quantity, "baas_usage", self.component_id, "quantity")
 
     def applies_to(self, platform_id: str) -> bool:
         return self.platforms is None or platform_id in self.platforms
@@ -61,6 +72,8 @@ class FunctionProfile:
     measurements go in ``t_overrides`` (the same code runs faster or slower on
     different hardware). ``d`` is state retained per billing month regardless
     of traffic; ``d_per_request`` adds state that accrues with request volume.
+    A quantity or compute time that is not finite, or is negative, raises
+    SchemaError.
     """
 
     function_id: str
@@ -77,7 +90,9 @@ class FunctionProfile:
 
     def __post_init__(self):
         for name in ("n", "t", "mem", "d", "d_per_request", "r_in", "r_out"):
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            _require_finite(value, "function", self.function_id, name)
+            if value < 0:
                 raise SchemaError(f"function {self.function_id!r}: {name} must be >= 0")
         for usage in self.baas_usage:
             if usage.quantity < 0:
@@ -86,6 +101,7 @@ class FunctionProfile:
                     f"component {usage.component_id!r}"
                 )
         for platform, t in self.t_overrides.items():
+            _require_finite(t, "function", self.function_id, f"t_overrides[{platform!r}]")
             if t < 0:
                 raise SchemaError(
                     f"function {self.function_id!r}: negative compute time for {platform!r}"

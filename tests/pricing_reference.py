@@ -102,7 +102,13 @@ def validate_catalog(
                     f"{comp.unit.value} is only legal on Space-layer platforms",
                 )
             )
-        if comp.rate < 0:
+        if not comp.rate.is_finite():
+            issues.append(
+                ValidationIssue(
+                    "schema", comp.id, f"component {comp.id!r}: rate must be finite, got {comp.rate}"
+                )
+            )
+        elif comp.rate < 0:
             issues.append(ValidationIssue("value", comp.id, f"negative rate {comp.rate}"))
     if components:
         # A per-request-millisecond invocation rate folds compute into the

@@ -229,6 +229,23 @@ def test_negative_transfer_and_baas_rates_are_rejected_when_built(driver, unit):
         )
 
 
+_NOT_FINITE = ["NaN", "sNaN", "Infinity", "-Infinity"]
+
+
+@pytest.mark.parametrize("rate", _NOT_FINITE)
+def test_a_rate_that_is_not_finite_is_rejected_when_built(rate):
+    with pytest.raises(SchemaError) as exc:
+        PlatformCatalog(
+            "bad",
+            Layer.CLOUD,
+            (
+                PriceComponent("inv", DriverCategory.INVOCATION, RateUnit.PER_REQUEST, Decimal(0)),
+                PriceComponent("exec", DriverCategory.COMPUTE, RateUnit.PER_GB_SECOND, Decimal(rate)),
+            ),
+        )
+    assert str(exc.value) == f"component 'exec': rate must be finite, got {rate}"
+
+
 _CARD_RATE = st.one_of(
     st.decimals(min_value=0, allow_nan=False, allow_infinity=False),
     st.sampled_from([
@@ -237,7 +254,7 @@ _CARD_RATE = st.one_of(
     ]),
 )
 _ANY_RATE = _CARD_RATE | st.decimals(allow_nan=False, allow_infinity=False) | st.sampled_from(
-    [Decimal(-1), Decimal("-1E-30"), Decimal("-1e600000")]
+    [Decimal(-1), Decimal("-1E-30"), Decimal("-1e600000"), *map(Decimal, _NOT_FINITE)]
 )
 
 
@@ -277,6 +294,10 @@ _GBS = (DriverCategory.COMPUTE, RateUnit.PER_GB_SECOND)
 # A negative rate after a nonnegative one, and a lone negative rate.
 @example(args=("p", Layer.SPACE, _components(("i", *_INV, Decimal(1)), ("c", *_GBS, Decimal(-1)))))
 @example(args=("p", Layer.SPACE, _components(("i", *_INV, Decimal(-1)))))
+# A rate that is not finite, alone and after a negative one.
+@example(args=("p", Layer.SPACE, _components(("i", *_INV, Decimal("NaN")))))
+@example(args=("p", Layer.CLOUD, _components(("i", *_INV, Decimal(-1)), ("c", *_GBS, Decimal("sNaN")))))
+@example(args=("p", Layer.CLOUD, _components(("i", *_INV, Decimal("-Infinity")), ("c", *_GBS, Decimal(1)))))
 # No components, and a valid card in another currency.
 @example(args=("p", Layer.CLOUD, (), False, "EUR"))
 @example(args=("p", Layer.CLOUD, _components(("i", *_INV, Decimal(1)), ("c", *_GBS, Decimal(1))),

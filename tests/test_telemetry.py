@@ -286,12 +286,57 @@ _fold_row = st.tuples(
 )
 
 
-@given(st.lists(_fold_row, max_size=40), st.data())
-def test_fold_is_invariant_under_permutation_and_split_merge(rows, data):
+# Rows of one pair that take the compact layout through each of its changes,
+# with a cut that splits them for a merge.
+_LAYOUT_CASES = [
+    # Past 2**31 in an append at the pair's exponent, and in the merge.
+    (["1.5", "300000000.5", "2.5"], 1),
+    # Past 2**31 in a rescale, in the fold and in the merge.
+    (["300000000", "0.01", "7"], 1),
+    # A uniformly spelled pair that gets a new spelling after many rows.
+    ([f"{i}.25" for i in range(30)] + ["4.5", "5.75"], 20),
+    # Two uniform pairs with different tags, then uniform with mixed and
+    # mixed with uniform.
+    (["1.5", "2.5", "3.25", "4.75"], 2),
+    (["1.5", "2.5", "3.25", "4.5"], 2),
+    (["1.5", "2.25", "3.5", "4.5"], 2),
+    # 1.0 and 1.00 tied at the min, the max and the p90 rank (18 of 20),
+    # where the p90 is the third of three ties and the heap holds only one.
+    (["8.00", "1.00", "9.0", "2", "8", "2.5", "3", "1.0", "3.5", "4",
+      "9.00", "4.5", "5", "8.0", "5.5", "6", "6.5", "7", "7.25", "7.5"], 7),
+    # Ties at the p90 rank (9 of 10) that are also the max.
+    (["7.0", "1", "7", "2", "3", "7.00", "4", "5", "7.000", "6"], 4),
+    # A pair of one row.
+    (["2.5"], 1),
+]
+
+
+def _layout_examples(to_args):
+    """An @example per _LAYOUT_CASES entry, with the arguments that
+    to_args(durations, cut) builds."""
+    def decorate(test):
+        for durations, cut in reversed(_LAYOUT_CASES):
+            test = example(*to_args(durations, cut))(test)
+        return test
+    return decorate
+
+
+def _ok_rows(durations):
+    return [("a", "x", D(text), 0, 0, "ok") for text in durations]
+
+
+# A fold's rows, an order of them, and a cut of that order.
+_fold_case = st.lists(_fold_row, max_size=40).flatmap(
+    lambda rows: st.tuples(st.just(rows), st.permutations(rows), st.integers(0, len(rows)))
+)
+
+
+@given(_fold_case)
+@_layout_examples(lambda durations, cut: [(_ok_rows(durations), _ok_rows(durations), cut)])
+def test_fold_is_invariant_under_permutation_and_split_merge(case):
+    rows, shuffled, cut = case
     expected = _fold(rows).summaries()
-    shuffled = data.draw(st.permutations(rows))
     assert _fold(shuffled).summaries() == expected
-    cut = data.draw(st.integers(0, len(rows)))
     head, tail = shuffled[:cut], shuffled[cut:]
     assert _fold(head).merge(_fold(tail)).summaries() == expected
     assert _fold(tail).merge(_fold(head)).summaries() == expected
@@ -305,6 +350,16 @@ def test_merge_reports_equal_durations_in_the_order_of_one_fold():
     second = _fold([("f", "p", D("1.00"), 0, 0, "ok"), ("f", "p", D("2.0"), 0, 0, "ok")])
     stats = first.merge(second).summaries()[("f", "p")].stats
     assert (str(stats.min), str(stats.max), str(stats.p90)) == ("1.0", "2.0", "2.0")
+
+
+def test_a_merge_shares_no_state_with_the_other_fold():
+    # Rows added to either fold after a merge stay out of the other one.
+    rows = [("f", "p", D("1.5"), 0, 0, "ok"), ("f", "p", D("2.25"), 0, 0, "ok")]
+    other = _fold(rows)
+    merged = UsageFold().merge(other)
+    other.add("f", "p", D("0.125"), 0, 0, "ok")
+    merged.add("f", "p", D("3"), 0, 0, "ok")
+    assert repr(merged.summaries()) == repr(_fold([*rows, ("f", "p", D("3"), 0, 0, "ok")]).summaries())
 
 
 class _ListPair:
@@ -398,6 +453,7 @@ def _list_fold(rows):
 @example([(("a", "x"), "123456789012345678", 0, 0, "ok"), (("a", "x"), "0.05", 0, 0, "ok"),
           (("a", "x"), "1E-70", 0, 0, "ok"), (("b", "x"), "0E+100", 0, 0, "ok"),
           (("a", "x"), "1.0", 0, 0, "ok"), (("b", "x"), "2", 0, 0, "ok")], 3)
+@_layout_examples(lambda durations, cut: ([(("a", "x"), text, 0, 0, "ok") for text in durations], cut))
 def test_compact_fold_matches_the_list_fold(rows, cut):
     # Through UsageLog.fold, UsageFold.add, and a split and merge.
     lines = [f"2024-11-04T09:00:00Z,{f},{p},{d},{i},{o},{s}" for (f, p), d, i, o, s in rows]
@@ -426,6 +482,11 @@ def test_rows_that_do_not_fit_fall_back_to_the_list():
             merged = _fold(first).merge(_fold(second))
             assert merged._pairs[("f", "p")].durations is not None
             assert repr(merged.summaries()) == repr(_list_fold(first + second).summaries())
+    # So does a NaN or an infinity given to UsageFold.add, whose exponent is
+    # a letter, after a row spelled as the pair's one spelling so far.
+    for text in ("NaN", "Infinity", "-Infinity"):
+        pair = _fold([compact[0], compact[0], ("f", "p", D(text), 0, 0, "ok")])._pairs[("f", "p")]
+        assert [str(d) for d in pair.durations] == ["3.25", "3.25", text]
 
 
 def test_mean_sum_is_exact_beyond_28_digits():
@@ -606,10 +667,32 @@ def test_streaming_memory_keeps_no_record_per_row(tmp_path):
     finally:
         tracemalloc.stop()
     assert sum(s.ok_count + s.error_count for s in summaries.values()) == 50_000
-    # About 9 B per ok row (an 8-byte scaled duration and a byte for its
-    # exponent and sign) and, while a pair is summarized, its sorted
-    # integers; a parsed record per row would peak near 21 MB here.
-    assert peak < 2_000_000
+    # About 4 B per ok row (a 4-byte scaled duration; each pair's rows are
+    # spelled alike, so no tag byte) and, while a pair is summarized, a heap
+    # of a tenth of its values; a parsed record per row would peak near
+    # 21 MB here.
+    assert peak < 600_000
+
+
+def test_one_large_pair_is_summarized_in_bounded_memory(tmp_path):
+    rows = 50_000
+    path = tmp_path / "usage.csv"
+    path.write_text("\n".join([USAGE_HEADER, *(_row(f"{100 + i % 997}.{i % 1000:03d}") for i in range(rows))]) + "\n")
+    tracemalloc.start()
+    try:
+        fold = UsageLog(path).fold()
+        summaries = fold.summaries()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summaries[("f", "p")].stats.count == rows
+    # Durations of three decimals keep 4 bytes a row and one tag for the
+    # pair, with no tag byte per row and no 8-byte values.
+    pair = fold._pairs[("f", "p")]
+    assert (pair.scaled.itemsize, pair.tags) == (4, None)
+    # 4 B a row for the durations and about 4 for the p90's heap of a tenth
+    # of them, where a sort of the pair took about 44.
+    assert peak < 12 * rows
 
 
 # --- calibration ------------------------------------------------------------------

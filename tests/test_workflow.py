@@ -155,6 +155,26 @@ def test_mistyped_field_is_schema_error_naming_it(field):
         load_workflow_document(doc)
 
 
+_NOT_FINITE = ["NaN", "sNaN", "Infinity", "-Infinity"]
+
+# Profiles built in code with one quantity not finite, and the field each names.
+_BUILT_WITH = {
+    "t": (lambda q: FunctionProfile("f", t=q), "function 'f': t"),
+    "mem": (lambda q: FunctionProfile("f", mem=q), "function 'f': mem"),
+    "t_overrides": (lambda q: FunctionProfile("f", t_overrides={"gcp": q}), "function 'f': t_overrides['gcp']"),
+    "quantity": (lambda q: FunctionProfile("f", baas_usage=(BaasUsage("svc", q),)), "baas_usage 'svc': quantity"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_BUILT_WITH))
+@pytest.mark.parametrize("value", _NOT_FINITE)
+def test_a_quantity_built_in_code_that_is_not_finite_is_a_schema_error(field, value):
+    build, what = _BUILT_WITH[field]
+    with pytest.raises(SchemaError) as exc:
+        build(Decimal(value))
+    assert str(exc.value) == f"{what} must be finite, got {value}"
+
+
 _QUANTITY = st.decimals(min_value=0, max_value=10**9, places=6, allow_nan=False, allow_infinity=False)
 _NAME = st.text(min_size=1, max_size=8)
 _QUANTITY_FIELDS = ("n", "t", "mem", "d", "d_per_request", "r_in", "r_out")
