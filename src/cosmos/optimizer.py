@@ -14,21 +14,17 @@ before it. Each head prefix is answered from the table meet-in-the-middle
 style, one add per axis per placement, unless an earlier prefix with the
 same fixed-charge entries costs, takes and reaches the tail in no more: then
 none of its placements can change an answer, and the walk only counts its
-feasible ones. A prefix's shared fixed-charge credit
-and each table group's change in it come from one memo of engine.bill_key,
-the rule engine.bill_fixed applies, once per run of prefixes with the same
-fixed-charge entries. The table adds sums in another order than enumeration
-does, so a tail is used only when every sum of the search fits
-money.CONTEXT's precision; otherwise, or with no tail, the head is every
-function and the table holds one empty combination. The same digit guard
-picks the walk's number type: when it passes, every sum is exact, so the
-walk adds and compares Python ints, each axis scaled to its finest
-exponent; otherwise it adds the model's Decimals, so that a sum past
-CONTEXT's precision raises in enumeration order. The scope bounds either
-each pair or the sums, so one test decides feasibility under both. The walk
-compares values only: the model writes the digits reported for the chosen
-placements, and when the walk raises, the model prices the failing prefix's
-first placement, cost then latency, and its error, if any, is raised instead.
+feasible ones. A prefix's shared fixed-charge credit and each table group's
+change in it come from one memo of engine.bill_key, the rule
+engine.bill_fixed applies, once per run of prefixes with the same
+fixed-charge entries. The walk adds and compares Python ints, each axis
+scaled to its finest exponent, so no sum rounds in any order. Enumeration
+sums in money.CONTEXT, where a sum past its precision raises; the walk keeps
+that contract by magnitude: a prefix any of whose placements' sums can reach
+10^CONTEXT.prec units is priced by the model, placement by placement in
+enumeration order, and the first error raises. The scope bounds either each
+pair or the sums, so one test decides feasibility under both. The model
+writes the digits reported for the chosen placements.
 
 Weights default to the reciprocals of the two unconstrained anchors:
 alpha = 1/C* (cheapest achievable cost) and beta = 1/T* (fastest achievable
@@ -57,7 +53,7 @@ from .errors import (
     MissingLatencyError,
     SchemaError,
 )
-from .money import CONTEXT, MONEY_LIMIT, MONEY_PLACES, div, exact_sums, money_product
+from .money import CONTEXT, MONEY_LIMIT, MONEY_PLACES, div, exact_sums
 from .workflow import (
     _ARRAY,
     LATENCY_LIMIT,
@@ -153,6 +149,10 @@ def optimal_line(points: Iterable[ParetoPoint]) -> list[ParetoPoint]:
 _EXACT = CONTEXT.copy()
 _EXACT.prec, _EXACT.Emax, _EXACT.Emin = decimal.MAX_PREC, decimal.MAX_EMAX, decimal.MIN_EMIN
 
+#: The finest exponent of a placement model entry's digits: no entry then
+#: has more than about 140 digits at it, nor an int of the search many more.
+_FINEST = -2 * CONTEXT.prec
+
 
 def _turns_right(o: ParetoPoint, a: ParetoPoint, b: ParetoPoint) -> bool:
     """Whether o -> a -> b turns clockwise in the (latency, cost) plane, so
@@ -183,12 +183,26 @@ class PlacementModel:
     A placement costs the sum of its pairs' costs less the shared
     fixed-charge credit, exactly as ``workflow_cost`` bills it; its latency
     is the critical path over its pairs' latencies. A pair not in the table
-    raises MissingLatencyError.
+    raises MissingLatencyError. An entry whose cost or latency is not
+    finite, is negative, is not below MONEY_LIMIT or LATENCY_LIMIT, or has
+    a digit finer than 10^_FINEST raises SchemaError naming its pair.
     """
 
     def __init__(self, workflow: WorkflowSpec, table: Mapping[tuple[str, str], PairEntry]):
         self.workflow = workflow
         self.table = dict(table)
+        for (fid, pid), entry in self.table.items():
+            for axis, value, limit, unit in (("cost", entry.cost, MONEY_LIMIT, "USD"),
+                                             ("latency", entry.latency, LATENCY_LIMIT, "ms")):
+                if not (value.is_finite() and value >= 0):
+                    rule = "be finite and nonnegative"
+                elif value >= limit:
+                    rule = f"be below {limit} {unit}"
+                elif _EXACT.multiply(value, 0).adjusted() < _FINEST:
+                    rule = f"have no digit finer than 1E{_FINEST}"
+                else:
+                    continue
+                raise SchemaError(f"pair ({fid}, {pid}): {axis} must {rule}, got {value}")
 
     def entry(self, function_id: str, platform_id: str) -> PairEntry:
         try:
@@ -374,10 +388,10 @@ def optimize(
     first enumerated winning ties, and folds each feasible placement that
     can be on the front into a Pareto front of bare (cost, latency,
     enumeration index) points; only the chosen placements get a Placement.
-    The walk compares values only, in scaled ints when the digit guard
-    passes (see _walk); the reported cost, latency, C* and T* are the
-    model's cost_of and latency_of of the chosen placements, so they keep
-    the digits of each placement priced whole. Under the per_function
+    The walk compares values only, in scaled ints (see _walk); the reported
+    cost, latency, C* and T* are the model's cost_of and latency_of of the
+    chosen placements, so they keep the digits of each placement priced
+    whole. Under the per_function
     scope a placement is feasible when each of its pairs is within the
     budget and SLO. The best is the front member with the least
     (a*cost + b*latency, cost), compared exactly, where a, b = alpha, beta,
@@ -386,18 +400,16 @@ def optimize(
     ints weigh as the amounts they stand for. The key never rises when
     cost or latency falls, so a front member minimizes it over all feasible
     placements; equal pairs keep the first enumerated placement. The
-    result's counters say what the walk did. Raises DomainError when a
-    sum is not exact in money.CONTEXT's precision or a credit passes the
-    money limit, with the error of enumeration's first failing cost_of or
-    latency_of, then DegenerateAnchorError for auto weights with a zero
-    anchor, then InfeasibleError carrying the anchors when no placement is
-    feasible.
+    result's counters say what the walk did. Raises the DomainError that
+    enumeration meets first, pricing each placement's cost_of, then its
+    latency_of, and checking it as a ParetoPoint when the front admits it;
+    then DegenerateAnchorError for auto weights with a zero anchor, then
+    InfeasibleError carrying the anchors when no placement is feasible.
     """
     config = config or OptimizationConfig()
     platforms = list(platforms)
     rows = _rows(workflow, platforms, model.entry)
-    with exact_sums("a cost or latency sum of the search"):
-        found = _walk(workflow, rows, platforms, config)
+    found = _walk(workflow, rows, platforms, config)
     c_arg = _placement(workflow, platforms, found.c_arg)
     t_arg = _placement(workflow, platforms, found.t_arg)
     c_star, t_star = model.cost_of(c_arg), model.latency_of(t_arg)
@@ -457,10 +469,10 @@ class SearchCounters(NamedTuple):
     """What one optimize walk did: the placements it visited and the feasible
     ones, the head prefixes and tail table entries that make them up, the
     table's fixed-charge groups, how many prefix ledgers it priced (a run of
-    prefixes with the same fixed-charge entries is priced once), whether it
-    searched in scaled ints (see _exact_in_any_order), and how many head
-    prefixes an earlier prefix dominated, so that the walk only counted
-    their feasible placements (see _walk)."""
+    prefixes with the same fixed-charge entries is priced once), how many
+    head prefixes an earlier prefix dominated, so that the walk only
+    counted their feasible placements, and how many were at risk, so that
+    the model priced their placements (see _walk)."""
 
     placements: int
     feasible: int
@@ -468,8 +480,8 @@ class SearchCounters(NamedTuple):
     tail_entries: int
     groups: int
     ledgers_priced: int
-    integer_search: bool
     dominated_prefixes: int
+    prefixes_at_risk: int
 
 
 class _Found(NamedTuple):
@@ -477,14 +489,13 @@ class _Found(NamedTuple):
     first enumerated winning ties), the feasible Pareto front as parallel
     lists of costs, latencies (ascending) and enumeration indices, whose
     costs and latencies are ints times 10 to cost_exponent and
-    latency_exponent when the walk searched in ints (else Decimals, and
-    both exponents 0), and its counters. Only the chosen placements get a
+    latency_exponent, and its counters. Only the chosen placements get a
     Placement."""
 
     c_arg: int
     t_arg: int
-    costs: list
-    latencies: list
+    costs: list[int]
+    latencies: list[int]
     indices: list[int]
     cost_exponent: int
     latency_exponent: int
@@ -512,6 +523,10 @@ def _digits(index: int, count: int, width: int) -> list[int]:
 #: dominance against (see _walk).
 _KEPT = 8
 
+#: The walk's magnitude limit, in units of an axis's exponent: a sum below
+#: it has at most CONTEXT.prec digits at that exponent, so it is exact.
+_LIMIT = 10**CONTEXT.prec
+
 
 def _walk(
     workflow: WorkflowSpec,
@@ -519,27 +534,31 @@ def _walk(
     platforms: list[str],
     config: OptimizationConfig,
 ) -> _Found:
-    """Visit every placement once, in enumeration index order (_placement).
+    """Visit every placement once, in enumeration index order (_placement),
+    in exact ints: each axis is scaled to its _exponent, each entry becoming
+    its _Pair in place and each credit term scaled when _Billed prices it,
+    and the budget and SLO become the floor of the scaled bound (_floor).
 
     The tail (see _tail_size) is enumerated once per solve by _combos into a
     table, one _Entry (cost sum, longest path from the tail's entry function
     s, whether every pair is within the pair bounds, group) per combination:
     combinations whose pairs bill equal fixed-charge entries, concatenated
-    in declaration order, share a group, and () is one too. The head, the
-    functions before the tail, is enumerated by the same odometer. Each head
-    prefix bills its fixed-charge entries through the solve's _Billed memo,
-    as engine.bill_fixed bills them, for its ledger and credit, and each
-    group's credit is that credit plus the group's change in it on top of
-    the prefix's ledger (change); a group billing no key of the ledger
-    keeps its change on an empty ledger, computed once per solve.
-    Prefixes in a row with the same entries share one pricing of their
-    ledger. Each group's paid sum is the prefix's cost sum less the group's
-    credit. A placement costs its group's paid sum plus its entry's cost;
-    its latency is the longer of the prefix's critical path and the
-    distance into s plus the entry's path. Each is an anchor candidate and,
-    when feasible, counted and offered to the front, under its enumeration
-    index: the prefix's first index plus the entry's. The front is parallel
-    lists of latencies, costs and indices (_slot, _insert).
+    in declaration order, share a group. With no tail, which needs a
+    declaration order that is not topological, the head is every function
+    and the table holds one empty combination (cost 0, path -inf, or 0 in a
+    workflow of no functions, group ()). The head, the functions before the
+    tail, is enumerated by the same odometer. Each head prefix bills its
+    entries through the _Billed memo, as engine.bill_fixed bills them, for
+    its ledger and credit; each group's credit is that credit plus the
+    group's change in it on top of the prefix's ledger (change), and a
+    group billing no key of the ledger keeps its change on an empty one,
+    computed once per solve. Prefixes in a row with the same entries share
+    one pricing of their ledger. A placement costs the prefix's cost sum
+    less its group's credit plus its entry's cost; its latency is the
+    longer of the prefix's critical path and the distance into s plus the
+    entry's path. Each is an anchor candidate and, when feasible, counted
+    and offered to the front (_slot, _insert) under its enumeration index:
+    the prefix's first index plus the entry's.
 
     A prefix whose cost sum, critical path (top) and distance into s (base)
     are each at least those of a prefix the walk keeps is dominated: with
@@ -553,19 +572,19 @@ def _walk(
     bounds with top <= slo, and drops those a newly kept one dominates; a
     new ledger empties it. A skipped placement is never the first negative
     point: the kept prefix's placement with its entry is feasible, no
-    dearer and enumerated first. Nor can a skipped sum raise: only the
-    Decimal search's can, and there the table is one empty combination,
-    whose adds are exact, while the prefix's own sums still run.
+    dearer and enumerated first.
 
-    When _exact_in_any_order passes, every sum of the search is an exact
-    integer add: each axis is scaled to its _exponent, each credit term
-    when _Billed prices it, and the budget and SLO become the floor of the
-    scaled bound, so the front holds ints. Otherwise the same loop runs on
-    the model's Decimals. When no tail qualifies, which needs a
-    declaration order that is not topological, or when the guard fails,
-    the head is every function, so each sum is formed in enumeration order,
-    and the table holds one empty combination: cost zero, path -Infinity
-    (zero in a workflow of no functions), within the bounds, group ().
+    Enumeration sums in money.CONTEXT, where a sum past its precision
+    raises. Entries are nonnegative, so none of its partial sums passes a
+    placement's gross cost, credit or critical path, which stay below
+    _LIMIT units unless the prefix is at risk: its cost sum plus the
+    table's largest, its run's largest credit, or the longer of top and
+    base plus the table's longest path reaches _LIMIT (only the credit can
+    when the row maxima of each axis sum below it, and a billing that
+    raises puts its term there). The model prices each placement of a
+    prefix at risk (_price), dominated or not, in enumeration order when
+    the walk ends, or up to the walk's first negative point before that
+    error: the first error raises, as enumeration's first would.
     """
     budget = INFINITY if config.budget is None else config.budget
     slo = INFINITY if config.latency_slo is None else config.latency_slo
@@ -575,51 +594,41 @@ def _walk(
     if config.scope == "per_function":
         pair_budget, pair_slo, budget, slo = budget, slo, INFINITY, INFINITY
 
-    def change(ledger: dict, fixed: tuple) -> Decimal | int:
+    def change(ledger: dict, fixed: tuple) -> int:
         """The change in ledger's credit when fixed is billed on top of it
         (engine.bill_key). A key that fixed bills twice is chained through
-        its first billing, which is priced only then."""
-        delta, chained = zero, {}
+        its first billing. A first billing credits nothing unless it fails."""
+        delta, chained = 0, {}
         for key, months, rate in fixed:
             prior = chained.get(key)
             held = ledger.get(key) if prior is None else billed[prior]
             memo = chained[key] = (held, months, rate)
-            if held is not None:
-                after = billed[memo]
-                delta += after[3] if held[3] is None else after[3] - held[3]
+            after = billed[memo]
+            if after[3] is not None:
+                delta += after[3] if held is None or held[3] is None else after[3] - held[3]
         return delta
 
-    exact = _exact_in_any_order(rows)
-    head = len(rows) - _tail_size(workflow) if exact else len(rows)
-    money = duration = _same
-    zero, infinity, ec, el = ZERO, INFINITY, 0, 0
-    if exact:
-        ec, el = _exponent(rows, _COST), _exponent(rows, _LATENCY)
-        zero, infinity = 0, math.inf
-        budget, slo = _floor(budget, ec), _floor(slo, el)
-
-        def money(amount: Decimal) -> int:
-            return _scaled(amount, ec)
-
-        def duration(amount: Decimal) -> int:
-            return _scaled(amount, el)
-
-    billed = _Billed(money)
+    head = len(rows) - _tail_size(workflow)
+    ec, el = _exponent(rows, _COST), _exponent(rows, _LATENCY)
+    billed = _Billed(ec)
     # Each entry becomes its _Pair in place: one row structure per solve.
     for row in rows:
         for j, e in enumerate(row):
             within = e.cost <= pair_budget and e.latency <= pair_slo
-            row[j] = _Pair(money(e.cost), duration(e.latency), e.fixed, within, e)
-    # Every tail function is reached from s, so s comes first in topological
-    # order.
+            row[j] = _Pair(_scaled(e.cost, ec), _scaled(e.latency, el), e.fixed, within, e)
+    # No placement's gross cost or critical path passes these sums.
+    most_cost = sum(max(p.cost for p in row) for row in rows)
+    most_latency = sum(max(p.latency for p in row) for row in rows)
+    budget, slo = _floor(budget, ec, most_cost), _floor(slo, el, most_latency)
+    small = most_cost < _LIMIT and most_latency < _LIMIT
+    # s reaches every tail function, so it comes first in topological order.
     preds = next((preds for i, preds in workflow._topology if i >= head), ())
     index: dict = {}
     table = [
         _Entry(cost, top, within, index.setdefault(fixed, len(index)))
-        for cost, fixed, within, top, _ in _combos(
-            workflow, rows, head, len(rows), zero, infinity
-        )
+        for cost, fixed, within, top, _ in _combos(workflow, rows, head, len(rows))
     ]
+    table_cost, table_path = max(e.cost for e in table), max(e.path for e in table)
     groups = list(index)
     # A group's change on top of a ledger that holds none of its keys is its
     # change on an empty ledger, its own: only the groups billing a key of a
@@ -629,99 +638,105 @@ def _walk(
     for g, group in enumerate(groups):
         for key, _, _ in group:
             billing.setdefault(key, []).append(g)
-    paid_of = [zero] * len(groups)
-    costs: list = []
-    latencies: list = []
+    paid_of = [0] * len(groups)
+    costs: list[int] = []
+    latencies: list[int] = []
     indices: list[int] = []
+    # The first index of each prefix at risk.
+    risky: list[int] = []
     # Earlier prefixes of the ledger run that were within the pair bounds
     # with top <= slo, most recently used first.
     kept: list[_Held] = []
-    # Anchors start at the first placement, so one is found even when every
-    # placement is infinite on an axis.
-    c_star = t_star = infinity
+    c_star = t_star = math.inf
     c_arg = t_arg = feasible = first = priced = dominated = 0
     last = credits = None
-    try:
-        for prefix_cost, fixed, within, top, dist in _combos(
-            workflow, rows, 0, head, zero, infinity
-        ):
-            if fixed is not last:
-                # Emptied first, so that the kept prefixes are not held
-                # while the new ledger is priced.
-                kept.clear()
-                # The credit is the ledger's terms summed in first-billed
-                # order.
-                ledger, credit = {}, zero
-                for key, months, rate in fixed:
-                    ledger[key] = billed[(ledger.get(key), months, rate)]
-                for _, _, _, term in ledger.values():
-                    if term is not None:
-                        credit += term
-                credits = [credit + d if d else credit for d in own]
-                for g in {g for key in ledger for g in billing.get(key, ())}:
-                    d = change(ledger, groups[g])
-                    credits[g] = credit + d if d else credit
-                last = fixed
-                priced += 1
-            for g, c in enumerate(credits):
-                paid_of[g] = prefix_cost - c
-            base = max([dist[q] for q in preds], default=zero)
-            useful = within and top <= slo
-            for k, held in enumerate(kept):
-                if held.cost <= prefix_cost and held.top <= top and held.base <= base:
-                    # Each placement of this prefix costs and takes at least
-                    # its kept prefix's with the same entry, which is
-                    # feasible whenever it is and enumerated first: it can
-                    # change neither anchor nor the front, only the count.
-                    if k:
-                        kept.insert(0, kept.pop(k))
-                    dominated += 1
-                    if useful:
-                        for e in table:
-                            if e.inside and paid_of[e.group] + e.cost <= budget and base + e.path <= slo:
-                                feasible += 1
-                    break
-            else:
-                for j, e in enumerate(table):
-                    cost, latency = paid_of[e.group] + e.cost, base + e.path
-                    if latency < top:
-                        latency = top
-                    if cost < c_star:
-                        c_star, c_arg = cost, first + j
-                    if latency < t_star:
-                        t_star, t_arg = latency, first + j
-                    if within and e.inside and cost <= budget and latency <= slo:
-                        feasible += 1
-                        i = _slot(latencies, costs, cost, latency)
-                        if i >= 0:
-                            # Checked as ParetoPoint checks a point.
-                            if cost < 0 or latency < 0:
-                                label = str(_placement(workflow, platforms, first + j))
-                                raise DomainError(f"point {label!r} has negative cost or latency")
-                            _insert(latencies, costs, indices, i, cost, latency, first + j)
+    for prefix_cost, fixed, within, top, dist in _combos(workflow, rows, 0, head):
+        if fixed is not last:
+            # Emptied first, so that the kept prefixes are not held while the
+            # new ledger is priced.
+            kept.clear()
+            # The credit is the ledger's terms summed in first-billed order.
+            ledger, credit = {}, 0
+            for key, months, rate in fixed:
+                ledger[key] = billed[(ledger.get(key), months, rate)]
+            for _, _, _, term in ledger.values():
+                if term is not None:
+                    credit += term
+            credits = [credit + d if d else credit for d in own]
+            for g in {g for key in ledger for g in billing.get(key, ())}:
+                d = change(ledger, groups[g])
+                credits[g] = credit + d if d else credit
+            hot = max(credit, *credits) >= _LIMIT
+            last = fixed
+            priced += 1
+        for g, c in enumerate(credits):
+            paid_of[g] = prefix_cost - c
+        base = max([dist[q] for q in preds], default=0)
+        if hot or not small and max(prefix_cost + table_cost, top, base + table_path) >= _LIMIT:
+            risky.append(first)
+        useful = within and top <= slo
+        for k, held in enumerate(kept):
+            if held.cost <= prefix_cost and held.top <= top and held.base <= base:
+                # Each placement of this prefix costs and takes at least its
+                # kept prefix's with the same entry, which is feasible
+                # whenever it is and enumerated first: it can change neither
+                # anchor nor the front, only the count.
+                if k:
+                    kept.insert(0, kept.pop(k))
+                dominated += 1
                 if useful:
-                    # A kept prefix that this one dominates dominates no
-                    # prefix that this one does not.
-                    for k in range(len(kept) - 1, -1, -1):
-                        held = kept[k]
-                        if prefix_cost <= held.cost and top <= held.top and base <= held.base:
-                            del kept[k]
-                    kept.insert(0, _Held(prefix_cost, top, base))
-                    del kept[_KEPT:]
-            first += len(table)
-    except (DomainError, decimal.Inexact):
-        # The walk forms its sums in another order than the model, which
-        # prices a placement's cost (_cost), then its latency: priced so, the
-        # failing prefix's first placement raises the error enumeration meets
-        # first. When it raises none, the walk's error stands.
-        entries = [row[c].entry for row, c in zip(rows, _digits(first, len(rows), len(platforms)))]
-        _cost(entries)
-        critical_path(workflow, [e.latency for e in entries])
-        raise
-    counters = SearchCounters(
-        first, feasible, first // len(table), len(table), len(groups), priced, exact, dominated
-    )
+                    for e in table:
+                        if e.inside and paid_of[e.group] + e.cost <= budget and base + e.path <= slo:
+                            feasible += 1
+                break
+        else:
+            for j, e in enumerate(table):
+                cost, latency = paid_of[e.group] + e.cost, base + e.path
+                if latency < top:
+                    latency = top
+                if cost < c_star:
+                    c_star, c_arg = cost, first + j
+                if latency < t_star:
+                    t_star, t_arg = latency, first + j
+                if within and e.inside and cost <= budget and latency <= slo:
+                    feasible += 1
+                    i = _slot(latencies, costs, cost, latency)
+                    if i >= 0:
+                        # Checked as ParetoPoint checks a point; only a
+                        # credit above the gross cost makes one negative.
+                        # Its prefix is priced too: billing a key at two
+                        # rates, it may meet a credit the walk never sums.
+                        if cost < 0:
+                            _price(workflow, rows, platforms, [*risky, first], len(table), first + j + 1)
+                            label = str(_placement(workflow, platforms, first + j))
+                            raise DomainError(f"point {label!r} has negative cost or latency")
+                        _insert(latencies, costs, indices, i, cost, latency, first + j)
+            if useful:
+                # A kept prefix that this one dominates dominates no prefix
+                # that this one does not.
+                for k in range(len(kept) - 1, -1, -1):
+                    held = kept[k]
+                    if prefix_cost <= held.cost and top <= held.top and base <= held.base:
+                        del kept[k]
+                kept.insert(0, _Held(prefix_cost, top, base))
+                del kept[_KEPT:]
+        first += len(table)
+    _price(workflow, rows, platforms, risky, len(table), first)
+    counters = SearchCounters(first, feasible, first // len(table), len(table), len(groups),
+                              priced, dominated, len(risky))
     return _Found(c_arg, t_arg, costs, latencies, indices, ec, el, counters)
+
+
+def _price(workflow: WorkflowSpec, rows: list[list[_Pair]], platforms: list[str],
+           risky: list[int], size: int, end: int) -> None:
+    """Price each placement below index end of the head prefixes at risk
+    (first indices ascending, size indices each) in enumeration order, as
+    the model does: _cost, then critical_path. The first failure raises."""
+    for first in risky:
+        for index in range(first, min(first + size, end)):
+            entries = [row[c].entry for row, c in zip(rows, _digits(index, len(rows), len(platforms)))]
+            _cost(entries)
+            critical_path(workflow, [e.latency for e in entries])
 
 
 class _Entry:
@@ -732,7 +747,7 @@ class _Entry:
 
     __slots__ = ("cost", "path", "inside", "group")
 
-    def __init__(self, cost: Decimal | int, path: Decimal | int, inside: bool, group: int):
+    def __init__(self, cost: int, path: int | float, inside: bool, group: int):
         self.cost, self.path, self.inside, self.group = cost, path, inside, group
 
 
@@ -743,65 +758,68 @@ class _Held:
 
     __slots__ = ("cost", "top", "base")
 
-    def __init__(self, cost: Decimal | int, top: Decimal | int, base: Decimal | int):
+    def __init__(self, cost: int, top: int | float, base: int):
         self.cost, self.top, self.base = cost, top, base
 
 
 class _Pair(NamedTuple):
-    """A pair as the walk searches it: its cost and latency in the search's
-    number type, its fixed-charge entries, whether it is within the pair
-    bounds, and the model's entry."""
+    """A pair as the walk searches it: its cost and latency as scaled ints,
+    its fixed-charge entries, whether it is within the pair bounds, and the
+    model's entry."""
 
-    cost: Decimal | int
-    latency: Decimal | int
+    cost: int
+    latency: int
     fixed: tuple
     within: bool
     entry: PairEntry
 
 
-def _same(amount: Decimal) -> Decimal:
-    """The Decimal search's scaling: none."""
-    return amount
-
-
 def _scaled(value: Decimal, exponent: int) -> int:
-    """value·10^-exponent as an int, for a value whose exponent is at least
-    exponent. The shift runs in the walk's exact_sums context: the digit
-    guard keeps every value of the search within its precision, and a value
-    past it, which only a bypassed guard lets in, raises as a search sum
-    that needs more digits."""
-    return int(value.scaleb(-exponent))
+    """value·10^-exponent, exactly, for a value whose exponent is at least exponent."""
+    return int(_EXACT.scaleb(value, -exponent))
 
 
-def _floor(bound: Decimal, exponent: int) -> int | float:
+def _floor(bound: Decimal, exponent: int, most: int) -> int | float:
     """The greatest int n with n·10^exponent <= bound: an int sum of the
     search scaled to exponent is within bound exactly when it is within n.
-    Infinity, or a bound beyond every such sum, is math.inf, so that no
-    huge int is built."""
-    if bound == INFINITY or bound.adjusted() - exponent >= CONTEXT.prec:
+    Infinity, or a bound at or above most·10^exponent, where most is the
+    largest sum, is math.inf, so that no huge int is built."""
+    if bound == INFINITY or bound >= _EXACT.scaleb(most, exponent):
         return math.inf
     return int(_EXACT.scaleb(bound, -exponent).to_integral_value(decimal.ROUND_FLOOR, _EXACT))
 
 
+#: A key's ledger entry from a failed billing of it on: its term is at the limit.
+_FAILED = (None, None, None, _LIMIT)
+
+
 class _Billed(dict):
     """(held ledger entry or None, months, rate) -> the key's ledger entry
-    after billing months at rate (engine.bill_key), computed once per solve,
-    its credit term converted by money to the search's number type."""
+    after billing months at rate (engine.bill_key) with exact sums, computed
+    once per solve, its credit term scaled to the cost exponent. A billing
+    that raises gives _FAILED: every prefix crediting it is at risk (_walk),
+    so the model prices its placements and raises the error."""
 
-    __slots__ = ("money",)
+    __slots__ = ("exponent",)
 
-    def __init__(self, money):
-        self.money = money
+    def __init__(self, exponent: int):
+        self.exponent = exponent
 
     def __missing__(self, memo: tuple) -> tuple:
-        total, most, rate, term = bill_key(*memo)
-        after = self[memo] = (total, most, rate, None if term is None else self.money(term))
+        after = _FAILED
+        if memo[0] is not _FAILED:
+            try:
+                with exact_sums("a fixed-charge credit"):
+                    total, most, rate, term = bill_key(*memo)
+                after = (total, most, rate, None if term is None else _scaled(term, self.exponent))
+            except (DomainError, ArithmeticError):
+                pass
+        self[memo] = after
         return after
 
 
-def _combos(
-    workflow: WorkflowSpec, rows: list[list[_Pair]], start: int, stop: int, zero, infinity
-) -> Iterator[tuple]:
+def _combos(workflow: WorkflowSpec, rows: list[list[_Pair]], start: int,
+            stop: int) -> Iterator[tuple]:
     """Every platform combination of the block of functions start..stop-1
     (declaration order), in enumeration order, as (cost sum, fixed-charge
     entries concatenated in declaration order, whether every pair is within
@@ -810,20 +828,19 @@ def _combos(
     block counts as no path. A depth-first odometer: level k places the
     block's function k on each platform in turn, and slot k + 1 of each
     state list holds the current combination of the first k + 1 functions,
-    so combinations sharing a prefix share its sums. Every sum starts from
-    zero, the zero of the rows' number type, so that it keeps that type.
-    The longest path of no functions is -infinity, which any path beats,
-    except in a workflow of no functions, whose critical path is zero. The
-    distances list is reused: read it before the next combination."""
+    so combinations sharing a prefix share its sums. The longest path of no
+    functions is -inf, which any path beats, except in a workflow of no
+    functions, whose critical path is zero. The distances list is reused:
+    read it before the next combination."""
     rows = rows[start:stop]
     size, width = len(rows), len(rows[0]) if rows else 0
     schedule = _schedule(workflow, start, stop)
     choice = [0] * size
     dist: list = [None] * len(workflow.functions)
-    cost_at = [zero] + [None] * size
+    cost_at = [0] + [None] * size
     fixed_at = [()] + [None] * size
     within_at = [True] + [None] * size
-    top_at = [zero if not workflow.functions else -infinity] + [None] * size
+    top_at = [0 if not workflow.functions else -math.inf] + [None] * size
     depth = 0
     while True:
         for k in range(depth, size):
@@ -835,7 +852,7 @@ def _combos(
             within_at[k + 1] = within_at[k] and entry.within
             top = top_at[k]
             for p, preds, i in schedule[k]:
-                d = dist[p] = max([dist[q] for q in preds], default=zero) + rows[i][choice[i]].latency
+                d = dist[p] = max([dist[q] for q in preds], default=0) + rows[i][choice[i]].latency
                 if d > top:
                     top = d
             top_at[k + 1] = top
@@ -893,65 +910,12 @@ def _tail_size(workflow: WorkflowSpec) -> int:
     return 0
 
 
-#: Rounds up and traps nothing: an upper bound of a sum that never raises.
-_CEILING = decimal.Context(prec=CONTEXT.prec, rounding=decimal.ROUND_CEILING, traps=[])
-
-
-def _exact_in_any_order(rows: list[list[PairEntry]]) -> bool:
-    """Whether every cost and latency sum the walk can form keeps all its
-    digits in money.CONTEXT, so that the tail table, which adds in another
-    order than enumeration does, never raises where enumeration would not,
-    nor the reverse, and so that the walk can search in ints scaled to each
-    axis's _exponent, each sum an exact int add equal in value to the
-    Decimal sum. A sum of the search is at most the sum of the row maxima,
-    and its last digit is no finer than _exponent; the digits between must
-    fit in CONTEXT.prec. A credit is at most the fixed charges it credits
-    plus a few quanta when each pair's cost includes
-    the money_product of each fixed entry it bills and each key is billed
-    at one rate, as in a CatalogModel; a model breaking either fails. So a
-    group's change in credit, and a prefix's paid sum less it, negative
-    when the tail credits more than the head paid, stay below 10 times the
-    bound and no finer than the money quantum: with fixed charges the cost
-    bound gets one more digit. A non-finite or negative entry fails too, so
-    that infinite sums and the negative-point error of the first admitted
-    point come in enumeration order. An exponent is read as that of the
-    entry times zero: as_tuple() would build a digit tuple per entry, and
-    freed tuples stay on CPython's free lists.
-    """
-    fixed = any(e.fixed for row in rows for e in row)
-    for axis in (_COST, _LATENCY):
-        bound = ZERO
-        for row in rows:
-            values = [axis(e) for e in row]
-            if not all(v.is_finite() and v >= 0 for v in values):
-                return False
-            bound = _CEILING.add(bound, max(values))
-        if axis is _COST and fixed:
-            bound = _CEILING.multiply(bound, 10)
-        if bound.adjusted() + 1 - _exponent(rows, axis) > CONTEXT.prec:
-            return False
-    rates: dict = {}
-    for row in rows:
-        for e in row:
-            charges = ZERO
-            for key, months, rate in e.fixed:
-                if rates.setdefault(key, rate) != rate:
-                    return False
-                try:
-                    charges = _EXACT.add(charges, money_product(months, rate))
-                except (DomainError, ArithmeticError):
-                    return False
-            if e.cost < charges:
-                return False
-    return True
-
-
 def _exponent(rows: list[list[PairEntry]], axis) -> int:
     """The finest exponent of an axis's sums: that of its finest entry, or
-    ZERO's, which starts every sum, and for cost the money quantum's when a
-    pair bills a fixed charge, since a credit is a multiple of it. Each
-    exponent is read as that of the finite entry times zero (see
-    _exact_in_any_order)."""
+    0, and for cost the money quantum's when a pair bills a fixed charge,
+    since a credit is a multiple of it. An exponent is read as that of the
+    entry times zero: as_tuple() would build a digit tuple per entry, and
+    freed tuples stay on CPython's free lists."""
     finest = 0
     for row in rows:
         for e in row:

@@ -153,11 +153,9 @@ def _parts(duration: Decimal) -> tuple[int, int, int | str]:
     return sign, int(Decimal((0, digits, 0))), exponent
 
 
-def _decimal(sign: int, coefficient: int, exponent: int | str) -> Decimal:
-    """The Decimal of _parts, spelled with exactly that coefficient and
-    exponent."""
-    if isinstance(exponent, str):
-        return Decimal((sign, tuple(map(int, str(coefficient))), exponent))
+def _decimal(sign: int, coefficient: int, exponent: int) -> Decimal:
+    """The Decimal of a finite duration's _parts, spelled with exactly that
+    coefficient and exponent."""
     return Decimal(f"{'-' * sign}{coefficient}E{exponent}")
 
 
@@ -199,7 +197,7 @@ class _Pair:
         self.bytes_out_total = 0
         self.error_count = 0
 
-    def add(self, sign: int, coefficient: int, exponent: int | str) -> None:
+    def add(self, sign: int, coefficient: int, exponent: int) -> None:
         """Add the ok duration of _parts (sign, coefficient, exponent)."""
         if self.durations is None and exponent in _EXPONENTS:
             if exponent < self.exponent:
@@ -380,14 +378,19 @@ class UsageFold:
         bytes_out: int,
         status: str,
     ) -> None:
-        """Add one row. The duration and byte counts are trusted as given:
-        UsageLog.fold passes only rows that passed the row checks. A status
-        other than ok or error raises DomainError and adds nothing."""
+        """Add one row. A duration that is not finite, or a status other
+        than ok or error, raises DomainError and adds nothing; the rest of
+        the duration and the byte counts are trusted as given: UsageLog.fold
+        passes only rows that passed the row checks."""
+        if not duration_ms.is_finite():
+            raise DomainError(
+                f"duration ({function_id}, {platform_id}) must be finite, got {duration_ms}"
+            )
         self._add(function_id, platform_id, *_parts(duration_ms), bytes_in, bytes_out, status)
 
     def _add(self, function_id: str, platform_id: str, sign: int, coefficient: int,
-             exponent: int | str, bytes_in: int, bytes_out: int, status: str) -> None:
-        """add, with the duration as its _parts."""
+             exponent: int, bytes_in: int, bytes_out: int, status: str) -> None:
+        """add, with a finite duration as its _parts."""
         pair = self._pairs.get((function_id, platform_id))
         if pair is None:
             if status not in STATUSES:
@@ -396,8 +399,7 @@ class UsageFold:
         if status == "ok":
             # _Pair.add's common case, inlined: a row at its pair's finest
             # exponent is one append, and a second one when the pair keeps a
-            # tag per row. The exponent test comes first: the exponent of a
-            # NaN or an infinity is a letter.
+            # tag per row.
             if exponent == pair.exponent and (pair.tags is not None or 2 * exponent + sign == pair.tag):
                 try:
                     pair.scaled.append(-coefficient if sign else coefficient)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -706,8 +707,7 @@ def test_ingest_manifest_counts_rows_and_pairs(capsys, tmp_path):
 def test_optimize_manifest_counts_the_integer_search(capsys, tmp_path):
     # The pipeline over the five cards: head {data-retrieval,
     # data-processing}, 25 prefixes billing no fixed charge, so one ledger;
-    # tail {ai-inference}, one group per card. Its sums fit the digit guard,
-    # so the walk searches in scaled ints. 7 prefixes cost and take at
+    # tail {ai-inference}, one group per card. 7 prefixes cost and take at
     # least an earlier one, so the walk only counts their placements.
     cards = [a for p in ("aws-x86", "aws-arm", "aws-lambda-edge", "gcp", "leo")
              for a in ("--platform", p)]
@@ -726,8 +726,8 @@ def test_optimize_manifest_counts_the_integer_search(capsys, tmp_path):
         "tail_entries": 5,
         "groups": 5,
         "ledgers_priced": 1,
-        "integer_search": True,
         "dominated_prefixes": 7,
+        "prefixes_at_risk": 0,
     }
     paths = sorted(i["path"] for i in manifest["inputs"])
     digests = "".join(hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths)
@@ -1079,6 +1079,21 @@ def test_point_cost_at_or_over_the_money_bound_exits_2_naming_the_pair(capsys, t
     argv = ["optimize", "--workflow", PIPELINE, "--points", str(path), "--format", "json"]
     expected = "error: point (data-retrieval, aws-x86): cost must be below 1E+38 USD, got 1E+45\n"
     assert run(capsys, *argv) == (2, "", expected)
+
+
+@pytest.mark.parametrize("command", ["optimize", "pareto"])
+def test_point_finer_than_the_search_allows_exits_2_at_once(capsys, tmp_path, command):
+    # The placement model rejects the entry when it is built, before any
+    # search would scale the table to 200,000 decimals.
+    doc = json.loads(Path(POINTS).read_text(encoding="utf-8"))
+    doc["points"][0]["cost"] = "1E-200000"
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    start = time.perf_counter()
+    result = run(capsys, command, "--workflow", PIPELINE, "--points", str(path))
+    assert time.perf_counter() - start < 1
+    expected = "error: pair (data-retrieval, aws-x86): cost must have no digit finer than 1E-100, got 1E-200000\n"
+    assert result == (2, "", expected)
 
 
 def test_point_table_listing_a_pair_twice_exits_2_naming_the_pair(capsys, tmp_path):

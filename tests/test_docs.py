@@ -5,6 +5,8 @@ import io
 import re
 from pathlib import Path
 
+from cosmos.optimizer import SearchCounters
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -26,3 +28,10 @@ def test_readme_library_example_prints_its_commented_values():
     expected = re.findall(r"^print\(.*\)\s+# (.+)$", block, re.M)
     assert len(expected) == 4
     assert printed[: len(expected)] == expected
+
+
+def test_readme_names_each_optimize_counter():
+    text = README.read_text(encoding="utf-8")
+    match = re.search(r"The manifest of `optimize` has `counters` of its search:(.*?)Neither manifest", text, re.S)
+    assert match, "README has no optimize manifest paragraph"
+    assert re.findall(r"`(\w+)`", match.group(1)) == list(SearchCounters._fields)

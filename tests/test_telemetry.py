@@ -482,11 +482,16 @@ def test_rows_that_do_not_fit_fall_back_to_the_list():
             merged = _fold(first).merge(_fold(second))
             assert merged._pairs[("f", "p")].durations is not None
             assert repr(merged.summaries()) == repr(_list_fold(first + second).summaries())
-    # So does a NaN or an infinity given to UsageFold.add, whose exponent is
-    # a letter, after a row spelled as the pair's one spelling so far.
-    for text in ("NaN", "Infinity", "-Infinity"):
-        pair = _fold([compact[0], compact[0], ("f", "p", D(text), 0, 0, "ok")])._pairs[("f", "p")]
-        assert [str(d) for d in pair.durations] == ["3.25", "3.25", text]
+    # A NaN or an infinity given to UsageFold.add raises naming the pair and
+    # adds nothing, after a row of the pair or as the pair's first row.
+    for text in ("NaN", "sNaN", "Infinity", "-Infinity"):
+        for rows in ([compact[0]], []):
+            fold = _fold(rows)
+            for status in ("ok", "error"):
+                with pytest.raises(DomainError) as exc:
+                    fold.add("f", "p", D(text), 1, 1, status)
+                assert str(exc.value) == f"duration (f, p) must be finite, got {text}"
+            assert repr(fold.summaries()) == repr(_fold(rows).summaries())
 
 
 def test_mean_sum_is_exact_beyond_28_digits():
