@@ -11,20 +11,21 @@ tail, the longest trailing run of at most half the functions (the one function
 of a one-function workflow) that the rest of the workflow enters through one
 function, priced once per solve into a table; and the head, the functions
 before it. Each head prefix is answered from the table meet-in-the-middle
-style, one add per axis per placement, unless an earlier prefix with the
-same fixed-charge entries costs, takes and reaches the tail in no more: then
-none of its placements can change an answer, and the walk only counts its
-feasible ones. A prefix's shared fixed-charge credit and each table group's
-change in it come from one memo of engine.bill_key, the rule
-engine.bill_fixed applies, once per run of prefixes with the same
-fixed-charge entries. The walk adds and compares Python ints, each axis
-scaled to its finest exponent, so no sum rounds in any order. Enumeration
-sums in money.CONTEXT, where a sum past its precision raises; the walk keeps
-that contract by magnitude: a prefix any of whose placements' sums can reach
-10^CONTEXT.prec units is priced by the model, placement by placement in
-enumeration order, and the first error raises. The scope bounds either each
-pair or the sums, so one test decides feasibility under both. The model
-writes the digits reported for the chosen placements.
+style, one add per axis per placement, unless an earlier prefix with the same
+fixed-charge entries costs, takes and reaches the tail in no more: then none
+of its placements can change an answer, and the walk only counts its feasible
+ones, per group of the table from rank bitsets (_Ranks), in two bisections and
+a popcount, without visiting its entries. A prefix's shared fixed-charge
+credit and each table group's change in it come from one memo of
+engine.bill_key, the rule engine.bill_fixed applies, once per run of prefixes
+with the same fixed-charge entries. The walk adds and compares Python ints,
+each axis scaled to its finest exponent, so no sum rounds in any order.
+Enumeration sums in money.CONTEXT, where a sum past its precision raises; the
+walk keeps that contract by magnitude: a prefix any of whose placements' sums
+can reach 10^CONTEXT.prec units is priced by the model, placement by placement
+in enumeration order, and the first error raises. The scope bounds either each
+pair or the sums, so one test decides feasibility under both. The model writes
+the digits reported for the chosen placements.
 
 Weights default to the reciprocals of the two unconstrained anchors:
 alpha = 1/C* (cheapest achievable cost) and beta = 1/T* (fastest achievable
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import decimal
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -70,6 +71,8 @@ INFINITY = Decimal("Infinity")
 
 _COST = attrgetter("cost")
 _LATENCY = attrgetter("latency")
+_PATH = attrgetter("path")
+_GROUP = attrgetter("group")
 
 DEFAULT_ENUMERATION_CAP = 10**7
 
@@ -567,12 +570,16 @@ def _walk(
     feasible whenever it is and enumerated first. Neither anchor changes on
     a tie, and the front keeps the first of equal points, so the dominated
     prefix only counts its feasible placements (when it is within the pair
-    bounds with top <= slo). The walk keeps up to _KEPT prefixes of the
-    current ledger run, most recently used first, each within the pair
-    bounds with top <= slo, and drops those a newly kept one dominates; a
-    new ledger empties it. A skipped placement is never the first negative
-    point: the kept prefix's placement with its entry is feasible, no
-    dearer and enumerated first.
+    bounds with top <= slo): per group, the entries within the pair bounds
+    that cost at most the budget less the group's paid sum and whose path is
+    at most the SLO less base, read from the table's _Ranks without visiting
+    them. The _Ranks is built at the solve's first such count, so a solve
+    that dominates no prefix builds none. The walk keeps up to _KEPT
+    prefixes of the current ledger run, most recently used first, each
+    within the pair bounds with top <= slo, and drops those a newly kept one
+    dominates; a new ledger empties it. A skipped placement is never the
+    first negative point: the kept prefix's placement with its entry is
+    feasible, no dearer and enumerated first.
 
     Enumeration sums in money.CONTEXT, where a sum past its precision
     raises. Entries are nonnegative, so none of its partial sums passes a
@@ -626,10 +633,11 @@ def _walk(
     index: dict = {}
     table = [
         _Entry(cost, top, within, index.setdefault(fixed, len(index)))
-        for cost, fixed, within, top, _ in _combos(workflow, rows, head, len(rows))
+        for cost, fixed, within, top, _ in _combos(workflow, rows[head:], head, len(rows))
     ]
     table_cost, table_path = max(e.cost for e in table), max(e.path for e in table)
-    groups = list(index)
+    groups = tuple(index)
+    del index  # not held through the walk
     # A group's change on top of a ledger that holds none of its keys is its
     # change on an empty ledger, its own: only the groups billing a key of a
     # prefix's ledger are repriced for it.
@@ -649,7 +657,7 @@ def _walk(
     kept: list[_Held] = []
     c_star = t_star = math.inf
     c_arg = t_arg = feasible = first = priced = dominated = 0
-    last = credits = None
+    last = credits = ranks = None
     for prefix_cost, fixed, within, top, dist in _combos(workflow, rows, 0, head):
         if fixed is not last:
             # Emptied first, so that the kept prefixes are not held while the
@@ -671,7 +679,10 @@ def _walk(
             priced += 1
         for g, c in enumerate(credits):
             paid_of[g] = prefix_cost - c
-        base = max([dist[q] for q in preds], default=0)
+        base = 0
+        for q in preds:
+            if dist[q] > base:
+                base = dist[q]
         if hot or not small and max(prefix_cost + table_cost, top, base + table_path) >= _LIMIT:
             risky.append(first)
         useful = within and top <= slo
@@ -685,9 +696,14 @@ def _walk(
                     kept.insert(0, kept.pop(k))
                 dominated += 1
                 if useful:
-                    for e in table:
-                        if e.inside and paid_of[e.group] + e.cost <= budget and base + e.path <= slo:
-                            feasible += 1
+                    if ranks is None:
+                        ranks = _Ranks(table, len(groups))
+                    reach, lo = slo - base, 0
+                    for g, hi in enumerate(ranks.ends):
+                        cheap = bisect_right(ranks.costs, budget - paid_of[g], lo, hi) - lo
+                        fast = ranks.masks[bisect_right(ranks.paths, reach, lo, hi) + g]
+                        feasible += (fast & ((1 << cheap) - 1)).bit_count()
+                        lo = hi
                 break
         else:
             for j, e in enumerate(table):
@@ -749,6 +765,51 @@ class _Entry:
 
     def __init__(self, cost: int, path: int | float, inside: bool, group: int):
         self.cost, self.path, self.inside, self.group = cost, path, inside, group
+
+
+class _Ranks:
+    """The table's entries within the pair bounds, for counting per group
+    those that fit a cost bound c and a path bound t without visiting them
+    (a 2-D dominance count). Group g's entries take slots lo = ends[g - 1]
+    (0 for group 0) to hi = ends[g] - 1 of costs and of paths, each holding
+    them by group and then ascending, and its masks take slots lo + g to
+    hi + g of masks: its j-th is the set of its j entries with the shortest
+    paths, as bits by cost rank. Its entries costing at most c with a path
+    at most t are the bits of masks[bisect_right(paths, t, lo, hi) + g]
+    below bit bisect_right(costs, c, lo, hi) - lo; this is exact for int
+    bounds, for math.inf and for a -inf path. A group of m entries holds
+    m + 1 masks of at most m bits, about m²/8 bytes; the four lists have
+    one slot per entry and one per group, one more for masks."""
+
+    __slots__ = ("costs", "paths", "masks", "ends")
+
+    def __init__(self, table: list[_Entry], groups: int):
+        self.paths = paths = [e for e in table if e.inside]
+        paths.sort(key=_PATH)
+        paths.sort(key=_GROUP)
+        self.costs = costs = sorted(paths, key=_COST)
+        costs.sort(key=_GROUP)
+        for k, e in enumerate(costs):
+            costs[k] = e.cost
+        self.ends = ends = [0] * groups
+        for e in paths:
+            ends[e.group] += 1
+        self.masks = masks = []
+        hi = 0
+        for g in range(groups):
+            lo, hi = hi, hi + ends[g]
+            ends[g] = hi
+            mask = 0
+            masks.append(mask)
+            for k in range(lo, hi):
+                e = paths[k]
+                # Equal costs share a run of ranks, which a cost bound takes
+                # whole: the entry takes the lowest free rank of its cost's run.
+                low = bisect_left(costs, e.cost, lo, hi) - lo
+                free = ~mask >> low
+                mask |= (free & -free) << low
+                masks.append(mask)
+                paths[k] = e.path
 
 
 class _Held:
@@ -821,19 +882,20 @@ class _Billed(dict):
 def _combos(workflow: WorkflowSpec, rows: list[list[_Pair]], start: int,
             stop: int) -> Iterator[tuple]:
     """Every platform combination of the block of functions start..stop-1
-    (declaration order), in enumeration order, as (cost sum, fixed-charge
-    entries concatenated in declaration order, whether every pair is within
-    the bounds, longest path inside the block, distances): the distances
-    are indexed by topological position, and a predecessor outside the
-    block counts as no path. A depth-first odometer: level k places the
-    block's function k on each platform in turn, and slot k + 1 of each
-    state list holds the current combination of the first k + 1 functions,
-    so combinations sharing a prefix share its sums. The longest path of no
-    functions is -inf, which any path beats, except in a workflow of no
-    functions, whose critical path is zero. The distances list is reused:
-    read it before the next combination."""
-    rows = rows[start:stop]
-    size, width = len(rows), len(rows[0]) if rows else 0
+    (declaration order), whose rows are rows[0..stop-start-1], in
+    enumeration order, as (cost sum, fixed-charge entries concatenated in
+    declaration order, whether every pair is within the bounds, longest path
+    inside the block, distances): the distances are indexed by topological
+    position, and a predecessor outside the block counts as no path. A
+    depth-first odometer: level k places the block's function k on each
+    platform in turn, and slot k + 1 of each state list holds the current
+    combination of the first k + 1 functions, so combinations sharing a
+    prefix share its sums. The longest path of no functions is -inf, which
+    any path beats, except in a workflow of no functions, whose critical
+    path is zero. The distances list is reused: read it before the next
+    combination."""
+    size = stop - start
+    width = len(rows[0]) if size else 0
     schedule = _schedule(workflow, start, stop)
     choice = [0] * size
     dist: list = [None] * len(workflow.functions)
@@ -852,7 +914,11 @@ def _combos(workflow: WorkflowSpec, rows: list[list[_Pair]], start: int,
             within_at[k + 1] = within_at[k] and entry.within
             top = top_at[k]
             for p, preds, i in schedule[k]:
-                d = dist[p] = max([dist[q] for q in preds], default=0) + rows[i][choice[i]].latency
+                d = 0
+                for q in preds:
+                    if dist[q] > d:
+                        d = dist[q]
+                d = dist[p] = d + rows[i][choice[i]].latency
                 if d > top:
                     top = d
             top_at[k + 1] = top
@@ -867,13 +933,14 @@ def _combos(workflow: WorkflowSpec, rows: list[list[_Pair]], start: int,
         depth = k
 
 
-def _schedule(workflow: WorkflowSpec, start: int, stop: int) -> list[list[tuple]]:
+def _schedule(workflow: WorkflowSpec, start: int, stop: int) -> list[tuple[tuple, ...]]:
     """Per level k of the block of functions start..stop-1 (declaration
     order), the block's functions whose distance is known once its
     functions 0..k are placed: each as (topological position, positions of
     its predecessors inside the block, index in the block), in topological
     order. That level is the deepest index in the block among the function
-    and its ancestors inside it."""
+    and its ancestors inside it. Each level is a tuple, so that no list
+    per level is held while the block is walked."""
     schedule: list[list] = [[] for _ in range(start, stop)]
     levels: dict[int, int] = {}
     for p, (i, preds) in enumerate(workflow._topology):
@@ -881,6 +948,8 @@ def _schedule(workflow: WorkflowSpec, start: int, stop: int) -> list[list[tuple]
             inside = tuple(q for q in preds if q in levels)
             level = levels[p] = max([i - start, *(levels[q] for q in inside)])
             schedule[level].append((p, inside, i - start))
+    for k, level in enumerate(schedule):
+        schedule[k] = tuple(level)
     return schedule
 
 

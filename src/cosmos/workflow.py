@@ -242,7 +242,13 @@ def critical_path(workflow: WorkflowSpec, weights: Sequence[Decimal]) -> Decimal
     dist: list[Decimal] = []
     with exact_sums("a critical-path latency sum"):
         for i, preds in workflow._topology:
-            dist.append(max((dist[k] for k in preds), default=ZERO) + weights[i])
+            # max() of the predecessors' distances, the first of equal ones,
+            # without building a generator per function.
+            longest = dist[preds[0]] if preds else ZERO
+            for k in preds:
+                if dist[k] > longest:
+                    longest = dist[k]
+            dist.append(longest + weights[i])
     return max(dist, default=ZERO)
 
 

@@ -1,5 +1,9 @@
+import bisect
+import gc
 import itertools
+import math
 import random
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from operator import attrgetter
@@ -1527,20 +1531,29 @@ def test_dominated_prefixes_match_exhaustive_oracle(data):
     _check_against_oracle(data, wf, platforms, model)
 
 
-def _dominance_instance(values, edges, fixed=None):
-    """A workflow of f0, f1 (the head) and f2 (the tail) on x and y, whose
-    pairs cost and take values[f][p]; fixed[f][p], when given, is a pair's
-    fixed-charge entries, its cost including them."""
-    fids = ("f0", "f1", "f2")
+def _counting_instance(values, edges, fixed=None):
+    """The functions of values, in that order, with edges, over the
+    platforms of the first function's values: values[f][p] is a pair's
+    (cost, latency), and fixed[f][p], when given, its fixed-charge entries,
+    its cost including them."""
+    fids = tuple(values)
+    platforms = list(values[fids[0]])
     wf = WorkflowSpec(
-        workflow_id="dominated", functions=tuple(FunctionProfile(f) for f in fids), edges=edges
+        workflow_id="counting", functions=tuple(FunctionProfile(f) for f in fids), edges=edges
     )
     fixed = fixed or {}
     model = optimizer.PlacementModel(wf, {
         (f, p): optimizer.PairEntry(*map(D, values[f][p]), fixed.get(f, {}).get(p, ()))
         for f in fids
-        for p in "xy"
+        for p in platforms
     })
+    return wf, platforms, model
+
+
+def _dominance_instance(values, edges, fixed=None):
+    """A workflow of f0, f1 (the head) and f2 (the tail) on x and y (see
+    _counting_instance)."""
+    wf, _, model = _counting_instance(values, edges, fixed)
     assert optimizer._tail_size(wf) == 1
     return wf, model
 
@@ -1603,3 +1616,197 @@ def test_a_dominated_prefix_changes_no_answer(values, edges, fixed, config, expe
     assert (result.feasible_count, result.counters.dominated_prefixes) == (feasible, dominated)
     assert (result.c_star, result.c_star_placement) == min_cost(wf, ["x", "y"], model)
     assert (result.t_star, result.t_star_placement) == min_time(wf, ["x", "y"], model)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_ranks_count_the_entries_within_both_bounds(data):
+    # Entries of three groups, one maybe empty: few distinct costs and
+    # paths, so that they tie, some outside the pair bounds, a path maybe
+    # -inf (the no-tail table's); bounds an int or math.inf.
+    values = st.sampled_from([0, 1, 2, 5])
+    entries = data.draw(st.lists(
+        st.builds(optimizer._Entry, values, values | st.just(-math.inf), st.booleans(),
+                  st.integers(0, 2)),
+        max_size=12,
+    ), label="entries")
+    ranks = optimizer._Ranks(entries, 3)
+    for _ in range(5):
+        cost = data.draw(st.integers(-1, 6) | st.just(math.inf), label="cost bound")
+        path = data.draw(st.integers(-1, 6) | st.just(math.inf), label="path bound")
+        lo = 0
+        for g, hi in enumerate(ranks.ends):
+            below = (1 << bisect.bisect_right(ranks.costs, cost, lo, hi) - lo) - 1
+            count = (ranks.masks[bisect.bisect_right(ranks.paths, path, lo, hi) + g] & below).bit_count()
+            assert count == sum(
+                e.inside and e.group == g and e.cost <= cost and e.path <= path for e in entries
+            )
+            lo = hi
+
+
+def _feasible_count(wf, platforms, model, config):
+    """How many enumerated placements are within config's bounds, under its scope."""
+    count = 0
+    for placement in enumerate_placements(wf, platforms):
+        if config.scope == "workflow":
+            checks = [(model.cost_of(placement), config.budget),
+                      (model.latency_of(placement), config.latency_slo)]
+        else:
+            checks = [
+                check
+                for f, p in placement.assignments
+                for check in ((model.entry(f, p).cost, config.budget),
+                              (model.entry(f, p).latency, config.latency_slo))
+            ]
+        count += all(limit is None or value <= limit for value, limit in checks)
+    return count
+
+
+_TIED = {"x": (1, 1), "y": (1, 1), "z": (1, 1)}
+
+
+def _exact_bounds():
+    """Every head prefix of f0 -> f1 -> f2 costs and takes 2, so all but the
+    first are dominated. Under budget 3 and SLO 3, f2@x costs exactly the
+    budget less the prefix's and takes exactly the SLO less its distance;
+    f2@y takes 1 more, and f2@z costs 1 more."""
+    values = {"f0": _TIED, "f1": _TIED, "f2": {"x": (1, 1), "y": (1, 2), "z": (2, 1)}}
+    return (*_counting_instance(values, _CHAIN), OptimizationConfig(budget=D(3), latency_slo=D(3)))
+
+
+def _equal_entries():
+    """A tail f2 -> f3 whose four entries cost and take 2, 3, 2 and 3: two
+    pairs of equal costs and equal paths, of which the budget and the SLO
+    take one pair whole."""
+    tied = {"x": (1, 1), "y": (1, 1)}
+    values = {"f0": tied, "f1": tied, "f2": tied, "f3": {"x": (1, 1), "y": (2, 2)}}
+    edges = (("f0", "f1"), ("f1", "f2"), ("f2", "f3"))
+    return (*_counting_instance(values, edges), OptimizationConfig(budget=D(4), latency_slo=D(4)))
+
+
+_ML_Z = ((("z", "ml"), D(1), D(1)),)
+
+
+def _empty_group():
+    """f2@y bills a fixed charge, so it is a group of its own; a per-pair SLO
+    of 2 leaves it no entry within the bounds."""
+    tied = {"x": (1, 1), "y": (1, 1)}
+    values = {"f0": tied, "f1": tied, "f2": {"x": (1, 1), "y": (2, 5)}}
+    config = OptimizationConfig(latency_slo=D(2), scope="per_function")
+    return (*_counting_instance(values, _CHAIN, {"f2": {"y": _ML}}), config)
+
+
+def _shared_groups():
+    """f2@y and f2@z bill keys (y, ml) and (z, ml), so the table has three
+    groups; f0@y bills (y, ml) too, so under its ledger run the credit of
+    f2@y's group differs from the others'. Each run has dominated prefixes."""
+    values = {
+        "f0": {"x": (1, 1), "y": (2, 1), "z": (1, 1)},
+        "f1": _TIED,
+        "f2": {"x": (1, 1), "y": (2, 1), "z": (2, 1)},
+    }
+    fixed = {"f0": {"y": _ML}, "f2": {"y": _ML, "z": _ML_Z}}
+    config = OptimizationConfig(budget=D(4), latency_slo=D(3))
+    return (*_counting_instance(values, _CHAIN, fixed), config)
+
+
+def _per_function_bounds():
+    """Under the per_function scope f1@y is over the budget, so prefixes (x,
+    y) and (y, y) count nothing; (y, x) is dominated by (x, x) and counts
+    the tail entries within the pair bounds, f2@x only."""
+    values = {"f0": {"x": (1, 1), "y": (1, 1)}, "f1": {"x": (1, 1), "y": (3, 1)},
+              "f2": {"x": (1, 1), "y": (3, 1)}}
+    return (*_counting_instance(values, _CHAIN), OptimizationConfig(budget=D(2), scope="per_function"))
+
+
+def _no_bounds():
+    return (*_exact_bounds()[:3], OptimizationConfig())
+
+
+def _no_tail():
+    """Edges run against the declaration order, so there is no tail: the
+    table is one empty combination, of path -inf, and each head prefix is
+    a whole placement. Each ties with the first or, with f0 on y, costs
+    and takes 4: all but the first are dominated."""
+    values = {"f0": {"x": (1, 1), "y": (2, 2)}, "f1": {"x": (1, 1), "y": (1, 1)},
+              "f2": {"x": (1, 1), "y": (1, 1)}}
+    wf, platforms, model = _counting_instance(values, (("f2", "f1"), ("f1", "f0")))
+    assert optimizer._tail_size(wf) == 0
+    return wf, platforms, model, OptimizationConfig(budget=D(3))
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [_exact_bounds, _equal_entries, _empty_group, _shared_groups, _per_function_bounds,
+     _no_bounds, _no_tail],
+)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_dominated_prefixes_count_as_enumeration_on_named_inputs(instance, data):
+    # Named inputs of the counting property; st.data() cannot be given to
+    # an @example. Under the instance's own config the walk dominates some
+    # prefixes and counts what enumeration counts; under drawn ones it
+    # answers as the oracle does.
+    wf, platforms, model, config = instance()
+    found = optimizer._walk(wf, optimizer._rows(wf, platforms, model.entry), platforms, config)
+    assert found.counters.dominated_prefixes > 0
+    assert found.counters.feasible == _feasible_count(wf, platforms, model, config)
+    _check_against_oracle(data, wf, platforms, model)
+
+
+def test_ranks_are_built_once_and_only_for_a_dominated_prefix(monkeypatch):
+    built = []
+    ranks = optimizer._Ranks
+    monkeypatch.setattr(
+        optimizer, "_Ranks", lambda table, groups: built.append(groups) or ranks(table, groups)
+    )
+    # Prefixes (x, x), (x, y), (y, x), (y, y) cost 0, 2, 1, 3 and take 3, 1,
+    # 2, 0: none dominates another, so nothing is built.
+    values = {"f0": {"x": (0, 1), "y": (1, 0)}, "f1": {"x": (0, 2), "y": (2, 0)},
+              "f2": {"x": (0, 0), "y": (1, 1)}}
+    wf, platforms, model = _counting_instance(values, _CHAIN)
+    result = optimize(wf, platforms, model, OptimizationConfig(alpha=D(1), beta=D(1)))
+    assert (result.counters.dominated_prefixes, built) == (0, [])
+    wf, platforms, model, config = _shared_groups()
+    result = optimize(wf, platforms, model, config)
+    assert result.counters.dominated_prefixes > 1
+    assert built == [result.counters.groups] == [3]
+
+
+def test_ranks_stay_within_their_stated_size():
+    # A 5-function tail over 5 platforms, 5^5 entries (a 10-function
+    # workflow, near the cap), with paths descending as costs ascend, so
+    # that every mask has about m bits. README states about m²/8 bytes plus
+    # under 100 bytes an entry.
+    m = 5**5
+    table = [optimizer._Entry(cost, m - cost, True, 0) for cost in range(m)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ranks = optimizer._Ranks(table, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ranks.masks) == m + 1 and ranks.masks[1] == 1 << (m - 1)
+    assert peak <= m * m / 8 + 100 * m
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_n_shaped_dag_matches_exhaustive_oracle(data):
+    # The dag-points shape, a -> c, a -> d, b -> d, c -> e, d -> e, e -> f,
+    # whose tail is {e, f}, on 2-3 platforms. Costs and latencies take few
+    # values, so most head prefixes are dominated.
+    fids = "abcdef"
+    wf = WorkflowSpec(
+        workflow_id="n-shaped", functions=tuple(FunctionProfile(f) for f in fids),
+        edges=(("a", "c"), ("a", "d"), ("b", "d"), ("c", "e"), ("d", "e"), ("e", "f")),
+    )
+    platforms = ["x", "y", "z"][: data.draw(st.integers(2, 3), label="platforms")]
+    table = {
+        (f, p): (D(data.draw(st.sampled_from(_FEW), label=f"cost {f}@{p}")),
+                 D(data.draw(st.sampled_from(_FEW), label=f"latency {f}@{p}")))
+        for f in fids
+        for p in platforms
+    }
+    _check_against_oracle(data, wf, platforms, PointTableModel(wf, table))

@@ -22,6 +22,7 @@ from cosmos.workflow import (
     LatencyTable,
     Placement,
     WorkflowSpec,
+    critical_path,
     load_workflow_document,
     serialize_workflow,
 )
@@ -312,6 +313,25 @@ def _brute_force_critical_path(n_nodes, edges, weights):
         if not any(dst == start for _, dst in edges):
             walk(start, Decimal(0))
     return best
+
+
+@pytest.mark.parametrize(
+    "edges, weights, expected",
+    [
+        # c's predecessors a and b are both 0 away; the first, by edge order,
+        # gives its digits to c's distance 0.0 + 1 or 0 + 1.
+        ((("a", "c"), ("b", "c")), ("0.0", "0", "1"), "1.0"),
+        ((("b", "c"), ("a", "c")), ("0.0", "0", "1"), "1"),
+        # Equal nonzero distances 1 and 1.0: the first is kept.
+        ((("a", "c"), ("b", "c")), ("1", "1.0", "1"), "2"),
+        ((("b", "c"), ("a", "c")), ("1", "1.0", "1"), "2.0"),
+    ],
+)
+def test_critical_path_keeps_the_digits_of_the_first_longest_predecessor(edges, weights, expected):
+    wf = WorkflowSpec(
+        workflow_id="digits", functions=tuple(FunctionProfile(f) for f in "abc"), edges=edges
+    )
+    assert str(critical_path(wf, [Decimal(w) for w in weights])) == expected
 
 
 @given(st.data())
