@@ -38,9 +38,9 @@ from .optimizer import (
     CatalogModel,
     OptimizationConfig,
     OptimizationResult,
+    PairEntry,
     ParetoPoint,
     PlacementModel,
-    PointTableModel,
     auto_weights,
     load_point_table,
     optimal_line,

@@ -50,7 +50,7 @@ from .optimizer import (
     CatalogModel,
     OptimizationConfig,
     ParetoPoint,
-    PointTableModel,
+    PlacementModel,
     load_point_table,
     optimal_line,
     optimize,
@@ -457,7 +457,7 @@ def _points_and_model(args, workflow, latencies):
         if args.volume is not None:
             raise SchemaError("--volume is not read with --points: a point table holds fixed measurements")
         table = _read(args, load_point_table, args.points)
-        model = PointTableModel(workflow, table)
+        model = PlacementModel(workflow, table)
         platforms = sorted({pid for _, pid in table})
         pairs = sorted(model.table.items())
     else:

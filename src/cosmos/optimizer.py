@@ -173,7 +173,8 @@ def _turns_right(o: ParetoPoint, a: ParetoPoint, b: ParetoPoint) -> bool:
 
 class PairEntry(NamedTuple):
     """One function on one platform: cost, latency and the ledger entries of the
-    fixed BaaS charges it bills (see engine.bill_fixed)."""
+    fixed BaaS charges it bills (see engine.bill_fixed). A PlacementModel
+    checks its values when built."""
 
     cost: Decimal
     latency: Decimal
@@ -188,7 +189,9 @@ class PlacementModel:
     is the critical path over its pairs' latencies. A pair not in the table
     raises MissingLatencyError. An entry whose cost or latency is not
     finite, is negative, is not below MONEY_LIMIT or LATENCY_LIMIT, or has
-    a digit finer than 10^_FINEST raises SchemaError naming its pair.
+    a digit finer than 10^_FINEST raises SchemaError naming its pair. The
+    model keeps its own copy of the table, so that a caller changing theirs
+    later cannot undo the check.
     """
 
     def __init__(self, workflow: WorkflowSpec, table: Mapping[tuple[str, str], PairEntry]):
@@ -259,26 +262,14 @@ class CatalogModel(PlacementModel):
         super().__init__(workflow, table)
 
 
-class PointTableModel(PlacementModel):
-    """Direct per-(function, platform) cost and latency measurements."""
-
-    def __init__(
-        self, workflow: WorkflowSpec, table: Mapping[tuple[str, str], tuple[Decimal, Decimal]]
-    ):
-        super().__init__(
-            workflow, {key: PairEntry(cost, latency) for key, (cost, latency) in table.items()}
-        )
-
-
-def load_point_table(
-    source: str | Path | IO[str] | Mapping,
-) -> dict[tuple[str, str], tuple[Decimal, Decimal]]:
-    """Read a (function, platform) -> (cost, latency_ms) table document; a
-    pair listed twice raises SchemaError naming it."""
+def load_point_table(source: str | Path | IO[str] | Mapping) -> dict[tuple[str, str], PairEntry]:
+    """Read a (function, platform) -> (cost, latency_ms) table document into
+    PairEntry values. Only the document is checked: its shape, its decimal
+    strings and no pair listed twice; PlacementModel checks the values."""
     doc = _read_json(source)
     if not isinstance(doc, Mapping) or "points" not in doc:
         raise SchemaError("point table document must be an object with a points array")
-    table: dict[tuple[str, str], tuple[Decimal, Decimal]] = {}
+    table: dict[tuple[str, str], PairEntry] = {}
     for entry in _typed(doc["points"], _ARRAY, "points"):
         _typed(entry, Mapping, "points entries")
         for key in ("function_id", "platform_id", "cost", "latency_ms"):
@@ -288,15 +279,8 @@ def load_point_table(
         pair = (str(entry["function_id"]), str(entry["platform_id"]))
         if pair in table:
             raise SchemaError(f"{owner} is listed twice")
-        cost = _parse_quantity(entry, "cost", owner)
-        latency = _parse_quantity(entry, "latency_ms", owner)
-        if cost < 0 or latency < 0:
-            raise SchemaError(f"{owner} must be nonnegative")
-        if cost >= MONEY_LIMIT:
-            raise SchemaError(f"{owner}: cost must be below {MONEY_LIMIT} USD, got {cost}")
-        if latency >= LATENCY_LIMIT:
-            raise SchemaError(f"{owner}: latency_ms must be below {LATENCY_LIMIT} ms, got {latency}")
-        table[pair] = (cost, latency)
+        table[pair] = PairEntry(_parse_quantity(entry, "cost", owner),
+                                _parse_quantity(entry, "latency_ms", owner))
     return table
 
 
@@ -583,15 +567,19 @@ def _walk(
 
     Enumeration sums in money.CONTEXT, where a sum past its precision
     raises. Entries are nonnegative, so none of its partial sums passes a
-    placement's gross cost, credit or critical path, which stay below
-    _LIMIT units unless the prefix is at risk: its cost sum plus the
-    table's largest, its run's largest credit, or the longer of top and
-    base plus the table's longest path reaches _LIMIT (only the credit can
-    when the row maxima of each axis sum below it, and a billing that
-    raises puts its term there). The model prices each placement of a
-    prefix at risk (_price), dominated or not, in enumeration order when
-    the walk ends, or up to the walk's first negative point before that
-    error: the first error raises, as enumeration's first would.
+    placement's gross cost, a credit it sums on the way or its critical
+    path, which stay below _LIMIT units unless the prefix is at risk: its
+    cost sum plus the table's largest, its credit bound, or the longer of
+    top and base plus the table's longest path reaches _LIMIT (only the
+    credit bound can when the row maxima of each axis sum below it, and a
+    billing that raises puts its term there). The credit bound is the sum
+    of the positive terms the prefix's billings form plus the most that
+    any group's form on top: a later billing at a lower rate can drop a
+    term from the final credit after enumeration has summed it. The model
+    prices each placement of a prefix at risk (_price), dominated or not,
+    in enumeration order when the walk ends, or up to the walk's first
+    negative point before that error: the first error raises, as
+    enumeration's first would.
     """
     budget = INFINITY if config.budget is None else config.budget
     slo = INFINITY if config.latency_slo is None else config.latency_slo
@@ -601,19 +589,22 @@ def _walk(
     if config.scope == "per_function":
         pair_budget, pair_slo, budget, slo = budget, slo, INFINITY, INFINITY
 
-    def change(ledger: dict, fixed: tuple) -> int:
+    def change(ledger: dict, fixed: tuple) -> tuple[int, int]:
         """The change in ledger's credit when fixed is billed on top of it
-        (engine.bill_key). A key that fixed bills twice is chained through
-        its first billing. A first billing credits nothing unless it fails."""
-        delta, chained = 0, {}
+        (engine.bill_key), and the sum of the positive credit terms those
+        billings form. A key that fixed bills twice is chained through its
+        first billing. A first billing credits nothing unless it fails."""
+        delta, rise, chained = 0, 0, {}
         for key, months, rate in fixed:
             prior = chained.get(key)
             held = ledger.get(key) if prior is None else billed[prior]
             memo = chained[key] = (held, months, rate)
-            after = billed[memo]
-            if after[3] is not None:
-                delta += after[3] if held is None or held[3] is None else after[3] - held[3]
-        return delta
+            term = billed[memo][3]
+            if term is not None:
+                delta += term if held is None or held[3] is None else term - held[3]
+                if term > 0:
+                    rise += term
+        return delta, rise
 
     head = len(rows) - _tail_size(workflow)
     ec, el = _exponent(rows, _COST), _exponent(rows, _LATENCY)
@@ -641,7 +632,8 @@ def _walk(
     # A group's change on top of a ledger that holds none of its keys is its
     # change on an empty ledger, its own: only the groups billing a key of a
     # prefix's ledger are repriced for it.
-    own = [change({}, group) for group in groups]
+    own = [change({}, group)[0] for group in groups]
+    own_rise = max(change({}, group)[1] for group in groups)
     billing: dict = {}
     for g, group in enumerate(groups):
         for key, _, _ in group:
@@ -663,18 +655,24 @@ def _walk(
             # Emptied first, so that the kept prefixes are not held while the
             # new ledger is priced.
             kept.clear()
-            # The credit is the ledger's terms summed in first-billed order.
-            ledger, credit = {}, 0
+            # The credit is the ledger's terms summed in first-billed order;
+            # reach plus rise is the credit bound (see above).
+            ledger, credit, reach = {}, 0, 0
             for key, months, rate in fixed:
-                ledger[key] = billed[(ledger.get(key), months, rate)]
+                entry = ledger[key] = billed[(ledger.get(key), months, rate)]
+                if entry[3] is not None and entry[3] > 0:
+                    reach += entry[3]
             for _, _, _, term in ledger.values():
                 if term is not None:
                     credit += term
             credits = [credit + d if d else credit for d in own]
+            rise = own_rise
             for g in {g for key in ledger for g in billing.get(key, ())}:
-                d = change(ledger, groups[g])
+                d, r = change(ledger, groups[g])
                 credits[g] = credit + d if d else credit
-            hot = max(credit, *credits) >= _LIMIT
+                if r > rise:
+                    rise = r
+            hot = reach + rise >= _LIMIT
             last = fixed
             priced += 1
         for g, c in enumerate(credits):

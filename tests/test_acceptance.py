@@ -25,8 +25,9 @@ from cosmos.engine import (
 from cosmos.errors import InfeasibleError
 from cosmos.optimizer import (
     OptimizationConfig,
+    PairEntry,
     ParetoPoint,
-    PointTableModel,
+    PlacementModel,
     optimal_line,
     optimize,
     pareto_front,
@@ -131,7 +132,7 @@ LINE = [
 def test_criterion_4_tradeoff_line(point_table):
     points = [
         ParetoPoint(label=f"{f}@{p}", cost=c, latency=l)
-        for (f, p), (c, l) in sorted(point_table.items())
+        for (f, p), (c, l, _) in sorted(point_table.items())
     ]
     line = optimal_line(points)
     assert [(p.latency, p.cost) for p in line] == LINE
@@ -162,7 +163,7 @@ def _oracle_best(workflow, platforms, table, key):
 
 def test_criterion_5_anchor_solves(pipeline, point_table):
     wf, _ = pipeline
-    model = PointTableModel(wf, point_table)
+    model = PlacementModel(wf, point_table)
 
     result = optimize(wf, PLATFORMS, model)
 
@@ -185,7 +186,7 @@ def test_criterion_5_anchor_solves(pipeline, point_table):
 
 def test_criterion_6_constrained_optimization(pipeline, point_table):
     wf, _ = pipeline
-    model = PointTableModel(wf, point_table)
+    model = PlacementModel(wf, point_table)
 
     with pytest.raises(InfeasibleError) as exc:
         optimize(wf, PLATFORMS, model, OptimizationConfig(budget=D(50), latency_slo=D(75)))
@@ -278,11 +279,11 @@ def test_criterion_7d_weighted_optimum_front_membership():
         wf = _chain(rng.randint(1, 4))
         platforms = [f"p{i}" for i in range(rng.randint(1, 4))]
         table = {
-            (f, p): (D(rng.randint(1, 400)), D(rng.randint(1, 400)))
+            (f, p): PairEntry(D(rng.randint(1, 400)), D(rng.randint(1, 400)))
             for f in wf.function_ids
             for p in platforms
         }
-        model = PointTableModel(wf, table)
+        model = PlacementModel(wf, table)
         result = optimize(wf, platforms, model)
         for placement in enumerate_placements(wf, platforms):
             cost, latency = model.cost_of(placement), model.latency_of(placement)
@@ -296,12 +297,12 @@ def test_criterion_7d_weighted_optimum_front_membership():
 
 def test_criterion_7e_argmin_scale_invariance(pipeline, point_table):
     wf, _ = pipeline
-    baseline = optimize(wf, PLATFORMS, PointTableModel(wf, point_table)).best
+    baseline = optimize(wf, PLATFORMS, PlacementModel(wf, point_table)).best
     rng = random.Random(105)
     for _ in range(20):
         k = D(rng.randint(1, 10**6)) / D(100)
-        scaled = {key: (cost * k, lat) for key, (cost, lat) in point_table.items()}
-        assert optimize(wf, PLATFORMS, PointTableModel(wf, scaled)).best == baseline
+        scaled = {key: e._replace(cost=e.cost * k) for key, e in point_table.items()}
+        assert optimize(wf, PLATFORMS, PlacementModel(wf, scaled)).best == baseline
     ok("criterion 7e", "auto-weighted argmin unchanged under 20 positive cost scalings")
 
 

@@ -1054,7 +1054,7 @@ _OVER_THE_LATENCY_BOUND = {
                _all_latencies("9e999999"),
                "error: latency (data-retrieval, aws-x86) must be below 1E+41 ms, got 9E+999999\n"),
     "points": (["optimize", "--workflow", PIPELINE, "--points"], _all_point_latencies("9e999999"),
-               "error: point (data-retrieval, aws-x86): latency_ms must be below 1E+41 ms, got 9E+999999\n"),
+               "error: pair (data-retrieval, aws-x86): latency must be below 1E+41 ms, got 9E+999999\n"),
     "factor": (["pareto", "--workflow"],
                _pipeline(("latency", "entries", "data-retrieval", "aws-x86", "1e40"),
                          ("latency", "factors", "aws-lambda-edge", "10")),
@@ -1077,7 +1077,7 @@ def test_point_cost_at_or_over_the_money_bound_exits_2_naming_the_pair(capsys, t
     path = tmp_path / "points.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     argv = ["optimize", "--workflow", PIPELINE, "--points", str(path), "--format", "json"]
-    expected = "error: point (data-retrieval, aws-x86): cost must be below 1E+38 USD, got 1E+45\n"
+    expected = "error: pair (data-retrieval, aws-x86): cost must be below 1E+38 USD, got 1E+45\n"
     assert run(capsys, *argv) == (2, "", expected)
 
 

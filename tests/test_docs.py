@@ -5,6 +5,8 @@ import io
 import re
 from pathlib import Path
 
+import cosmos
+import cosmos.errors
 from cosmos.optimizer import SearchCounters
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -35,3 +37,12 @@ def test_readme_names_each_optimize_counter():
     match = re.search(r"The manifest of `optimize` has `counters` of its search:(.*?)Neither manifest", text, re.S)
     assert match, "README has no optimize manifest paragraph"
     assert re.findall(r"`(\w+)`", match.group(1)) == list(SearchCounters._fields)
+
+
+def test_readme_names_only_live_classes():
+    # Every backticked CamelCase name is a class or function the package
+    # exports, so that the README cannot keep naming a deleted one.
+    names = set(re.findall(r"`([A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*)`", README.read_text(encoding="utf-8")))
+    assert "PlacementModel" in names
+    dead = sorted(n for n in names - {"Decimal"} if not hasattr(cosmos, n) and not hasattr(cosmos.errors, n))
+    assert dead == []

@@ -1,7 +1,8 @@
 """Every loader either loads its input or raises a CosmosError that exits 2.
 
 One property drives the catalog, workflow and point-table loaders and the
-usage-log fold. Their inputs are bundled documents with a few values
+usage-log fold; a loaded point table is also built into a placement model,
+which checks its values. Their inputs are bundled documents with a few values
 replaced, deleted or added, arbitrary JSON, text cut short or holding a
 byte that is not UTF-8, and usage logs of malformed headers and rows. Any
 other exception would reach the catch-all in cli.main and exit 3.
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cosmos.catalog import BUNDLED_PLATFORMS, SCALES, bundled_catalog_dir, load_catalog
 from cosmos.errors import CosmosError
-from cosmos.optimizer import load_point_table
+from cosmos.optimizer import PlacementModel, load_point_table
 from cosmos.telemetry import USAGE_FIELDS, UsageLog, summarize_usage
 from cosmos.workflow import bundled_fixture_dir, load_workflow_document
 
@@ -27,10 +28,17 @@ def _summarize(source):
     return summarize_usage(UsageLog(source))
 
 
+PIPELINE, _ = load_workflow_document(FIXTURES / "imagery-pipeline.json")
+
+
+def _points(source):
+    return PlacementModel(PIPELINE, load_point_table(source))
+
+
 LOADERS = {
     "catalog": load_catalog,
     "workflow": load_workflow_document,
-    "points": load_point_table,
+    "points": _points,
     "usage": _summarize,
 }
 
@@ -183,6 +191,9 @@ SEEDS = [
     _edited("points", ("points", 0, "cost", 1.5)),
     _edited("points", ("points", 0, "cost", True)),
     _edited("points", ("points", 0, "latency_ms", "abc")),
+    _edited("points", ("points", 0, "cost", "-1")),
+    _edited("points", ("points", 0, "latency_ms", "1e45")),
+    _edited("points", ("points", 0, "cost", "1e-999999")),
     _edited("catalog", ("components", 0, "rate", "abc")),
     _edited("catalog", ("components", 0, "rate", 0.2)),
     _edited("catalog", ("components", 8, "rate", "1e999999"), ("components", 8, "scale", "per-hour")),

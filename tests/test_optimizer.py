@@ -24,8 +24,9 @@ from cosmos.errors import (
 from cosmos.optimizer import (
     CatalogModel,
     OptimizationConfig,
+    PairEntry,
     ParetoPoint,
-    PointTableModel,
+    PlacementModel,
     auto_weights,
     optimal_line,
     optimize,
@@ -88,7 +89,7 @@ def _indexed(wf, platforms):
 
 def test_enumeration_count_three_by_five(pipeline, point_table):
     wf, _ = pipeline
-    result = optimize(wf, PLATFORMS, PointTableModel(wf, point_table))
+    result = optimize(wf, PLATFORMS, PlacementModel(wf, point_table))
     assert result.counters.placements == result.total_count == 125
     assert sum(1 for _ in enumerate_placements(wf, PLATFORMS)) == 125
     assert _indexed(wf, PLATFORMS) == list(enumerate_placements(wf, PLATFORMS))
@@ -104,14 +105,14 @@ def test_enumeration_cap_exceeded():
     # The model has no pairs: the cap is checked before any pair is read.
     wf = _chain(8)
     with pytest.raises(CapExceededError) as exc:
-        optimize(wf, [f"p{i}" for i in range(10)], PointTableModel(wf, {}))
+        optimize(wf, [f"p{i}" for i in range(10)], PlacementModel(wf, {}))
     assert exc.value.count == 10**8
 
 
 def test_enumeration_requires_platforms():
     wf = _chain(1)
     with pytest.raises(DomainError, match="at least one platform"):
-        optimize(wf, [], PointTableModel(wf, {}))
+        optimize(wf, [], PlacementModel(wf, {}))
 
 
 def test_enumeration_order_is_lexicographic():
@@ -155,7 +156,7 @@ def test_placement_of_an_index_is_the_enumerated_placement(n, width, rng):
 
 def test_min_cost_matches_brute_force(pipeline, point_table):
     wf, _ = pipeline
-    model = PointTableModel(wf, point_table)
+    model = PlacementModel(wf, point_table)
     result = optimize(wf, PLATFORMS, model)
     c_star, placement = result.c_star, result.c_star_placement
     oracle = brute_force_best(wf, PLATFORMS, point_table, key=lambda c, t: c)
@@ -166,7 +167,7 @@ def test_min_cost_matches_brute_force(pipeline, point_table):
 
 def test_min_time_matches_brute_force(pipeline, point_table):
     wf, _ = pipeline
-    model = PointTableModel(wf, point_table)
+    model = PlacementModel(wf, point_table)
     result = optimize(wf, PLATFORMS, model)
     t_star, placement = result.t_star, result.t_star_placement
     oracle = brute_force_best(wf, PLATFORMS, point_table, key=lambda c, t: t)
@@ -177,7 +178,7 @@ def test_min_time_matches_brute_force(pipeline, point_table):
 
 def test_min_cost_single_platform(pipeline, point_table):
     wf, _ = pipeline
-    model = PointTableModel(wf, point_table)
+    model = PlacementModel(wf, point_table)
     result = optimize(wf, ["gcp"], model)
     c_star, placement = result.c_star, result.c_star_placement
     assert c_star == D("1.3324") + D("1.47029") + D("62.5884")
@@ -187,8 +188,8 @@ def test_min_cost_single_platform(pipeline, point_table):
 
 def test_min_cost_tie_breaks_to_first_enumerated():
     wf = _chain(2)
-    table = {(f, p): (D(5), D(7)) for f in wf.function_ids for p in ("a", "b")}
-    model = PointTableModel(wf, table)
+    table = {(f, p): PairEntry(D(5), D(7)) for f in wf.function_ids for p in ("a", "b")}
+    model = PlacementModel(wf, table)
     result = optimize(wf, ["a", "b"], model)
     placement = result.c_star_placement
     assert placement.platforms() == ("a", "a")
@@ -287,7 +288,7 @@ def test_auto_weights_degenerate_anchor():
 
 def test_unconstrained_optimum_matches_brute_force(pipeline, point_table):
     wf, _ = pipeline
-    model = PointTableModel(wf, point_table)
+    model = PlacementModel(wf, point_table)
     c_star, _ = min_cost(wf, PLATFORMS, model)
     t_star, _ = min_time(wf, PLATFORMS, model)
     oracle = brute_force_best(
@@ -303,14 +304,14 @@ def test_unconstrained_optimum_matches_brute_force(pipeline, point_table):
 
 def test_result_objective_consistent_with_weights(pipeline, point_table):
     wf, _ = pipeline
-    result = optimize(wf, PLATFORMS, PointTableModel(wf, point_table))
+    result = optimize(wf, PLATFORMS, PlacementModel(wf, point_table))
     recomputed = result.alpha * float(result.cost) + result.beta * float(result.latency)
     assert abs(result.objective - recomputed) < 1e-9
 
 
 def test_constrained_instance_is_infeasible(pipeline, point_table):
     wf, _ = pipeline
-    model = PointTableModel(wf, point_table)
+    model = PlacementModel(wf, point_table)
     with pytest.raises(InfeasibleError) as exc:
         optimize(wf, PLATFORMS, model, OptimizationConfig(budget=D(50), latency_slo=D(75)))
     assert exc.value.t_star == D("143.6")
@@ -320,7 +321,7 @@ def test_constrained_instance_is_infeasible(pipeline, point_table):
 
 def test_singleton_feasible_set(pipeline, point_table):
     wf, _ = pipeline
-    model = PointTableModel(wf, point_table)
+    model = PlacementModel(wf, point_table)
     result = optimize(wf, ["gcp"], model)
     assert result.best.platforms() == ("gcp", "gcp", "gcp")
     expected = result.alpha * float(result.cost) + result.beta * float(result.latency)
@@ -329,7 +330,7 @@ def test_singleton_feasible_set(pipeline, point_table):
 
 def test_manual_cost_only_weights_reduce_to_min_cost(pipeline, point_table):
     wf, _ = pipeline
-    model = PointTableModel(wf, point_table)
+    model = PlacementModel(wf, point_table)
     config = OptimizationConfig(alpha=D(1), beta=D(0))
     result = optimize(wf, PLATFORMS, model, config)
     c_star, placement = min_cost(wf, PLATFORMS, model)
@@ -339,7 +340,7 @@ def test_manual_cost_only_weights_reduce_to_min_cost(pipeline, point_table):
 
 def test_per_function_scope_constrains_each_function(pipeline, point_table):
     wf, _ = pipeline
-    model = PointTableModel(wf, point_table)
+    model = PlacementModel(wf, point_table)
     # Every platform violates one of the per-function limits for retrieval.
     with pytest.raises(InfeasibleError):
         optimize(
@@ -375,7 +376,7 @@ def test_config_validation():
 
 def test_normalized_objective_lower_bound(pipeline, point_table):
     wf, _ = pipeline
-    result = optimize(wf, PLATFORMS, PointTableModel(wf, point_table))
+    result = optimize(wf, PLATFORMS, PlacementModel(wf, point_table))
     assert result.objective >= 2 - 1e-9
     # Strictly above 2 here: no placement attains both anchors at once.
     assert result.objective > 2
@@ -393,7 +394,7 @@ def _points(pairs):
 def test_front_of_measured_points(point_table):
     points = [
         ParetoPoint(label=f"{f}@{p}", cost=c, latency=l)
-        for (f, p), (c, l) in sorted(point_table.items())
+        for (f, p), (c, l, _) in sorted(point_table.items())
     ]
     front = pareto_front(points)
     got = [(p.latency, p.cost) for p in front]
@@ -412,7 +413,7 @@ def test_front_of_measured_points(point_table):
 def test_optimal_line_of_measured_points(point_table):
     points = [
         ParetoPoint(label=f"{f}@{p}", cost=c, latency=l)
-        for (f, p), (c, l) in sorted(point_table.items())
+        for (f, p), (c, l, _) in sorted(point_table.items())
     ]
     line = optimal_line(points)
     assert [(p.latency, p.cost) for p in line] == LINE_POINTS
@@ -421,7 +422,7 @@ def test_optimal_line_of_measured_points(point_table):
 def test_line_is_subset_of_front(point_table):
     points = [
         ParetoPoint(label=f"{f}@{p}", cost=c, latency=l)
-        for (f, p), (c, l) in sorted(point_table.items())
+        for (f, p), (c, l, _) in sorted(point_table.items())
     ]
     front_keys = {(p.cost, p.latency) for p in pareto_front(points)}
     assert all((p.cost, p.latency) in front_keys for p in optimal_line(points))
@@ -479,11 +480,11 @@ def test_weighted_optimum_is_pareto_optimal_random():
         wf = _chain(n_fun)
         platforms = [f"p{i}" for i in range(n_plat)]
         table = {
-            (f, p): (D(rng.randint(1, 500)), D(rng.randint(1, 500)))
+            (f, p): PairEntry(D(rng.randint(1, 500)), D(rng.randint(1, 500)))
             for f in wf.function_ids
             for p in platforms
         }
-        model = PointTableModel(wf, table)
+        model = PlacementModel(wf, table)
         result = optimize(wf, platforms, model)
         for placement in enumerate_placements(wf, platforms):
             cost, latency = model.cost_of(placement), model.latency_of(placement)
@@ -497,18 +498,18 @@ def test_weighted_optimum_is_pareto_optimal_random():
 
 def test_argmin_invariant_under_cost_scaling(pipeline, point_table):
     wf, _ = pipeline
-    baseline = optimize(wf, PLATFORMS, PointTableModel(wf, point_table)).best
+    baseline = optimize(wf, PLATFORMS, PlacementModel(wf, point_table)).best
     rng = random.Random(17)
     for _ in range(5):
         k = D(rng.randint(1, 10**6)) / D(1000)
-        scaled = {key: (cost * k, lat) for key, (cost, lat) in point_table.items()}
-        result = optimize(wf, PLATFORMS, PointTableModel(wf, scaled))
+        scaled = {key: e._replace(cost=e.cost * k) for key, e in point_table.items()}
+        result = optimize(wf, PLATFORMS, PlacementModel(wf, scaled))
         assert result.best == baseline
 
 
 def test_separability_on_chains(pipeline, point_table):
     wf, _ = pipeline
-    model = PointTableModel(wf, point_table)
+    model = PlacementModel(wf, point_table)
     c_star, _ = min_cost(wf, PLATFORMS, model)
     t_star, _ = min_time(wf, PLATFORMS, model)
     alpha, beta = auto_weights(c_star, t_star)
@@ -528,7 +529,7 @@ def test_separability_on_chains(pipeline, point_table):
 
 def test_argmin_invariant_under_manual_weight_scaling(pipeline, point_table):
     wf, _ = pipeline
-    model = PointTableModel(wf, point_table)
+    model = PlacementModel(wf, point_table)
     for alpha, beta in [(D(1), D(0)), (D(0), D(1)), (D(1), D(1)), (D("0.0498"), D("0.00696"))]:
         baseline = optimize(
             wf, PLATFORMS, model, OptimizationConfig(alpha=alpha, beta=beta)
@@ -557,7 +558,7 @@ def test_optimize_enumerates_the_placements_once(pipeline, point_table, monkeypa
 
     monkeypatch.setattr(optimizer, "_rows", counting)
     try:
-        optimize(wf, PLATFORMS, PointTableModel(wf, point_table), _PASS_CONFIGS[mode])
+        optimize(wf, PLATFORMS, PlacementModel(wf, point_table), _PASS_CONFIGS[mode])
     except InfeasibleError:
         assert mode == "infeasible"
     assert len(calls) == 1
@@ -565,9 +566,9 @@ def test_optimize_enumerates_the_placements_once(pipeline, point_table, monkeypa
 
 def test_zero_anchor_is_reported_before_infeasibility():
     wf = _chain(2)
-    table = {(f, p): (D(c), D(7)) for f in wf.function_ids for p, c in (("a", 0), ("b", 5))}
+    table = {(f, p): PairEntry(D(c), D(7)) for f in wf.function_ids for p, c in (("a", 0), ("b", 5))}
     with pytest.raises(DegenerateAnchorError):
-        optimize(wf, ["a", "b"], PointTableModel(wf, table), OptimizationConfig(latency_slo=D(1)))
+        optimize(wf, ["a", "b"], PlacementModel(wf, table), OptimizationConfig(latency_slo=D(1)))
 
 
 @pytest.mark.parametrize("axis", ["cost", "latency"])
@@ -596,10 +597,34 @@ def test_placement_model_checks_its_entries_when_built(axis, value, rule):
         optimizer.PlacementModel(wf, table)
     rule = f"{rule} {limit}" if value == "limit" else rule
     assert str(exc.value) == f"pair (f1, b): {axis} must {rule}, got {bad}"
+    # A one-point document holding the bad value loads, and its model raises
+    # the same message: the loader checks the document, the model the values.
+    # A value that is not finite is not a decimal quantity of the document.
+    field = {"cost": "cost", "latency": "latency_ms"}[axis]
+    doc = {"points": [{"function_id": "f1", "platform_id": "b", "cost": "1", "latency_ms": "1",
+                       field: str(bad)}]}
+    if bad.is_finite():
+        with pytest.raises(SchemaError) as loaded:
+            optimizer.PlacementModel(wf, optimizer.load_point_table(doc))
+        assert str(loaded.value) == str(exc.value)
+    else:
+        with pytest.raises(SchemaError) as loaded:
+            optimizer.load_point_table(doc)
+        assert str(loaded.value) == f"point (f1, b): {field}: quantity must be finite, got {str(bad)!r}"
     # The finest digit allowed, and the largest entry below each limit, build.
     table[("f1", "b")] = optimizer.PairEntry(D("9.9E+37"), D("1E-100"))
     table[("f1", "a")] = optimizer.PairEntry(D("1E-100"), D("9.9E+40"))
     optimizer.PlacementModel(wf, table)
+
+
+def test_point_table_shape_fault_is_reported_before_a_value_fault():
+    # The loader checks the whole document before the model checks any
+    # value, so a later entry's missing field comes before an earlier
+    # entry's negative cost.
+    doc = {"points": [{"function_id": "f0", "platform_id": "a", "cost": "-1", "latency_ms": "1"},
+                      {"function_id": "f1", "platform_id": "a", "cost": "1"}]}
+    with pytest.raises(SchemaError, match=r"^point entry missing required field 'latency_ms'$"):
+        PlacementModel(_chain(2), optimizer.load_point_table(doc))
 
 
 def test_best_is_ranked_by_the_exact_key():
@@ -607,9 +632,9 @@ def test_best_is_ranked_by_the_exact_key():
     # two would tie, and the tie would go to the cheaper p1.
     wf = _chain(1)
     cost = "1." + "0" * 48 + "1"
-    table = {("f0", "p1"): (D(1), D("2E-49")), ("f0", "p2"): (D(cost), D(0))}
+    table = {("f0", "p1"): PairEntry(D(1), D("2E-49")), ("f0", "p2"): PairEntry(D(cost), D(0))}
     config = OptimizationConfig(alpha=D(1), beta=D("0.51"))
-    result = optimize(wf, ["p1", "p2"], PointTableModel(wf, table), config)
+    result = optimize(wf, ["p1", "p2"], PlacementModel(wf, table), config)
     assert result.best == Placement.of([("f0", "p2")])
     assert (str(result.cost), str(result.latency)) == (cost, "0")
 
@@ -654,12 +679,12 @@ def test_tie_keeps_the_first_enumerated_placement_out_of_topological_order():
         workflow_id="tie", functions=(FunctionProfile("b"), FunctionProfile("a")), edges=(("a", "b"),)
     )
     table = {
-        ("b", "x"): (D("1"), D("2")),
-        ("b", "y"): (D("2.0"), D("1")),
-        ("a", "x"): (D("1"), D("2")),
-        ("a", "y"): (D("2"), D("1.0")),
+        ("b", "x"): PairEntry(D("1"), D("2")),
+        ("b", "y"): PairEntry(D("2.0"), D("1")),
+        ("a", "x"): PairEntry(D("1"), D("2")),
+        ("a", "y"): PairEntry(D("2"), D("1.0")),
     }
-    model = PointTableModel(wf, table)
+    model = PlacementModel(wf, table)
     config = OptimizationConfig(budget=D(3), latency_slo=D(3))
     result = optimize(wf, ["x", "y"], model, config)
     assert result.best == Placement.of([("b", "x"), ("a", "y")])
@@ -678,7 +703,7 @@ def test_latency_keeps_the_digits_of_the_first_longest_distance(latencies):
     wf = WorkflowSpec(
         workflow_id="digits", functions=tuple(FunctionProfile(f) for f in "abcd"), edges=(("a", "b"),)
     )
-    model = PointTableModel(wf, {(f, "x"): (D(1), D(ms)) for f, ms in zip("abcd", latencies)})
+    model = PlacementModel(wf, {(f, "x"): PairEntry(D(1), D(ms)) for f, ms in zip("abcd", latencies)})
     config = OptimizationConfig(alpha=D(1), beta=D(1))
     result = optimize(wf, ["x"], model, config)
     assert str(result.latency) == str(result.t_star) == str(model.latency_of(result.best)) == "2"
@@ -692,7 +717,7 @@ def test_tail_path_keeps_the_digits_of_an_earlier_head_distance():
         workflow_id="digits", functions=tuple(FunctionProfile(f) for f in "abcd"),
         edges=(("a", "c"), ("c", "d")),
     )
-    model = PointTableModel(wf, {(f, "x"): (D(1), D(ms)) for f, ms in zip("abcd", ("0", "2", "1", "1.0"))})
+    model = PlacementModel(wf, {(f, "x"): PairEntry(D(1), D(ms)) for f, ms in zip("abcd", ("0", "2", "1", "1.0"))})
     assert optimizer._tail_size(wf) == 2
     result = optimize(wf, ["x"], model, OptimizationConfig(alpha=D(1), beta=D(1)))
     assert str(result.latency) == str(result.t_star) == str(model.latency_of(result.best)) == "2"
@@ -958,11 +983,11 @@ def test_tail_table_matches_exhaustive_oracle(data):
         workflow_id="tail", functions=tuple(FunctionProfile(f) for f in fids), edges=tuple(edges)
     )
     table = {
-        (f, p): (D(data.draw(st.sampled_from(_DIGITS))), D(data.draw(st.sampled_from(_DIGITS))))
+        (f, p): PairEntry(D(data.draw(st.sampled_from(_DIGITS))), D(data.draw(st.sampled_from(_DIGITS))))
         for f in fids
         for p in platforms
     }
-    _check_against_oracle(data, wf, platforms, PointTableModel(wf, table))
+    _check_against_oracle(data, wf, platforms, PlacementModel(wf, table))
 
 
 def test_tail_rule():
@@ -1008,12 +1033,12 @@ def test_sums_past_the_precision_step_every_placement():
     # placements in enumeration order and raises as the enumeration does.
     wf = _chain(2)
     table = {
-        ("f0", "x"): (D("1E-30"), D(1)),
-        ("f0", "y"): (D("2E-30"), D(1)),
-        ("f1", "x"): (D(1), D(1)),
-        ("f1", "y"): (D("1E+25"), D(2)),
+        ("f0", "x"): PairEntry(D("1E-30"), D(1)),
+        ("f0", "y"): PairEntry(D("2E-30"), D(1)),
+        ("f1", "x"): PairEntry(D(1), D(1)),
+        ("f1", "y"): PairEntry(D("1E+25"), D(2)),
     }
-    model = PointTableModel(wf, table)
+    model = PlacementModel(wf, table)
     assert optimizer._tail_size(wf) == 1
     message = "needs more than 50 significant digits"
     with pytest.raises(DomainError, match=message):
@@ -1029,7 +1054,7 @@ def _wide_sums_stay_exact():
     1e-13 plus 38 nines, which needs 51 digits and would raise."""
     wf = _chain(4)
     costs = ["0.9999999999999", "0", "1E-13", "9" * 38]
-    return wf, ["x"], PointTableModel(wf, {(f, "x"): (D(c), D(1)) for f, c in zip(wf.function_ids, costs)})
+    return wf, ["x"], PlacementModel(wf, {(f, "x"): PairEntry(D(c), D(1)) for f, c in zip(wf.function_ids, costs)})
 
 
 def test_guard_keeps_sums_in_enumeration_order(monkeypatch):
@@ -1280,8 +1305,8 @@ def _failure_in_a_dominated_prefix():
     first failure."""
     wf = _chain(3)
     latencies = {"f0": ("1E-20", "1"), "f1": ("1", "9E+40"), "f2": ("1", "1")}
-    table = {(f, p): (D(1), D(ms)) for f, row in latencies.items() for p, ms in zip("xy", row)}
-    return wf, ["x", "y"], PointTableModel(wf, table)
+    table = {(f, p): PairEntry(D(1), D(ms)) for f, row in latencies.items() for p, ms in zip("xy", row)}
+    return wf, ["x", "y"], PlacementModel(wf, table)
 
 
 def _months_past_the_precision():
@@ -1294,6 +1319,24 @@ def _months_past_the_precision():
         ("f", "x"): optimizer.PairEntry(D(1), D(1)),
         ("f", "y"): optimizer.PairEntry(D(2), D(2), fixed),
     })
+
+
+def _credit_dropped_by_a_later_billing():
+    """A 6-function chain on x and y, every pair costing 1 with latency 1,
+    except that f0@x and f1@x cost 3E+37 and each bills (x, a) for a month
+    at 6E+37 + 1E-12 and (x, b) at 4E+37 + 1E-12; f2 bills (x, a) for a
+    month at rate 0 on either platform. On (x, x) f1's billing credits
+    1E+38 + 2E-12, 51 digits, so enumeration raises; f2's then drops a's
+    term, so the head ledger's final credit alone stays below the limit."""
+    wf = _chain(6)
+    bills = ((("x", "a"), D(1), D("6" + "0" * 37 + ".000000000001")),
+             (("x", "b"), D(1), D("4" + "0" * 37 + ".000000000001")))
+    table = {(f, p): PairEntry(D(1), D(1)) for f in wf.function_ids for p in "xy"}
+    for f in ("f0", "f1"):
+        table[(f, "x")] = PairEntry(D("3E+37"), D(1), bills)
+    for p in "xy":
+        table[("f2", p)] = PairEntry(D(1), D(1), ((("x", "a"), D(1), D(0)),))
+    return wf, ["x", "y"], PlacementModel(wf, table)
 
 
 def _fails_as_enumeration(data, wf, platforms, model):
@@ -1328,7 +1371,7 @@ def test_optimize_fails_as_enumeration_fails(instance, data):
 @pytest.mark.parametrize(
     "instance",
     [_credit_past_the_limit, _wide_sums_stay_exact, _failure_in_a_dominated_prefix,
-     _months_past_the_precision],
+     _months_past_the_precision, _credit_dropped_by_a_later_billing],
 )
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
@@ -1454,12 +1497,12 @@ def test_budget_equal_to_a_cost_at_a_finer_exponent_is_met():
     # does not.
     wf = _chain(2)
     table = {
-        ("f0", "x"): (D("1.5"), D(1)),
-        ("f0", "y"): (D("2.5"), D(2)),
-        ("f1", "x"): (D("1.5"), D(1)),
-        ("f1", "y"): (D("0.5"), D(2)),
+        ("f0", "x"): PairEntry(D("1.5"), D(1)),
+        ("f0", "y"): PairEntry(D("2.5"), D(2)),
+        ("f1", "x"): PairEntry(D("1.5"), D(1)),
+        ("f1", "y"): PairEntry(D("0.5"), D(2)),
     }
-    model = PointTableModel(wf, table)
+    model = PlacementModel(wf, table)
     fastest = {"alpha": D(0), "beta": D(1)}
     met = optimize(wf, ["x", "y"], model, OptimizationConfig(budget=D("3." + "0" * 21), **fastest))
     assert (met.feasible_count, str(met.best), str(met.cost)) == (3, "f0=x,f1=x", "3.0")
@@ -1477,11 +1520,11 @@ def test_per_function_tail_entry_dominated_only_by_an_out_of_bounds_entry():
     )
     values = {"s": {"p": (0, 6), "q": (10, 1)}, "a": {"p": (0, 5), "q": (5, 0)}}
     table = {
-        (f, p): tuple(map(D, values[f][p])) if f in values else (D(0), D(0))
+        (f, p): PairEntry(*map(D, values[f][p])) if f in values else PairEntry(D(0), D(0))
         for f in wf.function_ids
         for p in "pq"
     }
-    model = PointTableModel(wf, table)
+    model = PlacementModel(wf, table)
     assert optimizer._tail_size(wf) == 2
     config = OptimizationConfig(latency_slo=D(5), scope="per_function", alpha=D(1), beta=D(0))
     result = optimize(wf, ["p", "q"], model, config)
@@ -1804,9 +1847,9 @@ def test_n_shaped_dag_matches_exhaustive_oracle(data):
     )
     platforms = ["x", "y", "z"][: data.draw(st.integers(2, 3), label="platforms")]
     table = {
-        (f, p): (D(data.draw(st.sampled_from(_FEW), label=f"cost {f}@{p}")),
+        (f, p): PairEntry(D(data.draw(st.sampled_from(_FEW), label=f"cost {f}@{p}")),
                  D(data.draw(st.sampled_from(_FEW), label=f"latency {f}@{p}")))
         for f in fids
         for p in platforms
     }
-    _check_against_oracle(data, wf, platforms, PointTableModel(wf, table))
+    _check_against_oracle(data, wf, platforms, PlacementModel(wf, table))

@@ -14,7 +14,7 @@ from cosmos.errors import (
     UnknownFunctionError,
     UnplacedFunctionError,
 )
-from cosmos.optimizer import PointTableModel
+from cosmos.optimizer import PairEntry, PlacementModel
 from cosmos.workflow import (
     LATENCY_LIMIT,
     BaasUsage,
@@ -223,7 +223,7 @@ def test_serialized_workflow_loads_back_equal(document):
 def _latency(wf, placement, latencies):
     """The placement's critical path over a latency table, as optimize's
     model prices it."""
-    model = PointTableModel(wf, {pair: (Decimal(0), ms) for pair, ms in latencies.entries.items()})
+    model = PlacementModel(wf, {pair: PairEntry(Decimal(0), ms) for pair, ms in latencies.entries.items()})
     return model.latency_of(placement)
 
 
