@@ -477,7 +477,7 @@ def cmd_pareto(args) -> int:
     workflow, latencies = _read(args, load_workflow_document, args.workflow)
     points, _, _ = _points_and_model(args, workflow, latencies)
     front = pareto_front(points)
-    line = optimal_line(points)
+    line = optimal_line(front)
     front_keys = {(p.cost, p.latency) for p in front}
     line_keys = {(p.cost, p.latency) for p in line}
 

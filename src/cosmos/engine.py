@@ -255,13 +255,14 @@ def function_cost(
 
 
 def bill_key(held: tuple | None, months: Decimal, rate: Decimal) -> tuple:
-    """One (platform, component) key's ledger entry (see bill_fixed) after
-    billing ``months`` at ``rate``, given its entry ``held`` so far, None
-    while the key is unbilled. The one rule for a fixed charge's credit term."""
+    """One (platform, component) key's ledger entry (see bill_fixed), (sum of
+    months, their first maximum, credit term), after billing ``months`` at
+    ``rate`` on ``held``, its entry so far or None; the term is None until
+    the key's second billing. The one rule for a fixed charge's credit term."""
     if held is None:
-        return (0 + months, months, rate, None)
+        return (0 + months, months, None)
     total, most = held[0] + months, max(held[1], months)
-    return (total, most, rate, money_product(total - most, rate))
+    return (total, most, money_product(total - most, rate))
 
 
 def bill_fixed(
@@ -272,10 +273,10 @@ def bill_fixed(
     Each function is priced as if it paid its fixed monthly charges alone.
     When several functions on one platform use one, it is billed once, for
     the longest availability window any of them asks for; the rest is
-    credited. ``ledger`` maps each (platform, component) key to the sum and
-    the first maximum of its months, its last rate and, once billed twice,
-    its money_product(sum - max, rate) credit term, in first-billed order
-    (see bill_key). The credit is those terms summed in that order; it
+    credited. ``ledger`` maps each (platform, component) key, billed at one
+    rate, to the sum and the first maximum of its months and, once billed
+    twice, its money_product(sum - max, rate) credit term, in first-billed
+    order (see bill_key). The credit is those terms summed in that order; it
     changes only when a key is billed again. Fold from ({}, ZERO);
     ``ledger`` is not modified. Callers sum under money.exact_sums.
     """
@@ -288,7 +289,7 @@ def bill_fixed(
             shared = True
     if shared:
         credit = ZERO
-        for _, _, _, term in ledger.values():
+        for _, _, term in ledger.values():
             if term is not None:
                 credit += term
     return ledger, credit

@@ -172,9 +172,9 @@ def _turns_right(o: ParetoPoint, a: ParetoPoint, b: ParetoPoint) -> bool:
 
 
 class PairEntry(NamedTuple):
-    """One function on one platform: cost, latency and the ledger entries of the
-    fixed BaaS charges it bills (see engine.bill_fixed). A PlacementModel
-    checks its values when built."""
+    """One function on one platform: cost, latency and the ledger entries,
+    ((platform, component), months, rate), of the fixed BaaS charges it bills
+    (see engine.bill_fixed). A PlacementModel checks its values when built."""
 
     cost: Decimal
     latency: Decimal
@@ -189,14 +189,18 @@ class PlacementModel:
     is the critical path over its pairs' latencies. A pair not in the table
     raises MissingLatencyError. An entry whose cost or latency is not
     finite, is negative, is not below MONEY_LIMIT or LATENCY_LIMIT, or has
-    a digit finer than 10^_FINEST raises SchemaError naming its pair. The
-    model keeps its own copy of the table, so that a caller changing theirs
-    later cannot undo the check.
+    a digit finer than 10^_FINEST raises SchemaError naming its pair; so
+    does a fixed charge whose months or rate is not finite or is negative,
+    or whose key is billed at two rates, naming the key: each credit term
+    then only grows as its key is billed (see _walk). The model keeps its
+    own copy of the table, so that a caller changing theirs later cannot
+    undo the check.
     """
 
     def __init__(self, workflow: WorkflowSpec, table: Mapping[tuple[str, str], PairEntry]):
         self.workflow = workflow
         self.table = dict(table)
+        rates: dict = {}
         for (fid, pid), entry in self.table.items():
             for axis, value, limit, unit in (("cost", entry.cost, MONEY_LIMIT, "USD"),
                                              ("latency", entry.latency, LATENCY_LIMIT, "ms")):
@@ -209,6 +213,14 @@ class PlacementModel:
                 else:
                     continue
                 raise SchemaError(f"pair ({fid}, {pid}): {axis} must {rule}, got {value}")
+            for key, months, rate in entry.fixed:
+                if not (months.is_finite() and months >= 0 and rate.is_finite() and rate >= 0):
+                    rule = f"have finite and nonnegative months and rate, got {months} and {rate}"
+                elif rates.setdefault(key, rate) != rate:
+                    rule = f"have one rate, got {rate} and {rates[key]}"
+                else:
+                    continue
+                raise SchemaError(f"pair ({fid}, {pid}): fixed charge ({key[0]}, {key[1]}) must {rule}")
 
     def entry(self, function_id: str, platform_id: str) -> PairEntry:
         try:
@@ -566,20 +578,18 @@ def _walk(
     feasible, no dearer and enumerated first.
 
     Enumeration sums in money.CONTEXT, where a sum past its precision
-    raises. Entries are nonnegative, so none of its partial sums passes a
-    placement's gross cost, a credit it sums on the way or its critical
-    path, which stay below _LIMIT units unless the prefix is at risk: its
-    cost sum plus the table's largest, its credit bound, or the longer of
-    top and base plus the table's longest path reaches _LIMIT (only the
-    credit bound can when the row maxima of each axis sum below it, and a
-    billing that raises puts its term there). The credit bound is the sum
-    of the positive terms the prefix's billings form plus the most that
-    any group's form on top: a later billing at a lower rate can drop a
-    term from the final credit after enumeration has summed it. The model
-    prices each placement of a prefix at risk (_price), dominated or not,
-    in enumeration order when the walk ends, or up to the walk's first
-    negative point before that error: the first error raises, as
-    enumeration's first would.
+    raises. Entries are nonnegative, and a key bills nonnegative months at
+    one rate (PlacementModel), so its credit term only grows as it is
+    billed: no partial sum of enumeration passes a placement's gross cost,
+    final credit or critical path, which stay below _LIMIT units unless the
+    prefix is at risk: its cost sum plus the table's largest, its largest
+    group credit, or the longer of top and base plus the table's longest
+    path reaches _LIMIT (only a credit can when the row maxima of each axis
+    sum below it, and a billing that raises puts its term there). The model
+    prices each placement of a prefix at risk (_price), dominated or not, in
+    enumeration order when the walk ends, or up to the walk's first negative
+    point before that error: the first error raises, as enumeration's first
+    would.
     """
     budget = INFINITY if config.budget is None else config.budget
     slo = INFINITY if config.latency_slo is None else config.latency_slo
@@ -589,22 +599,19 @@ def _walk(
     if config.scope == "per_function":
         pair_budget, pair_slo, budget, slo = budget, slo, INFINITY, INFINITY
 
-    def change(ledger: dict, fixed: tuple) -> tuple[int, int]:
+    def change(ledger: dict, fixed: tuple) -> int:
         """The change in ledger's credit when fixed is billed on top of it
-        (engine.bill_key), and the sum of the positive credit terms those
-        billings form. A key that fixed bills twice is chained through its
-        first billing. A first billing credits nothing unless it fails."""
-        delta, rise, chained = 0, 0, {}
+        (engine.bill_key). A key that fixed bills twice is chained through
+        its first billing. A first billing credits nothing unless it fails."""
+        delta, chained = 0, {}
         for key, months, rate in fixed:
             prior = chained.get(key)
             held = ledger.get(key) if prior is None else billed[prior]
             memo = chained[key] = (held, months, rate)
-            term = billed[memo][3]
+            term = billed[memo][2]
             if term is not None:
-                delta += term if held is None or held[3] is None else term - held[3]
-                if term > 0:
-                    rise += term
-        return delta, rise
+                delta += term if held is None or held[2] is None else term - held[2]
+        return delta
 
     head = len(rows) - _tail_size(workflow)
     ec, el = _exponent(rows, _COST), _exponent(rows, _LATENCY)
@@ -632,8 +639,7 @@ def _walk(
     # A group's change on top of a ledger that holds none of its keys is its
     # change on an empty ledger, its own: only the groups billing a key of a
     # prefix's ledger are repriced for it.
-    own = [change({}, group)[0] for group in groups]
-    own_rise = max(change({}, group)[1] for group in groups)
+    own = [change({}, group) for group in groups]
     billing: dict = {}
     for g, group in enumerate(groups):
         for key, _, _ in group:
@@ -655,24 +661,18 @@ def _walk(
             # Emptied first, so that the kept prefixes are not held while the
             # new ledger is priced.
             kept.clear()
-            # The credit is the ledger's terms summed in first-billed order;
-            # reach plus rise is the credit bound (see above).
-            ledger, credit, reach = {}, 0, 0
+            # The credit is the ledger's terms summed in first-billed order.
+            ledger, credit = {}, 0
             for key, months, rate in fixed:
-                entry = ledger[key] = billed[(ledger.get(key), months, rate)]
-                if entry[3] is not None and entry[3] > 0:
-                    reach += entry[3]
-            for _, _, _, term in ledger.values():
+                ledger[key] = billed[(ledger.get(key), months, rate)]
+            for _, _, term in ledger.values():
                 if term is not None:
                     credit += term
             credits = [credit + d if d else credit for d in own]
-            rise = own_rise
             for g in {g for key in ledger for g in billing.get(key, ())}:
-                d, r = change(ledger, groups[g])
+                d = change(ledger, groups[g])
                 credits[g] = credit + d if d else credit
-                if r > rise:
-                    rise = r
-            hot = reach + rise >= _LIMIT
+            hot = max(credits) >= _LIMIT
             last = fixed
             priced += 1
         for g, c in enumerate(credits):
@@ -696,10 +696,10 @@ def _walk(
                 if useful:
                     if ranks is None:
                         ranks = _Ranks(table, len(groups))
-                    reach, lo = slo - base, 0
+                    slack, lo = slo - base, 0
                     for g, hi in enumerate(ranks.ends):
                         cheap = bisect_right(ranks.costs, budget - paid_of[g], lo, hi) - lo
-                        fast = ranks.masks[bisect_right(ranks.paths, reach, lo, hi) + g]
+                        fast = ranks.masks[bisect_right(ranks.paths, slack, lo, hi) + g]
                         feasible += (fast & ((1 << cheap) - 1)).bit_count()
                         lo = hi
                 break
@@ -718,10 +718,8 @@ def _walk(
                     if i >= 0:
                         # Checked as ParetoPoint checks a point; only a
                         # credit above the gross cost makes one negative.
-                        # Its prefix is priced too: billing a key at two
-                        # rates, it may meet a credit the walk never sums.
                         if cost < 0:
-                            _price(workflow, rows, platforms, [*risky, first], len(table), first + j + 1)
+                            _price(workflow, rows, platforms, risky, len(table), first + j + 1)
                             label = str(_placement(workflow, platforms, first + j))
                             raise DomainError(f"point {label!r} has negative cost or latency")
                         _insert(latencies, costs, indices, i, cost, latency, first + j)
@@ -849,7 +847,7 @@ def _floor(bound: Decimal, exponent: int, most: int) -> int | float:
 
 
 #: A key's ledger entry from a failed billing of it on: its term is at the limit.
-_FAILED = (None, None, None, _LIMIT)
+_FAILED = (None, None, _LIMIT)
 
 
 class _Billed(dict):
@@ -869,8 +867,8 @@ class _Billed(dict):
         if memo[0] is not _FAILED:
             try:
                 with exact_sums("a fixed-charge credit"):
-                    total, most, rate, term = bill_key(*memo)
-                after = (total, most, rate, None if term is None else _scaled(term, self.exponent))
+                    total, most, term = bill_key(*memo)
+                after = (total, most, None if term is None else _scaled(term, self.exponent))
             except (DomainError, ArithmeticError):
                 pass
         self[memo] = after

@@ -571,23 +571,120 @@ def test_zero_anchor_is_reported_before_infeasibility():
         optimize(wf, ["a", "b"], PlacementModel(wf, table), OptimizationConfig(latency_slo=D(1)))
 
 
-@pytest.mark.parametrize("axis", ["cost", "latency"])
+#: A rate of _found_table: -6E+37 - 1E-12.
+_FOUND_RATE = "-6" + "0" * 37 + ".000000000001"
+
+
+def _found_table(months=D(1), rate=D(_FOUND_RATE)):
+    """A 4-function chain on x and y, every pair costing 1 with latency 1,
+    except that f0@x and f1@x each bill (x, a) for months at rate and (x, b)
+    for a month at -5E+37. With months 1, enumeration raises that a
+    workflow cost needs more than 50 significant digits, and a walk that
+    takes each credit term for nonnegative would return f0=x,f1=y,f2=x,f3=x
+    at cost 4."""
+    wf = _chain(4)
+    bills = ((("x", "a"), months, rate), (("x", "b"), D(1), D("-5E+37")))
+    table = {(f, p): PairEntry(D(1), D(1)) for f in wf.function_ids for p in "xy"}
+    for f in ("f0", "f1"):
+        table[(f, "x")] = PairEntry(D(1), D(1), bills)
+    return wf, table
+
+
+def _key_at_two_rates():
+    """Key ml on y is billed 500 months twice at 1 by f0 and once at 1E+20
+    by f1: a credit taking the last rate for 501 months, 5.01E+22, would
+    leave the cost of both on y at 51 digits."""
+    wf = WorkflowSpec(workflow_id="rates", functions=(FunctionProfile("f0"), FunctionProfile("f1")))
+    return wf, {
+        ("f0", "x"): PairEntry(D("501.00000000000000000001"), D(0)),
+        ("f0", "y"): PairEntry(
+            D("1000.0000000000000000000000000001"), D(0),
+            ((("y", "ml"), D(500), D(1)), (("y", "ml"), D(500), D(1))),
+        ),
+        ("f1", "x"): PairEntry(D(1), D(0)),
+        ("f1", "y"): PairEntry(D("100000000000000000001"), D(0), ((("y", "ml"), D(1), D("1E+20")),)),
+    }
+
+
+def _credit_dropped_by_a_later_billing():
+    """A 6-function chain on x and y, every pair costing 1 with latency 1,
+    except that f0@x and f1@x cost 3E+37 and each bills (x, a) for a month
+    at 6E+37 + 1E-12 and (x, b) at 4E+37 + 1E-12; f2 bills (x, a) for a
+    month at rate 0 on either platform. On (x, x) f1's billing would credit
+    1E+38 + 2E-12, 51 digits, and f2's would then drop a's term."""
+    wf = _chain(6)
+    bills = ((("x", "a"), D(1), D("6" + "0" * 37 + ".000000000001")),
+             (("x", "b"), D(1), D("4" + "0" * 37 + ".000000000001")))
+    table = {(f, p): PairEntry(D(1), D(1)) for f in wf.function_ids for p in "xy"}
+    for f in ("f0", "f1"):
+        table[(f, "x")] = PairEntry(D("3E+37"), D(1), bills)
+    for p in "xy":
+        table[("f2", p)] = PairEntry(D(1), D(1), ((("x", "a"), D(1), D(0)),))
+    return wf, table
+
+
+def _one_pair_at_two_rates():
+    """f on y bills key ml for a month at 1 and then at 1.5."""
+    wf = WorkflowSpec(workflow_id="pair", functions=(FunctionProfile("f"),))
+    fixed = ((("y", "ml"), D(1), D(1)), (("y", "ml"), D(1), D("1.5")))
+    return wf, {("f", "x"): PairEntry(D(1), D(1)), ("f", "y"): PairEntry(D("2.5"), D(1), fixed)}
+
+
+_NOT_FINITE_OR_NEGATIVE = ["NaN", "sNaN", "Infinity", "-Infinity", "-1"]
+
+
 @pytest.mark.parametrize(
-    "value, rule",
+    "axis, value, rule",
     [
-        ("NaN", "be finite and nonnegative"),
-        ("sNaN", "be finite and nonnegative"),
-        ("Infinity", "be finite and nonnegative"),
-        ("-Infinity", "be finite and nonnegative"),
-        ("-1", "be finite and nonnegative"),
-        ("limit", "be below"),
-        ("1E-101", "have no digit finer than 1E-100"),
+        *(pytest.param(axis, value, rule, id=f"{value}-{rule}-{axis}")
+          for axis in ("cost", "latency")
+          for value, rule in [*((v, "be finite and nonnegative") for v in _NOT_FINITE_OR_NEGATIVE),
+                              ("limit", "be below"),
+                              ("1E-101", "have no digit finer than 1E-100")]),
+        # A fixed charge's months and rate, on the chain of _found_table,
+        # its own rate included.
+        *(pytest.param(axis, value, "have finite and nonnegative months and rate",
+                       id=f"{value}-{axis}")
+          for axis in ("months", "rate")
+          for value in _NOT_FINITE_OR_NEGATIVE),
+        pytest.param("rate", _FOUND_RATE, "have finite and nonnegative months and rate",
+                     id="_found_table"),
+        # A key billed at two rates: value builds the table, rule is the message.
+        *(pytest.param("rates", instance, rule, id=instance.__name__) for instance, rule in (
+            (_key_at_two_rates,
+             "pair (f1, y): fixed charge (y, ml) must have one rate, got 1E+20 and 1"),
+            (_credit_dropped_by_a_later_billing,
+             "pair (f2, x): fixed charge (x, a) must have one rate, got 0 and "
+             + "6" + "0" * 37 + ".000000000001"),
+            (_one_pair_at_two_rates,
+             "pair (f, y): fixed charge (y, ml) must have one rate, got 1.5 and 1"),
+        )),
     ],
 )
 def test_placement_model_checks_its_entries_when_built(axis, value, rule):
     # Each entry is checked as it is built, so that the search's ints stay
     # small and every partial sum of enumeration is at most a placement's
-    # gross cost, credit or critical path.
+    # gross cost, credit or critical path: a credit term grows with each
+    # billing of its key only while its months and rate are nonnegative and
+    # the key keeps one rate.
+    if axis == "rates":
+        wf, table = value()
+        with pytest.raises(SchemaError) as exc:
+            optimizer.PlacementModel(wf, table)
+        assert str(exc.value) == rule
+        return
+    if axis in ("months", "rate"):
+        months, rate = (D(value), D(1)) if axis == "months" else (D(1), D(value))
+        wf, table = _found_table(months, rate)
+        with pytest.raises(SchemaError) as exc:
+            optimizer.PlacementModel(wf, table)
+        assert str(exc.value) == f"pair (f0, x): fixed charge (x, a) must {rule}, got {months} and {rate}"
+        # Zero months at rate 0 build, and so does one rate spelled two ways.
+        fixed = ((("x", "a"), D(0), D(0)), (("x", "b"), D(1), D(1)))
+        table[("f0", "x")] = PairEntry(D(1), D(1), fixed)
+        table[("f1", "x")] = PairEntry(D(1), D(1), ((("x", "a"), D(1), D("0.0")),))
+        optimizer.PlacementModel(wf, table)
+        return
     wf = _chain(2)
     limit = {"cost": "1E+38 USD", "latency": "1E+41 ms"}[axis]
     bad = D(limit.split()[0]) if value == "limit" else D(value)
@@ -1216,30 +1313,10 @@ def _cost_below_its_fixed_charges():
     })
 
 
-def _key_at_two_rates():
-    """Key ml on y is billed 500 months twice at 1 by f0 and once at 1E+20
-    by f1: the credit takes the last rate for 501 months, 5.01E+22, and
-    the cost of both on y needs 51 digits; each pair's cost includes its
-    own fixed charges."""
-    wf = WorkflowSpec(workflow_id="rates", functions=(FunctionProfile("f0"), FunctionProfile("f1")))
-    return wf, optimizer.PlacementModel(wf, {
-        ("f0", "x"): optimizer.PairEntry(D("501.00000000000000000001"), D(0)),
-        ("f0", "y"): optimizer.PairEntry(
-            D("1000.0000000000000000000000000001"), D(0),
-            ((("y", "ml"), D(500), D(1)), (("y", "ml"), D(500), D(1))),
-        ),
-        ("f1", "x"): optimizer.PairEntry(D(1), D(0)),
-        ("f1", "y"): optimizer.PairEntry(
-            D("100000000000000000001"), D(0), ((("y", "ml"), D(1), D("1E+20")),)
-        ),
-    })
-
-
-@pytest.mark.parametrize("instance", [_cost_below_its_fixed_charges, _key_at_two_rates])
+@pytest.mark.parametrize("instance", [_cost_below_its_fixed_charges])
 def test_a_model_unlike_a_catalog_fails_as_enumeration(instance):
-    # A pair's cost below its fixed charges, or a key at two rates: a
-    # credit past the walk's limit puts the prefix at risk, so its error is
-    # enumeration's.
+    # A pair's cost below its fixed charges: a credit past the walk's limit
+    # puts the prefix at risk, so its error is enumeration's.
     wf, model = instance()
     with pytest.raises(DomainError) as expected:
         min_cost(wf, ["x", "y"], model)
@@ -1250,20 +1327,23 @@ def test_a_model_unlike_a_catalog_fails_as_enumeration(instance):
 
 
 #: Entries near the bounds: 50-digit costs, rates whose credit terms reach
-#: and pass 1E+38 and latencies whose sums need 61 digits.
+#: and pass 1E+38, latencies whose sums need 61 digits and months whose
+#: sum needs 51.
 _NEAR_COSTS = ["0", "1E-12", "1", "12345678901234567890123456789012345678.901234567891",
                "9" * 38 + "." + "9" * 12]
 _NEAR_RATES = ["1", "0.5", "3E+37", "5E+37", str(_RATE)]
 _NEAR_LATENCIES = ["0", "1", "2.0", "1E-20", "9E+40"]
+_NEAR_MONTHS = ["0", "1", "2", "2.0", "3", "1" + "0" * 49 + ".5"]
 
 
 @st.composite
 def _near_bound_instances(draw):
     """1-4 functions on 1-3 platforms, edges running forward in a random
     order of the functions. A pair bills 0-2 fixed entries of the keys ml
-    and etl on its platform. As in a CatalogModel, each key is billed at
-    one rate and a pair's cost includes its fixed charges, unless the draw
-    gives a pair a rate of its own or a cost below them."""
+    and etl on its platform and ml on the last platform, for 0 to 1E+49 +
+    0.5 months. Each key is billed at one rate, as a PlacementModel
+    requires, and a pair's cost includes its fixed charges, as in a
+    CatalogModel, unless the draw gives it a cost below them."""
     n = draw(st.integers(1, 4), label="functions")
     fids = [f"f{i}" for i in range(n)]
     ranked = draw(st.permutations(fids), label="topological order")
@@ -1281,11 +1361,9 @@ def _near_bound_instances(draw):
     table = {}
     for f in fids:
         for p in platforms:
-            keys = draw(st.lists(st.sampled_from([(p, "ml"), (p, "etl")]), max_size=2))
-            own = draw(st.none() | st.sampled_from(_NEAR_RATES), label="own rate")
-            fixed = tuple((key, D(draw(st.sampled_from(["1", "2", "2.0", "3"]))),
-                           rates[key] if own is None else D(own))
-                          for key in keys)
+            keys = draw(st.lists(st.sampled_from([(p, "ml"), (p, "etl"), (platforms[-1], "ml")]),
+                                 max_size=2))
+            fixed = tuple((key, D(draw(st.sampled_from(_NEAR_MONTHS))), rates[key]) for key in keys)
             cost = D(draw(st.sampled_from(_NEAR_COSTS)))
             if draw(st.booleans(), label="cost includes fixed charges"):
                 with localcontext(prec=200):
@@ -1321,24 +1399,6 @@ def _months_past_the_precision():
     })
 
 
-def _credit_dropped_by_a_later_billing():
-    """A 6-function chain on x and y, every pair costing 1 with latency 1,
-    except that f0@x and f1@x cost 3E+37 and each bills (x, a) for a month
-    at 6E+37 + 1E-12 and (x, b) at 4E+37 + 1E-12; f2 bills (x, a) for a
-    month at rate 0 on either platform. On (x, x) f1's billing credits
-    1E+38 + 2E-12, 51 digits, so enumeration raises; f2's then drops a's
-    term, so the head ledger's final credit alone stays below the limit."""
-    wf = _chain(6)
-    bills = ((("x", "a"), D(1), D("6" + "0" * 37 + ".000000000001")),
-             (("x", "b"), D(1), D("4" + "0" * 37 + ".000000000001")))
-    table = {(f, p): PairEntry(D(1), D(1)) for f in wf.function_ids for p in "xy"}
-    for f in ("f0", "f1"):
-        table[(f, "x")] = PairEntry(D("3E+37"), D(1), bills)
-    for p in "xy":
-        table[("f2", p)] = PairEntry(D(1), D(1), ((("x", "a"), D(1), D(0)),))
-    return wf, ["x", "y"], PlacementModel(wf, table)
-
-
 def _fails_as_enumeration(data, wf, platforms, model):
     """Enumeration prices each placement's cost, then its latency; its first
     error, or the first placement whose shared credit makes it negative, is
@@ -1371,7 +1431,7 @@ def test_optimize_fails_as_enumeration_fails(instance, data):
 @pytest.mark.parametrize(
     "instance",
     [_credit_past_the_limit, _wide_sums_stay_exact, _failure_in_a_dominated_prefix,
-     _months_past_the_precision, _credit_dropped_by_a_later_billing],
+     _months_past_the_precision],
 )
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
@@ -1547,7 +1607,7 @@ def test_dominated_prefixes_match_exhaustive_oracle(data):
     # bounds leave some dominating pairs outside. A pair on p may bill key
     # (p, ml) 1 or 2 months at 1, its cost including the charge, so the
     # ledger runs change within the head; or the first and last functions
-    # bill it at two rates on the first platform.
+    # bill it 1 and 2 months on the first platform.
     n = data.draw(st.integers(3, 5), label="functions")
     size = data.draw(st.integers(1, min(2, n // 2)), label="tail")
     platforms = ["x", "y", "z"][: data.draw(st.integers(2, 3 if n <= 4 else 2), label="platforms")]
@@ -1557,15 +1617,14 @@ def test_dominated_prefixes_match_exhaustive_oracle(data):
         functions=tuple(FunctionProfile(f) for f in fids),
         edges=tuple(_tail_edges(data, fids, size)),
     )
-    two_rates = data.draw(st.booleans(), label="a key at two rates")
+    ends = data.draw(st.booleans(), label="the first and last functions bill")
     table = {}
     for f in fids:
         for p in platforms:
             months = data.draw(st.sampled_from([None, None, "1", "2"]), label=f"months {f}@{p}")
-            rate = D(1)
-            if two_rates and p == platforms[0] and f in (fids[0], fids[-1]):
-                months, rate = "1", D(1 if f == fids[0] else 2)
-            fixed = (((p, "ml"), D(months), rate),) if months else ()
+            if ends and p == platforms[0] and f in (fids[0], fids[-1]):
+                months = "1" if f == fids[0] else "2"
+            fixed = (((p, "ml"), D(months), D(1)),) if months else ()
             cost = D(data.draw(st.sampled_from(_FEW), label=f"cost {f}@{p}"))
             cost += sum(money_product(m, r) for _, m, r in fixed)
             latency = D(data.draw(st.sampled_from(_FEW), label=f"latency {f}@{p}"))
