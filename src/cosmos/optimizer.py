@@ -20,12 +20,12 @@ credit and each table group's change in it come from one memo of
 engine.bill_key, the rule engine.bill_fixed applies, once per run of prefixes
 with the same fixed-charge entries. The walk adds and compares Python ints,
 each axis scaled to its finest exponent, so no sum rounds in any order.
-Enumeration sums in money.CONTEXT, where a sum past its precision raises; the
-walk keeps that contract by magnitude: a prefix any of whose placements' sums
-can reach 10^CONTEXT.prec units is priced by the model, placement by placement
-in enumeration order, and the first error raises. The scope bounds either each
-pair or the sums, so one test decides feasibility under both. The model writes
-the digits reported for the chosen placements.
+Enumeration sums in money.CONTEXT, where a sum past its precision raises;
+before it walks, the search refuses with that error any input whose sums
+could reach 10^CONTEXT.prec units (_refuse_wide), so that no placement of an
+accepted one can raise. The scope bounds either each pair or the sums, so one
+test decides feasibility under both. The model writes the digits reported for
+the chosen placements.
 
 Weights default to the reciprocals of the two unconstrained anchors:
 alpha = 1/C* (cheapest achievable cost) and beta = 1/T* (fastest achievable
@@ -54,7 +54,7 @@ from .errors import (
     MissingLatencyError,
     SchemaError,
 )
-from .money import CONTEXT, MONEY_LIMIT, MONEY_PLACES, div, exact_sums
+from .money import CONTEXT, MONEY_LIMIT, MONEY_PLACES, div, exact_sum_error, exact_sums, money_product
 from .workflow import (
     _ARRAY,
     LATENCY_LIMIT,
@@ -187,14 +187,14 @@ class PlacementModel:
     A placement costs the sum of its pairs' costs less the shared
     fixed-charge credit, exactly as ``workflow_cost`` bills it; its latency
     is the critical path over its pairs' latencies. A pair not in the table
-    raises MissingLatencyError. An entry whose cost or latency is not
-    finite, is negative, is not below MONEY_LIMIT or LATENCY_LIMIT, or has
-    a digit finer than 10^_FINEST raises SchemaError naming its pair; so
-    does a fixed charge whose months or rate is not finite or is negative,
-    or whose key is billed at two rates, naming the key: each credit term
-    then only grows as its key is billed (see _walk). The model keeps its
-    own copy of the table, so that a caller changing theirs later cannot
-    undo the check.
+    raises MissingLatencyError. An entry whose cost or latency is not a
+    Decimal, is not finite, is negative, is not below MONEY_LIMIT or
+    LATENCY_LIMIT, or has a digit finer than 10^_FINEST raises SchemaError
+    naming its pair; so does a fixed charge whose months or rate is not a
+    Decimal, is not finite or is negative, or whose key is billed at two
+    rates, naming the key: each credit term then only grows as its key is
+    billed (see _refuse_wide). The model keeps its own copy of the table,
+    so that a caller changing theirs later cannot undo the check.
     """
 
     def __init__(self, workflow: WorkflowSpec, table: Mapping[tuple[str, str], PairEntry]):
@@ -204,7 +204,9 @@ class PlacementModel:
         for (fid, pid), entry in self.table.items():
             for axis, value, limit, unit in (("cost", entry.cost, MONEY_LIMIT, "USD"),
                                              ("latency", entry.latency, LATENCY_LIMIT, "ms")):
-                if not (value.is_finite() and value >= 0):
+                if not isinstance(value, Decimal):
+                    rule = f"be a Decimal, not {type(value).__name__}"
+                elif not (value.is_finite() and value >= 0):
                     rule = "be finite and nonnegative"
                 elif value >= limit:
                     rule = f"be below {limit} {unit}"
@@ -214,7 +216,9 @@ class PlacementModel:
                     continue
                 raise SchemaError(f"pair ({fid}, {pid}): {axis} must {rule}, got {value}")
             for key, months, rate in entry.fixed:
-                if not (months.is_finite() and months >= 0 and rate.is_finite() and rate >= 0):
+                if not (isinstance(months, Decimal) and isinstance(rate, Decimal)):
+                    rule = f"have Decimal months and rate, got {months!r} and {rate!r}"
+                elif not (months.is_finite() and months >= 0 and rate.is_finite() and rate >= 0):
                     rule = f"have finite and nonnegative months and rate, got {months} and {rate}"
                 elif rates.setdefault(key, rate) != rate:
                     rule = f"have one rate, got {rate} and {rates[key]}"
@@ -399,11 +403,14 @@ def optimize(
     ints weigh as the amounts they stand for. The key never rises when
     cost or latency falls, so a front member minimizes it over all feasible
     placements; equal pairs keep the first enumerated placement. The
-    result's counters say what the walk did. Raises the DomainError that
-    enumeration meets first, pricing each placement's cost_of, then its
-    latency_of, and checking it as a ParetoPoint when the front admits it;
-    then DegenerateAnchorError for auto weights with a zero anchor, then
-    InfeasibleError carrying the anchors when no placement is feasible.
+    result's counters say what the walk did. Raises DomainError before the
+    walk when a sum that enumeration forms could need more than
+    CONTEXT.prec digits (_refuse_wide), so that no cost_of or latency_of
+    of an accepted search raises; then the DomainError of the first
+    enumerated placement that the front admits with a negative cost,
+    checked as a ParetoPoint checks it; then DegenerateAnchorError for auto
+    weights with a zero anchor, then InfeasibleError carrying the anchors
+    when no placement is feasible.
     """
     config = config or OptimizationConfig()
     platforms = list(platforms)
@@ -468,10 +475,9 @@ class SearchCounters(NamedTuple):
     """What one optimize walk did: the placements it visited and the feasible
     ones, the head prefixes and tail table entries that make them up, the
     table's fixed-charge groups, how many prefix ledgers it priced (a run of
-    prefixes with the same fixed-charge entries is priced once), how many
-    head prefixes an earlier prefix dominated, so that the walk only
-    counted their feasible placements, and how many were at risk, so that
-    the model priced their placements (see _walk)."""
+    prefixes with the same fixed-charge entries is priced once), and how
+    many head prefixes an earlier prefix dominated, so that the walk only
+    counted their feasible placements (see _walk)."""
 
     placements: int
     feasible: int
@@ -480,7 +486,6 @@ class SearchCounters(NamedTuple):
     groups: int
     ledgers_priced: int
     dominated_prefixes: int
-    prefixes_at_risk: int
 
 
 class _Found(NamedTuple):
@@ -506,16 +511,10 @@ def _placement(workflow: WorkflowSpec, platforms: list[str], index: int) -> Plac
     digits, one per function in declaration order, the last function's
     lowest, pick its platforms in argument order. The walk visits the
     indices in ascending order, so this is the search's enumeration order."""
-    digits = _digits(index, len(workflow.functions), len(platforms))
+    digits = [0] * len(workflow.functions)
+    for k in range(len(digits) - 1, -1, -1):
+        index, digits[k] = divmod(index, len(platforms))
     return Placement(tuple((fid, platforms[c]) for fid, c in zip(workflow.function_ids, digits)))
-
-
-def _digits(index: int, count: int, width: int) -> list[int]:
-    """The count lowest base-width digits of index, the lowest last."""
-    digits = [0] * count
-    for k in range(count - 1, -1, -1):
-        index, digits[k] = divmod(index, width)
-    return digits
 
 
 #: How many earlier head prefixes the walk keeps to test a prefix's
@@ -537,6 +536,9 @@ def _walk(
     in exact ints: each axis is scaled to its _exponent, each entry becoming
     its _Pair in place and each credit term scaled when _Billed prices it,
     and the budget and SLO become the floor of the scaled bound (_floor).
+    Before any of it is walked, _refuse_wide raises when a sum that
+    enumeration forms could need more than CONTEXT.prec digits, so that no
+    placement of an accepted search fails to price.
 
     The tail (see _tail_size) is enumerated once per solve by _combos into a
     table, one _Entry (cost sum, longest path from the tail's entry function
@@ -544,20 +546,21 @@ def _walk(
     combinations whose pairs bill equal fixed-charge entries, concatenated
     in declaration order, share a group. With no tail, which needs a
     declaration order that is not topological, the head is every function
-    and the table holds one empty combination (cost 0, path -inf, or 0 in a
-    workflow of no functions, group ()). The head, the functions before the
-    tail, is enumerated by the same odometer. Each head prefix bills its
-    entries through the _Billed memo, as engine.bill_fixed bills them, for
-    its ledger and credit; each group's credit is that credit plus the
-    group's change in it on top of the prefix's ledger (change), and a
-    group billing no key of the ledger keeps its change on an empty one,
-    computed once per solve. Prefixes in a row with the same entries share
-    one pricing of their ledger. A placement costs the prefix's cost sum
-    less its group's credit plus its entry's cost; its latency is the
-    longer of the prefix's critical path and the distance into s plus the
-    entry's path. Each is an anchor candidate and, when feasible, counted
-    and offered to the front (_slot, _insert) under its enumeration index:
-    the prefix's first index plus the entry's.
+    and the table holds one empty combination (cost 0, path 0, group ()).
+    The head, the functions before the tail, is enumerated by the same
+    odometer. Each head prefix bills its entries through the _Billed memo,
+    as engine.bill_fixed bills them, for its ledger and credit; each group's
+    credit is that credit plus the group's change in it on top of the
+    prefix's ledger (change), and a group billing no key of the ledger keeps
+    its change on an empty one, computed once per solve. Prefixes in a row
+    with the same entries share one pricing of their ledger. A placement
+    costs the prefix's cost sum less its group's credit plus its entry's
+    cost; its latency is the longer of the prefix's critical path and the
+    distance into s plus the entry's path. Each is an anchor candidate and,
+    when feasible, counted and offered to the front (_slot, _insert) under
+    its enumeration index: the prefix's first index plus the entry's. The
+    first feasible placement with a negative cost that the front admits
+    raises DomainError, as ParetoPoint does.
 
     A prefix whose cost sum, critical path (top) and distance into s (base)
     are each at least those of a prefix the walk keeps is dominated: with
@@ -576,20 +579,6 @@ def _walk(
     dominates; a new ledger empties it. A skipped placement is never the
     first negative point: the kept prefix's placement with its entry is
     feasible, no dearer and enumerated first.
-
-    Enumeration sums in money.CONTEXT, where a sum past its precision
-    raises. Entries are nonnegative, and a key bills nonnegative months at
-    one rate (PlacementModel), so its credit term only grows as it is
-    billed: no partial sum of enumeration passes a placement's gross cost,
-    final credit or critical path, which stay below _LIMIT units unless the
-    prefix is at risk: its cost sum plus the table's largest, its largest
-    group credit, or the longer of top and base plus the table's longest
-    path reaches _LIMIT (only a credit can when the row maxima of each axis
-    sum below it, and a billing that raises puts its term there). The model
-    prices each placement of a prefix at risk (_price), dominated or not, in
-    enumeration order when the walk ends, or up to the walk's first negative
-    point before that error: the first error raises, as enumeration's first
-    would.
     """
     budget = INFINITY if config.budget is None else config.budget
     slo = INFINITY if config.latency_slo is None else config.latency_slo
@@ -602,7 +591,7 @@ def _walk(
     def change(ledger: dict, fixed: tuple) -> int:
         """The change in ledger's credit when fixed is billed on top of it
         (engine.bill_key). A key that fixed bills twice is chained through
-        its first billing. A first billing credits nothing unless it fails."""
+        its first billing. A first billing credits nothing."""
         delta, chained = 0, {}
         for key, months, rate in fixed:
             prior = chained.get(key)
@@ -610,7 +599,7 @@ def _walk(
             memo = chained[key] = (held, months, rate)
             term = billed[memo][2]
             if term is not None:
-                delta += term if held is None or held[2] is None else term - held[2]
+                delta += term if held[2] is None else term - held[2]
         return delta
 
     head = len(rows) - _tail_size(workflow)
@@ -620,12 +609,12 @@ def _walk(
     for row in rows:
         for j, e in enumerate(row):
             within = e.cost <= pair_budget and e.latency <= pair_slo
-            row[j] = _Pair(_scaled(e.cost, ec), _scaled(e.latency, el), e.fixed, within, e)
+            row[j] = _Pair(_scaled(e.cost, ec), _scaled(e.latency, el), e.fixed, within)
     # No placement's gross cost or critical path passes these sums.
     most_cost = sum(max(p.cost for p in row) for row in rows)
     most_latency = sum(max(p.latency for p in row) for row in rows)
+    _refuse_wide(rows, ec, most_cost, most_latency)
     budget, slo = _floor(budget, ec, most_cost), _floor(slo, el, most_latency)
-    small = most_cost < _LIMIT and most_latency < _LIMIT
     # s reaches every tail function, so it comes first in topological order.
     preds = next((preds for i, preds in workflow._topology if i >= head), ())
     index: dict = {}
@@ -633,7 +622,6 @@ def _walk(
         _Entry(cost, top, within, index.setdefault(fixed, len(index)))
         for cost, fixed, within, top, _ in _combos(workflow, rows[head:], head, len(rows))
     ]
-    table_cost, table_path = max(e.cost for e in table), max(e.path for e in table)
     groups = tuple(index)
     del index  # not held through the walk
     # A group's change on top of a ledger that holds none of its keys is its
@@ -648,8 +636,6 @@ def _walk(
     costs: list[int] = []
     latencies: list[int] = []
     indices: list[int] = []
-    # The first index of each prefix at risk.
-    risky: list[int] = []
     # Earlier prefixes of the ledger run that were within the pair bounds
     # with top <= slo, most recently used first.
     kept: list[_Held] = []
@@ -672,7 +658,6 @@ def _walk(
             for g in {g for key in ledger for g in billing.get(key, ())}:
                 d = change(ledger, groups[g])
                 credits[g] = credit + d if d else credit
-            hot = max(credits) >= _LIMIT
             last = fixed
             priced += 1
         for g, c in enumerate(credits):
@@ -681,8 +666,6 @@ def _walk(
         for q in preds:
             if dist[q] > base:
                 base = dist[q]
-        if hot or not small and max(prefix_cost + table_cost, top, base + table_path) >= _LIMIT:
-            risky.append(first)
         useful = within and top <= slo
         for k, held in enumerate(kept):
             if held.cost <= prefix_cost and held.top <= top and held.base <= base:
@@ -719,7 +702,6 @@ def _walk(
                         # Checked as ParetoPoint checks a point; only a
                         # credit above the gross cost makes one negative.
                         if cost < 0:
-                            _price(workflow, rows, platforms, risky, len(table), first + j + 1)
                             label = str(_placement(workflow, platforms, first + j))
                             raise DomainError(f"point {label!r} has negative cost or latency")
                         _insert(latencies, costs, indices, i, cost, latency, first + j)
@@ -733,22 +715,44 @@ def _walk(
                 kept.insert(0, _Held(prefix_cost, top, base))
                 del kept[_KEPT:]
         first += len(table)
-    _price(workflow, rows, platforms, risky, len(table), first)
     counters = SearchCounters(first, feasible, first // len(table), len(table), len(groups),
-                              priced, dominated, len(risky))
+                              priced, dominated)
     return _Found(c_arg, t_arg, costs, latencies, indices, ec, el, counters)
 
 
-def _price(workflow: WorkflowSpec, rows: list[list[_Pair]], platforms: list[str],
-           risky: list[int], size: int, end: int) -> None:
-    """Price each placement below index end of the head prefixes at risk
-    (first indices ascending, size indices each) in enumeration order, as
-    the model does: _cost, then critical_path. The first failure raises."""
-    for first in risky:
-        for index in range(first, min(first + size, end)):
-            entries = [row[c].entry for row, c in zip(rows, _digits(index, len(rows), len(platforms)))]
-            _cost(entries)
-            critical_path(workflow, [e.latency for e in entries])
+def _refuse_wide(rows: list[list[_Pair]], exponent: int, most_cost: int, most_latency: int) -> None:
+    """DomainError, in money.exact_sum_error's words, naming the first sum
+    of enumeration whose bound reaches _LIMIT units of its exponent. Entries
+    are nonnegative and each key bills nonnegative months at one rate
+    (PlacementModel), so no partial sum passes its bound: a gross cost, the
+    row maxima of cost (most_cost, at the cost exponent); a key's months,
+    the sum of every month that can bill it, at the finest of their
+    exponents; a credit, the sum over keys of money_product of that sum and
+    the key's rate, at the cost exponent (a product past the money limit is
+    past it too); a critical path, the row maxima of latency. So an input
+    that spans more digits is refused even when each placement is exact."""
+    if most_cost >= _LIMIT:
+        raise exact_sum_error("a workflow cost")
+    months: dict = {}
+    rates: dict = {}
+    for row in rows:
+        for pair in row:
+            for key, m, rate in pair.fixed:
+                months[key] = _EXACT.add(months[key], m) if key in months else m
+                rates[key] = rate
+    credit = 0
+    for key, total in months.items():
+        # An exact sum's exponent is its finest operand's.
+        if total.adjusted() - _EXACT.multiply(total, 0).adjusted() >= CONTEXT.prec:
+            raise exact_sum_error(f"a sum of the months of fixed charge ({key[0]}, {key[1]})")
+        try:
+            credit += _scaled(money_product(total, rates[key]), exponent)
+        except DomainError:
+            credit += _LIMIT
+    if credit >= _LIMIT:
+        raise exact_sum_error("a fixed-charge credit")
+    if most_latency >= _LIMIT:
+        raise exact_sum_error("a critical-path latency sum")
 
 
 class _Entry:
@@ -759,7 +763,7 @@ class _Entry:
 
     __slots__ = ("cost", "path", "inside", "group")
 
-    def __init__(self, cost: int, path: int | float, inside: bool, group: int):
+    def __init__(self, cost: int, path: int, inside: bool, group: int):
         self.cost, self.path, self.inside, self.group = cost, path, inside, group
 
 
@@ -773,9 +777,9 @@ class _Ranks:
     paths, as bits by cost rank. Its entries costing at most c with a path
     at most t are the bits of masks[bisect_right(paths, t, lo, hi) + g]
     below bit bisect_right(costs, c, lo, hi) - lo; this is exact for int
-    bounds, for math.inf and for a -inf path. A group of m entries holds
-    m + 1 masks of at most m bits, about m²/8 bytes; the four lists have
-    one slot per entry and one per group, one more for masks."""
+    bounds and for math.inf. A group of m entries holds m + 1 masks of at
+    most m bits, about m²/8 bytes; the four lists have one slot per entry
+    and one per group, one more for masks."""
 
     __slots__ = ("costs", "paths", "masks", "ends")
 
@@ -815,20 +819,18 @@ class _Held:
 
     __slots__ = ("cost", "top", "base")
 
-    def __init__(self, cost: int, top: int | float, base: int):
+    def __init__(self, cost: int, top: int, base: int):
         self.cost, self.top, self.base = cost, top, base
 
 
 class _Pair(NamedTuple):
     """A pair as the walk searches it: its cost and latency as scaled ints,
-    its fixed-charge entries, whether it is within the pair bounds, and the
-    model's entry."""
+    its fixed-charge entries, and whether it is within the pair bounds."""
 
     cost: int
     latency: int
     fixed: tuple
     within: bool
-    entry: PairEntry
 
 
 def _scaled(value: Decimal, exponent: int) -> int:
@@ -846,16 +848,11 @@ def _floor(bound: Decimal, exponent: int, most: int) -> int | float:
     return int(_EXACT.scaleb(bound, -exponent).to_integral_value(decimal.ROUND_FLOOR, _EXACT))
 
 
-#: A key's ledger entry from a failed billing of it on: its term is at the limit.
-_FAILED = (None, None, _LIMIT)
-
-
 class _Billed(dict):
     """(held ledger entry or None, months, rate) -> the key's ledger entry
     after billing months at rate (engine.bill_key) with exact sums, computed
-    once per solve, its credit term scaled to the cost exponent. A billing
-    that raises gives _FAILED: every prefix crediting it is at risk (_walk),
-    so the model prices its placements and raises the error."""
+    once per solve, its credit term scaled to the cost exponent. Within the
+    bounds of _refuse_wide no billing raises."""
 
     __slots__ = ("exponent",)
 
@@ -863,15 +860,9 @@ class _Billed(dict):
         self.exponent = exponent
 
     def __missing__(self, memo: tuple) -> tuple:
-        after = _FAILED
-        if memo[0] is not _FAILED:
-            try:
-                with exact_sums("a fixed-charge credit"):
-                    total, most, term = bill_key(*memo)
-                after = (total, most, None if term is None else _scaled(term, self.exponent))
-            except (DomainError, ArithmeticError):
-                pass
-        self[memo] = after
+        with exact_sums("a fixed-charge credit"):
+            total, most, term = bill_key(*memo)
+        after = self[memo] = (total, most, None if term is None else _scaled(term, self.exponent))
         return after
 
 
@@ -886,10 +877,9 @@ def _combos(workflow: WorkflowSpec, rows: list[list[_Pair]], start: int,
     depth-first odometer: level k places the block's function k on each
     platform in turn, and slot k + 1 of each state list holds the current
     combination of the first k + 1 functions, so combinations sharing a
-    prefix share its sums. The longest path of no functions is -inf, which
-    any path beats, except in a workflow of no functions, whose critical
-    path is zero. The distances list is reused: read it before the next
-    combination."""
+    prefix share its sums. The longest path of no functions is 0, which no
+    path of nonnegative latencies falls short of. The distances list is
+    reused: read it before the next combination."""
     size = stop - start
     width = len(rows[0]) if size else 0
     schedule = _schedule(workflow, start, stop)
@@ -898,7 +888,7 @@ def _combos(workflow: WorkflowSpec, rows: list[list[_Pair]], start: int,
     cost_at = [0] + [None] * size
     fixed_at = [()] + [None] * size
     within_at = [True] + [None] * size
-    top_at = [0 if not workflow.functions else -math.inf] + [None] * size
+    top_at = [0] + [None] * size
     depth = 0
     while True:
         for k in range(depth, size):

@@ -727,7 +727,6 @@ def test_optimize_manifest_counts_the_integer_search(capsys, tmp_path):
         "groups": 5,
         "ledgers_priced": 1,
         "dominated_prefixes": 7,
-        "prefixes_at_risk": 0,
     }
     paths = sorted(i["path"] for i in manifest["inputs"])
     digests = "".join(hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths)
@@ -1209,7 +1208,9 @@ def test_optimize_fails_as_cost_fails_on_a_credit_past_the_limit(capsys, tmp_pat
     # Card x bills only its fixed ml, at 3E+37 a month, and each of three
     # chained functions uses it 2 months: the third billing's credit term,
     # 1.2E+38, is past the money limit. The latencies 9E+40 and 1E-20 sum to
-    # 61 digits, but a placement's cost is priced before its latency.
+    # 61 digits, but a placement's cost is priced before its latency. Each
+    # pair costs 6E+37, so optimize refuses the search before it walks: the
+    # cost sum could need more than 50 digits.
     card = tmp_path / "x.json"
     card.write_text(json.dumps({"platform_id": "x", "layer": "Cloud", "components": [
         {"id": "inv", "driver": "Invocation", "unit": "PerRequest", "rate": "0", "scale": "base"},
@@ -1229,9 +1230,42 @@ def test_optimize_fails_as_cost_fails_on_a_credit_past_the_limit(capsys, tmp_pat
             f: {"x": ms} for f, ms in zip(fids, ("9E+40", "1E-20", "1"))
         }},
     }), encoding="utf-8")
-    expected = (3, "", "error: amount 1.2E+38 is out of range: money amounts must be below 1E+38\n")
-    for command in ("cost", "optimize"):
-        assert run(capsys, command, "--workflow", str(workflow), "--catalog", str(card)) == expected
+    assert run(capsys, "cost", "--workflow", str(workflow), "--catalog", str(card)) == (
+        3, "", "error: amount 1.2E+38 is out of range: money amounts must be below 1E+38\n")
+    assert run(capsys, "optimize", "--workflow", str(workflow), "--catalog", str(card)) == (
+        3, "", "error: a workflow cost needs more than 50 significant digits to stay exact\n")
+
+
+def test_optimize_refuses_a_wide_search_at_once(capsys, tmp_path, monkeypatch):
+    # A 6-function chain over 5 point-table platforms, every pair costing 1
+    # with latency 1, except f0@p4 at 1E-20 and f5@p4 at 9E+40. Enumeration
+    # first fails at placement 12,504, which sums both latencies; optimize
+    # refuses the search before it walks any of it, with that error's
+    # message, and writes nothing.
+    fids = [f"f{i}" for i in range(6)]
+    workflow = tmp_path / "wf.json"
+    workflow.write_text(json.dumps({
+        "workflow_id": "w",
+        "functions": [{"function_id": f} for f in fids],
+        "edges": [list(e) for e in zip(fids, fids[1:])],
+    }), encoding="utf-8")
+    latency = {("f0", "p4"): "1E-20", ("f5", "p4"): "9E+40"}
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps({"points": [
+        {"function_id": f, "platform_id": f"p{k}", "cost": "1",
+         "latency_ms": latency.get((f, f"p{k}"), "1")}
+        for f in fids for k in range(5)
+    ]}), encoding="utf-8")
+    out = tmp_path / "out"
+    walked = []
+    monkeypatch.setattr(optimizer, "_combos", lambda *args: walked.append(args))
+    assert run(capsys, "optimize", "--workflow", str(workflow), "--points", str(points),
+               "--out", str(out)) == (
+        3, "", "error: a critical-path latency sum needs more than 50 significant digits"
+        " to stay exact\n",
+    )
+    assert walked == []
+    assert not out.exists()
 
 
 # --- numeric flags -------------------------------------------------------------------

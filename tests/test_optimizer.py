@@ -3,6 +3,7 @@ import gc
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -659,6 +660,19 @@ _NOT_FINITE_OR_NEGATIVE = ["NaN", "sNaN", "Infinity", "-Infinity", "-1"]
             (_one_pair_at_two_rates,
              "pair (f, y): fixed charge (y, ml) must have one rate, got 1.5 and 1"),
         )),
+        # An int or a float where a Decimal belongs, on f0@x of _found_table:
+        # value is (field, number), rule the message.
+        *(pytest.param("type", (field, number), rule, id=f"{type(number).__name__}-{field}")
+          for number in (1, 1.5)
+          for field, rule in (
+              ("cost", f"pair (f0, x): cost must be a Decimal, not {type(number).__name__}, got {number}"),
+              ("latency",
+               f"pair (f0, x): latency must be a Decimal, not {type(number).__name__}, got {number}"),
+              ("months", "pair (f0, x): fixed charge (x, a) must have Decimal months and rate,"
+                         f" got {number} and Decimal('1')"),
+              ("rate", "pair (f0, x): fixed charge (x, a) must have Decimal months and rate,"
+                       f" got Decimal('1') and {number}"),
+          )),
     ],
 )
 def test_placement_model_checks_its_entries_when_built(axis, value, rule):
@@ -667,8 +681,15 @@ def test_placement_model_checks_its_entries_when_built(axis, value, rule):
     # gross cost, credit or critical path: a credit term grows with each
     # billing of its key only while its months and rate are nonnegative and
     # the key keeps one rate.
-    if axis == "rates":
-        wf, table = value()
+    if axis in ("rates", "type"):
+        if axis == "rates":
+            wf, table = value()
+        else:
+            field, number = value
+            months = number if field == "months" else D(1)
+            wf, table = _found_table(months, number if field == "rate" else D(1))
+            if field in ("cost", "latency"):
+                table[("f0", "x")] = table[("f0", "x")]._replace(**{field: number})
         with pytest.raises(SchemaError) as exc:
             optimizer.PlacementModel(wf, table)
         assert str(exc.value) == rule
@@ -1126,8 +1147,8 @@ def test_tail_rule():
 
 def test_sums_past_the_precision_step_every_placement():
     # f1's tail pair on y costs 1e25 and f0's head pairs cost 1e-30. Their
-    # sum needs 56 digits: every prefix is at risk, so the model prices its
-    # placements in enumeration order and raises as the enumeration does.
+    # sum needs 56 digits: the enumeration raises, and optimize refuses the
+    # search before it walks, naming the sum.
     wf = _chain(2)
     table = {
         ("f0", "x"): PairEntry(D("1E-30"), D(1)),
@@ -1137,11 +1158,10 @@ def test_sums_past_the_precision_step_every_placement():
     }
     model = PlacementModel(wf, table)
     assert optimizer._tail_size(wf) == 1
-    message = "needs more than 50 significant digits"
+    message = _refused("a workflow cost")
     with pytest.raises(DomainError, match=message):
         min_cost(wf, ["x", "y"], model)
-    with pytest.raises(DomainError, match=message):
-        optimize(wf, ["x", "y"], model)
+    assert _fails_as_enumeration(None, wf, ["x", "y"], model) == message
 
 
 def _wide_sums_stay_exact():
@@ -1154,17 +1174,15 @@ def _wide_sums_stay_exact():
     return wf, ["x"], PlacementModel(wf, {(f, "x"): PairEntry(D(c), D(1)) for f, c in zip(wf.function_ids, costs)})
 
 
-def test_guard_keeps_sums_in_enumeration_order(monkeypatch):
-    # The sums pass 10^50 units, so the prefix is at risk and the model
-    # prices it in enumeration order, where it raises nothing.
+def test_guard_keeps_sums_in_enumeration_order():
+    # The enumeration's sums only drop zeros, so it prices the one placement
+    # exactly; but the row maxima span 51 digits, so optimize refuses the
+    # search, as it refuses every search that could need more than 50.
     wf, platforms, model = _wide_sums_stay_exact()
     assert optimizer._tail_size(wf) == 2
-    priced = []
-    price = optimizer._price
-    monkeypatch.setattr(optimizer, "_price", lambda *args: priced.append(args[3]) or price(*args))
     cost, _ = min_cost(wf, platforms, model)
-    assert str(optimize(wf, platforms, model).cost) == str(cost) == "1" + "0" * 38 + "." + "0" * 11
-    assert priced == [[0]]
+    assert str(cost) == "1" + "0" * 38 + "." + "0" * 11
+    assert _fails_as_enumeration(None, wf, platforms, model) == _refused("a workflow cost")
 
 
 #: A rate of 36 integer digits and 12 decimals: a fixed charge of a few
@@ -1173,26 +1191,28 @@ _RATE = D("876543210987654321098765432109876543.210987654321")
 
 
 @pytest.mark.parametrize(
-    "extra",
+    "extra, refusal",
     [
         # The row maxima sum to 11 rates, 9.6E+36: 49 digits at 1E-12.
-        "0.000000000001",
-        # 50 digits at a finer last digit.
-        "1E-13",
-        # Sums past 1E+38 need 51 digits: the enumeration raises.
-        "31111111111111111111111111111111111111.111111111111",
+        pytest.param("0.000000000001", None, id="0.000000000001"),
+        # 50 digits at a finer last digit, as the credit bound, 10 rates.
+        pytest.param("1E-13", None, id="1E-13"),
+        # Sums past 1E+38 need 51 digits: the enumeration raises, and
+        # optimize refuses the search.
+        pytest.param("31111111111111111111111111111111111111.111111111111", "a workflow cost",
+                     id="31111111111111111111111111111111111111.111111111111"),
     ],
 )
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
-def test_fixed_charges_in_a_tail_at_the_precision_bound(extra, data):
+def test_fixed_charges_in_a_tail_at_the_precision_bound(extra, refusal, data):
     # Chain f0 -> f1 -> f2 -> f3, tail {f2, f3}. On x, f0 bills one key 2
     # months, f2 bills it 3 and 1 months and f3 4: the tail entry (x, x)
     # bills it three times and changes the head's credit by 6 rates, more
     # than the prefix's paid sum, which goes negative before the tail's 8
     # rates are added. A pair on x costs its fixed charges (f1's, which has
     # none, one rate) plus extra; on y it bills nothing and costs one rate
-    # plus extra. optimize returns what enumeration returns, or raises as it.
+    # plus extra. optimize returns what enumeration returns, or refuses.
     wf = _chain(4)
     months = {"f0": ["2"], "f1": [], "f2": ["3", "1"], "f3": ["4"]}
     table_entries = {}
@@ -1205,14 +1225,10 @@ def test_fixed_charges_in_a_tail_at_the_precision_bound(extra, data):
             table_entries[(f, "y")] = optimizer.PairEntry(_RATE + D(extra), D(1))
     model = optimizer.PlacementModel(wf, table_entries)
     assert optimizer._tail_size(wf) == 2
-    try:
-        min_cost(wf, ["x", "y"], model)
-    except DomainError as exc:
-        assert "needs more than 50 significant digits" in str(exc)
+    if refusal:
         with pytest.raises(DomainError, match="needs more than 50 significant digits"):
-            optimize(wf, ["x", "y"], model)
-        return
-    _check_against_oracle(data, wf, ["x", "y"], model)
+            min_cost(wf, ["x", "y"], model)
+    assert _fails_as_enumeration(data, wf, ["x", "y"], model) == _refused(refusal)
 
 
 @pytest.mark.parametrize(
@@ -1231,8 +1247,8 @@ def test_fixed_charges_in_a_head_at_the_precision_bound(months, data):
     # the given months: the head prefix (x, x) bills it twice, and its credit
     # is the lesser months' rates. A pair on x costs its fixed charges (the
     # tail's, which have none, one rate) plus 1E-12; on y it bills nothing
-    # and costs one rate plus 1E-12. optimize returns what enumeration
-    # returns, digits too.
+    # and costs one rate plus 1E-12. Neither is refused: optimize returns
+    # what enumeration returns, digits too.
     wf = _chain(4)
     billed = dict(zip(("f0", "f1"), months))
     table_entries = {}
@@ -1246,7 +1262,7 @@ def test_fixed_charges_in_a_head_at_the_precision_bound(months, data):
             table_entries[(f, "y")] = optimizer.PairEntry(_RATE + D("1E-12"), D(1))
     model = optimizer.PlacementModel(wf, table_entries)
     assert optimizer._tail_size(wf) == 2
-    _check_against_oracle(data, wf, ["x", "y"], model)
+    assert _fails_as_enumeration(data, wf, ["x", "y"], model) is None
 
 
 def test_fixed_charge_past_the_money_limit_in_a_head_raises_as_enumeration():
@@ -1254,9 +1270,8 @@ def test_fixed_charge_past_the_money_limit_in_a_head_raises_as_enumeration():
     # months on x and key b 2 months on y; f1 bills key b 2 months on x. The
     # first shared key is b on (y, x): its credit term, 2 rates, is 1E+38,
     # past the money limit. Enumeration bills it before it adds f2's 1E-12,
-    # which the cost sum 1.8E+38 cannot hold in 50 digits. Billing a 2.0
-    # first leaves equal amounts written with other digits in the walk's
-    # memo. The error is enumeration's, digits too.
+    # which the cost sum 1.8E+38 cannot hold in 50 digits. optimize refuses
+    # the search before it walks: the row maxima of cost sum past 1E+38.
     wf = _chain(4)
     rate = D("5E+37")
     entry = optimizer.PairEntry
@@ -1271,17 +1286,15 @@ def test_fixed_charge_past_the_money_limit_in_a_head_raises_as_enumeration():
     with pytest.raises(DomainError) as expected:
         min_cost(wf, ["x", "y"], model)
     assert str(expected.value) == "amount 1.0E+38 is out of range: money amounts must be below 1E+38"
-    with pytest.raises(DomainError) as raised:
-        optimize(wf, ["x", "y"], model)
-    assert str(raised.value) == str(expected.value)
+    assert _fails_as_enumeration(None, wf, ["x", "y"], model) == _refused("a workflow cost")
 
 
 def _credit_past_the_limit():
     """Chain f0 -> f1 -> f2 on x, each pair costing 6E+37 and billing one key
     2 months at 3E+37: the third billing's credit term, 4 rates, is 1.2E+38,
     past the money limit. The latencies 9E+40 and 1E-20 sum to 61 digits,
-    which a walk summing each function's distances before the next one's
-    cost meets first."""
+    but enumeration prices a placement's cost first, and the search's
+    refusal names the cost sum first."""
     wf = _chain(3)
     fixed = ((("x", "ml"), D(2), D("3E+37")),)
     model = optimizer.PlacementModel(wf, {
@@ -1296,10 +1309,7 @@ def test_failing_placement_is_priced_cost_first_as_enumeration():
     with pytest.raises(DomainError) as expected:
         min_cost(wf, platforms, model)
     assert str(expected.value) == "amount 1.2E+38 is out of range: money amounts must be below 1E+38"
-    with pytest.raises(DomainError) as raised:
-        optimize(wf, platforms, model)
-    assert type(raised.value) is type(expected.value)
-    assert str(raised.value) == str(expected.value)
+    assert _fails_as_enumeration(None, wf, platforms, model) == _refused("a workflow cost")
 
 
 def _cost_below_its_fixed_charges():
@@ -1315,15 +1325,13 @@ def _cost_below_its_fixed_charges():
 
 @pytest.mark.parametrize("instance", [_cost_below_its_fixed_charges])
 def test_a_model_unlike_a_catalog_fails_as_enumeration(instance):
-    # A pair's cost below its fixed charges: a credit past the walk's limit
-    # puts the prefix at risk, so its error is enumeration's.
+    # A pair's cost below its fixed charges: the credit bound, 9E+37 at the
+    # cost exponent 1E-30, is past 50 digits, so optimize refuses the search.
     wf, model = instance()
     with pytest.raises(DomainError) as expected:
         min_cost(wf, ["x", "y"], model)
     assert str(expected.value) == "a workflow cost needs more than 50 significant digits to stay exact"
-    with pytest.raises(DomainError) as raised:
-        optimize(wf, ["x", "y"], model)
-    assert str(raised.value) == str(expected.value)
+    assert _fails_as_enumeration(None, wf, ["x", "y"], model) == _refused("a fixed-charge credit")
 
 
 #: Entries near the bounds: 50-digit costs, rates whose credit terms reach
@@ -1399,54 +1407,86 @@ def _months_past_the_precision():
     })
 
 
+def _refused(what):
+    """The message of optimize's refusal of a search whose sum ``what`` could
+    need more than 50 significant digits, or None for no refusal."""
+    return what and f"{what} needs more than 50 significant digits to stay exact"
+
+
 def _fails_as_enumeration(data, wf, platforms, model):
-    """Enumeration prices each placement's cost, then its latency; its first
-    error, or the first placement whose shared credit makes it negative, is
-    optimize's, by type and message. Otherwise optimize returns what the
-    oracle does (_check_against_oracle)."""
+    """The refusal's soundness: optimize refuses the search before it walks
+    it, and this returns the refusal's message; or else enumeration prices
+    every placement, cost then latency, without an error, and returns None.
+    Then the first placement whose shared credit makes it negative is
+    optimize's error, by type and message, or optimize returns what the
+    oracle does (_check_against_oracle, with data)."""
+    walked = []
+    combos = optimizer._combos
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimizer, "_combos", lambda *args: walked.append(args) or combos(*args))
+        try:
+            optimize(wf, platforms, model, OptimizationConfig(alpha=D(1), beta=D(1)))
+        except DomainError as exc:
+            if not walked:
+                assert str(exc).endswith(" needs more than 50 significant digits to stay exact")
+                return str(exc)
     expected = None
     for placement in enumerate_placements(wf, platforms):
-        try:
-            point = (model.cost_of(placement), model.latency_of(placement))
-        except DomainError as exc:
-            expected = exc
-            break
-        if min(point) < 0:
+        point = (model.cost_of(placement), model.latency_of(placement))
+        if min(point) < 0 and expected is None:
             expected = DomainError(f"point {str(placement)!r} has negative cost or latency")
-            break
     if expected is None:
-        _check_against_oracle(data, wf, platforms, model)
-        return
+        if data is not None:
+            _check_against_oracle(data, wf, platforms, model)
+        return None
     with pytest.raises(DomainError) as raised:
         optimize(wf, platforms, model, OptimizationConfig(alpha=D(1), beta=D(1)))
     assert (type(raised.value), str(raised.value)) == (type(expected), str(expected))
+    return None
 
 
 @settings(max_examples=150, deadline=None)
 @given(_near_bound_instances(), st.data())
 def test_optimize_fails_as_enumeration_fails(instance, data):
+    # The search is refused before it is walked, or no placement fails to
+    # price and optimize answers as enumeration does.
     _fails_as_enumeration(data, *instance)
 
 
 @pytest.mark.parametrize(
-    "instance",
-    [_credit_past_the_limit, _wide_sums_stay_exact, _failure_in_a_dominated_prefix,
-     _months_past_the_precision],
+    "instance, refusal",
+    [
+        pytest.param(instance, refusal, id=instance.__name__) for instance, refusal in (
+            (_credit_past_the_limit, "a workflow cost"),
+            (_wide_sums_stay_exact, "a workflow cost"),
+            (_failure_in_a_dominated_prefix, "a critical-path latency sum"),
+            (_months_past_the_precision, "a sum of the months of fixed charge (y, ml)"),
+        )
+    ],
 )
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
-def test_optimize_fails_as_enumeration_fails_on_named_inputs(instance, data):
-    # Named inputs of the property above; st.data() cannot be given to an
-    # @example.
-    wf, platforms, model = instance()
-    if instance is _failure_in_a_dominated_prefix:
-        # With the model's pricing left out, the walk says what it skipped.
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(optimizer, "_price", lambda *args: None)
-            found = optimizer._walk(wf, optimizer._rows(wf, platforms, model.entry), platforms,
-                                    OptimizationConfig())
-        assert found.counters.dominated_prefixes == 3
-    _fails_as_enumeration(data, wf, platforms, model)
+def test_optimize_fails_as_enumeration_fails_on_named_inputs(instance, refusal, data):
+    # Named inputs of the property above, each refused; st.data() cannot be
+    # given to an @example.
+    assert _fails_as_enumeration(data, *instance()) == _refused(refusal)
+
+
+def test_a_wide_chain_is_refused_at_once():
+    # A 9-function chain over 5 platforms, every pair costing 1 with latency
+    # 1, except f0 at 9E+40 on p4 and 1E-20 on p3. No placement holds both,
+    # so each is exact, but the row maxima of latency span 61 digits at
+    # 1E-20: the search is refused before any of its 1,953,125 placements
+    # is walked.
+    wf = _chain(9)
+    platforms = [f"p{k}" for k in range(5)]
+    table = {(f, p): PairEntry(D(1), D(1)) for f in wf.function_ids for p in platforms}
+    table[("f0", "p4")] = PairEntry(D(1), D("9E+40"))
+    table[("f0", "p3")] = PairEntry(D(1), D("1E-20"))
+    model = PlacementModel(wf, table)
+    start = time.perf_counter()
+    assert _fails_as_enumeration(None, wf, platforms, model) == _refused("a critical-path latency sum")
+    assert time.perf_counter() - start < 1
 
 
 def _respelled(data, bound, label):
@@ -1542,7 +1582,7 @@ def test_integer_search_at_the_guard_edge_matches_exhaustive_oracle(instance, da
     # sum, written with trailing zeros or moved by 1E-60, finer than any
     # entry.
     wf, platforms, model = instance
-    # Every sum is below the walk's limit, so no prefix is at risk.
+    # Every sum is below the walk's limit, so the search is not refused.
     rows = optimizer._rows(wf, platforms, model.entry)
     for axis in (attrgetter("cost"), attrgetter("latency")):
         with localcontext(prec=200):
