@@ -6,26 +6,18 @@ targets. A placement is named by its enumeration index, whose base-|platforms|
 digits are its platforms in argument order, one per function in declaration
 order, the last function's lowest; equal (cost, latency) pairs keep the first.
 
-One depth-first odometer (_combos) enumerates both blocks of functions: the
-tail, the longest trailing run of at most half the functions (the one function
-of a one-function workflow) that the rest of the workflow enters through one
-function, priced once per solve into a table; and the head, the functions
-before it. Each head prefix is answered from the table meet-in-the-middle
-style, one add per axis per placement, unless an earlier prefix with the same
-fixed-charge entries costs, takes and reaches the tail in no more: then none
-of its placements can change an answer, and the walk only counts its feasible
-ones, per group of the table from rank bitsets (_Ranks), in two bisections and
-a popcount, without visiting its entries. A prefix's shared fixed-charge
-credit and each table group's change in it come from one memo of
-engine.bill_key, the rule engine.bill_fixed applies, once per run of prefixes
-with the same fixed-charge entries. The walk adds and compares Python ints,
-each axis scaled to its finest exponent, so no sum rounds in any order.
-Enumeration sums in money.CONTEXT, where a sum past its precision raises;
-before it walks, the search refuses with that error any input whose sums
-could reach 10^CONTEXT.prec units (_refuse_wide), so that no placement of an
-accepted one can raise. The scope bounds either each pair or the sums, so one
-test decides feasibility under both. The model writes the digits reported for
-the chosen placements.
+_problem prepares a search in one place: it scales each axis to its finest
+exponent, so that the walk adds and compares Python ints and no sum rounds;
+floors the budget and SLO, which bound each pair or the sums as the scope
+says, so one test decides feasibility under both; and refuses any input
+whose sums could reach 10^CONTEXT.prec units (_refuse_wide) with the error
+enumeration raises summing in money.CONTEXT, so that no placement of an
+accepted one raises. _walk then enumerates the head, the leading functions,
+with a depth-first odometer (_combos), and answers each prefix from a table
+of the tail that the same odometer prices once per solve, one add per axis
+per placement, or only counts its feasible placements (_Ranks) when an
+earlier prefix dominates it. _pick weighs the front the walk keeps, and the
+model writes the digits reported for the chosen placements.
 
 Weights default to the reciprocals of the two unconstrained anchors:
 alpha = 1/C* (cheapest achievable cost) and beta = 1/T* (fastest achievable
@@ -300,21 +292,7 @@ def load_point_table(source: str | Path | IO[str] | Mapping) -> dict[tuple[str, 
     return table
 
 
-# --- search rows and weights ------------------------------------------------
-
-
-def _rows(workflow: WorkflowSpec, platforms: Sequence[str], pick) -> list[list]:
-    """One row per function, in declaration order, of ``pick(function_id,
-    platform_id)`` over the platforms in argument order. Raises DomainError
-    for no platforms and CapExceededError past DEFAULT_ENUMERATION_CAP
-    placements before any pick is made."""
-    platforms = list(platforms)
-    if not platforms:
-        raise DomainError("at least one platform is required")
-    total = len(platforms) ** len(workflow.functions)
-    if total > DEFAULT_ENUMERATION_CAP:
-        raise CapExceededError(total, DEFAULT_ENUMERATION_CAP)
-    return [[pick(fid, pid) for pid in platforms] for fid in workflow.function_ids]
+# --- constrained weighted optimization ---------------------------------------
 
 
 def auto_weights(c_star: Decimal, t_star: Decimal) -> tuple[Decimal, Decimal]:
@@ -326,15 +304,14 @@ def auto_weights(c_star: Decimal, t_star: Decimal) -> tuple[Decimal, Decimal]:
     return div(Decimal(1), c_star), div(Decimal(1), t_star)
 
 
-# --- constrained weighted optimization ---------------------------------------
-
 SCOPES = ("workflow", "per_function")
 
 
 @dataclass(frozen=True)
 class OptimizationConfig:
     """Budget/latency constraints, constraint scope, and the weights: alpha
-    and beta when given, else auto_weights of the anchors."""
+    and beta when given, else auto_weights of the anchors. Each bound and
+    weight given must be a finite Decimal."""
 
     budget: Decimal | None = None
     latency_slo: Decimal | None = None
@@ -343,6 +320,10 @@ class OptimizationConfig:
     scope: str = "workflow"
 
     def __post_init__(self):
+        for name in ("budget", "latency_slo", "alpha", "beta"):
+            value = getattr(self, name)
+            if value is not None and not (isinstance(value, Decimal) and value.is_finite()):
+                raise DomainError(f"{name} must be a finite Decimal, got {value!r}")
         if self.budget is not None and self.budget <= 0:
             raise DomainError("budget must be > 0")
         if self.latency_slo is not None and self.latency_slo <= 0:
@@ -383,75 +364,54 @@ def optimize(
 ) -> OptimizationResult:
     """Minimize alpha*cost + beta*latency over feasible placements.
 
-    One depth-first walk over the model's rows (one per function in
-    declaration order, its pairs in platform order) covers every placement
-    once, in enumeration index order (see _placement and _walk): it
-    enumerates the head prefixes and answers each from the tail table. The
-    walk finds the anchors, the cheapest and the fastest placement, the
-    first enumerated winning ties, and folds each feasible placement that
-    can be on the front into a Pareto front of bare (cost, latency,
-    enumeration index) points; only the chosen placements get a Placement.
-    The walk compares values only, in scaled ints (see _walk); the reported
-    cost, latency, C* and T* are the model's cost_of and latency_of of the
-    chosen placements, so they keep the digits of each placement priced
-    whole. Under the per_function
-    scope a placement is feasible when each of its pairs is within the
-    budget and SLO. The best is the front member with the least
-    (a*cost + b*latency, cost), compared exactly, where a, b = alpha, beta,
-    or T*, C* for auto weights (cost/C* + latency/T* times C*·T*, so no
-    division); a and b are scaled by the front's exponents, so that its
-    ints weigh as the amounts they stand for. The key never rises when
-    cost or latency falls, so a front member minimizes it over all feasible
-    placements; equal pairs keep the first enumerated placement. The
-    result's counters say what the walk did. Raises DomainError before the
-    walk when a sum that enumeration forms could need more than
-    CONTEXT.prec digits (_refuse_wide), so that no cost_of or latency_of
-    of an accepted search raises; then the DomainError of the first
-    enumerated placement that the front admits with a negative cost,
-    checked as a ParetoPoint checks it; then DegenerateAnchorError for auto
-    weights with a zero anchor, then InfeasibleError carrying the anchors
-    when no placement is feasible.
+    _problem prepares the search once, in scaled ints, and _walk visits
+    every placement once, in enumeration index order (see _placement), for
+    the anchors and the feasible Pareto front (_Found). The walk compares
+    values only; the reported cost, latency, C* and T* are the model's
+    cost_of and latency_of of the chosen placements, so they keep the
+    digits of each placement priced whole. Under the per_function scope a
+    placement is feasible when each of its pairs is within the budget and
+    SLO. The best is the front member with the least (a*cost + b*latency,
+    cost) (_pick), where a, b = alpha, beta, or T*, C* for auto weights
+    (cost/C* + latency/T* times C*·T*, so no division). The key never rises
+    when cost or latency falls, so a front member minimizes it over all
+    feasible placements; equal pairs keep the first enumerated placement.
+    Raises _problem's errors, after which no cost_of or latency_of raises;
+    then the DomainError of the first enumerated placement that the front
+    admits with a negative cost, as a ParetoPoint checks it; then
+    DegenerateAnchorError for auto weights with a zero anchor; then
+    InfeasibleError carrying the anchors when no placement is feasible,
+    whose diagnostics name the functions with no pair within both bounds
+    under the per_function scope (unplaceable), else each anchor's gap.
     """
     config = config or OptimizationConfig()
-    platforms = list(platforms)
-    rows = _rows(workflow, platforms, model.entry)
-    found = _walk(workflow, rows, platforms, config)
-    c_arg = _placement(workflow, platforms, found.c_arg)
-    t_arg = _placement(workflow, platforms, found.t_arg)
+    problem = _problem(workflow, platforms, model, config)
+    found = _walk(problem)
+    c_arg = _placement(workflow, problem.platforms, found.c_arg)
+    t_arg = _placement(workflow, problem.platforms, found.t_arg)
     c_star, t_star = model.cost_of(c_arg), model.latency_of(t_arg)
-    costs, latencies = found.costs, found.latencies
 
     if config.alpha is None:
         alpha, beta = auto_weights(c_star, t_star)
         a, b = t_star, c_star
     else:
         alpha, beta = a, b = config.alpha, config.beta
-    if not costs:
-        diagnostics = {
-            "min_cost_placement": str(c_arg),
-            "min_time_placement": str(t_arg),
-        }
-        if config.budget is not None:
-            diagnostics["cost_gap"] = max(ZERO, c_star - config.budget)
-        if config.latency_slo is not None:
-            diagnostics["latency_gap"] = max(ZERO, t_star - config.latency_slo)
-        raise InfeasibleError(
-            c_star, t_star, config.budget, config.latency_slo, diagnostics
-        )
+    if not found.costs:
+        diagnostics = {"min_cost_placement": str(c_arg), "min_time_placement": str(t_arg)}
+        # Only the per_function scope leaves a pair out of bounds, and a
+        # search under it is infeasible exactly when a row has no pair in.
+        unplaceable = [fid for fid, row in zip(workflow.function_ids, problem.rows)
+                       if not any(pair.within for pair in row)]
+        if unplaceable:
+            diagnostics["unplaceable"] = ",".join(unplaceable)
+        else:
+            if config.budget is not None:
+                diagnostics["cost_gap"] = max(ZERO, c_star - config.budget)
+            if config.latency_slo is not None:
+                diagnostics["latency_gap"] = max(ZERO, t_star - config.latency_slo)
+        raise InfeasibleError(c_star, t_star, config.budget, config.latency_slo, diagnostics)
 
-    # The front is latency ascending and cost strictly descending, so each
-    # later member is slower and cheaper than the best so far: it takes
-    # over when its key is no higher, that is when the latency it adds
-    # weighs no more than the cost it saves, compared exactly. Scaling the
-    # weights by the front's exponents weighs its ints as the amounts they
-    # stand for.
-    best = 0
-    with localcontext(_EXACT):
-        a, b = a.scaleb(found.cost_exponent), b.scaleb(found.latency_exponent)
-        for k in range(1, len(costs)):
-            if b * (latencies[k] - latencies[best]) <= a * (costs[best] - costs[k]):
-                best = k
-    best_arg = _placement(workflow, platforms, found.indices[best])
+    best_arg = _placement(workflow, problem.platforms, found.indices[_pick(problem, found, a, b)])
     cost, latency = model.cost_of(best_arg), model.latency_of(best_arg)
     objective = CONTEXT.multiply(alpha, cost) + CONTEXT.multiply(beta, latency)
     return OptimizationResult(
@@ -466,9 +426,27 @@ def optimize(
         c_star_placement=c_arg,
         t_star_placement=t_arg,
         feasible_count=found.counters.feasible,
-        total_count=len(platforms) ** len(rows),
+        total_count=found.counters.placements,
         counters=found.counters,
     )
+
+
+def _pick(problem: _Problem, found: _Found, a: Decimal, b: Decimal) -> int:
+    """The position in found's front of the least (a*cost + b*latency, cost)."""
+    # The front is latency ascending and cost strictly descending, so each
+    # later member is slower and cheaper than the best so far: it takes
+    # over when its key is no higher, that is when the latency it adds
+    # weighs no more than the cost it saves, compared exactly. Scaling the
+    # weights by the front's exponents weighs its ints as the amounts they
+    # stand for.
+    costs, latencies = found.costs, found.latencies
+    best = 0
+    with localcontext(_EXACT):
+        a, b = a.scaleb(problem.cost_exponent), b.scaleb(problem.latency_exponent)
+        for k in range(1, len(costs)):
+            if b * (latencies[k] - latencies[best]) <= a * (costs[best] - costs[k]):
+                best = k
+    return best
 
 
 class SearchCounters(NamedTuple):
@@ -491,9 +469,8 @@ class SearchCounters(NamedTuple):
 class _Found(NamedTuple):
     """What one walk finds: the enumeration indices of both anchors (the
     first enumerated winning ties), the feasible Pareto front as parallel
-    lists of costs, latencies (ascending) and enumeration indices, whose
-    costs and latencies are ints times 10 to cost_exponent and
-    latency_exponent, and its counters. Only the chosen placements get a
+    lists of costs, latencies (ascending) and enumeration indices, in its
+    _Problem's ints, and its counters. Only the chosen placements get a
     Placement."""
 
     c_arg: int
@@ -501,8 +478,6 @@ class _Found(NamedTuple):
     costs: list[int]
     latencies: list[int]
     indices: list[int]
-    cost_exponent: int
-    latency_exponent: int
     counters: SearchCounters
 
 
@@ -526,19 +501,61 @@ _KEPT = 8
 _LIMIT = 10**CONTEXT.prec
 
 
-def _walk(
-    workflow: WorkflowSpec,
-    rows: list[list[PairEntry]],
-    platforms: list[str],
-    config: OptimizationConfig,
-) -> _Found:
-    """Visit every placement once, in enumeration index order (_placement),
-    in exact ints: each axis is scaled to its _exponent, each entry becoming
-    its _Pair in place and each credit term scaled when _Billed prices it,
-    and the budget and SLO become the floor of the scaled bound (_floor).
-    Before any of it is walked, _refuse_wide raises when a sum that
-    enumeration forms could need more than CONTEXT.prec digits, so that no
-    placement of an accepted search fails to price.
+class _Problem(NamedTuple):
+    """A search as _problem prepares it: the workflow, the platforms, one row
+    of _Pairs per function in declaration order, the head size (see _walk),
+    each axis's exponent, and the floored budget and SLO on the sums."""
+
+    workflow: WorkflowSpec
+    platforms: list[str]
+    rows: list[list[_Pair]]
+    head: int
+    cost_exponent: int
+    latency_exponent: int
+    budget: int | float
+    slo: int | float
+
+
+def _problem(workflow: WorkflowSpec, platforms: Sequence[str], model: PlacementModel,
+             config: OptimizationConfig) -> _Problem:
+    """The one place that prepares a search. DomainError for no platforms
+    and CapExceededError past DEFAULT_ENUMERATION_CAP placements come
+    before any entry is read. The scope bounds each pair (_Pair.within) or
+    the sums by the budget and SLO, the other by Infinity. The search runs
+    in exact ints: each axis is scaled to its _exponent, each entry
+    becoming its _Pair in place and each credit term scaled when _Billed
+    prices it, and the budget and SLO become the floor of the scaled bound
+    (_floor). Then _refuse_wide raises when a sum that enumeration forms
+    could need more than CONTEXT.prec digits, so that no placement of an
+    accepted search fails to price."""
+    platforms = list(platforms)
+    if not platforms:
+        raise DomainError("at least one platform is required")
+    total = len(platforms) ** len(workflow.functions)
+    if total > DEFAULT_ENUMERATION_CAP:
+        raise CapExceededError(total, DEFAULT_ENUMERATION_CAP)
+    rows = [[model.entry(fid, pid) for pid in platforms] for fid in workflow.function_ids]
+    budget = INFINITY if config.budget is None else config.budget
+    slo = INFINITY if config.latency_slo is None else config.latency_slo
+    pair_budget = pair_slo = INFINITY
+    if config.scope == "per_function":
+        pair_budget, pair_slo, budget, slo = budget, slo, INFINITY, INFINITY
+    ec, el = _exponent(rows, _COST), _exponent(rows, _LATENCY)
+    # Each entry becomes its _Pair in place: one row structure per solve.
+    for row in rows:
+        for j, e in enumerate(row):
+            within = e.cost <= pair_budget and e.latency <= pair_slo
+            row[j] = _Pair(_scaled(e.cost, ec), _scaled(e.latency, el), e.fixed, within)
+    # No placement's gross cost or critical path passes these sums.
+    most_cost = sum(max(p.cost for p in row) for row in rows)
+    most_latency = sum(max(p.latency for p in row) for row in rows)
+    _refuse_wide(rows, ec, most_cost, most_latency)
+    return _Problem(workflow, platforms, rows, len(rows) - _tail_size(workflow), ec, el,
+                    _floor(budget, ec, most_cost), _floor(slo, el, most_latency))
+
+
+def _walk(problem: _Problem) -> _Found:
+    """Visit every placement of problem once, in index order (_placement).
 
     The tail (see _tail_size) is enumerated once per solve by _combos into a
     table, one _Entry (cost sum, longest path from the tail's entry function
@@ -580,13 +597,7 @@ def _walk(
     first negative point: the kept prefix's placement with its entry is
     feasible, no dearer and enumerated first.
     """
-    budget = INFINITY if config.budget is None else config.budget
-    slo = INFINITY if config.latency_slo is None else config.latency_slo
-    # The scope decides what the budget and SLO bound, each pair or the
-    # sums; the other is bounded by Infinity.
-    pair_budget = pair_slo = INFINITY
-    if config.scope == "per_function":
-        pair_budget, pair_slo, budget, slo = budget, slo, INFINITY, INFINITY
+    workflow, platforms, rows, head, ec, _, budget, slo = problem
 
     def change(ledger: dict, fixed: tuple) -> int:
         """The change in ledger's credit when fixed is billed on top of it
@@ -602,19 +613,7 @@ def _walk(
                 delta += term if held[2] is None else term - held[2]
         return delta
 
-    head = len(rows) - _tail_size(workflow)
-    ec, el = _exponent(rows, _COST), _exponent(rows, _LATENCY)
     billed = _Billed(ec)
-    # Each entry becomes its _Pair in place: one row structure per solve.
-    for row in rows:
-        for j, e in enumerate(row):
-            within = e.cost <= pair_budget and e.latency <= pair_slo
-            row[j] = _Pair(_scaled(e.cost, ec), _scaled(e.latency, el), e.fixed, within)
-    # No placement's gross cost or critical path passes these sums.
-    most_cost = sum(max(p.cost for p in row) for row in rows)
-    most_latency = sum(max(p.latency for p in row) for row in rows)
-    _refuse_wide(rows, ec, most_cost, most_latency)
-    budget, slo = _floor(budget, ec, most_cost), _floor(slo, el, most_latency)
     # s reaches every tail function, so it comes first in topological order.
     preds = next((preds for i, preds in workflow._topology if i >= head), ())
     index: dict = {}
@@ -717,7 +716,7 @@ def _walk(
         first += len(table)
     counters = SearchCounters(first, feasible, first // len(table), len(table), len(groups),
                               priced, dominated)
-    return _Found(c_arg, t_arg, costs, latencies, indices, ec, el, counters)
+    return _Found(c_arg, t_arg, costs, latencies, indices, counters)
 
 
 def _refuse_wide(rows: list[list[_Pair]], exponent: int, most_cost: int, most_latency: int) -> None:

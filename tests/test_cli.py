@@ -410,6 +410,23 @@ def test_optimize_infeasible_exits_4_with_anchors(capsys):
     assert "20.06499" in err
 
 
+def test_optimize_per_function_infeasible_names_the_unplaceable_functions(capsys):
+    # No data-retrieval or data-processing pair costs at most 50 and takes
+    # at most 75 ms; no gap from T* = 143.6 to the SLO says so.
+    code, out, err = run(
+        capsys, "optimize", "--workflow", PIPELINE, "--points", POINTS,
+        "--budget", "50", "--latency-slo", "75", "--scope", "per-function",
+    )
+    assert (code, out) == (4, "")
+    assert err == (
+        "error: no feasible placement: minimum achievable cost C*=20.06499,"
+        " minimum achievable latency T*=143.6, budget=50, latency_slo=75\n"
+        "  min_cost_placement: data-retrieval=gcp,data-processing=gcp,ai-inference=aws-arm\n"
+        "  min_time_placement: data-retrieval=leo,data-processing=leo,ai-inference=leo\n"
+        "  unplaceable: data-retrieval,data-processing\n"
+    )
+
+
 def test_optimize_manual_cost_only_weights(capsys):
     code, out, _ = run(
         capsys, "optimize", "--workflow", PIPELINE, "--points", POINTS,

@@ -42,7 +42,7 @@ from cosmos.workflow import (
     critical_path,
 )
 
-from oracles import enumerate_placements, min_cost, min_time
+from oracles import enumerate_placements, min_cost, min_time, walk_oracle
 
 D = Decimal
 
@@ -342,14 +342,21 @@ def test_manual_cost_only_weights_reduce_to_min_cost(pipeline, point_table):
 def test_per_function_scope_constrains_each_function(pipeline, point_table):
     wf, _ = pipeline
     model = PlacementModel(wf, point_table)
-    # Every platform violates one of the per-function limits for retrieval.
-    with pytest.raises(InfeasibleError):
+    # Every platform violates one of the per-function limits for retrieval
+    # and for processing, and the error names both, not the gaps from the
+    # workflow anchors.
+    with pytest.raises(InfeasibleError) as exc:
         optimize(
             wf,
             PLATFORMS,
             model,
             OptimizationConfig(budget=D(50), latency_slo=D(75), scope="per_function"),
         )
+    assert exc.value.diagnostics == {
+        "min_cost_placement": "data-retrieval=gcp,data-processing=gcp,ai-inference=aws-arm",
+        "min_time_placement": "data-retrieval=leo,data-processing=leo,ai-inference=leo",
+        "unplaceable": "data-retrieval,data-processing",
+    }
     # Loose per-function limits admit the workflow-optimal placement.
     result = optimize(
         wf,
@@ -373,6 +380,19 @@ def test_config_validation():
         OptimizationConfig(alpha=D(0), beta=D(0))
     with pytest.raises(DomainError):
         OptimizationConfig(scope="per-request")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("budget", D("NaN")), ("budget", D("Infinity")), ("budget", 4.5), ("latency_slo", D("sNaN")),
+     ("latency_slo", 75), ("alpha", D("NaN")), ("alpha", 1), ("alpha", D("Infinity")),
+     ("beta", D("-Infinity")), ("beta", "1")],
+)
+def test_config_refuses_a_bound_or_weight_that_is_not_a_finite_decimal(field, value):
+    weights = {"alpha": D(1), "beta": D(1)} if field in ("alpha", "beta") else {}
+    with pytest.raises(DomainError) as exc:
+        OptimizationConfig(**{**weights, field: value})
+    assert str(exc.value) == f"{field} must be a finite Decimal, got {value!r}"
 
 
 def test_normalized_objective_lower_bound(pipeline, point_table):
@@ -551,13 +571,13 @@ _PASS_CONFIGS = {
 def test_optimize_enumerates_the_placements_once(pipeline, point_table, monkeypatch, mode):
     wf, _ = pipeline
     calls = []
-    rows = optimizer._rows
+    problem = optimizer._problem
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return rows(*args, **kwargs)
+        return problem(*args, **kwargs)
 
-    monkeypatch.setattr(optimizer, "_rows", counting)
+    monkeypatch.setattr(optimizer, "_problem", counting)
     try:
         optimize(wf, PLATFORMS, PlacementModel(wf, point_table), _PASS_CONFIGS[mode])
     except InfeasibleError:
@@ -963,8 +983,10 @@ def test_one_pass_matches_exhaustive_oracle(catalogs, data):
 def _check_against_oracle(data, wf, platforms, model, respell=None):
     """optimize, under a drawn scope, budget, SLO and weighting, against every
     placement enumerated and priced whole: each result field, digits too,
-    and the walk's feasible front, member for member. respell(data, bound,
-    label), when given, redraws how each bound is written."""
+    and the walk's feasible front, member for member; and the walk of the
+    prepared int search against walk_oracle, field for field, so that a
+    failure says whether the scaling or the walk is wrong. respell(data,
+    bound, label), when given, redraws how each bound is written."""
     fids = wf.function_ids
     evaluated = [
         (model.cost_of(p), model.latency_of(p), p) for p in enumerate_placements(wf, platforms)
@@ -1022,10 +1044,15 @@ def _check_against_oracle(data, wf, platforms, model, respell=None):
         if not front or c < front[-1][1]:
             front.append((i, c, t))
     with exact_sums("a cost or latency sum of the search"):
-        found = optimizer._walk(wf, optimizer._rows(wf, platforms, model.entry), platforms, config)
+        problem = optimizer._problem(wf, platforms, model, config)
+        found = optimizer._walk(problem)
+    oracle = walk_oracle(problem)
+    assert (found.c_arg, found.t_arg) == (oracle.c_arg, oracle.t_arg)
+    assert (found.costs, found.latencies, found.indices) == (oracle.costs, oracle.latencies, oracle.indices)
+    assert (found.counters.feasible, found.counters.placements) == (oracle.feasible, oracle.placements)
     with localcontext(prec=200):
         walked = [
-            (i, D(c).scaleb(found.cost_exponent), D(t).scaleb(found.latency_exponent))
+            (i, D(c).scaleb(problem.cost_exponent), D(t).scaleb(problem.latency_exponent))
             for i, c, t in zip(found.indices, found.costs, found.latencies)
         ]
     assert walked == front
@@ -1344,6 +1371,21 @@ _NEAR_LATENCIES = ["0", "1", "2.0", "1E-20", "9E+40"]
 _NEAR_MONTHS = ["0", "1", "2", "2.0", "3", "1" + "0" * 49 + ".5"]
 
 
+def _forward_edges(draw, n, workflow_id):
+    """Functions f0..f(n-1), with drawn edges running forward in a drawn
+    order of them."""
+    fids = [f"f{i}" for i in range(n)]
+    ranked = draw(st.permutations(fids), label="topological order")
+    edges = [
+        (ranked[i], ranked[j])
+        for i, j in itertools.combinations(range(n), 2)
+        if draw(st.booleans(), label=f"edge{i}-{j}")
+    ]
+    return WorkflowSpec(
+        workflow_id=workflow_id, functions=tuple(FunctionProfile(f) for f in fids), edges=tuple(edges)
+    )
+
+
 @st.composite
 def _near_bound_instances(draw):
     """1-4 functions on 1-3 platforms, edges running forward in a random
@@ -1352,17 +1394,8 @@ def _near_bound_instances(draw):
     0.5 months. Each key is billed at one rate, as a PlacementModel
     requires, and a pair's cost includes its fixed charges, as in a
     CatalogModel, unless the draw gives it a cost below them."""
-    n = draw(st.integers(1, 4), label="functions")
-    fids = [f"f{i}" for i in range(n)]
-    ranked = draw(st.permutations(fids), label="topological order")
-    edges = [
-        (ranked[i], ranked[j])
-        for i, j in itertools.combinations(range(n), 2)
-        if draw(st.booleans(), label=f"edge{i}-{j}")
-    ]
-    wf = WorkflowSpec(
-        workflow_id="near", functions=tuple(FunctionProfile(f) for f in fids), edges=tuple(edges)
-    )
+    wf = _forward_edges(draw, draw(st.integers(1, 4), label="functions"), "near")
+    fids = wf.function_ids
     platforms = draw(st.permutations(["x", "y", "z"]), label="platform order")
     platforms = platforms[: draw(st.integers(1, 3), label="platforms")]
     rates = {(p, c): D(draw(st.sampled_from(_NEAR_RATES))) for p in platforms for c in ("ml", "etl")}
@@ -1470,6 +1503,85 @@ def test_optimize_fails_as_enumeration_fails_on_named_inputs(instance, refusal, 
     # Named inputs of the property above, each refused; st.data() cannot be
     # given to an @example.
     assert _fails_as_enumeration(data, *instance()) == _refused(refusal)
+
+
+def _cuts(draw, total, parts, label):
+    """total split into parts nonnegative ints at drawn cut points."""
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=parts - 1, max_size=parts - 1),
+                       label=label))
+    return [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+
+
+@st.composite
+def _wide_edge_instances(draw):
+    """A search whose bound on one of _refuse_wide's four sums is 10^50
+    units of its exponent, or one unit less, while every other bound is far
+    below its own: 1-3 functions on 1-3 platforms (2-3 for the credit),
+    edges running forward in a random order of the functions. Returns it
+    with the words of that sum's refusal and whether the bound is reached.
+    A pair's cost includes its fixed charges, so no placement costs less
+    than nothing.
+
+    - gross cost and critical path: the row maxima split the units, each
+      row's other pairs at 0, half or all of its maximum, every entry of
+      the axis written at its exponent, 1E-13 to 1E-45;
+    - a key's months: (first platform, ml) at rate 0, its units split among
+      some pairs, written at 1, 1E-10 or 1E-40;
+    - the credit: (first platform, ml) and (first platform, etl) at rate 1,
+      each billing half the units at the money quantum, split among the
+      rows and in each row between two platforms, neither taking more than
+      three quarters, so that the row maxima of cost stay below the bound.
+    """
+    what = draw(st.sampled_from(["cost", "months", "credit", "latency"]), label="sum")
+    at = draw(st.booleans(), label="at the bound")
+    units = 10**50 - (0 if at else 1)
+    n = draw(st.integers(1, 3), label="functions")
+    wf = _forward_edges(draw, n, "edge")
+    fids = wf.function_ids
+    platforms = draw(st.permutations(["x", "y", "z"]), label="platform order")
+    platforms = platforms[: draw(st.integers(2 if what == "credit" else 1, 3), label="platforms")]
+    pairs = [(f, p) for f in fids for p in platforms]
+    cost = {fp: D(draw(st.sampled_from(["0", "1", "2.5"]), label=f"cost {fp}")) for fp in pairs}
+    latency = {fp: D(draw(st.sampled_from(["0", "1", "2.0"]), label=f"latency {fp}")) for fp in pairs}
+    fixed = {fp: () for fp in pairs}
+    ml, etl = (platforms[0], "ml"), (platforms[0], "etl")
+    with localcontext(prec=200):
+        if what in ("cost", "latency"):
+            exponent = draw(st.sampled_from([-13, -20, -45]), label="exponent")
+            axis = cost if what == "cost" else latency
+            for f, top in zip(fids, _cuts(draw, units, n, "row maxima")):
+                held = draw(st.sampled_from(platforms), label=f"maximum of {f}")
+                for p in platforms:
+                    value = top if p == held else draw(st.sampled_from([0, top // 2, top]))
+                    axis[(f, p)] = D(value).scaleb(exponent)
+        elif what == "months":
+            exponent = draw(st.sampled_from([0, -10, -40]), label="exponent")
+            billing = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True), label="billing")
+            for fp, months in zip(billing, _cuts(draw, units, len(billing), "months")):
+                fixed[fp] = ((ml, D(months).scaleb(exponent), D(0)),)
+        else:
+            for key, total in ((ml, units // 2), (etl, units - units // 2)):
+                for f, share in zip(fids, _cuts(draw, total, n, f"{key[1]} rows")):
+                    first, second = draw(st.permutations(platforms), label=f"{key[1]} of {f}")[:2]
+                    part = draw(st.integers(share // 4, share - share // 4))
+                    for p, months in ((first, part), (second, share - part)):
+                        fixed[(f, p)] += ((key, D(months).scaleb(-12), D(1)),)
+                        cost[(f, p)] += D(months).scaleb(-12)
+    table = {fp: PairEntry(cost[fp], latency[fp], fixed[fp]) for fp in pairs}
+    refusal = {"cost": "a workflow cost", "months": f"a sum of the months of fixed charge ({ml[0]}, ml)",
+               "credit": "a fixed-charge credit", "latency": "a critical-path latency sum"}[what]
+    return wf, platforms, PlacementModel(wf, table), refusal, at
+
+
+@settings(max_examples=150, deadline=None)
+@given(_wide_edge_instances(), st.data())
+def test_a_sum_at_its_bound_is_refused_and_one_unit_below_is_searched(instance, data):
+    # Each of _refuse_wide's four sums, at 10^50 units and one unit less.
+    wf, platforms, model, refusal, at = instance
+    if at:
+        assert _fails_as_enumeration(None, wf, platforms, model) == _refused(refusal)
+    else:
+        _check_against_oracle(data, wf, platforms, model)
 
 
 def test_a_wide_chain_is_refused_at_once():
@@ -1583,11 +1695,9 @@ def test_integer_search_at_the_guard_edge_matches_exhaustive_oracle(instance, da
     # entry.
     wf, platforms, model = instance
     # Every sum is below the walk's limit, so the search is not refused.
-    rows = optimizer._rows(wf, platforms, model.entry)
+    rows = optimizer._problem(wf, platforms, model, OptimizationConfig()).rows
     for axis in (attrgetter("cost"), attrgetter("latency")):
-        with localcontext(prec=200):
-            most = sum(max(map(axis, row)) for row in rows).scaleb(-optimizer._exponent(rows, axis))
-        assert most < 10**50
+        assert sum(max(map(axis, row)) for row in rows) < 10**50
     _check_against_oracle(data, wf, platforms, model, respell=_respelled)
 
 
@@ -1890,7 +2000,7 @@ def test_dominated_prefixes_count_as_enumeration_on_named_inputs(instance, data)
     # prefixes and counts what enumeration counts; under drawn ones it
     # answers as the oracle does.
     wf, platforms, model, config = instance()
-    found = optimizer._walk(wf, optimizer._rows(wf, platforms, model.entry), platforms, config)
+    found = optimizer._walk(optimizer._problem(wf, platforms, model, config))
     assert found.counters.dominated_prefixes > 0
     assert found.counters.feasible == _feasible_count(wf, platforms, model, config)
     _check_against_oracle(data, wf, platforms, model)
