@@ -45,7 +45,7 @@ from .errors import (
     UnknownPlatformError,
     UnplacedFunctionError,
 )
-from .money import dec, fmt, fmt_full
+from .money import CONTEXT, dec, fmt, fmt_full
 from .optimizer import (
     CatalogModel,
     OptimizationConfig,
@@ -390,15 +390,16 @@ def cmd_curve(args) -> int:
     samples = args.sample or DEFAULT_SAMPLES
     points = [(s, curve.evaluate(s)) for s in samples]
     rows = [["n_requests", "cost_usd"]] + [[fmt_full(n), fmt_full(c)] for n, c in points]
+    per_million = CONTEXT.scaleb(curve.slope, 6)
     report = {
         "fixed": fmt_full(curve.fixed),
         "slope_per_request": fmt_full(curve.slope),
-        "slope_per_million": fmt_full(curve.slope * Decimal(10**6)),
+        "slope_per_million": fmt_full(per_million),
         "samples": [{"n": fmt_full(n), "cost": fmt_full(c)} for n, c in points],
     }
     lines = [
         f"fixed: {fmt(curve.fixed)}",
-        f"slope per 1M requests: {fmt(curve.slope * Decimal(10**6))}",
+        f"slope per 1M requests: {fmt(per_million)}",
         "n_requests -> cost:",
     ] + [f"  {fmt_full(n):>14} {fmt(c):>14}" for n, c in points]
     _report(args, lines, rows, report, {"curve.tsv": rows, "curve.json": report})

@@ -26,6 +26,14 @@ CONTEXT = decimal.Context(prec=50, rounding=decimal.ROUND_HALF_EVEN)
 #: larger one needs more significant digits than CONTEXT carries.
 MONEY_LIMIT = Decimal(1).scaleb(CONTEXT.prec - MONEY_PLACES)
 
+#: CONTEXT wide enough that no result rounds or leaves its exponent range.
+_EXACT = CONTEXT.copy()
+_EXACT.prec, _EXACT.Emax, _EXACT.Emin = decimal.MAX_PREC, decimal.MAX_EMAX, decimal.MIN_EMIN
+
+#: Adjusted exponents that fmt_full prints: CONTEXT's range, so that a
+#: value prints at most about a million digits more than it has.
+_PRINTABLE = range(CONTEXT.Emin, CONTEXT.Emax + 1)
+
 #: CONTEXT with Inexact trapped, for sums that must not round.
 _EXACT_SUMS = CONTEXT.copy()
 _EXACT_SUMS.traps[decimal.Inexact] = True
@@ -137,6 +145,13 @@ def fmt(value: Decimal, places: int = 4) -> str:
 
 
 def fmt_full(value: Decimal) -> str:
-    """Full-precision serialization used in machine-readable outputs: exact
-    for a value of up to CONTEXT's 50 significant digits."""
-    return format(value.normalize(CONTEXT), "f")
+    """Full-precision serialization used in machine-readable outputs: the
+    value exactly, whatever its digit count, in fixed-point notation
+    without trailing zeros. DomainError for a nonzero value whose adjusted
+    exponent is outside _PRINTABLE."""
+    if value and value.adjusted() not in _PRINTABLE:
+        raise DomainError(
+            f"{value} is out of range: a number prints in full only with an exponent"
+            f" from {_PRINTABLE.start} to {_PRINTABLE.stop - 1}"
+        )
+    return format(value.normalize(_EXACT), "f")

@@ -46,7 +46,9 @@ from .errors import (
     MissingLatencyError,
     SchemaError,
 )
-from .money import CONTEXT, MONEY_LIMIT, MONEY_PLACES, div, exact_sum_error, exact_sums, money_product
+from .money import (
+    _EXACT, CONTEXT, MONEY_LIMIT, MONEY_PLACES, div, exact_sum_error, exact_sums, money_product,
+)
 from .workflow import (
     _ARRAY,
     LATENCY_LIMIT,
@@ -139,10 +141,6 @@ def optimal_line(points: Iterable[ParetoPoint]) -> list[ParetoPoint]:
         hull.append(p)
     return hull
 
-
-#: CONTEXT wide enough that no product or difference of its results rounds.
-_EXACT = CONTEXT.copy()
-_EXACT.prec, _EXACT.Emax, _EXACT.Emin = decimal.MAX_PREC, decimal.MAX_EMAX, decimal.MIN_EMIN
 
 #: The finest exponent of a placement model entry's digits: no entry then
 #: has more than about 140 digits at it, nor an int of the search many more.

@@ -8,11 +8,10 @@ error rows only is reported with its error tally and no statistics.
 
 Aggregation is one streaming pass: each row is parsed once, folded into the
 accumulator of its (function, platform) pair and dropped. An accumulator
-keeps each ok duration as an integer scaled to the pair's finest exponent,
-in 4 bytes while it fits and 8 after, plus one byte for the row's own
-exponent and sign once the pair's rows are not all spelled alike, and no
-record; accumulators merge exactly. A pair is summarized without a sort:
-its p90 is picked with a heap of a tenth of its rows.
+keeps each ok duration by value, as an integer scaled to the pair's finest
+exponent, in 4 bytes while it fits and 8 after, and no record; accumulators
+merge exactly. A pair is summarized without a sort: its p90 is picked with a
+heap of a tenth of its rows.
 
 The fold loop checks each row inline and adds it. A duration spelled as
 ASCII digits with at most one point is read straight to its coefficient and
@@ -69,7 +68,8 @@ _DURATION_LIMIT = Decimal(1).scaleb(CONTEXT.prec + MEAN_QUANTUM.adjusted() - 1)
 #: Malformed rows a UsageLog keeps as RowErrors; the rest are only counted.
 ROW_ERRORS_SHOWN = 20
 
-#: Row exponents a pair keeps compact: 2 * exponent + sign fits a signed byte.
+#: Row exponents a pair keeps compact, so that the powers of ten that scale
+#: its values stay small.
 _EXPONENTS = range(-64, 64)
 
 #: Scaled durations a pair keeps compact are below this in magnitude.
@@ -146,17 +146,18 @@ def _parse_row(line: int, row: Sequence[str]) -> tuple:
     return function_id, platform_id, duration, bytes_in, bytes_out, status
 
 
-def _parts(duration: Decimal) -> tuple[int, int, int | str]:
-    """The sign, coefficient and exponent of a Decimal, as as_tuple() gives
-    them: the exponent of a NaN or an infinity is a letter."""
+def _parts(duration: Decimal) -> tuple[int, int | str]:
+    """The signed coefficient and the exponent of a Decimal, as as_tuple()
+    gives them: the exponent of a NaN or an infinity is a letter. A zero
+    loses its sign."""
     sign, digits, exponent = duration.as_tuple()
-    return sign, int(Decimal((0, digits, 0))), exponent
+    return int(Decimal((sign, digits, 0))), exponent
 
 
-def _decimal(sign: int, coefficient: int, exponent: int) -> Decimal:
+def _decimal(coefficient: int, exponent: int) -> Decimal:
     """The Decimal of a finite duration's _parts, spelled with exactly that
     coefficient and exponent."""
-    return Decimal(f"{'-' * sign}{coefficient}E{exponent}")
+    return Decimal(f"{coefficient}E{exponent}")
 
 
 def _peak(values: array, factor: int) -> int:
@@ -169,51 +170,40 @@ class _Pair:
     order they were added, byte totals of the ok rows, and the error-row
     tally.
 
-    A finite Decimal is exactly its sign, coefficient and exponent, so the
-    ok durations are kept compact: ``scaled`` holds each one as an integer
-    at ``exponent``, the finest exponent of the pair's rows, and each row's
-    own exponent and sign, as the tag 2 * exponent + sign, rebuild the
-    row's Decimal, spelling included. ``scaled`` is a 4-byte array ('i')
-    until a value does not fit; it then widens once to 8 bytes ('q'). While
-    every row has the same tag the pair keeps that one ``tag`` and no
-    ``tags``; the first row or merged pair with another tag builds
-    ``tags``, one byte a row (array 'b'). Durations of up to nine digits
-    in one spelling thus take 4 bytes a row. A row whose scaled value
-    passes 2**63 in magnitude, or whose exponent is outside _EXPONENTS,
-    makes the pair fall back for good to ``durations``, a list of its
-    Decimals; its ``exponent`` is then None.
+    The ok durations are kept by value, not by spelling: ``scaled`` holds
+    each one as a signed integer at ``exponent``, the finest exponent of
+    the pair's rows, so 1.5 and 1.50 are the same integer and a zero has
+    no sign. ``scaled`` is a 4-byte array ('i') until a value does not
+    fit; it then widens once to 8 bytes ('q'). Durations of up to nine
+    digits at the pair's exponent thus take 4 bytes a row, however they
+    are spelled. A row whose scaled value passes 2**63 in magnitude, or
+    whose exponent is outside _EXPONENTS, makes the pair fall back for
+    good to ``durations``, a list of its Decimals; its ``exponent`` is
+    then None.
     """
 
-    __slots__ = ("scaled", "tag", "tags", "exponent", "durations", "bytes_in_total",
-                 "bytes_out_total", "error_count")
+    __slots__ = ("scaled", "exponent", "durations", "bytes_in_total", "bytes_out_total", "error_count")
 
     def __init__(self):
         self.scaled = array("i")
-        self.tag: int | None = None  # the tag of every row, while they share one
-        self.tags: array | None = None
         self.exponent: int | None = _EXPONENTS[-1]  # no row yet: at or above any row's
         self.durations: list[Decimal] | None = None
         self.bytes_in_total = 0
         self.bytes_out_total = 0
         self.error_count = 0
 
-    def add(self, sign: int, coefficient: int, exponent: int) -> None:
-        """Add the ok duration of _parts (sign, coefficient, exponent)."""
+    def add(self, coefficient: int, exponent: int) -> None:
+        """Add the ok duration of _parts (coefficient, exponent)."""
         if self.durations is None and exponent in _EXPONENTS:
             if exponent < self.exponent:
                 self._rescale(exponent)
             if self.durations is None:
                 value = coefficient * 10 ** (exponent - self.exponent)
-                if value < _SCALED_LIMIT:
-                    tag = 2 * exponent + sign
-                    if not self.scaled:
-                        self.tag = tag
-                    elif self.tags is not None or tag != self.tag:
-                        self._mix().append(tag)
-                    self._widen(value)
-                    self.scaled.append(-value if sign else value)
+                if abs(value) < _SCALED_LIMIT:
+                    self._widen(abs(value))
+                    self.scaled.append(value)
                     return
-        self.fallback().append(_decimal(sign, coefficient, exponent))
+        self.fallback().append(_decimal(coefficient, exponent))
 
     def extend(self, other: _Pair) -> None:
         """Add other's rows after this pair's."""
@@ -229,11 +219,6 @@ class _Pair:
                 factor = 10 ** (other.exponent - self.exponent)
                 peak = _peak(other.scaled, factor)
                 if peak < _SCALED_LIMIT:
-                    if not self.scaled:
-                        self.tag = other.tag
-                        self.tags = None if other.tags is None else array("b", other.tags)
-                    elif self.tags is not None or other.tag != self.tag:
-                        self._mix().extend(other._row_tags())
                     self._widen(peak)
                     scaled = self.scaled
                     if factor == 1 and scaled.typecode == other.scaled.typecode:
@@ -263,55 +248,28 @@ class _Pair:
             scaled[i] *= factor
         self.exponent = exponent
 
-    def _row_tags(self) -> array:
-        """The tag of each compact row of a pair that has one."""
-        if self.tags is not None:
-            return self.tags
-        return array("b", [self.tag]) * len(self.scaled)
-
-    def _mix(self) -> array:
-        """Keep a tag per row from now on, in a pair that has a row; returns
-        ``tags``."""
-        self.tags, self.tag = self._row_tags(), None
-        return self.tags
-
     def fallback(self) -> list[Decimal]:
         """The ok durations as a list of Decimals, kept as such from now on."""
         if self.durations is None:
             self.durations = self.decimals()
-            self.scaled, self.tag, self.tags, self.exponent = array("i"), None, None, None
+            self.scaled, self.exponent = array("i"), None
         return self.durations
 
     def decimals(self) -> list[Decimal]:
         """The ok durations in the order added."""
         if self.durations is not None:
             return self.durations
-        return [self._row(index) for index in range(len(self.scaled))]
-
-    def _row(self, index: int) -> Decimal:
-        tag = self.tag if self.tags is None else self.tags[index]
-        exponent = tag >> 1
-        scale = 10 ** (exponent - self.exponent)
-        return _decimal(tag & 1, abs(self.scaled[index]) // scale, exponent)
-
-    def _occurrence(self, value: int, number: int) -> Decimal:
-        """The row of the number-th (1-based) occurrence of the scaled
-        value, in the order added."""
-        index = -1
-        for _ in range(number):
-            index = self.scaled.index(value, index + 1)
-        return self._row(index)
+        return [_decimal(value, self.exponent) for value in self.scaled]
 
     def summary(self) -> UsageSummary:
         """Count, mean, min, max and nearest-rank p90 (the value at 1-based
-        rank ceil(0.9 * count) of the ascending stable sort, so of equal
-        values written differently (1.0, 1.00) min, max and p90 carry the
-        one at that rank in the order added). The mean's sum is taken in
-        ascending order under money.CONTEXT before it is quantized; the
-        integer sum of a compact pair is exact, and equal, since it needs
-        far fewer than 50 digits. A compact pair is not sorted: its p90 is
-        the smallest of its count - rank + 1 largest values, picked with a
-        heap of that size. With no ok duration there are no statistics."""
+        rank ceil(0.9 * count) of the ascending sort). The mean's sum is
+        taken in ascending order under money.CONTEXT before it is quantized;
+        the integer sum of a compact pair is exact, and equal, since it
+        needs far fewer than 50 digits. A compact pair is not sorted: its
+        p90 is the smallest of its count - rank + 1 largest values, picked
+        with a heap of that size, and its min, max and p90 are spelled at
+        the pair's exponent. With no ok duration there are no statistics."""
         stats = None
         if self.durations is None:
             scaled = self.scaled
@@ -326,13 +284,7 @@ class _Pair:
                     if value > top:
                         heapreplace(heap, value)
                         top = heap[0]
-                # Every value above top is in the heap, and so are the last
-                # heap.count(top) of top's occurrences in the stable sort:
-                # the p90 is the first of those, the max the last of its own.
-                ties, high = scaled.count(top), max(heap)
-                low = self._occurrence(min(scaled), 1)
-                high = self._occurrence(high, ties if high == top else heap.count(high))
-                p90 = self._occurrence(top, ties - heap.count(top) + 1)
+                low, high, p90 = (_decimal(v, self.exponent) for v in (min(scaled), max(heap), top))
         else:
             values = sorted(self.durations)
             count = len(values)
@@ -360,10 +312,9 @@ class _Pair:
 class UsageFold:
     """Per-(function, platform) accumulators of usage rows.
 
-    Rows are added one at a time. ``a.merge(b)`` summarizes exactly as one
-    fold of a's rows followed by b's. Any order or split of the same rows
-    gives summaries equal by value; only which of two equal durations
-    written differently (1.0, 1.00) is reported can follow the order.
+    Rows are added one at a time. ``a.merge(b)``, like any order or split
+    of the same rows, gives summaries equal by value to one fold of a's
+    rows followed by b's; a statistic's spelling may differ.
     """
 
     def __init__(self):
@@ -388,8 +339,8 @@ class UsageFold:
             )
         self._add(function_id, platform_id, *_parts(duration_ms), bytes_in, bytes_out, status)
 
-    def _add(self, function_id: str, platform_id: str, sign: int, coefficient: int,
-             exponent: int, bytes_in: int, bytes_out: int, status: str) -> None:
+    def _add(self, function_id: str, platform_id: str, coefficient: int, exponent: int,
+             bytes_in: int, bytes_out: int, status: str) -> None:
         """add, with a finite duration as its _parts."""
         pair = self._pairs.get((function_id, platform_id))
         if pair is None:
@@ -398,18 +349,14 @@ class UsageFold:
             pair = self._pairs[(function_id, platform_id)] = _Pair()
         if status == "ok":
             # _Pair.add's common case, inlined: a row at its pair's finest
-            # exponent is one append, and a second one when the pair keeps a
-            # tag per row.
-            if exponent == pair.exponent and (pair.tags is not None or 2 * exponent + sign == pair.tag):
+            # exponent is one append.
+            if exponent == pair.exponent:
                 try:
-                    pair.scaled.append(-coefficient if sign else coefficient)
+                    pair.scaled.append(coefficient)
                 except OverflowError:  # it does not fit scaled: widen or fall back
-                    pair.add(sign, coefficient, exponent)
-                else:
-                    if pair.tags is not None:
-                        pair.tags.append(2 * exponent + sign)
+                    pair.add(coefficient, exponent)
             else:
-                pair.add(sign, coefficient, exponent)
+                pair.add(coefficient, exponent)
             pair.bytes_in_total += bytes_in
             pair.bytes_out_total += bytes_out
         elif status == "error":
@@ -499,12 +446,12 @@ class UsageLog:
                                 if raw_duration.isascii() and digits.isdecimal() and len(digits) < 19:
                                     # Its Decimal is (0, int(digits), -len(fraction)),
                                     # below 1e18, so it passes the duration checks.
-                                    sign, coefficient, exponent = 0, int(digits), -len(fraction)
+                                    coefficient, exponent = int(digits), -len(fraction)
                                     checked = True
                                 else:
                                     duration = Decimal(raw_duration)
                                     checked = duration.is_finite() and ZERO <= duration < _DURATION_LIMIT
-                                    sign, coefficient, exponent = _parts(duration)
+                                    coefficient, exponent = _parts(duration)
                                 bytes_in = int(raw_in)
                                 bytes_out = int(raw_out)
                                 checked = (
@@ -516,8 +463,7 @@ class UsageLog:
                             except (ValueError, ArithmeticError):
                                 checked = False
                             if checked:
-                                add_parts(fid, pid, sign, coefficient, exponent, bytes_in,
-                                          bytes_out, status)
+                                add_parts(fid, pid, coefficient, exponent, bytes_in, bytes_out, status)
                                 continue
                             try:
                                 add(*_parse_row(line, row))

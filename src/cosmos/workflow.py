@@ -315,6 +315,9 @@ def _parse_function(obj: Mapping) -> FunctionProfile:
     if "function_id" not in obj:
         raise SchemaError("function entry missing function_id")
     fid = str(obj["function_id"])
+    workload_class = obj.get("workload_class")
+    if workload_class is not None and not isinstance(workload_class, str):
+        raise SchemaError(f"{fid}: workload_class must be a string, got {type(workload_class).__name__}")
     t_overrides = _typed(obj.get("t_overrides") or {}, Mapping, f"{fid}: t_overrides")
     overrides = {
         str(platform): _parse_quantity({"t": raw}, "t", fid)
@@ -333,7 +336,7 @@ def _parse_function(obj: Mapping) -> FunctionProfile:
             _parse_usage(u, fid)
             for u in _typed(obj.get("baas_usage", []), _ARRAY, f"{fid}: baas_usage")
         ),
-        workload_class=obj.get("workload_class"),
+        workload_class=workload_class,
         t_overrides=overrides,
     )
 

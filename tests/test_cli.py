@@ -36,7 +36,7 @@ from cosmos.errors import (
     UnknownPlatformError,
     UnplacedFunctionError,
 )
-from cosmos.workflow import bundled_fixture_dir
+from cosmos.workflow import bundled_fixture_dir, load_workflow_document
 
 D = Decimal
 FIXTURES = bundled_fixture_dir()
@@ -249,6 +249,24 @@ def test_curve_reports_intercept_and_slope(capsys):
     report = json.loads(out)
     assert D(report["fixed"]) == D("13.7376")
     assert D(report["slope_per_million"]) == D("3.571")
+
+
+def test_curve_slope_per_million_past_28_digits_is_exact(capsys, tmp_path):
+    # A 29-digit invocation rate: scaled under a 28-digit context, its
+    # per-million slope lost the last digit that its own sample keeps.
+    card = tmp_path / "x.json"
+    card.write_text(json.dumps({"platform_id": "x", "layer": "Cloud", "components": [
+        {"id": "inv", "driver": "Invocation", "unit": "PerRequest",
+         "rate": "12345678901234567.123456789012", "scale": "base"},
+        {"id": "cpu", "driver": "Compute", "unit": "PerGBSecond", "rate": "0", "scale": "base"},
+    ]}), encoding="utf-8")
+    workflow = tmp_path / "wf.json"
+    workflow.write_text(json.dumps({"workflow_id": "w", "functions": [{"function_id": "f", "n": "1"}]}))
+    code, out, _ = run(capsys, "curve", "--workflow", str(workflow), "--catalog", str(card),
+                       "--sample", "1000000", "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["slope_per_million"] == report["samples"][0]["cost"] == "12345678901234567123456.789012"
 
 
 def test_curve_samples(capsys):
@@ -533,6 +551,24 @@ def test_ingest_reports_a_pair_with_error_rows_only(capsys, tmp_path):
     assert out.splitlines()[2].split() == ["g", "p", "0", "2"]
 
 
+def test_ingest_prints_a_negative_zero_as_zero(capsys, tmp_path):
+    # Statistics are values: -0, -0.00 and 0 are one zero, printed unsigned.
+    log = tmp_path / "log.csv"
+    log.write_text(
+        "timestamp,function_id,platform_id,duration_ms,bytes_in,bytes_out,status\n"
+        "2024-11-04T09:00:00Z,f,p,-0,0,0,ok\n"
+        "2024-11-04T09:00:01Z,f,p,-0.00,0,0,ok\n"
+    )
+    code, out, _ = run(capsys, "ingest", "--log", str(log), "--format", "csv")
+    assert (code, out.splitlines()[1]) == (0, "f,p,2,0,0,0,0,0")
+    code, out, _ = run(capsys, "ingest", "--log", str(log), "--format", "json")
+    assert json.loads(out)["f:p"] == {
+        "count": 2, "mean_ms": "0", "min_ms": "0", "max_ms": "0", "p90_ms": "0", "errors": 0,
+    }
+    code, out, _ = run(capsys, "ingest", "--log", str(log))
+    assert out.splitlines()[1].split() == ["f", "p", "2", "0.0000", "0.0", "0.0", "0.0", "0"]
+
+
 def test_ingest_malformed_rows_exit_2_listing_lines(capsys, tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text(
@@ -626,8 +662,6 @@ def test_ingest_calibrates_workflow(capsys, tmp_path):
     assert D(retrieval["r_in"]) == D("0.001048576")  # 1 MiB in decimal GB
 
     # The emitted document re-ingests losslessly.
-    from cosmos.workflow import load_workflow_document
-
     reloaded, latencies = load_workflow_document(tmp_path / "calibrated-workflow.json")
     assert reloaded.function("data-retrieval").r_in == D("0.001048576")
     assert latencies.get("data-retrieval", "aws-x86") == D(232)
@@ -635,6 +669,44 @@ def test_ingest_calibrates_workflow(capsys, tmp_path):
         ("data-retrieval", "data-processing"),
         ("data-processing", "ai-inference"),
     )
+
+
+def test_ingest_writes_quantities_past_the_context_exactly(capsys, tmp_path):
+    # n and t have 60 and 56 significant digits: normalized under
+    # money.CONTEXT, n lost its last 10 digits and t rounded to 0.0371.
+    n, t = "1" + "0" * 58 + "1", "0.0371" + "0" * 49 + "1"
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_pipeline(("functions", 0, "n", n), ("functions", 1, "t", t))))
+    code, _, err = run(capsys, "ingest", "--log", USAGE, "--workflow", str(path), "--out", str(tmp_path))
+    assert (code, err) == (0, "")
+    reloaded, _ = load_workflow_document(tmp_path / "calibrated-workflow.json")
+    assert (reloaded.functions[0].n, reloaded.functions[1].t) == (D(n), D(t))
+
+
+def test_ingest_refuses_a_quantity_past_the_printable_range(capsys, tmp_path):
+    # Normalized under money.CONTEXT, this n overflowed into the catch-all.
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_pipeline(("functions", 0, "n", "1E+1000000"))))
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "ingest", "--log", USAGE, "--workflow", str(path), "--out", str(out_dir))
+    assert (code, out, err) == (3, "", "error: 1E+1000000 is out of range: a number prints in full"
+                                       " only with an exponent from -999999 to 999999\n")
+    assert not out_dir.exists()
+
+
+def test_ingest_refuses_a_duration_past_the_printable_range(capsys, tmp_path):
+    # A 13-byte duration whose fixed-point notation has a billion digits.
+    # Normalized under money.CONTEXT it printed as a min_ms of 0.
+    log = tmp_path / "log.csv"
+    log.write_text(
+        "timestamp,function_id,platform_id,duration_ms,bytes_in,bytes_out,status\n"
+        "2024-11-04T09:00:00Z,f,p,1E-999999999,0,0,ok\n"
+        "2024-11-04T09:00:01Z,f,p,5,0,0,ok\n"
+    )
+    for view in ([], ["--format", "json"], ["--format", "csv"]):
+        code, out, err = run(capsys, "ingest", "--log", str(log), *view)
+        assert (code, out, err) == (3, "", "error: 1E-999999999 is out of range: a number prints in"
+                                           " full only with an exponent from -999999 to 999999\n")
 
 
 def _usage_log(path, *rows):

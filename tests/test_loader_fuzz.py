@@ -5,7 +5,8 @@ usage-log fold; a loaded point table is also built into a placement model,
 which checks its values. Their inputs are bundled documents with a few values
 replaced, deleted or added, arbitrary JSON, text cut short or holding a
 byte that is not UTF-8, and usage logs of malformed headers and rows. Any
-other exception would reach the catch-all in cli.main and exit 3.
+other exception would reach the catch-all in cli.main and exit 3. A loaded
+workflow's workload classes are strings or None, as its type declares.
 """
 
 import copy
@@ -207,6 +208,8 @@ SEEDS = [
     _edited("workflow", ("functions", 0, "n", "abc")),
     _edited("workflow", ("functions", 0, "n", True)),
     _edited("workflow", ("functions", 0, "mem", "NaN")),
+    _edited("workflow", ("functions", 0, "workload_class", {"a": [1, 2]})),
+    _edited("workflow", ("functions", 0, "workload_class", 5)),
     _edited("workflow", ("functions", 0, "n", "1e600000"), ("functions", 0, "t", "1e600000")),
     _edited("workflow", ("latency", "entries", "data-retrieval", "leo", False)),
     _edited("workflow", ("latency", "factors", "aws-lambda-edge", True)),
@@ -238,6 +241,9 @@ def test_every_loader_input_loads_or_exits_2(case):
     kind, data = case
     source = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
     try:
-        LOADERS[kind](source)
+        loaded = LOADERS[kind](source)
     except CosmosError as exc:
         assert exc.exit_code == 2, f"{type(exc).__name__}: {exc}"
+    else:
+        if kind == "workflow":
+            assert all(isinstance(f.workload_class, (str, type(None))) for f in loaded[0].functions)

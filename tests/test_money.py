@@ -1,3 +1,4 @@
+import re
 from decimal import Decimal
 
 import pytest
@@ -71,6 +72,25 @@ def test_fmt_rounds_past_28_digits_and_states_the_bound_past_50():
 def test_fmt_full_avoids_scientific_notation():
     assert fmt_full(Decimal("2E-7")) == "0.0000002"
     assert fmt_full(Decimal("61.056")) == "61.056"
+
+
+def test_fmt_full_is_exact_past_50_digits_and_the_context_exponent_range():
+    # Normalized under money.CONTEXT, a value past 50 digits rounded, and one
+    # whose last digit lay below CONTEXT's exponent range was cut off there.
+    long = "1." + "0" * 54 + "1"
+    assert fmt_full(Decimal(long)) == long
+    assert fmt_full(Decimal(long + "E-999999")) == "0." + "0" * 999998 + long.replace(".", "")
+    assert fmt_full(Decimal("1E+999999")) == "1" + "0" * 999999
+    assert fmt_full(Decimal("0E-2000000")) == "0"
+
+
+@pytest.mark.parametrize("value", ["1E-1000000", "1E-999999999", "-1E+1000000", "9.9E+999999999"])
+def test_fmt_full_refuses_a_value_past_the_context_exponent_range(value):
+    # Its fixed-point notation would pass a million digits; normalized under
+    # money.CONTEXT it printed 0 or overflowed into a bare decimal.Overflow.
+    with pytest.raises(DomainError, match=rf"^{re.escape(value)} is out of range: a number prints"
+                       r" in full only with an exponent from -999999 to 999999$"):
+        fmt_full(Decimal(value))
 
 
 @given(st.booleans(), st.integers(0, 10**50 - 1), st.integers(-60, 60))

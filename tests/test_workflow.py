@@ -122,6 +122,16 @@ def test_float_quantity_rejected():
         load_workflow_document(doc)
 
 
+@pytest.mark.parametrize("value", [{"a": [1, 2]}, ["x"], 5, True])
+def test_workload_class_that_is_not_a_string_rejected(value):
+    doc = _wf_doc(["a"], [])
+    doc["functions"][0]["workload_class"] = value
+    with pytest.raises(SchemaError) as exc:
+        load_workflow_document(doc)
+    assert str(exc.value) == f"a: workload_class must be a string, got {type(value).__name__}"
+    assert exc.value.exit_code == 2
+
+
 def test_unknown_function_field_rejected():
     doc = _wf_doc(["a"], [])
     doc["functions"][0]["memory"] = "1"
@@ -176,7 +186,13 @@ def test_a_quantity_built_in_code_that_is_not_finite_is_a_schema_error(field, va
     assert str(exc.value) == f"{what} must be finite, got {value}"
 
 
-_QUANTITY = st.decimals(min_value=0, max_value=10**9, places=6, allow_nan=False, allow_infinity=False)
+# Plain quantities, and ones of up to 62 significant digits, below 1e41 as
+# a latency must be, which serialize exactly past money.CONTEXT's 50.
+_QUANTITY = st.one_of(
+    st.decimals(min_value=0, max_value=10**9, places=6, allow_nan=False, allow_infinity=False),
+    st.builds(lambda digits, exponent: Decimal(f"{digits}E-{exponent}"),
+              st.integers(0, 10**61), st.integers(21, 80)),
+)
 _NAME = st.text(min_size=1, max_size=8)
 _QUANTITY_FIELDS = ("n", "t", "mem", "d", "d_per_request", "r_in", "r_out")
 
