@@ -8,6 +8,7 @@ per request-millisecond for space platforms.
 
 from __future__ import annotations
 
+import errno
 import os
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from .errors import (
     UnknownPlatformError,
 )
 from .money import CONTEXT, fmt_full
-from .workflow import _parse_quantity, _read_json, _require_finite
+from .workflow import _parse_quantity, _read_json, _require_finite, _string
 
 
 class DriverCategory(str, Enum):
@@ -155,35 +156,43 @@ def normalize_rate(component: PriceComponent, declared_scale: str) -> PriceCompo
     for USD per million requests. Normalization is exact decimal arithmetic
     and idempotent (a base-scaled component passes through unchanged).
     """
-    if declared_scale not in SCALES:
-        raise UnitError(f"unsupported scale {declared_scale!r}")
-    if declared_scale not in _UNIT_SCALES[component.unit]:
-        raise UnitError(
-            f"scale {declared_scale!r} is not meaningful for unit {component.unit.value}"
-        )
-    mult, div = SCALES[declared_scale]
-    try:
-        rate = CONTEXT.divide(CONTEXT.multiply(component.rate, Decimal(mult)), Decimal(div))
-    except Overflow:
-        raise SchemaError(
-            f"component {component.id!r}: rate {component.rate} {declared_scale} "
-            f"is out of range in base units"
-        ) from None
+    rate = _base_rate(component.id, component.unit, component.rate, declared_scale)
     return PriceComponent(
         component.id, component.driver, component.unit, rate, component.description
     )
 
 
+def _base_rate(component_id: str, unit: RateUnit, rate: Decimal, declared_scale: str) -> Decimal:
+    """A rate quoted at declared_scale, in base units (see normalize_rate)."""
+    if declared_scale not in SCALES:
+        raise UnitError(f"unsupported scale {declared_scale!r}")
+    if declared_scale not in _UNIT_SCALES[unit]:
+        raise UnitError(
+            f"scale {declared_scale!r} is not meaningful for unit {unit.value}"
+        )
+    mult, div = SCALES[declared_scale]
+    try:
+        return CONTEXT.divide(CONTEXT.multiply(rate, Decimal(mult)), Decimal(div))
+    except Overflow:
+        raise SchemaError(
+            f"component {component_id!r}: rate {rate} {declared_scale} "
+            f"is out of range in base units"
+        ) from None
+
+
 _TOP_KEYS = {"platform_id", "layer", "hypothetical", "currency", "components"}
 _COMP_KEYS = {"id", "driver", "unit", "rate", "scale", "description"}
 
+#: Each enum's members by value, for the loader's lookups.
+_MEMBERS = {cls: {m.value: m for m in cls} for cls in (DriverCategory, RateUnit, Layer)}
+
 
 def _parse_enum(enum_cls, value, what: str):
-    try:
-        return enum_cls(value)
-    except ValueError:
+    member = _MEMBERS[enum_cls].get(value) if isinstance(value, str) else None
+    if member is None:
         legal = ", ".join(m.value for m in enum_cls)
-        raise SchemaError(f"unknown {what} {value!r}; expected one of: {legal}") from None
+        raise SchemaError(f"unknown {what} {value!r}; expected one of: {legal}")
+    return member
 
 
 def _parse_component(obj: Mapping) -> PriceComponent:
@@ -195,18 +204,15 @@ def _parse_component(obj: Mapping) -> PriceComponent:
     for key in ("id", "driver", "unit", "rate"):
         if key not in obj:
             raise SchemaError(f"component missing required field {key!r}")
+    cid = _string(obj["id"], "component id")
     if not isinstance(obj["rate"], str):
-        raise SchemaError(
-            f"component {obj['id']!r}: rate must be a decimal string, got {obj['rate']!r}"
-        )
-    comp = PriceComponent(
-        id=str(obj["id"]),
-        driver=_parse_enum(DriverCategory, obj["driver"], "driver"),
-        unit=_parse_enum(RateUnit, obj["unit"], "unit"),
-        rate=_parse_quantity(obj, "rate", f"component {obj['id']!r}"),
-        description=str(obj.get("description", "")),
-    )
-    return normalize_rate(comp, str(obj.get("scale", "base")))
+        raise SchemaError(f"component {cid!r}: rate must be a decimal string, got {obj['rate']!r}")
+    driver = _parse_enum(DriverCategory, obj["driver"], "driver")
+    unit = _parse_enum(RateUnit, obj["unit"], "unit")
+    rate = _parse_quantity(obj["rate"], "rate", f"component {cid!r}")
+    description = str(obj.get("description", ""))
+    return PriceComponent(cid, driver, unit, _base_rate(cid, unit, rate, str(obj.get("scale", "base"))),
+                          description)
 
 
 def load_catalog(source: str | Path | IO[str] | Mapping) -> PlatformCatalog:
@@ -215,7 +221,7 @@ def load_catalog(source: str | Path | IO[str] | Mapping) -> PlatformCatalog:
     Raises SchemaError, UnitError, NegativeRateError, or DuplicateIdError on
     the first violation encountered: the document's shape and each
     component's fields and scale first, then the card's own checks (see
-    PlatformCatalog).
+    PlatformCatalog). The platform id and each component id must be strings.
     """
     doc = _read_json(source)
     if not isinstance(doc, Mapping):
@@ -233,7 +239,7 @@ def load_catalog(source: str | Path | IO[str] | Mapping) -> PlatformCatalog:
     if not isinstance(hypothetical, bool):
         raise SchemaError("hypothetical must be a boolean")
     return PlatformCatalog(
-        platform_id=str(doc["platform_id"]),
+        platform_id=_string(doc["platform_id"], "platform_id"),
         layer=_parse_enum(Layer, doc["layer"], "layer"),
         components=tuple(_parse_component(c) for c in components),
         hypothetical=hypothetical,
@@ -269,8 +275,11 @@ BUNDLED_PLATFORMS = ("aws-x86", "aws-arm", "aws-lambda-edge", "gcp", "leo")
 CATALOG_DIR_ENV = "COSMOS_CATALOG_DIR"
 
 
+_BUNDLED_CATALOG_DIR = Path(__file__).parent / "catalogs"
+
+
 def bundled_catalog_dir() -> Path:
-    return Path(__file__).parent / "catalogs"
+    return _BUNDLED_CATALOG_DIR
 
 
 def catalog_dir() -> Path:
@@ -284,9 +293,17 @@ def platform_path(platform_id: str, directory: Path | None = None) -> Path:
     return (directory or catalog_dir()) / f"{platform_id}.json"
 
 
+#: The errnos of a card path that names no file: missing, under a non-directory,
+#: a bad descriptor or a symlink loop (the ones Path.exists() reads as absent).
+_NO_FILE = {errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP}
+
+
 def load_platform(platform_id: str, directory: Path | None = None) -> PlatformCatalog:
+    """The catalog of a platform id in a catalog directory (default: the active one)."""
     directory = directory or catalog_dir()
-    path = platform_path(platform_id, directory)
-    if not path.exists():
-        raise UnknownPlatformError(f"no catalog for platform {platform_id!r} in {directory}")
-    return load_catalog(path)
+    try:
+        return load_catalog(platform_path(platform_id, directory))
+    except OSError as exc:
+        if exc.errno not in _NO_FILE:
+            raise
+        raise UnknownPlatformError(f"no catalog for platform {platform_id!r} in {directory}") from None

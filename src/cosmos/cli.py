@@ -19,10 +19,10 @@ import json
 import sys
 from decimal import Decimal
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import __version__
-from .catalog import PlatformCatalog, load_catalog, load_platform, platform_path
+from .catalog import PlatformCatalog, catalog_dir, load_catalog, load_platform, platform_path
 from .engine import (
     COINCIDENT_CURVES,
     DRIVER_FIELDS,
@@ -188,10 +188,11 @@ def _load_catalogs(args) -> dict[str, PlatformCatalog]:
         if pid in catalogs:
             raise SchemaError(f"--catalog {paths[pid]} and --catalog {path} both define platform {pid!r}")
         catalogs[pid], paths[pid] = loaded, path
+    directory = catalog_dir()
     for pid in args.platform:
         if pid not in catalogs:
-            catalogs[pid] = load_platform(pid)
-            args.inputs.append(platform_path(pid))
+            catalogs[pid] = load_platform(pid, directory)
+            args.inputs.append(platform_path(pid, directory))
     if not catalogs:
         raise SchemaError("no catalogs given; use --catalog or --platform")
     return catalogs
@@ -247,33 +248,87 @@ def _manifest(args, outputs: list[str], counters: dict[str, int] | None) -> dict
 def _render(kind: str, payload) -> str:
     """The text of one machine view: a JSON document, or rows as CSV or TSV.
 
-    CSV and TSV differ only in the separator; a cell holding the separator,
-    a quote or a newline is quoted.
+    A JSON document has the bytes json.dumps(payload, indent=2,
+    sort_keys=True, ensure_ascii=False) gives it, written in one pass; its
+    keys must be strings. CSV and TSV differ only in the separator; a cell
+    holding the separator, a quote or a newline is quoted.
     """
     if kind == "json":
-        return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        return _json(payload, "") + "\n"
     text = io.StringIO()
     csv.writer(text, delimiter="\t" if kind == "tsv" else ",", lineterminator="\n").writerows(payload)
     return text.getvalue()
 
 
-def _report(args, lines: list[str], rows: list[list[str]], doc: dict,
-            files: dict[str, list | dict], counters: dict[str, int] | None = None) -> None:
+#: A string as a JSON string, non-ASCII characters kept (json's own encoder).
+_json_string = json.encoder.encode_basestring
+
+_INF = float("inf")
+
+
+def _json(value, pad: str) -> str:
+    """value as JSON, indented two spaces per level, keys sorted; ``pad`` is
+    the indentation of the line value starts on. Python 3.11's json takes
+    its pure-Python encoder whenever it indents, at several calls per
+    value; this joins each container's items once."""
+    if isinstance(value, str):
+        return _json_string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INF:
+            return "Infinity"
+        if value == -_INF:
+            return "-Infinity"
+        return float.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json_string(v) if v.__class__ is str else _json(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            _json_string(k) + ": " + (_json_string(v) if v.__class__ is str else _json(v, inner))
+            for k, v in sorted(value.items())
+        ]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _report(args, doc: dict, rows, table, files: dict, counters: dict[str, int] | None = None) -> None:
     """Print the view --format selects; with --out, also write each file and the manifest.
 
-    ``rows`` (header first) back the csv and tsv views, ``doc`` the json view.
-    Each file in ``files`` is rendered as its suffix says. ``counters``, when
-    given, go into the manifest as they are.
+    ``doc`` is the json view. ``rows`` builds the csv and tsv rows (header
+    first) and ``table`` the lines of the table view; each runs only when
+    its view is printed or written, and at most once. ``files`` maps each
+    file name to its payload, ``rows`` standing for the rows it builds; a
+    file is rendered as its suffix says. ``counters``, when given, go into
+    the manifest as they are.
     """
-    if args.format:
-        sys.stdout.write(_render(args.format, doc if args.format == "json" else rows))
+    built = functools.cache(rows)
+    if args.format == "json":
+        sys.stdout.write(_render("json", doc))
+    elif args.format:
+        sys.stdout.write(_render(args.format, built()))
     else:
-        print("\n".join(lines))
+        print("\n".join(table()))
     if not args.out:
         return
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for filename, payload in files.items():
+        payload = built() if payload is rows else payload
         (out_dir / filename).write_text(_render(Path(filename).suffix[1:], payload), encoding="utf-8")
     manifest = _manifest(args, [*files, "manifest.json"], counters)
     (out_dir / "manifest.json").write_text(_render("json", manifest), encoding="utf-8")
@@ -303,32 +358,37 @@ def cmd_cost(args) -> int:
 
     label = _placement_label(placement)
     entries = [(fid, placement.platform_for(fid), b) for fid, b in parts.items()]
+    if credit:
+        # A fixed charge several functions share on one platform is billed
+        # once; this row takes the rest off, so each column adds up.
+        entries.append(("shared-credit", label, CostBreakdown.build(ZERO, ZERO, ZERO, ZERO, -credit)))
+    entries.append(("workflow", label, total))
+    amounts = [_money_row(b) for _, _, b in entries]
     report = {
         "workflow_id": workflow.workflow_id,
         "volume": fmt_full(args.volume) if args.volume is not None else None,
         "placement": placement.as_dict(),
         "functions": {
-            fid: {"platform": placement.platform_for(fid), **_money_row(b)}
-            for fid, b in parts.items()
+            fid: {"platform": pid, **row} for (fid, pid, _), row in zip(entries[:len(parts)], amounts)
         },
-        "workflow": _money_row(total),
+        "workflow": amounts[-1],
     }
     if credit:
-        # A fixed charge several functions share on one platform is billed
-        # once; this row takes the rest off, so each column adds up.
-        deduction = CostBreakdown.build(ZERO, ZERO, ZERO, ZERO, -credit)
-        entries.append(("shared-credit", label, deduction))
-        report["shared_credit"] = _money_row(deduction)
-    entries.append(("workflow", label, total))
-    rows = [["function", "platform", *DRIVER_FIELDS, "total"]]
-    rows += [[fid, pid, *_money_row(b).values()] for fid, pid, b in entries]
+        report["shared_credit"] = amounts[-2]
 
-    header = f"{'function':<18} {'platform':<16} " + " ".join(f"{c:>12}" for c in (*DRIVER_FIELDS, "total"))
-    lines = [header]
-    for fid, pid, b in entries:
-        cells = [fmt(getattr(b, c)) for c in (*DRIVER_FIELDS, "total")]
-        lines.append(f"{fid:<18} {pid:<16} " + " ".join(f"{c:>12}" for c in cells))
-    _report(args, lines, rows, report, {"cost.csv": rows, "cost.json": report})
+    def rows():
+        return [["function", "platform", *DRIVER_FIELDS, "total"],
+                *([fid, pid, *row.values()] for (fid, pid, _), row in zip(entries, amounts))]
+
+    def table():
+        columns = (*DRIVER_FIELDS, "total")
+        lines = [f"{'function':<18} {'platform':<16} " + " ".join(f"{c:>12}" for c in columns)]
+        for fid, pid, b in entries:
+            cells = [fmt(getattr(b, c)) for c in columns]
+            lines.append(f"{fid:<18} {pid:<16} " + " ".join(f"{c:>12}" for c in cells))
+        return lines
+
+    _report(args, report, rows, table, {"cost.csv": rows, "cost.json": report})
     return EXIT_OK
 
 
@@ -342,22 +402,15 @@ def cmd_breakdown(args) -> int:
     catalogs = _load_catalogs(args)
     placement = _placement(args, workflow, catalogs)
 
-    lines = []
+    priced = []
     report_functions = {}
-    rows = [["function", "platform", "component", "driver", "amount"]]
     for profile in workflow.functions:
         fid = profile.function_id
         pid = placement.platform_for(fid)
         charges = component_charges(profile, catalogs[pid], latencies=latencies, volume=args.volume)
         breakdown = CostBreakdown.fold(charges)
         shares = driver_shares(breakdown)
-        lines.append(f"{fid} on {pid} (total {fmt(breakdown.total)})")
-        for item in charges:
-            lines.append(f"  {item.component_id:<20} {item.driver.value:<16} {fmt(item.amount):>12}")
-            rows.append([fid, pid, item.component_id, item.driver.value, fmt_full(item.amount)])
-        lines.append(
-            "  shares: " + ", ".join(f"{name} {fmt(shares[name], 1)}%" for name in DRIVER_FIELDS)
-        )
+        priced.append((fid, pid, charges, breakdown, shares))
         report_functions[fid] = {
             "platform": pid,
             "components": [
@@ -374,7 +427,23 @@ def cmd_breakdown(args) -> int:
     report = {"workflow_id": workflow.workflow_id,
               "volume": fmt_full(args.volume) if args.volume is not None else None,
               "functions": report_functions}
-    _report(args, lines, rows, report, {"breakdown.csv": rows, "breakdown.json": report})
+
+    def rows():
+        return [["function", "platform", "component", "driver", "amount"],
+                *([fid, entry["platform"], c["component_id"], c["driver"], c["amount"]]
+                  for fid, entry in report_functions.items() for c in entry["components"])]
+
+    def table():
+        lines = []
+        for fid, pid, charges, breakdown, shares in priced:
+            lines.append(f"{fid} on {pid} (total {fmt(breakdown.total)})")
+            lines += (f"  {i.component_id:<20} {i.driver.value:<16} {fmt(i.amount):>12}" for i in charges)
+            lines.append(
+                "  shares: " + ", ".join(f"{name} {fmt(shares[name], 1)}%" for name in DRIVER_FIELDS)
+            )
+        return lines
+
+    _report(args, report, rows, table, {"breakdown.csv": rows, "breakdown.json": report})
     return EXIT_OK
 
 
@@ -389,20 +458,26 @@ def cmd_curve(args) -> int:
 
     samples = args.sample or DEFAULT_SAMPLES
     points = [(s, curve.evaluate(s)) for s in samples]
-    rows = [["n_requests", "cost_usd"]] + [[fmt_full(n), fmt_full(c)] for n, c in points]
+    full = [(fmt_full(n), fmt_full(c)) for n, c in points]
     per_million = CONTEXT.scaleb(curve.slope, 6)
     report = {
         "fixed": fmt_full(curve.fixed),
         "slope_per_request": fmt_full(curve.slope),
         "slope_per_million": fmt_full(per_million),
-        "samples": [{"n": fmt_full(n), "cost": fmt_full(c)} for n, c in points],
+        "samples": [{"n": n, "cost": c} for n, c in full],
     }
-    lines = [
-        f"fixed: {fmt(curve.fixed)}",
-        f"slope per 1M requests: {fmt(per_million)}",
-        "n_requests -> cost:",
-    ] + [f"  {fmt_full(n):>14} {fmt(c):>14}" for n, c in points]
-    _report(args, lines, rows, report, {"curve.tsv": rows, "curve.json": report})
+
+    def rows():
+        return [["n_requests", "cost_usd"], *(list(sample) for sample in full)]
+
+    def table():
+        return [
+            f"fixed: {fmt(curve.fixed)}",
+            f"slope per 1M requests: {fmt(per_million)}",
+            "n_requests -> cost:",
+        ] + [f"  {n:>14} {fmt(c):>14}" for (n, _), (_, c) in zip(full, points)]
+
+    _report(args, report, rows, table, {"curve.tsv": rows, "curve.json": report})
     return EXIT_OK
 
 
@@ -427,19 +502,10 @@ def cmd_crossover(args) -> int:
     point = crossover(curves[0], curves[1])
 
     if point is COINCIDENT_CURVES:
-        lines = [f"{first} and {second}: coincident curves (equal cost at every volume)"]
         report = {"result": "coincident"}
     elif point is None:
-        lines = [f"{first} and {second}: none (no crossover at nonnegative volume)"]
         report = {"result": "none"}
     else:
-        lines = [
-            f"crossover of {first} vs {second}"
-            + (f" for {args.function}" if args.function else " for the workflow"),
-            f"  n* = {fmt(point.n_star, 0)} requests"
-            f" ({fmt(point.n_star_millions)}M)",
-            f"  cost at crossover: {fmt(point.cost)}",
-        ]
         report = {
             "result": "crossover",
             "n_star_requests": fmt_full(point.n_star),
@@ -447,8 +513,24 @@ def cmd_crossover(args) -> int:
             "cost": fmt_full(point.cost),
         }
     report.update({"left": first, "right": second, "function": args.function})
-    rows = [["left", "right", "result"], [first, second, report["result"]]]
-    _report(args, lines, rows, report, {"crossover.json": report})
+
+    def rows():
+        return [["left", "right", "result"], [first, second, report["result"]]]
+
+    def table():
+        if point is COINCIDENT_CURVES:
+            return [f"{first} and {second}: coincident curves (equal cost at every volume)"]
+        if point is None:
+            return [f"{first} and {second}: none (no crossover at nonnegative volume)"]
+        return [
+            f"crossover of {first} vs {second}"
+            + (f" for {args.function}" if args.function else " for the workflow"),
+            f"  n* = {fmt(point.n_star, 0)} requests"
+            f" ({fmt(point.n_star_millions)}M)",
+            f"  cost at crossover: {fmt(point.cost)}",
+        ]
+
+    _report(args, report, rows, table, {"crossover.json": report})
     return EXIT_OK
 
 
@@ -484,22 +566,31 @@ def cmd_pareto(args) -> int:
 
     ordered = sorted(points, key=lambda p: (p.latency, p.cost, p.label))
     point_rows = [_point_row(p) for p in ordered]
-    rows = [["label", "latency_ms", "cost_usd", "on_front", "on_line"]]
-    for p, row in zip(ordered, point_rows):
-        key = (p.cost, p.latency)
-        rows.append([*row.values(), str(int(key in front_keys)), str(int(key in line_keys))])
+    # The front and the line hold points of the evaluated set: each keeps its row.
+    row_of = {id(p): row for p, row in zip(ordered, point_rows)}
     report = {
         "points": point_rows,
-        "front": [_point_row(p) for p in front],
-        "optimal_line": [_point_row(p) for p in line],
+        "front": [row_of[id(p)] for p in front],
+        "optimal_line": [row_of[id(p)] for p in line],
     }
-    lines = [f"evaluated {len(points)} points; {len(front)} on the front, {len(line)} on the trade-off line"]
-    for p in ordered:
-        marks = ("front" if (p.cost, p.latency) in front_keys else "") + (
-            " line" if (p.cost, p.latency) in line_keys else ""
-        )
-        lines.append(f"  {p.label:<34} {fmt(p.latency):>10} ms {fmt(p.cost):>14} USD  {marks.strip()}")
-    _report(args, lines, rows, report, {"pareto.tsv": rows, "pareto.json": report})
+
+    def rows():
+        rows = [["label", "latency_ms", "cost_usd", "on_front", "on_line"]]
+        for p, row in zip(ordered, point_rows):
+            key = (p.cost, p.latency)
+            rows.append([*row.values(), str(int(key in front_keys)), str(int(key in line_keys))])
+        return rows
+
+    def table():
+        lines = [f"evaluated {len(points)} points; {len(front)} on the front, {len(line)} on the trade-off line"]
+        for p in ordered:
+            marks = ("front" if (p.cost, p.latency) in front_keys else "") + (
+                " line" if (p.cost, p.latency) in line_keys else ""
+            )
+            lines.append(f"  {p.label:<34} {fmt(p.latency):>10} ms {fmt(p.cost):>14} USD  {marks.strip()}")
+        return lines
+
+    _report(args, report, rows, table, {"pareto.tsv": rows, "pareto.json": report})
     return EXIT_OK
 
 
@@ -535,19 +626,24 @@ def cmd_optimize(args) -> int:
         "total_count": result.total_count,
         "front": front_rows,
     }
-    lines = ["chosen placement:"]
-    lines += [f"  {fid} -> {pid}" for fid, pid in result.best.assignments]
-    lines += [
-        f"cost: {fmt(result.cost)} USD",
-        f"latency: {fmt(result.latency)} ms",
-        f"objective: {result.objective:.6f} (alpha={result.alpha:.7f}, beta={result.beta:.7f})",
-        f"anchors: C*={fmt(result.c_star)} USD, T*={fmt(result.t_star)} ms",
-        f"feasible placements: {result.feasible_count} of {result.total_count}",
-    ]
-    rows = [["label", "latency_ms", "cost_usd"]] + [list(row.values()) for row in front_rows]
+
+    def rows():
+        return [["label", "latency_ms", "cost_usd"], *(list(row.values()) for row in front_rows)]
+
+    def table():
+        return [
+            "chosen placement:",
+            *(f"  {fid} -> {pid}" for fid, pid in result.best.assignments),
+            f"cost: {fmt(result.cost)} USD",
+            f"latency: {fmt(result.latency)} ms",
+            f"objective: {result.objective:.6f} (alpha={result.alpha:.7f}, beta={result.beta:.7f})",
+            f"anchors: C*={fmt(result.c_star)} USD, T*={fmt(result.t_star)} ms",
+            f"feasible placements: {result.feasible_count} of {result.total_count}",
+        ]
+
     # The counters go only into the manifest, so they are built only for --out.
     counters = result.counters._asdict() if args.out else None
-    _report(args, lines, rows, report, {"optimize.json": report, "front.tsv": rows}, counters)
+    _report(args, report, rows, table, {"optimize.json": report, "front.tsv": rows}, counters)
     return EXIT_OK
 
 
@@ -567,31 +663,8 @@ def cmd_ingest(args) -> int:
         raise NoDataError(f"usage log {args.log} has no data rows")
     args.inputs.append(Path(args.log))
 
-    rows = [["function_id", "platform_id", "count", "mean_ms", "min_ms", "max_ms", "p90_ms", "errors"]]
-    lines = [
-        f"{'function':<18} {'platform':<16} {'count':>6} {'mean':>10} {'min':>8} "
-        f"{'max':>8} {'p90':>8} {'errors':>6}"
-    ]
-    report = {}
-    for (fid, pid), summary in summaries.items():
-        s = summary.stats
-        # A pair with error rows only has count 0 and no statistics: empty
-        # cells in the table and CSV/TSV views, null in JSON.
-        stats = (None,) * 4 if s is None else (s.mean, s.min, s.max, s.p90)
-        full = [None if v is None else fmt_full(v) for v in stats]
-        shown = ["" if v is None else fmt(v, places) for v, places in zip(stats, (4, 1, 1, 1))]
-        rows.append([fid, pid, str(summary.ok_count), *(v or "" for v in full),
-                     str(summary.error_count)])
-        lines.append(
-            f"{fid:<18} {pid:<16} {summary.ok_count:>6} {shown[0]:>10} {shown[1]:>8} "
-            f"{shown[2]:>8} {shown[3]:>8} {summary.error_count:>6}"
-        )
-        report[f"{fid}:{pid}"] = {
-            "count": summary.ok_count,
-            **dict(zip(("mean_ms", "min_ms", "max_ms", "p90_ms"), full)),
-            "errors": summary.error_count,
-        }
-    files: dict[str, list | dict] = {"stats.csv": rows, "stats.json": report}
+    report, rows, table = _stats_views(summaries)
+    files = {"stats.csv": rows, "stats.json": report}
     if document is not None:
         files["calibrated-workflow.json"] = serialize_workflow(*calibrate(*document, summaries))
     counters = {
@@ -600,8 +673,48 @@ def cmd_ingest(args) -> int:
         "rows_error": sum(s.error_count for s in summaries.values()),
         "pairs": len(summaries),
     }
-    _report(args, lines, rows, report, files, counters)
+    _report(args, report, rows, table, files, counters)
     return EXIT_OK
+
+
+def _stats_views(summaries) -> tuple[dict, Callable, Callable]:
+    """ingest's JSON report, and the functions that build its CSV/TSV rows
+    and its table lines. Kept apart from cmd_ingest so that the cells these
+    closures share are not held while the log is folded."""
+    pairs = []
+    report = {}
+    for (fid, pid), summary in summaries.items():
+        s = summary.stats
+        # A pair with error rows only has count 0 and no statistics: empty
+        # cells in the table and CSV/TSV views, null in JSON.
+        stats = (None,) * 4 if s is None else (s.mean, s.min, s.max, s.p90)
+        full = [None if v is None else fmt_full(v) for v in stats]
+        pairs.append((fid, pid, summary, stats, full))
+        report[f"{fid}:{pid}"] = {
+            "count": summary.ok_count,
+            **dict(zip(("mean_ms", "min_ms", "max_ms", "p90_ms"), full)),
+            "errors": summary.error_count,
+        }
+
+    def rows():
+        return [["function_id", "platform_id", "count", "mean_ms", "min_ms", "max_ms", "p90_ms", "errors"],
+                *([fid, pid, str(summary.ok_count), *(v or "" for v in full), str(summary.error_count)]
+                  for fid, pid, summary, _, full in pairs)]
+
+    def table():
+        lines = [
+            f"{'function':<18} {'platform':<16} {'count':>6} {'mean':>10} {'min':>8} "
+            f"{'max':>8} {'p90':>8} {'errors':>6}"
+        ]
+        for fid, pid, summary, stats, _ in pairs:
+            shown = ["" if v is None else fmt(v, places) for v, places in zip(stats, (4, 1, 1, 1))]
+            lines.append(
+                f"{fid:<18} {pid:<16} {summary.ok_count:>6} {shown[0]:>10} {shown[1]:>8} "
+                f"{shown[2]:>8} {shown[3]:>8} {summary.error_count:>6}"
+            )
+        return lines
+
+    return report, rows, table
 
 
 if __name__ == "__main__":

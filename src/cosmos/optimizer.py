@@ -57,6 +57,7 @@ from .workflow import (
     WorkflowSpec,
     _parse_quantity,
     _read_json,
+    _string,
     _typed,
     critical_path,
 )
@@ -281,12 +282,13 @@ def load_point_table(source: str | Path | IO[str] | Mapping) -> dict[tuple[str, 
         for key in ("function_id", "platform_id", "cost", "latency_ms"):
             if key not in entry:
                 raise SchemaError(f"point entry missing required field {key!r}")
-        owner = f"point ({entry['function_id']}, {entry['platform_id']})"
-        pair = (str(entry["function_id"]), str(entry["platform_id"]))
-        if pair in table:
+        fid = _string(entry["function_id"], "point entry function_id")
+        pid = _string(entry["platform_id"], "point entry platform_id")
+        owner = f"point ({fid}, {pid})"
+        if (fid, pid) in table:
             raise SchemaError(f"{owner} is listed twice")
-        table[pair] = PairEntry(_parse_quantity(entry, "cost", owner),
-                                _parse_quantity(entry, "latency_ms", owner))
+        table[fid, pid] = PairEntry(_parse_quantity(entry["cost"], "cost", owner),
+                                    _parse_quantity(entry["latency_ms"], "latency_ms", owner))
     return table
 
 

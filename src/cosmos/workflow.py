@@ -12,19 +12,18 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from decimal import Decimal, Overflow
+from decimal import Decimal, InvalidOperation, Overflow
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import (
     CycleError,
-    DomainError,
     MissingLatencyError,
     SchemaError,
     UnknownFunctionError,
     UnplacedFunctionError,
 )
-from .money import CONTEXT, dec, exact_sums, fmt_full
+from .money import CONTEXT, exact_sums, fmt_full
 
 ZERO = Decimal(0)
 
@@ -64,6 +63,9 @@ class BaasUsage:
         return self.platforms is None or platform_id in self.platforms
 
 
+_QUANTITIES = ("n", "t", "mem", "d", "d_per_request", "r_in", "r_out")
+
+
 @dataclass(frozen=True)
 class FunctionProfile:
     """Workload quantities of one serverless function.
@@ -73,7 +75,7 @@ class FunctionProfile:
     different hardware). ``d`` is state retained per billing month regardless
     of traffic; ``d_per_request`` adds state that accrues with request volume.
     A quantity or compute time that is not finite, or is negative, raises
-    SchemaError.
+    SchemaError. Unhashable: ``t_overrides`` is a mapping.
     """
 
     function_id: str
@@ -88,12 +90,15 @@ class FunctionProfile:
     workload_class: str | None = None
     t_overrides: Mapping[str, Decimal] = field(default_factory=dict)
 
+    __hash__ = None
+
     def __post_init__(self):
-        for name in ("n", "t", "mem", "d", "d_per_request", "r_in", "r_out"):
-            value = getattr(self, name)
-            _require_finite(value, "function", self.function_id, name)
-            if value < 0:
-                raise SchemaError(f"function {self.function_id!r}: {name} must be >= 0")
+        fid = self.function_id
+        quantities = (self.n, self.t, self.mem, self.d, self.d_per_request, self.r_in, self.r_out)
+        for name, value in zip(_QUANTITIES, quantities):
+            if not (Decimal(value).is_finite() and value >= 0):
+                _require_finite(value, "function", fid, name)
+                raise SchemaError(f"function {fid!r}: {name} must be >= 0")
         for usage in self.baas_usage:
             if usage.quantity < 0:
                 raise SchemaError(
@@ -119,7 +124,8 @@ class FunctionProfile:
 
 @dataclass(frozen=True)
 class WorkflowSpec:
-    """A validated workflow: unique functions and an acyclic edge relation."""
+    """A validated workflow: unique functions and an acyclic edge relation.
+    Unhashable, as its function profiles are."""
 
     workflow_id: str
     functions: tuple[FunctionProfile, ...]
@@ -129,6 +135,8 @@ class WorkflowSpec:
     #: Per function in topological order (ties in declaration order): its
     #: declaration index and the positions of its predecessors in this tuple.
     _topology: tuple = field(init=False, repr=False, compare=False)
+
+    __hash__ = None
 
     def __post_init__(self):
         ids = tuple(f.function_id for f in self.functions)
@@ -263,16 +271,28 @@ _USAGE_KEYS = {"component_id", "quantity", "platforms"}
 _LATENCY_KEYS = {"reference_platform", "entries", "factors"}
 
 
-def _parse_quantity(obj: Mapping, key: str, owner: str, default: str = "0") -> Decimal:
-    raw = obj.get(key, default)
+def _parse_quantity(raw, key: str, owner: str) -> Decimal:
+    """raw as a finite Decimal, or a SchemaError naming ``key`` of ``owner``."""
+    if isinstance(raw, str):
+        try:
+            value = Decimal(raw)
+        except InvalidOperation:
+            raise SchemaError(f"{owner}: {key}: not a decimal quantity: {raw!r}") from None
+        if not value.is_finite():
+            raise SchemaError(f"{owner}: {key}: quantity must be finite, got {raw!r}")
+        return value
     if isinstance(raw, (bool, float)):  # a JSON true or false is an int to Python
         raise SchemaError(f"{owner}: {key} must be a decimal string, not a {type(raw).__name__}")
-    if isinstance(raw, (str, int)):
-        try:
-            return dec(raw)
-        except DomainError as exc:
-            raise SchemaError(f"{owner}: {key}: {exc}") from exc
+    if isinstance(raw, int):
+        return Decimal(raw)
     raise SchemaError(f"{owner}: {key} must be a decimal string")
+
+
+def _string(value, what: str) -> str:
+    """value itself, or a SchemaError naming the field when it is not a string."""
+    if not isinstance(value, str):
+        raise SchemaError(f"{what} must be a string, got {type(value).__name__}")
+    return value
 
 
 _ARRAY = (list, tuple)
@@ -297,11 +317,12 @@ def _parse_usage(obj: Mapping, owner: str) -> BaasUsage:
     platforms = obj.get("platforms")
     if platforms is not None:
         platforms = frozenset(
-            str(p) for p in _typed(platforms, _ARRAY, f"{owner}: baas_usage platforms")
+            _string(p, f"{owner}: baas_usage platforms entry")
+            for p in _typed(platforms, _ARRAY, f"{owner}: baas_usage platforms")
         )
     return BaasUsage(
-        component_id=str(obj["component_id"]),
-        quantity=_parse_quantity(obj, "quantity", owner, default="1"),
+        component_id=_string(obj["component_id"], f"{owner}: baas_usage component_id"),
+        quantity=_parse_quantity(obj.get("quantity", "1"), "quantity", owner),
         platforms=platforms,
     )
 
@@ -314,24 +335,21 @@ def _parse_function(obj: Mapping) -> FunctionProfile:
         raise SchemaError(f"unknown function field(s): {sorted(unknown)}")
     if "function_id" not in obj:
         raise SchemaError("function entry missing function_id")
-    fid = str(obj["function_id"])
+    fid = _string(obj["function_id"], "function_id")
     workload_class = obj.get("workload_class")
     if workload_class is not None and not isinstance(workload_class, str):
         raise SchemaError(f"{fid}: workload_class must be a string, got {type(workload_class).__name__}")
     t_overrides = _typed(obj.get("t_overrides") or {}, Mapping, f"{fid}: t_overrides")
-    overrides = {
-        str(platform): _parse_quantity({"t": raw}, "t", fid)
-        for platform, raw in t_overrides.items()
-    }
+    overrides = {str(platform): _parse_quantity(raw, "t", fid) for platform, raw in t_overrides.items()}
     return FunctionProfile(
         function_id=fid,
-        n=_parse_quantity(obj, "n", fid),
-        t=_parse_quantity(obj, "t", fid),
-        mem=_parse_quantity(obj, "mem", fid),
-        d=_parse_quantity(obj, "d", fid),
-        d_per_request=_parse_quantity(obj, "d_per_request", fid),
-        r_in=_parse_quantity(obj, "r_in", fid),
-        r_out=_parse_quantity(obj, "r_out", fid),
+        n=_parse_quantity(obj.get("n", "0"), "n", fid),
+        t=_parse_quantity(obj.get("t", "0"), "t", fid),
+        mem=_parse_quantity(obj.get("mem", "0"), "mem", fid),
+        d=_parse_quantity(obj.get("d", "0"), "d", fid),
+        d_per_request=_parse_quantity(obj.get("d_per_request", "0"), "d_per_request", fid),
+        r_in=_parse_quantity(obj.get("r_in", "0"), "r_in", fid),
+        r_out=_parse_quantity(obj.get("r_out", "0"), "r_out", fid),
         baas_usage=tuple(
             _parse_usage(u, fid)
             for u in _typed(obj.get("baas_usage", []), _ARRAY, f"{fid}: baas_usage")
@@ -353,19 +371,22 @@ def _parse_latency_block(block: Mapping, functions: tuple[FunctionProfile, ...])
             raise UnknownFunctionError(f"latency entries name unknown function {fid!r}")
         if not isinstance(per_platform, Mapping):
             raise SchemaError(f"latency entries for {fid!r} must map platform to ms")
+        owner = f"latency {fid}"
         for pid, raw in per_platform.items():
-            entries[(str(fid), str(pid))] = _parse_quantity({"ms": raw}, "ms", f"latency {fid}")
+            entries[(str(fid), str(pid))] = _parse_quantity(raw, "ms", owner)
     reference = block.get("reference_platform")
+    if reference is not None:
+        _string(reference, "latency reference_platform")
     factors = _typed(block.get("factors") or {}, Mapping, "latency factors")
     if factors and reference is None:
         raise SchemaError("latency factors require a reference_platform")
     for pid, raw in factors.items():
-        factor = _parse_quantity({"factor": raw}, "factor", f"latency factor {pid}")
+        factor = _parse_quantity(raw, "factor", f"latency factor {pid}")
         if factor < 0:
             raise SchemaError(f"latency factor {pid} must be nonnegative, got {raw}")
         for f in functions:
             key = (f.function_id, str(pid))
-            ref_key = (f.function_id, str(reference))
+            ref_key = (f.function_id, reference)
             if key not in entries and ref_key in entries:
                 try:
                     entries[key] = CONTEXT.multiply(entries[ref_key], factor)
@@ -378,7 +399,9 @@ def _parse_latency_block(block: Mapping, functions: tuple[FunctionProfile, ...])
 
 
 def load_workflow_document(source: str | Path | IO[str] | Mapping) -> tuple[WorkflowSpec, LatencyTable | None]:
-    """Load a workflow document; returns the workflow and its latency table, if any."""
+    """Load a workflow document; returns the workflow and its latency table, if any.
+    Every id in it (workflow, function, component, platform, edge endpoint) must be
+    a string."""
     doc = _read_json(source)
     if not isinstance(doc, Mapping):
         raise SchemaError("workflow document must be a JSON object")
@@ -388,15 +411,17 @@ def load_workflow_document(source: str | Path | IO[str] | Mapping) -> tuple[Work
     for key in ("workflow_id", "functions"):
         if key not in doc:
             raise SchemaError(f"workflow missing required field {key!r}")
+    workflow_id = _string(doc["workflow_id"], "workflow_id")
     functions = tuple(_parse_function(f) for f in _typed(doc["functions"], _ARRAY, "functions"))
     edges = []
     for edge in _typed(doc.get("edges", []), _ARRAY, "edges"):
         if not isinstance(edge, (list, tuple)) or len(edge) != 2:
             raise SchemaError(f"edges must be [from, to] pairs, got {edge!r}")
-        edges.append((str(edge[0]), str(edge[1])))
-    workflow = WorkflowSpec(
-        workflow_id=str(doc["workflow_id"]), functions=functions, edges=tuple(edges)
-    )
+        src, dst = edge
+        if not (isinstance(src, str) and isinstance(dst, str)):
+            raise SchemaError(f"edge endpoints must be strings, got {edge!r}")
+        edges.append((src, dst))
+    workflow = WorkflowSpec(workflow_id=workflow_id, functions=functions, edges=tuple(edges))
     latency = None
     if "latency" in doc and doc["latency"] is not None:
         latency = _parse_latency_block(doc["latency"], functions)

@@ -887,6 +887,22 @@ def test_catalog_dir_override(capsys, tmp_path, monkeypatch):
     assert D(rows["data-retrieval"]["total"]) == D("2.331")
 
 
+@pytest.mark.parametrize("layout", ["file", "symlink-loop"])
+def test_a_catalog_dir_that_holds_no_card_is_an_unknown_platform(capsys, tmp_path, monkeypatch, layout):
+    # A card path under a plain file (ENOTDIR) or in a symlink loop (ELOOP) names no card.
+    if layout == "file":
+        target = tmp_path / "aws-x86.json"
+        target.write_text("{}")
+    else:
+        target = tmp_path / "loop"
+        (target / "gcp.json").parent.mkdir()
+        (target / "gcp.json").symlink_to(target / "gcp.json")
+    monkeypatch.setenv("COSMOS_CATALOG_DIR", str(target))
+    code, _, err = run(capsys, "cost", "--workflow", PIPELINE, "--platform", "gcp")
+    assert code == 2
+    assert "no catalog for platform 'gcp'" in err
+
+
 def test_exit_codes_stay_in_contract(capsys, tmp_path):
     seen = set()
     seen.add(run(capsys, "cost", "--workflow", PIPELINE, "--platform", "aws-x86")[0])
@@ -957,6 +973,23 @@ def test_json_stdout_is_the_json_report_file(capsys, tmp_path, command):
                        "--format", "json", "--out", str(out_dir))
     assert code == 0
     assert out.encode("utf-8") == (out_dir / report).read_bytes()
+
+
+_JSON_TEXT = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7fé€\u2028😀') | st.characters(), max_size=6)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10**40, 10**40) | st.floats() | _JSON_TEXT
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e300, 5e-324]),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_the_json_view_is_what_json_dumps_writes(payload):
+    reference = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    assert cli._render("json", payload) == reference
 
 
 # --- exit codes ---------------------------------------------------------------------
@@ -1091,6 +1124,52 @@ def test_malformed_quantity_exits_2_naming_the_field(capsys, tmp_path, case):
     code, _, err = run(capsys, command, "--workflow", PIPELINE, option, str(path))
     assert code == 2
     assert field in err
+
+
+# Each id field holding a JSON value that is not a string, and the message.
+_NOT_STRING_IDS = {
+    "workflow_id": ("--workflow", _pipeline(("workflow_id", 7)), "workflow_id must be a string, got int"),
+    "function_id": ("--workflow", _pipeline(("functions", 0, "function_id", 1)),
+                    "function_id must be a string, got int"),
+    "component_id": ("--workflow", _pipeline(("functions", 0, "baas_usage", 0, "component_id", ["http-gateway"])),
+                     "data-retrieval: baas_usage component_id must be a string, got list"),
+    "platforms": ("--workflow", _pipeline(("functions", 0, "baas_usage", 0, "platforms", [["aws-x86"]])),
+                  "data-retrieval: baas_usage platforms entry must be a string, got list"),
+    "edge": ("--workflow", _pipeline(("edges", 0, ["data-retrieval", 5])),
+             "edge endpoints must be strings, got ['data-retrieval', 5]"),
+    "reference_platform": ("--workflow", _pipeline(("latency", "reference_platform", 1)),
+                           "latency reference_platform must be a string, got int"),
+    "point-function_id": ("--points", _point_table(function_id=None),
+                          "point entry function_id must be a string, got NoneType"),
+    "point-platform_id": ("--points", _point_table(platform_id=["aws-x86"]),
+                          "point entry platform_id must be a string, got list"),
+    "card-platform_id": ("--catalog", {**_x86_card(), "platform_id": 86}, "platform_id must be a string, got int"),
+    "component-id": ("--catalog", _x86_card(id=5), "component id must be a string, got int"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_STRING_IDS))
+def test_an_id_that_is_not_a_string_exits_2_naming_the_field(capsys, tmp_path, case):
+    option, doc, message = _NOT_STRING_IDS[case]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    command = "optimize" if option == "--points" else "cost"
+    extra = [] if option == "--catalog" else ["--platform", "aws-x86"]
+    code, out, err = run(capsys, command, "--workflow", PIPELINE, option, str(path), *extra)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_a_usage_restricted_to_a_nested_platform_list_is_refused(capsys, tmp_path):
+    # str(["aws-x86"]) named no platform, so the gateway was dropped from the bill.
+    prices = {}
+    for platforms in (["aws-x86"], [["aws-x86"]]):
+        path = tmp_path / "wf.json"
+        path.write_text(json.dumps(_pipeline(
+            ("functions", 0, "baas_usage", 0, "platforms", platforms))), encoding="utf-8")
+        code, out, err = run(capsys, "cost", "--workflow", str(path), "--platform", "aws-x86",
+                             "--format", "json")
+        prices[code] = json.loads(out)["functions"]["data-retrieval"]["baas"] if code == 0 else err
+    assert prices == {0: "1.06", 2: "error: data-retrieval: baas_usage platforms entry must be a string, got list\n"}
 
 
 @pytest.mark.parametrize("option", ["--workflow", "--catalog", "--points"])

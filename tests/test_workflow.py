@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from collections.abc import Hashable
 from decimal import Decimal
 
 import pytest
@@ -22,10 +23,13 @@ from cosmos.workflow import (
     LatencyTable,
     Placement,
     WorkflowSpec,
+    bundled_fixture_dir,
     critical_path,
     load_workflow_document,
     serialize_workflow,
 )
+
+FIXTURES = bundled_fixture_dir()
 
 
 def _wf_doc(functions, edges):
@@ -130,6 +134,16 @@ def test_workload_class_that_is_not_a_string_rejected(value):
         load_workflow_document(doc)
     assert str(exc.value) == f"a: workload_class must be a string, got {type(value).__name__}"
     assert exc.value.exit_code == 2
+
+
+def test_specs_are_unhashable_but_compare_equal(pipeline):
+    workflow, _ = pipeline
+    for spec, name in ((workflow, "WorkflowSpec"), (workflow.functions[0], "FunctionProfile")):
+        with pytest.raises(TypeError, match=f"unhashable type: '{name}'"):
+            hash(spec)
+        assert not isinstance(spec, Hashable)
+    assert load_workflow_document(FIXTURES / "imagery-pipeline.json") == pipeline
+    assert FunctionProfile("f", t=Decimal(1)) == FunctionProfile("f", t=Decimal("1.0"))
 
 
 def test_unknown_function_field_rejected():
