@@ -9,14 +9,16 @@ error rows only is reported with its error tally and no statistics.
 Aggregation is one streaming pass: each row is parsed once, folded into the
 accumulator of its (function, platform) pair and dropped. An accumulator
 keeps each ok duration by value, as an integer scaled to the pair's finest
-exponent, in 4 bytes while it fits and 8 after, and no record; accumulators
-merge exactly. A pair is summarized without a sort: its p90 is picked with a
-heap of a tenth of its rows.
+exponent, in 4 bytes while it fits, 8 after and a Python int past 2**63, and
+no record. Accumulators merge exactly: a merge summarizes as one fold of the
+same rows, down to the spelling of each statistic. A pair is summarized
+without a sort: its p90 is picked with a heap of a tenth of its rows.
 
 The fold loop checks each row inline and adds it. A duration spelled as
 ASCII digits with at most one point is read straight to its coefficient and
 exponent; any other spelling goes through Decimal. Only a row that fails
-those checks goes through ``_parse_row``, the one definition of a valid row
+those checks, or whose duration is spelled with an exponent outside
+_EXPONENTS, goes through ``_parse_row``, the one definition of a valid row
 and of each fault's message: it raises the row's RowError or returns the row
 to be added, so the inline checks never drop a row that it accepts.
 """
@@ -29,7 +31,7 @@ from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from heapq import heapify, heapreplace
 from itertools import islice
 from pathlib import Path
@@ -55,9 +57,9 @@ STATUSES = ("ok", "error")
 
 BYTES_PER_GB = Decimal(10) ** 9  # decimal GB, the cloud billing convention
 
-#: Aggregated means are quantized here. The sum behind a mean is taken over
-#: the pair's ok durations in ascending order, so neither the order of a
-#: fold nor that of a UsageFold.merge can change it.
+#: Aggregated means are quantized here. The sum behind a mean is the exact
+#: integer sum of the pair's scaled durations, rounded once, so neither the
+#: order of a fold nor that of a UsageFold.merge can change it.
 MEAN_QUANTUM = Decimal("1e-9")
 
 #: Rows with a duration_ms at or above this are malformed. The mean of
@@ -68,15 +70,20 @@ _DURATION_LIMIT = Decimal(1).scaleb(CONTEXT.prec + MEAN_QUANTUM.adjusted() - 1)
 #: Malformed rows a UsageLog keeps as RowErrors; the rest are only counted.
 ROW_ERRORS_SHOWN = 20
 
-#: Row exponents a pair keeps compact, so that the powers of ten that scale
-#: its values stay small.
+#: Exponents a pair scales its durations to, so that the powers of ten that
+#: scale them stay small: a duration must be a multiple of 1E-64 below 1E+64.
 _EXPONENTS = range(-64, 64)
 
-#: Scaled durations a pair keeps compact are below this in magnitude.
-_SCALED_LIMIT = 2**63
+#: Durations given to UsageFold.add are below this in magnitude, so that a
+#: scaled duration has at most 128 digits.
+_MAGNITUDE_LIMIT = Decimal(1).scaleb(_EXPONENTS.stop)
 
-#: Scaled durations below this in magnitude fit the 4-byte array a pair starts with.
-_NARROW_LIMIT = 2**31
+#: Reads any finite Decimal exactly, to drop the trailing zeros of its spelling.
+_UNBOUNDED = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+#: Scaled durations below these in magnitude fit the 4-byte array a pair
+#: starts with and the 8-byte array it widens to; past them it keeps Python ints.
+_NARROW_LIMIT, _WIDE_LIMIT = 2**31, 2**63
 
 
 @dataclass(frozen=True)
@@ -139,6 +146,8 @@ def _parse_row(line: int, row: Sequence[str]) -> tuple:
         raise RowError(line, f"duration_ms must be finite and >= 0, got {raw_duration!r}")
     if duration >= _DURATION_LIMIT:
         raise RowError(line, f"duration_ms must be < {_DURATION_LIMIT}, got {raw_duration!r}")
+    if _normal(duration)[1] < _EXPONENTS.start:
+        raise RowError(line, f"duration_ms must be a multiple of 1E{_EXPONENTS.start}, got {raw_duration!r}")
     bytes_in = _parse_count(line, "bytes_in", raw_in)
     bytes_out = _parse_count(line, "bytes_out", raw_out)
     if status not in STATUSES:
@@ -154,13 +163,19 @@ def _parts(duration: Decimal) -> tuple[int, int | str]:
     return int(Decimal((sign, digits, 0))), exponent
 
 
+def _normal(duration: Decimal) -> tuple[int, int]:
+    """The _parts of a finite duration with the trailing zeros of its
+    spelling dropped, as Decimal.normalize drops them: a zero is 0E0."""
+    return _parts(duration.normalize(_UNBOUNDED))
+
+
 def _decimal(coefficient: int, exponent: int) -> Decimal:
     """The Decimal of a finite duration's _parts, spelled with exactly that
     coefficient and exponent."""
     return Decimal(f"{coefficient}E{exponent}")
 
 
-def _peak(values: array, factor: int) -> int:
+def _peak(values: array | list[int], factor: int) -> int:
     """The largest magnitude of the values times factor."""
     return max(max(values, default=0), -min(values, default=0)) * factor
 
@@ -174,125 +189,91 @@ class _Pair:
     each one as a signed integer at ``exponent``, the finest exponent of
     the pair's rows, so 1.5 and 1.50 are the same integer and a zero has
     no sign. ``scaled`` is a 4-byte array ('i') until a value does not
-    fit; it then widens once to 8 bytes ('q'). Durations of up to nine
-    digits at the pair's exponent thus take 4 bytes a row, however they
-    are spelled. A row whose scaled value passes 2**63 in magnitude, or
-    whose exponent is outside _EXPONENTS, makes the pair fall back for
-    good to ``durations``, a list of its Decimals; its ``exponent`` is
-    then None.
+    fit; it then widens to 8 bytes ('q'), and past 2**63 in magnitude to a
+    list of Python ints. Durations of up to nine digits at the pair's
+    exponent thus take 4 bytes a row, however they are spelled. Each
+    statistic is spelled at ``exponent``, so the order and split of the
+    rows change no byte of a summary.
     """
 
-    __slots__ = ("scaled", "exponent", "durations", "bytes_in_total", "bytes_out_total", "error_count")
+    __slots__ = ("scaled", "exponent", "bytes_in_total", "bytes_out_total", "error_count")
 
     def __init__(self):
-        self.scaled = array("i")
-        self.exponent: int | None = _EXPONENTS[-1]  # no row yet: at or above any row's
-        self.durations: list[Decimal] | None = None
+        self.scaled: array | list[int] = array("i")
+        self.exponent = _EXPONENTS[-1]  # no row yet: at or above any row's
         self.bytes_in_total = 0
         self.bytes_out_total = 0
         self.error_count = 0
 
     def add(self, coefficient: int, exponent: int) -> None:
-        """Add the ok duration of _parts (coefficient, exponent)."""
-        if self.durations is None and exponent in _EXPONENTS:
-            if exponent < self.exponent:
-                self._rescale(exponent)
-            if self.durations is None:
-                value = coefficient * 10 ** (exponent - self.exponent)
-                if abs(value) < _SCALED_LIMIT:
-                    self._widen(abs(value))
-                    self.scaled.append(value)
-                    return
-        self.fallback().append(_decimal(coefficient, exponent))
+        """Add the ok duration of _parts (coefficient, exponent), with the
+        exponent in _EXPONENTS."""
+        if exponent < self.exponent:
+            self._rescale(exponent)
+        value = coefficient * 10 ** (exponent - self.exponent)
+        self._widen(abs(value))
+        self.scaled.append(value)
 
     def extend(self, other: _Pair) -> None:
         """Add other's rows after this pair's."""
         self.bytes_in_total += other.bytes_in_total
         self.bytes_out_total += other.bytes_out_total
         self.error_count += other.error_count
-        if not other.scaled and other.durations is None:
+        if not other.scaled:
             return  # no ok row
-        if self.durations is None and other.durations is None:
-            if other.exponent < self.exponent:
-                self._rescale(other.exponent)
-            if self.durations is None:
-                factor = 10 ** (other.exponent - self.exponent)
-                peak = _peak(other.scaled, factor)
-                if peak < _SCALED_LIMIT:
-                    self._widen(peak)
-                    scaled = self.scaled
-                    if factor == 1 and scaled.typecode == other.scaled.typecode:
-                        scaled.extend(other.scaled)
-                    else:
-                        scaled.extend(map(factor.__mul__, other.scaled))
-                    return
-        self.fallback().extend(other.decimals())
+        if other.exponent < self.exponent:
+            self._rescale(other.exponent)
+        factor = 10 ** (other.exponent - self.exponent)
+        self._widen(_peak(other.scaled, factor))
+        scaled = self.scaled
+        if factor == 1 and (isinstance(scaled, list) or scaled.typecode == other.scaled.typecode):
+            scaled.extend(other.scaled)
+        else:
+            scaled.extend(map(factor.__mul__, other.scaled))
 
     def _widen(self, peak: int) -> None:
-        """Widen ``scaled`` to 8 bytes a value if a magnitude of peak does not
-        fit its 4."""
-        if peak >= _NARROW_LIMIT and self.scaled.typecode == "i":
-            self.scaled = array("q", self.scaled)
+        """Widen ``scaled`` to the narrowest of 4 bytes, 8 bytes and Python
+        ints a value that is peak in magnitude fits."""
+        scaled = self.scaled
+        if peak >= _NARROW_LIMIT and isinstance(scaled, array):
+            if peak >= _WIDE_LIMIT:
+                self.scaled = scaled.tolist()
+            elif scaled.typecode == "i":
+                self.scaled = array("q", scaled)
 
     def _rescale(self, exponent: int) -> None:
-        """Scale the kept values to the finer exponent, or fall back when
-        one would pass _SCALED_LIMIT."""
+        """Scale the kept values to the finer exponent."""
         factor = 10 ** (self.exponent - exponent)
-        peak = _peak(self.scaled, factor)
-        if peak >= _SCALED_LIMIT:
-            self.fallback()
-            return
-        self._widen(peak)
+        self._widen(_peak(self.scaled, factor))
         scaled = self.scaled
         for i in range(len(scaled)):
             scaled[i] *= factor
         self.exponent = exponent
 
-    def fallback(self) -> list[Decimal]:
-        """The ok durations as a list of Decimals, kept as such from now on."""
-        if self.durations is None:
-            self.durations = self.decimals()
-            self.scaled, self.exponent = array("i"), None
-        return self.durations
-
-    def decimals(self) -> list[Decimal]:
-        """The ok durations in the order added."""
-        if self.durations is not None:
-            return self.durations
-        return [_decimal(value, self.exponent) for value in self.scaled]
-
     def summary(self) -> UsageSummary:
         """Count, mean, min, max and nearest-rank p90 (the value at 1-based
-        rank ceil(0.9 * count) of the ascending sort). The mean's sum is
-        taken in ascending order under money.CONTEXT before it is quantized;
-        the integer sum of a compact pair is exact, and equal, since it
-        needs far fewer than 50 digits. A compact pair is not sorted: its
-        p90 is the smallest of its count - rank + 1 largest values, picked
-        with a heap of that size, and its min, max and p90 are spelled at
-        the pair's exponent. With no ok duration there are no statistics."""
+        rank ceil(0.9 * count) of the ascending sort). The mean is the exact
+        integer sum of the scaled values, rounded once to money.CONTEXT,
+        over the count, quantized. The values are not sorted: the p90 is the
+        smallest of the count - rank + 1 largest, picked with a heap of that
+        size. Min, max and p90 are spelled at the pair's exponent. With no
+        ok duration there are no statistics."""
+        scaled = self.scaled
+        count = len(scaled)
         stats = None
-        if self.durations is None:
-            scaled = self.scaled
-            count = len(scaled)
-            if count:
-                total = Decimal(sum(scaled)).scaleb(self.exponent, CONTEXT)
-                rank = -((-9 * count) // 10)
-                heap = scaled[: count - rank + 1].tolist()
-                heapify(heap)
-                top = heap[0]
-                for value in islice(scaled, len(heap), None):
-                    if value > top:
-                        heapreplace(heap, value)
-                        top = heap[0]
-                low, high, p90 = (_decimal(v, self.exponent) for v in (min(scaled), max(heap), top))
-        else:
-            values = sorted(self.durations)
-            count = len(values)
-            if count:
-                with localcontext(CONTEXT):
-                    total = sum(values, Decimal(0))
-                low, high, p90 = values[0], values[-1], values[-((-9 * count) // 10) - 1]
         if count:
+            total = Decimal(sum(scaled)).scaleb(self.exponent, CONTEXT)
+            rank = -((-9 * count) // 10)
+            heap = scaled[: count - rank + 1]
+            if isinstance(heap, array):
+                heap = heap.tolist()
+            heapify(heap)
+            top = heap[0]
+            for value in islice(scaled, len(heap), None):
+                if value > top:
+                    heapreplace(heap, value)
+                    top = heap[0]
+            low, high, p90 = (_decimal(v, self.exponent) for v in (min(scaled), max(heap), top))
             stats = LatencyStats(
                 count=count,
                 mean=CONTEXT.quantize(div(total, Decimal(count)), MEAN_QUANTUM),
@@ -313,8 +294,8 @@ class UsageFold:
     """Per-(function, platform) accumulators of usage rows.
 
     Rows are added one at a time. ``a.merge(b)``, like any order or split
-    of the same rows, gives summaries equal by value to one fold of a's
-    rows followed by b's; a statistic's spelling may differ.
+    of the same rows, gives the summaries of one fold of a's rows followed
+    by b's, equal in value and in the spelling of each statistic.
     """
 
     def __init__(self):
@@ -329,15 +310,24 @@ class UsageFold:
         bytes_out: int,
         status: str,
     ) -> None:
-        """Add one row. A duration that is not finite, or a status other
-        than ok or error, raises DomainError and adds nothing; the rest of
-        the duration and the byte counts are trusted as given: UsageLog.fold
-        passes only rows that passed the row checks."""
+        """Add one row. A duration that is not finite, that is 1E+64 or
+        more in magnitude, or that has a nonzero digit finer than 1E-64, or a
+        status other than ok or error, raises DomainError and adds nothing;
+        the rest of the duration and the byte counts are trusted as given:
+        UsageLog.fold passes only rows that passed the row checks."""
         if not duration_ms.is_finite():
             raise DomainError(
                 f"duration ({function_id}, {platform_id}) must be finite, got {duration_ms}"
             )
-        self._add(function_id, platform_id, *_parts(duration_ms), bytes_in, bytes_out, status)
+        coefficient, exponent = _parts(duration_ms)
+        if exponent not in _EXPONENTS:
+            coefficient, exponent = _normal(duration_ms)
+        if exponent not in _EXPONENTS or not -_MAGNITUDE_LIMIT < duration_ms < _MAGNITUDE_LIMIT:
+            raise DomainError(
+                f"duration ({function_id}, {platform_id}) must be a multiple of"
+                f" 1E{_EXPONENTS.start} below {_MAGNITUDE_LIMIT}, got {duration_ms}"
+            )
+        self._add(function_id, platform_id, coefficient, exponent, bytes_in, bytes_out, status)
 
     def _add(self, function_id: str, platform_id: str, coefficient: int, exponent: int,
              bytes_in: int, bytes_out: int, status: str) -> None:
@@ -353,7 +343,7 @@ class UsageFold:
             if exponent == pair.exponent:
                 try:
                     pair.scaled.append(coefficient)
-                except OverflowError:  # it does not fit scaled: widen or fall back
+                except OverflowError:  # it does not fit scaled: widen it
                     pair.add(coefficient, exponent)
             else:
                 pair.add(coefficient, exponent)
@@ -450,8 +440,8 @@ class UsageLog:
                                     checked = True
                                 else:
                                     duration = Decimal(raw_duration)
-                                    checked = duration.is_finite() and ZERO <= duration < _DURATION_LIMIT
                                     coefficient, exponent = _parts(duration)
+                                    checked = exponent in _EXPONENTS and ZERO <= duration < _DURATION_LIMIT
                                 bytes_in = int(raw_in)
                                 bytes_out = int(raw_out)
                                 checked = (

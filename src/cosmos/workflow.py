@@ -34,9 +34,16 @@ ZERO = Decimal(0)
 LATENCY_LIMIT = Decimal(1).scaleb(CONTEXT.prec - 9)
 
 
+def _is_quantity(value) -> bool:
+    """Whether value is a Decimal or an int; a bool is neither."""
+    return isinstance(value, (Decimal, int)) and not isinstance(value, bool)
+
+
 def _require_finite(value: Decimal, kind: str, name: str, field: str) -> None:
-    """SchemaError naming the field of the named object when value is a NaN
-    or an infinity."""
+    """SchemaError naming the field of the named object when value is not a
+    quantity (_is_quantity), or is a NaN or an infinity."""
+    if not _is_quantity(value):
+        raise SchemaError(f"{kind} {name!r}: {field} must be a Decimal or an int, got {type(value).__name__}")
     if not Decimal(value).is_finite():
         raise SchemaError(f"{kind} {name!r}: {field} must be finite, got {value}")
 
@@ -49,7 +56,7 @@ class BaasUsage:
     processed per request for per-GB components, and 1 for plain per-request
     pricing. ``platforms`` optionally restricts the entry to the named
     platforms (services consumed on one provider only). A quantity that is
-    not finite raises SchemaError.
+    not a Decimal or an int, or is not finite, raises SchemaError.
     """
 
     component_id: str
@@ -74,8 +81,9 @@ class FunctionProfile:
     measurements go in ``t_overrides`` (the same code runs faster or slower on
     different hardware). ``d`` is state retained per billing month regardless
     of traffic; ``d_per_request`` adds state that accrues with request volume.
-    A quantity or compute time that is not finite, or is negative, raises
-    SchemaError. Unhashable: ``t_overrides`` is a mapping.
+    A quantity or compute time that is not a Decimal or an int, is not
+    finite, or is negative, raises SchemaError naming it. Unhashable:
+    ``t_overrides`` is a mapping.
     """
 
     function_id: str
@@ -96,9 +104,10 @@ class FunctionProfile:
         fid = self.function_id
         quantities = (self.n, self.t, self.mem, self.d, self.d_per_request, self.r_in, self.r_out)
         for name, value in zip(_QUANTITIES, quantities):
-            if not (Decimal(value).is_finite() and value >= 0):
+            if not (isinstance(value, Decimal) and value.is_finite() and value >= 0):
                 _require_finite(value, "function", fid, name)
-                raise SchemaError(f"function {fid!r}: {name} must be >= 0")
+                if value < 0:
+                    raise SchemaError(f"function {fid!r}: {name} must be >= 0")
         for usage in self.baas_usage:
             if usage.quantity < 0:
                 raise SchemaError(
@@ -222,17 +231,25 @@ class Placement:
 @dataclass(frozen=True)
 class LatencyTable:
     """Mean end-to-end latency (ms) per (function, platform) pair. An entry
-    that is not finite, is negative or is not below LATENCY_LIMIT raises
-    SchemaError naming its pair."""
+    that is not a Decimal or an int, is not finite, is negative or is not
+    below LATENCY_LIMIT raises SchemaError naming its pair. Unhashable:
+    ``entries`` is a mapping."""
 
     entries: Mapping[tuple[str, str], Decimal]
 
+    __hash__ = None
+
     def __post_init__(self):
         for (fid, pid), ms in self.entries.items():
-            if not (Decimal(ms).is_finite() and ms >= 0):
-                raise SchemaError(
-                    f"latency ({fid}, {pid}) must be finite and nonnegative, got {ms}"
-                )
+            if not (isinstance(ms, Decimal) and ms.is_finite() and ms >= 0):
+                if not _is_quantity(ms):
+                    raise SchemaError(
+                        f"latency ({fid}, {pid}) must be a Decimal or an int, got {type(ms).__name__}"
+                    )
+                if not (Decimal(ms).is_finite() and ms >= 0):
+                    raise SchemaError(
+                        f"latency ({fid}, {pid}) must be finite and nonnegative, got {ms}"
+                    )
             if ms >= LATENCY_LIMIT:
                 raise SchemaError(f"latency ({fid}, {pid}) must be below {LATENCY_LIMIT} ms, got {ms}")
 

@@ -695,18 +695,24 @@ def test_ingest_refuses_a_quantity_past_the_printable_range(capsys, tmp_path):
 
 
 def test_ingest_refuses_a_duration_past_the_printable_range(capsys, tmp_path):
-    # A 13-byte duration whose fixed-point notation has a billion digits.
-    # Normalized under money.CONTEXT it printed as a min_ms of 0.
+    # A 13-byte duration whose fixed-point notation has a billion digits: a
+    # duration finer than 1E-64 is a malformed row, refused before any
+    # statistic is printed or written.
     log = tmp_path / "log.csv"
     log.write_text(
         "timestamp,function_id,platform_id,duration_ms,bytes_in,bytes_out,status\n"
         "2024-11-04T09:00:00Z,f,p,1E-999999999,0,0,ok\n"
         "2024-11-04T09:00:01Z,f,p,5,0,0,ok\n"
     )
+    out_dir = tmp_path / "out"
     for view in ([], ["--format", "json"], ["--format", "csv"]):
-        code, out, err = run(capsys, "ingest", "--log", str(log), *view)
-        assert (code, out, err) == (3, "", "error: 1E-999999999 is out of range: a number prints in"
-                                           " full only with an exponent from -999999 to 999999\n")
+        code, out, err = run(capsys, "ingest", "--log", str(log), *view, "--out", str(out_dir))
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "error: row 2: duration_ms must be a multiple of 1E-64, got '1E-999999999'",
+            f"error: 1 malformed row(s) in {log}",
+        ]
+        assert not out_dir.exists()
 
 
 def _usage_log(path, *rows):

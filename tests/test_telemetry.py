@@ -1,7 +1,9 @@
 import csv
 import io
+import itertools
 import random
 import tracemalloc
+from array import array
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -274,23 +276,42 @@ def _fold(rows):
     return fold
 
 
+# Duration spellings that pass the row checks besides _duration_text's: E
+# notation, a negative zero (which loses its sign), spellings that Decimal
+# reads but the common-spelling path does not, a coefficient past 2**63 (it
+# widens the pair to Python ints), exponents outside -64..63 on values that
+# are multiples of 1E-64, and values that make an 18-digit pair rescale past
+# 2**63.
+_SPELLINGS = [
+    "1.0", "1.00", "1E+2", "0E-5", "-0", "-0.00", " 1.5", "1.5 ", "+1.5", "1_000.5",
+    "١.٥", "٣", "12345678901234567890.5", "9223372036854775808", "0.1" + "0" * 70,
+    "0E+100", "123456789012345678", "0.05", "7.000001",
+]
+
 _fold_row = st.tuples(
     st.sampled_from(["a", "b"]),
     st.sampled_from(["x", "y"]),
-    st.builds(_duration_text, st.integers(0, 50), st.integers(0, 2), st.integers(0, 2)).map(D),
+    st.one_of(
+        st.builds(_duration_text, st.integers(0, 50), st.integers(0, 2), st.integers(0, 2)),
+        st.sampled_from(_SPELLINGS),
+    ).map(D),
     st.integers(0, 10**6),
     st.integers(0, 10**6),
     st.sampled_from(["ok", "ok", "error"]),
 )
 
 
-# Rows of one pair that take the compact layout through each of its changes,
+# Rows of one pair that take the scaled layout through each of its changes,
 # with a cut that splits them for a merge.
 _LAYOUT_CASES = [
     # Past 2**31 in an append at the pair's exponent, and in the merge.
     (["1.5", "300000000.5", "2.5"], 1),
     # Past 2**31 in a rescale, in the fold and in the merge.
     (["300000000", "0.01", "7"], 1),
+    # Past 2**63 in an append at the pair's exponent, and in the merge.
+    (["1.5", "9223372036854775808", "2.5"], 1),
+    # Past 2**63 in a rescale, in the fold and in the merge.
+    (["1000000000000000000", "0.1", "7"], 1),
     # A uniformly spelled pair that gets a new spelling after many rows.
     ([f"{i}.25" for i in range(30)] + ["4.5", "5.75"], 20),
     # Pairs of two spellings each, merged with pairs of one or two.
@@ -330,6 +351,9 @@ _fold_case = st.lists(_fold_row, max_size=40).flatmap(
 
 @given(_fold_case)
 @_layout_examples(lambda durations, cut: [(_ok_rows(durations), _ok_rows(durations), cut)])
+# A pair past 2**63 whose min is spelled 1.0 in one fold and 1.00 in a merge
+# whose second part holds both ties, unless both spell it at the pair's exponent.
+@example((_ok_rows(["1.0", "1.00", "9223372036854775808"]), _ok_rows(["9223372036854775808", "1.0", "1.00"]), 1))
 def test_fold_is_invariant_under_permutation_and_split_merge(case):
     rows, shuffled, cut = case
     expected = _fold(rows).summaries()
@@ -348,7 +372,7 @@ def test_merge_reports_equal_durations_by_value():
     assert merged == _fold(rows).summaries()
     stats = merged[("f", "p")].stats
     assert (stats.min, stats.max, stats.p90) == (1, 2, 2)
-    # A compact pair spells its statistics at its finest exponent.
+    # A pair spells its statistics at its finest exponent.
     assert (str(stats.min), str(stats.max), str(stats.p90)) == ("1.00", "2.00", "2.00")
 
 
@@ -364,7 +388,7 @@ def test_a_merge_shares_no_state_with_the_other_fold():
 
 class _ListPair:
     """The list-based accumulator of one pair, which keeps each ok duration
-    as its Decimal: the reference for telemetry._Pair's compact durations."""
+    as its Decimal: the reference for telemetry._Pair's scaled durations."""
 
     def __init__(self):
         self.durations = []
@@ -406,17 +430,6 @@ class _ListFold:
         return {key: self.pairs[key].summary() for key in sorted(self.pairs)}
 
 
-# Duration spellings that pass the row checks besides _duration_text's: E
-# notation, a negative zero (which loses its sign), spellings that Decimal
-# reads but the common-spelling path does not, a coefficient past 2**63 and
-# exponents outside -64..63 (both make the pair fall back to a list), and
-# values that make an 18-digit pair rescale past 2**63.
-_SPELLINGS = [
-    "1.0", "1.00", "1E+2", "0E-5", "-0", "-0.00", " 1.5", "1.5 ", "+1.5", "1_000.5",
-    "١.٥", "٣", "12345678901234567890.5", "9223372036854775808", "1E-70",
-    "0E+100", "123456789012345678", "0.05", "7.000001",
-]
-
 _spelled_row = st.tuples(
     st.sampled_from([("a", "x"), ("a", "y"), ("b", "x")]),
     st.one_of(
@@ -442,7 +455,7 @@ def _list_fold(rows):
 @example([(("a", "x"), "5", 1, 2, "ok"), (("a", "x"), "12", 0, 0, "ok"),
           (("a", "x"), "1.25", 0, 0, "ok"), (("a", "x"), "5.0", 0, 0, "ok")], 2)
 @example([(("a", "x"), "123456789012345678", 0, 0, "ok"), (("a", "x"), "0.05", 0, 0, "ok"),
-          (("a", "x"), "1E-70", 0, 0, "ok"), (("b", "x"), "0E+100", 0, 0, "ok"),
+          (("a", "x"), "0.1" + "0" * 70, 0, 0, "ok"), (("b", "x"), "0E+100", 0, 0, "ok"),
           (("a", "x"), "1.0", 0, 0, "ok"), (("b", "x"), "2", 0, 0, "ok")], 3)
 @_layout_examples(lambda durations, cut: ([(("a", "x"), text, 0, 0, "ok") for text in durations], cut))
 def test_compact_fold_matches_the_list_fold(rows, cut):
@@ -458,19 +471,24 @@ def test_compact_fold_matches_the_list_fold(rows, cut):
 
 
 def test_rows_that_do_not_fit_fall_back_to_the_list():
-    # A scaled value past 2**63, and an exponent outside -64..63, each make
-    # their pair keep a list of Decimals, before or after a merge with a
-    # compact pair.
-    past = [("f", "p", D(text), 0, 0, "ok") for text in ("1.5", "9223372036854775808", "2")]
-    tiny = [("f", "p", D(text), 0, 0, "ok") for text in ("1.5", "1E-70", "2.00")]
-    compact = [("f", "p", D(text), 0, 0, "ok") for text in ("3.25", "1.50", "1.5")]
-    assert _fold(compact)._pairs[("f", "p")].durations is None
-    for rows in (past, tiny):
-        assert _fold(rows)._pairs[("f", "p")].durations is not None
+    # A scaled value past 2**63, in an append or in a rescale, widens its
+    # pair's array to a list of Python ints, before or after a merge with a
+    # pair of an array; the summaries equal the list fold's by value, and a
+    # merge's spell as one fold's.
+    def rows_of(*texts):
+        return [("f", "p", D(text), 0, 0, "ok") for text in texts]
+
+    past = rows_of("1.5", "9223372036854775808", "2")
+    rescaled = rows_of("1000000000000000000", "0.1", "2.00")
+    compact = rows_of("3.25", "1.50", "1.5")
+    assert isinstance(_fold(compact)._pairs[("f", "p")].scaled, array)
+    for rows in (past, rescaled):
+        assert type(_fold(rows)._pairs[("f", "p")].scaled) is list
         for first, second in ((rows, compact), (compact, rows)):
             merged = _fold(first).merge(_fold(second))
-            assert merged._pairs[("f", "p")].durations is not None
-            assert repr(merged.summaries()) == repr(_list_fold(first + second).summaries())
+            assert type(merged._pairs[("f", "p")].scaled) is list
+            assert merged.summaries() == _list_fold(first + second).summaries()
+            assert repr(merged.summaries()) == repr(_fold(first + second).summaries())
     # A NaN or an infinity given to UsageFold.add raises naming the pair and
     # adds nothing, after a row of the pair or as the pair's first row.
     for text in ("NaN", "sNaN", "Infinity", "-Infinity"):
@@ -481,6 +499,29 @@ def test_rows_that_do_not_fit_fall_back_to_the_list():
                     fold.add("f", "p", D(text), 1, 1, status)
                 assert str(exc.value) == f"duration (f, p) must be finite, got {text}"
             assert repr(fold.summaries()) == repr(_fold(rows).summaries())
+
+
+def test_fold_add_refuses_a_duration_it_cannot_scale():
+    # By value: trailing zeros past -64, or a zero's exponent, refuse nothing.
+    accepted = [("f", "p", D(text), 0, 0, "ok") for text in ("0.1" + "0" * 70, "0E+100", "0E-100", "2.5")]
+    fold = _fold(accepted)
+    stats = fold.summaries()[("f", "p")].stats
+    assert (stats.count, str(stats.min), str(stats.max)) == (4, "0.0", "2.5")
+    # A refused duration adds nothing.
+    for text in ("1E-70", "1.0000000001E-55", "1E+64", "-1E+64", "15E+63", "1E+999999999"):
+        with pytest.raises(DomainError) as exc:
+            fold.add("f", "p", D(text), 1, 1, "ok")
+        assert str(exc.value) == f"duration (f, p) must be a multiple of 1E-64 below 1E+64, got {D(text)}"
+    assert repr(fold.summaries()) == repr(_fold(accepted).summaries())
+
+
+def test_parse_row_refuses_a_duration_finer_than_1e_64():
+    for text in ("1E-65", "1." + "0" * 64 + "1", "1E-999999999"):
+        with pytest.raises(RowError) as info:
+            _summaries(_row(1), _row(text))
+        assert str(info.value) == f"row 3: duration_ms must be a multiple of 1E-64, got {text!r}"
+    stats = _stats("0.1" + "0" * 70, "0E-100", "1E-64")
+    assert (stats.min, stats.max) == (0, D("0.1"))
 
 
 def test_mean_sum_is_exact_beyond_28_digits():
@@ -527,7 +568,7 @@ _NEAR_MISSES = {
         for zone in ("Z", "+00:00", "")
         for tail in ("", " ")
     ],
-    3: ["NaN", "sNaN", "Infinity", "-0", "1e40", "9.99e39", "1E+2", "-1"],
+    3: ["NaN", "sNaN", "Infinity", "-0", "1e40", "9.99e39", "1E+2", "-1", "1E-70", "0E-70", "1E-64"],
     4: _COUNT_NEAR_MISSES,
     5: _COUNT_NEAR_MISSES,
     6: ["OK", "error "],
@@ -705,6 +746,20 @@ def test_a_pair_of_mixed_spellings_takes_the_bytes_a_row_of_one(tmp_path):
     assert summaries[("f", "p")].stats.count == rows
     assert fold._pairs[("f", "p")].scaled.itemsize == 4
     assert peak < 9 * rows
+
+
+def test_a_pair_past_2_63_takes_bounded_bytes_a_row(tmp_path):
+    # One duration past 2**63 at the pair's exponent widens the durations
+    # above to a list of Python ints: about 36 B a row (an int and its
+    # pointer), where a list of their Decimals took about 116.
+    rows = 50_000
+    durations = itertools.chain(
+        ["12345678901234567890.5"], (f"{100 + i % 997}.{i % 1000:03d}" for i in range(rows - 1))
+    )
+    fold, summaries, peak = _one_pair_peak(tmp_path, durations)
+    assert summaries[("f", "p")].stats.count == rows
+    assert type(fold._pairs[("f", "p")].scaled) is list
+    assert peak < 48 * rows
 
 
 # --- calibration ------------------------------------------------------------------

@@ -146,6 +146,45 @@ def test_specs_are_unhashable_but_compare_equal(pipeline):
     assert FunctionProfile("f", t=Decimal(1)) == FunctionProfile("f", t=Decimal("1.0"))
 
 
+def test_latency_table_is_unhashable_but_compares_equal(pipeline):
+    _, latencies = pipeline
+    with pytest.raises(TypeError, match="unhashable type: 'LatencyTable'"):
+        hash(latencies)
+    assert not isinstance(latencies, Hashable)
+    assert load_workflow_document(FIXTURES / "imagery-pipeline.json")[1] == latencies
+    assert LatencyTable({("f", "p"): Decimal(5)}) == LatencyTable({("f", "p"): Decimal("5.0")})
+
+
+# Values built in code with a quantity that is not a Decimal or an int, and
+# the message of each SchemaError.
+_WRONG_TYPED = {
+    "t-str": (lambda: FunctionProfile("f", t="1"), "function 'f': t must be a Decimal or an int, got str"),
+    "latency-str": (lambda: LatencyTable({("f", "p"): "5"}), "latency (f, p) must be a Decimal or an int, got str"),
+    "t_overrides-str": (lambda: FunctionProfile("f", t_overrides={"p": "1"}),
+                        "function 'f': t_overrides['p'] must be a Decimal or an int, got str"),
+    "quantity-str": (lambda: BaasUsage("c", "2"), "baas_usage 'c': quantity must be a Decimal or an int, got str"),
+    "n-float": (lambda: FunctionProfile("f", n=0.5), "function 'f': n must be a Decimal or an int, got float"),
+    "mem-bool": (lambda: FunctionProfile("f", mem=True), "function 'f': mem must be a Decimal or an int, got bool"),
+    "latency-bool": (lambda: LatencyTable({("f", "p"): False}),
+                     "latency (f, p) must be a Decimal or an int, got bool"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WRONG_TYPED))
+def test_a_quantity_built_in_code_that_is_not_a_decimal_or_an_int_is_a_schema_error(case):
+    build, message = _WRONG_TYPED[case]
+    with pytest.raises(SchemaError) as exc:
+        build()
+    assert str(exc.value) == message
+    assert exc.value.exit_code == 2
+
+
+def test_int_quantities_built_in_code_are_accepted():
+    profile = FunctionProfile("f", n=5, t_overrides={"p": 2}, baas_usage=(BaasUsage("c", 1),))
+    assert (profile.n, profile.compute_time_on("p")) == (Decimal(5), Decimal(2))
+    assert LatencyTable({("f", "p"): 5}).get("f", "p") == Decimal(5)
+
+
 def test_unknown_function_field_rejected():
     doc = _wf_doc(["a"], [])
     doc["functions"][0]["memory"] = "1"
