@@ -16,7 +16,6 @@ from .catalog import (
     RateUnit,
     load_catalog,
     load_platform,
-    normalize_rate,
     serialize_catalog,
 )
 from .engine import (

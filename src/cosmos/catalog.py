@@ -149,21 +149,11 @@ class PlatformCatalog:
         )
 
 
-def normalize_rate(component: PriceComponent, declared_scale: str) -> PriceComponent:
-    """Rescale a component's rate to base units.
-
-    The declared scale names how the rate was quoted, e.g. "per-1m-requests"
-    for USD per million requests. Normalization is exact decimal arithmetic
-    and idempotent (a base-scaled component passes through unchanged).
-    """
-    rate = _base_rate(component.id, component.unit, component.rate, declared_scale)
-    return PriceComponent(
-        component.id, component.driver, component.unit, rate, component.description
-    )
-
-
 def _base_rate(component_id: str, unit: RateUnit, rate: Decimal, declared_scale: str) -> Decimal:
-    """A rate quoted at declared_scale, in base units (see normalize_rate)."""
+    """A rate quoted at declared_scale, in base units: the declared scale
+    names how the rate was quoted, e.g. "per-1m-requests" for USD per
+    million requests, and "base" leaves it as it is. UnitError for a scale
+    that is unknown or not meaningful for the unit."""
     if declared_scale not in SCALES:
         raise UnitError(f"unsupported scale {declared_scale!r}")
     if declared_scale not in _UNIT_SCALES[unit]:

@@ -3,8 +3,10 @@
 The search is exhaustive over all |platforms|^|functions| assignments (capped),
 which keeps results exact and reproducible at the instance sizes this tool
 targets. A placement is named by its enumeration index, whose base-|platforms|
-digits are its platforms in argument order, one per function in declaration
-order, the last function's lowest; equal (cost, latency) pairs keep the first.
+digits are its platforms in argument order, one per function in walk order
+(the topological order that always takes the ready function declared first,
+so the declaration order whenever that is topological), the last function's
+lowest; equal (cost, latency) pairs keep the first.
 
 _problem prepares a search in one place: it scales each axis to its finest
 exponent, so that the walk adds and compares Python ints and no sum rounds;
@@ -382,7 +384,8 @@ def optimize(
     DegenerateAnchorError for auto weights with a zero anchor; then
     InfeasibleError carrying the anchors when no placement is feasible,
     whose diagnostics name the functions with no pair within both bounds
-    under the per_function scope (unplaceable), else each anchor's gap.
+    under the per_function scope (unplaceable, in declaration order), else
+    each anchor's gap.
     """
     config = config or OptimizationConfig()
     problem = _problem(workflow, platforms, model, config)
@@ -400,10 +403,10 @@ def optimize(
         diagnostics = {"min_cost_placement": str(c_arg), "min_time_placement": str(t_arg)}
         # Only the per_function scope leaves a pair out of bounds, and a
         # search under it is infeasible exactly when a row has no pair in.
-        unplaceable = [fid for fid, row in zip(workflow.function_ids, problem.rows)
-                       if not any(pair.within for pair in row)]
+        unplaceable = sorted(i for (i, _), row in zip(workflow._topology, problem.rows)
+                             if not any(pair.within for pair in row))
         if unplaceable:
-            diagnostics["unplaceable"] = ",".join(unplaceable)
+            diagnostics["unplaceable"] = ",".join(workflow.function_ids[i] for i in unplaceable)
         else:
             if config.budget is not None:
                 diagnostics["cost_gap"] = max(ZERO, c_star - config.budget)
@@ -483,13 +486,15 @@ class _Found(NamedTuple):
 
 def _placement(workflow: WorkflowSpec, platforms: list[str], index: int) -> Placement:
     """The placement of enumeration index ``index``: its base-|platforms|
-    digits, one per function in declaration order, the last function's
-    lowest, pick its platforms in argument order. The walk visits the
-    indices in ascending order, so this is the search's enumeration order."""
-    digits = [0] * len(workflow.functions)
-    for k in range(len(digits) - 1, -1, -1):
-        index, digits[k] = divmod(index, len(platforms))
-    return Placement(tuple((fid, platforms[c]) for fid, c in zip(workflow.function_ids, digits)))
+    digits, one per function in walk order (WorkflowSpec._topology), the
+    last function's lowest, pick its platforms in argument order, listed
+    in declaration order. The walk visits the indices in ascending order,
+    so this is the search's enumeration order."""
+    chosen = [""] * len(workflow.functions)
+    for i, _ in reversed(workflow._topology):
+        index, c = divmod(index, len(platforms))
+        chosen[i] = platforms[c]
+    return Placement(tuple(zip(workflow.function_ids, chosen)))
 
 
 #: How many earlier head prefixes the walk keeps to test a prefix's
@@ -503,8 +508,8 @@ _LIMIT = 10**CONTEXT.prec
 
 class _Problem(NamedTuple):
     """A search as _problem prepares it: the workflow, the platforms, one row
-    of _Pairs per function in declaration order, the head size (see _walk),
-    each axis's exponent, and the floored budget and SLO on the sums."""
+    of _Pairs per function in walk order, the head size (see _walk), each
+    axis's exponent, and the floored budget and SLO on the sums."""
 
     workflow: WorkflowSpec
     platforms: list[str]
@@ -534,7 +539,10 @@ def _problem(workflow: WorkflowSpec, platforms: Sequence[str], model: PlacementM
     total = len(platforms) ** len(workflow.functions)
     if total > DEFAULT_ENUMERATION_CAP:
         raise CapExceededError(total, DEFAULT_ENUMERATION_CAP)
+    # Read in declaration order, so that a missing pair is named as the
+    # model names it, then searched in walk order.
     rows = [[model.entry(fid, pid) for pid in platforms] for fid in workflow.function_ids]
+    rows = [rows[i] for i, _ in workflow._topology]
     budget = INFINITY if config.budget is None else config.budget
     slo = INFINITY if config.latency_slo is None else config.latency_slo
     pair_budget = pair_slo = INFINITY
@@ -555,29 +563,27 @@ def _problem(workflow: WorkflowSpec, platforms: Sequence[str], model: PlacementM
 
 
 def _walk(problem: _Problem) -> _Found:
-    """Visit every placement of problem once, in index order (_placement).
+    """Visit every placement of problem once, in index order (_placement),
+    so with the functions in walk order.
 
     The tail (see _tail_size) is enumerated once per solve by _combos into a
     table, one _Entry (cost sum, longest path from the tail's entry function
     s, whether every pair is within the pair bounds, group) per combination:
     combinations whose pairs bill equal fixed-charge entries, concatenated
-    in declaration order, share a group. With no tail, which needs a
-    declaration order that is not topological, the head is every function
-    and the table holds one empty combination (cost 0, path 0, group ()).
-    The head, the functions before the tail, is enumerated by the same
-    odometer. Each head prefix bills its entries through the _Billed memo,
-    as engine.bill_fixed bills them, for its ledger and credit; each group's
-    credit is that credit plus the group's change in it on top of the
-    prefix's ledger (change), and a group billing no key of the ledger keeps
-    its change on an empty one, computed once per solve. Prefixes in a row
-    with the same entries share one pricing of their ledger. A placement
-    costs the prefix's cost sum less its group's credit plus its entry's
-    cost; its latency is the longer of the prefix's critical path and the
-    distance into s plus the entry's path. Each is an anchor candidate and,
-    when feasible, counted and offered to the front (_slot, _insert) under
-    its enumeration index: the prefix's first index plus the entry's. The
-    first feasible placement with a negative cost that the front admits
-    raises DomainError, as ParetoPoint does.
+    in walk order, share a group. The head, the functions before the tail,
+    is enumerated by the same odometer. Each head prefix bills its entries
+    through the _Billed memo, as engine.bill_fixed bills them, for its
+    ledger and credit; each group's credit is that credit plus the group's
+    change in it on top of the prefix's ledger (change), and a group billing
+    no key of the ledger keeps its change on an empty one, computed once per
+    solve. Prefixes in a row with the same entries share one pricing of
+    their ledger. A placement costs the prefix's cost sum less its group's
+    credit plus its entry's cost; its latency is the longer of the prefix's
+    critical path and the distance into s plus the entry's path. Each is an
+    anchor candidate and, when feasible, counted and offered to the front
+    (_slot, _insert) under its enumeration index: the prefix's first index
+    plus the entry's. The first feasible placement with a negative cost
+    that the front admits raises DomainError, as ParetoPoint does.
 
     A prefix whose cost sum, critical path (top) and distance into s (base)
     are each at least those of a prefix the walk keeps is dominated: with
@@ -614,8 +620,8 @@ def _walk(problem: _Problem) -> _Found:
         return delta
 
     billed = _Billed(ec)
-    # s reaches every tail function, so it comes first in topological order.
-    preds = next((preds for i, preds in workflow._topology if i >= head), ())
+    # s reaches every tail function, so it comes first in walk order.
+    preds = workflow._topology[head][1] if rows else ()
     index: dict = {}
     table = [
         _Entry(cost, top, within, index.setdefault(fixed, len(index)))
@@ -868,20 +874,21 @@ class _Billed(dict):
 def _combos(workflow: WorkflowSpec, rows: list[list[_Pair]], start: int,
             stop: int) -> Iterator[tuple]:
     """Every platform combination of the block of functions start..stop-1
-    (declaration order), whose rows are rows[0..stop-start-1], in
-    enumeration order, as (cost sum, fixed-charge entries concatenated in
-    declaration order, whether every pair is within the bounds, longest path
-    inside the block, distances): the distances are indexed by topological
-    position, and a predecessor outside the block counts as no path. A
-    depth-first odometer: level k places the block's function k on each
-    platform in turn, and slot k + 1 of each state list holds the current
-    combination of the first k + 1 functions, so combinations sharing a
-    prefix share its sums. The longest path of no functions is 0, which no
-    path of nonnegative latencies falls short of. The distances list is
-    reused: read it before the next combination."""
+    (walk order, WorkflowSpec._topology), whose rows are
+    rows[0..stop-start-1], in enumeration order, as (cost sum, fixed-charge
+    entries concatenated in walk order, whether every pair is within the
+    bounds, longest path inside the block, distances): the distances are
+    indexed by walk position, and a predecessor outside the block counts as
+    no path. A depth-first odometer: level k places the block's function k
+    on each platform in turn and computes its distance, its predecessors
+    being placed before it, and slot k + 1 of each state list holds the
+    current combination of the first k + 1 functions, so combinations
+    sharing a prefix share its sums. The longest path of no functions is 0,
+    which no path of nonnegative latencies falls short of. The distances
+    list is reused: read it before the next combination."""
     size = stop - start
     width = len(rows[0]) if size else 0
-    schedule = _schedule(workflow, start, stop)
+    inside = [tuple(q for q in preds if q >= start) for _, preds in workflow._topology[start:stop]]
     choice = [0] * size
     dist: list = [None] * len(workflow.functions)
     cost_at = [0] + [None] * size
@@ -891,22 +898,18 @@ def _combos(workflow: WorkflowSpec, rows: list[list[_Pair]], start: int,
     depth = 0
     while True:
         for k in range(depth, size):
-            j = choice[k]
-            entry = rows[k][j]
+            entry = rows[k][choice[k]]
             cost_at[k + 1] = cost_at[k] + entry.cost
             # () + t is t itself: no tuple is built unless two pairs bill.
             fixed_at[k + 1] = fixed_at[k] + entry.fixed
             within_at[k + 1] = within_at[k] and entry.within
+            d = 0
+            for q in inside[k]:
+                if dist[q] > d:
+                    d = dist[q]
+            d = dist[start + k] = d + entry.latency
             top = top_at[k]
-            for p, preds, i in schedule[k]:
-                d = 0
-                for q in preds:
-                    if dist[q] > d:
-                        d = dist[q]
-                d = dist[p] = d + rows[i][choice[i]].latency
-                if d > top:
-                    top = d
-            top_at[k + 1] = top
+            top_at[k + 1] = d if d > top else top
         yield cost_at[size], fixed_at[size], within_at[size], top_at[size], dist
         k = size - 1
         while k >= 0 and choice[k] == width - 1:
@@ -918,48 +921,21 @@ def _combos(workflow: WorkflowSpec, rows: list[list[_Pair]], start: int,
         depth = k
 
 
-def _schedule(workflow: WorkflowSpec, start: int, stop: int) -> list[tuple[tuple, ...]]:
-    """Per level k of the block of functions start..stop-1 (declaration
-    order), the block's functions whose distance is known once its
-    functions 0..k are placed: each as (topological position, positions of
-    its predecessors inside the block, index in the block), in topological
-    order. That level is the deepest index in the block among the function
-    and its ancestors inside it. Each level is a tuple, so that no list
-    per level is held while the block is walked."""
-    schedule: list[list] = [[] for _ in range(start, stop)]
-    levels: dict[int, int] = {}
-    for p, (i, preds) in enumerate(workflow._topology):
-        if start <= i < stop:
-            inside = tuple(q for q in preds if q in levels)
-            level = levels[p] = max([i - start, *(levels[q] for q in inside)])
-            schedule[level].append((p, inside, i - start))
-    for k, level in enumerate(schedule):
-        schedule[k] = tuple(level)
-    return schedule
-
-
 def _tail_size(workflow: WorkflowSpec) -> int:
-    """How many trailing functions, in declaration order, the walk prices as
-    one table per solve (see _walk); 0 for none. The tail is the
+    """How many trailing functions, in walk order (WorkflowSpec._topology),
+    the walk prices as one table per solve (see _walk). The tail is the
     longest trailing run of at most half the functions, or of the one
-    function of a one-function workflow, in which:
-
-    - no edge runs from it into the functions before it, so the head's
-      distances are all known once the head is placed;
-    - exactly one function s has predecessors outside it, or none at all,
-      and every other one has predecessors inside it only, so each tail
-      distance is s's plus a path inside the tail.
+    function of a one-function workflow, in which exactly one function s
+    has predecessors outside it, or none at all, and every other one has
+    predecessors inside it only, so each tail distance is s's plus a path
+    inside the tail. As the order is topological, no edge runs from the
+    tail into the functions before it, and the last function alone is such
+    a run, so the size is 0 only for a workflow with no functions.
     """
     n, topology = len(workflow.functions), workflow._topology
     for size in range(n // 2 or n, 0, -1):
         start = n - size
-        if any(i < start <= topology[q][0] for i, preds in topology for q in preds):
-            continue
-        entries = [
-            i for i, preds in topology
-            if i >= start and (not preds or any(topology[q][0] < start for q in preds))
-        ]
-        if len(entries) == 1:
+        if sum(not preds or min(preds) < start for _, preds in topology[start:]) == 1:
             return size
     return 0
 

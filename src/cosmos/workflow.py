@@ -9,6 +9,7 @@ multiplying a reference platform's entries by a factor; explicit entries win.
 
 from __future__ import annotations
 
+import heapq
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -82,8 +83,9 @@ class FunctionProfile:
     different hardware). ``d`` is state retained per billing month regardless
     of traffic; ``d_per_request`` adds state that accrues with request volume.
     A quantity or compute time that is not a Decimal or an int, is not
-    finite, or is negative, raises SchemaError naming it. Unhashable:
-    ``t_overrides`` is a mapping.
+    finite, or is negative, raises SchemaError naming it; so does a
+    ``baas_usage`` entry that is not a BaasUsage, or ``t_overrides`` that
+    is not a mapping. Unhashable: ``t_overrides`` is a mapping.
     """
 
     function_id: str
@@ -109,11 +111,19 @@ class FunctionProfile:
                 if value < 0:
                     raise SchemaError(f"function {fid!r}: {name} must be >= 0")
         for usage in self.baas_usage:
+            if not isinstance(usage, BaasUsage):
+                raise SchemaError(
+                    f"function {fid!r}: baas_usage entries must be BaasUsage, got {type(usage).__name__}"
+                )
             if usage.quantity < 0:
                 raise SchemaError(
                     f"function {self.function_id!r}: negative quantity for "
                     f"component {usage.component_id!r}"
                 )
+        if not isinstance(self.t_overrides, Mapping):
+            raise SchemaError(
+                f"function {fid!r}: t_overrides must be a mapping, got {type(self.t_overrides).__name__}"
+            )
         for platform, t in self.t_overrides.items():
             _require_finite(t, "function", self.function_id, f"t_overrides[{platform!r}]")
             if t < 0:
@@ -134,27 +144,40 @@ class FunctionProfile:
 @dataclass(frozen=True)
 class WorkflowSpec:
     """A validated workflow: unique functions and an acyclic edge relation.
-    Unhashable, as its function profiles are."""
+    A function that is not a FunctionProfile, or an edge that is not a
+    (from, to) pair, raises SchemaError naming the field. Unhashable, as
+    its function profiles are."""
 
     workflow_id: str
     functions: tuple[FunctionProfile, ...]
     edges: tuple[tuple[str, str], ...] = ()
     #: Function ids in declaration order.
     function_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    #: Per function in topological order (ties in declaration order): its
-    #: declaration index and the positions of its predecessors in this tuple.
+    #: Per function in walk order, the topological order that always takes
+    #: the ready function declared first (so the declaration order whenever
+    #: that is topological): its declaration index and the positions of its
+    #: predecessors in this tuple.
     _topology: tuple = field(init=False, repr=False, compare=False)
 
     __hash__ = None
 
     def __post_init__(self):
+        for f in self.functions:
+            if not isinstance(f, FunctionProfile):
+                raise SchemaError(f"workflow {self.workflow_id!r}: functions must be "
+                                  f"FunctionProfile values, got {type(f).__name__}")
         ids = tuple(f.function_id for f in self.functions)
         object.__setattr__(self, "function_ids", ids)
         if len(set(ids)) != len(ids):
             raise SchemaError(f"workflow {self.workflow_id!r}: duplicate function ids")
         known = set(ids)
-        for src, dst in self.edges:
-            for endpoint in (src, dst):
+        for edge in self.edges:
+            if not (isinstance(edge, _ARRAY) and len(edge) == 2):
+                raise SchemaError(
+                    f"workflow {self.workflow_id!r}: edges must be (from, to) pairs, got {edge!r}"
+                )
+            src, dst = edge
+            for endpoint in edge:
                 if endpoint not in known:
                     raise UnknownFunctionError(
                         f"edge ({src!r}, {dst!r}) references unknown function {endpoint!r}"
@@ -165,19 +188,20 @@ class WorkflowSpec:
             succs[src].append(dst)
             preds[dst].append(src)
         indeg = {fid: len(preds[fid]) for fid in ids}
-        # Deterministic: ties resolve in declaration order.
+        index = {fid: i for i, fid in enumerate(ids)}
+        # Each step takes the ready function declared first, so a topological
+        # declaration order is kept as it is.
         order: list[str] = []
-        ready = [fid for fid in ids if indeg[fid] == 0]
+        ready = [i for i, fid in enumerate(ids) if indeg[fid] == 0]
         while ready:
-            fid = ready.pop(0)
+            fid = ids[heapq.heappop(ready)]
             order.append(fid)
             for nxt in succs[fid]:
                 indeg[nxt] -= 1
                 if indeg[nxt] == 0:
-                    ready.append(nxt)
+                    heapq.heappush(ready, index[nxt])
         if len(order) != len(self.functions):
             raise CycleError(f"workflow {self.workflow_id!r}: edge relation contains a cycle")
-        index = {fid: i for i, fid in enumerate(ids)}
         position = {fid: k for k, fid in enumerate(order)}
         topology = tuple((index[fid], tuple(position[p] for p in preds[fid])) for fid in order)
         object.__setattr__(self, "_topology", topology)
@@ -232,7 +256,8 @@ class Placement:
 class LatencyTable:
     """Mean end-to-end latency (ms) per (function, platform) pair. An entry
     that is not a Decimal or an int, is not finite, is negative or is not
-    below LATENCY_LIMIT raises SchemaError naming its pair. Unhashable:
+    below LATENCY_LIMIT raises SchemaError naming its pair, and ``entries``
+    that is not a mapping raises it naming the field. Unhashable:
     ``entries`` is a mapping."""
 
     entries: Mapping[tuple[str, str], Decimal]
@@ -240,6 +265,8 @@ class LatencyTable:
     __hash__ = None
 
     def __post_init__(self):
+        if not isinstance(self.entries, Mapping):
+            raise SchemaError(f"latency entries must be a mapping, got {type(self.entries).__name__}")
         for (fid, pid), ms in self.entries.items():
             if not (isinstance(ms, Decimal) and ms.is_finite() and ms >= 0):
                 if not _is_quantity(ms):

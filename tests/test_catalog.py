@@ -15,7 +15,6 @@ from cosmos.catalog import (
     RateUnit,
     load_catalog,
     load_platform,
-    normalize_rate,
     serialize_catalog,
 )
 from cosmos.errors import (
@@ -67,43 +66,37 @@ def test_leo_catalog_shape(catalogs):
     assert compute_like[0].rate == Decimal("0.000049")
 
 
-def test_normalize_per_million():
-    comp = PriceComponent("gw", DriverCategory.BAAS_DYNAMIC, RateUnit.PER_REQUEST, Decimal("1.06"))
-    assert normalize_rate(comp, "per-1m-requests").rate == Decimal("0.00000106")
+def _loaded_rate(driver, unit, rate, scale):
+    """The rate of a component quoted at scale, as a loaded catalog holds it."""
+    doc = _doc()
+    doc["components"].append({"id": "c", "driver": driver, "unit": unit, "rate": rate, "scale": scale})
+    return load_catalog(doc).component("c").rate
 
 
-def test_normalize_zero_rate_scale_invariant():
-    comp = PriceComponent("z", DriverCategory.INVOCATION, RateUnit.PER_REQUEST, Decimal(0))
-    assert normalize_rate(comp, "per-1m-requests").rate == 0
+@pytest.mark.parametrize(
+    "driver, rate, expected", [("BaasDynamic", "1.06", "0.00000106"), ("Invocation", "0.40", "0.0000004")]
+)
+def test_load_rescales_a_rate_per_million_requests(driver, rate, expected):
+    assert _loaded_rate(driver, "PerRequest", rate, "per-1m-requests") == Decimal(expected)
 
 
-def test_normalize_gcp_invocation():
-    comp = PriceComponent("inv", DriverCategory.INVOCATION, RateUnit.PER_REQUEST, Decimal("0.40"))
-    assert normalize_rate(comp, "per-1m-requests").rate == Decimal("0.0000004")
+def test_load_keeps_a_zero_rate_zero_at_any_scale():
+    assert _loaded_rate("Invocation", "PerRequest", "0", "per-1m-requests") == 0
 
 
-def test_normalize_hourly_fixed_rate():
-    comp = PriceComponent("svc", DriverCategory.BAAS_FIXED, RateUnit.PER_MONTH_FIXED, Decimal("0.02"))
-    assert normalize_rate(comp, "per-hour").rate == Decimal("14.60")
+def test_load_rescales_an_hourly_fixed_rate_to_a_month():
+    assert _loaded_rate("BaasFixed", "PerMonthFixed", "0.02", "per-hour") == Decimal("14.60")
 
 
-def test_normalize_unsupported_scale():
-    comp = PriceComponent("x", DriverCategory.INVOCATION, RateUnit.PER_REQUEST, Decimal(1))
-    with pytest.raises(UnitError):
-        normalize_rate(comp, "per-second")
-    with pytest.raises(UnitError):
-        # A request-count scale makes no sense for a GB-second rate.
-        normalize_rate(
-            PriceComponent("y", DriverCategory.COMPUTE, RateUnit.PER_GB_SECOND, Decimal(1)),
-            "per-1m-requests",
-        )
+def test_load_refuses_an_unsupported_scale():
+    with pytest.raises(UnitError, match="unsupported scale 'per-second'"):
+        _loaded_rate("Invocation", "PerRequest", "1", "per-second")
 
 
-@given(st.decimals(min_value=0, max_value=10**6, allow_nan=False, allow_infinity=False, places=6))
-def test_normalize_idempotent(rate):
-    comp = PriceComponent("c", DriverCategory.INVOCATION, RateUnit.PER_REQUEST, rate)
-    once = normalize_rate(comp, "per-1m-requests")
-    assert normalize_rate(once, "base") == once
+def test_load_refuses_a_scale_not_meaningful_for_the_unit():
+    # A request-count scale makes no sense for a GB-second rate.
+    with pytest.raises(UnitError, match="not meaningful for unit PerGBSecond"):
+        _loaded_rate("Compute", "PerGBSecond", "1", "per-1m-requests")
 
 
 # --- schema errors ---------------------------------------------------------

@@ -42,7 +42,7 @@ from cosmos.workflow import (
     critical_path,
 )
 
-from oracles import enumerate_placements, min_cost, min_time, walk_oracle
+from oracles import enumerate_placements, min_cost, min_time, walk_oracle, walk_order
 
 D = Decimal
 
@@ -150,6 +150,65 @@ def test_placement_of_an_index_is_the_enumerated_placement(n, width, rng):
     assert len(placements) == width**n
     for i, placement in enumerate(placements):
         assert optimizer._placement(wf, platforms, i) == placement
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_walk_order_takes_the_ready_function_declared_first(data):
+    # Edges run forward in a random order of the functions, listed in a
+    # random order, so declaration order is often not a topological order;
+    # when they run forward in declaration order, the walk keeps it.
+    n = data.draw(st.integers(0, 7), label="functions")
+    fids = [f"f{i}" for i in range(n)]
+    forward = data.draw(st.booleans(), label="declared forward")
+    ranked = fids if forward else data.draw(st.permutations(fids), label="topological order")
+    edges = [
+        (ranked[i], ranked[j])
+        for i, j in itertools.combinations(range(n), 2)
+        if data.draw(st.booleans(), label=f"edge {i}-{j}")
+    ]
+    edges = data.draw(st.permutations(edges), label="edge order")
+    wf = WorkflowSpec(
+        workflow_id="dag", functions=tuple(FunctionProfile(f) for f in fids), edges=tuple(edges)
+    )
+    order = [i for i, _ in wf._topology]
+    assert order == walk_order(wf)
+    if forward:
+        assert order == list(range(n))
+
+
+def test_walk_order_keeps_a_topological_declaration_order():
+    # Declared a, b, c with the one edge a -> b: a queue of ready functions
+    # in the order they became ready would take c before b.
+    wf = WorkflowSpec(
+        workflow_id="abc", functions=tuple(FunctionProfile(f) for f in "abc"), edges=(("a", "b"),)
+    )
+    assert [i for i, _ in wf._topology] == walk_order(wf) == [0, 1, 2]
+
+
+def test_a_chain_declared_against_its_edges_walks_as_one_declared_in_order():
+    # A 6-function chain over 5 platforms: declared in either order, the walk
+    # takes it in edge order, so the last 3 functions form the tail, priced
+    # once into 125 entries, and the first 3 make 125 head prefixes.
+    fids = [f"f{i}" for i in range(6)]
+    edges = tuple(zip(fids, fids[1:]))
+    table = {
+        (f, p): PairEntry(D((i * 7 + k * 3) % 5 + 1), D((i * 3 + k * 5) % 7 + 1))
+        for i, f in enumerate(fids)
+        for k, p in enumerate(PLATFORMS)
+    }
+    results = []
+    for declared in (fids, fids[::-1]):
+        wf = WorkflowSpec(
+            workflow_id="chain", functions=tuple(FunctionProfile(f) for f in declared), edges=edges
+        )
+        results.append(optimize(wf, PLATFORMS, PlacementModel(wf, table)))
+    for result in results:
+        assert (result.counters.tail_entries, result.counters.head_prefixes) == (125, 125)
+        assert result.counters.placements == 5**6
+    forward, backward = results
+    assert (backward.cost, backward.latency) == (forward.cost, forward.latency)
+    assert backward.best.as_dict() == forward.best.as_dict()
 
 
 # --- anchor solves -----------------------------------------------------------
@@ -811,8 +870,8 @@ def test_negative_point_is_the_first_admitted_in_enumeration_order(late, budget,
 
 def test_tie_keeps_the_first_enumerated_placement_out_of_topological_order():
     # b is declared first but runs after a. Two placements tie on (cost, latency)
-    # and are the only feasible ones; enumeration, in declaration order, meets
-    # b=x,a=y first, whereas a walk in topological order would meet a=x,b=y first.
+    # and are the only feasible ones; enumeration, in walk order (a, b), meets
+    # a=x,b=y first, whereas declaration order would meet b=x,a=y first.
     wf = WorkflowSpec(
         workflow_id="tie", functions=(FunctionProfile("b"), FunctionProfile("a")), edges=(("a", "b"),)
     )
@@ -825,8 +884,8 @@ def test_tie_keeps_the_first_enumerated_placement_out_of_topological_order():
     model = PlacementModel(wf, table)
     config = OptimizationConfig(budget=D(3), latency_slo=D(3))
     result = optimize(wf, ["x", "y"], model, config)
-    assert result.best == Placement.of([("b", "x"), ("a", "y")])
-    assert (str(result.cost), str(result.latency)) == ("3", "3.0")
+    assert result.best == Placement.of([("b", "y"), ("a", "x")])
+    assert (str(result.cost), str(result.latency)) == ("3.0", "3")
     assert (result.feasible_count, result.total_count) == (2, 4)
     tied = [p for p in enumerate_placements(wf, ["x", "y"]) if model.cost_of(p) == 3]
     assert tied[0] == result.best
@@ -835,16 +894,16 @@ def test_tie_keeps_the_first_enumerated_placement_out_of_topological_order():
 
 @pytest.mark.parametrize("latencies", [("1", "1.0", "0", "2"), ("1", "1.0", "2", "0")])
 def test_latency_keeps_the_digits_of_the_first_longest_distance(latencies):
-    # With a -> b the topological order is a, c, d, b. b's distance 2.0 ties
-    # with d's (last level) or c's (a prefix level) 2, which comes first. The
-    # walk compares values only; the reported digits are the model's.
+    # With a -> b the walk order is a, b, c, d. b's distance 2.0 comes first
+    # and ties with d's (last level) or c's (a prefix level) 2. The walk
+    # compares values only; the reported digits are the model's.
     wf = WorkflowSpec(
         workflow_id="digits", functions=tuple(FunctionProfile(f) for f in "abcd"), edges=(("a", "b"),)
     )
     model = PlacementModel(wf, {(f, "x"): PairEntry(D(1), D(ms)) for f, ms in zip("abcd", latencies)})
     config = OptimizationConfig(alpha=D(1), beta=D(1))
     result = optimize(wf, ["x"], model, config)
-    assert str(result.latency) == str(result.t_star) == str(model.latency_of(result.best)) == "2"
+    assert str(result.latency) == str(result.t_star) == str(model.latency_of(result.best)) == "2.0"
 
 
 def test_tail_path_keeps_the_digits_of_an_earlier_head_distance():
@@ -1160,13 +1219,14 @@ def test_tail_rule():
         edges=tuple((f"f{i}", f"f{i + 1}") for i in range(len(months) - 1)),
     )
     assert optimizer._tail_size(chain) == 2
-    # b is declared last but runs before a: no function after a is a tail.
+    # b is declared last but runs before a: the walk order is c, b, a, and
+    # the tail is {a}.
     late = WorkflowSpec(
         workflow_id="late",
         functions=(FunctionProfile("c"), FunctionProfile("a"), FunctionProfile("b")),
         edges=(("b", "a"),),
     )
-    assert optimizer._tail_size(late) == 0
+    assert optimizer._tail_size(late) == 1
     # A one-function workflow is its own tail, fixed pairs and all.
     one = WorkflowSpec(workflow_id="one", functions=chain.functions[-1:], edges=())
     assert optimizer._tail_size(one) == 1
@@ -1875,7 +1935,7 @@ def test_a_dominated_prefix_changes_no_answer(values, edges, fixed, config, expe
 def test_ranks_count_the_entries_within_both_bounds(data):
     # Entries of three groups, one maybe empty: few distinct costs and
     # paths, so that they tie, some outside the pair bounds, a path maybe
-    # -inf (the no-tail table's); bounds an int or math.inf.
+    # -inf; bounds an int or math.inf.
     values = st.sampled_from([0, 1, 2, 5])
     entries = data.draw(st.lists(
         st.builds(optimizer._Entry, values, values | st.just(-math.inf), st.booleans(),
@@ -1975,22 +2035,22 @@ def _no_bounds():
     return (*_exact_bounds()[:3], OptimizationConfig())
 
 
-def _no_tail():
-    """Edges run against the declaration order, so there is no tail: the
-    table is one empty combination, of path -inf, and each head prefix is
-    a whole placement. Each ties with the first or, with f0 on y, costs
-    and takes 4: all but the first are dominated."""
+def _reversed_chain():
+    """The chain f2 -> f1 -> f0, declared against its edges: the walk order
+    is f2, f1, f0 and the tail is {f0}. Every head prefix costs and takes
+    2, so all but the first are dominated; with f0 on y a placement costs
+    4, over the budget."""
     values = {"f0": {"x": (1, 1), "y": (2, 2)}, "f1": {"x": (1, 1), "y": (1, 1)},
               "f2": {"x": (1, 1), "y": (1, 1)}}
     wf, platforms, model = _counting_instance(values, (("f2", "f1"), ("f1", "f0")))
-    assert optimizer._tail_size(wf) == 0
+    assert optimizer._tail_size(wf) == 1
     return wf, platforms, model, OptimizationConfig(budget=D(3))
 
 
 @pytest.mark.parametrize(
     "instance",
     [_exact_bounds, _equal_entries, _empty_group, _shared_groups, _per_function_bounds,
-     _no_bounds, _no_tail],
+     _no_bounds, _reversed_chain],
 )
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())

@@ -179,6 +179,31 @@ def test_a_quantity_built_in_code_that_is_not_a_decimal_or_an_int_is_a_schema_er
     assert exc.value.exit_code == 2
 
 
+# Values built in code with a container of the wrong shape, and the message
+# of each SchemaError, which names the field.
+_WRONG_CONTAINER = {
+    "baas_usage-str": (lambda: FunctionProfile("f", baas_usage=("x",)),
+                       "function 'f': baas_usage entries must be BaasUsage, got str"),
+    "t_overrides-list": (lambda: FunctionProfile("f", t_overrides=[("p", Decimal(1))]),
+                         "function 'f': t_overrides must be a mapping, got list"),
+    "entries-list": (lambda: LatencyTable([(("f", "p"), Decimal(1))]),
+                     "latency entries must be a mapping, got list"),
+    "edge-one-element": (lambda: WorkflowSpec("w", (FunctionProfile("a"),), edges=(("a",),)),
+                         "workflow 'w': edges must be (from, to) pairs, got ('a',)"),
+    "functions-str": (lambda: WorkflowSpec("w", ("a",)),
+                      "workflow 'w': functions must be FunctionProfile values, got str"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WRONG_CONTAINER))
+def test_a_container_built_in_code_of_the_wrong_shape_is_a_schema_error(case):
+    build, message = _WRONG_CONTAINER[case]
+    with pytest.raises(SchemaError) as exc:
+        build()
+    assert str(exc.value) == message
+    assert exc.value.exit_code == 2
+
+
 def test_int_quantities_built_in_code_are_accepted():
     profile = FunctionProfile("f", n=5, t_overrides={"p": 2}, baas_usage=(BaasUsage("c", 1),))
     assert (profile.n, profile.compute_time_on("p")) == (Decimal(5), Decimal(2))
