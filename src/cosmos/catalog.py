@@ -105,8 +105,8 @@ class PriceComponent:
 class PlatformCatalog:
     """A platform's full rate card. Immutable, and checked when built: the
     first rule it breaks raises SchemaError, DuplicateIdError, UnitError or
-    NegativeRateError, as load_catalog does. A rate that is not finite is a
-    SchemaError."""
+    NegativeRateError, as load_catalog does. A rate that is not a Decimal,
+    or is not finite, is a SchemaError naming its component."""
 
     platform_id: str
     layer: Layer

@@ -231,7 +231,8 @@ def _sha256(path: Path) -> str:
 
 def _manifest(args, outputs: list[str], counters: dict[str, int] | None) -> dict:
     records = [{"path": str(p), "sha256": _sha256(p)} for p in sorted(args.inputs)]
-    combined = hashlib.sha256("".join(r["sha256"] for r in records).encode()).hexdigest()
+    # In content order, so that the same bytes give the same digest wherever they sit.
+    combined = hashlib.sha256("".join(sorted(r["sha256"] for r in records)).encode()).hexdigest()
     manifest = {
         "command": args.command,
         "inputs": records,

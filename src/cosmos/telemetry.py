@@ -14,13 +14,15 @@ no record. Accumulators merge exactly: a merge summarizes as one fold of the
 same rows, down to the spelling of each statistic. A pair is summarized
 without a sort: its p90 is picked with a heap of a tenth of its rows.
 
-The fold loop checks each row inline and adds it. A duration spelled as
-ASCII digits with at most one point is read straight to its coefficient and
-exponent; any other spelling goes through Decimal. Only a row that fails
-those checks, or whose duration is spelled with an exponent outside
-_EXPONENTS, goes through ``_parse_row``, the one definition of a valid row
-and of each fault's message: it raises the row's RowError or returns the row
-to be added, so the inline checks never drop a row that it accepts.
+A row takes one of two paths. The fold loop checks inline a row whose
+duration is spelled as at most 18 ASCII digits with at most one point,
+reads the duration straight to its coefficient and exponent, and adds it.
+Every other row goes through ``_parse_row``, the one definition of a valid
+row and of each fault's message: it raises the row's RowError or returns
+the row, which UsageFold.add adds. The rule of a duration is written once,
+in ``_duration_parts``, and both _parse_row and UsageFold.add apply it, so
+the inline checks never drop a row that _parse_row accepts, and
+UsageFold.add refuses exactly the durations that _parse_row does.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import IO, Mapping, Sequence
 
 from .errors import DomainError, HeaderError, RowError, UnknownFunctionError
 from .money import CONTEXT, div
-from .workflow import ZERO, FunctionProfile, LatencyTable, WorkflowSpec, _not_utf8
+from .workflow import FunctionProfile, LatencyTable, WorkflowSpec, _not_utf8
 
 USAGE_FIELDS = (
     "timestamp",
@@ -71,17 +73,14 @@ _DURATION_LIMIT = Decimal(1).scaleb(CONTEXT.prec + MEAN_QUANTUM.adjusted() - 1)
 ROW_ERRORS_SHOWN = 20
 
 #: Exponents a pair scales its durations to, so that the powers of ten that
-#: scale them stay small: a duration must be a multiple of 1E-64 below 1E+64.
+#: scale them stay small: a duration must be a multiple of 1E-64, and below
+#: _DURATION_LIMIT a scaled duration then has at most 104 digits.
 _EXPONENTS = range(-64, 64)
-
-#: Durations given to UsageFold.add are below this in magnitude, so that a
-#: scaled duration has at most 128 digits.
-_MAGNITUDE_LIMIT = Decimal(1).scaleb(_EXPONENTS.stop)
 
 #: Reads any finite Decimal exactly, to drop the trailing zeros of its spelling.
 _UNBOUNDED = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
-#: Scaled durations below these in magnitude fit the 4-byte array a pair
+#: Scaled durations below these fit the 4-byte array a pair
 #: starts with and the 8-byte array it widens to; past them it keeps Python ints.
 _NARROW_LIMIT, _WIDE_LIMIT = 2**31, 2**63
 
@@ -142,12 +141,10 @@ def _parse_row(line: int, row: Sequence[str]) -> tuple:
         duration = Decimal(raw_duration)
     except Exception:
         raise RowError(line, f"bad duration_ms {raw_duration!r}") from None
-    if not duration.is_finite() or duration < 0:
-        raise RowError(line, f"duration_ms must be finite and >= 0, got {raw_duration!r}")
-    if duration >= _DURATION_LIMIT:
-        raise RowError(line, f"duration_ms must be < {_DURATION_LIMIT}, got {raw_duration!r}")
-    if _normal(duration)[1] < _EXPONENTS.start:
-        raise RowError(line, f"duration_ms must be a multiple of 1E{_EXPONENTS.start}, got {raw_duration!r}")
+    try:
+        _duration_parts(duration)
+    except ValueError as exc:
+        raise RowError(line, f"duration_ms {exc}, got {raw_duration!r}") from None
     bytes_in = _parse_count(line, "bytes_in", raw_in)
     bytes_out = _parse_count(line, "bytes_out", raw_out)
     if status not in STATUSES:
@@ -155,18 +152,31 @@ def _parse_row(line: int, row: Sequence[str]) -> tuple:
     return function_id, platform_id, duration, bytes_in, bytes_out, status
 
 
-def _parts(duration: Decimal) -> tuple[int, int | str]:
-    """The signed coefficient and the exponent of a Decimal, as as_tuple()
-    gives them: the exponent of a NaN or an infinity is a letter. A zero
-    loses its sign."""
-    sign, digits, exponent = duration.as_tuple()
-    return int(Decimal((sign, digits, 0))), exponent
+def _duration_parts(duration: Decimal) -> tuple[int, int]:
+    """The coefficient and the exponent of a valid duration, the exponent in
+    _EXPONENTS: its _parts, or, for one spelled with an exponent outside
+    them, the _parts with the trailing zeros of its spelling dropped, as
+    Decimal.normalize drops them (a zero is 0E0). The rule of a duration,
+    for _parse_row and UsageFold.add alike: ValueError, stating the rule,
+    for one that is not finite, is negative, is _DURATION_LIMIT or more,
+    or has a nonzero digit finer than 1E-64."""
+    if not duration.is_finite() or duration < 0:
+        raise ValueError("must be finite and >= 0")
+    if duration >= _DURATION_LIMIT:
+        raise ValueError(f"must be < {_DURATION_LIMIT}")
+    coefficient, exponent = _parts(duration)
+    if exponent not in _EXPONENTS:
+        coefficient, exponent = _parts(duration.normalize(_UNBOUNDED))
+        if exponent < _EXPONENTS.start:
+            raise ValueError(f"must be a multiple of 1E{_EXPONENTS.start}")
+    return coefficient, exponent
 
 
-def _normal(duration: Decimal) -> tuple[int, int]:
-    """The _parts of a finite duration with the trailing zeros of its
-    spelling dropped, as Decimal.normalize drops them: a zero is 0E0."""
-    return _parts(duration.normalize(_UNBOUNDED))
+def _parts(duration: Decimal) -> tuple[int, int]:
+    """The coefficient and the exponent of a finite Decimal, as as_tuple()
+    gives them, without the sign: a valid duration's only sign is a zero's."""
+    _, digits, exponent = duration.as_tuple()
+    return int(Decimal((0, digits, 0))), exponent
 
 
 def _decimal(coefficient: int, exponent: int) -> Decimal:
@@ -176,8 +186,8 @@ def _decimal(coefficient: int, exponent: int) -> Decimal:
 
 
 def _peak(values: array | list[int], factor: int) -> int:
-    """The largest magnitude of the values times factor."""
-    return max(max(values, default=0), -min(values, default=0)) * factor
+    """The largest of the values, which are nonnegative, times factor."""
+    return max(values, default=0) * factor
 
 
 class _Pair:
@@ -186,14 +196,14 @@ class _Pair:
     tally.
 
     The ok durations are kept by value, not by spelling: ``scaled`` holds
-    each one as a signed integer at ``exponent``, the finest exponent of
-    the pair's rows, so 1.5 and 1.50 are the same integer and a zero has
-    no sign. ``scaled`` is a 4-byte array ('i') until a value does not
-    fit; it then widens to 8 bytes ('q'), and past 2**63 in magnitude to a
-    list of Python ints. Durations of up to nine digits at the pair's
-    exponent thus take 4 bytes a row, however they are spelled. Each
-    statistic is spelled at ``exponent``, so the order and split of the
-    rows change no byte of a summary.
+    each one as a nonnegative integer at ``exponent``, the finest exponent
+    of the pair's rows, so 1.5 and 1.50 are the same integer and -0 is 0.
+    ``scaled`` is a 4-byte array ('i') until a value does not fit; it then
+    widens to 8 bytes ('q'), and past 2**63 to a list of Python ints.
+    Durations of up to nine digits at the pair's exponent thus take 4 bytes
+    a row, however they are spelled. Each statistic is spelled at
+    ``exponent``, so the order and split of the rows change no byte of a
+    summary.
     """
 
     __slots__ = ("scaled", "exponent", "bytes_in_total", "bytes_out_total", "error_count")
@@ -206,12 +216,11 @@ class _Pair:
         self.error_count = 0
 
     def add(self, coefficient: int, exponent: int) -> None:
-        """Add the ok duration of _parts (coefficient, exponent), with the
-        exponent in _EXPONENTS."""
+        """Add the ok duration of _duration_parts (coefficient, exponent)."""
         if exponent < self.exponent:
             self._rescale(exponent)
         value = coefficient * 10 ** (exponent - self.exponent)
-        self._widen(abs(value))
+        self._widen(value)
         self.scaled.append(value)
 
     def extend(self, other: _Pair) -> None:
@@ -233,7 +242,7 @@ class _Pair:
 
     def _widen(self, peak: int) -> None:
         """Widen ``scaled`` to the narrowest of 4 bytes, 8 bytes and Python
-        ints a value that is peak in magnitude fits."""
+        ints that a value of peak fits."""
         scaled = self.scaled
         if peak >= _NARROW_LIMIT and isinstance(scaled, array):
             if peak >= _WIDE_LIMIT:
@@ -310,28 +319,21 @@ class UsageFold:
         bytes_out: int,
         status: str,
     ) -> None:
-        """Add one row. A duration that is not finite, that is 1E+64 or
-        more in magnitude, or that has a nonzero digit finer than 1E-64, or a
-        status other than ok or error, raises DomainError and adds nothing;
-        the rest of the duration and the byte counts are trusted as given:
-        UsageLog.fold passes only rows that passed the row checks."""
-        if not duration_ms.is_finite():
-            raise DomainError(
-                f"duration ({function_id}, {platform_id}) must be finite, got {duration_ms}"
-            )
-        coefficient, exponent = _parts(duration_ms)
-        if exponent not in _EXPONENTS:
-            coefficient, exponent = _normal(duration_ms)
-        if exponent not in _EXPONENTS or not -_MAGNITUDE_LIMIT < duration_ms < _MAGNITUDE_LIMIT:
-            raise DomainError(
-                f"duration ({function_id}, {platform_id}) must be a multiple of"
-                f" 1E{_EXPONENTS.start} below {_MAGNITUDE_LIMIT}, got {duration_ms}"
-            )
+        """Add one row. A duration that breaks the rule of a row's
+        duration_ms (_duration_parts: not finite, negative, 1E+40 or more,
+        or with a nonzero digit finer than 1E-64), or a status other than ok
+        or error, raises DomainError naming the pair and the rule, and adds
+        nothing; the byte counts are trusted as given: UsageLog.fold passes
+        only rows that passed the row checks."""
+        try:
+            coefficient, exponent = _duration_parts(duration_ms)
+        except ValueError as exc:
+            raise DomainError(f"duration ({function_id}, {platform_id}) {exc}, got {duration_ms}") from None
         self._add(function_id, platform_id, coefficient, exponent, bytes_in, bytes_out, status)
 
     def _add(self, function_id: str, platform_id: str, coefficient: int, exponent: int,
              bytes_in: int, bytes_out: int, status: str) -> None:
-        """add, with a finite duration as its _parts."""
+        """add, with a valid duration as its _duration_parts."""
         pair = self._pairs.get((function_id, platform_id))
         if pair is None:
             if status not in STATUSES:
@@ -439,9 +441,7 @@ class UsageLog:
                                     coefficient, exponent = int(digits), -len(fraction)
                                     checked = True
                                 else:
-                                    duration = Decimal(raw_duration)
-                                    coefficient, exponent = _parts(duration)
-                                    checked = exponent in _EXPONENTS and ZERO <= duration < _DURATION_LIMIT
+                                    checked = False
                                 bytes_in = int(raw_in)
                                 bytes_out = int(raw_out)
                                 checked = (
@@ -450,7 +450,7 @@ class UsageLog:
                                     and bytes_out >= 0
                                     and status in STATUSES
                                 )
-                            except (ValueError, ArithmeticError):
+                            except ValueError:
                                 checked = False
                             if checked:
                                 add_parts(fid, pid, coefficient, exponent, bytes_in, bytes_out, status)

@@ -35,17 +35,13 @@ ZERO = Decimal(0)
 LATENCY_LIMIT = Decimal(1).scaleb(CONTEXT.prec - 9)
 
 
-def _is_quantity(value) -> bool:
-    """Whether value is a Decimal or an int; a bool is neither."""
-    return isinstance(value, (Decimal, int)) and not isinstance(value, bool)
-
-
 def _require_finite(value: Decimal, kind: str, name: str, field: str) -> None:
     """SchemaError naming the field of the named object when value is not a
-    quantity (_is_quantity), or is a NaN or an infinity."""
-    if not _is_quantity(value):
-        raise SchemaError(f"{kind} {name!r}: {field} must be a Decimal or an int, got {type(value).__name__}")
-    if not Decimal(value).is_finite():
+    Decimal, or is a NaN or an infinity: the rule of a loaded quantity,
+    which _parse_quantity always makes a finite Decimal."""
+    if not isinstance(value, Decimal):
+        raise SchemaError(f"{kind} {name!r}: {field} must be a Decimal, got {type(value).__name__}")
+    if not value.is_finite():
         raise SchemaError(f"{kind} {name!r}: {field} must be finite, got {value}")
 
 
@@ -57,7 +53,7 @@ class BaasUsage:
     processed per request for per-GB components, and 1 for plain per-request
     pricing. ``platforms`` optionally restricts the entry to the named
     platforms (services consumed on one provider only). A quantity that is
-    not a Decimal or an int, or is not finite, raises SchemaError.
+    not a Decimal, or is not finite, raises SchemaError.
     """
 
     component_id: str
@@ -82,10 +78,12 @@ class FunctionProfile:
     measurements go in ``t_overrides`` (the same code runs faster or slower on
     different hardware). ``d`` is state retained per billing month regardless
     of traffic; ``d_per_request`` adds state that accrues with request volume.
-    A quantity or compute time that is not a Decimal or an int, is not
-    finite, or is negative, raises SchemaError naming it; so does a
-    ``baas_usage`` entry that is not a BaasUsage, or ``t_overrides`` that
-    is not a mapping. Unhashable: ``t_overrides`` is a mapping.
+    A quantity or compute time that is not a Decimal, is not finite, or is
+    negative, raises SchemaError naming it; so does a ``baas_usage`` entry
+    that is not a BaasUsage, or ``t_overrides`` that is not a mapping. The
+    profile checks and keeps its own copy of ``t_overrides``, so a caller
+    changing theirs later cannot undo the check. Unhashable:
+    ``t_overrides`` is a mapping.
     """
 
     function_id: str
@@ -108,8 +106,7 @@ class FunctionProfile:
         for name, value in zip(_QUANTITIES, quantities):
             if not (isinstance(value, Decimal) and value.is_finite() and value >= 0):
                 _require_finite(value, "function", fid, name)
-                if value < 0:
-                    raise SchemaError(f"function {fid!r}: {name} must be >= 0")
+                raise SchemaError(f"function {fid!r}: {name} must be >= 0")
         for usage in self.baas_usage:
             if not isinstance(usage, BaasUsage):
                 raise SchemaError(
@@ -124,7 +121,9 @@ class FunctionProfile:
             raise SchemaError(
                 f"function {fid!r}: t_overrides must be a mapping, got {type(self.t_overrides).__name__}"
             )
-        for platform, t in self.t_overrides.items():
+        overrides = dict(self.t_overrides)
+        object.__setattr__(self, "t_overrides", overrides)
+        for platform, t in overrides.items():
             _require_finite(t, "function", self.function_id, f"t_overrides[{platform!r}]")
             if t < 0:
                 raise SchemaError(
@@ -215,9 +214,18 @@ class WorkflowSpec:
 
 @dataclass(frozen=True, slots=True)
 class Placement:
-    """Total assignment of workflow functions to platforms."""
+    """Total assignment of workflow functions to platforms, one entry per
+    function: a function assigned twice raises SchemaError, as a repeated
+    ``--assign`` does."""
 
     assignments: tuple[tuple[str, str], ...]
+
+    def __post_init__(self):
+        assigned = set()
+        for fid, _ in self.assignments:
+            if fid in assigned:
+                raise SchemaError(f"placement assigns function {fid!r} twice")
+            assigned.add(fid)
 
     @classmethod
     def uniform(cls, workflow: WorkflowSpec, platform_id: str) -> "Placement":
@@ -238,15 +246,15 @@ class Placement:
         return tuple(pid for _, pid in self.assignments)
 
     def resolve(self, function_ids: Iterable[str]) -> Iterator[tuple[str, str]]:
-        """(function, platform) for each function in turn, the first entry per
-        function winning; platform_for raises for a function not assigned."""
-        assigned = dict(reversed(self.assignments))
+        """(function, platform) for each function in turn; platform_for
+        raises for a function not assigned."""
+        assigned = dict(self.assignments)
         for fid in function_ids:
             yield fid, assigned.get(fid) or self.platform_for(fid)
 
     def as_dict(self) -> dict[str, str]:
-        """Function to platform, the first entry per function winning, as in platform_for."""
-        return dict(self.resolve(fid for fid, _ in self.assignments))
+        """Function to platform, in assignment order."""
+        return dict(self.assignments)
 
     def __str__(self) -> str:
         return ",".join(f"{fid}={pid}" for fid, pid in self.assignments)
@@ -255,10 +263,11 @@ class Placement:
 @dataclass(frozen=True)
 class LatencyTable:
     """Mean end-to-end latency (ms) per (function, platform) pair. An entry
-    that is not a Decimal or an int, is not finite, is negative or is not
-    below LATENCY_LIMIT raises SchemaError naming its pair, and ``entries``
-    that is not a mapping raises it naming the field. Unhashable:
-    ``entries`` is a mapping."""
+    that is not a Decimal, is not finite, is negative or is not below
+    LATENCY_LIMIT raises SchemaError naming its pair, and ``entries`` that
+    is not a mapping raises it naming the field. The table checks and keeps
+    its own copy of ``entries``, so a caller changing theirs later cannot
+    undo the check. Unhashable: ``entries`` is a mapping."""
 
     entries: Mapping[tuple[str, str], Decimal]
 
@@ -267,16 +276,13 @@ class LatencyTable:
     def __post_init__(self):
         if not isinstance(self.entries, Mapping):
             raise SchemaError(f"latency entries must be a mapping, got {type(self.entries).__name__}")
-        for (fid, pid), ms in self.entries.items():
+        entries = dict(self.entries)
+        object.__setattr__(self, "entries", entries)
+        for (fid, pid), ms in entries.items():
             if not (isinstance(ms, Decimal) and ms.is_finite() and ms >= 0):
-                if not _is_quantity(ms):
-                    raise SchemaError(
-                        f"latency ({fid}, {pid}) must be a Decimal or an int, got {type(ms).__name__}"
-                    )
-                if not (Decimal(ms).is_finite() and ms >= 0):
-                    raise SchemaError(
-                        f"latency ({fid}, {pid}) must be finite and nonnegative, got {ms}"
-                    )
+                if not isinstance(ms, Decimal):
+                    raise SchemaError(f"latency ({fid}, {pid}) must be a Decimal, got {type(ms).__name__}")
+                raise SchemaError(f"latency ({fid}, {pid}) must be finite and nonnegative, got {ms}")
             if ms >= LATENCY_LIMIT:
                 raise SchemaError(f"latency ({fid}, {pid}) must be below {LATENCY_LIMIT} ms, got {ms}")
 

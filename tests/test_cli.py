@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -823,9 +824,32 @@ def test_optimize_manifest_counts_the_integer_search(capsys, tmp_path):
         "ledgers_priced": 1,
         "dominated_prefixes": 7,
     }
-    paths = sorted(i["path"] for i in manifest["inputs"])
-    digests = "".join(hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths)
+    digests = "".join(sorted(hashlib.sha256(Path(i["path"]).read_bytes()).hexdigest()
+                             for i in manifest["inputs"]))
     assert manifest["input_digest"] == hashlib.sha256(digests.encode()).hexdigest()
+
+
+def test_manifest_input_digest_does_not_depend_on_where_the_inputs_sit(capsys, tmp_path):
+    # The same workflow and card bytes in two layouts: the workflow's path
+    # sorts before the cards' in the first and after them in the second.
+    manifests = []
+    for workflow_dir, card_dir in (("a", "b"), ("d", "c")):
+        (tmp_path / workflow_dir).mkdir()
+        (tmp_path / card_dir).mkdir()
+        workflow = tmp_path / workflow_dir / "workflow.json"
+        shutil.copy(PIPELINE, workflow)
+        cards = []
+        for pid in ("aws-x86", "leo"):
+            shutil.copy(bundled_catalog_dir() / f"{pid}.json", tmp_path / card_dir / f"{pid}.json")
+            cards += ["--catalog", str(tmp_path / card_dir / f"{pid}.json")]
+        out = tmp_path / workflow_dir / "out"
+        code, _, _ = run(capsys, "optimize", "--workflow", str(workflow), *cards, "--out", str(out))
+        assert code == 0
+        manifests.append(json.loads((out / "manifest.json").read_text()))
+    first, second = manifests
+    assert [Path(i["path"]).name for i in first["inputs"]] == ["workflow.json", "aws-x86.json", "leo.json"]
+    assert [Path(i["path"]).name for i in second["inputs"]] == ["aws-x86.json", "leo.json", "workflow.json"]
+    assert first["input_digest"] == second["input_digest"]
 
 
 def test_manifest_lists_only_the_inputs_read(capsys, tmp_path):

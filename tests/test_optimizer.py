@@ -267,6 +267,44 @@ def test_catalog_model_agrees_with_engine(pipeline, catalogs):
     assert c_star == D("20.06499")
 
 
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_a_code_built_workflow_is_refused_by_name_or_priced_alike_by_model_and_engine(
+        pipeline, catalogs, data):
+    # The pipeline built again in code, each whole quantity given as its
+    # Decimal or as its int. An int is refused where it is built, naming its
+    # field, as no loader yields one; a workflow that builds costs the same
+    # in the model and the engine in every placement.
+    wf, lat = pipeline
+    ints = []
+
+    def drawn(value, field):
+        if value == value.to_integral_value() and data.draw(st.booleans(), label=field):
+            ints.append(field)
+            return int(value)
+        return value
+
+    def rebuilt(f):
+        fid = f.function_id
+        quantities = {name: drawn(getattr(f, name), f"function {fid!r}: {name}")
+                      for name in ("n", "t", "mem", "d", "d_per_request", "r_in", "r_out")}
+        usage = tuple(BaasUsage(u.component_id, drawn(u.quantity, f"baas_usage {u.component_id!r}: quantity"),
+                                u.platforms) for u in f.baas_usage)
+        return FunctionProfile(fid, **quantities, baas_usage=usage, workload_class=f.workload_class,
+                               t_overrides=f.t_overrides)
+
+    try:
+        built = WorkflowSpec(wf.workflow_id, tuple(rebuilt(f) for f in wf.functions), wf.edges)
+    except SchemaError as exc:
+        assert str(exc) in {f"{field} must be a Decimal, got int" for field in ints}
+        return
+    assert not ints and built == wf
+    model = CatalogModel(built, catalogs, latencies=lat)
+    for combo in itertools.product(PLATFORMS, repeat=len(built.functions)):
+        placement = Placement(tuple(zip(built.function_ids, combo)))
+        assert model.cost_of(placement) == workflow_cost(built, placement, catalogs, latencies=lat).total
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_catalog_model_matches_engine_with_shared_fixed_charges(catalogs, data):

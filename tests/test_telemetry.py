@@ -497,7 +497,7 @@ def test_rows_that_do_not_fit_fall_back_to_the_list():
             for status in ("ok", "error"):
                 with pytest.raises(DomainError) as exc:
                     fold.add("f", "p", D(text), 1, 1, status)
-                assert str(exc.value) == f"duration (f, p) must be finite, got {text}"
+                assert str(exc.value) == f"duration (f, p) must be finite and >= 0, got {text}"
             assert repr(fold.summaries()) == repr(_fold(rows).summaries())
 
 
@@ -507,11 +507,23 @@ def test_fold_add_refuses_a_duration_it_cannot_scale():
     fold = _fold(accepted)
     stats = fold.summaries()[("f", "p")].stats
     assert (stats.count, str(stats.min), str(stats.max)) == (4, "0.0", "2.5")
-    # A refused duration adds nothing.
-    for text in ("1E-70", "1.0000000001E-55", "1E+64", "-1E+64", "15E+63", "1E+999999999"):
+    # A refused duration adds nothing, and its error states the rule of a
+    # row's duration_ms that it breaks.
+    refused = {
+        "1E-70": "must be a multiple of 1E-64",
+        "1.0000000001E-55": "must be a multiple of 1E-64",
+        "1E+40": "must be < 1E+40",
+        "5E+50": "must be < 1E+40",
+        "1E+64": "must be < 1E+40",
+        "15E+63": "must be < 1E+40",
+        "1E+999999999": "must be < 1E+40",
+        "-1E+64": "must be finite and >= 0",
+        "-0.5": "must be finite and >= 0",
+    }
+    for text, rule in refused.items():
         with pytest.raises(DomainError) as exc:
             fold.add("f", "p", D(text), 1, 1, "ok")
-        assert str(exc.value) == f"duration (f, p) must be a multiple of 1E-64 below 1E+64, got {D(text)}"
+        assert str(exc.value) == f"duration (f, p) {rule}, got {D(text)}"
     assert repr(fold.summaries()) == repr(_fold(accepted).summaries())
 
 
@@ -573,6 +585,27 @@ _NEAR_MISSES = {
     5: _COUNT_NEAR_MISSES,
     6: ["OK", "error "],
 }
+
+
+def test_fold_add_refuses_exactly_the_durations_that_parse_row_refuses():
+    # One rule for both: a duration_ms that _parse_row refuses, UsageFold.add
+    # refuses with the same rule text, and one it accepts, add folds alike.
+    prefix = "row 2: duration_ms "
+    for text in [*_SPELLINGS, *_NEAR_MISSES[3], "5E+50", "1.0000000001E-55"]:
+        row = ["2024-11-04T09:00:00Z", "f", "p", text, "1", "2", "ok"]
+        fold = UsageFold()
+        try:
+            parsed = telemetry._parse_row(2, row)
+        except RowError as exc:
+            message, suffix = str(exc), f", got {text!r}"
+            assert message.startswith(prefix) and message.endswith(suffix)
+            with pytest.raises(DomainError) as refused:
+                fold.add("f", "p", D(text), 1, 2, "ok")
+            assert str(refused.value) == f"duration (f, p) {message[len(prefix):-len(suffix)]}, got {D(text)}"
+            assert fold.summaries() == {}
+        else:
+            fold.add("f", "p", D(text), 1, 2, "ok")
+            assert repr(fold.summaries()) == repr(_fold([parsed]).summaries())
 
 
 def _well_formed(pair, m, k, z, bytes_in, bytes_out, status):

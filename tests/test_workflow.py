@@ -7,6 +7,15 @@ from decimal import Decimal
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cosmos.catalog import (
+    DriverCategory,
+    Layer,
+    PlatformCatalog,
+    PriceComponent,
+    RateUnit,
+    load_catalog,
+    serialize_catalog,
+)
 from cosmos.errors import (
     CycleError,
     DomainError,
@@ -155,23 +164,28 @@ def test_latency_table_is_unhashable_but_compares_equal(pipeline):
     assert LatencyTable({("f", "p"): Decimal(5)}) == LatencyTable({("f", "p"): Decimal("5.0")})
 
 
-# Values built in code with a quantity that is not a Decimal or an int, and
-# the message of each SchemaError.
+# Values built in code with a quantity that is not a Decimal, and the
+# message of each SchemaError: a loader yields only Decimals, so an int is
+# refused as a str is.
 _WRONG_TYPED = {
-    "t-str": (lambda: FunctionProfile("f", t="1"), "function 'f': t must be a Decimal or an int, got str"),
-    "latency-str": (lambda: LatencyTable({("f", "p"): "5"}), "latency (f, p) must be a Decimal or an int, got str"),
+    "t-str": (lambda: FunctionProfile("f", t="1"), "function 'f': t must be a Decimal, got str"),
+    "latency-str": (lambda: LatencyTable({("f", "p"): "5"}), "latency (f, p) must be a Decimal, got str"),
     "t_overrides-str": (lambda: FunctionProfile("f", t_overrides={"p": "1"}),
-                        "function 'f': t_overrides['p'] must be a Decimal or an int, got str"),
-    "quantity-str": (lambda: BaasUsage("c", "2"), "baas_usage 'c': quantity must be a Decimal or an int, got str"),
-    "n-float": (lambda: FunctionProfile("f", n=0.5), "function 'f': n must be a Decimal or an int, got float"),
-    "mem-bool": (lambda: FunctionProfile("f", mem=True), "function 'f': mem must be a Decimal or an int, got bool"),
-    "latency-bool": (lambda: LatencyTable({("f", "p"): False}),
-                     "latency (f, p) must be a Decimal or an int, got bool"),
+                        "function 'f': t_overrides['p'] must be a Decimal, got str"),
+    "quantity-str": (lambda: BaasUsage("c", "2"), "baas_usage 'c': quantity must be a Decimal, got str"),
+    "n-float": (lambda: FunctionProfile("f", n=0.5), "function 'f': n must be a Decimal, got float"),
+    "mem-bool": (lambda: FunctionProfile("f", mem=True), "function 'f': mem must be a Decimal, got bool"),
+    "latency-bool": (lambda: LatencyTable({("f", "p"): False}), "latency (f, p) must be a Decimal, got bool"),
+    "n-int": (lambda: FunctionProfile("f", n=5), "function 'f': n must be a Decimal, got int"),
+    "t_overrides-int": (lambda: FunctionProfile("f", t_overrides={"p": 2}),
+                        "function 'f': t_overrides['p'] must be a Decimal, got int"),
+    "quantity-int": (lambda: BaasUsage("c", 1), "baas_usage 'c': quantity must be a Decimal, got int"),
+    "latency-int": (lambda: LatencyTable({("f", "p"): 5}), "latency (f, p) must be a Decimal, got int"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_WRONG_TYPED))
-def test_a_quantity_built_in_code_that_is_not_a_decimal_or_an_int_is_a_schema_error(case):
+def test_a_quantity_built_in_code_that_is_not_a_decimal_is_a_schema_error(case):
     build, message = _WRONG_TYPED[case]
     with pytest.raises(SchemaError) as exc:
         build()
@@ -204,10 +218,83 @@ def test_a_container_built_in_code_of_the_wrong_shape_is_a_schema_error(case):
     assert exc.value.exit_code == 2
 
 
-def test_int_quantities_built_in_code_are_accepted():
-    profile = FunctionProfile("f", n=5, t_overrides={"p": 2}, baas_usage=(BaasUsage("c", 1),))
-    assert (profile.n, profile.compute_time_on("p")) == (Decimal(5), Decimal(2))
-    assert LatencyTable({("f", "p"): 5}).get("f", "p") == Decimal(5)
+def test_int_quantities_built_in_code_are_refused():
+    # An int would reach serialize_workflow, serialize_catalog and the
+    # engine, which take only the Decimals a loader yields; it is refused
+    # where the value is built, naming its field.
+    with pytest.raises(SchemaError, match="^baas_usage 'c': quantity must be a Decimal, got int$"):
+        FunctionProfile("f", n=Decimal(5), baas_usage=(BaasUsage("c", 1),))
+    with pytest.raises(SchemaError, match="^component 'inv': rate must be a Decimal, got int$"):
+        _catalog(1)
+
+
+def _catalog(rate):
+    """A card of two components, the first with the given rate."""
+    return PlatformCatalog("p", Layer.CLOUD, (
+        PriceComponent("inv", DriverCategory.INVOCATION, RateUnit.PER_REQUEST, rate),
+        PriceComponent("cpu", DriverCategory.COMPUTE, RateUnit.PER_GB_SECOND, Decimal("0.5")),
+    ))
+
+
+_PROFILE_QUANTITIES = ("n", "t", "mem", "d", "d_per_request", "r_in", "r_out")
+
+#: Where each quantity that the property below draws sits, and the start of
+#: the SchemaError that refuses it.
+_DRAWN_FIELDS = {
+    **{name: f"function 'f': {name} must be" for name in _PROFILE_QUANTITIES},
+    "t_overrides": "function 'f': t_overrides['p'] must be",
+    "quantity": "baas_usage 'c': quantity must be",
+    "latency": "latency (f, p) must be",
+    "rate": "component 'inv': rate must be",
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(sorted(_DRAWN_FIELDS)),
+    st.one_of(
+        st.decimals(min_value=0, max_value=10**9, places=6),
+        st.sampled_from([Decimal("NaN"), Decimal("sNaN"), Decimal("Infinity"), Decimal("-Infinity")]),
+        st.integers(-5, 10**12),
+        st.booleans(),
+        st.floats(),
+        st.sampled_from(["1", "0.5", "abc"]),
+    ),
+)
+def test_a_quantity_built_in_code_is_refused_by_name_or_round_trips(field, value):
+    def drawn(name):
+        return value if name == field else Decimal("1.5")
+
+    try:
+        profile = FunctionProfile(
+            "f",
+            **{name: drawn(name) for name in _PROFILE_QUANTITIES},
+            baas_usage=(BaasUsage("c", drawn("quantity")),),
+            t_overrides={"p": drawn("t_overrides")},
+        )
+        latencies = LatencyTable({("f", "p"): drawn("latency")})
+        catalog = _catalog(drawn("rate"))
+    except SchemaError as exc:
+        assert not (isinstance(value, Decimal) and value.is_finite())
+        assert str(exc).startswith(_DRAWN_FIELDS[field])
+        return
+    assert isinstance(value, Decimal) and value.is_finite()
+    workflow = WorkflowSpec("w", (profile,))
+    assert load_workflow_document(serialize_workflow(workflow, latencies)) == (workflow, latencies)
+    assert load_catalog(serialize_catalog(catalog)) == catalog
+
+
+def test_value_types_keep_their_own_copy_of_a_checked_mapping():
+    # A caller changing the mapping it built a value with cannot undo the
+    # value's check.
+    entries = {("f", "p"): Decimal(1)}
+    table = LatencyTable(entries)
+    entries[("f", "p")] = Decimal("NaN")
+    assert table.get("f", "p") == Decimal(1)
+    overrides = {"p": Decimal(1)}
+    profile = FunctionProfile("f", t=Decimal(2), t_overrides=overrides)
+    overrides["p"] = Decimal(-5)
+    assert profile.compute_time_on("p") == Decimal(1)
 
 
 def test_unknown_function_field_rejected():
@@ -487,12 +574,15 @@ def test_placement_helpers():
     assert str(placement) == "a=x,b=y"
 
 
-def test_as_dict_keeps_the_first_entry_per_function_like_platform_for():
-    placement = Placement((("f0", "a"), ("f1", "c"), ("f0", "b")))
-    assert placement.as_dict() == {"f0": "a", "f1": "c"}
-    assert list(placement.as_dict()) == ["f0", "f1"]
-    assert Placement((("f0", "a"), ("f0", "b"))).as_dict() == {"f0": "a"}
-    assert placement.as_dict()["f0"] == placement.platform_for("f0")
+def test_a_placement_assigns_each_function_once():
+    # Refused as a repeated --assign is, so that pricing, platforms() and
+    # str() cannot read two platforms for one function.
+    for assignments in ((("f0", "a"), ("f1", "c"), ("f0", "b")), (("f0", "a"), ("f0", "a"))):
+        with pytest.raises(SchemaError, match="^placement assigns function 'f0' twice$"):
+            Placement(assignments)
+    placement = Placement((("f1", "c"), ("f0", "a")))
+    assert list(placement.as_dict().items()) == [("f1", "c"), ("f0", "a")]
+    assert all(placement.as_dict()[fid] == placement.platform_for(fid) for fid in ("f0", "f1"))
 
 
 def test_function_ids_are_computed_once_in_declaration_order():
